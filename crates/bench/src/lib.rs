@@ -1,81 +1,30 @@
 //! # skywalker-bench
 //!
 //! The experiment harness: one bench target per figure of the paper's
-//! evaluation (see `benches/`), plus micro-benchmarks of the routing
-//! data path (`routing_micro`).
+//! evaluation (see `benches/`). Wall-clock and per-layer performance
+//! numbers live in the standalone `skybench` package next door
+//! (`crates/bench/skybench`), the repo's one perf harness.
 //!
 //! Every bench target uses a custom harness (`harness = false`): the
 //! figure benches are experiment drivers that print the same rows/series
-//! the paper plots, and `routing_micro` runs on the tiny timing loop in
-//! [`micro`] (the workspace builds offline, so no criterion). Run one
-//! with:
+//! the paper plots. Run one with:
 //!
 //! ```sh
 //! cargo bench -p skywalker-bench --bench fig08_macro
 //! ```
 //!
-//! This library crate hosts the shared table-printing helpers, the
-//! micro-benchmark timing loop, and the [`rows`] builders that turn a
+//! This library crate hosts the shared table-printing helpers and the
+//! [`rows`] builders that turn a
 //! [`RunSummary`](skywalker::RunSummary) into the `BENCH_*.json` row
 //! schemas — one definition per schema, shared by every bench target
 //! and by `skywalker-lab` reports. The JSON serializer itself lives in
 //! `skywalker_metrics::json` and is re-exported here under its
 //! historical name.
 
-use std::time::{Duration, Instant};
-
 /// The zero-dependency `BENCH_*.json` serializer (hosted by
 /// `skywalker-metrics` so the sweep lab can share it without a
 /// dependency cycle; re-exported here under its historical path).
 pub use skywalker_metrics::json;
-
-/// Minimal micro-benchmark timing: warm up briefly, then run the closure
-/// until ~200 ms of samples accumulate and report the mean ns/iter. Not
-/// a statistics engine — it exists so the routing data path has a
-/// runnable perf smoke without external dependencies.
-pub mod micro {
-    use super::*;
-    use crate::json::{Report, Val};
-
-    /// Opaque value barrier (re-exported so benches need no direct
-    /// `std::hint` import).
-    pub fn black_box<T>(x: T) -> T {
-        std::hint::black_box(x)
-    }
-
-    /// Times `f`, prints `name: <mean> ns/iter (<iters> iters)`, and
-    /// returns the mean ns/iter for machine-readable reports.
-    pub fn bench<F: FnMut()>(name: &str, mut f: F) -> f64 {
-        // Warm-up: populate caches and let the branch predictor settle.
-        let warmup_end = Instant::now() + Duration::from_millis(20);
-        while Instant::now() < warmup_end {
-            f();
-        }
-        let mut iters: u64 = 0;
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(200);
-        while Instant::now() < deadline {
-            // Batch 64 calls per clock check so the Instant reads do not
-            // dominate sub-microsecond bodies.
-            for _ in 0..64 {
-                f();
-            }
-            iters += 64;
-        }
-        let elapsed = start.elapsed();
-        let ns_per_iter = elapsed.as_nanos() as f64 / iters as f64;
-        println!("{name}: {ns_per_iter:.1} ns/iter ({iters} iters)");
-        ns_per_iter
-    }
-
-    /// As [`fn@bench`], additionally appending the standard micro row
-    /// (`name`, `ns_per_iter`) to `rep`.
-    pub fn bench_into<F: FnMut()>(rep: &mut Report, name: &str, f: F) -> f64 {
-        let ns = bench(name, f);
-        rep.row(&[("name", Val::from(name)), ("ns_per_iter", Val::from(ns))]);
-        ns
-    }
-}
 
 /// The `BENCH_*.json` row schemas, built from a
 /// [`RunSummary`](skywalker::RunSummary) in one place so no bench
@@ -170,25 +119,6 @@ pub mod rows {
             ("drains", Val::from(s.fleet.drains)),
             ("crashes", Val::from(s.fleet.crashes)),
             ("forwarded", Val::from(s.forwarded)),
-        ]
-    }
-
-    /// One `BENCH_scale.json` row: the scale-curve schema (wall-clock
-    /// cost and event-queue depth vs client population). The wall
-    /// column is machine-dependent by nature; everything else is
-    /// deterministic under the seed discipline.
-    pub fn scale_row(
-        scale: f64,
-        clients: usize,
-        s: &RunSummary,
-        wall_s: f64,
-    ) -> Vec<(&'static str, Val)> {
-        vec![
-            ("scale", Val::from(scale)),
-            ("clients", Val::from(clients)),
-            ("completed", Val::from(s.report.completed)),
-            ("peak_events", Val::from(s.peak_events)),
-            ("wall_s", Val::from(wall_s)),
         ]
     }
 }
@@ -340,30 +270,6 @@ mod tests {
                 "crashes",
                 "forwarded"
             ]
-        );
-        let keys: Vec<&str> = rows::scale_row(0.5, 10, &s, 1.0)
-            .iter()
-            .map(|(k, _)| *k)
-            .collect();
-        assert_eq!(
-            keys,
-            ["scale", "clients", "completed", "peak_events", "wall_s"]
-        );
-    }
-
-    #[test]
-    fn micro_row_schema_is_stable() {
-        // `BENCH_routing_micro.json` rows all come from
-        // `micro::bench_into`; pin the emitted field names and order the
-        // same way the table schemas above are pinned.
-        let mut rep = json::Report::new("schema-probe");
-        micro::bench_into(&mut rep, "probe", || {});
-        assert_eq!(rep.len(), 1);
-        assert!(
-            rep.render()
-                .contains("{\"name\": \"probe\", \"ns_per_iter\": "),
-            "micro row schema drifted: {}",
-            rep.render()
         );
     }
 }

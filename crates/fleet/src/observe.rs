@@ -56,7 +56,7 @@ pub struct LbObservation {
 
 /// Snapshot of the whole deployment at one instant, assembled by the
 /// fabric and handed to every [`crate::FleetPlan`] poll.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetObservation {
     /// The observation instant.
     pub now: SimTime,

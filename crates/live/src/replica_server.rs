@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use skywalker_net::{read_frame, write_frame, Message};
-use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request};
+use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request, StepOutcome};
 use skywalker_telemetry::{prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
@@ -153,21 +153,42 @@ impl ReplicaServer {
     }
 }
 
+/// What one locked pass over the replica found.
+enum Stepped {
+    /// An iteration ran; its outputs publish after its (scaled) duration.
+    Worked(StepOutcome),
+    /// The pending head can never fit the KV cache and was dropped.
+    Dropped(Request),
+    /// Nothing to do.
+    Idle,
+}
+
+/// Steps the replica until an iteration does work, the queue drains, or
+/// the head proves unservable — all under one lock hold, so an `Infer`
+/// enqueued mid-pass can never be mistaken for a stuck head. A
+/// zero-duration step that still changed state (a preemption emptied the
+/// batch) means "step again", exactly as the fabric's replica kick does.
+fn step_once(replica: &mut Replica) -> Stepped {
+    while !replica.is_idle() {
+        let out = replica.step();
+        if out.worked() {
+            return Stepped::Worked(out);
+        }
+        if !out.progressed() {
+            return replica
+                .pop_pending_head()
+                .map_or(Stepped::Idle, Stepped::Dropped);
+        }
+    }
+    Stepped::Idle
+}
+
 fn stepper(shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::Relaxed) {
-        let out = shared.replica.lock().step();
-        if !out.worked() {
-            // Idle or head-blocked; drop anything unadmittable so the
-            // queue cannot wedge, then nap briefly.
-            let dropped = {
-                let mut r = shared.replica.lock();
-                if r.is_idle() {
-                    None
-                } else {
-                    r.pop_pending_head()
-                }
-            };
-            if let Some(req) = dropped {
+        let stepped = step_once(&mut shared.replica.lock());
+        let out = match stepped {
+            Stepped::Worked(out) => out,
+            Stepped::Dropped(req) => {
                 let route = shared.routes.lock().remove(&req.id.0);
                 if let Some(tx) = route {
                     let _ = tx.send(Message::Reject {
@@ -177,9 +198,11 @@ fn stepper(shared: Arc<Shared>) {
                 }
                 continue;
             }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
+            Stepped::Idle => {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+        };
         // Let the iteration "run" in scaled wall time, then publish its
         // results.
         let wall = out.duration.as_secs_f64() * shared.time_scale;
@@ -360,6 +383,49 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        srv.shutdown();
+    }
+
+    /// Requests that find the replica idle hit the window in which a
+    /// stepper that re-takes the lock between `step()` and its
+    /// stuck-head check pops the fresh arrival and rejects it. 5 000
+    /// requests, each sequential on its connection (50 connections keep
+    /// the wall time down; the replica still idles between arrivals),
+    /// all fit the KV cache, so none may be rejected.
+    #[test]
+    fn sequential_small_requests_are_never_rejected() {
+        let srv = ReplicaServer::spawn(ReplicaId(4), GpuProfile::L4_LLAMA_8B, 1e-6).unwrap();
+        let addr = srv.addr();
+        std::thread::scope(|scope| {
+            for c in 0..50u64 {
+                scope.spawn(move || {
+                    let mut conn = connect(addr);
+                    for i in (c * 100)..(c * 100 + 100) {
+                        write_frame(
+                            &mut conn,
+                            &Message::Infer {
+                                request_id: i,
+                                session_key: format!("u{c}"),
+                                prompt: vec![c as u32; 4],
+                                max_new_tokens: 1,
+                                hops: 0,
+                            },
+                        )
+                        .unwrap();
+                        loop {
+                            match read_frame(&mut conn).unwrap() {
+                                Message::Completed { request_id, .. } => {
+                                    assert_eq!(request_id, i);
+                                    break;
+                                }
+                                Message::FirstToken { request_id } => assert_eq!(request_id, i),
+                                other => panic!("request {i}: unexpected {other:?}"),
+                            }
+                        }
+                    }
+                });
+            }
+        });
         srv.shutdown();
     }
 

@@ -1,0 +1,120 @@
+//! How to run it: the fabric-wide timing knobs and the optional
+//! observation planes ([`FabricConfig`]).
+
+use skywalker_net::LatencyModel;
+use skywalker_sim::{SimDuration, SimTime};
+use skywalker_telemetry::TelemetryConfig;
+use skywalker_trace::TraceConfig;
+
+/// Fabric-wide timing knobs.
+#[derive(Debug, Clone)]
+pub struct FabricConfig {
+    /// Root seed for all randomness.
+    pub seed: u64,
+    /// Wide-area latency model.
+    pub net: LatencyModel,
+    /// Selective-pushing probe interval (the paper uses 100 ms, §4.1).
+    pub probe_interval: SimDuration,
+    /// LB → controller heartbeat interval.
+    pub heartbeat_interval: SimDuration,
+    /// Controller failure-detection timeout.
+    pub controller_timeout: SimDuration,
+    /// Client retry delay after losing a request to a dead balancer.
+    pub retry_delay: SimDuration,
+    /// How far ahead the fabric polls the scenario's [`TrafficSource`](crate::TrafficSource)
+    /// for upcoming client arrivals. Arrivals keep their exact instants
+    /// regardless — this only batches the pull; smaller is more polls,
+    /// larger is bigger batches. Clamped to at least one millisecond so
+    /// the poll loop always advances virtual time at a sane rate (as are
+    /// the probe, heartbeat, fleet-poll, and telemetry intervals).
+    pub traffic_poll_interval: SimDuration,
+    /// How often the fabric polls the scenario's [`FleetPlan`](crate::FleetPlan) with a
+    /// fresh [`FleetObservation`](crate::FleetObservation). Scheduled commands keep their exact
+    /// instants regardless (the poll looks one interval ahead); this
+    /// sets the control plane's reaction latency for *reactive* plans
+    /// (autoscalers). Clamped to at least one millisecond.
+    pub fleet_poll_interval: SimDuration,
+    /// Hard stop; the run ends even if clients are unfinished.
+    pub deadline: SimTime,
+    /// Memory bound of the balancer routing tries, in tokens.
+    pub trie_max_tokens: usize,
+    /// Hit-ratio threshold of the cache-aware policy (§5.1: 0.5).
+    pub affinity_threshold: f64,
+    /// Load-gap override of the cache-aware policy: beyond this many
+    /// outstanding requests between the most and least loaded candidate,
+    /// affinity yields to shortest-queue routing (the SGLang router's
+    /// default is 32).
+    pub balance_abs_threshold: u32,
+    /// Span tracing for bottleneck attribution. `None` (the default)
+    /// records nothing; `Some` attaches a [`TraceRecorder`](crate::trace::TraceRecorder) and the run
+    /// returns a [`TraceSummary`](crate::TraceSummary). Tracing is observation-only — it
+    /// never reads clocks, draws randomness, or changes scheduling, so
+    /// outcomes are byte-identical either way (pinned by the
+    /// golden-digest gate).
+    pub trace: Option<TraceConfig>,
+    /// Streaming metrics sampling. `None` (the default) records nothing;
+    /// `Some` attaches a labeled [`MetricsRegistry`](crate::MetricsRegistry) fed on a sim-time
+    /// cadence and the run returns a [`TelemetrySummary`](crate::TelemetrySummary). Like tracing,
+    /// telemetry is observation-only — enabling it at any cadence leaves
+    /// run outcomes byte-identical (pinned by the golden-digest gate).
+    pub telemetry: Option<TelemetryConfig>,
+}
+
+impl FabricConfig {
+    /// This config with span tracing enabled at the default capacity.
+    pub fn traced(mut self) -> Self {
+        self.trace = Some(TraceConfig::default());
+        self
+    }
+
+    /// This config with telemetry sampling enabled every `interval` of
+    /// sim time (default ring capacity).
+    pub fn telemetry(mut self, interval: SimDuration) -> Self {
+        self.telemetry = Some(TelemetryConfig::every(interval));
+        self
+    }
+
+    /// The smallest period any self-rescheduling tick may have.
+    const MIN_TICK: SimDuration = SimDuration::from_millis(1);
+
+    /// This config as the world runs it: every interval that paces a
+    /// self-rescheduling event (`ProbeTick`, `HeartbeatTick` /
+    /// `ControllerTick`, `TrafficPoll`, `FleetPoll`, `TelemetryTick`) is
+    /// at least [`Self::MIN_TICK`]. A zero interval would re-enqueue its
+    /// tick at the same instant forever and the run would never reach
+    /// the deadline; a sub-millisecond one buys nothing (arrivals and
+    /// fleet commands keep their exact instants via the look-ahead).
+    pub(super) fn clamped(&self) -> FabricConfig {
+        let mut cfg = self.clone();
+        let clamp = |interval: &mut SimDuration| *interval = (*interval).max(Self::MIN_TICK);
+        clamp(&mut cfg.probe_interval);
+        clamp(&mut cfg.heartbeat_interval);
+        clamp(&mut cfg.traffic_poll_interval);
+        clamp(&mut cfg.fleet_poll_interval);
+        if let Some(t) = cfg.telemetry.as_mut() {
+            clamp(&mut t.interval);
+        }
+        cfg
+    }
+}
+
+impl Default for FabricConfig {
+    fn default() -> Self {
+        FabricConfig {
+            seed: 0xD1CE,
+            net: LatencyModel::default_wan(),
+            probe_interval: SimDuration::from_millis(100),
+            heartbeat_interval: SimDuration::from_millis(500),
+            controller_timeout: SimDuration::from_secs(2),
+            retry_delay: SimDuration::from_secs(1),
+            traffic_poll_interval: SimDuration::from_millis(500),
+            fleet_poll_interval: SimDuration::from_millis(500),
+            deadline: SimTime::from_secs(4 * 3600),
+            trie_max_tokens: 1 << 22,
+            affinity_threshold: 0.5,
+            balance_abs_threshold: 32,
+            trace: None,
+            telemetry: None,
+        }
+    }
+}

@@ -1,0 +1,246 @@
+//! The run's three observation sinks behind one seam: the
+//! [`RequestTracker`] (always on — it produces the [`RunReport`]), the
+//! optional [`TraceRecorder`], and the optional streaming metrics plane.
+//!
+//! The world reports each request-lifecycle point once, through the
+//! method named after it; the method fans out to every sink that cares.
+//! Milestones only the tracer records go through [`Observers::trace`]
+//! with the [`TraceEventKind`] vocabulary directly. Everything here is
+//! observation-only: sinks are fed, nothing is read back into the
+//! simulation, so outcomes are byte-identical whichever sinks are
+//! attached (pinned by the golden-digest gates).
+
+use skywalker_metrics::{RequestTracker, RunReport};
+use skywalker_net::Region;
+use skywalker_replica::Completion;
+use skywalker_sim::{SimDuration, SimTime};
+use skywalker_telemetry::{MetricsRegistry, RingSeries, TelemetryConfig, TelemetrySummary};
+use skywalker_trace::{TraceEventKind, TraceRecorder, TraceSummary};
+
+use super::summary::ratio;
+use super::world::{LbSlot, ReplicaSlot};
+use super::{FabricConfig, TransferSummary};
+
+/// The streaming metrics plane: a labeled registry fed at lifecycle
+/// points (TTFT sketches) and on the telemetry tick (gauges, cumulative
+/// counters), plus ring-buffered dashboard series sampled every tick.
+struct TelemetryPlane {
+    cfg: TelemetryConfig,
+    registry: MetricsRegistry,
+    /// The dashboard series, created (in name order) by the first
+    /// sampling pass.
+    series: Vec<RingSeries>,
+    /// Sampling passes taken (every tick plus one final flush).
+    ticks: u64,
+}
+
+impl TelemetryPlane {
+    fn into_summary(self) -> TelemetrySummary {
+        TelemetrySummary {
+            interval: self.cfg.interval,
+            ticks: self.ticks,
+            snapshot: self.registry.snapshot(),
+            series: self.series,
+        }
+    }
+}
+
+pub(crate) struct Observers {
+    tracker: RequestTracker,
+    tracer: Option<TraceRecorder>,
+    telemetry: Option<TelemetryPlane>,
+}
+
+impl Observers {
+    /// Attaches the sinks `cfg` asks for (`cfg` is already clamped).
+    pub(crate) fn new(cfg: &FabricConfig) -> Self {
+        Observers {
+            tracker: RequestTracker::new(),
+            tracer: cfg.trace.map(TraceRecorder::new),
+            telemetry: cfg.telemetry.map(|cfg| TelemetryPlane {
+                cfg,
+                registry: MetricsRegistry::new(),
+                series: Vec::new(),
+                ticks: 0,
+            }),
+        }
+    }
+
+    /// Whether a tracer is attached — lets the replica step loop skip
+    /// assembling per-iteration annotations nobody records.
+    #[inline]
+    pub(crate) fn tracing(&self) -> bool {
+        self.tracer.is_some()
+    }
+
+    /// The telemetry tick period, when the metrics plane is attached.
+    pub(crate) fn telemetry_interval(&self) -> Option<SimDuration> {
+        self.telemetry.as_ref().map(|p| p.cfg.interval)
+    }
+
+    /// Records a tracer-only milestone.
+    #[inline]
+    pub(crate) fn trace(&mut self, at: SimTime, kind: TraceEventKind) {
+        if let Some(rec) = self.tracer.as_mut() {
+            rec.record(at, kind);
+        }
+    }
+
+    /// A client issued a fresh request.
+    pub(crate) fn arrival(&mut self, req: u64, prompt_tokens: u64, at: SimTime) {
+        self.tracker.arrival(req, at, prompt_tokens);
+        self.trace(at, TraceEventKind::Issued { req });
+    }
+
+    /// A client re-issued a request after a retry wait or a reroute.
+    pub(crate) fn retry(&mut self, req: u64, at: SimTime) {
+        self.tracker.retry(req);
+        self.trace(at, TraceEventKind::Issued { req });
+    }
+
+    /// A live balancer queued the request after `hops` forwards, so the
+    /// chain through this balancer is one longer.
+    pub(crate) fn lb_queued(&mut self, req: u64, lb: u32, hops: u8, at: SimTime) {
+        self.tracker.record_hops(req, hops.saturating_add(1));
+        self.trace(at, TraceEventKind::LbQueued { req, lb, hops });
+    }
+
+    /// The first token reached the client in `region` (the TTFT instant).
+    pub(crate) fn first_token_delivered(&mut self, req: u64, region: Region, at: SimTime) {
+        self.trace(at, TraceEventKind::FirstTokenDelivered { req });
+        self.tracker.first_token(req, at);
+        let (Some(plane), Some(arrived)) =
+            (self.telemetry.as_mut(), self.tracker.arrival_time(req))
+        else {
+            return;
+        };
+        let ttft = at.saturating_since(arrived).as_secs_f64();
+        plane.registry.observe("skywalker_ttft_seconds", &[], ttft);
+        let labels = [("region", region.name())];
+        plane
+            .registry
+            .observe("skywalker_region_ttft_seconds", &labels, ttft);
+    }
+
+    /// The full response reached the client (the end-to-end instant).
+    pub(crate) fn delivered(&mut self, c: &Completion, at: SimTime) {
+        self.trace(at, TraceEventKind::Delivered { req: c.id.0 });
+        self.tracker.completion(
+            c.id.0,
+            at,
+            u64::from(c.generated_tokens),
+            u64::from(c.cached_prompt_tokens),
+        );
+    }
+
+    /// The request terminally failed.
+    pub(crate) fn failed(&mut self, req: u64, at: SimTime) {
+        self.trace(at, TraceEventKind::Failed { req });
+        self.tracker.failure(req);
+    }
+
+    /// Samples the authoritative fabric state into the metrics plane
+    /// (no-op when telemetry is off): reads balancer/replica state,
+    /// writes only the registry and ring series.
+    pub(crate) fn sample(
+        &mut self,
+        now: SimTime,
+        lbs: &[LbSlot],
+        replicas: &[ReplicaSlot],
+        transfers: &TransferSummary,
+    ) {
+        let Some(plane) = self.telemetry.as_mut() else {
+            return;
+        };
+        plane.ticks += 1;
+        let reg = &mut plane.registry;
+
+        // Balancer plane: live queue depths plus the cumulative routing
+        // counters the balancers already track exactly.
+        let mut total_queue = 0u64;
+        for lb in lbs.iter().filter(|s| s.alive).map(|s| &s.lb) {
+            let stats = lb.stats();
+            let labels = [("region", lb.region().name())];
+            reg.set_gauge("skywalker_lb_queue_depth", &labels, lb.queue_len() as f64);
+            reg.counter_at_least("skywalker_lb_received_total", &labels, stats.received);
+            reg.counter_at_least(
+                "skywalker_lb_dispatched_local_total",
+                &labels,
+                stats.dispatched_local,
+            );
+            reg.counter_at_least("skywalker_lb_forwarded_total", &labels, stats.forwarded);
+            total_queue += lb.queue_len() as u64;
+        }
+
+        // Replica plane: serving count, KV pressure, cache effectiveness.
+        let mut serving = 0u64;
+        let mut kv_sum = 0.0;
+        let mut prompt = 0u64;
+        let mut cached = 0u64;
+        let mut completed = 0u64;
+        for slot in replicas {
+            if slot.is_active() {
+                serving += 1;
+                kv_sum += slot.replica.kv_utilization();
+            }
+            let stats = slot.replica.stats();
+            prompt += stats.prompt_tokens;
+            cached += stats.cached_prompt_tokens;
+            completed += stats.completed;
+        }
+        let kv_mean = ratio(kv_sum, serving as f64);
+        let hit = ratio(cached as f64, prompt as f64);
+        reg.set_gauge("skywalker_serving_replicas", &[], serving as f64);
+        reg.set_gauge("skywalker_kv_utilization_mean", &[], kv_mean);
+        reg.set_gauge("skywalker_replica_hit_ratio", &[], hit);
+        reg.counter_at_least("skywalker_replica_completed_total", &[], completed);
+
+        // Disaggregation plane: cumulative handoff counts and volume
+        // (flat zeros — and no extra series — on colocated fleets).
+        if transfers.started > 0 {
+            reg.counter_at_least("skywalker_kv_transfers_total", &[], transfers.started);
+            reg.counter_at_least(
+                "skywalker_kv_transfer_tokens_total",
+                &[],
+                transfers.tokens_sent,
+            );
+        }
+
+        let ttft_p90 = reg
+            .sketch("skywalker_ttft_seconds", &[])
+            .map(|s| s.quantile(0.90))
+            .unwrap_or(0.0);
+
+        // Per tick: fleet-wide replica hit ratio, mean KV utilization
+        // across serving replicas, total live-balancer queue depth,
+        // serving replica count, sketch-P90 TTFT (seconds).
+        let samples = [
+            ("hit_ratio", hit),
+            ("kv_utilization", kv_mean),
+            ("queue_depth", total_queue as f64),
+            ("serving_replicas", serving as f64),
+            ("ttft_p90_seconds", ttft_p90),
+        ];
+        if plane.series.is_empty() {
+            let cap = plane.cfg.ring_capacity;
+            let series = samples.iter().map(|(name, _)| RingSeries::new(name, cap));
+            plane.series.extend(series);
+        }
+        for (series, (_, value)) in plane.series.iter_mut().zip(samples) {
+            series.record(now, value);
+        }
+    }
+
+    /// Closes every sink at the run's end instant: the client-observed
+    /// report, then the trace and telemetry summaries when attached.
+    pub(crate) fn finish(
+        self,
+        end: SimTime,
+    ) -> (RunReport, Option<TraceSummary>, Option<TelemetrySummary>) {
+        (
+            self.tracker.report(end),
+            self.tracer.map(TraceRecorder::into_summary),
+            self.telemetry.map(TelemetryPlane::into_summary),
+        )
+    }
+}

@@ -1,0 +1,288 @@
+//! [`run_scenario`]: builds the world a [`Scenario`] describes, plays it
+//! on the event engine until every client is done (or the deadline),
+//! and condenses the end state into a [`RunSummary`].
+
+use std::collections::{BTreeMap, HashMap};
+
+use skywalker_core::{
+    BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
+};
+use skywalker_fleet::{
+    FleetCommand, FleetEvent, FleetObservation, FleetPlan, MergePlan, ScheduledPlan,
+};
+use skywalker_metrics::{peak_gap, TimeSeries};
+use skywalker_net::{DnsResolver, Endpoint, Region};
+use skywalker_replica::ReplicaStats;
+use skywalker_sim::{DetRng, Engine, SimTime};
+
+use super::observers::Observers;
+use super::summary::ratio;
+use super::world::{Ev, Fabric, FleetPlane, LbSlot, Traffic};
+use super::{Deployment, FabricConfig, FleetSummary, RunSummary, Scenario, TransferSummary};
+
+/// Runs one scenario to completion (all clients done, or the deadline).
+pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
+    let mut world = build_world(scenario, cfg);
+    let mut engine: Engine<Ev> = Engine::new();
+    for client in 0..world.clients.len() {
+        engine.schedule(SimTime::ZERO, Ev::IssueStage { client });
+    }
+    // A defensively-constructed scenario can hold an empty source (the
+    // builder rejects them); skip the self-perpetuating ticks so the run
+    // terminates immediately instead of idling to the deadline.
+    if !world.clients.is_empty() || !world.traffic.exhausted {
+        engine.schedule(SimTime::ZERO, Ev::ProbeTick);
+        engine.schedule(SimTime::ZERO, Ev::HeartbeatTick);
+        let first_check = SimTime::ZERO + world.cfg.heartbeat_interval;
+        engine.schedule(first_check, Ev::ControllerTick);
+        if !world.traffic.exhausted {
+            engine.schedule(SimTime::ZERO, Ev::TrafficPoll);
+        }
+        if world.fleet.plan.is_some() {
+            engine.schedule(SimTime::ZERO, Ev::FleetPoll);
+        }
+        if world.obs.telemetry_interval().is_some() {
+            engine.schedule(SimTime::ZERO, Ev::TelemetryTick);
+        }
+    }
+    let end = engine.run_until(&mut world, cfg.deadline).end_time;
+    summarize(scenario, world, end, engine.peak_pending())
+}
+
+/// The fleet control plane: the legacy fault schedule rides along as a
+/// [`ScheduledPlan`] of balancer flaps, merged with any custom plan.
+/// Each run polls a fresh clone, like the traffic source.
+fn fleet_plan(scenario: &Scenario) -> Option<Box<dyn FleetPlan>> {
+    let flaps = scenario.faults.iter().map(|f| {
+        let lb = f.lb_index;
+        let event = if f.down {
+            FleetEvent::LbDown { lb }
+        } else {
+            FleetEvent::LbUp { lb }
+        };
+        FleetCommand::new(f.at, event)
+    });
+    let faults = (!scenario.faults.is_empty()).then(|| {
+        Box::new(ScheduledPlan::new(flaps.collect()).with_label("faults")) as Box<dyn FleetPlan>
+    });
+    match (faults, scenario.fleet_plan.clone()) {
+        (Some(f), Some(p)) => Some(Box::new(MergePlan::new(vec![f, p]))),
+        (f, p) => f.or(p),
+    }
+}
+
+/// Where balancers sit. Client regions come from the traffic source's
+/// declaration, so every region that may ever see an arrival has a
+/// balancer before the run starts.
+fn lb_regions(scenario: &Scenario) -> Vec<Region> {
+    match scenario.deployment {
+        Deployment::Centralized { lb_region, .. } => vec![lb_region],
+        Deployment::PerRegion { .. } => {
+            let mut regions: Vec<Region> = Vec::new();
+            let hosting = scenario.replicas.iter().map(|p| p.region);
+            for region in hosting.chain(scenario.traffic.regions()) {
+                if !regions.contains(&region) {
+                    regions.push(region);
+                }
+            }
+            regions
+        }
+    }
+}
+
+/// The balancers, each advertised in DNS and registered with the
+/// controller, peered all-to-all when forwarding is on.
+fn build_lbs(
+    scenario: &Scenario,
+    cfg: &FabricConfig,
+    forward: bool,
+    dns: &mut DnsResolver,
+    controller: &mut Controller,
+) -> Vec<LbSlot> {
+    let (policy, push_mode, tau, constraint) = match scenario.deployment {
+        Deployment::Centralized { policy, push, .. } => {
+            (policy, push, 0, RoutingConstraint::Unrestricted)
+        }
+        Deployment::PerRegion {
+            policy,
+            push,
+            tau,
+            constraint,
+            ..
+        } => (policy, push, tau, constraint),
+    };
+    // Custom factory if the scenario carries one, else the deployment's
+    // built-in policy kind (PolicyKind itself implements PolicyFactory).
+    let factory: &dyn PolicyFactory = scenario.policy_factory.as_deref().unwrap_or(&policy);
+    let regions = lb_regions(scenario);
+    let mut lbs: Vec<LbSlot> = Vec::with_capacity(regions.len());
+    for (i, &region) in regions.iter().enumerate() {
+        let lb_id = i as u32;
+        let bcfg = BalancerConfig {
+            region,
+            policy,
+            push_mode,
+            tau,
+            trie_max_tokens: cfg.trie_max_tokens,
+            affinity_threshold: cfg.affinity_threshold,
+            balance_abs_threshold: cfg.balance_abs_threshold,
+            max_hops: u8::from(forward),
+            constraint,
+        };
+        let lb = RegionalBalancer::with_factory(LbId(lb_id), bcfg, factory);
+        lbs.push(LbSlot { lb, alive: true });
+        dns.advertise(Endpoint { region, lb_id });
+        controller.register_lb(LbId(lb_id), region);
+    }
+    if forward {
+        for (i, slot) in lbs.iter_mut().enumerate() {
+            for (j, &region) in regions.iter().enumerate() {
+                if i != j {
+                    slot.lb.add_peer(LbId(j as u32), region);
+                }
+            }
+        }
+    }
+    lbs
+}
+
+fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
+    let cfg = cfg.clamped();
+    let mut dns = DnsResolver::new(cfg.net.clone());
+    let mut controller = Controller::new(cfg.net.clone(), cfg.controller_timeout);
+    // Only per-region deployments forward between balancers.
+    let forward_enabled = matches!(
+        scenario.deployment,
+        Deployment::PerRegion { forward: true, .. }
+    );
+    let lbs = build_lbs(scenario, &cfg, forward_enabled, &mut dns, &mut controller);
+
+    let mut world = Fabric {
+        rng: DetRng::for_component(cfg.seed, "fabric/net"),
+        forward_enabled,
+        lbs,
+        replicas: Vec::with_capacity(scenario.replicas.len()),
+        // `None` = the default FCFS + LRU engine.
+        engine: scenario.engine.clone().unwrap_or_default(),
+        disagg: BTreeMap::new(),
+        transfers: TransferSummary::default(),
+        clients: Vec::new(),
+        active_clients: 0,
+        // Each run pulls from a fresh copy of the traffic source, so the
+        // same scenario replays identically any number of times.
+        traffic: Traffic {
+            source: scenario.traffic.clone(),
+            rng: DetRng::for_component(cfg.seed, "fabric/traffic"),
+            exhausted: false,
+            pending_arrivals: 0,
+        },
+        reqs: HashMap::new(),
+        dns,
+        controller,
+        fleet: FleetPlane {
+            plan: fleet_plan(scenario),
+            rng: DetRng::for_component(cfg.seed, "fabric/fleet"),
+            ledger: FleetSummary::default(),
+            observation: FleetObservation::default(),
+        },
+        obs: Observers::new(&cfg),
+        probe_ids: Vec::new(),
+        probe_statuses: Vec::new(),
+        cfg,
+    };
+    // Replicas attach to the balancer of their region (or the single
+    // centralized balancer).
+    for (i, p) in scenario.replicas.iter().enumerate() {
+        let role = scenario.roles.get(i).copied().unwrap_or_default();
+        world.add_replica(p.region, p.profile, role);
+    }
+    world.fleet.record(SimTime::ZERO, &world.replicas);
+    // The t = 0 cohort is admitted before the engine starts: their first
+    // stages are scheduled ahead of every tick event, which keeps a
+    // pre-materialized population bit-identical to the legacy eager
+    // path. Later arrivals stream in through `Ev::TrafficPoll`.
+    let t = &mut world.traffic;
+    let cohort = t.source.next_batch(SimTime::ZERO, &mut t.rng);
+    t.exhausted = t.source.is_exhausted();
+    for arrival in cohort {
+        world.admit(arrival.spec);
+    }
+    world
+}
+
+/// Max/min ratio of a per-replica quantity (1.0 when there is nothing
+/// to compare or a replica saw none of it).
+fn imbalance(vals: impl Iterator<Item = f64> + Clone) -> f64 {
+    let max = vals.clone().fold(f64::MIN, f64::max);
+    let min = vals.clone().fold(f64::MAX, f64::min);
+    if vals.count() < 2 || min <= 0.0 {
+        1.0
+    } else {
+        max / min
+    }
+}
+
+fn summarize(
+    scenario: &Scenario,
+    mut world: Fabric,
+    end: SimTime,
+    peak_events: usize,
+) -> RunSummary {
+    world.fleet.record(end, &world.replicas);
+    // One final flush so the summary snapshot reflects the end state even
+    // when the run ends between ticks (no-op with telemetry off).
+    world.sample_telemetry(end);
+    let (report, trace, telemetry) = world.obs.finish(end);
+
+    let replica_stats: Vec<ReplicaStats> =
+        world.replicas.iter().map(|s| s.replica.stats()).collect();
+    let sum = |stat: fn(&ReplicaStats) -> u64| replica_stats.iter().map(stat).sum::<u64>();
+
+    let mut dispatched = vec![0.0; world.replicas.len()];
+    for slot in &world.lbs {
+        for (rid, n) in slot.lb.dispatch_counts() {
+            dispatched[rid.0 as usize] += *n as f64;
+        }
+    }
+    let peak_outstanding: Vec<u32> = world.replicas.iter().map(|s| s.peak_outstanding).collect();
+    let final_replicas = world.replicas.iter().filter(|s| s.is_active()).count() as u32;
+    let kv_series: Vec<TimeSeries> = world.replicas.into_iter().map(|s| s.kv_series).collect();
+
+    RunSummary {
+        label: scenario.label.clone(),
+        system: scenario.system,
+        report,
+        end_time: end,
+        replica_hit_rate: ratio(
+            sum(|s| s.cached_prompt_tokens) as f64,
+            sum(|s| s.prompt_tokens) as f64,
+        ),
+        engine_label: world.engine.label(),
+        preempted: sum(|s| s.preempted),
+        evicted_tokens: sum(|s| s.evicted_tokens),
+        chunked_steps: sum(|s| s.chunked_steps),
+        demoted_tokens: sum(|s| s.demoted_tokens),
+        promoted_tokens: sum(|s| s.promoted_tokens),
+        transfers: world.transfers,
+        forwarded: world.lbs.iter().map(|s| s.lb.stats().forwarded).sum(),
+        dispatch_imbalance: imbalance(dispatched.iter().copied()),
+        outstanding_imbalance: imbalance(peak_outstanding.iter().map(|&v| f64::from(v))),
+        peak_outstanding,
+        peak_lb_queue: world
+            .lbs
+            .iter()
+            .map(|s| s.lb.stats().peak_queue)
+            .max()
+            .unwrap_or(0),
+        peak_events,
+        kv_peak_gap: peak_gap(&kv_series.iter().collect::<Vec<_>>()),
+        kv_series,
+        fleet: FleetSummary {
+            final_replicas,
+            ..world.fleet.ledger
+        },
+        trace,
+        telemetry,
+        replica_stats,
+    }
+}

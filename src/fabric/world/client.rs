@@ -1,0 +1,208 @@
+//! The client layer: the traffic stream, closed-loop client programs,
+//! and the request's two client-facing edges — issue (DNS → balancer)
+//! and delivery (first token, completion).
+
+use skywalker_net::Region;
+use skywalker_replica::{Completion, Request, RequestId};
+use skywalker_sim::{DetRng, SimDuration};
+use skywalker_trace::TraceEventKind::RetryWait;
+use skywalker_workload::{ClientEvent, ClientSpec, TrafficSource};
+
+use super::{Ev, Fabric, ReqState, Sched};
+
+pub(crate) struct ClientState {
+    spec: ClientSpec,
+    program_idx: usize,
+    stage_idx: usize,
+    inflight: u32,
+    finished: bool,
+}
+
+impl ClientState {
+    /// Moves past the stage that just drained, skipping empty programs;
+    /// marks the client finished when no program is left.
+    fn advance(&mut self) {
+        if let Some(p) = self.spec.programs.get(self.program_idx) {
+            self.stage_idx += 1;
+            if self.stage_idx >= p.stages.len() {
+                self.program_idx += 1;
+                self.stage_idx = 0;
+            }
+        }
+        while self
+            .spec
+            .programs
+            .get(self.program_idx)
+            .is_some_and(|p| p.stages.is_empty())
+        {
+            self.program_idx += 1;
+        }
+        self.finished = self.spec.programs.get(self.program_idx).is_none();
+    }
+}
+
+/// The scenario's traffic stream as the run pulls it.
+pub(crate) struct Traffic {
+    pub(crate) source: Box<dyn TrafficSource>,
+    /// Randomness stream handed to the source (separate from the
+    /// network stream, so sources cannot perturb latency sampling).
+    pub(crate) rng: DetRng,
+    /// Cached `source.is_exhausted()` — part of the stop condition.
+    pub(crate) exhausted: bool,
+    /// Arrivals pulled from the source but not yet come online.
+    pub(crate) pending_arrivals: usize,
+}
+
+impl Fabric {
+    pub(crate) fn on_traffic_poll(&mut self, sched: &mut Sched) {
+        // Pull one poll interval ahead so every arrival can be scheduled
+        // at its exact instant instead of being quantized to poll
+        // boundaries.
+        let horizon = sched.now() + self.cfg.traffic_poll_interval;
+        let t = &mut self.traffic;
+        for ClientEvent { at, spec } in t.source.next_batch(horizon, &mut t.rng) {
+            t.pending_arrivals += 1;
+            sched.at(at, Ev::ClientArrive { spec });
+        }
+        t.exhausted = t.source.is_exhausted();
+        if t.exhausted {
+            self.maybe_stop(sched);
+        } else {
+            sched.after(self.cfg.traffic_poll_interval, Ev::TrafficPoll);
+        }
+    }
+
+    /// Brings one client online — the single admission path for the
+    /// t = 0 cohort and for streamed arrivals — and returns its index.
+    pub(crate) fn admit(&mut self, spec: ClientSpec) -> usize {
+        self.clients.push(ClientState {
+            spec,
+            program_idx: 0,
+            stage_idx: 0,
+            inflight: 0,
+            finished: false,
+        });
+        self.active_clients += 1;
+        self.clients.len() - 1
+    }
+
+    pub(crate) fn on_client_arrive(&mut self, spec: ClientSpec, sched: &mut Sched) {
+        self.traffic.pending_arrivals -= 1;
+        let client = self.admit(spec);
+        sched.at(sched.now(), Ev::IssueStage { client });
+    }
+
+    pub(crate) fn on_issue_stage(&mut self, client: usize, sched: &mut Sched) {
+        let c = &mut self.clients[client];
+        let program = c.spec.programs.get(c.program_idx);
+        let Some(reqs) = program.and_then(|p| p.stages.get(c.stage_idx)).cloned() else {
+            // Empty client (no programs at all).
+            if !c.finished {
+                c.finished = true;
+                self.active_clients -= 1;
+                self.maybe_stop(sched);
+            }
+            return;
+        };
+        c.inflight = reqs.len() as u32;
+        for req in reqs {
+            self.obs
+                .arrival(req.id.0, req.prompt.len() as u64, sched.now());
+            let state = ReqState {
+                client,
+                lb: None,
+                rerouted: false,
+            };
+            self.reqs.insert(req.id.0, state);
+            self.send_request(client, req, sched);
+        }
+    }
+
+    pub(crate) fn on_retry(&mut self, client: usize, req: Request, sched: &mut Sched) {
+        self.obs.retry(req.id.0, sched.now());
+        self.send_request(client, req, sched);
+    }
+
+    /// Resolves the client's entry balancer and puts the request on the
+    /// wire toward it; during a total outage the client waits and
+    /// retries.
+    fn send_request(&mut self, client: usize, req: Request, sched: &mut Sched) {
+        let region = self.clients[client].spec.region;
+        let Some(ep) = self.dns.resolve(region) else {
+            return self.retry_later(req, sched);
+        };
+        let delay = self
+            .cfg
+            .net
+            .sample_one_way(region, ep.region, &mut self.rng);
+        let lb = ep.lb_id;
+        sched.after(delay, Ev::LbReceive { lb, req, hops: 0 });
+    }
+
+    /// A request lost before reaching a replica (dead balancer, dropped
+    /// queue, DNS outage): its client backs off, then re-issues it.
+    pub(crate) fn retry_later(&mut self, req: Request, sched: &mut Sched) {
+        if let Some(state) = self.reqs.get(&req.id.0) {
+            let client = state.client;
+            self.obs.trace(sched.now(), RetryWait { req: req.id.0 });
+            sched.after(self.cfg.retry_delay, Ev::Retry { client, req });
+        }
+    }
+
+    /// The wire leg carrying a replica's output for request `id` from
+    /// `from` back to its client: who receives it and after how long.
+    pub(crate) fn client_leg(
+        &mut self,
+        from: Region,
+        id: RequestId,
+    ) -> Option<(usize, SimDuration)> {
+        let client = self.reqs.get(&id.0)?.client;
+        let to = self.clients[client].spec.region;
+        Some((client, self.cfg.net.sample_one_way(from, to, &mut self.rng)))
+    }
+
+    pub(crate) fn on_first_token(&mut self, client: usize, req: RequestId, sched: &mut Sched) {
+        let region = self.clients[client].spec.region;
+        self.obs.first_token_delivered(req.0, region, sched.now());
+    }
+
+    pub(crate) fn on_completion(&mut self, client: usize, done: Completion, sched: &mut Sched) {
+        self.obs.delivered(&done, sched.now());
+        self.request_finished(client, sched);
+    }
+
+    /// Counts request `id` terminally failed and releases its client.
+    pub(crate) fn fail_request(&mut self, id: u64, sched: &mut Sched) {
+        self.obs.failed(id, sched.now());
+        if let Some(state) = self.reqs.get(&id) {
+            self.request_finished(state.client, sched);
+        }
+    }
+
+    /// Marks one in-flight request of `client` finished and, if its stage
+    /// drained, schedules the next stage (or retires the client).
+    fn request_finished(&mut self, client: usize, sched: &mut Sched) {
+        let c = &mut self.clients[client];
+        c.inflight = c.inflight.saturating_sub(1);
+        if c.finished || c.inflight > 0 {
+            return;
+        }
+        c.advance();
+        if c.finished {
+            self.active_clients -= 1;
+            self.maybe_stop(sched);
+        } else {
+            sched.after(SimDuration::ZERO, Ev::IssueStage { client });
+        }
+    }
+
+    /// Ends the run once nothing can generate further work: the source
+    /// has no more arrivals, none are in flight to admission, and every
+    /// admitted client has finished.
+    fn maybe_stop(&self, sched: &mut Sched) {
+        let t = &self.traffic;
+        if t.exhausted && t.pending_arrivals == 0 && self.active_clients == 0 {
+            sched.stop();
+        }
+    }
+}

@@ -1,0 +1,99 @@
+//! The periodic planes, each a self-rescheduling tick: selective-pushing
+//! probes, balancer heartbeats and the controller's failure detector,
+//! and the telemetry sampler. Every period comes from the clamped
+//! [`FabricConfig`](crate::fabric::FabricConfig), so a tick always
+//! advances virtual time.
+
+use skywalker_core::LbId;
+use skywalker_sim::SimTime;
+
+use super::{Ev, Fabric, ReplicaHealth, Sched};
+
+impl Fabric {
+    pub(crate) fn on_probe_tick(&mut self, sched: &mut Sched) {
+        let now = sched.now();
+        // Each live balancer probes its replicas' queue depths and KV
+        // pressure (the selective-pushing signal, §4.1).
+        let ids = &mut self.probe_ids;
+        for slot in self.lbs.iter_mut().filter(|s| s.alive) {
+            ids.clear();
+            slot.lb.replica_ids_into(ids);
+            for &rid in ids.iter() {
+                let probed = &mut self.replicas[rid.0 as usize];
+                let r = &probed.replica;
+                slot.lb.on_replica_probe(
+                    rid,
+                    r.pending_len() as u32,
+                    r.running_len() as u32,
+                    r.kv_utilization(),
+                );
+                if let Some(state) = slot.lb.replica_state(rid) {
+                    probed.peak_outstanding = probed.peak_outstanding.max(state.outstanding);
+                }
+            }
+        }
+        for slot in &mut self.replicas {
+            if slot.health != ReplicaHealth::Crashed {
+                slot.kv_series.record(now, slot.replica.kv_utilization());
+            }
+        }
+        if self.forward_enabled {
+            self.exchange_peer_status(sched);
+        }
+        for (lb, slot) in self.lbs.iter().enumerate() {
+            if slot.alive {
+                sched.at(now, Ev::LbDispatch { lb: lb as u32 });
+            }
+        }
+        sched.after(self.cfg.probe_interval, Ev::ProbeTick);
+    }
+
+    /// Every live balancer tells every other live balancer how much
+    /// room it has (available replicas, queue length), one WAN hop away.
+    fn exchange_peer_status(&mut self, sched: &mut Sched) {
+        let live = || self.lbs.iter().enumerate().filter(|(_, s)| s.alive);
+        let statuses = &mut self.probe_statuses;
+        statuses.clear();
+        statuses.extend(live().map(|(i, s)| (i as u32, s.lb.region(), s.lb.status())));
+        for (to, slot) in live() {
+            let to = to as u32;
+            for &(from, from_region, status) in statuses.iter().filter(|s| s.0 != to) {
+                let delay =
+                    self.cfg
+                        .net
+                        .sample_one_way(slot.lb.region(), from_region, &mut self.rng);
+                sched.after(delay, Ev::PeerStatus { to, from, status });
+            }
+        }
+    }
+
+    pub(crate) fn on_telemetry_tick(&mut self, sched: &mut Sched) {
+        self.sample_telemetry(sched.now());
+        if let Some(interval) = self.obs.telemetry_interval() {
+            sched.after(interval, Ev::TelemetryTick);
+        }
+    }
+
+    /// Samples the authoritative fabric state into the metrics plane
+    /// (no-op with telemetry off).
+    pub(crate) fn sample_telemetry(&mut self, now: SimTime) {
+        self.obs
+            .sample(now, &self.lbs, &self.replicas, &self.transfers);
+    }
+
+    pub(crate) fn on_heartbeat_tick(&mut self, sched: &mut Sched) {
+        for lb in 0..self.lbs.len() {
+            if self.lbs[lb].alive {
+                let actions = self.controller.heartbeat(LbId(lb as u32), sched.now());
+                self.apply_control_actions(actions, sched);
+            }
+        }
+        sched.after(self.cfg.heartbeat_interval, Ev::HeartbeatTick);
+    }
+
+    pub(crate) fn on_controller_tick(&mut self, sched: &mut Sched) {
+        let actions = self.controller.check(sched.now());
+        self.apply_control_actions(actions, sched);
+        sched.after(self.cfg.heartbeat_interval, Ev::ControllerTick);
+    }
+}

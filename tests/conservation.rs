@@ -289,6 +289,19 @@ fn disagg_runs_conserve_requests_and_transfers() {
     }
 }
 
+/// The crash schedule of the disaggregated chaos cells.
+fn disagg_chaos(seed: u64) -> Box<ChaosPlan> {
+    Box::new(ChaosPlan::new(
+        ChaosConfig {
+            mtbf: SimDuration::from_secs(20),
+            mttr: SimDuration::from_secs(15),
+            min_live_per_region: 1,
+            ..ChaosConfig::default()
+        },
+        seed,
+    ))
+}
+
 /// Chaos over a disaggregated fleet: crashes land on prefill replicas
 /// mid-handoff and on decode replicas with transfers inbound. A
 /// casualty is rerouted once or counted failed — never stranded — and
@@ -299,15 +312,7 @@ fn disagg_chaos_conserves_requests_and_transfers() {
     let mut casualties_seen = 0u64;
     for seed in [5u64, 23, 61] {
         let mut scenario = disagg_scenario(DisaggWorkload::DecodeHeavy, true, 0.5, seed);
-        scenario.fleet_plan = Some(Box::new(ChaosPlan::new(
-            ChaosConfig {
-                mtbf: SimDuration::from_secs(20),
-                mttr: SimDuration::from_secs(15),
-                min_live_per_region: 1,
-                ..ChaosConfig::default()
-            },
-            seed,
-        )));
+        scenario.fleet_plan = Some(disagg_chaos(seed));
         scenario.label = format!("disagg/chaos/seed{seed}");
         let expected = injected(&scenario);
         assert!(expected > 0);
@@ -356,4 +361,76 @@ fn disagg_autoscaler_run_conserves_requests_and_transfers() {
     assert!(s.transfers.started > 0, "the split fleet never handed off");
     assert_conserved("disagg/autoscale", expected, &s);
     assert_transfers_conserved("disagg/autoscale", &s);
+}
+
+/// Deadline-truncated disaggregated runs, plain and under chaos. Each
+/// cell first plays the run traced to learn when its handoffs ship, then
+/// replays it with the deadline one microsecond after the middle one —
+/// so that transfer is provably on the wire when the run is cut. The
+/// ledgers must balance with the in-flight terms included, token for
+/// token; the request ledger is checked against the tracer's own count
+/// of issued requests, so the tracker cannot grade its own homework.
+#[test]
+fn truncated_disagg_runs_conserve_requests_and_transfers() {
+    use skywalker::trace::TraceEventKind;
+    for seed in [5u64, 23, 61] {
+        for with_chaos in [false, true] {
+            let mut scenario = disagg_scenario(DisaggWorkload::DecodeHeavy, true, 0.5, seed);
+            if with_chaos {
+                scenario.fleet_plan = Some(disagg_chaos(seed));
+            }
+            let tag = format!("truncated/seed{seed}/chaos={with_chaos}");
+            let cfg = FabricConfig::default().traced();
+            let full = run_scenario(&scenario, &cfg);
+            let shipped: Vec<SimTime> = full
+                .trace
+                .expect("tracing was requested")
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::KvTransfer { .. }))
+                .map(|e| e.at)
+                .collect();
+            assert!(
+                !shipped.is_empty(),
+                "{tag}: the split fleet never handed off"
+            );
+            let deadline = shipped[shipped.len() / 2] + SimDuration::from_micros(1);
+
+            let s = run_scenario(&scenario, &FabricConfig { deadline, ..cfg });
+            let t = &s.transfers;
+            assert!(t.in_transfer() > 0, "{tag}: no handoff was cut in flight");
+            assert!(
+                t.tokens_in_transfer() > 0,
+                "{tag}: no tokens were cut in flight"
+            );
+            assert_eq!(
+                t.started,
+                t.landed + t.aborted + t.in_transfer(),
+                "{tag}: handoff ledger broken ({t:?})"
+            );
+            assert_eq!(
+                t.tokens_sent,
+                t.tokens_landed + t.tokens_aborted + t.tokens_in_transfer(),
+                "{tag}: token ledger broken ({t:?})"
+            );
+            let mut issued: Vec<u64> = s
+                .trace
+                .as_ref()
+                .expect("tracing was requested")
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Issued { req } => Some(req),
+                    _ => None,
+                })
+                .collect();
+            issued.sort_unstable();
+            issued.dedup();
+            assert!(
+                s.report.in_flight > 0,
+                "{tag}: the cut left nothing in flight"
+            );
+            assert_conserved(&tag, issued.len() as u64, &s);
+        }
+    }
 }

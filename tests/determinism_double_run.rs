@@ -15,43 +15,13 @@ use skywalker::{
 use skywalker_lab::SweepSpec;
 use skywalker_metrics::json::{Report, Val};
 
-/// Renders one run's aggregates as a stable JSON document. Every field
-/// that feeds the golden digests is included, so equality here means
-/// equality there.
+/// Renders the run digest as a stable JSON document, so equality here
+/// means equality in the golden files.
 fn digest(tag: &str, seed: u64, s: &RunSummary) -> String {
-    let r = &s.report;
     let mut rep = Report::new(format!("double_run_{tag}"));
-    rep.row(&[
-        ("seed", Val::from(seed)),
-        ("label", Val::from(s.label.clone())),
-        ("engine", Val::from(s.engine_label.clone())),
-        ("completed", Val::from(r.completed)),
-        ("failed", Val::from(r.failed)),
-        ("retried", Val::from(r.retried)),
-        ("in_flight", Val::from(r.in_flight)),
-        ("prompt_tokens", Val::from(r.prompt_tokens)),
-        ("cached_prompt_tokens", Val::from(r.cached_prompt_tokens)),
-        ("generated_tokens", Val::from(r.generated_tokens)),
-        ("tok_s", Val::from(r.throughput_tps)),
-        ("client_hit_rate", Val::from(r.cache_hit_rate)),
-        ("replica_hit_rate", Val::from(s.replica_hit_rate)),
-        ("ttft_p50_s", Val::from(r.ttft.p50)),
-        ("ttft_p90_s", Val::from(r.ttft.p90)),
-        ("ttft_mean_s", Val::from(r.ttft.mean)),
-        ("e2e_p50_s", Val::from(r.e2e.p50)),
-        ("e2e_p90_s", Val::from(r.e2e.p90)),
-        ("end_time_s", Val::from(s.end_time.as_secs_f64())),
-        ("forwarded", Val::from(s.forwarded)),
-        ("peak_lb_queue", Val::from(s.peak_lb_queue)),
-        ("dispatch_imbalance", Val::from(s.dispatch_imbalance)),
-        ("preempted", Val::from(s.preempted)),
-        ("evicted_tokens", Val::from(s.evicted_tokens)),
-        ("demoted_tokens", Val::from(s.demoted_tokens)),
-        ("promoted_tokens", Val::from(s.promoted_tokens)),
-        ("kv_transfers", Val::from(s.transfers.started)),
-        ("kv_transfer_tokens", Val::from(s.transfers.tokens_sent)),
-        ("fleet_crashes", Val::from(s.fleet.crashes)),
-    ]);
+    let mut row = vec![("seed", Val::from(seed))];
+    row.extend(s.digest_fields());
+    rep.row(&row);
     rep.render()
 }
 

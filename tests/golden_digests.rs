@@ -2,8 +2,8 @@
 //!
 //! Every preset family — the eight `SystemKind`s, the four workloads,
 //! the figure scenarios, and the new `memory_pressure` engine preset —
-//! runs at two seeds; each `RunSummary` is digested into a stable JSON
-//! row via `skywalker_metrics::json` and compared byte-for-byte against
+//! runs at two seeds; each run's `RunSummary::digest_fields` are
+//! rendered as a stable JSON row and compared byte-for-byte against
 //! the committed files under `tests/golden/`. Any behavioral drift
 //! anywhere in the stack (routing, traffic, fleet, serving engine,
 //! metrics) now fails CI with a readable first-difference diff instead
@@ -26,7 +26,7 @@ use skywalker::sim::SimDuration;
 use skywalker::{
     disagg_scenario, fig10_diurnal_scenario, fig10_scenario, fig8_scenario, fig9_scenario,
     memory_pressure_scenario, run_scenario, DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch,
-    LruEvictor, NoEvict, PrefixAwareEvictor, RunSummary, Scenario, ShortestPromptFirst, SystemKind,
+    LruEvictor, NoEvict, PrefixAwareEvictor, Scenario, ShortestPromptFirst, SystemKind,
     TraceConfig, Workload,
 };
 use skywalker_metrics::json::{Report, Val};
@@ -45,72 +45,60 @@ enum Instrument {
 /// One golden cell: a tag and a seed-parametric scenario builder.
 type GoldenCell = (String, Box<dyn Fn(u64) -> Scenario>);
 
-fn digest_row(tag: &str, seed: u64, s: &RunSummary) -> Vec<(String, Val)> {
-    let r = &s.report;
-    [
-        ("tag", Val::from(tag)),
-        ("seed", Val::from(seed)),
-        ("label", Val::from(s.label.clone())),
-        ("engine", Val::from(s.engine_label.clone())),
-        ("completed", Val::from(r.completed)),
-        ("failed", Val::from(r.failed)),
-        ("retried", Val::from(r.retried)),
-        ("in_flight", Val::from(r.in_flight)),
-        ("prompt_tokens", Val::from(r.prompt_tokens)),
-        ("cached_prompt_tokens", Val::from(r.cached_prompt_tokens)),
-        ("generated_tokens", Val::from(r.generated_tokens)),
-        ("tok_s", Val::from(r.throughput_tps)),
-        ("client_hit_rate", Val::from(r.cache_hit_rate)),
-        ("replica_hit_rate", Val::from(s.replica_hit_rate)),
-        ("ttft_p50_s", Val::from(r.ttft.p50)),
-        ("ttft_p90_s", Val::from(r.ttft.p90)),
-        ("ttft_mean_s", Val::from(r.ttft.mean)),
-        ("e2e_p50_s", Val::from(r.e2e.p50)),
-        ("e2e_p90_s", Val::from(r.e2e.p90)),
-        ("end_time_s", Val::from(s.end_time.as_secs_f64())),
-        ("forwarded", Val::from(s.forwarded)),
-        ("peak_lb_queue", Val::from(s.peak_lb_queue)),
-        ("dispatch_imbalance", Val::from(s.dispatch_imbalance)),
-        ("preempted", Val::from(s.preempted)),
-        ("evicted_tokens", Val::from(s.evicted_tokens)),
-        ("chunked_steps", Val::from(s.chunked_steps)),
-        ("fleet_joins", Val::from(s.fleet.joins)),
-        ("fleet_crashes", Val::from(s.fleet.crashes)),
-        ("fleet_mean", Val::from(s.fleet.mean_total())),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect()
-}
+/// The keys every pre-disagg golden file carries, selected from
+/// [`RunSummary::digest_fields`] (which owns the values and the order).
+/// A key list per group, not "everything", so the digest can grow
+/// without rewriting committed files.
+const BASE_KEYS: [&str; 27] = [
+    "label",
+    "engine",
+    "completed",
+    "failed",
+    "retried",
+    "in_flight",
+    "prompt_tokens",
+    "cached_prompt_tokens",
+    "generated_tokens",
+    "tok_s",
+    "client_hit_rate",
+    "replica_hit_rate",
+    "ttft_p50_s",
+    "ttft_p90_s",
+    "ttft_mean_s",
+    "e2e_p50_s",
+    "e2e_p90_s",
+    "end_time_s",
+    "forwarded",
+    "peak_lb_queue",
+    "dispatch_imbalance",
+    "preempted",
+    "evicted_tokens",
+    "chunked_steps",
+    "fleet_joins",
+    "fleet_crashes",
+    "fleet_mean",
+];
 
-/// The disagg group's digest: the shared row plus the handoff and tier
-/// counters that only the role-split presets exercise. Kept out of
-/// `digest_row` so the pre-disagg golden files stay byte-identical.
-fn disagg_row(tag: &str, seed: u64, s: &RunSummary) -> Vec<(String, Val)> {
-    let mut fields = digest_row(tag, seed, s);
-    for (k, v) in [
-        ("kv_transfers", Val::from(s.transfers.started)),
-        ("kv_transfers_landed", Val::from(s.transfers.landed)),
-        ("kv_transfers_aborted", Val::from(s.transfers.aborted)),
-        ("kv_transfer_tokens", Val::from(s.transfers.tokens_sent)),
-        ("demoted_tokens", Val::from(s.demoted_tokens)),
-        ("promoted_tokens", Val::from(s.promoted_tokens)),
-    ] {
-        fields.push((k.to_string(), v));
-    }
-    fields
-}
+/// The disagg group appends the handoff and tier counters that only the
+/// role-split presets exercise.
+const DISAGG_KEYS: [&str; 6] = [
+    "kv_transfers",
+    "kv_transfers_landed",
+    "kv_transfers_aborted",
+    "kv_transfer_tokens",
+    "demoted_tokens",
+    "promoted_tokens",
+];
 
-fn render_group(name: &str, cells: &[GoldenCell], instrument: Instrument) -> String {
-    render_group_with(name, cells, instrument, digest_row)
-}
-
-fn render_group_with(
+/// Renders one group's report: per cell and seed, `tag`, `seed`, then
+/// the digest fields named by [`BASE_KEYS`] plus `extra_keys`.
+fn render_group(
     name: &str,
+    extra_keys: &[&str],
     cells: &[GoldenCell],
     instrument: Instrument,
-    row: fn(&str, u64, &RunSummary) -> Vec<(String, Val)>,
 ) -> String {
+    let keys: Vec<&str> = BASE_KEYS.iter().chain(extra_keys).copied().collect();
     let mut rep = Report::new(format!("golden_{name}"));
     rep.meta("seeds", format!("{SEEDS:?}"));
     for (tag, build) in cells {
@@ -143,19 +131,27 @@ fn render_group_with(
                     "{tag}/{seed}: telemetry was requested but sampled nothing"
                 ),
             }
-            let fields = row(tag, seed, &summary);
-            let refs: Vec<(&str, Val)> = fields
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            rep.row(&refs);
+            let mut row = vec![("tag", Val::from(tag.as_str())), ("seed", Val::from(seed))];
+            row.extend(
+                summary
+                    .digest_fields()
+                    .into_iter()
+                    .filter(|(k, _)| keys.contains(k)),
+            );
+            assert_eq!(
+                row.len(),
+                keys.len() + 2,
+                "{name}: a golden key left the digest"
+            );
+            rep.row(&row);
         }
     }
     rep.render()
 }
 
-fn run_group(name: &str, cells: Vec<GoldenCell>) {
-    compare_or_update(name, &render_group(name, &cells, Instrument::None));
+fn run_group(name: &str, extra_keys: &[&str], cells: Vec<GoldenCell>) {
+    let rendered = render_group(name, extra_keys, &cells, Instrument::None);
+    compare_or_update(name, &rendered);
 }
 
 /// Byte-compares the rendered report against `tests/golden/{name}.json`,
@@ -213,7 +209,7 @@ fn golden_systems() {
             Box::new(move |seed| fig8_scenario(system, Workload::Tot, 0.02, seed)),
         ));
     }
-    run_group("systems", cells);
+    run_group("systems", &[], cells);
 }
 
 /// All four paper workloads on SkyWalker: traffic-axis coverage.
@@ -229,7 +225,7 @@ fn golden_workloads() {
             )
         })
         .collect();
-    run_group("workloads", cells);
+    run_group("workloads", &[], cells);
 }
 
 /// The figure presets (single-region micro, diurnal-imbalance macro).
@@ -245,7 +241,7 @@ fn golden_figures() {
             Box::new(|seed| fig10_scenario(SystemKind::SkyWalker, 4, 0.05, seed)),
         ),
     ];
-    run_group("figures", cells);
+    run_group("figures", &[], cells);
 }
 
 /// The compressed diurnal day at the scale-curve's 0.1 point: pins the
@@ -266,7 +262,7 @@ fn golden_diurnal() {
             )
         }),
     )];
-    run_group("diurnal", cells);
+    run_group("diurnal", &[], cells);
 }
 
 fn memory_pressure_cells() -> CellList {
@@ -303,7 +299,7 @@ fn memory_pressure_cells() -> CellList {
 /// byte-level pin of FCFS+LRU at fabric scope).
 #[test]
 fn golden_memory_pressure() {
-    run_group("memory_pressure", memory_pressure_cells());
+    run_group("memory_pressure", &[], memory_pressure_cells());
 }
 
 /// The disaggregation axis: both traffic shapes, colocated and split,
@@ -322,10 +318,7 @@ fn golden_disagg() {
             ));
         }
     }
-    compare_or_update(
-        "disagg",
-        &render_group_with("disagg", &cells, Instrument::None, disagg_row),
-    );
+    run_group("disagg", &DISAGG_KEYS, cells);
 }
 
 /// Tracing is observation-only: re-running the memory-pressure group
@@ -341,6 +334,7 @@ fn golden_memory_pressure_traced_is_byte_identical() {
     }
     let rendered = render_group(
         "memory_pressure",
+        &[],
         &memory_pressure_cells(),
         Instrument::Trace,
     );
@@ -373,6 +367,7 @@ fn golden_memory_pressure_telemetry_is_byte_identical_at_two_cadences() {
     for interval in [SimDuration::from_secs(1), SimDuration::from_millis(100)] {
         let rendered = render_group(
             "memory_pressure",
+            &[],
             &memory_pressure_cells(),
             Instrument::Telemetry(interval),
         );

@@ -12,45 +12,11 @@ use skywalker::{
     EngineSpec, FabricConfig, ReplicaRole, RunSummary, Scenario, SystemKind, Workload,
 };
 
-/// Every observable a golden digest carries, flattened to one string.
+/// Every observable the run digest carries, flattened to one string.
 /// Debug-formatting the integers and bit-exact floats means equality
 /// here is equality of the run, not of a rounded view.
 fn digest(s: &RunSummary) -> String {
-    let r = &s.report;
-    format!(
-        "label={} engine={} end={:?} completed={} failed={} retried={} in_flight={} \
-         prompt={} cached={} generated={} forwarded={} peak_q={} imbalance={:?} \
-         preempted={} evicted={} demoted={} promoted={} transfers={:?} chunked={} \
-         ttft=({:?},{:?},{:?}) e2e=({:?},{:?}) hit={:?} fleet=({},{},{:?})",
-        s.label,
-        s.engine_label,
-        s.end_time,
-        r.completed,
-        r.failed,
-        r.retried,
-        r.in_flight,
-        r.prompt_tokens,
-        r.cached_prompt_tokens,
-        r.generated_tokens,
-        s.forwarded,
-        s.peak_lb_queue,
-        s.dispatch_imbalance,
-        s.preempted,
-        s.evicted_tokens,
-        s.demoted_tokens,
-        s.promoted_tokens,
-        s.transfers,
-        s.chunked_steps,
-        r.ttft.p50,
-        r.ttft.p90,
-        r.ttft.mean,
-        r.e2e.p50,
-        r.e2e.p90,
-        s.replica_hit_rate,
-        s.fleet.joins,
-        s.fleet.crashes,
-        s.fleet.mean_total(),
-    )
+    format!("{:?}", s.digest_fields())
 }
 
 /// Race the role-free scenario against its explicitly-colocated twin.

@@ -145,3 +145,46 @@ fn summaries_are_internally_consistent() {
     let replica_generated: u64 = s.replica_stats.iter().map(|x| x.generated_tokens).sum();
     assert!(replica_generated >= r.generated_tokens);
 }
+
+/// Every self-rescheduling tick must advance virtual time even when its
+/// interval is configured as zero: each run below has to reach its
+/// deadline (or drain) instead of spinning at one instant.
+#[test]
+fn zeroed_tick_intervals_still_run_to_completion() {
+    use skywalker::sim::{SimDuration, SimTime};
+    use skywalker::{ChaosConfig, ChaosPlan, TelemetryConfig};
+    type Zero = fn(&mut FabricConfig);
+    let zeroed: [(&str, Zero); 5] = [
+        ("probe", |c| c.probe_interval = SimDuration::ZERO),
+        ("heartbeat", |c| c.heartbeat_interval = SimDuration::ZERO),
+        ("traffic_poll", |c| {
+            c.traffic_poll_interval = SimDuration::ZERO
+        }),
+        ("fleet_poll", |c| c.fleet_poll_interval = SimDuration::ZERO),
+        ("telemetry", |c| {
+            c.telemetry = Some(TelemetryConfig::every(SimDuration::ZERO))
+        }),
+    ];
+    // A chaos plan never finishes, so `FleetPoll` keeps rescheduling.
+    let scenario = SystemKind::SkyWalker
+        .builder()
+        .fig8_fleet(Workload::Arena)
+        .workload(Workload::Arena, 0.01, 3)
+        .fleet_plan(Box::new(ChaosPlan::new(ChaosConfig::default(), 3)))
+        .build()
+        .expect("fleet and workload are set");
+    for (name, zero) in zeroed {
+        let mut cfg = FabricConfig {
+            deadline: SimTime::from_secs(60),
+            ..FabricConfig::default()
+        };
+        zero(&mut cfg);
+        let s = run_scenario(&scenario, &cfg);
+        assert!(s.report.completed > 0, "{name}: nothing completed");
+        assert!(
+            s.end_time <= cfg.deadline,
+            "{name}: ran past the deadline ({:?})",
+            s.end_time
+        );
+    }
+}
