@@ -13,8 +13,8 @@
 use skywalker::fabric::Deployment;
 use skywalker::scenarios::workload_clients;
 use skywalker::{
-    fig10_scenario, fig9_scenario, run_scenario, FabricConfig, ReplicaPlacement, Scenario,
-    SystemKind, Workload,
+    fig10_scenario, fig9_scenario, run_scenario, FabricConfig, ReplicaPlacement, SystemKind,
+    Workload,
 };
 use skywalker_bench::{f, header, pct, row};
 use skywalker_core::{PolicyKind, PushMode, RoutingConstraint};
@@ -146,10 +146,13 @@ fn heterogeneous_fleet() {
 
     header(&["fleet", "tok/s", "TTFT p90", "dispatch imbalance"]);
     for (name, fleet) in [("6x L4", uniform), ("3x L4 + 3x A100", mixed)] {
-        let s = run_scenario(
-            &Scenario::new(SystemKind::SkyWalker, fleet, clients.clone()),
-            &FabricConfig::default(),
-        );
+        let scenario = SystemKind::SkyWalker
+            .builder()
+            .replicas(fleet)
+            .clients(clients.clone())
+            .build()
+            .expect("fleet and clients are both set");
+        let s = run_scenario(&scenario, &FabricConfig::default());
         row(&[
             name.to_string(),
             f(s.report.throughput_tps, 0),

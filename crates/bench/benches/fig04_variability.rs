@@ -7,7 +7,7 @@
 //!     because equal request *counts* are nothing like equal token
 //!     *footprints*.
 
-use skywalker::{run_scenario, FabricConfig, ReplicaPlacement, Scenario, SystemKind};
+use skywalker::{run_scenario, FabricConfig, ReplicaPlacement, SystemKind};
 use skywalker_bench::{f, header, pct, ratio, row};
 use skywalker_net::Region;
 use skywalker_replica::GpuProfile;
@@ -50,17 +50,18 @@ fn main() {
         4,
         &mut ids,
     );
-    let scenario = Scenario::new(
-        SystemKind::RoundRobin,
-        vec![
+    let scenario = SystemKind::RoundRobin
+        .builder()
+        .replicas(vec![
             ReplicaPlacement {
                 region: Region::UsEast,
                 profile: GpuProfile::L4_LLAMA_8B,
             };
             2
-        ],
-        clients,
-    );
+        ])
+        .clients(clients)
+        .build()
+        .expect("fleet and clients are both set");
     let s = run_scenario(&scenario, &FabricConfig::default());
 
     header(&["replica", "peak KV util", "mean KV util"]);

@@ -18,22 +18,21 @@
 //! The whole grid executes on `skywalker-lab`'s worker pool (one cell
 //! per system × workload crossing), so a multi-core machine runs the
 //! panels concurrently; the lab guarantees the numbers are identical to
-//! a serial run, and the rows keep the historical `BENCH_fig08.json`
-//! schema (`skywalker_bench::rows::fig8_row`) so the performance
-//! trajectory stays diffable across commits.
+//! a serial run, and the rows keep the `BENCH_fig08.json` schema
+//! (`RunSummary::FIG8_ROW`) so the performance trajectory stays
+//! diffable across commits.
 //!
 //! Environment knobs: `SCALE` (client population multiplier, default
 //! 0.25 — the paper's counts at 1.0 take a few minutes per cell) and
 //! `SEED`.
 
+use skywalker::metrics::json::{Report, Val};
 use skywalker::net::Region;
 use skywalker::sim::{SimDuration, SimTime};
 use skywalker::{
     balanced_fleet, fig8_scenario, FabricConfig, FlashCrowdSource, P2cLocalFactory,
     RagCorpusConfig, RagCorpusSource, RunSummary, Scenario, SystemKind, Workload,
 };
-use skywalker_bench::json::Report;
-use skywalker_bench::rows::fig8_row;
 use skywalker_bench::{f, header, pct, ratio, row};
 use skywalker_lab::SweepSpec;
 
@@ -49,7 +48,9 @@ fn record(rep: &mut Report, workload: &str, s: &RunSummary) {
         pct(s.replica_hit_rate),
         s.forwarded.to_string(),
     ]);
-    rep.row(&fig8_row(workload, s));
+    let mut fields = vec![("workload", Val::from(workload))];
+    fields.extend(s.row(RunSummary::FIG8_ROW));
+    rep.row(&fields);
 }
 
 const COLUMNS: [&str; 9] = [

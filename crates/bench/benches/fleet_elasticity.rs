@@ -6,16 +6,16 @@
 //! The four strategies execute concurrently on `skywalker-lab`'s worker
 //! pool; every recipe pins the legacy seeds, so the rows are
 //! byte-identical to the serial driver (schema:
-//! `skywalker_bench::rows::fleet_row`).
+//! `RunSummary::FLEET_ROW`).
 
+use skywalker::metrics::json::{Report, Val};
 use skywalker::sim::SimDuration;
 use skywalker::{
     diurnal_reference_predictive, diurnal_reference_reactive, fig10_diurnal_scenario, ChaosConfig,
-    ChaosPlan, FabricConfig, FleetPlan, PredictiveAutoscaler, SystemKind, ThresholdAutoscaler,
-    L4_LITE,
+    ChaosPlan, FabricConfig, FleetPlan, PredictiveAutoscaler, RunSummary, SystemKind,
+    ThresholdAutoscaler, L4_LITE,
 };
-use skywalker_bench::rows::fleet_row;
-use skywalker_bench::{f, header, json, row};
+use skywalker_bench::{f, header, row};
 use skywalker_lab::SweepSpec;
 
 const DAY: SimDuration = SimDuration::from_secs(1_200);
@@ -71,7 +71,7 @@ fn main() {
     }
     let result = spec.run(workers);
 
-    let mut rep = json::Report::new("fleet_elasticity");
+    let mut rep = Report::new("fleet_elasticity");
     rep.meta("day_secs", DAY.as_secs_f64());
     rep.meta("scale", SCALE);
     rep.meta("seed", SEED);
@@ -104,7 +104,9 @@ fn main() {
             s.fleet.drains.to_string(),
             s.fleet.crashes.to_string(),
         ]);
-        rep.row(&fleet_row(&cell.label, s));
+        let mut fields = vec![("fleet", Val::from(cell.label.as_str()))];
+        fields.extend(s.row(RunSummary::FLEET_ROW));
+        rep.row(&fields);
     }
 
     rep.write("BENCH_fleet.json")

@@ -327,14 +327,8 @@ impl RegionalBalancer {
         self.dispatches.remove(&id);
     }
 
-    /// Replicas currently managed.
-    pub fn replica_ids(&self) -> Vec<ReplicaId> {
-        self.replicas.keys().copied().collect()
-    }
-
-    /// Appends the managed replica ids to `out` (in id order) — the
-    /// allocation-free form for per-tick probe loops that reuse one
-    /// buffer across balancers.
+    /// Appends the managed replica ids to `out` (in id order), so
+    /// per-tick probe loops reuse one buffer across balancers.
     pub fn replica_ids_into(&self, out: &mut Vec<ReplicaId>) {
         out.extend(self.replicas.keys().copied());
     }

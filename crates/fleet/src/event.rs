@@ -14,8 +14,7 @@
 //!   in-flight request is rerouted once, and counted failed if a
 //!   reroute already burned its second chance.
 //! - [`FleetEvent::LbDown`] / [`FleetEvent::LbUp`] are the §4.2
-//!   balancer failure drills, previously the closed `FaultEvent`
-//!   schedule.
+//!   balancer failure drills.
 
 use skywalker_net::Region;
 use skywalker_replica::{GpuProfile, ReplicaId};

@@ -20,8 +20,8 @@
 //! Three built-ins cover the common regimes, all with equal standing to
 //! anything implemented outside this crate:
 //!
-//! - [`ScheduledPlan`] — a fixed schedule; absorbs the legacy
-//!   `Vec<FaultEvent>` balancer-fault path.
+//! - [`ScheduledPlan`] — a fixed schedule (the §4.2 balancer drills,
+//!   scripted joins and drains).
 //! - [`ChaosPlan`] — seeded MTBF/MTTR replica churn.
 //! - [`ThresholdAutoscaler`] — reactive per-region scale-out/in with
 //!   bounds and cooldown.

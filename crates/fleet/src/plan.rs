@@ -48,9 +48,8 @@ impl<T: FleetPlan + Clone + 'static> CloneFleetPlan for T {
     }
 }
 
-/// A lazy stream of fleet changes — the open counterpart of the closed
-/// `Vec<FaultEvent>` schedule, mirroring what `TrafficSource` did for
-/// the workload axis.
+/// A lazy stream of fleet changes — the fleet counterpart of
+/// `TrafficSource` on the workload axis.
 ///
 /// See the module-level docs above for the full contract.
 pub trait FleetPlan: fmt::Debug + Send + CloneFleetPlan {
@@ -78,10 +77,9 @@ impl Clone for Box<dyn FleetPlan> {
     }
 }
 
-/// A fixed, time-driven schedule of fleet changes — the adapter that
-/// absorbs the legacy `Vec<FaultEvent>` path (`ScenarioBuilder::faults`
-/// builds one of these), and the simplest way to script joins, drains,
-/// and crashes at known instants.
+/// A fixed, time-driven schedule of fleet changes — the simplest way
+/// to script balancer flaps, joins, drains, and crashes at known
+/// instants.
 ///
 /// Commands are emitted in `at` order regardless of construction order.
 #[derive(Debug, Clone)]

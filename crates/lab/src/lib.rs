@@ -83,4 +83,4 @@ mod stats;
 pub use exec::{CellResult, ReplicateRun, SweepResult};
 pub use report::SweepReport;
 pub use spec::{derive_seed, Cell, RecipeFn, SweepSpec};
-pub use stats::{replica_seconds, CellStats};
+pub use stats::CellStats;

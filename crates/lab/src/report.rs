@@ -49,6 +49,23 @@ impl SweepReport {
     }
 }
 
+/// The per-replicate row (after `row`, `cell`, `replicate`, `seed`):
+/// `(output name, digest key)` pairs selected by `RunSummary::row`.
+const REPLICATE_ROW: &[(&str, &str)] = &[
+    ("tok_s", "tok_s"),
+    ("ttft_p50_s", "ttft_p50_s"),
+    ("ttft_p90_s", "ttft_p90_s"),
+    ("ttft_mean_s", "ttft_mean_s"),
+    ("e2e_p50_s", "e2e_p50_s"),
+    ("e2e_p90_s", "e2e_p90_s"),
+    ("hit_rate", "replica_hit_rate"),
+    ("completed", "completed"),
+    ("failed", "failed"),
+    ("forwarded", "forwarded"),
+    ("end_time_s", "end_time_s"),
+    ("replica_seconds", "replica_seconds"),
+];
+
 /// `mean [min, max]` with `prec` decimals, collapsing to just the mean
 /// when there is a single replicate.
 fn spread_cell(s: &Spread, prec: usize) -> String {
@@ -114,28 +131,14 @@ impl SweepResult {
         rep.meta("replicates", self.cells.first().map_or(0, |c| c.runs.len()));
         for c in &self.cells {
             for r in &c.runs {
-                let s = &r.summary;
-                rep.row(&[
+                let mut fields = vec![
                     ("row", Val::from("replicate")),
                     ("cell", Val::from(c.label.clone())),
                     ("replicate", Val::from(r.tag)),
                     ("seed", Val::from(r.seed)),
-                    ("tok_s", Val::from(s.report.throughput_tps)),
-                    ("ttft_p50_s", Val::from(s.report.ttft.p50)),
-                    ("ttft_p90_s", Val::from(s.report.ttft.p90)),
-                    ("ttft_mean_s", Val::from(s.report.ttft.mean)),
-                    ("e2e_p50_s", Val::from(s.report.e2e.p50)),
-                    ("e2e_p90_s", Val::from(s.report.e2e.p90)),
-                    ("hit_rate", Val::from(s.replica_hit_rate)),
-                    ("completed", Val::from(s.report.completed)),
-                    ("failed", Val::from(s.report.failed)),
-                    ("forwarded", Val::from(s.forwarded)),
-                    ("end_time_s", Val::from(s.end_time.as_secs_f64())),
-                    (
-                        "replica_seconds",
-                        Val::from(crate::stats::replica_seconds(s)),
-                    ),
-                ]);
+                ];
+                fields.extend(r.summary.row(REPLICATE_ROW));
+                rep.row(&fields);
             }
             self.aggregate_row(c, &mut rep);
         }

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use skywalker::{EngineSpec, FabricConfig, Scenario, TelemetryConfig, TraceConfig};
+use skywalker::{EngineSpec, FabricConfig, Scenario};
 use skywalker_sim::DetRng;
 
 /// A cell recipe: derived seed in, runnable experiment out.
@@ -46,12 +46,6 @@ pub fn derive_seed(sweep_seed: u64, cell_label: &str, replicate_tag: u64) -> u64
 pub struct Cell {
     pub(crate) label: String,
     pub(crate) recipe: Arc<RecipeFn>,
-    /// Per-cell span tracing ([`SweepSpec::trace_cell`] /
-    /// [`SweepSpec::trace_all`]); overlays the recipe's config.
-    pub(crate) trace: Option<TraceConfig>,
-    /// Per-cell metrics sampling ([`SweepSpec::telemetry_cell`] /
-    /// [`SweepSpec::telemetry_all`]); overlays the recipe's config.
-    pub(crate) telemetry: Option<TelemetryConfig>,
 }
 
 impl Cell {
@@ -60,19 +54,11 @@ impl Cell {
         &self.label
     }
 
-    /// Assembles this cell's experiment for one derived seed. Tracing
-    /// and telemetry are observation-only, so a sweep-level opt-in
-    /// cannot change the run's outcome — only attach a trace or a
-    /// metrics summary to it.
+    /// Assembles this cell's experiment for one derived seed. A recipe
+    /// that wants a trace or a metrics summary attached to its runs sets
+    /// `FabricConfig::traced()` / `.telemetry(..)` itself.
     pub fn build(&self, seed: u64) -> (Scenario, FabricConfig) {
-        let (scenario, mut cfg) = (self.recipe)(seed);
-        if let Some(trace) = self.trace {
-            cfg.trace = Some(trace);
-        }
-        if let Some(telemetry) = self.telemetry {
-            cfg.telemetry = Some(telemetry);
-        }
-        (scenario, cfg)
+        (self.recipe)(seed)
     }
 }
 
@@ -153,59 +139,7 @@ impl SweepSpec {
         self.cells.push(Cell {
             label,
             recipe: Arc::new(recipe),
-            trace: None,
-            telemetry: None,
         });
-        self
-    }
-
-    /// Enables span tracing for the named cell: every replicate of that
-    /// cell records a `TraceSummary` into its `RunSummary` for
-    /// post-sweep bottleneck attribution. The label must name an
-    /// already-added cell (debug-asserted) — add cells first, then opt
-    /// them in.
-    pub fn trace_cell(mut self, label: &str, trace: TraceConfig) -> Self {
-        let mut hit = false;
-        for c in &mut self.cells {
-            if c.label == label {
-                c.trace = Some(trace);
-                hit = true;
-            }
-        }
-        debug_assert!(hit, "trace_cell({label:?}) names no existing cell");
-        self
-    }
-
-    /// Enables span tracing for every cell added so far.
-    pub fn trace_all(mut self, trace: TraceConfig) -> Self {
-        for c in &mut self.cells {
-            c.trace = Some(trace);
-        }
-        self
-    }
-
-    /// Enables metrics sampling for the named cell: every replicate of
-    /// that cell carries a `TelemetrySummary` (registry snapshot + ring
-    /// series) in its `RunSummary`. The label must name an
-    /// already-added cell (debug-asserted) — add cells first, then opt
-    /// them in.
-    pub fn telemetry_cell(mut self, label: &str, telemetry: TelemetryConfig) -> Self {
-        let mut hit = false;
-        for c in &mut self.cells {
-            if c.label == label {
-                c.telemetry = Some(telemetry);
-                hit = true;
-            }
-        }
-        debug_assert!(hit, "telemetry_cell({label:?}) names no existing cell");
-        self
-    }
-
-    /// Enables metrics sampling for every cell added so far.
-    pub fn telemetry_all(mut self, telemetry: TelemetryConfig) -> Self {
-        for c in &mut self.cells {
-            c.telemetry = Some(telemetry);
-        }
         self
     }
 
@@ -337,44 +271,6 @@ mod tests {
             scenario.engine.as_ref().map(|e| e.label()),
             Some("fcfs-chunk64+lru".to_string())
         );
-    }
-
-    #[test]
-    fn trace_opt_in_is_per_cell() {
-        let spec = SweepSpec::new("t", 1)
-            .cell("plain", tiny_recipe)
-            .cell("traced", tiny_recipe)
-            .trace_cell("traced", TraceConfig::with_capacity(512));
-        let (_, plain_cfg) = spec.cells[0].build(1);
-        let (_, traced_cfg) = spec.cells[1].build(1);
-        assert_eq!(plain_cfg.trace, None);
-        assert_eq!(traced_cfg.trace, Some(TraceConfig::with_capacity(512)));
-
-        let all = SweepSpec::new("t", 1)
-            .cell("a", tiny_recipe)
-            .cell("b", tiny_recipe)
-            .trace_all(TraceConfig::default());
-        assert!(all.cells.iter().all(|c| c.trace.is_some()));
-    }
-
-    #[test]
-    fn telemetry_opt_in_is_per_cell() {
-        use skywalker::sim::SimDuration;
-        let cadence = TelemetryConfig::every(SimDuration::from_millis(500));
-        let spec = SweepSpec::new("t", 1)
-            .cell("plain", tiny_recipe)
-            .cell("sampled", tiny_recipe)
-            .telemetry_cell("sampled", cadence);
-        let (_, plain_cfg) = spec.cells[0].build(1);
-        let (_, sampled_cfg) = spec.cells[1].build(1);
-        assert_eq!(plain_cfg.telemetry, None);
-        assert_eq!(sampled_cfg.telemetry, Some(cadence));
-
-        let all = SweepSpec::new("t", 1)
-            .cell("a", tiny_recipe)
-            .cell("b", tiny_recipe)
-            .telemetry_all(TelemetryConfig::default());
-        assert!(all.cells.iter().all(|c| c.telemetry.is_some()));
     }
 
     #[test]

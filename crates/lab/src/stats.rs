@@ -6,13 +6,6 @@ use skywalker_metrics::Spread;
 
 use crate::exec::ReplicateRun;
 
-/// The capacity integral of one run: time-weighted mean fleet size ×
-/// run duration, in replica-seconds — identical for a static fleet to
-/// `replicas × end_time`, and the honest cost basis for elastic runs.
-pub fn replica_seconds(s: &RunSummary) -> f64 {
-    s.fleet.mean_total() * s.end_time.as_secs_f64()
-}
-
 /// Seed-to-seed aggregates of one cell: every headline metric as a
 /// [`Spread`] (mean with min/max whiskers across replicates).
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +32,7 @@ pub struct CellStats {
     pub failed: Spread,
     /// Cross-region forwards.
     pub forwarded: Spread,
-    /// Capacity spent: [`replica_seconds`] of each run.
+    /// Capacity spent: [`RunSummary::replica_seconds`] of each run.
     pub replica_seconds: Spread,
     /// Reserved-rate price of that capacity
     /// ([`Pricing::P5_48XLARGE`], via `skywalker-cost`).
@@ -64,8 +57,8 @@ impl CellStats {
             completed: of(&|s| s.report.completed as f64),
             failed: of(&|s| s.report.failed as f64),
             forwarded: of(&|s| s.forwarded as f64),
-            replica_seconds: of(&replica_seconds),
-            cost_usd: of(&|s| replica_seconds_cost(replica_seconds(s), Pricing::P5_48XLARGE)),
+            replica_seconds: of(&RunSummary::replica_seconds),
+            cost_usd: of(&|s| replica_seconds_cost(s.replica_seconds(), Pricing::P5_48XLARGE)),
         }
     }
 }

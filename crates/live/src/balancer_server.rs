@@ -24,7 +24,7 @@ use std::time::Duration;
 use skywalker_core::{BalancerConfig, Decision, LbId, PolicyFactory, RegionalBalancer};
 use skywalker_net::{read_frame, write_frame, Message, Region};
 use skywalker_replica::{ReplicaId, Request};
-use skywalker_telemetry::{prometheus_text, MetricsRegistry};
+use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
 use crate::sync::Mutex;
@@ -53,16 +53,16 @@ impl Shared {
         };
         let mut reg = MetricsRegistry::new();
         let labels = [("region", region.name())];
-        reg.inc("skywalker_lb_received_total", &labels, stats.received);
+        reg.inc(names::LB_RECEIVED_TOTAL, &labels, stats.received);
         reg.inc(
-            "skywalker_lb_dispatched_local_total",
+            names::LB_DISPATCHED_LOCAL_TOTAL,
             &labels,
             stats.dispatched_local,
         );
-        reg.inc("skywalker_lb_forwarded_total", &labels, stats.forwarded);
-        reg.set_gauge("skywalker_lb_queue_depth", &labels, queue_len as f64);
-        reg.set_gauge("skywalker_lb_peak_queue", &labels, stats.peak_queue as f64);
-        reg.set_gauge("skywalker_lb_available_replicas", &labels, f64::from(avail));
+        reg.inc(names::LB_FORWARDED_TOTAL, &labels, stats.forwarded);
+        reg.set_gauge(names::LB_QUEUE_DEPTH, &labels, queue_len as f64);
+        reg.set_gauge(names::LB_PEAK_QUEUE, &labels, stats.peak_queue as f64);
+        reg.set_gauge(names::LB_AVAILABLE_REPLICAS, &labels, f64::from(avail));
         prometheus_text(&reg.snapshot())
     }
 

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use skywalker_net::{read_frame, write_frame, Message};
 use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request, StepOutcome};
-use skywalker_telemetry::{prometheus_text, MetricsRegistry};
+use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
 use crate::sync::Mutex;
@@ -49,31 +49,27 @@ impl Shared {
         let id = format!("{}", id.0);
         let labels = [("replica", id.as_str())];
         let mut reg = MetricsRegistry::new();
-        reg.inc("skywalker_replica_admitted_total", &labels, stats.admitted);
+        reg.inc(names::REPLICA_ADMITTED_TOTAL, &labels, stats.admitted);
+        reg.inc(names::REPLICA_COMPLETED_TOTAL, &labels, stats.completed);
         reg.inc(
-            "skywalker_replica_completed_total",
-            &labels,
-            stats.completed,
-        );
-        reg.inc(
-            "skywalker_replica_prompt_tokens_total",
+            names::REPLICA_PROMPT_TOKENS_TOTAL,
             &labels,
             stats.prompt_tokens,
         );
         reg.inc(
-            "skywalker_replica_cached_prompt_tokens_total",
+            names::REPLICA_CACHED_PROMPT_TOKENS_TOTAL,
             &labels,
             stats.cached_prompt_tokens,
         );
         reg.inc(
-            "skywalker_replica_generated_tokens_total",
+            names::REPLICA_GENERATED_TOKENS_TOTAL,
             &labels,
             stats.generated_tokens,
         );
-        reg.set_gauge("skywalker_replica_pending", &labels, pending as f64);
-        reg.set_gauge("skywalker_replica_running", &labels, running as f64);
-        reg.set_gauge("skywalker_kv_utilization", &labels, kv);
-        reg.set_gauge("skywalker_replica_hit_ratio", &labels, stats.hit_rate());
+        reg.set_gauge(names::REPLICA_PENDING, &labels, pending as f64);
+        reg.set_gauge(names::REPLICA_RUNNING, &labels, running as f64);
+        reg.set_gauge(names::KV_UTILIZATION, &labels, kv);
+        reg.set_gauge(names::REPLICA_HIT_RATIO, &labels, stats.hit_rate());
         prometheus_text(&reg.snapshot())
     }
 }

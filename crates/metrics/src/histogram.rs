@@ -59,6 +59,21 @@ impl Summary {
     };
 }
 
+/// The `q`-quantile (`q` in `[0, 1]`) of a non-empty ascending slice, by
+/// linear interpolation between closest ranks — the one convention every
+/// exact percentile in this crate uses.
+pub(crate) fn interpolate(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
 /// An exact histogram: stores every sample, sorts on demand.
 ///
 /// # Examples
@@ -137,16 +152,7 @@ impl Histogram {
         if samples.is_empty() {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (samples.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            samples[lo]
-        } else {
-            let frac = pos - lo as f64;
-            samples[lo] * (1.0 - frac) + samples[hi] * frac
-        }
+        interpolate(&samples, q.clamp(0.0, 1.0))
     }
 
     /// The full box-plot summary.

@@ -5,8 +5,7 @@
 //!
 //! This lives in the metrics crate (rather than the bench harness) so
 //! every reporting layer — the figure benches, the sweep lab, ad-hoc
-//! scripts — shares one serializer; `skywalker_bench::json` re-exports
-//! it under its historical name.
+//! scripts — shares one serializer.
 
 use std::fmt::Write as _;
 use std::io;

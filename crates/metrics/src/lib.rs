@@ -14,7 +14,8 @@
 //! - [`RequestTracker`]: per-request lifecycle records (arrival, first
 //!   token, completion) aggregated into a [`RunReport`].
 //! - [`TimeSeries`]: timestamped gauge traces, e.g. KV-cache utilization
-//!   per replica over time, with peak-gap statistics.
+//!   per replica over time, with peak-gap statistics; optionally bounded
+//!   (oldest points drop first, and are counted) for sampled dashboards.
 //! - [`Spread`]: mean/min/max/p50/p90 aggregation of one metric across
 //!   the replicates of a sweep cell or the per-request samples of a
 //!   trace phase.

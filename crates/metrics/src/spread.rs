@@ -11,6 +11,8 @@
 //!
 //! [`Summary`]: crate::Summary
 
+use crate::histogram::interpolate;
+
 /// Mean, min/max envelope, and p50/p90 of one metric across samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
@@ -52,25 +54,13 @@ impl Spread {
         kept.sort_by(|a, b| a.partial_cmp(b).expect("finite samples are ordered"));
         let count = kept.len();
         let sum: f64 = kept.iter().sum();
-        let quantile = |q: f64| -> f64 {
-            // Linear interpolation between closest ranks, mirroring
-            // `Histogram::quantile` so both views of one sample set agree.
-            let pos = q * (count - 1) as f64;
-            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-            if lo == hi {
-                kept[lo]
-            } else {
-                let frac = pos - lo as f64;
-                kept[lo] * (1.0 - frac) + kept[hi] * frac
-            }
-        };
         Spread {
             count,
             mean: sum / count as f64,
             min: kept[0],
             max: kept[count - 1],
-            p50: quantile(0.50),
-            p90: quantile(0.90),
+            p50: interpolate(&kept, 0.50),
+            p90: interpolate(&kept, 0.90),
         }
     }
 

@@ -4,9 +4,10 @@
 //! the fact, this crate answers *what is the P90 right now*: a labeled
 //! [`MetricsRegistry`] of counters, gauges, and mergeable
 //! [`QuantileSketch`] distributions, sampled on a sim-time cadence into
-//! ring-buffered [`RingSeries`], and exported as Prometheus text exposition,
-//! JSON, or markdown. The same registry + exposition path serves the live
-//! TCP plane, so a running cluster is scrapeable with `nc`.
+//! bounded [`TimeSeries`], and exported as Prometheus text exposition,
+//! JSON, or markdown. The same registry + exposition path — and the same
+//! [`names`] table — serves the live TCP plane, so a running cluster is
+//! scrapeable with `nc`.
 //!
 //! Everything is deterministic by construction: integer bucket indices in
 //! `BTreeMap`s, exact integer counts, snapshot order a pure function of
@@ -27,60 +28,47 @@
 //! ```
 
 mod export;
+pub mod names;
 mod registry;
-mod series;
 mod sketch;
+mod sparkline;
 
 pub use export::{json_report, markdown_table, prometheus_text};
 pub use registry::{
     MetricKey, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
 };
-pub use series::{sparkline, RingSeries};
 pub use sketch::{QuantileSketch, DEFAULT_RELATIVE_ERROR, MIN_TRACKED};
+pub use sparkline::sparkline;
 
+use skywalker_metrics::TimeSeries;
 use skywalker_sim::SimDuration;
+
+/// Points each sampled dashboard series retains; older points drop
+/// first and are counted ([`TimeSeries::dropped`]).
+pub const SERIES_CAPACITY: usize = 4096;
 
 /// Telemetry sampling configuration for a fabric run (or a lab cell).
 ///
 /// Off by default; turn it on per-run with
 /// `FabricConfig::telemetry(interval)` — the fabric then samples its
-/// registry every `interval` of sim time into ring-buffered series and
-/// attaches a [`TelemetrySummary`] to the run summary.
+/// registry every `interval` of sim time into series bounded to
+/// [`SERIES_CAPACITY`] points and attaches a [`TelemetrySummary`] to the
+/// run summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Sim-time sampling cadence.
     pub interval: SimDuration,
-    /// Capacity of each ring-buffered series (oldest points drop first).
-    pub ring_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            interval: SimDuration::from_secs(1),
-            ring_capacity: 4096,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// A config sampling every `interval` with the default ring capacity.
+    /// A config sampling every `interval`.
     pub fn every(interval: SimDuration) -> Self {
-        TelemetryConfig {
-            interval,
-            ..TelemetryConfig::default()
-        }
-    }
-
-    /// Overrides the per-series ring capacity (minimum 1).
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity.max(1);
-        self
+        TelemetryConfig { interval }
     }
 }
 
 /// What a telemetry-enabled run hands back: the final registry snapshot,
-/// the sampled ring series, and the tick count.
+/// the sampled series, and the tick count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// The sampling cadence the run used.
@@ -89,13 +77,14 @@ pub struct TelemetrySummary {
     pub ticks: u64,
     /// Final registry snapshot, in deterministic order.
     pub snapshot: MetricsSnapshot,
-    /// Ring-buffered series sampled each tick, sorted by name.
-    pub series: Vec<RingSeries>,
+    /// Series sampled each tick (bounded to [`SERIES_CAPACITY`]
+    /// points), sorted by name.
+    pub series: Vec<TimeSeries>,
 }
 
 impl TelemetrySummary {
     /// Finds a sampled series by name.
-    pub fn series(&self, name: &str) -> Option<&RingSeries> {
+    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.iter().find(|s| s.name() == name)
     }
 }
@@ -105,20 +94,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_builders() {
-        let cfg = TelemetryConfig::every(SimDuration::from_millis(100)).with_ring_capacity(0);
-        assert_eq!(cfg.interval, SimDuration::from_millis(100));
-        assert_eq!(cfg.ring_capacity, 1);
-        assert_eq!(TelemetryConfig::default().ring_capacity, 4096);
-    }
-
-    #[test]
     fn summary_series_lookup() {
         let summary = TelemetrySummary {
             interval: SimDuration::from_secs(1),
             ticks: 2,
             snapshot: MetricsSnapshot::default(),
-            series: vec![RingSeries::new("a", 8), RingSeries::new("b", 8)],
+            series: vec![TimeSeries::bounded("a", 8), TimeSeries::bounded("b", 8)],
         };
         assert!(summary.series("b").is_some());
         assert!(summary.series("c").is_none());

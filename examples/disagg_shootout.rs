@@ -23,11 +23,9 @@
 //! Knobs: `DISAGG_SCALE` (user population multiplier, default 1.0),
 //! `DISAGG_SEED` (sweep root seed, default 7), `DISAGG_WORKERS`.
 
-use skywalker::{disagg_recipe, DisaggWorkload};
-use skywalker_bench::json::{Report, Val};
-use skywalker_bench::rows::disagg_row;
-use skywalker_bench::{f, header, pct, row};
-use skywalker_lab::{replica_seconds, SweepSpec};
+use skywalker::metrics::json::{Report, Val};
+use skywalker::{disagg_recipe, DisaggWorkload, RunSummary};
+use skywalker_lab::SweepSpec;
 
 fn main() {
     let scale: f64 = std::env::var("DISAGG_SCALE")
@@ -64,20 +62,10 @@ fn main() {
     rep.meta("sweep_seed", seed);
     rep.meta("preset", "disagg");
 
-    header(&[
-        "workload",
-        "mode",
-        "ttft p50",
-        "ttft p90",
-        "e2e p90",
-        "hit",
-        "transfers",
-        "demoted",
-        "promoted",
-        "repl-sec",
-        "done",
-        "fail",
-    ]);
+    println!(
+        "| workload | mode | ttft p50 | ttft p90 | e2e p90 | hit | transfers | demoted | promoted \
+         | repl-sec | done | fail |\n|---|---|---|---|---|---|---|---|---|---|---|---|"
+    );
     // (workload label, mode) → first-replicate P90 TTFT for the verdict.
     let mut p90: Vec<(DisaggWorkload, bool, f64)> = Vec::new();
     for (wl, disagg, label) in &cells {
@@ -85,7 +73,11 @@ fn main() {
         for run in &cell.runs {
             let s = &run.summary;
             let mode = if *disagg { "split" } else { "colo" };
-            let mut fields = disagg_row(wl.label(), mode, s);
+            let mut fields = vec![
+                ("workload", Val::from(wl.label())),
+                ("mode", Val::from(mode)),
+            ];
+            fields.extend(s.row(RunSummary::DISAGG_ROW));
             fields.push(("replicate", Val::from(run.tag)));
             rep.row(&fields);
         }
@@ -102,20 +94,21 @@ fn main() {
             assert_eq!(s.transfers.started, 0, "{label}: colo never hands off");
         }
         p90.push((*wl, *disagg, s.report.ttft.p90));
-        row(&[
-            wl.label().to_string(),
-            if *disagg { "split" } else { "colo" }.to_string(),
-            f(s.report.ttft.p50, 3),
-            f(s.report.ttft.p90, 3),
-            f(s.report.e2e.p90, 3),
-            pct(s.replica_hit_rate),
-            s.transfers.started.to_string(),
-            s.demoted_tokens.to_string(),
-            s.promoted_tokens.to_string(),
-            f(replica_seconds(s), 0),
-            s.report.completed.to_string(),
-            s.report.failed.to_string(),
-        ]);
+        println!(
+            "| {} | {} | {:.3} | {:.3} | {:.3} | {:.1}% | {} | {} | {} | {:.0} | {} | {} |",
+            wl.label(),
+            if *disagg { "split" } else { "colo" },
+            s.report.ttft.p50,
+            s.report.ttft.p90,
+            s.report.e2e.p90,
+            100.0 * s.replica_hit_rate,
+            s.transfers.started,
+            s.demoted_tokens,
+            s.promoted_tokens,
+            s.replica_seconds(),
+            s.report.completed,
+            s.report.failed,
+        );
     }
 
     // The acceptance bar: the split-vs-colo verdict on P90 TTFT crosses

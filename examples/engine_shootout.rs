@@ -24,13 +24,11 @@
 //! Knobs: `SHOOTOUT_SCALE` (user population multiplier, default 0.5),
 //! `SHOOTOUT_SEED` (sweep root seed, default 7), `SHOOTOUT_WORKERS`.
 
+use skywalker::metrics::json::{Report, Val};
 use skywalker::{
     memory_pressure_recipe, EngineSpec, FcfsBatch, LruEvictor, NoEvict, PrefixAwareEvictor,
-    ShortestPromptFirst,
+    RunSummary, ShortestPromptFirst,
 };
-use skywalker_bench::json::{Report, Val};
-use skywalker_bench::rows::engine_row;
-use skywalker_bench::{f, header, pct, row};
 use skywalker_lab::SweepSpec;
 
 fn main() {
@@ -81,15 +79,15 @@ fn main() {
     rep.meta("sweep_seed", seed);
     rep.meta("preset", "memory_pressure");
 
-    header(&[
-        "engine", "ttft p50", "ttft p90", "e2e p90", "hit", "preempt", "evicted", "chunked",
-        "done", "fail",
-    ]);
+    println!(
+        "| engine | ttft p50 | ttft p90 | e2e p90 | hit | preempt | evicted | chunked | done \
+         | fail |\n|---|---|---|---|---|---|---|---|---|---|"
+    );
     let mut p90s: Vec<(String, f64)> = Vec::new();
     for (label, cell) in labels.iter().zip(&result.cells) {
         for run in &cell.runs {
             let s = &run.summary;
-            let mut fields = engine_row(label, s);
+            let mut fields = s.row(RunSummary::ENGINE_ROW);
             fields.push(("replicate", Val::from(run.tag)));
             rep.row(&fields);
         }
@@ -100,18 +98,18 @@ fn main() {
             "scenario engine must match the cell"
         );
         p90s.push((label.clone(), s.report.ttft.p90));
-        row(&[
-            label.clone(),
-            f(s.report.ttft.p50, 3),
-            f(s.report.ttft.p90, 3),
-            f(s.report.e2e.p90, 3),
-            pct(s.replica_hit_rate),
-            s.preempted.to_string(),
-            s.evicted_tokens.to_string(),
-            s.chunked_steps.to_string(),
-            s.report.completed.to_string(),
-            s.report.failed.to_string(),
-        ]);
+        println!(
+            "| {label} | {:.3} | {:.3} | {:.3} | {:.1}% | {} | {} | {} | {} | {} |",
+            s.report.ttft.p50,
+            s.report.ttft.p90,
+            s.report.e2e.p90,
+            100.0 * s.replica_hit_rate,
+            s.preempted,
+            s.evicted_tokens,
+            s.chunked_steps,
+            s.report.completed,
+            s.report.failed,
+        );
     }
 
     // The acceptance bar: at least two engines measurably diverge on

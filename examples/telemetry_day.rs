@@ -1,6 +1,6 @@
 //! A day in the life, on the dashboard: run the diurnal macro-benchmark
 //! with the telemetry plane attached and render what an operator's wall
-//! display would show — sparkline time series from the ring buffers and
+//! display would show — sparkline time series from the sampled series and
 //! a final registry snapshot in markdown and Prometheus form.
 //!
 //! Run with:
@@ -24,7 +24,7 @@ fn row(summary: &TelemetrySummary, name: &str, unit: &str, width: usize) {
     let series = summary.series(name).expect("series was sampled");
     let values = series.values();
     let latest = series.latest().map(|(_, v)| v).unwrap_or(0.0);
-    let peak = series.max_value();
+    let peak = series.peak();
     println!(
         "{name:<22} {}  last {latest:>8.3}{unit}  peak {peak:>8.3}{unit}",
         sparkline(&values, width)

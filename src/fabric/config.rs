@@ -68,7 +68,7 @@ impl FabricConfig {
     }
 
     /// This config with telemetry sampling enabled every `interval` of
-    /// sim time (default ring capacity).
+    /// sim time.
     pub fn telemetry(mut self, interval: SimDuration) -> Self {
         self.telemetry = Some(TelemetryConfig::every(interval));
         self

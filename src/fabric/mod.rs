@@ -6,7 +6,7 @@
 //! paper runs (§5): the same `RegionalBalancer` / `Replica` state
 //! machines the live TCP mode uses, driven here by a virtual clock. One
 //! [`Scenario`] describes a deployment (which system, where the replicas
-//! are, who the clients are, what faults to inject); [`run_scenario`]
+//! are, who the clients are, what the fleet plan does); [`run_scenario`]
 //! plays it out and returns a [`RunSummary`] with the paper's metrics:
 //! service throughput, TTFT and end-to-end latency distributions,
 //! KV-cache hit rate, and load-balance diagnostics.
@@ -27,6 +27,6 @@ mod world;
 pub use config::FabricConfig;
 pub use run::run_scenario;
 pub use scenario::{
-    Deployment, FaultEvent, ReplicaPlacement, Scenario, ScenarioBuilder, ScenarioError, SystemKind,
+    Deployment, ReplicaPlacement, Scenario, ScenarioBuilder, ScenarioError, SystemKind,
 };
 pub use summary::{FleetSummary, RunSummary, TransferSummary};

@@ -10,11 +10,13 @@
 //! simulation, so outcomes are byte-identical whichever sinks are
 //! attached (pinned by the golden-digest gates).
 
-use skywalker_metrics::{RequestTracker, RunReport};
+use skywalker_metrics::{RequestTracker, RunReport, TimeSeries};
 use skywalker_net::Region;
 use skywalker_replica::Completion;
 use skywalker_sim::{SimDuration, SimTime};
-use skywalker_telemetry::{MetricsRegistry, RingSeries, TelemetryConfig, TelemetrySummary};
+use skywalker_telemetry::{
+    names, MetricsRegistry, TelemetryConfig, TelemetrySummary, SERIES_CAPACITY,
+};
 use skywalker_trace::{TraceEventKind, TraceRecorder, TraceSummary};
 
 use super::summary::ratio;
@@ -23,13 +25,13 @@ use super::{FabricConfig, TransferSummary};
 
 /// The streaming metrics plane: a labeled registry fed at lifecycle
 /// points (TTFT sketches) and on the telemetry tick (gauges, cumulative
-/// counters), plus ring-buffered dashboard series sampled every tick.
+/// counters), plus bounded dashboard series sampled every tick.
 struct TelemetryPlane {
     cfg: TelemetryConfig,
     registry: MetricsRegistry,
     /// The dashboard series, created (in name order) by the first
     /// sampling pass.
-    series: Vec<RingSeries>,
+    series: Vec<TimeSeries>,
     /// Sampling passes taken (every tick plus one final flush).
     ticks: u64,
 }
@@ -115,11 +117,11 @@ impl Observers {
             return;
         };
         let ttft = at.saturating_since(arrived).as_secs_f64();
-        plane.registry.observe("skywalker_ttft_seconds", &[], ttft);
+        plane.registry.observe(names::TTFT_SECONDS, &[], ttft);
         let labels = [("region", region.name())];
         plane
             .registry
-            .observe("skywalker_region_ttft_seconds", &labels, ttft);
+            .observe(names::REGION_TTFT_SECONDS, &labels, ttft);
     }
 
     /// The full response reached the client (the end-to-end instant).
@@ -141,7 +143,7 @@ impl Observers {
 
     /// Samples the authoritative fabric state into the metrics plane
     /// (no-op when telemetry is off): reads balancer/replica state,
-    /// writes only the registry and ring series.
+    /// writes only the registry and the dashboard series.
     pub(crate) fn sample(
         &mut self,
         now: SimTime,
@@ -161,14 +163,14 @@ impl Observers {
         for lb in lbs.iter().filter(|s| s.alive).map(|s| &s.lb) {
             let stats = lb.stats();
             let labels = [("region", lb.region().name())];
-            reg.set_gauge("skywalker_lb_queue_depth", &labels, lb.queue_len() as f64);
-            reg.counter_at_least("skywalker_lb_received_total", &labels, stats.received);
+            reg.set_gauge(names::LB_QUEUE_DEPTH, &labels, lb.queue_len() as f64);
+            reg.counter_at_least(names::LB_RECEIVED_TOTAL, &labels, stats.received);
             reg.counter_at_least(
-                "skywalker_lb_dispatched_local_total",
+                names::LB_DISPATCHED_LOCAL_TOTAL,
                 &labels,
                 stats.dispatched_local,
             );
-            reg.counter_at_least("skywalker_lb_forwarded_total", &labels, stats.forwarded);
+            reg.counter_at_least(names::LB_FORWARDED_TOTAL, &labels, stats.forwarded);
             total_queue += lb.queue_len() as u64;
         }
 
@@ -190,24 +192,20 @@ impl Observers {
         }
         let kv_mean = ratio(kv_sum, serving as f64);
         let hit = ratio(cached as f64, prompt as f64);
-        reg.set_gauge("skywalker_serving_replicas", &[], serving as f64);
-        reg.set_gauge("skywalker_kv_utilization_mean", &[], kv_mean);
-        reg.set_gauge("skywalker_replica_hit_ratio", &[], hit);
-        reg.counter_at_least("skywalker_replica_completed_total", &[], completed);
+        reg.set_gauge(names::SERVING_REPLICAS, &[], serving as f64);
+        reg.set_gauge(names::KV_UTILIZATION_MEAN, &[], kv_mean);
+        reg.set_gauge(names::REPLICA_HIT_RATIO, &[], hit);
+        reg.counter_at_least(names::REPLICA_COMPLETED_TOTAL, &[], completed);
 
         // Disaggregation plane: cumulative handoff counts and volume
         // (flat zeros — and no extra series — on colocated fleets).
         if transfers.started > 0 {
-            reg.counter_at_least("skywalker_kv_transfers_total", &[], transfers.started);
-            reg.counter_at_least(
-                "skywalker_kv_transfer_tokens_total",
-                &[],
-                transfers.tokens_sent,
-            );
+            reg.counter_at_least(names::KV_TRANSFERS_TOTAL, &[], transfers.started);
+            reg.counter_at_least(names::KV_TRANSFER_TOKENS_TOTAL, &[], transfers.tokens_sent);
         }
 
         let ttft_p90 = reg
-            .sketch("skywalker_ttft_seconds", &[])
+            .sketch(names::TTFT_SECONDS, &[])
             .map(|s| s.quantile(0.90))
             .unwrap_or(0.0);
 
@@ -222,8 +220,9 @@ impl Observers {
             ("ttft_p90_seconds", ttft_p90),
         ];
         if plane.series.is_empty() {
-            let cap = plane.cfg.ring_capacity;
-            let series = samples.iter().map(|(name, _)| RingSeries::new(name, cap));
+            let series = samples
+                .iter()
+                .map(|(name, _)| TimeSeries::bounded(*name, SERIES_CAPACITY));
             plane.series.extend(series);
         }
         for (series, (_, value)) in plane.series.iter_mut().zip(samples) {

@@ -7,9 +7,7 @@ use std::collections::{BTreeMap, HashMap};
 use skywalker_core::{
     BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
 };
-use skywalker_fleet::{
-    FleetCommand, FleetEvent, FleetObservation, FleetPlan, MergePlan, ScheduledPlan,
-};
+use skywalker_fleet::FleetObservation;
 use skywalker_metrics::{peak_gap, TimeSeries};
 use skywalker_net::{DnsResolver, Endpoint, Region};
 use skywalker_replica::ReplicaStats;
@@ -47,28 +45,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
     }
     let end = engine.run_until(&mut world, cfg.deadline).end_time;
     summarize(scenario, world, end, engine.peak_pending())
-}
-
-/// The fleet control plane: the legacy fault schedule rides along as a
-/// [`ScheduledPlan`] of balancer flaps, merged with any custom plan.
-/// Each run polls a fresh clone, like the traffic source.
-fn fleet_plan(scenario: &Scenario) -> Option<Box<dyn FleetPlan>> {
-    let flaps = scenario.faults.iter().map(|f| {
-        let lb = f.lb_index;
-        let event = if f.down {
-            FleetEvent::LbDown { lb }
-        } else {
-            FleetEvent::LbUp { lb }
-        };
-        FleetCommand::new(f.at, event)
-    });
-    let faults = (!scenario.faults.is_empty()).then(|| {
-        Box::new(ScheduledPlan::new(flaps.collect()).with_label("faults")) as Box<dyn FleetPlan>
-    });
-    match (faults, scenario.fleet_plan.clone()) {
-        (Some(f), Some(p)) => Some(Box::new(MergePlan::new(vec![f, p]))),
-        (f, p) => f.or(p),
-    }
 }
 
 /// Where balancers sit. Client regions come from the traffic source's
@@ -180,7 +156,8 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
         dns,
         controller,
         fleet: FleetPlane {
-            plan: fleet_plan(scenario),
+            // Each run polls a fresh clone, like the traffic source.
+            plan: scenario.fleet_plan.clone(),
             rng: DetRng::for_component(cfg.seed, "fabric/fleet"),
             ledger: FleetSummary::default(),
             observation: FleetObservation::default(),

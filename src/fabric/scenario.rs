@@ -1,6 +1,6 @@
 //! What to run: the deployment vocabulary ([`SystemKind`],
-//! [`Deployment`], [`ReplicaPlacement`], [`FaultEvent`]) and the
-//! validated [`Scenario`] with its [`ScenarioBuilder`].
+//! [`Deployment`], [`ReplicaPlacement`]) and the validated [`Scenario`]
+//! with its [`ScenarioBuilder`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -8,7 +8,7 @@ use std::sync::Arc;
 use skywalker_core::{PolicyFactory, PolicyKind, PushMode, RoutingConstraint};
 use skywalker_fleet::FleetPlan;
 use skywalker_net::Region;
-use skywalker_replica::{BatchPolicy, EngineSpec, GpuProfile, KvEvictor, ReplicaRole};
+use skywalker_replica::{EngineSpec, GpuProfile, ReplicaRole};
 use skywalker_sim::{DetRng, SimTime};
 use skywalker_workload::{ClientListSource, ClientSpec, TrafficSource};
 
@@ -150,32 +150,13 @@ pub struct ReplicaPlacement {
     pub profile: GpuProfile,
 }
 
-/// Take a balancer down (or bring it back) at a point in time — the §4.2
-/// failure-recovery drills.
-///
-/// This is the legacy closed schedule, kept as a convenience: the
-/// fabric turns a `Vec<FaultEvent>` into a [`ScheduledPlan`](crate::ScheduledPlan) of
-/// [`FleetEvent::LbDown`](crate::FleetEvent::LbDown)/[`FleetEvent::LbUp`](crate::FleetEvent::LbUp) commands (pinned
-/// byte-identical by `tests/failover.rs`). New code — and anything
-/// beyond balancer flaps, like replica churn or autoscaling — should
-/// use [`ScenarioBuilder::fleet_plan`] directly.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultEvent {
-    /// When the fault fires.
-    pub at: SimTime,
-    /// Index of the balancer (by creation order) to affect.
-    pub lb_index: u32,
-    /// True = crash, false = recover.
-    pub down: bool,
-}
-
 /// One experiment: a deployment shape, a policy, a fleet, a traffic
-/// source, faults.
+/// source, a fleet plan.
 ///
 /// Build one with [`Scenario::builder`] (any combination of deployment,
 /// custom [`PolicyFactory`], fleet, workload or [`TrafficSource`],
-/// faults, and constraint), or with [`Scenario::new`] for a preset
-/// [`SystemKind`].
+/// [`FleetPlan`], and constraint); [`SystemKind::builder`] starts from a
+/// preset.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Display label for experiment tables.
@@ -203,12 +184,9 @@ pub struct Scenario {
     /// scenario can be replayed any number of times; pre-materialized
     /// populations ride along as a [`ClientListSource`].
     pub traffic: Box<dyn TrafficSource>,
-    /// Balancer fault injections — the legacy closed schedule, applied
-    /// as a [`ScheduledPlan`](crate::ScheduledPlan) alongside (and merged with) `fleet_plan`.
-    pub faults: Vec<FaultEvent>,
     /// The fleet control plane: a streaming plan the fabric polls for
     /// joins, drains, crashes, and balancer flaps as sim time advances.
-    /// `None` runs a static fleet (plus whatever `faults` injects).
+    /// `None` runs a static fleet.
     pub fleet_plan: Option<Box<dyn FleetPlan>>,
     /// The serving engine every replica runs (batch policy + KV
     /// evictor), cloned per replica — including replicas a fleet plan
@@ -218,28 +196,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A fault-free scenario with the system's standard deployment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` or `clients` is empty — use
-    /// [`Scenario::builder`] and handle [`ScenarioError`] to validate
-    /// dynamic inputs.
-    pub fn new(
-        system: SystemKind,
-        replicas: Vec<ReplicaPlacement>,
-        clients: Vec<ClientSpec>,
-    ) -> Self {
-        system
-            .builder()
-            .replicas(replicas)
-            .clients(clients)
-            .build()
-            .expect("Scenario::new requires a non-empty fleet and client population")
-    }
-
     /// An empty builder: configure deployment, policy, fleet, workload,
-    /// faults, and constraints fluently, then [`ScenarioBuilder::build`].
+    /// fleet plan, and constraints fluently, then
+    /// [`ScenarioBuilder::build`].
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::default()
     }
@@ -272,7 +231,9 @@ impl Scenario {
 /// error instead of deadlocking or panicking deep inside the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioError {
-    /// No replicas were configured — there is nothing to route to.
+    /// No replica a balancer can route to: the fleet is empty, or every
+    /// replica is [`ReplicaRole::DecodeOnly`] (invisible to the
+    /// balancers), so nothing would ever be dispatched.
     EmptyFleet,
     /// No traffic was configured, or the provided source was already
     /// exhausted — there is nothing to run.
@@ -286,9 +247,11 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::EmptyFleet => {
-                write!(f, "scenario has no replicas: set ScenarioBuilder::replicas")
-            }
+            ScenarioError::EmptyFleet => write!(
+                f,
+                "scenario has no replica a balancer can route to: set \
+                 ScenarioBuilder::replicas with at least one Colocated or PrefillOnly replica"
+            ),
             ScenarioError::NoTraffic => write!(
                 f,
                 "scenario has no traffic: set ScenarioBuilder::clients, ::workload, \
@@ -341,7 +304,6 @@ pub struct ScenarioBuilder {
     replicas: Vec<ReplicaPlacement>,
     roles: Vec<ReplicaRole>,
     traffic: Option<Box<dyn TrafficSource>>,
-    faults: Vec<FaultEvent>,
     fleet_plan: Option<Box<dyn FleetPlan>>,
     constraint: Option<RoutingConstraint>,
     engine: Option<EngineSpec>,
@@ -419,19 +381,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the fault schedule. Faults run as a [`ScheduledPlan`](crate::ScheduledPlan)
-    /// of balancer flaps, merged with any [`ScenarioBuilder::fleet_plan`].
-    pub fn faults(mut self, faults: Vec<FaultEvent>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Appends one fault injection.
-    pub fn fault(mut self, fault: FaultEvent) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
     /// Installs a fleet control plane: the fabric polls the plan as
     /// simulated time advances and applies its joins, drains, crashes,
     /// and balancer flaps mid-run. Any external [`FleetPlan`]
@@ -456,44 +405,38 @@ impl ScenarioBuilder {
     /// evictor pair. The engine counterpart of
     /// [`ScenarioBuilder::policy_factory`],
     /// [`ScenarioBuilder::traffic_source`], and
-    /// [`ScenarioBuilder::fleet_plan`] — any external [`BatchPolicy`] or
-    /// [`KvEvictor`] implementation plugs in here.
+    /// [`ScenarioBuilder::fleet_plan`] — any external
+    /// [`BatchPolicy`](skywalker_replica::BatchPolicy) or
+    /// [`KvEvictor`](skywalker_replica::KvEvictor) implementation plugs
+    /// in here.
     pub fn engine(mut self, engine: EngineSpec) -> Self {
         self.engine = Some(engine);
         self
     }
 
-    /// Replaces only the batch policy of the engine (keeping the
-    /// current — or default — evictor).
-    pub fn batch_policy(mut self, batch: Box<dyn BatchPolicy>) -> Self {
-        self.engine.get_or_insert_with(EngineSpec::default).batch = batch;
-        self
-    }
-
-    /// Replaces only the KV evictor of the engine (keeping the current
-    /// — or default — batch policy).
-    pub fn kv_evictor(mut self, evictor: Box<dyn KvEvictor>) -> Self {
-        self.engine.get_or_insert_with(EngineSpec::default).evictor = evictor;
-        self
-    }
-
     /// Assembles and validates the scenario. Defaults: SkyWalker's
-    /// deployment shape if none was set, no faults, built-in policies.
+    /// deployment shape if none was set, a static fleet, built-in
+    /// policies.
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::EmptyFleet`] without replicas;
+    /// [`ScenarioError::EmptyFleet`] without a balancer-visible replica;
     /// [`ScenarioError::NoTraffic`] without a client population or with
-    /// an already-exhausted traffic source.
+    /// an already-exhausted traffic source;
+    /// [`ScenarioError::NoDecodeCapacity`] when a region's prefill-only
+    /// replicas have no local decode target.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        if self.replicas.is_empty() {
+        let role_of = |roles: &[ReplicaRole], i: usize| roles.get(i).copied().unwrap_or_default();
+        // Decode-only replicas are invisible to the balancers.
+        let routable =
+            (0..self.replicas.len()).any(|i| role_of(&self.roles, i) != ReplicaRole::DecodeOnly);
+        if !routable {
             return Err(ScenarioError::EmptyFleet);
         }
         let traffic = self.traffic.ok_or(ScenarioError::NoTraffic)?;
         if traffic.is_exhausted() {
             return Err(ScenarioError::NoTraffic);
         }
-        let role_of = |roles: &[ReplicaRole], i: usize| roles.get(i).copied().unwrap_or_default();
         for (i, p) in self.replicas.iter().enumerate() {
             if role_of(&self.roles, i) != ReplicaRole::PrefillOnly {
                 continue;
@@ -529,7 +472,6 @@ impl ScenarioBuilder {
             replicas: self.replicas,
             roles: self.roles,
             traffic,
-            faults: self.faults,
             fleet_plan: self.fleet_plan,
             engine: self.engine,
         })

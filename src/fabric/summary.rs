@@ -1,6 +1,6 @@
 //! What came out: [`RunSummary`] with its [`TransferSummary`] and
-//! [`FleetSummary`] sub-ledgers, and the one run digest every
-//! regression suite compares.
+//! [`FleetSummary`] sub-ledgers, the one run digest every regression
+//! suite compares, and the `BENCH_*.json` row schemas selected from it.
 
 use skywalker_metrics::json::Val;
 use skywalker_metrics::{RunReport, TimeSeries};
@@ -91,11 +91,18 @@ impl RunSummary {
         ratio(self.report.completed as f64, self.end_time.as_secs_f64())
     }
 
+    /// The capacity integral of the run: time-weighted mean fleet size ×
+    /// run duration, in replica-seconds — identical for a static fleet to
+    /// `replicas × end_time`, and the honest cost basis for elastic runs.
+    pub fn replica_seconds(&self) -> f64 {
+        self.fleet.mean_total() * self.end_time.as_secs_f64()
+    }
+
     /// The run digest: every deterministic outcome the regression suites
-    /// compare (goldens, role parity, double-run), as named values in one
-    /// fixed order. Suites that pin a file format select keys from this
-    /// list; the order and the existing names are a contract — append,
-    /// never reorder.
+    /// and the `BENCH_*.json` reports carry, as named values in one fixed
+    /// order. Anything that pins a file format selects keys from this
+    /// list ([`RunSummary::row`]); the order and the existing names are a
+    /// contract — append, never reorder.
     pub fn digest_fields(&self) -> Vec<(&'static str, Val)> {
         let r = &self.report;
         let t = &self.transfers;
@@ -135,8 +142,109 @@ impl RunSummary {
             ("kv_transfer_tokens_aborted", Val::from(t.tokens_aborted)),
             ("demoted_tokens", Val::from(self.demoted_tokens)),
             ("promoted_tokens", Val::from(self.promoted_tokens)),
+            ("fleet_drains", Val::from(self.fleet.drains)),
+            ("fleet_peak", Val::from(self.fleet.peak_total())),
+            ("replica_seconds", Val::from(self.replica_seconds())),
         ]
     }
+
+    /// One report row: the digest values `schema` names, as `(output
+    /// name, value)` in schema order. A schema is a list of `(output
+    /// name, digest key)` pairs, so a report keeps its column names while
+    /// every value has exactly one definition.
+    ///
+    /// # Panics
+    ///
+    /// If a schema asks for a key [`RunSummary::digest_fields`] does not
+    /// carry — a typo in a static table, never a silently dropped column.
+    pub fn row(&self, schema: &[(&'static str, &'static str)]) -> Vec<(&'static str, Val)> {
+        let digest = self.digest_fields();
+        schema
+            .iter()
+            .map(|&(name, key)| {
+                let (_, val) = digest
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap_or_else(|| panic!("row schema asks for unknown digest key `{key}`"));
+                (name, val.clone())
+            })
+            .collect()
+    }
+
+    /// `BENCH_fig08.json`: the macrobenchmark grid (after the caller's
+    /// `workload` column).
+    pub const FIG8_ROW: &'static [(&'static str, &'static str)] = &[
+        ("system", "label"),
+        ("tok_s", "tok_s"),
+        ("ttft_p50_s", "ttft_p50_s"),
+        ("ttft_p90_s", "ttft_p90_s"),
+        ("ttft_mean_s", "ttft_mean_s"),
+        ("e2e_p50_s", "e2e_p50_s"),
+        ("e2e_p90_s", "e2e_p90_s"),
+        ("hit_rate", "replica_hit_rate"),
+        ("forwarded", "forwarded"),
+        ("completed", "completed"),
+        ("end_time_s", "end_time_s"),
+    ];
+
+    /// `BENCH_engine.json`: the serving-engine shootout — engine label,
+    /// latency split, and the engine counters.
+    pub const ENGINE_ROW: &'static [(&'static str, &'static str)] = &[
+        ("engine", "engine"),
+        ("completed", "completed"),
+        ("failed", "failed"),
+        ("ttft_p50_s", "ttft_p50_s"),
+        ("ttft_p90_s", "ttft_p90_s"),
+        ("e2e_p90_s", "e2e_p90_s"),
+        ("tok_s", "tok_s"),
+        ("hit_rate", "replica_hit_rate"),
+        ("preempted", "preempted"),
+        ("evicted_tokens", "evicted_tokens"),
+        ("demoted_tokens", "demoted_tokens"),
+        ("promoted_tokens", "promoted_tokens"),
+        ("kv_transfers", "kv_transfers"),
+        ("kv_transfer_tokens", "kv_transfer_tokens"),
+        ("chunked_steps", "chunked_steps"),
+        ("end_time_s", "end_time_s"),
+    ];
+
+    /// `BENCH_disagg.json`: the prefill/decode-disaggregation shootout
+    /// (after the caller's `workload` and `mode` columns) — the latency
+    /// verdict, the handoff/tier counters, and the replica-seconds cost.
+    pub const DISAGG_ROW: &'static [(&'static str, &'static str)] = &[
+        ("completed", "completed"),
+        ("failed", "failed"),
+        ("ttft_p50_s", "ttft_p50_s"),
+        ("ttft_p90_s", "ttft_p90_s"),
+        ("e2e_p90_s", "e2e_p90_s"),
+        ("tok_s", "tok_s"),
+        ("hit_rate", "replica_hit_rate"),
+        ("kv_transfers", "kv_transfers"),
+        ("kv_transfer_tokens", "kv_transfer_tokens"),
+        ("demoted_tokens", "demoted_tokens"),
+        ("promoted_tokens", "promoted_tokens"),
+        ("replica_seconds", "replica_seconds"),
+        ("end_time_s", "end_time_s"),
+    ];
+
+    /// `BENCH_fleet.json`: fleet elasticity (after the caller's `fleet`
+    /// column).
+    pub const FLEET_ROW: &'static [(&'static str, &'static str)] = &[
+        ("completed", "completed"),
+        ("failed", "failed"),
+        ("retried", "retried"),
+        ("in_flight", "in_flight"),
+        ("ttft_p50_s", "ttft_p50_s"),
+        ("ttft_p90_s", "ttft_p90_s"),
+        ("e2e_p90_s", "e2e_p90_s"),
+        ("tok_s", "tok_s"),
+        ("mean_fleet", "fleet_mean"),
+        ("peak_fleet", "fleet_peak"),
+        ("joins", "fleet_joins"),
+        ("drains", "fleet_drains"),
+        ("crashes", "fleet_crashes"),
+        ("forwarded", "forwarded"),
+    ];
 }
 
 /// What the disaggregated KV-transfer plane did over one run: handoff

@@ -15,8 +15,7 @@ use crate::fabric::FleetSummary;
 /// The fleet control plane's state: the plan being polled and the
 /// elasticity ledger that becomes the run's [`FleetSummary`].
 pub(crate) struct FleetPlane {
-    /// The scenario's plan (faults merged in), polled as sim time
-    /// advances.
+    /// The scenario's plan, polled as sim time advances.
     pub(crate) plan: Option<Box<dyn FleetPlan>>,
     /// Randomness stream handed to the plan (separate from the network
     /// stream, so plans cannot perturb latency sampling).

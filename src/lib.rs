@@ -134,8 +134,8 @@ pub mod sources;
 
 pub use autoscale::{PredictiveAutoscaler, PredictiveConfig};
 pub use fabric::{
-    run_scenario, Deployment, FabricConfig, FaultEvent, FleetSummary, ReplicaPlacement, RunSummary,
-    Scenario, ScenarioBuilder, ScenarioError, SystemKind, TransferSummary,
+    run_scenario, Deployment, FabricConfig, FleetSummary, ReplicaPlacement, RunSummary, Scenario,
+    ScenarioBuilder, ScenarioError, SystemKind, TransferSummary,
 };
 pub use p2c::{P2cLocal, P2cLocalFactory};
 pub use scenarios::{
@@ -155,7 +155,7 @@ pub use skywalker_replica::{
     PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView, TieredEvictor,
 };
 pub use skywalker_telemetry::{
-    markdown_table, prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, RingSeries,
+    markdown_table, prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch,
     TelemetryConfig, TelemetrySummary,
 };
 pub use skywalker_trace::{

@@ -2,15 +2,13 @@
 //! crash mid-run must not lose requests, and recovery must hand replicas
 //! back.
 //!
-//! The drills drive the open fleet surface — a [`ScheduledPlan`] of
-//! [`FleetEvent::LbDown`]/[`FleetEvent::LbUp`] commands — and a parity
-//! test pins the legacy `faults` adapter byte-identical to the
-//! equivalent explicit plan.
+//! The drills drive the fleet surface — a [`ScheduledPlan`] of
+//! [`FleetEvent::LbDown`]/[`FleetEvent::LbUp`] commands.
 
 use skywalker::sim::SimTime;
 use skywalker::{
-    balanced_fleet, run_scenario, workload_clients, FabricConfig, FaultEvent, FleetCommand,
-    FleetEvent, Scenario, ScheduledPlan, SystemKind, Workload,
+    balanced_fleet, run_scenario, workload_clients, FabricConfig, FleetCommand, FleetEvent,
+    RunSummary, ScheduledPlan, SystemKind, Workload,
 };
 
 fn lb_down(at_secs: u64, lb: u32) -> FleetCommand {
@@ -21,17 +19,25 @@ fn lb_up(at_secs: u64, lb: u32) -> FleetCommand {
     FleetCommand::new(SimTime::from_secs(at_secs), FleetEvent::LbUp { lb })
 }
 
-fn drill(commands: Vec<FleetCommand>, seed: u64) -> (u64, u64, u64, usize) {
+/// Runs WildChat at scale 0.1 on the balanced fleet under a scheduled
+/// drill (none = the healthy baseline); returns the summary and the
+/// number of requests the clients will issue.
+fn run_drill(commands: Vec<FleetCommand>, seed: u64) -> (RunSummary, usize) {
     let clients = workload_clients(Workload::WildChat, 0.1, seed);
     let expected: usize = clients.iter().map(|c| c.total_requests()).sum();
-    let scenario = SystemKind::SkyWalker
+    let mut builder = SystemKind::SkyWalker
         .builder()
         .replicas(balanced_fleet())
-        .clients(clients)
-        .fleet_plan(Box::new(ScheduledPlan::new(commands)))
-        .build()
-        .expect("fleet and clients are both set");
-    let s = run_scenario(&scenario, &FabricConfig::default());
+        .clients(clients);
+    if !commands.is_empty() {
+        builder = builder.fleet_plan(Box::new(ScheduledPlan::new(commands)));
+    }
+    let scenario = builder.build().expect("fleet and clients are both set");
+    (run_scenario(&scenario, &FabricConfig::default()), expected)
+}
+
+fn drill(commands: Vec<FleetCommand>, seed: u64) -> (u64, u64, u64, usize) {
+    let (s, expected) = run_drill(commands, seed);
     (
         s.report.completed,
         s.report.failed,
@@ -80,27 +86,8 @@ fn double_crash_tolerated() {
 
 #[test]
 fn faulted_run_matches_healthy_totals() {
-    let clients = workload_clients(Workload::WildChat, 0.1, 29);
-    let healthy = run_scenario(
-        &Scenario::new(SystemKind::SkyWalker, balanced_fleet(), clients.clone()),
-        &FabricConfig::default(),
-    );
-    // Direct mutation of `Scenario::faults` must keep working: the run
-    // converts it into a ScheduledPlan internally.
-    let mut faulted_scenario = Scenario::new(SystemKind::SkyWalker, balanced_fleet(), clients);
-    faulted_scenario.faults = vec![
-        FaultEvent {
-            at: SimTime::from_secs(15),
-            lb_index: 1,
-            down: true,
-        },
-        FaultEvent {
-            at: SimTime::from_secs(45),
-            lb_index: 1,
-            down: false,
-        },
-    ];
-    let faulted = run_scenario(&faulted_scenario, &FabricConfig::default());
+    let (healthy, _) = run_drill(Vec::new(), 29);
+    let (faulted, _) = run_drill(vec![lb_down(15, 1), lb_up(45, 1)], 29);
     assert_eq!(
         healthy.report.completed + healthy.report.failed,
         faulted.report.completed + faulted.report.failed,
@@ -117,62 +104,4 @@ fn faulted_run_matches_healthy_totals() {
     // in the report.
     assert!(faulted.report.retried >= 1);
     assert_eq!(healthy.report.retried, 0);
-}
-
-/// The legacy `faults` schedule and the equivalent explicit
-/// [`ScheduledPlan`] must produce *byte-identical* runs — same events,
-/// same RNG draws, same summary, down to every float.
-#[test]
-fn faults_adapter_parity_with_scheduled_plan_is_byte_identical() {
-    let cfg = FabricConfig::default();
-    let clients = workload_clients(Workload::WildChat, 0.08, 33);
-    let faults = vec![
-        FaultEvent {
-            at: SimTime::from_secs(12),
-            lb_index: 1,
-            down: true,
-        },
-        FaultEvent {
-            at: SimTime::from_secs(42),
-            lb_index: 1,
-            down: false,
-        },
-    ];
-
-    let via_adapter = SystemKind::SkyWalker
-        .builder()
-        .replicas(balanced_fleet())
-        .clients(clients.clone())
-        .faults(faults.clone())
-        .build()
-        .expect("valid scenario");
-
-    let commands: Vec<FleetCommand> = faults
-        .iter()
-        .map(|f| {
-            FleetCommand::new(
-                f.at,
-                if f.down {
-                    FleetEvent::LbDown { lb: f.lb_index }
-                } else {
-                    FleetEvent::LbUp { lb: f.lb_index }
-                },
-            )
-        })
-        .collect();
-    let via_plan = SystemKind::SkyWalker
-        .builder()
-        .replicas(balanced_fleet())
-        .clients(clients)
-        .fleet_plan(Box::new(ScheduledPlan::new(commands).with_label("faults")))
-        .build()
-        .expect("valid scenario");
-
-    let a = run_scenario(&via_adapter, &cfg);
-    let b = run_scenario(&via_plan, &cfg);
-    assert_eq!(
-        format!("{a:?}"),
-        format!("{b:?}"),
-        "adapter and explicit plan must be the same run, byte for byte"
-    );
 }

@@ -8,8 +8,8 @@ use skywalker::sim::{SimDuration, SimTime};
 use skywalker::{
     balanced_fleet, diurnal_reference_predictive, diurnal_reference_reactive,
     equal_cost_lite_fleet, fig10_diurnal_scenario, l4_fleet, run_scenario, trio_diurnal_profiles,
-    workload_clients, AutoscalerConfig, ChaosConfig, ChaosPlan, FabricConfig, FaultEvent,
-    FleetCommand, FleetEvent, PredictiveAutoscaler, RunSummary, ScheduledPlan, SystemKind,
+    workload_clients, AutoscalerConfig, ChaosConfig, ChaosPlan, FabricConfig, FleetCommand,
+    FleetEvent, MergePlan, PredictiveAutoscaler, RunSummary, ScheduledPlan, SystemKind,
     ThresholdAutoscaler, Workload, REGIONS,
 };
 
@@ -153,10 +153,23 @@ fn chaos_churn_accounts_every_request() {
 
 #[test]
 fn drill_and_autoscaler_compose() {
-    // The legacy fault schedule (balancer flap) and a reactive
-    // autoscaler run merged in one plan.
+    // A scheduled balancer flap and a reactive autoscaler run merged
+    // in one plan.
     let seed = 51;
     let expected = expected_requests(0.1, seed);
+    let flap = ScheduledPlan::new(vec![
+        FleetCommand::new(SimTime::from_secs(10), FleetEvent::LbDown { lb: 1 }),
+        FleetCommand::new(SimTime::from_secs(40), FleetEvent::LbUp { lb: 1 }),
+    ]);
+    let autoscaler = ThresholdAutoscaler::new(AutoscalerConfig {
+        min_per_region: 1,
+        max_per_region: 4,
+        scale_out_load: 6.0,
+        scale_in_load: 0.5,
+        cooldown: SimDuration::from_secs(30),
+        provision_delay: SimDuration::from_secs(10),
+        ..AutoscalerConfig::default()
+    });
     let scenario = SystemKind::SkyWalker
         .builder()
         .replicas(l4_fleet(&[
@@ -165,27 +178,10 @@ fn drill_and_autoscaler_compose() {
             (REGIONS[2], 2),
         ]))
         .clients(workload_clients(Workload::WildChat, 0.1, seed))
-        .faults(vec![
-            FaultEvent {
-                at: SimTime::from_secs(10),
-                lb_index: 1,
-                down: true,
-            },
-            FaultEvent {
-                at: SimTime::from_secs(40),
-                lb_index: 1,
-                down: false,
-            },
-        ])
-        .fleet_plan(Box::new(ThresholdAutoscaler::new(AutoscalerConfig {
-            min_per_region: 1,
-            max_per_region: 4,
-            scale_out_load: 6.0,
-            scale_in_load: 0.5,
-            cooldown: SimDuration::from_secs(30),
-            provision_delay: SimDuration::from_secs(10),
-            ..AutoscalerConfig::default()
-        })))
+        .fleet_plan(Box::new(MergePlan::new(vec![
+            Box::new(flap),
+            Box::new(autoscaler),
+        ])))
         .build()
         .expect("valid scenario");
     let s = run_scenario(&scenario, &FabricConfig::default());

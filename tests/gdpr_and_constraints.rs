@@ -37,13 +37,19 @@ fn eu_heavy_scenario(constraint: RoutingConstraint, seed: u64) -> Scenario {
         seed,
         &mut ids,
     );
-    Scenario::new(SystemKind::SkyWalker, fleet, clients).with_deployment(Deployment::PerRegion {
-        policy: PolicyKind::CacheAware,
-        push: PushMode::Pending,
-        forward: true,
-        tau: 4,
-        constraint,
-    })
+    SystemKind::SkyWalker
+        .builder()
+        .replicas(fleet)
+        .clients(clients)
+        .deployment(Deployment::PerRegion {
+            policy: PolicyKind::CacheAware,
+            push: PushMode::Pending,
+            forward: true,
+            tau: 4,
+            constraint,
+        })
+        .build()
+        .expect("fleet and clients are both set")
 }
 
 #[test]

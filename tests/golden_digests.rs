@@ -23,10 +23,11 @@
 //! explains it.
 
 use skywalker::sim::SimDuration;
+use skywalker::telemetry::names as metric_names;
 use skywalker::{
     disagg_scenario, fig10_diurnal_scenario, fig10_scenario, fig8_scenario, fig9_scenario,
     memory_pressure_scenario, run_scenario, DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch,
-    LruEvictor, NoEvict, PrefixAwareEvictor, Scenario, ShortestPromptFirst, SystemKind,
+    LruEvictor, NoEvict, PrefixAwareEvictor, RunSummary, Scenario, ShortestPromptFirst, SystemKind,
     TraceConfig, Workload,
 };
 use skywalker_metrics::json::{Report, Val};
@@ -94,11 +95,16 @@ const DISAGG_KEYS: [&str; 6] = [
 /// the digest fields named by [`BASE_KEYS`] plus `extra_keys`.
 fn render_group(
     name: &str,
-    extra_keys: &[&str],
+    extra_keys: &[&'static str],
     cells: &[GoldenCell],
     instrument: Instrument,
 ) -> String {
-    let keys: Vec<&str> = BASE_KEYS.iter().chain(extra_keys).copied().collect();
+    // Golden columns carry the digest's own names.
+    let schema: Vec<(&str, &str)> = BASE_KEYS
+        .iter()
+        .chain(extra_keys)
+        .map(|&k| (k, k))
+        .collect();
     let mut rep = Report::new(format!("golden_{name}"));
     rep.meta("seeds", format!("{SEEDS:?}"));
     for (tag, build) in cells {
@@ -123,33 +129,30 @@ fn render_group(
                     summary.trace.as_ref().is_some_and(|t| !t.events.is_empty()),
                     "{tag}/{seed}: tracing was requested but recorded nothing"
                 ),
-                Instrument::Telemetry(_) => assert!(
-                    summary
-                        .telemetry
-                        .as_ref()
-                        .is_some_and(|t| t.ticks > 0 && !t.snapshot.is_empty()),
-                    "{tag}/{seed}: telemetry was requested but sampled nothing"
-                ),
+                Instrument::Telemetry(_) => {
+                    let t = summary.telemetry.as_ref();
+                    assert!(
+                        t.is_some_and(|t| t.ticks > 0 && !t.snapshot.is_empty()),
+                        "{tag}/{seed}: telemetry was requested but sampled nothing"
+                    );
+                    for sample in t.iter().flat_map(|t| &t.snapshot.samples) {
+                        assert!(
+                            metric_names::ALL.contains(&sample.name.as_str()),
+                            "{tag}/{seed}: {} is not in the metric-name table",
+                            sample.name
+                        );
+                    }
+                }
             }
             let mut row = vec![("tag", Val::from(tag.as_str())), ("seed", Val::from(seed))];
-            row.extend(
-                summary
-                    .digest_fields()
-                    .into_iter()
-                    .filter(|(k, _)| keys.contains(k)),
-            );
-            assert_eq!(
-                row.len(),
-                keys.len() + 2,
-                "{name}: a golden key left the digest"
-            );
+            row.extend(summary.row(&schema));
             rep.row(&row);
         }
     }
     rep.render()
 }
 
-fn run_group(name: &str, extra_keys: &[&str], cells: Vec<GoldenCell>) {
+fn run_group(name: &str, extra_keys: &[&'static str], cells: Vec<GoldenCell>) {
     let rendered = render_group(name, extra_keys, &cells, Instrument::None);
     compare_or_update(name, &rendered);
 }
@@ -210,6 +213,39 @@ fn golden_systems() {
         ));
     }
     run_group("systems", &[], cells);
+}
+
+/// Every column a report or a golden file asks of the digest exists, and
+/// digest keys are unique — `RunSummary::row` panics on a key the digest
+/// lacks, so a renamed value is a failure here, never a dropped column.
+#[test]
+fn row_schemas_and_golden_keys_resolve_against_the_digest() {
+    let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Tot, 0.02, 1);
+    let s = run_scenario(&scenario, &FabricConfig::default());
+    let digest = s.digest_fields();
+    for (i, (key, _)) in digest.iter().enumerate() {
+        assert!(
+            !digest[..i].iter().any(|(k, _)| k == key),
+            "duplicate digest key {key}"
+        );
+    }
+    let golden: Vec<(&str, &str)> = BASE_KEYS
+        .iter()
+        .chain(&DISAGG_KEYS)
+        .map(|&k| (k, k))
+        .collect();
+    for schema in [
+        RunSummary::FIG8_ROW,
+        RunSummary::ENGINE_ROW,
+        RunSummary::DISAGG_ROW,
+        RunSummary::FLEET_ROW,
+        &golden,
+    ] {
+        let row = s.row(schema);
+        let names: Vec<&str> = row.iter().map(|(name, _)| *name).collect();
+        let asked: Vec<&str> = schema.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, asked, "columns come back in schema order");
+    }
 }
 
 /// All four paper workloads on SkyWalker: traffic-axis coverage.

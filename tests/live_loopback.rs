@@ -233,6 +233,15 @@ fn metrics_scrape_over_the_wire() {
 
     // Framed scrape of the replica.
     let rep_samples = parse_exposition(&scrape_metrics(r0.addr()).unwrap());
+    // Both servers publish only names from the shared table (neither
+    // exposes a distribution, so every sample key is `name{labels}`).
+    for (key, _) in samples.iter().chain(&rep_samples) {
+        let name = key.split('{').next().expect("split yields a first piece");
+        assert!(
+            skywalker::telemetry::names::ALL.contains(&name),
+            "{name} is not in the metric-name table"
+        );
+    }
     let completed = rep_samples
         .iter()
         .find(|(k, _)| k.starts_with("skywalker_replica_completed_total"))

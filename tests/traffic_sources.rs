@@ -135,6 +135,9 @@ fn builder_validates_fleet_and_traffic() {
         .build()
         .unwrap_err();
     assert_eq!(err, ScenarioError::EmptyFleet);
+    assert!(err
+        .to_string()
+        .contains("no replica a balancer can route to"));
 
     let err = Scenario::builder()
         .replicas(balanced_fleet())
@@ -199,6 +202,11 @@ fn builder_rejects_prefill_regions_without_decode_capacity() {
     build(&[(us, 1), (eu, 1)], vec![Colocated, Colocated]).expect("all-colocated is valid");
     build(&[(us, 1), (eu, 1)], vec![Colocated, DecodeOnly])
         .expect("a decode-only replica with no prefill peer is legal");
+
+    // But a fleet of *only* decode-only replicas is unroutable: the
+    // balancers see none of them, so nothing would ever be dispatched.
+    let err = build(&[(us, 1), (eu, 1)], vec![DecodeOnly, DecodeOnly]).unwrap_err();
+    assert_eq!(err, ScenarioError::EmptyFleet);
 
     // Mixed multi-region: each region independently satisfied.
     build(
