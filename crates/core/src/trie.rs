@@ -16,19 +16,21 @@
 //!
 //! # Layout
 //!
-//! Nodes live in a `Vec` arena with a LIFO free-list; recycled slots keep
-//! their buffer capacity, so a trie at its steady-state size stops
-//! allocating. Per-node child and target maps are inline sorted small-vecs
-//! (binary search on the first token / the target id) rather than
-//! `BTreeMap`s: fan-out and target counts are small, and the flat layout
-//! keeps descent on one cache line per node. Eviction order is maintained
-//! incrementally in a `(created_seq, node)` index, so `insert` at the
-//! size bound is O(log n) instead of a full arena scan per evicted leaf.
+//! The tree itself — segments, links, splits, slot recycling — is
+//! [`skywalker_replica::radix::RadixArena`], the same structure the
+//! replica's KV cache stands on; this file keeps only what is routing.
+//! Per-node target maps are inline sorted small-vecs (binary search on
+//! the target id) rather than `BTreeMap`s: target counts are small.
+//! Eviction order is maintained incrementally in a `(created_seq, node)`
+//! index, so `insert` at the size bound is O(log n) instead of a full
+//! arena scan per evicted leaf.
 //!
 //! The trie is generic over the target type `T`: `ReplicaId` in the
 //! LB-to-replica layer, `LbId` in the LB-to-LB layer.
 
 use std::collections::BTreeSet;
+
+use skywalker_replica::radix::{RadixArena, ROOT};
 
 /// Result of a routing lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,64 +41,49 @@ pub struct TrieMatch<T> {
     pub matched: usize,
 }
 
-#[derive(Debug)]
-struct TNode<T> {
-    seg: Vec<u32>,
-    parent: usize,
-    /// Children as `(first token of the child's segment, child index)`,
-    /// sorted by token — the inline first-token index.
-    children: Vec<(u32, usize)>,
+/// What the trie keeps on every tree node.
+#[derive(Debug, Clone)]
+struct Route<T> {
     /// Targets recorded at this node as `(target, seq)`, sorted by
     /// target; `seq` is the sequence number of the target's most recent
     /// insertion (freshness).
     targets: Vec<(T, u64)>,
     /// Sequence number when this node was first created (eviction order).
     created_seq: u64,
-    dead: bool,
 }
 
-impl<T: Copy + Ord> TNode<T> {
-    fn child(&self, token: u32) -> Option<usize> {
-        self.children
-            .binary_search_by_key(&token, |c| c.0)
-            .ok()
-            .map(|i| self.children[i].1)
-    }
-
-    fn link_child(&mut self, token: u32, idx: usize) {
-        match self.children.binary_search_by_key(&token, |c| c.0) {
-            Ok(i) => self.children[i].1 = idx,
-            Err(i) => self.children.insert(i, (token, idx)),
-        }
-    }
-
-    fn unlink_child(&mut self, token: u32) {
-        if let Ok(i) = self.children.binary_search_by_key(&token, |c| c.0) {
-            self.children.remove(i);
-        }
+impl<T: Copy + Ord> Route<T> {
+    fn position(&self, target: &T) -> Result<usize, usize> {
+        self.targets.binary_search_by(|(t, _)| t.cmp(target))
     }
 
     fn set_target(&mut self, target: T, seq: u64) {
-        match self.targets.binary_search_by(|(t, _)| t.cmp(&target)) {
+        match self.position(&target) {
             Ok(i) => self.targets[i].1 = seq,
             Err(i) => self.targets.insert(i, (target, seq)),
         }
     }
 
     fn has_target(&self, target: &T) -> bool {
-        self.targets
-            .binary_search_by(|(t, _)| t.cmp(target))
-            .is_ok()
+        self.position(target).is_ok()
     }
 
     fn remove_target(&mut self, target: &T) {
-        if let Ok(i) = self.targets.binary_search_by(|(t, _)| t.cmp(target)) {
+        if let Ok(i) = self.position(target) {
             self.targets.remove(i);
         }
     }
-}
 
-const ROOT: usize = 0;
+    /// Most recently refreshed available target; ties broken by target
+    /// order (the target vec is sorted by `T`).
+    fn pick(&self, available: impl Fn(&T) -> bool) -> Option<T> {
+        self.targets
+            .iter()
+            .filter(|(t, _)| available(t))
+            .max_by_key(|(t, seq)| (*seq, std::cmp::Reverse(*t)))
+            .map(|(t, _)| *t)
+    }
+}
 
 /// A bounded prefix trie mapping token sequences to routing targets.
 ///
@@ -120,8 +107,7 @@ const ROOT: usize = 0;
 /// ```
 #[derive(Debug)]
 pub struct RouteTrie<T> {
-    nodes: Vec<TNode<T>>,
-    free: Vec<usize>,
+    tree: RadixArena<Route<T>>,
     /// Live childless non-root nodes as `(created_seq, index)` — the
     /// eviction frontier, ordered exactly as the bound enforcer consumes
     /// it (oldest first, lowest arena index on ties).
@@ -135,15 +121,10 @@ impl<T: Copy + Ord> RouteTrie<T> {
     /// Creates an empty trie bounded to `max_tokens` stored tokens.
     pub fn new(max_tokens: usize) -> Self {
         RouteTrie {
-            nodes: vec![TNode {
-                seg: Vec::new(),
-                parent: ROOT,
-                children: Vec::new(),
+            tree: RadixArena::new(Route {
                 targets: Vec::new(),
                 created_seq: 0,
-                dead: false,
-            }],
-            free: Vec::new(),
+            }),
             leaves: BTreeSet::new(),
             max_tokens,
             stored_tokens: 0,
@@ -163,17 +144,13 @@ impl<T: Copy + Ord> RouteTrie<T> {
 
     /// True if no request has been recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
-        self.nodes[ROOT].children.is_empty()
+        self.tree[ROOT].is_leaf()
     }
 
     /// Number of live nodes, excluding the root — the structural size
     /// equivalence suites compare against a reference model.
     pub fn node_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead)
-            .count()
+        self.tree.live().count()
     }
 
     /// Records that `target` served a request with this prompt. The target
@@ -182,41 +159,36 @@ impl<T: Copy + Ord> RouteTrie<T> {
     pub fn insert(&mut self, tokens: &[u32], target: T) {
         self.seq += 1;
         let seq = self.seq;
-        self.nodes[ROOT].set_target(target, seq);
-        let mut node = ROOT;
-        let mut pos = 0usize;
+        self.tree[ROOT].data.set_target(target, seq);
+        let (mut node, mut pos) = (ROOT, 0);
         while pos < tokens.len() {
-            match self.nodes[node].child(tokens[pos]) {
-                Some(child) => {
-                    let common = self.nodes[child]
-                        .seg
-                        .iter()
-                        .zip(&tokens[pos..])
-                        .take_while(|(a, b)| a == b)
-                        .count();
-                    let next = if common < self.nodes[child].seg.len() {
-                        self.split(child, common)
+            node = match self.tree.descend(node, &tokens[pos..]) {
+                Some((child, common)) => {
+                    pos += common;
+                    if common < self.tree[child].seg().len() {
+                        self.tree.split(child, common)
                     } else {
                         child
-                    };
-                    self.nodes[next].set_target(target, seq);
-                    node = next;
-                    pos += common;
+                    }
                 }
                 None => {
-                    let leaf = self.alloc(&tokens[pos..], node, seq);
-                    pos = tokens.len();
-                    self.nodes[leaf].set_target(target, seq);
-                    let first = self.nodes[leaf].seg[0];
-                    if node != ROOT && self.nodes[node].children.is_empty() {
+                    if node != ROOT && self.tree[node].is_leaf() {
                         // The attachment point stops being a leaf.
-                        self.leaves.remove(&(self.nodes[node].created_seq, node));
+                        self.leaves
+                            .remove(&(self.tree[node].data.created_seq, node));
                     }
-                    self.nodes[node].link_child(first, leaf);
+                    let route = Route {
+                        targets: Vec::new(),
+                        created_seq: seq,
+                    };
+                    let leaf = self.tree.alloc(&tokens[pos..], node, route);
+                    self.stored_tokens += tokens.len() - pos;
                     self.leaves.insert((seq, leaf));
-                    node = leaf;
+                    pos = tokens.len();
+                    leaf
                 }
-            }
+            };
+            self.tree[node].data.set_target(target, seq);
         }
         self.enforce_bound();
     }
@@ -230,99 +202,51 @@ impl<T: Copy + Ord> RouteTrie<T> {
         tokens: &[u32],
         available: F,
     ) -> Option<TrieMatch<T>> {
-        let pick = |node: &TNode<T>| -> Option<T> {
-            // Most recently refreshed available target; ties broken by
-            // target order (the target vec is sorted by T).
-            node.targets
-                .iter()
-                .filter(|(t, _)| available(t))
-                .max_by_key(|(t, seq)| (*seq, std::cmp::Reverse(*t)))
-                .map(|(t, _)| *t)
+        let mut best = TrieMatch {
+            target: self.tree[ROOT].data.pick(&available)?,
+            matched: 0,
         };
-
-        let mut best: Option<TrieMatch<T>> =
-            pick(&self.nodes[ROOT]).map(|target| TrieMatch { target, matched: 0 });
-        best.as_ref()?;
-
-        let mut node = ROOT;
-        let mut pos = 0usize;
-        while pos < tokens.len() {
-            let Some(child) = self.nodes[node].child(tokens[pos]) else {
-                break;
-            };
-            let common = self.nodes[child]
-                .seg
-                .iter()
-                .zip(&tokens[pos..])
-                .take_while(|(a, b)| a == b)
-                .count();
-            if common == 0 {
-                break;
-            }
+        for (child, common) in self.tree.walk(ROOT, tokens) {
             // Early termination: no available target below this point.
-            let Some(target) = pick(&self.nodes[child]) else {
+            let Some(target) = self.tree[child].data.pick(&available) else {
                 break;
             };
-            pos += common;
-            best = Some(TrieMatch {
+            best = TrieMatch {
                 target,
-                matched: pos,
-            });
-            if common < self.nodes[child].seg.len() {
-                break;
-            }
-            node = child;
+                matched: best.matched + common,
+            };
         }
-        best
+        Some(best)
     }
 
     /// The longest prefix of `tokens` recorded for `target` specifically —
     /// the per-target hit-ratio estimate used for tie-breaking (§3.3).
     pub fn matched_for(&self, tokens: &[u32], target: T) -> usize {
-        let mut node = ROOT;
-        let mut pos = 0usize;
-        if !self.nodes[ROOT].has_target(&target) {
+        if !self.tree[ROOT].data.has_target(&target) {
             return 0;
         }
-        while pos < tokens.len() {
-            let Some(child) = self.nodes[node].child(tokens[pos]) else {
-                break;
-            };
-            if !self.nodes[child].has_target(&target) {
-                break;
-            }
-            let common = self.nodes[child]
-                .seg
-                .iter()
-                .zip(&tokens[pos..])
-                .take_while(|(a, b)| a == b)
-                .count();
-            pos += common;
-            if common < self.nodes[child].seg.len() {
-                break;
-            }
-            node = child;
-        }
-        pos
+        self.tree
+            .walk(ROOT, tokens)
+            .take_while(|&(child, _)| self.tree[child].data.has_target(&target))
+            .map(|(_, common)| common)
+            .sum()
     }
 
     /// Removes a target from every node (e.g. a replica decommissioned by
     /// the controller). Nodes whose target set empties are dropped.
     pub fn purge_target(&mut self, target: T) {
-        for n in self.nodes.iter_mut() {
-            if !n.dead {
-                n.remove_target(&target);
-            }
+        self.tree[ROOT].data.remove_target(&target);
+        for (_, n) in self.tree.live_mut() {
+            n.data.remove_target(&target);
         }
         // Drop leaves with no targets (repeatedly, so chains collapse).
         loop {
-            let victim = self.nodes.iter().enumerate().find_map(|(i, n)| {
-                (i != ROOT && !n.dead && n.children.is_empty() && n.targets.is_empty()).then_some(i)
-            });
-            match victim {
-                Some(i) => self.remove_leaf(i),
-                None => break,
-            }
+            let orphan = self
+                .tree
+                .live()
+                .find_map(|(i, n)| (n.is_leaf() && n.data.targets.is_empty()).then_some(i));
+            let Some(i) = orphan else { break };
+            self.remove_leaf(i);
         }
     }
 
@@ -333,33 +257,25 @@ impl<T: Copy + Ord> RouteTrie<T> {
     ///
     /// Panics if an invariant is violated.
     pub fn check_invariants(&self) {
+        self.tree.check_invariants();
         let mut stored = 0usize;
         let mut expect_leaves: BTreeSet<(u64, usize)> = BTreeSet::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.dead || i == ROOT {
-                continue;
-            }
-            stored += n.seg.len();
-            assert!(!n.seg.is_empty(), "non-root node with empty segment");
+        for (i, n) in self.tree.live() {
+            stored += n.seg().len();
             assert!(
-                n.children.windows(2).all(|w| w[0].0 < w[1].0),
-                "child index out of order"
-            );
-            assert!(
-                n.targets.windows(2).all(|w| w[0].0 < w[1].0),
+                n.data.targets.windows(2).all(|w| w[0].0 < w[1].0),
                 "target vec out of order"
             );
-            if n.children.is_empty() {
-                expect_leaves.insert((n.created_seq, i));
+            if n.is_leaf() {
+                expect_leaves.insert((n.data.created_seq, i));
             }
-            let parent = &self.nodes[n.parent];
-            for (t, _) in &n.targets {
+            let parent = &self.tree[n.parent()].data;
+            for (t, _) in &n.data.targets {
                 assert!(
                     parent.has_target(t),
                     "child target set must be a subset of the parent's"
                 );
             }
-            assert_eq!(parent.child(n.seg[0]), Some(i), "broken link");
         }
         assert_eq!(expect_leaves, self.leaves, "eviction frontier drifted");
         assert_eq!(stored, self.stored_tokens, "token accounting drifted");
@@ -373,87 +289,17 @@ impl<T: Copy + Ord> RouteTrie<T> {
 
     // ---- internals -------------------------------------------------------
 
-    fn alloc(&mut self, seg: &[u32], parent: usize, seq: u64) -> usize {
-        self.stored_tokens += seg.len();
-        if let Some(idx) = self.free.pop() {
-            // Recycled slots were cleared on removal and keep their
-            // buffer capacity, so steady-state churn stops allocating.
-            let n = &mut self.nodes[idx];
-            n.seg.extend_from_slice(seg);
-            n.parent = parent;
-            n.created_seq = seq;
-            n.dead = false;
-            idx
-        } else {
-            self.nodes.push(TNode {
-                seg: seg.to_vec(),
-                parent,
-                children: Vec::new(),
-                targets: Vec::new(),
-                created_seq: seq,
-                dead: false,
-            });
-            self.nodes.len() - 1
-        }
-    }
-
-    fn split(&mut self, child: usize, keep: usize) -> usize {
-        let parent = self.nodes[child].parent;
-        let mid = if let Some(idx) = self.free.pop() {
-            idx
-        } else {
-            self.nodes.push(TNode {
-                seg: Vec::new(),
-                parent: ROOT,
-                children: Vec::new(),
-                targets: Vec::new(),
-                created_seq: 0,
-                dead: true,
-            });
-            self.nodes.len() - 1
-        };
-        // Drain the head out of the child's segment: the child keeps the
-        // tail in place, so splitting conserves tokens without copying
-        // the (typically long) remainder.
-        let (head, targets, created_seq, tail_first) = {
-            let c = &mut self.nodes[child];
-            let head: Vec<u32> = c.seg.drain(..keep).collect();
-            let targets = c.targets.clone();
-            let created_seq = c.created_seq;
-            c.parent = mid;
-            (head, targets, created_seq, c.seg[0])
-        };
-        self.nodes[mid] = TNode {
-            seg: head,
-            parent,
-            children: vec![(tail_first, child)],
-            targets,
-            created_seq,
-            dead: false,
-        };
-        let mid_first = self.nodes[mid].seg[0];
-        self.nodes[parent].link_child(mid_first, mid);
-        mid
-    }
-
     fn remove_leaf(&mut self, idx: usize) {
-        debug_assert!(self.nodes[idx].children.is_empty());
-        let parent = self.nodes[idx].parent;
-        let first = self.nodes[idx].seg[0];
-        self.nodes[parent].unlink_child(first);
-        if parent != ROOT && self.nodes[parent].children.is_empty() {
+        let parent = self.tree[idx].parent();
+        self.stored_tokens -= self.tree[idx].seg().len();
+        self.leaves.remove(&(self.tree[idx].data.created_seq, idx));
+        self.tree.remove_leaf(idx);
+        if parent != ROOT && self.tree[parent].is_leaf() {
             // The parent joins the eviction frontier with its original
             // creation time, exactly as the full-scan enforcer saw it.
-            self.leaves.insert((self.nodes[parent].created_seq, parent));
+            self.leaves
+                .insert((self.tree[parent].data.created_seq, parent));
         }
-        self.stored_tokens -= self.nodes[idx].seg.len();
-        self.leaves.remove(&(self.nodes[idx].created_seq, idx));
-        let n = &mut self.nodes[idx];
-        n.dead = true;
-        n.seg.clear();
-        n.targets.clear();
-        n.children.clear();
-        self.free.push(idx);
     }
 
     fn enforce_bound(&mut self) {

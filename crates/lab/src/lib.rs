@@ -68,8 +68,8 @@
 //! The lab sits *above* the facade crate (it consumes [`Scenario`] and
 //! [`run_scenario`](skywalker::run_scenario)), so `skywalker` itself cannot re-export it — add
 //! `skywalker-lab` as its own dependency. `skywalker::scenarios`
-//! provides ready-made recipes (`fig8_recipe`, `diurnal_recipe`) that
-//! plug straight into [`SweepSpec::cell`], and the figure benches
+//! provides the presets and `skywalker::recipe`, which shapes any of
+//! them for [`SweepSpec::cell`], and the figure benches
 //! (`fig08_macro`, `fleet_elasticity`) run on the lab for parallel
 //! execution while keeping their historical `BENCH_*.json` schemas.
 //!

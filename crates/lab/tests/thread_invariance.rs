@@ -2,7 +2,7 @@
 //! bit-identical results at any worker count, and the worker pool
 //! agrees run-for-run with plain serial `run_scenario` execution.
 
-use skywalker::{fig8_recipe, run_scenario, SystemKind, Workload};
+use skywalker::{fig8_scenario, recipe, run_scenario, SystemKind, Workload};
 use skywalker_lab::{derive_seed, SweepSpec};
 
 const SCALE: f64 = 0.02;
@@ -12,11 +12,11 @@ fn demo_spec() -> SweepSpec {
         .replicates(2)
         .cell(
             "skywalker/tot",
-            fig8_recipe(SystemKind::SkyWalker, Workload::Tot, SCALE),
+            recipe(|seed| fig8_scenario(SystemKind::SkyWalker, Workload::Tot, SCALE, seed)),
         )
         .cell(
             "round-robin/tot",
-            fig8_recipe(SystemKind::RoundRobin, Workload::Tot, SCALE),
+            recipe(|seed| fig8_scenario(SystemKind::RoundRobin, Workload::Tot, SCALE, seed)),
         )
 }
 
@@ -55,15 +55,12 @@ fn pool_matches_serial_run_scenario() {
     assert_eq!(result.total_runs(), 4);
 
     for cell in &result.cells {
-        let recipe = fig8_recipe(
-            if cell.label.starts_with("skywalker") {
-                SystemKind::SkyWalker
-            } else {
-                SystemKind::RoundRobin
-            },
-            Workload::Tot,
-            SCALE,
-        );
+        let system = if cell.label.starts_with("skywalker") {
+            SystemKind::SkyWalker
+        } else {
+            SystemKind::RoundRobin
+        };
+        let recipe = recipe(move |seed| fig8_scenario(system, Workload::Tot, SCALE, seed));
         for (rep_idx, run) in cell.runs.iter().enumerate() {
             let expected_seed = derive_seed(61, &cell.label, rep_idx as u64);
             assert_eq!(run.tag, rep_idx as u64);

@@ -27,6 +27,7 @@ use skywalker_replica::{ReplicaId, Request};
 use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
+use crate::streams::OpenStreams;
 use crate::sync::Mutex;
 
 struct Shared {
@@ -40,6 +41,8 @@ struct Shared {
     /// Probe targets.
     replica_addrs: Mutex<HashMap<ReplicaId, SocketAddr>>,
     peer_addrs: Mutex<HashMap<LbId, SocketAddr>>,
+    /// Client, replica and peer connections alike.
+    open: OpenStreams,
     shutdown: AtomicBool,
 }
 
@@ -149,6 +152,7 @@ impl BalancerServer {
             peer_tx: Mutex::new(HashMap::new()),
             replica_addrs: Mutex::new(HashMap::new()),
             peer_addrs: Mutex::new(HashMap::new()),
+            open: OpenStreams::default(),
             shutdown: AtomicBool::new(false),
         });
 
@@ -167,12 +171,14 @@ impl BalancerServer {
                     // scrape, and peeking there would block on a peer
                     // that speaks only when spoken to.
                     std::thread::spawn(move || {
-                        if is_ascii_scrape(&stream) {
-                            serve_ascii_scrape(stream, &shared.metrics_text());
-                            return;
-                        }
-                        let (tx, rx) = channel::<Message>();
-                        connection(shared, stream, tx, rx, None)
+                        shared.open.serve(stream, |stream| {
+                            if is_ascii_scrape(&stream) {
+                                serve_ascii_scrape(stream, &shared.metrics_text());
+                                return;
+                            }
+                            let (tx, rx) = channel::<Message>();
+                            connection(&shared, stream, tx, rx, None)
+                        })
                     });
                 }
             }));
@@ -204,7 +210,11 @@ impl BalancerServer {
         self.shared.replica_addrs.lock().insert(id, addr);
         self.shared.lb.lock().add_replica(id);
         let shared = Arc::clone(&self.shared);
-        std::thread::spawn(move || connection(shared, stream, tx, rx, Some(id)));
+        std::thread::spawn(move || {
+            shared.open.serve(stream, |stream| {
+                connection(&shared, stream, tx, rx, Some(id))
+            })
+        });
         Ok(())
     }
 
@@ -218,7 +228,11 @@ impl BalancerServer {
         self.shared.peer_addrs.lock().insert(id, addr);
         self.shared.lb.lock().add_peer(id, region);
         let shared = Arc::clone(&self.shared);
-        std::thread::spawn(move || connection(shared, stream, tx, rx, None));
+        std::thread::spawn(move || {
+            shared
+                .open
+                .serve(stream, |stream| connection(&shared, stream, tx, rx, None))
+        });
         Ok(())
     }
 
@@ -232,13 +246,16 @@ impl BalancerServer {
         self.shared.lb.lock().stats().forwarded
     }
 
-    /// Stops the server and joins its service threads.
+    /// Stops the server: joins the acceptor and the prober, then closes
+    /// every client, replica and peer connection still open, which ends
+    /// its threads.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        self.shared.open.close_all();
     }
 }
 
@@ -246,7 +263,7 @@ impl BalancerServer {
 /// set when this connection goes to a replica server (its completions
 /// free that replica's outstanding slots).
 fn connection(
-    shared: Arc<Shared>,
+    shared: &Shared,
     stream: TcpStream,
     tx: Sender<Message>,
     rx: Receiver<Message>,

@@ -31,6 +31,7 @@ mod balancer_server;
 mod client;
 mod replica_server;
 mod scrape;
+mod streams;
 mod sync;
 
 pub use balancer_server::BalancerServer;
@@ -43,7 +44,7 @@ mod tests {
     use std::time::Duration;
 
     use skywalker_core::{BalancerConfig, LbId, PolicyKind};
-    use skywalker_net::Region;
+    use skywalker_net::{read_frame, write_frame, Message, Region, WireError};
     use skywalker_replica::{GpuProfile, ReplicaId, Request};
 
     use super::*;
@@ -75,6 +76,68 @@ mod tests {
         lb.shutdown();
         r0.shutdown();
         r1.shutdown();
+    }
+
+    /// Opens a connection and waits for one probe answer on it, so a
+    /// connection thread is provably serving it.
+    fn served_connection(addr: std::net::SocketAddr, probe: Message) -> std::net::TcpStream {
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        write_frame(&mut conn, &probe).unwrap();
+        read_frame(&mut conn).unwrap();
+        conn
+    }
+
+    /// Writes an `Infer` on a connection its server was serving when it
+    /// shut down: the peer must find the socket closed (EOF or reset),
+    /// not a reader that still takes the frame and never answers.
+    fn assert_closed_by_shutdown(mut conn: std::net::TcpStream) {
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let _ = write_frame(
+            &mut conn,
+            &Message::Infer {
+                request_id: 1,
+                session_key: "late".into(),
+                prompt: vec![1, 2, 3],
+                max_new_tokens: 2,
+                hops: 0,
+            },
+        );
+        match read_frame(&mut conn) {
+            Err(WireError::Io(e)) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "connection still open after shutdown(): read timed out"
+            ),
+            other => panic!("a shut-down server answered: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replica_shutdown_closes_open_connections() {
+        let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let conn = served_connection(srv.addr(), Message::ProbeReplica);
+        srv.shutdown();
+        assert_closed_by_shutdown(conn);
+    }
+
+    #[test]
+    fn balancer_shutdown_closes_open_connections() {
+        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let lb = BalancerServer::spawn(
+            LbId(0),
+            BalancerConfig::skywalker(Region::UsEast),
+            Duration::from_millis(10),
+        )
+        .unwrap();
+        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+        let conn = served_connection(lb.addr(), Message::ProbeLb);
+        lb.shutdown();
+        // With the replica still up, a balancer that kept its links
+        // would route this request and answer it.
+        assert_closed_by_shutdown(conn);
+        r0.shutdown();
     }
 
     #[test]

@@ -18,16 +18,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use skywalker_net::{read_frame, write_frame, Message};
-use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request, StepOutcome};
+use skywalker_replica::{Advance, GpuProfile, Replica, ReplicaId, Request};
 use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
+use crate::streams::OpenStreams;
 use crate::sync::Mutex;
 
 struct Shared {
     replica: Mutex<Replica>,
     /// request id → writer channel of the connection that submitted it.
     routes: Mutex<HashMap<u64, Sender<Message>>>,
+    open: OpenStreams,
     shutdown: AtomicBool,
     /// Wall seconds per simulated second (0.05 = 20× faster than real).
     time_scale: f64,
@@ -92,6 +94,7 @@ impl ReplicaServer {
         let shared = Arc::new(Shared {
             replica: Mutex::new(Replica::new(id, profile)),
             routes: Mutex::new(HashMap::new()),
+            open: OpenStreams::default(),
             shutdown: AtomicBool::new(false),
             time_scale: time_scale.max(1e-6),
         });
@@ -112,7 +115,11 @@ impl ReplicaServer {
                     }
                     let Ok(stream) = conn else { break };
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || connection(shared, stream));
+                    std::thread::spawn(move || {
+                        shared
+                            .open
+                            .serve(stream, |stream| connection(&shared, stream))
+                    });
                 }
             }));
         }
@@ -138,7 +145,8 @@ impl ReplicaServer {
         self.shared.replica.lock().stats().hit_rate()
     }
 
-    /// Stops the server and joins its threads.
+    /// Stops the server: joins the stepper and the acceptor, then closes
+    /// every connection still open, which ends its threads.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Unblock the acceptor.
@@ -146,45 +154,28 @@ impl ReplicaServer {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        self.shared.open.close_all();
     }
 }
 
-/// What one locked pass over the replica found.
-enum Stepped {
-    /// An iteration ran; its outputs publish after its (scaled) duration.
-    Worked(StepOutcome),
-    /// The pending head can never fit the KV cache and was dropped.
-    Dropped(Request),
-    /// Nothing to do.
-    Idle,
-}
-
-/// Steps the replica until an iteration does work, the queue drains, or
-/// the head proves unservable — all under one lock hold, so an `Infer`
-/// enqueued mid-pass can never be mistaken for a stuck head. A
-/// zero-duration step that still changed state (a preemption emptied the
-/// batch) means "step again", exactly as the fabric's replica kick does.
-fn step_once(replica: &mut Replica) -> Stepped {
-    while !replica.is_idle() {
-        let out = replica.step();
-        if out.worked() {
-            return Stepped::Worked(out);
-        }
-        if !out.progressed() {
-            return replica
-                .pop_pending_head()
-                .map_or(Stepped::Idle, Stepped::Dropped);
+/// Advances the replica until an iteration does work, the queue drains,
+/// or the head proves unservable — all under one lock hold, so an `Infer`
+/// enqueued mid-pass can never be mistaken for a stuck head.
+fn step_once(replica: &mut Replica) -> Advance {
+    loop {
+        match replica.advance() {
+            Advance::Progressed(_) => {}
+            settled => return settled,
         }
     }
-    Stepped::Idle
 }
 
 fn stepper(shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::Relaxed) {
         let stepped = step_once(&mut shared.replica.lock());
         let out = match stepped {
-            Stepped::Worked(out) => out,
-            Stepped::Dropped(req) => {
+            Advance::Worked(out) => out,
+            Advance::DroppedHead(_, req) => {
                 let route = shared.routes.lock().remove(&req.id.0);
                 if let Some(tx) = route {
                     let _ = tx.send(Message::Reject {
@@ -194,7 +185,7 @@ fn stepper(shared: Arc<Shared>) {
                 }
                 continue;
             }
-            Stepped::Idle => {
+            Advance::Idle | Advance::Progressed(_) => {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
@@ -223,7 +214,7 @@ fn stepper(shared: Arc<Shared>) {
     }
 }
 
-fn connection(shared: Arc<Shared>, stream: TcpStream) {
+fn connection(shared: &Shared, stream: TcpStream) {
     // Every replica connection is inbound, so the scrape peek is safe
     // here: a framed peer's first byte is a length prefix ≤ 0x01.
     if is_ascii_scrape(&stream) {

@@ -90,6 +90,38 @@ impl StepOutcome {
     }
 }
 
+/// One [`Replica::advance`]: a step, classified by the stuck-head rule
+/// every driver's loop needs. Each stepping variant carries the step's
+/// [`StepOutcome`], so an observer sees zero-duration steps too.
+#[derive(Debug)]
+pub enum Advance {
+    /// The iteration consumed virtual time: let it run, then publish
+    /// its outputs.
+    Worked(StepOutcome),
+    /// A zero-duration step that still changed state (a preemption
+    /// emptied the batch): the requeued request is servable — advance
+    /// again rather than misread this as a stuck head.
+    Progressed(StepOutcome),
+    /// The step made no progress: the pending head can never fit (e.g.
+    /// a prompt larger than the whole cache). It was popped, and is
+    /// handed over for the driver to fail.
+    DroppedHead(StepOutcome, Request),
+    /// Nothing pending, nothing running: no step was taken.
+    Idle,
+}
+
+impl Advance {
+    /// The outcome of the step taken, if one was.
+    pub fn outcome(&self) -> Option<&StepOutcome> {
+        match self {
+            Advance::Worked(out) | Advance::Progressed(out) | Advance::DroppedHead(out, _) => {
+                Some(out)
+            }
+            Advance::Idle => None,
+        }
+    }
+}
+
 /// Cumulative replica statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaStats {
@@ -597,25 +629,42 @@ impl Replica {
         out
     }
 
+    /// Takes one [`Replica::step`] unless idle and classifies it — the
+    /// one place the stuck-head rule lives. Drivers loop on this: run a
+    /// [`Advance::Worked`] iteration's duration, call again after
+    /// [`Advance::Progressed`], fail the request of an
+    /// [`Advance::DroppedHead`], stop on [`Advance::Idle`].
+    pub fn advance(&mut self) -> Advance {
+        if self.is_idle() {
+            return Advance::Idle;
+        }
+        let out = self.step();
+        if out.worked() {
+            Advance::Worked(out)
+        } else if out.progressed() {
+            Advance::Progressed(out)
+        } else {
+            let dropped = self.pending.pop_front();
+            debug_assert!(dropped.is_some(), "non-idle replica made no progress");
+            dropped.map_or(Advance::Idle, |req| Advance::DroppedHead(out, req))
+        }
+    }
+
     /// Drains all work to completion, returning every completion in order.
-    /// Test/analysis helper; the simulation drives [`Replica::step`]
+    /// Test/analysis helper; the simulation drives [`Replica::advance`]
     /// itself.
     pub fn run_to_idle(&mut self) -> (Vec<Completion>, SimDuration) {
         let mut completions = Vec::new();
         let mut elapsed = SimDuration::ZERO;
-        while !self.is_idle() {
-            let out = self.step();
-            if !out.progressed() {
-                // Pending work that can never fit (e.g. a prompt larger
-                // than the whole cache): drop it rather than spin. A
-                // zero-duration step that merely preempted is *not*
-                // stuck — the requeued request is servable next step.
-                let dropped = self.pending.pop_front();
-                debug_assert!(dropped.is_some(), "non-idle replica made no progress");
-                continue;
+        loop {
+            match self.advance() {
+                Advance::Worked(out) | Advance::Progressed(out) => {
+                    elapsed += out.duration;
+                    completions.extend(out.completions);
+                }
+                Advance::DroppedHead(..) => {}
+                Advance::Idle => break,
             }
-            elapsed += out.duration;
-            completions.extend(out.completions);
         }
         (completions, elapsed)
     }

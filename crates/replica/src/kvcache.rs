@@ -24,9 +24,15 @@
 //! [`LruEvictor`] (the default) reproduces the historical behavior
 //! byte-for-byte; [`PrefixAwareEvictor`] protects hot shared prefixes;
 //! [`NoEvict`] turns a full cache into a hard admission wall.
+//!
+//! The tree itself — segments, links, splits, slot recycling — is the
+//! shared [`RadixArena`]; this file keeps only what is caching: pins,
+//! the LRU clock, hit counts, residency tiers, block-rounded charges
+//! and the evictor hand-off.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::radix::{RadixArena, ROOT};
 
 /// Cache geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,27 +289,19 @@ impl Lease {
     }
 }
 
-#[derive(Debug)]
-struct Node {
-    /// Token segment on the edge from the parent.
-    seg: Vec<u32>,
-    parent: usize,
-    /// Children keyed by the first token of their segment.
-    children: BTreeMap<u32, usize>,
+/// What the cache keeps on every tree node.
+#[derive(Debug, Clone)]
+struct Entry {
     /// Number of leases whose path passes through this node.
     refs: u32,
     /// LRU clock value of the last traversal.
     last_used: u64,
     /// Times an acquire/extend walk reused this node since insertion.
     hits: u64,
-    /// True if the slot is on the free list.
-    dead: bool,
     /// Residency tier. Host nodes are always unpinned childless leaves;
     /// matching one promotes it back to GPU before use.
     tier: Tier,
 }
-
-const ROOT: usize = 0;
 
 /// Result of the pin-first walk: how far the existing tree matches, what
 /// got pinned, and whether a node must be split at the divergence point.
@@ -340,8 +338,7 @@ struct WalkPin {
 #[derive(Debug)]
 pub struct PrefixCache {
     cfg: KvConfig,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
+    tree: RadixArena<Entry>,
     used_tokens: u64,
     clock: u64,
     /// Cumulative counters for hit-rate reporting.
@@ -374,17 +371,12 @@ impl PrefixCache {
         let host_budget = evictor.host_budget().unwrap_or(0);
         PrefixCache {
             cfg,
-            nodes: vec![Node {
-                seg: Vec::new(),
-                parent: ROOT,
-                children: BTreeMap::new(),
+            tree: RadixArena::new(Entry {
                 refs: 0,
                 last_used: 0,
                 hits: 0,
-                dead: false,
                 tier: Tier::Gpu,
-            }],
-            free: Vec::new(),
+            }),
             used_tokens: 0,
             clock: 0,
             total_prompt_tokens: 0,
@@ -413,23 +405,9 @@ impl PrefixCache {
         self.host_budget
     }
 
-    /// Block-rounded tokens resident on the GPU tier — identical to
-    /// [`PrefixCache::used_tokens`]; named for symmetry with
-    /// [`PrefixCache::host_used_tokens`] in tier-accounting tests.
-    pub fn gpu_used_tokens(&self) -> u64 {
-        self.used_tokens
-    }
-
     /// Block-rounded tokens resident in the host tier.
     pub fn host_used_tokens(&self) -> u64 {
         self.host_used
-    }
-
-    /// Total resident tokens across both tiers. The tier-conservation
-    /// invariant `gpu_used + host_used == total_resident` holds by
-    /// construction; the property suite asserts it after every op.
-    pub fn total_resident_tokens(&self) -> u64 {
-        self.used_tokens + self.host_used
     }
 
     /// Cumulative block-rounded tokens demoted GPU→host.
@@ -449,12 +427,7 @@ impl PrefixCache {
     /// [`PrefixCache::used_tokens`] — an invariant the seeded property
     /// suite asserts after every operation.
     pub fn pinned_tokens(&self) -> u64 {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs > 0)
-            .map(|(_, n)| self.cfg.charge(n.seg.len()))
-            .sum()
+        self.charge_where(|e| e.refs > 0)
     }
 
     /// The cache geometry.
@@ -487,25 +460,7 @@ impl PrefixCache {
     /// Longest cached prefix of `tokens`, in tokens, without mutating
     /// LRU/ref state. This is the probe routers use to estimate hit ratios.
     pub fn matched_tokens(&self, tokens: &[u32]) -> u64 {
-        let mut node = ROOT;
-        let mut matched = 0usize;
-        while matched < tokens.len() {
-            let Some(&child) = self.nodes[node].children.get(&tokens[matched]) else {
-                break;
-            };
-            let seg = &self.nodes[child].seg;
-            let common = seg
-                .iter()
-                .zip(&tokens[matched..])
-                .take_while(|(a, b)| a == b)
-                .count();
-            matched += common;
-            if common < seg.len() {
-                break;
-            }
-            node = child;
-        }
-        matched as u64
+        self.tree.walk(ROOT, tokens).map(|(_, n)| n as u64).sum()
     }
 
     /// Tokens reclaimable right now by evicting unpinned subtrees.
@@ -513,12 +468,7 @@ impl PrefixCache {
         // A node is reclaimable iff no lease passes through it; whole
         // unpinned subtrees drain leaf-first, so counting every unpinned
         // GPU node is exact (host nodes are already off the GPU).
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs == 0 && n.tier == Tier::Gpu)
-            .map(|(_, n)| self.cfg.charge(n.seg.len()))
-            .sum()
+        self.charge_where(|e| e.refs == 0 && e.tier == Tier::Gpu)
     }
 
     /// Like [`PrefixCache::matched_tokens`], but split by residency
@@ -526,29 +476,14 @@ impl PrefixCache {
     /// discount host-resident prefixes — a host hit still skips
     /// prefill but pays promote-on-hit transfer time.
     pub fn matched_tokens_tiered(&self, tokens: &[u32]) -> (u64, u64) {
-        let mut node = ROOT;
-        let mut matched = 0usize;
-        let mut host = 0u64;
-        while matched < tokens.len() {
-            let Some(&child) = self.nodes[node].children.get(&tokens[matched]) else {
-                break;
-            };
-            let seg = &self.nodes[child].seg;
-            let common = seg
-                .iter()
-                .zip(&tokens[matched..])
-                .take_while(|(a, b)| a == b)
-                .count();
-            if self.nodes[child].tier == Tier::Host {
-                host += common as u64;
+        let (mut gpu, mut host) = (0, 0);
+        for (child, n) in self.tree.walk(ROOT, tokens) {
+            match self.tree[child].data.tier {
+                Tier::Gpu => gpu += n as u64,
+                Tier::Host => host += n as u64,
             }
-            matched += common;
-            if common < seg.len() {
-                break;
-            }
-            node = child;
         }
-        (matched as u64 - host, host)
+        (gpu, host)
     }
 
     /// Inserts `tokens` (a full prompt) and pins its path, evicting
@@ -559,7 +494,7 @@ impl PrefixCache {
     /// harmless eviction of unpinned entries).
     pub fn acquire(&mut self, tokens: &[u32]) -> Result<(Lease, u64), KvError> {
         self.touch(ROOT);
-        self.nodes[ROOT].refs += 1;
+        self.tree[ROOT].data.refs += 1;
         let wp = self.walk_pin(ROOT, tokens);
         let cached = wp.matched as u64;
         match self.make_room(&wp, tokens) {
@@ -577,7 +512,7 @@ impl PrefixCache {
             }
             Err(e) => {
                 self.unpin(&wp.pinned);
-                self.nodes[ROOT].refs -= 1;
+                self.tree[ROOT].data.refs -= 1;
                 Err(e)
             }
         }
@@ -611,13 +546,13 @@ impl PrefixCache {
     pub fn release(&mut self, lease: Lease) {
         let mut node = lease.node;
         loop {
-            let n = &mut self.nodes[node];
-            debug_assert!(n.refs > 0, "release without matching acquire");
-            n.refs = n.refs.saturating_sub(1);
+            let n = &mut self.tree[node];
+            debug_assert!(n.data.refs > 0, "release without matching acquire");
+            n.data.refs = n.data.refs.saturating_sub(1);
             if node == ROOT {
                 break;
             }
-            node = n.parent;
+            node = n.parent();
         }
     }
 
@@ -641,37 +576,28 @@ impl PrefixCache {
     ///
     /// Panics if an invariant is violated.
     pub fn check_invariants(&self) {
+        self.tree.check_invariants();
         let mut used = 0u64;
         let mut host = 0u64;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.dead || i == ROOT {
-                continue;
-            }
-            match n.tier {
-                Tier::Gpu => used += self.cfg.charge(n.seg.len()),
+        for (_, n) in self.tree.live() {
+            match n.data.tier {
+                Tier::Gpu => used += self.cfg.charge(n.seg().len()),
                 Tier::Host => {
-                    host += self.cfg.charge(n.seg.len());
-                    assert_eq!(n.refs, 0, "host-resident node is pinned");
+                    host += self.cfg.charge(n.seg().len());
+                    assert_eq!(n.data.refs, 0, "host-resident node is pinned");
                     assert!(
-                        n.children.is_empty(),
+                        n.is_leaf(),
                         "host-resident node has children (must stay a leaf)"
                     );
                 }
             }
-            assert!(!n.seg.is_empty(), "non-root node with empty segment");
-            let parent = &self.nodes[n.parent];
-            assert!(!parent.dead, "live node under dead parent");
+            let parent = &self.tree[n.parent()].data;
             assert_eq!(parent.tier, Tier::Gpu, "live node under host parent");
             assert!(
-                parent.refs >= n.refs,
+                parent.refs >= n.data.refs,
                 "child refs exceed parent refs ({} > {})",
-                n.refs,
+                n.data.refs,
                 parent.refs
-            );
-            assert_eq!(
-                parent.children.get(&n.seg[0]),
-                Some(&i),
-                "parent/child link broken"
             );
         }
         assert_eq!(used, self.used_tokens, "used-token accounting drifted");
@@ -681,11 +607,6 @@ impl PrefixCache {
             "host budget exceeded: {} > {}",
             self.host_used,
             self.host_budget
-        );
-        assert_eq!(
-            self.used_tokens + self.host_used,
-            self.total_resident_tokens(),
-            "tier accounting must partition total residency"
         );
         assert!(
             self.used_tokens <= self.cfg.capacity_tokens,
@@ -704,7 +625,28 @@ impl PrefixCache {
 
     fn touch(&mut self, node: usize) {
         self.clock += 1;
-        self.nodes[node].last_used = self.clock;
+        self.tree[node].data.last_used = self.clock;
+    }
+
+    /// Block-rounded charge of the node's segment.
+    fn charge_of(&self, idx: usize) -> u64 {
+        self.cfg.charge(self.tree[idx].seg().len())
+    }
+
+    /// Extra charge of splitting `child` after `keep` tokens: one node
+    /// of length L becomes two of `keep` and L-`keep`, each block-rounded.
+    fn split_extra(&self, child: usize, keep: usize) -> u64 {
+        let len = self.tree[child].seg().len();
+        self.cfg.charge(keep) + self.cfg.charge(len - keep) - self.cfg.charge(len)
+    }
+
+    /// Total charge of the live nodes whose entry satisfies `keep`.
+    fn charge_where(&self, keep: impl Fn(&Entry) -> bool) -> u64 {
+        self.tree
+            .live()
+            .filter(|(_, n)| keep(&n.data))
+            .map(|(_, n)| self.cfg.charge(n.seg().len()))
+            .sum()
     }
 
     /// Descends from `anchor` matching `tokens`, pinning (ref +1, LRU
@@ -716,29 +658,19 @@ impl PrefixCache {
         let mut pinned = Vec::new();
         let mut pending_split = None;
         let mut promote = Vec::new();
-        while pos < tokens.len() {
-            let Some(&child) = self.nodes[node].children.get(&tokens[pos]) else {
-                break;
-            };
-            let common = self.nodes[child]
-                .seg
-                .iter()
-                .zip(&tokens[pos..])
-                .take_while(|(a, b)| a == b)
-                .count();
-            debug_assert!(common >= 1, "child keyed by first token must match it");
-            self.nodes[child].refs += 1;
-            self.nodes[child].hits += 1;
+        while let Some((child, common)) = self.tree.descend(node, &tokens[pos..]) {
+            self.tree[child].data.refs += 1;
+            self.tree[child].data.hits += 1;
             self.touch(child);
             pinned.push(child);
-            if self.nodes[child].tier == Tier::Host {
+            if self.tree[child].data.tier == Tier::Host {
                 // A host hit: the node must come back to GPU before the
                 // batch can use it. `apply` flips it once `make_room`
                 // has secured its charge.
                 promote.push(child);
             }
             pos += common;
-            if common < self.nodes[child].seg.len() {
+            if common < self.tree[child].seg().len() {
                 pending_split = Some((child, common));
                 break;
             }
@@ -755,7 +687,7 @@ impl PrefixCache {
 
     fn unpin(&mut self, pinned: &[usize]) {
         for &i in pinned {
-            self.nodes[i].refs -= 1;
+            self.tree[i].data.refs -= 1;
         }
     }
 
@@ -764,17 +696,12 @@ impl PrefixCache {
     fn make_room(&mut self, wp: &WalkPin, tokens: &[u32]) -> Result<(), KvError> {
         let mut extra = 0u64;
         if let Some((child, keep)) = wp.pending_split {
-            let len = self.nodes[child].seg.len();
-            extra += self.cfg.charge(keep) + self.cfg.charge(len - keep) - self.cfg.charge(len);
+            extra += self.split_extra(child, keep);
         }
         extra += self.cfg.charge(tokens.len() - wp.matched);
         // Promotions land on the GPU too: their charge must be free
         // before `apply` flips them out of the host tier.
-        extra += wp
-            .promote
-            .iter()
-            .map(|&i| self.cfg.charge(self.nodes[i].seg.len()))
-            .sum::<u64>();
+        extra += wp.promote.iter().map(|&i| self.charge_of(i)).sum::<u64>();
         self.ensure_free(extra)
     }
 
@@ -828,11 +755,10 @@ impl PrefixCache {
     /// in flight (`walk_pin` pins matched host nodes until `apply`
     /// promotes them; those are never valid victims).
     fn lru_unpinned_host_node(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs == 0 && n.tier == Tier::Host)
-            .min_by_key(|(_, n)| n.last_used)
+        self.tree
+            .live()
+            .filter(|(_, n)| n.data.refs == 0 && n.data.tier == Tier::Host)
+            .min_by_key(|(_, n)| n.data.last_used)
             .map(|(i, _)| i)
     }
 
@@ -840,7 +766,7 @@ impl PrefixCache {
     /// host-LRU entries first if the host budget requires it. A victim
     /// larger than the whole host budget is evicted outright.
     fn demote(&mut self, idx: usize) {
-        let charge = self.cfg.charge(self.nodes[idx].seg.len());
+        let charge = self.charge_of(idx);
         if charge > self.host_budget {
             self.evict(idx);
             return;
@@ -855,7 +781,7 @@ impl PrefixCache {
             };
             self.evict(victim);
         }
-        self.nodes[idx].tier = Tier::Host;
+        self.tree[idx].data.tier = Tier::Host;
         self.used_tokens -= charge;
         self.host_used += charge;
         self.demoted_tokens += charge;
@@ -867,22 +793,22 @@ impl PrefixCache {
     fn evictable_leaves(&self) -> (Vec<usize>, Vec<EvictCandidate>) {
         let mut ids = Vec::new();
         let mut out = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i == ROOT || n.dead || n.refs != 0 || !n.children.is_empty() || n.tier != Tier::Gpu {
+        for (i, n) in self.tree.live() {
+            if n.data.refs != 0 || !n.is_leaf() || n.data.tier != Tier::Gpu {
                 continue;
             }
             let mut depth = 0u32;
             let mut at = i;
             while at != ROOT {
                 depth += 1;
-                at = self.nodes[at].parent;
+                at = self.tree[at].parent();
             }
             ids.push(i);
             out.push(EvictCandidate {
-                last_used: n.last_used,
-                hits: n.hits,
-                tokens: n.seg.len() as u32,
-                charge: self.cfg.charge(n.seg.len()),
+                last_used: n.data.last_used,
+                hits: n.data.hits,
+                tokens: n.seg().len() as u32,
+                charge: self.cfg.charge(n.seg().len()),
                 depth,
             });
         }
@@ -898,8 +824,8 @@ impl PrefixCache {
         // their GPU charge, and the split below must only ever operate
         // on GPU-resident nodes.
         for &p in &wp.promote {
-            let charge = self.cfg.charge(self.nodes[p].seg.len());
-            self.nodes[p].tier = Tier::Gpu;
+            let charge = self.charge_of(p);
+            self.tree[p].data.tier = Tier::Gpu;
             self.host_used -= charge;
             self.used_tokens += charge;
             self.promoted_tokens += charge;
@@ -909,124 +835,53 @@ impl PrefixCache {
             let mid = self.split(child, keep);
             // `mid` inherited `child`'s refs, which include this walk's
             // pin; the lease path runs through `mid`, not `child`.
-            self.nodes[child].refs -= 1;
+            self.tree[child].data.refs -= 1;
             node = mid;
         }
         if wp.matched < tokens.len() {
-            let seg = tokens[wp.matched..].to_vec();
-            let leaf = self.alloc_node(seg, node, 1);
-            let first = self.nodes[leaf].seg[0];
-            self.nodes[node].children.insert(first, leaf);
-            node = leaf;
+            // One fresh leaf for the unmatched suffix, pinned by this walk.
+            let seg = &tokens[wp.matched..];
+            self.used_tokens += self.cfg.charge(seg.len());
+            self.clock += 1;
+            let entry = Entry {
+                refs: 1,
+                last_used: self.clock,
+                hits: 0,
+                tier: Tier::Gpu,
+            };
+            node = self.tree.alloc(seg, node, entry);
         }
         node
     }
 
     fn lru_evictable_leaf(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs == 0 && n.children.is_empty())
-            .min_by_key(|(_, n)| n.last_used)
+        self.tree
+            .live()
+            .filter(|(_, n)| n.data.refs == 0 && n.is_leaf())
+            .min_by_key(|(_, n)| n.data.last_used)
             .map(|(i, _)| i)
     }
 
     fn evict(&mut self, idx: usize) {
-        debug_assert_ne!(idx, ROOT);
-        debug_assert_eq!(self.nodes[idx].refs, 0);
-        debug_assert!(self.nodes[idx].children.is_empty());
-        let parent = self.nodes[idx].parent;
-        let first = self.nodes[idx].seg[0];
-        self.nodes[parent].children.remove(&first);
-        let charge = self.cfg.charge(self.nodes[idx].seg.len());
-        match self.nodes[idx].tier {
+        debug_assert_eq!(self.tree[idx].data.refs, 0);
+        let charge = self.charge_of(idx);
+        match self.tree[idx].data.tier {
             Tier::Gpu => self.used_tokens -= charge,
             Tier::Host => self.host_used -= charge,
         }
         self.evicted_tokens += charge;
-        let n = &mut self.nodes[idx];
-        n.dead = true;
-        n.seg = Vec::new();
-        n.children = BTreeMap::new();
-        self.free.push(idx);
-    }
-
-    fn alloc_node(&mut self, seg: Vec<u32>, parent: usize, refs: u32) -> usize {
-        self.used_tokens += self.cfg.charge(seg.len());
-        self.clock += 1;
-        let node = Node {
-            seg,
-            parent,
-            children: BTreeMap::new(),
-            refs,
-            last_used: self.clock,
-            hits: 0,
-            dead: false,
-            tier: Tier::Gpu,
-        };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
+        self.tree.remove_leaf(idx);
     }
 
     /// Splits `child` so that exactly `keep` tokens of its segment move to
     /// a new intermediate node between `child`'s parent and `child`;
     /// returns the intermediate node. Refs and LRU state are inherited.
     fn split(&mut self, child: usize, keep: usize) -> usize {
-        debug_assert!(keep > 0 && keep < self.nodes[child].seg.len());
         // `apply` promotes matched host nodes before splitting, so the
         // GPU-only used-token arithmetic below is always right.
-        debug_assert_eq!(self.nodes[child].tier, Tier::Gpu);
-        let parent = self.nodes[child].parent;
-        let head: Vec<u32> = self.nodes[child].seg[..keep].to_vec();
-        let tail: Vec<u32> = self.nodes[child].seg[keep..].to_vec();
-        let refs = self.nodes[child].refs;
-        let last_used = self.nodes[child].last_used;
-        let hits = self.nodes[child].hits;
-
-        // One node of length L becomes two of keep and L-keep; account for
-        // the block-rounding delta.
-        let old_charge = self.cfg.charge(self.nodes[child].seg.len());
-        let new_charge = self.cfg.charge(keep) + self.cfg.charge(tail.len());
-        self.used_tokens = self.used_tokens - old_charge + new_charge;
-
-        let mid = if let Some(idx) = self.free.pop() {
-            idx
-        } else {
-            self.nodes.push(Node {
-                seg: Vec::new(),
-                parent: ROOT,
-                children: BTreeMap::new(),
-                refs: 0,
-                last_used: 0,
-                hits: 0,
-                dead: true,
-                tier: Tier::Gpu,
-            });
-            self.nodes.len() - 1
-        };
-        self.nodes[mid] = Node {
-            seg: head,
-            parent,
-            children: BTreeMap::new(),
-            refs,
-            last_used,
-            hits,
-            dead: false,
-            tier: Tier::Gpu,
-        };
-        let mid_first = self.nodes[mid].seg[0];
-        self.nodes[parent].children.insert(mid_first, mid);
-        let tail_first = tail[0];
-        self.nodes[mid].children.insert(tail_first, child);
-        let c = &mut self.nodes[child];
-        c.seg = tail;
-        c.parent = mid;
-        mid
+        debug_assert_eq!(self.tree[child].data.tier, Tier::Gpu);
+        self.used_tokens += self.split_extra(child, keep);
+        self.tree.split(child, keep)
     }
 }
 

@@ -33,11 +33,12 @@
 mod batch;
 mod engine;
 mod kvcache;
+pub mod radix;
 mod request;
 mod timing;
 mod tokenizer;
 
-pub use batch::{Completion, Replica, ReplicaStats, StepOutcome};
+pub use batch::{Advance, Completion, Replica, ReplicaStats, StepOutcome};
 pub use engine::{
     BatchPlan, BatchPolicy, CloneBatchPolicy, EngineSpec, FcfsBatch, PendingView, RunningView,
     StepView,

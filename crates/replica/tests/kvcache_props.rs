@@ -13,33 +13,21 @@
 //!    acquired-plus-extended token sequence stays resident, whatever
 //!    the evictor does.
 //!
+//! On top of the laws, each evictor's 350 sequences fold into one
+//! per-operation [`Fingerprint`] pinned to a constant recorded before
+//! the cache moved onto the shared `RadixArena`: exact eviction order,
+//! not just consistency.
+//!
 //! Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.
 
+mod common;
+
+use common::{random_op, random_tokens, Fingerprint, LiveLease};
 use skywalker_replica::{
-    KvConfig, KvEvictor, Lease, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache,
+    KvConfig, KvEvictor, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache,
 };
 use skywalker_sim::DetRng;
-
-/// One live lease plus the token sequence it provably pins.
-struct LiveLease {
-    lease: Lease,
-    tokens: Vec<u32>,
-}
-
-#[derive(Debug)]
-enum Op {
-    Acquire,
-    Extend,
-    Release,
-    Complete,
-    Evict,
-}
-
-fn random_tokens(rng: &mut DetRng, alphabet: u64, max_len: u64) -> Vec<u32> {
-    let len = rng.below(max_len);
-    (0..len).map(|_| rng.below(alphabet) as u32).collect()
-}
 
 fn check(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     c.check_invariants();
@@ -57,70 +45,19 @@ fn check(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     }
 }
 
-fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
+fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str, fp: &mut Fingerprint) {
     let mut rng = DetRng::for_component(case, &format!("kvcache-props/{tag}"));
     let cap = rng.range(8, 192);
     let mut c = PrefixCache::with_evictor(KvConfig::tiny(cap), evictor);
     let mut live: Vec<LiveLease> = Vec::new();
     let n_ops = rng.range(10, 60);
     for op_no in 0..n_ops as usize {
-        let op = match rng.below(8) {
-            0..=2 => Op::Acquire,
-            3 => Op::Extend,
-            4 => Op::Release,
-            5 | 6 => Op::Complete,
-            _ => Op::Evict,
+        let at = format!("case {case} op {op_no}");
+        let Some(cached) = random_op(&mut rng, &mut c, &mut live, &at) else {
+            continue;
         };
-        match op {
-            Op::Acquire => {
-                let toks = random_tokens(&mut rng, 10, 24);
-                if let Ok((lease, cached)) = c.acquire(&toks) {
-                    assert!(
-                        cached <= toks.len() as u64,
-                        "case {case} op {op_no}: hit exceeds prompt"
-                    );
-                    assert_eq!(lease.tokens(), toks.len() as u64);
-                    live.push(LiveLease {
-                        lease,
-                        tokens: toks,
-                    });
-                }
-            }
-            Op::Extend => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let l = live.remove(i);
-                let gen_toks = random_tokens(&mut rng, 10, 8);
-                let before = l.lease.tokens();
-                let lease = c.extend(l.lease, &gen_toks);
-                let mut tokens = l.tokens;
-                if lease.tokens() > before {
-                    // Extension stuck: the lease now pins prompt + output.
-                    assert_eq!(lease.tokens(), before + gen_toks.len() as u64);
-                    tokens.extend(&gen_toks);
-                }
-                live.push(LiveLease { lease, tokens });
-            }
-            Op::Release => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                c.release(live.remove(i).lease);
-            }
-            Op::Complete => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let gen_toks = random_tokens(&mut rng, 10, 8);
-                c.complete(live.remove(i).lease, &gen_toks);
-            }
-            Op::Evict => c.clear_unpinned(),
-        }
         check(&c, &live, case, op_no);
+        fp.observe(cached, &c);
     }
     // Wind down: everything released, the whole cache reclaimable.
     for l in live.drain(..) {
@@ -137,11 +74,27 @@ fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
 /// ≥ 1000 seeded op-sequences: 350 per built-in evictor.
 #[test]
 fn invariants_hold_for_every_evictor_over_1000_sequences() {
+    let (mut lru, mut aware, mut noevict) =
+        (Fingerprint::new(), Fingerprint::new(), Fingerprint::new());
     for case in 0..350u64 {
-        run_case(case, Box::new(LruEvictor), "lru");
-        run_case(case, Box::new(PrefixAwareEvictor), "prefix-aware");
-        run_case(case, Box::new(NoEvict), "noevict");
+        run_case(case, Box::new(LruEvictor), "lru", &mut lru);
+        run_case(
+            case,
+            Box::new(PrefixAwareEvictor),
+            "prefix-aware",
+            &mut aware,
+        );
+        run_case(case, Box::new(NoEvict), "noevict", &mut noevict);
     }
+    assert_eq!(
+        [lru.value(), aware.value(), noevict.value()],
+        [
+            0xf1a0_4d0c_e0ee_33bd,
+            0xd3de_d10c_dc97_c8d3,
+            0x20da_490b_9508_5045,
+        ],
+        "per-op fingerprint drifted: the cache evicted, hit or charged differently"
+    );
 }
 
 /// The evictor only reorders reclamation: whatever it picks, totals

@@ -6,9 +6,10 @@
 //! calling `check_invariants()` after *every* operation and asserting
 //! the tier laws on top:
 //!
-//! 1. `gpu_used + host_used == total_resident` — the two tiers exactly
-//!    partition residency (no token counted twice or dropped between
-//!    tiers on a demote/promote);
+//! 1. the tiers partition residency — `check_invariants()` recounts
+//!    the GPU and host charge from the live nodes and compares each with
+//!    its counter (no token counted twice or dropped between tiers on a
+//!    demote/promote), and the host tier stays within its budget;
 //! 2. demotion never touches a pinned sequence — every live lease's
 //!    full acquired-plus-extended token run stays *GPU*-resident,
 //!    whatever the inner policy demotes;
@@ -19,57 +20,25 @@
 //!    evictor ([`NoEvict`] and [`LruEvictor`] both): same accept/reject
 //!    decisions, same counters, same residency, op for op.
 //!
+//! Each inner policy's 350 tiered sequences also fold into one
+//! per-operation [`Fingerprint`] pinned to a constant recorded before
+//! the cache moved onto the shared `RadixArena` (exact demote / promote
+//! / evict order, not just consistency).
+//!
 //! Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.
 
+mod common;
+
+use common::{random_op, random_tokens, Fingerprint, LiveLease};
 use skywalker_replica::{
-    KvConfig, KvEvictor, Lease, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache, TieredEvictor,
+    KvConfig, KvEvictor, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache, TieredEvictor,
 };
 use skywalker_sim::DetRng;
-
-/// One live lease plus the token sequence it provably pins.
-struct LiveLease {
-    lease: Lease,
-    tokens: Vec<u32>,
-}
-
-#[derive(Debug)]
-enum Op {
-    Acquire,
-    Extend,
-    Release,
-    Complete,
-    Evict,
-}
-
-fn pick_op(rng: &mut DetRng) -> Op {
-    match rng.below(8) {
-        0..=2 => Op::Acquire,
-        3 => Op::Extend,
-        4 => Op::Release,
-        5 | 6 => Op::Complete,
-        _ => Op::Evict,
-    }
-}
-
-fn random_tokens(rng: &mut DetRng, alphabet: u64, max_len: u64) -> Vec<u32> {
-    let len = rng.below(max_len);
-    (0..len).map(|_| rng.below(alphabet) as u32).collect()
-}
 
 /// The tier laws checked after every operation.
 fn check_tiers(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     c.check_invariants();
-    assert_eq!(
-        c.gpu_used_tokens() + c.host_used_tokens(),
-        c.total_resident_tokens(),
-        "case {case} op {op_no}: tiers must partition total residency"
-    );
-    assert_eq!(
-        c.gpu_used_tokens(),
-        c.used_tokens(),
-        "case {case} op {op_no}: the GPU tier is the capacity charge"
-    );
     assert!(
         c.host_used_tokens() <= c.host_budget(),
         "case {case} op {op_no}: host tier over budget"
@@ -95,7 +64,13 @@ fn check_tiers(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     }
 }
 
-fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_fit: bool) {
+fn run_tiered_case(
+    case: u64,
+    inner: Box<dyn KvEvictor>,
+    tag: &str,
+    fresh_must_fit: bool,
+    fp: &mut Fingerprint,
+) {
     let mut rng = DetRng::for_component(case, &format!("tiered-kv-props/{tag}"));
     let cap = rng.range(32, 192);
     let host_budget = rng.range(0, 3) * cap / 2;
@@ -108,54 +83,10 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
     let mut promoted_before = 0u64;
     let n_ops = rng.range(10, 60);
     for op_no in 0..n_ops as usize {
-        match pick_op(&mut rng) {
-            Op::Acquire => {
-                let toks = random_tokens(&mut rng, 10, 24);
-                if let Ok((lease, cached)) = c.acquire(&toks) {
-                    assert!(cached <= toks.len() as u64);
-                    // Promote-on-hit: an acquire that succeeds leaves
-                    // its entire sequence GPU-resident immediately.
-                    let (gpu, host) = c.matched_tokens_tiered(&toks);
-                    assert_eq!(gpu, toks.len() as u64, "case {case} op {op_no}");
-                    assert_eq!(host, 0, "case {case} op {op_no}: acquired via host tier");
-                    live.push(LiveLease {
-                        lease,
-                        tokens: toks,
-                    });
-                }
-            }
-            Op::Extend => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let l = live.remove(i);
-                let gen_toks = random_tokens(&mut rng, 10, 8);
-                let before = l.lease.tokens();
-                let lease = c.extend(l.lease, &gen_toks);
-                let mut tokens = l.tokens;
-                if lease.tokens() > before {
-                    tokens.extend(&gen_toks);
-                }
-                live.push(LiveLease { lease, tokens });
-            }
-            Op::Release => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                c.release(live.remove(i).lease);
-            }
-            Op::Complete => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let gen_toks = random_tokens(&mut rng, 10, 8);
-                c.complete(live.remove(i).lease, &gen_toks);
-            }
-            Op::Evict => c.clear_unpinned(),
-        }
+        let at = format!("case {case} op {op_no}");
+        let Some(cached) = random_op(&mut rng, &mut c, &mut live, &at) else {
+            continue;
+        };
         // Cumulative tier-motion counters only grow.
         assert!(
             c.demoted_tokens() >= demoted_before,
@@ -168,6 +99,7 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
         demoted_before = c.demoted_tokens();
         promoted_before = c.promoted_tokens();
         check_tiers(&c, &live, case, op_no);
+        fp.observe(cached, &c);
     }
     // Wind down: with every lease released, a modest fresh prompt must
     // always be admittable under an evicting inner policy —
@@ -192,11 +124,28 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
 /// policy under [`TieredEvictor`].
 #[test]
 fn tier_invariants_hold_over_1000_sequences() {
+    let (mut lru, mut aware, mut noevict) =
+        (Fingerprint::new(), Fingerprint::new(), Fingerprint::new());
     for case in 0..350u64 {
-        run_tiered_case(case, Box::new(LruEvictor), "lru", true);
-        run_tiered_case(case, Box::new(PrefixAwareEvictor), "prefix-aware", true);
-        run_tiered_case(case, Box::new(NoEvict), "noevict", false);
+        run_tiered_case(case, Box::new(LruEvictor), "lru", true, &mut lru);
+        run_tiered_case(
+            case,
+            Box::new(PrefixAwareEvictor),
+            "prefix-aware",
+            true,
+            &mut aware,
+        );
+        run_tiered_case(case, Box::new(NoEvict), "noevict", false, &mut noevict);
     }
+    assert_eq!(
+        [lru.value(), aware.value(), noevict.value()],
+        [
+            0xc013_a267_34c6_a7af,
+            0x2248_10a2_0d05_20d5,
+            0xef81_249d_d1b2_6779,
+        ],
+        "per-op fingerprint drifted: the cache demoted, promoted or evicted differently"
+    );
 }
 
 /// Deterministic end-to-end demote → host-hit → promote cycle, pinned
@@ -235,89 +184,30 @@ fn promote_on_hit_restores_gpu_residency() {
 /// observable agrees, byte for byte.
 fn mirror_step(
     rng: &mut DetRng,
-    plain: &mut PrefixCache,
-    tiered: &mut PrefixCache,
-    live: &mut Vec<(LiveLease, LiveLease)>,
+    (plain, live_p): (&mut PrefixCache, &mut Vec<LiveLease>),
+    (tiered, live_t): (&mut PrefixCache, &mut Vec<LiveLease>),
     case: u64,
     op_no: usize,
 ) {
-    match pick_op(rng) {
-        Op::Acquire => {
-            let toks = random_tokens(rng, 10, 24);
-            let rp = plain.acquire(&toks);
-            let rt = tiered.acquire(&toks);
-            match (rp, rt) {
-                (Ok((lp, cp)), Ok((lt, ct))) => {
-                    assert_eq!(cp, ct, "case {case} op {op_no}: hit counts diverge");
-                    assert_eq!(lp.tokens(), lt.tokens());
-                    live.push((
-                        LiveLease {
-                            lease: lp,
-                            tokens: toks.clone(),
-                        },
-                        LiveLease {
-                            lease: lt,
-                            tokens: toks,
-                        },
-                    ));
-                }
-                (Err(_), Err(_)) => {}
-                (p, t) => panic!(
-                    "case {case} op {op_no}: accept/reject diverged: plain {:?} tiered {:?}",
-                    p.is_ok(),
-                    t.is_ok()
-                ),
-            }
-        }
-        Op::Extend => {
-            if live.is_empty() {
-                return;
-            }
-            let i = rng.below(live.len() as u64) as usize;
-            let (lp, lt) = live.remove(i);
-            let gen_toks = random_tokens(rng, 10, 8);
-            let np = plain.extend(lp.lease, &gen_toks);
-            let nt = tiered.extend(lt.lease, &gen_toks);
-            assert_eq!(
-                np.tokens(),
-                nt.tokens(),
-                "case {case} op {op_no}: extend outcomes diverge"
-            );
-            live.push((
-                LiveLease {
-                    lease: np,
-                    tokens: lp.tokens,
-                },
-                LiveLease {
-                    lease: nt,
-                    tokens: lt.tokens,
-                },
-            ));
-        }
-        Op::Release => {
-            if live.is_empty() {
-                return;
-            }
-            let i = rng.below(live.len() as u64) as usize;
-            let (lp, lt) = live.remove(i);
-            plain.release(lp.lease);
-            tiered.release(lt.lease);
-        }
-        Op::Complete => {
-            if live.is_empty() {
-                return;
-            }
-            let i = rng.below(live.len() as u64) as usize;
-            let (lp, lt) = live.remove(i);
-            let gen_toks = random_tokens(rng, 10, 8);
-            plain.complete(lp.lease, &gen_toks);
-            tiered.complete(lt.lease, &gen_toks);
-        }
-        Op::Evict => {
-            plain.clear_unpinned();
-            tiered.clear_unpinned();
-        }
+    let at = format!("case {case} op {op_no}");
+    // One op, drawn twice from the same state: caches that agree consume
+    // the same randomness, so any divergence surfaces below.
+    let mut twin = rng.clone();
+    let outcome = random_op(rng, plain, live_p, &at);
+    assert_eq!(
+        outcome,
+        random_op(&mut twin, tiered, live_t, &at),
+        "{at}: accept/reject or hit counts diverge"
+    );
+    if outcome.is_none() {
+        return;
     }
+    let lengths = |live: &[LiveLease]| live.iter().map(|l| l.lease.tokens()).collect::<Vec<_>>();
+    assert_eq!(
+        lengths(live_p),
+        lengths(live_t),
+        "{at}: acquire/extend outcomes diverge"
+    );
     plain.check_invariants();
     tiered.check_invariants();
     assert_eq!(
@@ -376,12 +266,18 @@ fn host_budget_zero_is_byte_identical_to_unwrapped() {
                 KvConfig::tiny(cap),
                 Box::new(TieredEvictor::new(make(), 0)),
             );
-            let mut live: Vec<(LiveLease, LiveLease)> = Vec::new();
+            let (mut live_p, mut live_t) = (Vec::new(), Vec::new());
             let n_ops = rng.range(10, 60);
             for op_no in 0..n_ops as usize {
-                mirror_step(&mut rng, &mut plain, &mut tiered, &mut live, case, op_no);
+                mirror_step(
+                    &mut rng,
+                    (&mut plain, &mut live_p),
+                    (&mut tiered, &mut live_t),
+                    case,
+                    op_no,
+                );
             }
-            for (lp, lt) in live.drain(..) {
+            for (lp, lt) in live_p.drain(..).zip(live_t.drain(..)) {
                 plain.release(lp.lease);
                 tiered.release(lt.lease);
             }

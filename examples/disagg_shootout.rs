@@ -24,7 +24,7 @@
 //! `DISAGG_SEED` (sweep root seed, default 7), `DISAGG_WORKERS`.
 
 use skywalker::metrics::json::{Report, Val};
-use skywalker::{disagg_recipe, DisaggWorkload, RunSummary};
+use skywalker::{disagg_scenario, recipe, DisaggWorkload, RunSummary};
 use skywalker_lab::SweepSpec;
 
 fn main() {
@@ -51,7 +51,10 @@ fn main() {
     for wl in DisaggWorkload::ALL {
         for disagg in [false, true] {
             let label = format!("{}/{}", wl.label(), if disagg { "split" } else { "colo" });
-            spec = spec.cell(label.clone(), disagg_recipe(wl, disagg, scale));
+            spec = spec.cell(
+                label.clone(),
+                recipe(move |seed| disagg_scenario(wl, disagg, scale, seed)),
+            );
             cells.push((wl, disagg, label));
         }
     }

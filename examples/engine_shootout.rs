@@ -26,8 +26,8 @@
 
 use skywalker::metrics::json::{Report, Val};
 use skywalker::{
-    memory_pressure_recipe, EngineSpec, FcfsBatch, LruEvictor, NoEvict, PrefixAwareEvictor,
-    RunSummary, ShortestPromptFirst,
+    memory_pressure_scenario, recipe, EngineSpec, FcfsBatch, LruEvictor, NoEvict,
+    PrefixAwareEvictor, RunSummary, ShortestPromptFirst,
 };
 use skywalker_lab::SweepSpec;
 
@@ -69,7 +69,7 @@ fn main() {
         .seeds(vec![1, 2])
         .engine_cells(
             "mp",
-            memory_pressure_recipe(EngineSpec::default(), scale),
+            recipe(move |seed| memory_pressure_scenario(EngineSpec::default(), scale, seed)),
             engines,
         );
     let result = spec.run(workers);

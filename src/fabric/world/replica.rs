@@ -6,7 +6,8 @@ use skywalker_core::LbId;
 use skywalker_metrics::TimeSeries;
 use skywalker_net::Region;
 use skywalker_replica::{
-    Completion, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId, StepOutcome,
+    Advance, Completion, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId,
+    StepOutcome,
 };
 use skywalker_sim::SimTime;
 use skywalker_trace::TraceEventKind::{
@@ -125,37 +126,33 @@ impl Fabric {
         if self.replicas[i].stepping || self.replicas[i].health == ReplicaHealth::Crashed {
             return;
         }
-        while !self.replicas[i].replica.is_idle() {
-            let out = self.replicas[i].replica.step();
-            if self.obs.tracing() {
-                self.trace_step(replica, &out, sched.now());
+        loop {
+            let stepped = self.replicas[i].replica.advance();
+            if let (true, Some(out)) = (self.obs.tracing(), stepped.outcome()) {
+                self.trace_step(replica, out, sched.now());
             }
-            if out.worked() {
-                self.replicas[i].stepping = true;
-                sched.after(
-                    out.duration,
-                    Ev::IterationDone {
-                        replica,
-                        first_tokens: out.first_tokens,
-                        completions: out.completions,
-                    },
-                );
-                return;
+            match stepped {
+                Advance::Worked(out) => {
+                    self.replicas[i].stepping = true;
+                    sched.after(
+                        out.duration,
+                        Ev::IterationDone {
+                            replica,
+                            first_tokens: out.first_tokens,
+                            completions: out.completions,
+                        },
+                    );
+                    return;
+                }
+                Advance::Progressed(_) => {}
+                // Head request can never fit: fail it and keep going.
+                Advance::DroppedHead(_, dropped) => {
+                    let id = self.restore_original(dropped).id.0;
+                    self.credit_lb(id, replica);
+                    self.fail_request(id, sched);
+                }
+                Advance::Idle => return,
             }
-            if out.progressed() {
-                // A zero-duration step that still changed state (a
-                // preemption emptied the batch): the requeued request
-                // is servable — step again rather than misread this as
-                // a stuck head.
-                continue;
-            }
-            // Head request can never fit: fail it and keep going.
-            let Some(dropped) = self.replicas[i].replica.pop_pending_head() else {
-                return;
-            };
-            let id = self.restore_original(dropped).id.0;
-            self.credit_lb(id, replica);
-            self.fail_request(id, sched);
         }
     }
 

@@ -25,8 +25,8 @@
 //!
 //! `skywalker-lab` sits *above* this facade (it consumes [`Scenario`]
 //! and [`run_scenario`]), so it is not re-exported here — depend on it
-//! directly; [`fig8_recipe`] and [`diurnal_recipe`] below are shaped
-//! for its `SweepSpec::cell`.
+//! directly; [`recipe`] below turns any seed-parametric preset into the
+//! shape its `SweepSpec::cell` takes.
 //!
 //! ## Quickstart
 //!
@@ -81,7 +81,7 @@
 //!
 //! To run a whole *grid* of such cells — policy × workload × fleet ×
 //! seed — in parallel with bit-identical results at any thread count,
-//! hand [`fig8_recipe`] (or any closure building a [`Scenario`]) to
+//! hand a [`recipe`] (a seed-parametric closure building a [`Scenario`]) to
 //! `skywalker_lab::SweepSpec`; see `examples/sweep.rs` and
 //! `docs/architecture.md`.
 //!
@@ -139,11 +139,11 @@ pub use fabric::{
 };
 pub use p2c::{P2cLocal, P2cLocalFactory};
 pub use scenarios::{
-    balanced_fleet, disagg_engine, disagg_recipe, disagg_scenario, diurnal_recipe,
-    diurnal_reference_predictive, diurnal_reference_reactive, equal_cost_lite_fleet,
-    fig10_diurnal_scenario, fig10_scenario, fig8_recipe, fig8_scenario, fig9_scenario, l4_fleet,
-    lite_fleet, memory_pressure_recipe, memory_pressure_scenario, trio_diurnal_profiles,
-    unbalanced_fleet, workload_clients, DisaggWorkload, Workload, L4_LITE, L4_PRESSURE, REGIONS,
+    balanced_fleet, disagg_engine, disagg_scenario, diurnal_reference_predictive,
+    diurnal_reference_reactive, equal_cost_lite_fleet, fig10_diurnal_scenario, fig10_scenario,
+    fig8_scenario, fig9_scenario, l4_fleet, lite_fleet, memory_pressure_scenario, recipe,
+    trio_diurnal_profiles, unbalanced_fleet, workload_clients, DisaggWorkload, Workload, L4_LITE,
+    L4_PRESSURE, REGIONS,
 };
 pub use sjf::ShortestPromptFirst;
 pub use skywalker_fleet::{

@@ -401,22 +401,6 @@ pub fn memory_pressure_scenario(engine: EngineSpec, scale: f64, seed: u64) -> Sc
         .expect("memory-pressure preset sets a fleet and traffic")
 }
 
-/// A seed-parametric recipe of the memory-pressure preset — the
-/// sweep-harness counterpart of [`fig8_recipe`] for engine grids
-/// (`SweepSpec::engine_cells` builds exactly these).
-pub fn memory_pressure_recipe(
-    engine: EngineSpec,
-    scale: f64,
-) -> impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static {
-    move |seed| {
-        let cfg = FabricConfig {
-            seed,
-            ..FabricConfig::default()
-        };
-        (memory_pressure_scenario(engine.clone(), scale, seed), cfg)
-    }
-}
-
 /// The two traffic shapes of the disaggregation shootout: where the
 /// prefill/decode split pays for its transfer cost, and where it
 /// doesn't.
@@ -542,62 +526,23 @@ pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed:
         .expect("disagg preset sets a fleet and traffic")
 }
 
-/// A seed-parametric recipe of the disaggregation preset — the
-/// sweep-harness counterpart of [`memory_pressure_recipe`] for the
-/// split-vs-colocated comparison.
-pub fn disagg_recipe(
-    workload: DisaggWorkload,
-    disagg: bool,
-    scale: f64,
-) -> impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static {
-    move |seed| {
-        let cfg = FabricConfig {
-            seed,
-            ..FabricConfig::default()
-        };
-        (disagg_scenario(workload, disagg, scale, seed), cfg)
-    }
-}
-
-/// A seed-parametric recipe of one Fig. 8 grid cell, shaped for a sweep
+/// Turns a seed-parametric preset into a recipe shaped for a sweep
 /// harness (`skywalker-lab`'s `SweepSpec::cell`): the seed the sweep
 /// derives per `(cell, replicate)` drives both the traffic generation
 /// and the fabric's root seed, so every crossing of a sweep is an
-/// independent, reproducible experiment.
-pub fn fig8_recipe(
-    system: SystemKind,
-    workload: Workload,
-    scale: f64,
+/// independent, reproducible experiment. Wrap any of the `*_scenario`
+/// presets — `recipe(move |seed| fig8_scenario(system, workload, scale,
+/// seed))` — or a closure that builds on one (e.g. attaches a fleet
+/// plan) to sweep variants.
+pub fn recipe(
+    scenario: impl Fn(u64) -> Scenario + Clone + Send + Sync + 'static,
 ) -> impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static {
     move |seed| {
         let cfg = FabricConfig {
             seed,
             ..FabricConfig::default()
         };
-        (fig8_scenario(system, workload, scale, seed), cfg)
-    }
-}
-
-/// A seed-parametric recipe of the compressed diurnal day
-/// ([`fig10_diurnal_scenario`]) — the sweep-harness counterpart of
-/// [`fig8_recipe`] for fleet-elasticity grids. Attach a fleet plan to
-/// the returned scenario inside a wrapping closure to sweep autoscaler
-/// variants.
-pub fn diurnal_recipe(
-    system: SystemKind,
-    per_region: u32,
-    day: SimDuration,
-    scale: f64,
-) -> impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static {
-    move |seed| {
-        let cfg = FabricConfig {
-            seed,
-            ..FabricConfig::default()
-        };
-        (
-            fig10_diurnal_scenario(system, per_region, day, scale, seed),
-            cfg,
-        )
+        (scenario(seed), cfg)
     }
 }
 
@@ -746,9 +691,9 @@ mod tests {
 
     #[test]
     fn recipes_are_pure_in_the_seed() {
-        let recipe = fig8_recipe(SystemKind::SkyWalker, Workload::Tot, 0.02);
-        let (a, cfg_a) = recipe(9);
-        let (b, cfg_b) = recipe(9);
+        let fig8 = recipe(|seed| fig8_scenario(SystemKind::SkyWalker, Workload::Tot, 0.02, seed));
+        let (a, cfg_a) = fig8(9);
+        let (b, cfg_b) = fig8(9);
         assert_eq!(cfg_a.seed, 9);
         assert_eq!(cfg_b.seed, 9);
         assert_eq!(a.label, b.label);
@@ -758,13 +703,21 @@ mod tests {
             b.clients_until(SimTime::ZERO)
         );
         // Different seed → a different (but equally sized) population.
-        let (c, _) = recipe(10);
+        let (c, _) = fig8(10);
         assert_eq!(
             a.clients_until(SimTime::ZERO).len(),
             c.clients_until(SimTime::ZERO).len()
         );
 
-        let diurnal = diurnal_recipe(SystemKind::SkyWalker, 2, SimDuration::from_secs(600), 0.004);
+        let diurnal = recipe(|seed| {
+            fig10_diurnal_scenario(
+                SystemKind::SkyWalker,
+                2,
+                SimDuration::from_secs(600),
+                0.004,
+                seed,
+            )
+        });
         let (d, cfg_d) = diurnal(5);
         assert_eq!(cfg_d.seed, 5);
         assert_eq!(d.replicas.len(), 6);

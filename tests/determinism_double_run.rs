@@ -8,9 +8,9 @@
 
 use skywalker::sim::SimDuration;
 use skywalker::{
-    disagg_recipe, disagg_scenario, diurnal_recipe, fig10_diurnal_scenario, fig8_recipe,
-    fig8_scenario, memory_pressure_scenario, run_scenario, DisaggWorkload, EngineSpec,
-    FabricConfig, RunSummary, Scenario, SystemKind, Workload,
+    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, memory_pressure_scenario, recipe,
+    run_scenario, DisaggWorkload, EngineSpec, FabricConfig, RunSummary, Scenario, SystemKind,
+    Workload,
 };
 use skywalker_lab::SweepSpec;
 use skywalker_metrics::json::{Report, Val};
@@ -89,7 +89,9 @@ fn lab_diurnal_sweep_is_worker_count_invariant() {
     let sweep = || {
         SweepSpec::new("double-run-diurnal", 42).replicates(2).cell(
             "skywalker-diurnal-q25",
-            diurnal_recipe(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25),
+            recipe(|seed| {
+                fig10_diurnal_scenario(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25, seed)
+            }),
         )
     };
     let serial = sweep().run(1).report().json_string();
@@ -111,7 +113,10 @@ fn lab_disagg_sweep_is_worker_count_invariant() {
         for wl in DisaggWorkload::ALL {
             for disagg in [false, true] {
                 let label = format!("{}/{}", wl.label(), if disagg { "split" } else { "colo" });
-                spec = spec.cell(label, disagg_recipe(wl, disagg, 0.5));
+                spec = spec.cell(
+                    label,
+                    recipe(move |seed| disagg_scenario(wl, disagg, 0.5, seed)),
+                );
             }
         }
         spec
@@ -133,11 +138,11 @@ fn lab_sweep_is_worker_count_invariant() {
             .replicates(2)
             .cell(
                 "skywalker-tot",
-                fig8_recipe(SystemKind::SkyWalker, Workload::Tot, 0.02),
+                recipe(|seed| fig8_scenario(SystemKind::SkyWalker, Workload::Tot, 0.02, seed)),
             )
             .cell(
                 "least-load-tot",
-                fig8_recipe(SystemKind::LeastLoad, Workload::Tot, 0.02),
+                recipe(|seed| fig8_scenario(SystemKind::LeastLoad, Workload::Tot, 0.02, seed)),
             )
     };
     let serial = sweep().run(1).report().json_string();
