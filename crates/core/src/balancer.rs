@@ -303,7 +303,7 @@ impl RegionalBalancer {
     }
 
     /// Registers a replica served from this balancer's own region
-    /// (initially idle and healthy).
+    /// (initially idle).
     pub fn add_replica(&mut self, id: ReplicaId) {
         let region = self.cfg.region;
         self.add_replica_in(id, region);

@@ -43,12 +43,10 @@ pub struct ReplicaState {
     pub kv_utilization: f64,
     /// Requests dispatched since the last probe refreshed this view.
     pub dispatched_since_probe: u32,
-    /// False while the controller considers the replica unhealthy.
-    pub healthy: bool,
 }
 
 impl ReplicaState {
-    /// A fresh, empty, healthy replica view.
+    /// A fresh, empty replica view.
     pub fn new(id: ReplicaId) -> Self {
         ReplicaState {
             id,
@@ -57,7 +55,6 @@ impl ReplicaState {
             running: 0,
             kv_utilization: 0.0,
             dispatched_since_probe: 0,
-            healthy: true,
         }
     }
 }
@@ -77,12 +74,9 @@ pub enum PushMode {
 }
 
 impl PushMode {
-    /// Whether `replica` may receive another request right now.
-    /// Unhealthy replicas are never pushable.
+    /// Whether `replica` may receive another request right now. (A
+    /// replica that is gone is removed from the balancer, not flagged.)
     pub fn replica_available(&self, replica: &ReplicaState) -> bool {
-        if !replica.healthy {
-            return false;
-        }
         match self {
             PushMode::Blind => true,
             PushMode::Outstanding { max } => replica.outstanding < *max,
@@ -134,19 +128,6 @@ mod tests {
         assert!(m.replica_available(&replica(40, 0)));
         // A single pending request means the batch is full.
         assert!(!m.replica_available(&replica(2, 1)));
-    }
-
-    #[test]
-    fn unhealthy_never_available() {
-        let mut r = replica(0, 0);
-        r.healthy = false;
-        for m in [
-            PushMode::Blind,
-            PushMode::Outstanding { max: 10 },
-            PushMode::Pending,
-        ] {
-            assert!(!m.replica_available(&r));
-        }
     }
 
     #[test]

@@ -49,6 +49,17 @@ impl From<WireError> for ClientError {
     }
 }
 
+/// The `Infer` frame that carries `req` after `hops` LB-to-LB forwards.
+pub(crate) fn infer_frame(req: &Request, hops: u8) -> Message {
+    Message::Infer {
+        request_id: req.id.0,
+        session_key: req.session_key.clone(),
+        prompt: req.prompt.clone(),
+        max_new_tokens: req.target_output_tokens,
+        hops,
+    }
+}
+
 /// A blocking connection to a balancer (or directly to a replica).
 #[derive(Debug)]
 pub struct LiveClient {
@@ -67,16 +78,7 @@ impl LiveClient {
     /// and end-to-end latency.
     pub fn run(&mut self, req: &Request) -> Result<LiveOutcome, ClientError> {
         let start = Instant::now();
-        write_frame(
-            &mut self.stream,
-            &Message::Infer {
-                request_id: req.id.0,
-                session_key: req.session_key.clone(),
-                prompt: req.prompt.clone(),
-                max_new_tokens: req.target_output_tokens,
-                hops: 0,
-            },
-        )?;
+        write_frame(&mut self.stream, &infer_frame(req, 0))?;
         let mut ttft = None;
         loop {
             match read_frame(&mut self.stream) {

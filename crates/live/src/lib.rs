@@ -31,7 +31,7 @@ mod balancer_server;
 mod client;
 mod replica_server;
 mod scrape;
-mod streams;
+mod server;
 mod sync;
 
 pub use balancer_server::BalancerServer;
@@ -41,7 +41,8 @@ pub use scrape::scrape_metrics;
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     use skywalker_core::{BalancerConfig, LbId, PolicyKind};
     use skywalker_net::{read_frame, write_frame, Message, Region, WireError};
@@ -118,8 +119,23 @@ mod tests {
     fn replica_shutdown_closes_open_connections() {
         let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let conn = served_connection(srv.addr(), Message::ProbeReplica);
+        let net = Arc::clone(&srv.net);
         srv.shutdown();
+        assert_eq!(net.serving(), 0, "shutdown() left connection threads");
         assert_closed_by_shutdown(conn);
+    }
+
+    #[test]
+    fn shutdown_joins_idle_connections() {
+        let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let conns: Vec<_> = (0..32)
+            .map(|_| served_connection(srv.addr(), Message::ProbeReplica))
+            .collect();
+        let net = Arc::clone(&srv.net);
+        assert_eq!(net.serving(), 32);
+        srv.shutdown();
+        assert_eq!(net.serving(), 0, "shutdown() left connection threads");
+        conns.into_iter().for_each(assert_closed_by_shutdown);
     }
 
     #[test]
@@ -133,11 +149,89 @@ mod tests {
         .unwrap();
         lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
         let conn = served_connection(lb.addr(), Message::ProbeLb);
+        let net = Arc::clone(&lb.net);
         lb.shutdown();
+        assert_eq!(net.serving(), 0, "shutdown() left connection threads");
         // With the replica still up, a balancer that kept its links
         // would route this request and answer it.
         assert_closed_by_shutdown(conn);
         r0.shutdown();
+    }
+
+    /// Polls `addr`'s scrape until the sample `name` reaches `at_least`;
+    /// returns the value it then had.
+    fn await_metric(addr: std::net::SocketAddr, name: &str, at_least: f64) -> f64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let text = scrape_metrics(addr).unwrap();
+            let sample = text.lines().find(|l| l.starts_with(name));
+            let value = sample.and_then(|l| l.rsplit_once(' ')?.1.parse::<f64>().ok());
+            if let Some(v) = value.filter(|v| *v >= at_least) {
+                return v;
+            }
+            assert!(Instant::now() < deadline, "{name} never reached {at_least}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A replica that dies mid-stream leaves the balancer: the request in
+    /// flight on it is answered (at the parent commit the client blocked
+    /// forever), and later requests go to the survivor.
+    #[test]
+    fn dead_replica_is_removed_and_its_requests_answered() {
+        // r0 decodes in real time, so its request is still running when
+        // it is shut down.
+        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 1.0).unwrap();
+        let r1 = ReplicaServer::spawn(ReplicaId(1), profile(), 0.001).unwrap();
+        let lb = BalancerServer::spawn(
+            LbId(0),
+            BalancerConfig::skywalker(Region::UsEast),
+            Duration::from_millis(10),
+        )
+        .unwrap();
+        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+
+        let (done, outcome) = std::sync::mpsc::channel();
+        let addr = lb.addr();
+        let client = std::thread::spawn(move || {
+            let mut c = LiveClient::connect(addr).unwrap();
+            let _ = done.send(c.run(&Request::new(1, "doomed", vec![9; 64], 4000)));
+        });
+        await_metric(r0.addr(), "skywalker_replica_running", 1.0);
+        lb.attach_replica(ReplicaId(1), r1.addr()).unwrap();
+        r0.shutdown();
+
+        let answer = outcome
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the in-flight request must be answered, not stranded");
+        assert!(
+            matches!(
+                answer,
+                Err(ClientError::Rejected(_) | ClientError::Disconnected)
+            ),
+            "{answer:?}"
+        );
+        client.join().unwrap();
+
+        let mut c = LiveClient::connect(lb.addr()).unwrap();
+        for i in 0..20u64 {
+            let out = c
+                .run(&Request::new(
+                    100 + i,
+                    format!("u{i}"),
+                    vec![i as u32; 16],
+                    4,
+                ))
+                .unwrap();
+            assert_eq!(out.generated, 4);
+        }
+        await_metric(r1.addr(), "skywalker_replica_completed_total", 20.0);
+        // Exactly one: r0 is gone from the balancer, not merely idle.
+        let available = await_metric(lb.addr(), "skywalker_lb_available_replicas", 1.0);
+        assert_eq!(available, 1.0);
+
+        lb.shutdown();
+        r1.shutdown();
     }
 
     #[test]

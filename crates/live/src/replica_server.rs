@@ -8,47 +8,25 @@
 //! [`Message`]s a balancer needs: `Infer`, `ProbeReplica`, and the
 //! response stream `FirstToken` / `Completed`.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use skywalker_net::{read_frame, write_frame, Message};
+use skywalker_net::Message;
 use skywalker_replica::{Advance, GpuProfile, Replica, ReplicaId, Request};
 use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
-use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
-use crate::streams::OpenStreams;
+use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
 
-struct Shared {
-    replica: Mutex<Replica>,
-    /// request id → writer channel of the connection that submitted it.
-    routes: Mutex<HashMap<u64, Sender<Message>>>,
-    open: OpenStreams,
-    shutdown: AtomicBool,
-    /// Wall seconds per simulated second (0.05 = 20× faster than real).
-    time_scale: f64,
-}
+pub(crate) type Backend = Mutex<Replica>;
 
-impl Shared {
-    /// Renders the replica's current state as a Prometheus exposition.
+impl Service for Backend {
     fn metrics_text(&self) -> String {
-        let (id, pending, running, kv, stats) = {
-            let r = self.replica.lock();
-            (
-                r.id(),
-                r.pending_len(),
-                r.running_len(),
-                r.kv_utilization(),
-                r.stats(),
-            )
-        };
-        let id = format!("{}", id.0);
+        let r = self.lock();
+        let stats = r.stats();
+        let id = format!("{}", r.id().0);
         let labels = [("replica", id.as_str())];
         let mut reg = MetricsRegistry::new();
         reg.inc(names::REPLICA_ADMITTED_TOTAL, &labels, stats.admitted);
@@ -68,19 +46,44 @@ impl Shared {
             &labels,
             stats.generated_tokens,
         );
-        reg.set_gauge(names::REPLICA_PENDING, &labels, pending as f64);
-        reg.set_gauge(names::REPLICA_RUNNING, &labels, running as f64);
-        reg.set_gauge(names::KV_UTILIZATION, &labels, kv);
+        reg.set_gauge(names::REPLICA_PENDING, &labels, r.pending_len() as f64);
+        reg.set_gauge(names::REPLICA_RUNNING, &labels, r.running_len() as f64);
+        reg.set_gauge(names::KV_UTILIZATION, &labels, r.kv_utilization());
         reg.set_gauge(names::REPLICA_HIT_RATIO, &labels, stats.hit_rate());
+        drop(r);
         prometheus_text(&reg.snapshot())
+    }
+
+    fn on_frame(net: &Server<Self>, _link: Link, msg: Message, reply: &Outbox) {
+        let replica = &net.state;
+        match msg {
+            Message::Infer {
+                request_id,
+                session_key,
+                prompt,
+                max_new_tokens,
+                ..
+            } => {
+                net.expect_reply(request_id, reply);
+                let req = Request::new(request_id, session_key, prompt, max_new_tokens);
+                replica.lock().enqueue(req);
+            }
+            Message::ProbeReplica => {
+                let r = replica.lock();
+                let _ = reply.send(Message::ReplicaStatus {
+                    pending: r.pending_len() as u32,
+                    running: r.running_len() as u32,
+                    kv_utilization_ppt: (r.kv_utilization() * 1000.0) as u16,
+                });
+            }
+            _ => {} // Ignore anything a replica should not receive.
+        }
     }
 }
 
 /// A running replica server bound to 127.0.0.1.
 pub struct ReplicaServer {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    pub(crate) net: Arc<Server<Backend>>,
 }
 
 impl ReplicaServer {
@@ -89,72 +92,31 @@ impl ReplicaServer {
     /// `time_scale` compresses virtual time: 1.0 is real time, 0.05 runs
     /// 20× faster (useful for tests; latency *ratios* are preserved).
     pub fn spawn(id: ReplicaId, profile: GpuProfile, time_scale: f64) -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            replica: Mutex::new(Replica::new(id, profile)),
-            routes: Mutex::new(HashMap::new()),
-            open: OpenStreams::default(),
-            shutdown: AtomicBool::new(false),
-            time_scale: time_scale.max(1e-6),
-        });
-
-        let mut threads = Vec::new();
+        let (replica, scale) = (Replica::new(id, profile), time_scale.max(1e-6));
         // Stepper: runs the continuous batch against the wall clock.
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || stepper(shared)));
-        }
-        // Acceptor.
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if shared.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { break };
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        shared
-                            .open
-                            .serve(stream, |stream| connection(&shared, stream))
-                    });
-                }
-            }));
-        }
-        Ok(ReplicaServer {
-            addr,
-            shared,
-            threads,
-        })
+        let net = Server::spawn(Mutex::new(replica), move |net| stepper(&net, scale))?;
+        Ok(ReplicaServer { net })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.net.addr
     }
 
     /// Current pending-queue depth (test observability).
     pub fn pending_len(&self) -> usize {
-        self.shared.replica.lock().pending_len()
+        self.net.state.lock().pending_len()
     }
 
     /// Cumulative prefix-cache hit rate.
     pub fn hit_rate(&self) -> f64 {
-        self.shared.replica.lock().stats().hit_rate()
+        self.net.state.lock().stats().hit_rate()
     }
 
-    /// Stops the server: joins the stepper and the acceptor, then closes
-    /// every connection still open, which ends its threads.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Unblock the acceptor.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.shared.open.close_all();
+    /// Stops the server: joins the stepper and the acceptor, closes every
+    /// connection still open, and waits for its threads to end.
+    pub fn shutdown(self) {
+        self.net.shutdown();
     }
 }
 
@@ -170,19 +132,18 @@ fn step_once(replica: &mut Replica) -> Advance {
     }
 }
 
-fn stepper(shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        let stepped = step_once(&mut shared.replica.lock());
+/// `time_scale`: wall seconds per simulated second (0.05 = 20× faster).
+fn stepper(net: &Server<Backend>, time_scale: f64) {
+    while !net.closing() {
+        let stepped = step_once(&mut net.state.lock());
         let out = match stepped {
             Advance::Worked(out) => out,
             Advance::DroppedHead(_, req) => {
-                let route = shared.routes.lock().remove(&req.id.0);
-                if let Some(tx) = route {
-                    let _ = tx.send(Message::Reject {
-                        request_id: req.id.0,
-                        reason: "request exceeds replica KV capacity".to_string(),
-                    });
-                }
+                let reject = Message::Reject {
+                    request_id: req.id.0,
+                    reason: "request exceeds replica KV capacity".to_string(),
+                };
+                net.reply(req.id.0, reject);
                 continue;
             }
             Advance::Idle | Advance::Progressed(_) => {
@@ -192,98 +153,27 @@ fn stepper(shared: Arc<Shared>) {
         };
         // Let the iteration "run" in scaled wall time, then publish its
         // results.
-        let wall = out.duration.as_secs_f64() * shared.time_scale;
+        let wall = out.duration.as_secs_f64() * time_scale;
         std::thread::sleep(Duration::from_secs_f64(wall));
-        let routes = shared.routes.lock();
         for id in &out.first_tokens {
-            if let Some(tx) = routes.get(&id.0) {
-                let _ = tx.send(Message::FirstToken { request_id: id.0 });
-            }
+            net.reply(id.0, Message::FirstToken { request_id: id.0 });
         }
-        drop(routes);
-        let mut routes = shared.routes.lock();
         for c in &out.completions {
-            if let Some(tx) = routes.remove(&c.id.0) {
-                let _ = tx.send(Message::Completed {
-                    request_id: c.id.0,
-                    generated: c.generated_tokens,
-                    cached_prompt_tokens: c.cached_prompt_tokens,
-                });
-            }
+            let done = Message::Completed {
+                request_id: c.id.0,
+                generated: c.generated_tokens,
+                cached_prompt_tokens: c.cached_prompt_tokens,
+            };
+            net.reply(c.id.0, done);
         }
     }
-}
-
-fn connection(shared: &Shared, stream: TcpStream) {
-    // Every replica connection is inbound, so the scrape peek is safe
-    // here: a framed peer's first byte is a length prefix ≤ 0x01.
-    if is_ascii_scrape(&stream) {
-        serve_ascii_scrape(stream, &shared.metrics_text());
-        return;
-    }
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = channel::<Message>();
-    // Writer: serializes everything sent to this peer.
-    let mut writer = stream;
-    let writer_thread = std::thread::spawn(move || {
-        while let Ok(msg) = rx.recv() {
-            if matches!(msg, Message::Shutdown) || write_frame(&mut writer, &msg).is_err() {
-                break;
-            }
-        }
-    });
-
-    while let Ok(msg) = read_frame(&mut reader) {
-        match msg {
-            Message::Infer {
-                request_id,
-                session_key,
-                prompt,
-                max_new_tokens,
-                ..
-            } => {
-                shared.routes.lock().insert(request_id, tx.clone());
-                shared.replica.lock().enqueue(Request::new(
-                    request_id,
-                    session_key,
-                    prompt,
-                    max_new_tokens,
-                ));
-            }
-            Message::ProbeReplica => {
-                let (pending, running, kv) = {
-                    let r = shared.replica.lock();
-                    (
-                        r.pending_len() as u32,
-                        r.running_len() as u32,
-                        (r.kv_utilization() * 1000.0) as u16,
-                    )
-                };
-                let _ = tx.send(Message::ReplicaStatus {
-                    pending,
-                    running,
-                    kv_utilization_ppt: kv,
-                });
-            }
-            Message::MetricsRequest => {
-                let _ = tx.send(Message::MetricsText {
-                    text: shared.metrics_text(),
-                });
-            }
-            Message::Shutdown => break,
-            _ => {} // Ignore anything a replica should not receive.
-        }
-    }
-    let _ = tx.send(Message::Shutdown);
-    let _ = writer_thread.join();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skywalker_net::read_frame;
+    use skywalker_net::{read_frame, write_frame};
+    use std::net::TcpStream;
 
     fn connect(addr: SocketAddr) -> TcpStream {
         TcpStream::connect(addr).expect("connect")

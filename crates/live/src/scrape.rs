@@ -18,7 +18,9 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use skywalker_net::{read_frame, write_frame, Message};
+use skywalker_net::Message;
+
+use crate::server::ask;
 
 /// Peeks at a fresh connection: `true` if it opens with an ASCII `GET`
 /// (scrape) rather than a length-prefixed frame. Blocks until the first
@@ -63,11 +65,8 @@ pub(crate) fn serve_ascii_scrape(mut stream: TcpStream, body: &str) {
 /// sends [`Message::MetricsRequest`], and returns the Prometheus text
 /// exposition from the [`Message::MetricsText`] reply.
 pub fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    write_frame(&mut stream, &Message::MetricsRequest).map_err(io::Error::other)?;
-    match read_frame(&mut stream).map_err(io::Error::other)? {
-        Message::MetricsText { text } => Ok(text),
+    match ask(addr, &Message::MetricsRequest) {
+        Some(Message::MetricsText { text }) => Ok(text),
         other => Err(io::Error::other(format!(
             "expected MetricsText, got {other:?}"
         ))),

@@ -1,0 +1,324 @@
+//! The socket lifecycle of a live server, written once.
+//!
+//! [`Server<S>`] owns everything `BalancerServer` and `ReplicaServer`
+//! share: the listener and its accept loop, outbound links
+//! ([`Server::dial`]), the per-connection pump (a reader loop on the
+//! connection's thread, a writer thread draining the connection's
+//! outbox, an in-band [`Message::Shutdown`] sentinel that ends the
+//! writer), the table of who awaits which request's responses, the set
+//! of open streams — one per connection thread still running — the
+//! one-shot [`ask`], and [`Server::shutdown`]. A server supplies its
+//! state `S` and the two methods of [`Service`]; the skeleton never asks
+//! which server it is serving.
+//!
+//! Three ordering rules live here and nowhere else:
+//!
+//! 1. **The scrape peek happens only on accepted sockets.** An outbound
+//!    replica/peer link never opens with a scrape, and peeking there
+//!    would block on a peer that speaks only when spoken to. On an
+//!    accepted socket it is safe: a framed peer's first byte is a length
+//!    prefix ≤ 0x01, never `G`.
+//! 2. **A link's outbox is registered before its target is routable.**
+//!    [`Server::dial`] puts the outbox in the link table, *then* runs
+//!    the caller's `routable` step (`add_replica` / `add_peer`), *then*
+//!    starts the pump — so a dispatch can never pick a target whose
+//!    outbox is missing, and a link that dies at once is torn down
+//!    after it was set up, not before.
+//! 3. **A link ends at one exit.** However the reader loop ends (EOF,
+//!    error, a `Shutdown` frame, the server closing the stream), the
+//!    pump hands the service a final `Shutdown` on that link, then drops
+//!    the link's outbox and answers every request in flight over it with
+//!    `Reject`. Looking a link up and marking a request in flight on it
+//!    ([`Server::send_via`]) happen under the same lock as that teardown,
+//!    so a request is either sent and swept, or refused — never lost.
+//!
+//! (A fourth rule is the replica's own and stays in `replica_server.rs`:
+//! its stepper steps and checks for a stuck head under one lock hold.)
+//!
+//! Connection threads block in `read` on their socket, so the server
+//! keeps a handle on every stream it accepted or opened for as long as a
+//! thread serves it: `shutdown()` closes them, which ends the reads, and
+//! returns once the last connection thread is gone (or, after
+//! [`DRAIN_TIMEOUT`], says how many are not).
+
+use std::collections::{BTreeMap, HashMap};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use skywalker_core::LbId;
+use skywalker_net::{read_frame, write_frame, Message};
+use skywalker_replica::ReplicaId;
+
+use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
+use crate::sync::Mutex;
+
+/// How long [`Server::shutdown`] waits for connection threads to end.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Everything sent to one connection goes through its outbox.
+pub(crate) type Outbox = Sender<Message>;
+type Inbox = Receiver<Message>;
+
+/// Which connection a frame arrived on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Link {
+    /// A connection this server accepted (client, prober, peer balancer).
+    Inbound,
+    /// The link this server dialed to a replica server.
+    Replica(ReplicaId),
+    /// The link this server dialed to a peer balancer.
+    Lb(LbId),
+}
+
+/// What a server adds to the skeleton.
+pub(crate) trait Service: Sized + Send + Sync + 'static {
+    /// The state as a Prometheus exposition (both scrape front doors).
+    fn metrics_text(&self) -> String;
+
+    /// One frame that arrived on `link` (`reply`: that connection's
+    /// outbox). A link's last frame is `Shutdown`, sent or implied.
+    fn on_frame(net: &Server<Self>, link: Link, msg: Message, reply: &Outbox);
+}
+
+/// Who awaits a request's responses, and over which link it was sent on.
+struct Pending {
+    to: Outbox,
+    via: Option<Link>,
+}
+
+/// Everything the skeleton's threads share, under one lock.
+#[derive(Default)]
+struct Table {
+    /// Dialed links: the outbox toward the target, and its address.
+    links: BTreeMap<Link, (Outbox, SocketAddr)>,
+    /// request id → the connection awaiting its responses.
+    pending: HashMap<u64, Pending>,
+    /// Set by [`Server::shutdown`]: nothing new is served.
+    closed: bool,
+    next_id: u64,
+    /// A clone of the stream of every connection thread not yet finished.
+    streams: HashMap<u64, TcpStream>,
+}
+
+/// A listening server bound to 127.0.0.1, serving `S`.
+pub(crate) struct Server<S> {
+    pub(crate) state: S,
+    pub(crate) addr: SocketAddr,
+    table: Mutex<Table>,
+    drained: Condvar,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<S: Service> Server<S> {
+    /// Binds an ephemeral localhost port and starts the accept loop and
+    /// the server's own thread (`own`: stepper, prober).
+    pub(crate) fn spawn(
+        state: S,
+        own: impl FnOnce(Arc<Self>) + Send + 'static,
+    ) -> io::Result<Arc<Self>> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let net = Arc::new(Server {
+            state,
+            addr: listener.local_addr()?,
+            table: Mutex::default(),
+            drained: Condvar::new(),
+            threads: Mutex::default(),
+        });
+        let (acceptor, owner) = (Arc::clone(&net), Arc::clone(&net));
+        *net.threads.lock() = vec![
+            std::thread::spawn(move || acceptor.accept(&listener)),
+            std::thread::spawn(move || own(owner)),
+        ];
+        Ok(net)
+    }
+
+    fn accept(self: &Arc<Self>, listener: &TcpListener) {
+        for conn in listener.incoming() {
+            if self.closing() {
+                break;
+            }
+            let Ok(stream) = conn else { break };
+            let (tx, rx) = channel::<Message>();
+            if let Ok(handles) = handles(stream) {
+                self.serve(handles, Link::Inbound, tx, rx);
+            }
+        }
+    }
+
+    /// True once [`Server::shutdown`] has begun.
+    pub(crate) fn closing(&self) -> bool {
+        self.table.lock().closed
+    }
+
+    /// Opens the outbound link `who` to `addr` (ordering rule 2).
+    pub(crate) fn dial(
+        self: &Arc<Self>,
+        addr: SocketAddr,
+        who: Link,
+        routable: impl FnOnce(&S),
+    ) -> io::Result<()> {
+        let handles = handles(TcpStream::connect(addr)?)?;
+        let (tx, rx) = channel::<Message>();
+        self.table.lock().links.insert(who, (tx.clone(), addr));
+        routable(&self.state);
+        self.serve(handles, who, tx, rx);
+        Ok(())
+    }
+
+    /// The dialed links, replicas first: each with its outbox and address.
+    pub(crate) fn links(&self) -> Vec<(Link, Outbox, SocketAddr)> {
+        let table = self.table.lock();
+        let entry = |(link, (tx, addr)): (&Link, &(Outbox, SocketAddr))| (*link, tx.clone(), *addr);
+        table.links.iter().map(entry).collect()
+    }
+
+    /// Starts a connection thread, keeping one handle for `shutdown()` to
+    /// close; once closing, drops the connection unserved.
+    fn serve(self: &Arc<Self>, conn: [TcpStream; 3], link: Link, tx: Outbox, rx: Inbox) {
+        let [reader, writer, closer] = conn;
+        let id = {
+            let mut table = self.table.lock();
+            if table.closed {
+                return;
+            }
+            table.next_id += 1;
+            let id = table.next_id;
+            table.streams.insert(id, closer);
+            id
+        };
+        let net = Arc::clone(self);
+        std::thread::spawn(move || {
+            if link == Link::Inbound && is_ascii_scrape(&reader) {
+                serve_ascii_scrape(reader, &net.state.metrics_text());
+            } else {
+                let writer = std::thread::spawn(move || write_loop(writer, &rx));
+                net.pump(reader, link, &tx);
+                let _ = writer.join();
+            }
+            net.table.lock().streams.remove(&id);
+            net.drained.notify_all();
+        });
+    }
+
+    /// The reader loop, then the link's one exit (ordering rule 3);
+    /// connections differ only in `link`.
+    fn pump(&self, mut reader: TcpStream, link: Link, tx: &Outbox) {
+        loop {
+            match read_frame(&mut reader) {
+                Ok(Message::MetricsRequest) => {
+                    let text = self.state.metrics_text();
+                    let _ = tx.send(Message::MetricsText { text });
+                }
+                Ok(Message::Shutdown) | Err(_) => break,
+                Ok(msg) => S::on_frame(self, link, msg, tx),
+            }
+        }
+        // The sentinel goes first so the writer winds down meanwhile.
+        let _ = tx.send(Message::Shutdown);
+        S::on_frame(self, link, Message::Shutdown, tx);
+        let mut table = self.table.lock();
+        table.links.remove(&link);
+        table.pending.retain(|id, p| {
+            if p.via == Some(link) {
+                let _ = p.to.send(link_closed(*id));
+            }
+            p.via != Some(link)
+        });
+    }
+
+    /// Records that `to` awaits the responses to request `id`.
+    pub(crate) fn expect_reply(&self, id: u64, to: &Outbox) {
+        let (to, via) = (to.clone(), None);
+        self.table.lock().pending.insert(id, Pending { to, via });
+    }
+
+    /// Passes a response on to whoever awaits request `id`; any response
+    /// but `FirstToken` is the request's last.
+    pub(crate) fn reply(&self, id: u64, msg: Message) {
+        let last = !matches!(msg, Message::FirstToken { .. });
+        let mut table = self.table.lock();
+        if let Some(p) = table.pending.get(&id) {
+            let _ = p.to.send(msg);
+        }
+        if last {
+            table.pending.remove(&id);
+        }
+    }
+
+    /// Sends request `id` out over `link` and marks it in flight there;
+    /// if the link is gone, answers the request with `Reject`.
+    pub(crate) fn send_via(&self, link: Link, id: u64, msg: Message) {
+        let mut table = self.table.lock();
+        let Some((tx, _)) = table.links.get(&link) else {
+            drop(table);
+            return self.reply(id, link_closed(id));
+        };
+        let _ = tx.send(msg);
+        if let Some(p) = table.pending.get_mut(&id) {
+            p.via = Some(link);
+        }
+    }
+
+    /// Joins the acceptor and the server's own thread, closes every open
+    /// connection, and waits (bounded) for the threads serving them.
+    pub(crate) fn shutdown(&self) {
+        self.table.lock().closed = true;
+        // Unblock the acceptor.
+        let _ = TcpStream::connect(self.addr);
+        for t in self.threads.lock().drain(..) {
+            let _ = t.join();
+        }
+        let table = self.table.lock();
+        for stream in table.streams.values() {
+            // Already-disconnected peers answer `NotConnected`: fine.
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let (table, _) = self
+            .drained
+            .wait_timeout_while(table, DRAIN_TIMEOUT, |t| !t.streams.is_empty())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let left @ 1.. = table.streams.len() {
+            eprintln!("skywalker-live: shutdown left {left} connection threads running");
+        }
+    }
+
+    /// Connection threads spawned and not yet finished.
+    #[cfg(test)]
+    pub(crate) fn serving(&self) -> usize {
+        self.table.lock().streams.len()
+    }
+}
+
+/// A connection's three handles on its socket: for the reader loop, for
+/// the writer thread, and for `shutdown()` to close.
+fn handles(stream: TcpStream) -> io::Result<[TcpStream; 3]> {
+    Ok([stream.try_clone()?, stream.try_clone()?, stream])
+}
+
+/// Serializes everything sent to one peer, until the `Shutdown` sentinel.
+fn write_loop(mut writer: TcpStream, outbox: &Inbox) {
+    while let Ok(msg) = outbox.recv() {
+        if matches!(msg, Message::Shutdown) || write_frame(&mut writer, &msg).is_err() {
+            break;
+        }
+    }
+}
+
+fn link_closed(request_id: u64) -> Message {
+    Message::Reject {
+        request_id,
+        reason: "link to the serving replica or balancer closed".to_string(),
+    }
+}
+
+/// One request, one response, over a short-lived connection.
+pub(crate) fn ask(addr: SocketAddr, msg: &Message) -> Option<Message> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
+    write_frame(&mut stream, msg).ok()?;
+    read_frame(&mut stream).ok()
+}

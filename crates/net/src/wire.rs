@@ -19,6 +19,9 @@ pub const WIRE_VERSION: u8 = 1;
 /// hostile length prefixes.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
+/// The most [`read_frame`] allocates before any payload byte has arrived.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Errors produced while encoding or decoding frames.
 #[derive(Debug)]
 pub enum WireError {
@@ -152,7 +155,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(WireError::Truncated);
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -335,7 +338,8 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> 
 }
 
 /// Reads one framed message from a stream. Blocks until a full frame
-/// arrives or the stream errors/closes.
+/// arrives or the stream errors/closes (a stream that ends mid-frame is
+/// an `UnexpectedEof` I/O error).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, WireError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -343,8 +347,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Memory follows the bytes received, not the length claimed: a peer
+    // that sends a large prefix and stalls pins one chunk, not the frame.
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Message::decode(&payload)
 }
 

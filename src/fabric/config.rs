@@ -17,10 +17,6 @@ pub struct FabricConfig {
     pub probe_interval: SimDuration,
     /// LB → controller heartbeat interval.
     pub heartbeat_interval: SimDuration,
-    /// Controller failure-detection timeout.
-    pub controller_timeout: SimDuration,
-    /// Client retry delay after losing a request to a dead balancer.
-    pub retry_delay: SimDuration,
     /// How far ahead the fabric polls the scenario's [`TrafficSource`](crate::TrafficSource)
     /// for upcoming client arrivals. Arrivals keep their exact instants
     /// regardless — this only batches the pull; smaller is more polls,
@@ -77,6 +73,12 @@ impl FabricConfig {
     /// The smallest period any self-rescheduling tick may have.
     const MIN_TICK: SimDuration = SimDuration::from_millis(1);
 
+    /// Controller failure-detection timeout.
+    pub(super) const CONTROLLER_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+    /// Client retry delay after losing a request to a dead balancer.
+    pub(super) const RETRY_DELAY: SimDuration = SimDuration::from_secs(1);
+
     /// This config as the world runs it: every interval that paces a
     /// self-rescheduling event (`ProbeTick`, `HeartbeatTick` /
     /// `ControllerTick`, `TrafficPoll`, `FleetPoll`, `TelemetryTick`) is
@@ -105,8 +107,6 @@ impl Default for FabricConfig {
             net: LatencyModel::default_wan(),
             probe_interval: SimDuration::from_millis(100),
             heartbeat_interval: SimDuration::from_millis(500),
-            controller_timeout: SimDuration::from_secs(2),
-            retry_delay: SimDuration::from_secs(1),
             traffic_poll_interval: SimDuration::from_millis(500),
             fleet_poll_interval: SimDuration::from_millis(500),
             deadline: SimTime::from_secs(4 * 3600),

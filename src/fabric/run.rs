@@ -125,7 +125,7 @@ fn build_lbs(
 fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
     let cfg = cfg.clamped();
     let mut dns = DnsResolver::new(cfg.net.clone());
-    let mut controller = Controller::new(cfg.net.clone(), cfg.controller_timeout);
+    let mut controller = Controller::new(cfg.net.clone(), FabricConfig::CONTROLLER_TIMEOUT);
     // Only per-region deployments forward between balancers.
     let forward_enabled = matches!(
         scenario.deployment,

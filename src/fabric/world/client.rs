@@ -9,6 +9,7 @@ use skywalker_trace::TraceEventKind::RetryWait;
 use skywalker_workload::{ClientEvent, ClientSpec, TrafficSource};
 
 use super::{Ev, Fabric, ReqState, Sched};
+use crate::fabric::FabricConfig;
 
 pub(crate) struct ClientState {
     spec: ClientSpec,
@@ -145,7 +146,7 @@ impl Fabric {
         if let Some(state) = self.reqs.get(&req.id.0) {
             let client = state.client;
             self.obs.trace(sched.now(), RetryWait { req: req.id.0 });
-            sched.after(self.cfg.retry_delay, Ev::Retry { client, req });
+            sched.after(FabricConfig::RETRY_DELAY, Ev::Retry { client, req });
         }
     }
 
