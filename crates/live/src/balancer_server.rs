@@ -4,9 +4,10 @@
 //! send `Infer`; the server routes to its replica servers (or forwards to
 //! peer balancers) per the configured policy and push mode, relaying
 //! `FirstToken` / `Completed` back to whoever submitted each request. A
-//! probe thread refreshes replica and peer state on the paper's 100 ms
-//! cadence (§4.1); peer balancers probe each other with `ProbeLb` and
-//! answer with `LbStatus`.
+//! probe thread refreshes replica and peer state at the cadence the
+//! server was spawned with (the paper's is 100 ms, §4.1) by sending
+//! `ProbeReplica` / `ProbeLb` down the links it already holds; a replica
+//! answers with `ReplicaStatus`, a peer balancer with `LbStatus`.
 //!
 //! Sockets, connection threads and the reply table are the skeleton's
 //! ([`crate::server`]); this file is the balancer's own: its state, what
@@ -24,7 +25,7 @@ use skywalker_replica::{ReplicaId, Request};
 use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 
 use crate::client::infer_frame;
-use crate::server::{ask, Link, Outbox, Server, Service};
+use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
 
 pub(crate) type Balancer = Mutex<RegionalBalancer>;
@@ -116,22 +117,22 @@ impl Server<Balancer> {
                 Decision::Local { req, replica } => (Link::Replica(replica), req, 0),
                 Decision::Forward { req, peer, hops } => (Link::Lb(peer), req, hops),
             };
-            self.send_via(link, req.id.0, infer_frame(&req, hops));
+            self.send_via(link, req.id.0, infer_frame(req, hops));
         }
     }
 
-    /// Probes replicas and peers over short-lived connections (Alg. 1,
-    /// `MonitorAvailability`); an answer is a frame on the probed link.
+    /// Probes replicas and peers down the links to them (Alg. 1,
+    /// `MonitorAvailability`). The answer is a frame like any other on
+    /// that link: its pump hands it to the status arms of `on_frame`. A
+    /// missing answer means nothing — a dead link is found by its reader.
     fn prober(&self, interval: Duration) {
         while !self.closing() {
-            for (link, outbox, addr) in self.links() {
+            for (link, outbox) in self.links() {
                 let probe = match link {
                     Link::Replica(_) => Message::ProbeReplica,
                     _ => Message::ProbeLb,
                 };
-                if let Some(status) = ask(addr, &probe) {
-                    Balancer::on_frame(self, link, status, &outbox);
-                }
+                let _ = outbox.send(probe);
             }
             std::thread::sleep(interval);
         }

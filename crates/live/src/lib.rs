@@ -11,10 +11,12 @@
 //!   `time_scale` factor so tests stay fast while preserving latency
 //!   ratios).
 //! - [`BalancerServer`] — a [`skywalker_core::RegionalBalancer`] behind
-//!   an accept loop, with a 100 ms probe thread, replica connections,
-//!   and LB-to-LB peering for cross-region forwarding.
+//!   an accept loop, with replica connections, LB-to-LB peering for
+//!   cross-region forwarding, and a probe thread that sends its probes
+//!   down those same connections at the cadence given to `spawn`.
 //! - [`LiveClient`] — a blocking client measuring TTFT and end-to-end
-//!   latency over the wire.
+//!   latency over the wire; it starts its requests on a fixed schedule,
+//!   so its request rate is a clock's and not the host scheduler's.
 //!
 //! Both servers expose a `/metrics` scrape (`docs/telemetry.md`): a
 //! framed `MetricsRequest` (see [`scrape_metrics`]) or a plain ASCII
@@ -174,6 +176,16 @@ mod tests {
         }
     }
 
+    /// Polls (bounded) until `cond` holds. `dial` returning says the peer's
+    /// kernel took the connection, not that its acceptor thread has.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// A replica that dies mid-stream leaves the balancer: the request in
     /// flight on it is answered (at the parent commit the client blocked
     /// forever), and later requests go to the survivor.
@@ -232,6 +244,49 @@ mod tests {
 
         lb.shutdown();
         r1.shutdown();
+    }
+
+    /// Probes ride the link the balancer already holds: however many
+    /// rounds go by, the replica serves one connection (at the parent
+    /// every probe opened another), and the answers still arrive.
+    #[test]
+    fn probes_ride_the_persistent_link() {
+        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let lb = BalancerServer::spawn(
+            LbId(0),
+            BalancerConfig::skywalker(Region::UsEast),
+            Duration::from_millis(1),
+        )
+        .unwrap();
+        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+        eventually("r0 serves the link", || r0.net.serving() == 1);
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(10));
+            assert_eq!(r0.net.serving(), 1);
+        }
+        let available = await_metric(lb.addr(), "skywalker_lb_available_replicas", 1.0);
+        assert_eq!(available, 1.0);
+        lb.shutdown();
+        r0.shutdown();
+    }
+
+    /// Every socket a server holds — dialed or accepted — has Nagle off.
+    #[test]
+    fn served_connections_have_nodelay() {
+        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let lb = BalancerServer::spawn(
+            LbId(0),
+            BalancerConfig::skywalker(Region::UsEast),
+            Duration::from_millis(10),
+        )
+        .unwrap();
+        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+        let _client = served_connection(lb.addr(), Message::ProbeLb);
+        assert_eq!(lb.net.serving(), 2, "one dialed, one accepted");
+        eventually("r0 serves the link", || r0.net.serving() == 1);
+        assert!(lb.net.all_nodelay() && r0.net.all_nodelay());
+        lb.shutdown();
+        r0.shutdown();
     }
 
     #[test]

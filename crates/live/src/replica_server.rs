@@ -2,16 +2,23 @@
 //!
 //! The server wraps the same [`Replica`] state machine the simulator
 //! uses, but drives it with wall-clock time: a stepper thread executes
-//! continuous-batching iterations and sleeps for each iteration's
-//! (scaled) duration, so queueing, batching, and prefix-cache effects are
+//! continuous-batching iterations, each ending at its (scaled) place on
+//! the wall clock, so queueing, batching, and prefix-cache effects are
 //! observable through real sockets. The wire surface is the handful of
 //! [`Message`]s a balancer needs: `Infer`, `ProbeReplica`, and the
 //! response stream `FirstToken` / `Completed`.
+//!
+//! One ordering rule is the replica's own: the stepper steps, checks for a
+//! stuck head and — finding nothing to do — goes to wait on `arrived`, all
+//! under one hold of the replica's lock, and the `Infer` arm notifies
+//! `arrived` after it has enqueued under that lock. So an arrival is
+//! either seen by the step or wakes the wait: never mistaken for a stuck
+//! head, never left sitting out a timer.
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar};
+use std::time::{Duration, Instant};
 
 use skywalker_net::Message;
 use skywalker_replica::{Advance, GpuProfile, Replica, ReplicaId, Request};
@@ -20,11 +27,24 @@ use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
 use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
 
-pub(crate) type Backend = Mutex<Replica>;
+/// How long an idle stepper waits before it looks at `closing()` again.
+/// An arrival never waits this out: it notifies.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
+
+/// The most lag the stepper makes up by running iterations back to back:
+/// a few times what a short `sleep` overshoots by (timer slack, ~50 µs).
+const MAX_CATCH_UP: Duration = Duration::from_micros(200);
+
+/// The replica, and the stepper's wake-up call.
+pub(crate) struct Backend {
+    replica: Mutex<Replica>,
+    /// Notified after every `enqueue`; paired with `replica`'s lock.
+    arrived: Condvar,
+}
 
 impl Service for Backend {
     fn metrics_text(&self) -> String {
-        let r = self.lock();
+        let r = self.replica.lock();
         let stats = r.stats();
         let id = format!("{}", r.id().0);
         let labels = [("replica", id.as_str())];
@@ -55,7 +75,7 @@ impl Service for Backend {
     }
 
     fn on_frame(net: &Server<Self>, _link: Link, msg: Message, reply: &Outbox) {
-        let replica = &net.state;
+        let Backend { replica, arrived } = &net.state;
         match msg {
             Message::Infer {
                 request_id,
@@ -67,6 +87,7 @@ impl Service for Backend {
                 net.expect_reply(request_id, reply);
                 let req = Request::new(request_id, session_key, prompt, max_new_tokens);
                 replica.lock().enqueue(req);
+                arrived.notify_one();
             }
             Message::ProbeReplica => {
                 let r = replica.lock();
@@ -92,9 +113,13 @@ impl ReplicaServer {
     /// `time_scale` compresses virtual time: 1.0 is real time, 0.05 runs
     /// 20× faster (useful for tests; latency *ratios* are preserved).
     pub fn spawn(id: ReplicaId, profile: GpuProfile, time_scale: f64) -> io::Result<Self> {
-        let (replica, scale) = (Replica::new(id, profile), time_scale.max(1e-6));
+        let scale = time_scale.max(1e-6);
+        let backend = Backend {
+            replica: Mutex::new(Replica::new(id, profile)),
+            arrived: Condvar::new(),
+        };
         // Stepper: runs the continuous batch against the wall clock.
-        let net = Server::spawn(Mutex::new(replica), move |net| stepper(&net, scale))?;
+        let net = Server::spawn(backend, move |net| stepper(&net, scale))?;
         Ok(ReplicaServer { net })
     }
 
@@ -105,12 +130,12 @@ impl ReplicaServer {
 
     /// Current pending-queue depth (test observability).
     pub fn pending_len(&self) -> usize {
-        self.net.state.lock().pending_len()
+        self.net.state.replica.lock().pending_len()
     }
 
     /// Cumulative prefix-cache hit rate.
     pub fn hit_rate(&self) -> f64 {
-        self.net.state.lock().stats().hit_rate()
+        self.net.state.replica.lock().stats().hit_rate()
     }
 
     /// Stops the server: joins the stepper and the acceptor, closes every
@@ -134,11 +159,17 @@ fn step_once(replica: &mut Replica) -> Advance {
 
 /// `time_scale`: wall seconds per simulated second (0.05 = 20× faster).
 fn stepper(net: &Server<Backend>, time_scale: f64) {
+    let Backend { replica, arrived } = &net.state;
+    // When the iteration under way ends. Absolute, so a sleep that ran
+    // long (timer slack is tens of µs, an iteration at a small scale less)
+    // is made up by the iterations after it instead of added to each.
+    let mut due = Instant::now();
     while !net.closing() {
-        let stepped = step_once(&mut net.state.lock());
-        let out = match stepped {
+        let mut r = replica.lock();
+        let out = match step_once(&mut r) {
             Advance::Worked(out) => out,
             Advance::DroppedHead(_, req) => {
+                drop(r);
                 let reject = Message::Reject {
                     request_id: req.id.0,
                     reason: "request exceeds replica KV capacity".to_string(),
@@ -147,14 +178,21 @@ fn stepper(net: &Server<Backend>, time_scale: f64) {
                 continue;
             }
             Advance::Idle | Advance::Progressed(_) => {
-                std::thread::sleep(Duration::from_millis(1));
+                // Still under the lock the step ran under: whoever
+                // enqueues next finds the stepper waiting and wakes it.
+                drop(arrived.wait_timeout(r, IDLE_WAIT));
+                due = Instant::now();
                 continue;
             }
         };
+        drop(r);
         // Let the iteration "run" in scaled wall time, then publish its
-        // results.
-        let wall = out.duration.as_secs_f64() * time_scale;
-        std::thread::sleep(Duration::from_secs_f64(wall));
+        // results. Only a sleep's overshoot is carried over: a longer
+        // stall (scheduler, lock) must not compress the iterations after.
+        let now = Instant::now();
+        due = due.max(now.checked_sub(MAX_CATCH_UP).unwrap_or(now));
+        due += Duration::from_secs_f64(out.duration.as_secs_f64() * time_scale);
+        std::thread::sleep(due.saturating_duration_since(now));
         for id in &out.first_tokens {
             net.reply(id.0, Message::FirstToken { request_id: id.0 });
         }
@@ -303,6 +341,33 @@ mod tests {
                 });
             }
         });
+        srv.shutdown();
+    }
+
+    /// An arrival wakes the idle stepper; it does not wait `IDLE_WAIT` out.
+    /// Sequential requests each find the replica idle, so a stepper that
+    /// slept through its wait would need 200 × `IDLE_WAIT`.
+    #[test]
+    fn an_arrival_wakes_the_idle_stepper() {
+        let srv = ReplicaServer::spawn(ReplicaId(5), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
+        let mut conn = connect(srv.addr());
+        let start = Instant::now();
+        for i in 0..200u64 {
+            write_frame(
+                &mut conn,
+                &Message::Infer {
+                    request_id: i,
+                    session_key: "u".into(),
+                    prompt: vec![i as u32; 4],
+                    max_new_tokens: 1,
+                    hops: 0,
+                },
+            )
+            .unwrap();
+            while !matches!(read_frame(&mut conn).unwrap(), Message::Completed { .. }) {}
+        }
+        let took = start.elapsed();
+        assert!(took < 200 * IDLE_WAIT / 4, "200 requests took {took:?}");
         srv.shutdown();
     }
 

@@ -11,6 +11,10 @@
 //! state `S` and the two methods of [`Service`]; the skeleton never asks
 //! which server it is serving.
 //!
+//! No socket here waits on Nagle: every one is born with `TCP_NODELAY`
+//! ([`open`] for those this crate connects, the acceptor for the rest),
+//! and a frame leaves in one `write`.
+//!
 //! Three ordering rules live here and nowhere else:
 //!
 //! 1. **The scrape peek happens only on accepted sockets.** An outbound
@@ -26,14 +30,17 @@
 //!    after it was set up, not before.
 //! 3. **A link ends at one exit.** However the reader loop ends (EOF,
 //!    error, a `Shutdown` frame, the server closing the stream), the
-//!    pump hands the service a final `Shutdown` on that link, then drops
-//!    the link's outbox and answers every request in flight over it with
-//!    `Reject`. Looking a link up and marking a request in flight on it
-//!    ([`Server::send_via`]) happen under the same lock as that teardown,
-//!    so a request is either sent and swept, or refused — never lost.
+//!    pump hands the service a final `Shutdown` on that link (unless the
+//!    server itself is closing: it has no routing state left to keep),
+//!    then drops the link's outbox and answers every request in flight
+//!    over it with `Reject`. Looking a link up and marking a request in
+//!    flight on it ([`Server::send_via`]) happen under the same lock as
+//!    that teardown, so a request is either sent and swept, or refused —
+//!    never lost.
 //!
 //! (A fourth rule is the replica's own and stays in `replica_server.rs`:
-//! its stepper steps and checks for a stuck head under one lock hold.)
+//! its stepper steps, checks for a stuck head and goes to wait for an
+//! arrival under one lock hold.)
 //!
 //! Connection threads block in `read` on their socket, so the server
 //! keeps a handle on every stream it accepted or opened for as long as a
@@ -93,8 +100,8 @@ struct Pending {
 /// Everything the skeleton's threads share, under one lock.
 #[derive(Default)]
 struct Table {
-    /// Dialed links: the outbox toward the target, and its address.
-    links: BTreeMap<Link, (Outbox, SocketAddr)>,
+    /// Dialed links: the outbox toward each target.
+    links: BTreeMap<Link, Outbox>,
     /// request id → the connection awaiting its responses.
     pending: HashMap<u64, Pending>,
     /// Set by [`Server::shutdown`]: nothing new is served.
@@ -143,7 +150,7 @@ impl<S: Service> Server<S> {
             }
             let Ok(stream) = conn else { break };
             let (tx, rx) = channel::<Message>();
-            if let Ok(handles) = handles(stream) {
+            if let Ok(handles) = stream.set_nodelay(true).and_then(|()| handles(stream)) {
                 self.serve(handles, Link::Inbound, tx, rx);
             }
         }
@@ -161,19 +168,18 @@ impl<S: Service> Server<S> {
         who: Link,
         routable: impl FnOnce(&S),
     ) -> io::Result<()> {
-        let handles = handles(TcpStream::connect(addr)?)?;
+        let handles = handles(open(addr)?)?;
         let (tx, rx) = channel::<Message>();
-        self.table.lock().links.insert(who, (tx.clone(), addr));
+        self.table.lock().links.insert(who, tx.clone());
         routable(&self.state);
         self.serve(handles, who, tx, rx);
         Ok(())
     }
 
-    /// The dialed links, replicas first: each with its outbox and address.
-    pub(crate) fn links(&self) -> Vec<(Link, Outbox, SocketAddr)> {
+    /// The dialed links, replicas first: each with its outbox.
+    pub(crate) fn links(&self) -> Vec<(Link, Outbox)> {
         let table = self.table.lock();
-        let entry = |(link, (tx, addr)): (&Link, &(Outbox, SocketAddr))| (*link, tx.clone(), *addr);
-        table.links.iter().map(entry).collect()
+        table.links.iter().map(|(l, tx)| (*l, tx.clone())).collect()
     }
 
     /// Starts a connection thread, keeping one handle for `shutdown()` to
@@ -219,7 +225,10 @@ impl<S: Service> Server<S> {
         }
         // The sentinel goes first so the writer winds down meanwhile.
         let _ = tx.send(Message::Shutdown);
-        S::on_frame(self, link, Message::Shutdown, tx);
+        // A server that is itself closing has no routing state to keep.
+        if !self.closing() {
+            S::on_frame(self, link, Message::Shutdown, tx);
+        }
         let mut table = self.table.lock();
         table.links.remove(&link);
         table.pending.retain(|id, p| {
@@ -253,7 +262,7 @@ impl<S: Service> Server<S> {
     /// if the link is gone, answers the request with `Reject`.
     pub(crate) fn send_via(&self, link: Link, id: u64, msg: Message) {
         let mut table = self.table.lock();
-        let Some((tx, _)) = table.links.get(&link) else {
+        let Some(tx) = table.links.get(&link) else {
             drop(table);
             return self.reply(id, link_closed(id));
         };
@@ -291,12 +300,27 @@ impl<S: Service> Server<S> {
     pub(crate) fn serving(&self) -> usize {
         self.table.lock().streams.len()
     }
+
+    /// True if every connection being served has `TCP_NODELAY` set.
+    #[cfg(test)]
+    pub(crate) fn all_nodelay(&self) -> bool {
+        let table = self.table.lock();
+        table.streams.values().all(|s| s.nodelay().unwrap())
+    }
 }
 
 /// A connection's three handles on its socket: for the reader loop, for
 /// the writer thread, and for `shutdown()` to close.
 fn handles(stream: TcpStream) -> io::Result<[TcpStream; 3]> {
     Ok([stream.try_clone()?, stream.try_clone()?, stream])
+}
+
+/// Connects to `addr`; where every socket this crate opens is born, and
+/// so where it gets `TCP_NODELAY`.
+pub(crate) fn open(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Serializes everything sent to one peer, until the `Shutdown` sentinel.
@@ -317,8 +341,44 @@ fn link_closed(request_id: u64) -> Message {
 
 /// One request, one response, over a short-lived connection.
 pub(crate) fn ask(addr: SocketAddr, msg: &Message) -> Option<Message> {
-    let mut stream = TcpStream::connect(addr).ok()?;
+    let mut stream = open(addr).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
     write_frame(&mut stream, msg).ok()?;
     read_frame(&mut stream).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: (the end `open` made, the accepted end).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = open(listener.local_addr().unwrap()).unwrap();
+        (near, listener.accept().unwrap().0)
+    }
+
+    /// The channel is FIFO and the sentinel travels in it: what was
+    /// queued ahead of `Shutdown` is written, what is behind it is not.
+    #[test]
+    fn writer_sends_everything_queued_ahead_of_the_sentinel() {
+        let (near, mut far) = pair();
+        let (tx, rx) = channel::<Message>();
+        let sent: Vec<Message> = (0..135)
+            .map(|request_id| Message::FirstToken { request_id })
+            .collect();
+        sent.iter().for_each(|m| tx.send(m.clone()).unwrap());
+        tx.send(Message::Shutdown).unwrap();
+        tx.send(Message::ProbeLb).unwrap(); // behind the sentinel: never sent
+
+        write_loop(near, &rx);
+        let got: Vec<Message> = std::iter::from_fn(|| read_frame(&mut far).ok()).collect();
+        assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn opened_sockets_have_nodelay() {
+        let (near, _far) = pair();
+        assert!(near.nodelay().unwrap());
+    }
 }

@@ -136,13 +136,21 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
+/// A field's element count. One that does not fit saturates instead of
+/// wrapping: its payload is past [`MAX_FRAME_LEN`] and is never framed, and
+/// a decoder handed it anyway reads `Truncated`, not a short field.
+fn put_count(buf: &mut Vec<u8>, n: usize) {
+    put_u32(buf, u32::try_from(n).unwrap_or(u32::MAX));
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
+    put_count(buf, s.len());
     buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_tokens(buf: &mut Vec<u8>, toks: &[u32]) {
-    put_u32(buf, toks.len() as u32);
+    put_count(buf, toks.len());
+    buf.reserve(toks.len() * 4);
     for t in toks {
         put_u32(buf, *t);
     }
@@ -218,6 +226,13 @@ impl Message {
     /// Encodes the message payload (version byte, tag, fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the payload [`Message::encode`] returns to `buf`, leaving
+    /// what `buf` already holds untouched.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(WIRE_VERSION);
         buf.push(self.tag());
         match self {
@@ -228,21 +243,21 @@ impl Message {
                 max_new_tokens,
                 hops,
             } => {
-                put_u64(&mut buf, *request_id);
-                put_str(&mut buf, session_key);
-                put_tokens(&mut buf, prompt);
-                put_u32(&mut buf, *max_new_tokens);
+                put_u64(buf, *request_id);
+                put_str(buf, session_key);
+                put_tokens(buf, prompt);
+                put_u32(buf, *max_new_tokens);
                 buf.push(*hops);
             }
-            Message::FirstToken { request_id } => put_u64(&mut buf, *request_id),
+            Message::FirstToken { request_id } => put_u64(buf, *request_id),
             Message::Completed {
                 request_id,
                 generated,
                 cached_prompt_tokens,
             } => {
-                put_u64(&mut buf, *request_id);
-                put_u32(&mut buf, *generated);
-                put_u32(&mut buf, *cached_prompt_tokens);
+                put_u64(buf, *request_id);
+                put_u32(buf, *generated);
+                put_u32(buf, *cached_prompt_tokens);
             }
             Message::ProbeReplica
             | Message::ProbeLb
@@ -253,24 +268,23 @@ impl Message {
                 running,
                 kv_utilization_ppt,
             } => {
-                put_u32(&mut buf, *pending);
-                put_u32(&mut buf, *running);
+                put_u32(buf, *pending);
+                put_u32(buf, *running);
                 buf.extend_from_slice(&kv_utilization_ppt.to_be_bytes());
             }
             Message::LbStatus {
                 available_replicas,
                 queue_len,
             } => {
-                put_u32(&mut buf, *available_replicas);
-                put_u32(&mut buf, *queue_len);
+                put_u32(buf, *available_replicas);
+                put_u32(buf, *queue_len);
             }
             Message::Reject { request_id, reason } => {
-                put_u64(&mut buf, *request_id);
-                put_str(&mut buf, reason);
+                put_u64(buf, *request_id);
+                put_str(buf, reason);
             }
-            Message::MetricsText { text } => put_str(&mut buf, text),
+            Message::MetricsText { text } => put_str(buf, text),
         }
-        buf
     }
 
     /// Decodes a message payload produced by [`Message::encode`].
@@ -324,15 +338,24 @@ impl Message {
     }
 }
 
-/// Writes one framed message to a stream.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> {
-    let payload = msg.encode();
-    let len = payload.len() as u32;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge(len));
+/// A payload length as its frame prefix, refused past [`MAX_FRAME_LEN`].
+/// Compared as `usize`: a length that does not fit `u32` is too large, not
+/// whatever it wraps to.
+fn frame_len(len: usize) -> Result<u32, WireError> {
+    match u32::try_from(len) {
+        Ok(len) if len <= MAX_FRAME_LEN => Ok(len),
+        over => Err(WireError::FrameTooLarge(over.unwrap_or(u32::MAX))),
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&payload)?;
+}
+
+/// Writes one framed message to a stream, in one `write`: a prefix that
+/// leaves before its payload waits out Nagle and the peer's delayed ACK.
+pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> {
+    let mut frame = vec![0; 4];
+    msg.encode_into(&mut frame);
+    let len = frame_len(frame.len() - 4)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -343,10 +366,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> 
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, WireError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge(len));
-    }
+    let len = frame_len(u32::from_be_bytes(len_buf) as usize)?;
     // Memory follows the bytes received, not the length claimed: a peer
     // that sends a large prefix and stalls pins one chunk, not the frame.
     let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
@@ -420,6 +440,56 @@ mod tests {
             let got = read_frame(&mut cursor).unwrap();
             assert_eq!(expected, got);
         }
+    }
+
+    /// Counts `write` calls; accepts everything it is handed.
+    struct CountWrites(usize);
+
+    impl Write for CountWrites {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Prefix and payload leave together: split over two writes, the
+    /// second waits for the peer's delayed ACK on a Nagle socket.
+    #[test]
+    fn one_write_per_frame() {
+        for msg in all_messages() {
+            let mut w = CountWrites(0);
+            write_frame(&mut w, &msg).unwrap();
+            assert_eq!(w.0, 1, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_returns() {
+        for msg in all_messages() {
+            let mut buf = vec![0xAA, 0xBB, 0xCC];
+            msg.encode_into(&mut buf);
+            assert_eq!(buf[..3], [0xAA, 0xBB, 0xCC]);
+            assert_eq!(buf[3..], msg.encode()[..], "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn frame_len_compares_before_it_casts() {
+        let max = MAX_FRAME_LEN as usize;
+        assert_eq!(frame_len(max).unwrap(), MAX_FRAME_LEN);
+        assert!(matches!(
+            frame_len(max + 1),
+            Err(WireError::FrameTooLarge(n)) if n == MAX_FRAME_LEN + 1
+        ));
+        // Wrapped to `u32` this is 9, a length that would pass.
+        assert!(matches!(
+            frame_len(u32::MAX as usize + 10),
+            Err(WireError::FrameTooLarge(u32::MAX))
+        ));
     }
 
     #[test]

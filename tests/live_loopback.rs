@@ -118,6 +118,41 @@ fn session_affinity_warms_caches_over_the_wire() {
     r1.shutdown();
 }
 
+/// No transport stall on the request path: at this scale a request is
+/// modelled at well under a millisecond and measures a few tenths of one.
+/// The bound is half of Linux's 40 ms delayed-ACK timer, which is what a
+/// frame split over two writes, or a Nagle socket, waits for — so this
+/// fails only if such a stall comes back, not on a slow machine.
+#[test]
+fn median_ttft_is_far_below_a_delayed_ack() {
+    let r0 = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, FAST).unwrap();
+    let lb = BalancerServer::spawn(
+        LbId(0),
+        BalancerConfig::skywalker(Region::UsEast),
+        Duration::from_millis(10),
+    )
+    .unwrap();
+    lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+
+    let mut client = LiveClient::connect(lb.addr()).unwrap();
+    let mut ttft: Vec<Duration> = (0..50u64)
+        .map(|i| {
+            let prompt = (0..64).map(|t| i as u32 * 100 + t).collect();
+            let req = Request::new(i, format!("u{i}"), prompt, 8);
+            client.run(&req).unwrap().ttft
+        })
+        .collect();
+    ttft.sort();
+    assert!(
+        ttft[25] < Duration::from_millis(20),
+        "median {:?}",
+        ttft[25]
+    );
+
+    lb.shutdown();
+    r0.shutdown();
+}
+
 #[test]
 fn balancer_queues_when_replicas_are_full() {
     // One tiny-capacity replica; a slow long request occupies it while a
