@@ -104,15 +104,10 @@ impl BalancerConfig {
     /// pushing, τ = 4, one forwarding hop.
     pub fn skywalker(region: Region) -> Self {
         BalancerConfig {
-            region,
-            policy: PolicyKind::CacheAware,
             push_mode: PushMode::Pending,
             tau: 4,
-            trie_max_tokens: 1 << 22,
-            affinity_threshold: 0.5,
-            balance_abs_threshold: 32,
             max_hops: 1,
-            constraint: RoutingConstraint::Unrestricted,
+            ..Self::baseline(region, PolicyKind::CacheAware)
         }
     }
 
@@ -127,14 +122,15 @@ impl BalancerConfig {
     /// A single-region baseline (RR/LL/CH/SGL): the given policy with
     /// blind pushing and no cross-region forwarding.
     pub fn baseline(region: Region, policy: PolicyKind) -> Self {
+        let params = PolicyParams::default();
         BalancerConfig {
             region,
             policy,
             push_mode: PushMode::Blind,
             tau: 0,
-            trie_max_tokens: 1 << 22,
-            affinity_threshold: 0.5,
-            balance_abs_threshold: 32,
+            trie_max_tokens: params.trie_max_tokens,
+            affinity_threshold: params.affinity_threshold,
+            balance_abs_threshold: params.balance_abs_threshold,
             max_hops: 0,
             constraint: RoutingConstraint::Unrestricted,
         }

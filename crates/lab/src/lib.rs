@@ -69,9 +69,9 @@
 //! [`run_scenario`](skywalker::run_scenario)), so `skywalker` itself cannot re-export it — add
 //! `skywalker-lab` as its own dependency. `skywalker::scenarios`
 //! provides the presets and `skywalker::recipe`, which shapes any of
-//! them for [`SweepSpec::cell`], and the figure benches
-//! (`fig08_macro`, `fleet_elasticity`) run on the lab for parallel
-//! execution while keeping their historical `BENCH_*.json` schemas.
+//! them for [`SweepSpec::cell`]; the paper-claims table
+//! (`tests/paper_claims.rs`) runs all of its simulated cells as one
+//! sweep on the lab.
 //!
 //! [`Scenario`]: skywalker::Scenario
 

@@ -2,15 +2,13 @@
 //!
 //! [`SweepReport`] holds both views of one executed sweep: a markdown
 //! comparison table (one line per cell, seed-to-seed envelopes inline)
-//! and a `BENCH_*.json`-style [`json::Report`] (one row per replicate
-//! plus one aggregate row per cell). Neither view includes wall-clock
+//! and a [`json::Report`] (one row per replicate plus one aggregate row
+//! per cell). Neither view includes wall-clock
 //! or worker count, so the serialized report is byte-identical however
 //! the sweep was parallelized — which is exactly what the
 //! thread-invariance tests pin.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use skywalker_metrics::json::{self, Val};
 use skywalker_metrics::Spread;
@@ -30,22 +28,9 @@ impl SweepReport {
         &self.markdown
     }
 
-    /// The machine-readable report. Benches that need extra metadata
-    /// or a different row schema build their own [`json::Report`] from
-    /// [`SweepResult`](crate::SweepResult) instead (as `fig08_macro`
-    /// does).
-    pub fn json(&self) -> &json::Report {
-        &self.json
-    }
-
     /// The serialized JSON document.
     pub fn json_string(&self) -> String {
         self.json.render()
-    }
-
-    /// Writes the JSON document to `path` and prints where it went.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.json.write(path)
     }
 }
 

@@ -1,15 +1,12 @@
-//! Machine-readable experiment reports: a flat list of rows written as a
-//! `BENCH_*.json` file next to the printed table, so the performance
-//! trajectory stays diffable across commits. Hand-rolled serialization —
-//! the workspace builds offline with zero external dependencies.
+//! Machine-readable experiment reports: metadata plus a flat list of
+//! rows, rendered as stable JSON so committed goldens stay diffable
+//! across commits. Hand-rolled serialization — the workspace builds
+//! offline with zero external dependencies.
 //!
-//! This lives in the metrics crate (rather than the bench harness) so
-//! every reporting layer — the figure benches, the sweep lab, ad-hoc
-//! scripts — shares one serializer.
+//! This lives in the metrics crate so every reporting layer — the sweep
+//! lab, the golden suites, the telemetry export — shares one serializer.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// One JSON scalar.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,14 +158,6 @@ impl Report {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Writes the report to `path` and prints where it went.
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.render())?;
-        println!("\nwrote {} ({} rows)", path.display(), self.rows.len());
-        Ok(())
     }
 }
 

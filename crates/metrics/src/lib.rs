@@ -19,8 +19,8 @@
 //! - [`Spread`]: mean/min/max/p50/p90 aggregation of one metric across
 //!   the replicates of a sweep cell or the per-request samples of a
 //!   trace phase.
-//! - [`json`]: the zero-dependency `BENCH_*.json` report serializer
-//!   shared by the figure benches and the sweep lab.
+//! - [`json`]: the zero-dependency JSON report serializer shared by the
+//!   sweep lab, the golden suites and the telemetry export.
 
 pub mod json;
 

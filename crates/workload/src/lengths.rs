@@ -65,23 +65,6 @@ impl LengthModel {
     }
 }
 
-/// Empirical CDF helper for reproducing Fig. 4a: returns `(length,
-/// cumulative_fraction)` pairs at the given probe lengths.
-pub fn empirical_cdf(samples: &[u32], probes: &[u32]) -> Vec<(u32, f64)> {
-    if samples.is_empty() {
-        return probes.iter().map(|&p| (p, 0.0)).collect();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    probes
-        .iter()
-        .map(|&p| {
-            let below = sorted.partition_point(|&s| s <= p);
-            (p, below as f64 / sorted.len() as f64)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,17 +137,5 @@ mod tests {
             draw(LengthModel::WILDCHAT_INPUT, 100, 7),
             draw(LengthModel::WILDCHAT_INPUT, 100, 7)
         );
-    }
-
-    #[test]
-    fn cdf_monotone_and_bounded() {
-        let samples = draw(LengthModel::WILDCHAT_INPUT, 5_000, 9);
-        let probes = [10, 100, 1_000, 10_000, 20_000];
-        let cdf = empirical_cdf(&samples, &probes);
-        for w in cdf.windows(2) {
-            assert!(w[0].1 <= w[1].1, "CDF must be monotone");
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        assert!(empirical_cdf(&[], &probes).iter().all(|(_, f)| *f == 0.0));
     }
 }

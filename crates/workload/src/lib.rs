@@ -40,7 +40,7 @@ pub use conversation::{
     ConversationConfig,
 };
 pub use diurnal::{aggregate_hourly, fig2_countries, fig3_regions, variance_ratio, DiurnalProfile};
-pub use lengths::{empirical_cdf, LengthModel};
+pub use lengths::LengthModel;
 pub use prefix_stats::{
     grouped_similarity, mean_cross_similarity, mean_within_similarity, prefix_similarity,
     similarity_matrix,

@@ -1,6 +1,7 @@
 //! How to run it: the fabric-wide timing knobs and the optional
 //! observation planes ([`FabricConfig`]).
 
+use skywalker_core::PolicyParams;
 use skywalker_net::LatencyModel;
 use skywalker_sim::{SimDuration, SimTime};
 use skywalker_telemetry::TelemetryConfig;
@@ -102,6 +103,7 @@ impl FabricConfig {
 
 impl Default for FabricConfig {
     fn default() -> Self {
+        let policy = PolicyParams::default();
         FabricConfig {
             seed: 0xD1CE,
             net: LatencyModel::default_wan(),
@@ -110,9 +112,9 @@ impl Default for FabricConfig {
             traffic_poll_interval: SimDuration::from_millis(500),
             fleet_poll_interval: SimDuration::from_millis(500),
             deadline: SimTime::from_secs(4 * 3600),
-            trie_max_tokens: 1 << 22,
-            affinity_threshold: 0.5,
-            balance_abs_threshold: 32,
+            trie_max_tokens: policy.trie_max_tokens,
+            affinity_threshold: policy.affinity_threshold,
+            balance_abs_threshold: policy.balance_abs_threshold,
             trace: None,
             telemetry: None,
         }

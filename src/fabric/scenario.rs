@@ -242,6 +242,10 @@ pub enum ScenarioError {
     /// no decode-capable replica (colocated or decode-only): every
     /// handoff from that region would have nowhere to land.
     NoDecodeCapacity,
+    /// [`ScenarioBuilder::roles`] lists more roles than the fleet has
+    /// replicas: the tail would apply to nothing. (A *shorter* list is
+    /// padded with [`ReplicaRole::Colocated`].)
+    RolesExceedFleet,
 }
 
 impl fmt::Display for ScenarioError {
@@ -262,6 +266,11 @@ impl fmt::Display for ScenarioError {
                 "scenario has a region with prefill-only replicas and no decode-capable \
                  replica: add a Colocated or DecodeOnly peer there, or adjust \
                  ScenarioBuilder::roles"
+            ),
+            ScenarioError::RolesExceedFleet => write!(
+                f,
+                "scenario lists more roles than replicas: ScenarioBuilder::roles is indexed \
+                 like ScenarioBuilder::replicas and may be shorter, never longer"
             ),
         }
     }
@@ -355,7 +364,8 @@ impl ScenarioBuilder {
     /// [`ScenarioBuilder::replicas`]; missing entries default to
     /// [`ReplicaRole::Colocated`]. [`ScenarioBuilder::build`] rejects
     /// assignments that leave a region's prefill-only replicas with no
-    /// decode-capable target ([`ScenarioError::NoDecodeCapacity`]).
+    /// decode-capable target ([`ScenarioError::NoDecodeCapacity`]) and
+    /// lists longer than the fleet ([`ScenarioError::RolesExceedFleet`]).
     pub fn roles(mut self, roles: Vec<ReplicaRole>) -> Self {
         self.roles = roles;
         self
@@ -424,7 +434,9 @@ impl ScenarioBuilder {
     /// [`ScenarioError::NoTraffic`] without a client population or with
     /// an already-exhausted traffic source;
     /// [`ScenarioError::NoDecodeCapacity`] when a region's prefill-only
-    /// replicas have no local decode target.
+    /// replicas have no local decode target;
+    /// [`ScenarioError::RolesExceedFleet`] when the role list is longer
+    /// than the fleet.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let role_of = |roles: &[ReplicaRole], i: usize| roles.get(i).copied().unwrap_or_default();
         // Decode-only replicas are invisible to the balancers.
@@ -432,6 +444,9 @@ impl ScenarioBuilder {
             (0..self.replicas.len()).any(|i| role_of(&self.roles, i) != ReplicaRole::DecodeOnly);
         if !routable {
             return Err(ScenarioError::EmptyFleet);
+        }
+        if self.roles.len() > self.replicas.len() {
+            return Err(ScenarioError::RolesExceedFleet);
         }
         let traffic = self.traffic.ok_or(ScenarioError::NoTraffic)?;
         if traffic.is_exhausted() {

@@ -1,6 +1,6 @@
 //! What came out: [`RunSummary`] with its [`TransferSummary`] and
-//! [`FleetSummary`] sub-ledgers, the one run digest every regression
-//! suite compares, and the `BENCH_*.json` row schemas selected from it.
+//! [`FleetSummary`] sub-ledgers, and the one run digest every regression
+//! suite and report selects its columns from.
 
 use skywalker_metrics::json::Val;
 use skywalker_metrics::{RunReport, TimeSeries};
@@ -99,9 +99,9 @@ impl RunSummary {
     }
 
     /// The run digest: every deterministic outcome the regression suites
-    /// and the `BENCH_*.json` reports carry, as named values in one fixed
-    /// order. Anything that pins a file format selects keys from this
-    /// list ([`RunSummary::row`]); the order and the existing names are a
+    /// and the lab's reports carry, as named values in one fixed order.
+    /// Anything that pins a file format selects keys from this list
+    /// ([`RunSummary::row`]); the order and the existing names are a
     /// contract — append, never reorder.
     pub fn digest_fields(&self) -> Vec<(&'static str, Val)> {
         let r = &self.report;
@@ -170,81 +170,6 @@ impl RunSummary {
             })
             .collect()
     }
-
-    /// `BENCH_fig08.json`: the macrobenchmark grid (after the caller's
-    /// `workload` column).
-    pub const FIG8_ROW: &'static [(&'static str, &'static str)] = &[
-        ("system", "label"),
-        ("tok_s", "tok_s"),
-        ("ttft_p50_s", "ttft_p50_s"),
-        ("ttft_p90_s", "ttft_p90_s"),
-        ("ttft_mean_s", "ttft_mean_s"),
-        ("e2e_p50_s", "e2e_p50_s"),
-        ("e2e_p90_s", "e2e_p90_s"),
-        ("hit_rate", "replica_hit_rate"),
-        ("forwarded", "forwarded"),
-        ("completed", "completed"),
-        ("end_time_s", "end_time_s"),
-    ];
-
-    /// `BENCH_engine.json`: the serving-engine shootout — engine label,
-    /// latency split, and the engine counters.
-    pub const ENGINE_ROW: &'static [(&'static str, &'static str)] = &[
-        ("engine", "engine"),
-        ("completed", "completed"),
-        ("failed", "failed"),
-        ("ttft_p50_s", "ttft_p50_s"),
-        ("ttft_p90_s", "ttft_p90_s"),
-        ("e2e_p90_s", "e2e_p90_s"),
-        ("tok_s", "tok_s"),
-        ("hit_rate", "replica_hit_rate"),
-        ("preempted", "preempted"),
-        ("evicted_tokens", "evicted_tokens"),
-        ("demoted_tokens", "demoted_tokens"),
-        ("promoted_tokens", "promoted_tokens"),
-        ("kv_transfers", "kv_transfers"),
-        ("kv_transfer_tokens", "kv_transfer_tokens"),
-        ("chunked_steps", "chunked_steps"),
-        ("end_time_s", "end_time_s"),
-    ];
-
-    /// `BENCH_disagg.json`: the prefill/decode-disaggregation shootout
-    /// (after the caller's `workload` and `mode` columns) — the latency
-    /// verdict, the handoff/tier counters, and the replica-seconds cost.
-    pub const DISAGG_ROW: &'static [(&'static str, &'static str)] = &[
-        ("completed", "completed"),
-        ("failed", "failed"),
-        ("ttft_p50_s", "ttft_p50_s"),
-        ("ttft_p90_s", "ttft_p90_s"),
-        ("e2e_p90_s", "e2e_p90_s"),
-        ("tok_s", "tok_s"),
-        ("hit_rate", "replica_hit_rate"),
-        ("kv_transfers", "kv_transfers"),
-        ("kv_transfer_tokens", "kv_transfer_tokens"),
-        ("demoted_tokens", "demoted_tokens"),
-        ("promoted_tokens", "promoted_tokens"),
-        ("replica_seconds", "replica_seconds"),
-        ("end_time_s", "end_time_s"),
-    ];
-
-    /// `BENCH_fleet.json`: fleet elasticity (after the caller's `fleet`
-    /// column).
-    pub const FLEET_ROW: &'static [(&'static str, &'static str)] = &[
-        ("completed", "completed"),
-        ("failed", "failed"),
-        ("retried", "retried"),
-        ("in_flight", "in_flight"),
-        ("ttft_p50_s", "ttft_p50_s"),
-        ("ttft_p90_s", "ttft_p90_s"),
-        ("e2e_p90_s", "e2e_p90_s"),
-        ("tok_s", "tok_s"),
-        ("mean_fleet", "fleet_mean"),
-        ("peak_fleet", "fleet_peak"),
-        ("joins", "fleet_joins"),
-        ("drains", "fleet_drains"),
-        ("crashes", "fleet_crashes"),
-        ("forwarded", "forwarded"),
-    ];
 }
 
 /// What the disaggregated KV-transfer plane did over one run: handoff

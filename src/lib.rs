@@ -16,7 +16,7 @@
 //! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller |
 //! | `skywalker-fleet` | the elastic fleet control plane: the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`] |
 //! | `skywalker-cost` | reserved/on-demand provisioning cost model |
-//! | `skywalker-metrics` | histograms, request tracking, time series, the `BENCH_*.json` serializer |
+//! | `skywalker-metrics` | histograms, request tracking, time series, the JSON report serializer |
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
 //! | `skywalker-lab` | the parallel experiment lab: deterministic multi-threaded sweeps over scenario grids |
 //! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`) |
@@ -139,11 +139,11 @@ pub use fabric::{
 };
 pub use p2c::{P2cLocal, P2cLocalFactory};
 pub use scenarios::{
-    balanced_fleet, disagg_engine, disagg_scenario, diurnal_reference_predictive,
-    diurnal_reference_reactive, equal_cost_lite_fleet, fig10_diurnal_scenario, fig10_scenario,
-    fig8_scenario, fig9_scenario, l4_fleet, lite_fleet, memory_pressure_scenario, recipe,
-    trio_diurnal_profiles, unbalanced_fleet, workload_clients, DisaggWorkload, Workload, L4_LITE,
-    L4_PRESSURE, REGIONS,
+    balanced_fleet, disagg_engine, disagg_scenario, diurnal_day_scenario,
+    diurnal_reference_predictive, diurnal_reference_reactive, equal_cost_lite_fleet,
+    fig10_diurnal_scenario, fig10_scenario, fig8_scenario, fig9_scenario, l4_fleet, lite_fleet,
+    memory_pressure_scenario, recipe, trio_diurnal_profiles, unbalanced_fleet, workload_clients,
+    DayStrategy, DisaggWorkload, Workload, DIURNAL_DAY, L4_LITE, L4_PRESSURE, REGIONS,
 };
 pub use sjf::ShortestPromptFirst;
 pub use skywalker_fleet::{

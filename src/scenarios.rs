@@ -23,9 +23,9 @@ use skywalker_workload::{
     TotConfig, TotSource, TrafficSource,
 };
 
-use skywalker_fleet::AutoscalerConfig;
+use skywalker_fleet::{AutoscalerConfig, ChaosConfig, ChaosPlan, ThresholdAutoscaler};
 
-use crate::autoscale::PredictiveConfig;
+use crate::autoscale::{PredictiveAutoscaler, PredictiveConfig};
 use crate::fabric::{FabricConfig, ReplicaPlacement, Scenario, ScenarioBuilder, SystemKind};
 use crate::sources::{DiurnalSource, RagCorpusConfig, RagCorpusSource};
 
@@ -471,8 +471,8 @@ impl DisaggWorkload {
 /// The serving engine of the disaggregation preset: LRU eviction behind
 /// a two-tier wrapper that demotes GPU victims into a host pool twice
 /// the GPU cache's size instead of dropping them. Decode replicas keep
-/// handoff prefixes warm this way, and the tier-residency columns of
-/// the bench rows come alive.
+/// handoff prefixes warm this way, and the digest's `demoted_tokens` /
+/// `promoted_tokens` columns come alive.
 pub fn disagg_engine() -> EngineSpec {
     EngineSpec {
         evictor: Box::new(TieredEvictor::new(
@@ -489,10 +489,10 @@ pub fn disagg_engine() -> EngineSpec {
 /// decode-only replicas (`disagg = true`). Both variants run the
 /// [`disagg_engine`] two-tier cache, so the comparison isolates the
 /// role split. Sweep both [`DisaggWorkload`] shapes and the P90 TTFT
-/// verdict crosses over (`examples/disagg_shootout.rs`,
-/// `BENCH_disagg.json`): the split pays when running decodes would
-/// otherwise starve prefill admission, and loses when halving prefill
-/// capacity just doubles the prompt queue.
+/// verdict crosses over (`examples/disagg_shootout.rs`; gated as the
+/// disagg rows of `docs/claims.md`): the split pays when running decodes
+/// would otherwise starve prefill admission, and loses when halving
+/// prefill capacity just doubles the prompt queue.
 pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed: u64) -> Scenario {
     let region = REGIONS[0];
     let users = ((32.0 * scale).round() as u32).max(2);
@@ -546,12 +546,73 @@ pub fn recipe(
     }
 }
 
+/// Length of the reference diurnal day: 24 h of the Fig. 3a curves
+/// compressed into 20 simulated minutes.
+pub const DIURNAL_DAY: SimDuration = SimDuration::from_secs(1_200);
+
+/// Fraction of the trace's arrivals the reference day keeps.
+const DIURNAL_DAY_SCALE: f64 = 0.008;
+
+/// The four fleet strategies compared on the reference diurnal day.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DayStrategy {
+    /// Three [`L4_LITE`] replicas per region, never changed.
+    Static,
+    /// The static fleet under seeded crash/replace churn.
+    Chaos,
+    /// One replica per region plus a [`ThresholdAutoscaler`] on
+    /// [`diurnal_reference_reactive`].
+    Reactive,
+    /// One replica per region plus the [`PredictiveAutoscaler`] on
+    /// [`diurnal_reference_predictive`].
+    Predictive,
+}
+
+/// The reference diurnal-day fleet experiment: [`fig10_diurnal_scenario`]
+/// over [`DIURNAL_DAY`] under one of the four [`DayStrategy`]s — the one
+/// recipe behind `examples/autoscale_day.rs` and the "Fleet day" rows of
+/// `docs/claims.md`. The same `seed` gives every strategy the same day
+/// of traffic.
+pub fn diurnal_day_scenario(strategy: DayStrategy, seed: u64) -> Scenario {
+    let per_region = match strategy {
+        DayStrategy::Static | DayStrategy::Chaos => 3,
+        DayStrategy::Reactive | DayStrategy::Predictive => 1,
+    };
+    let mut scenario = fig10_diurnal_scenario(
+        SystemKind::SkyWalker,
+        per_region,
+        DIURNAL_DAY,
+        DIURNAL_DAY_SCALE,
+        seed,
+    );
+    scenario.fleet_plan = match strategy {
+        DayStrategy::Static => None,
+        DayStrategy::Chaos => Some(Box::new(ChaosPlan::new(
+            ChaosConfig {
+                mtbf: SimDuration::from_secs(120),
+                mttr: SimDuration::from_secs(45),
+                profile: L4_LITE,
+                min_live_per_region: 1,
+                ..ChaosConfig::default()
+            },
+            seed,
+        ))),
+        DayStrategy::Reactive => Some(Box::new(ThresholdAutoscaler::new(
+            diurnal_reference_reactive(),
+        ))),
+        DayStrategy::Predictive => Some(Box::new(PredictiveAutoscaler::new(
+            trio_diurnal_profiles(),
+            diurnal_reference_predictive(),
+        ))),
+    };
+    scenario
+}
+
 /// The equal-cost static counterpart of an elastic run: a lite fleet
 /// whose size matches the elastic run's time-weighted mean replica
 /// count (`RunSummary::fleet.mean_total()`), rounded and split across
 /// the trio with remainders going west-to-east — the same
-/// replica-seconds, spent statically. Shared by the example, the e2e
-/// test, and the bench so all three measure the same baseline.
+/// replica-seconds, spent statically.
 pub fn equal_cost_lite_fleet(mean_total: f64) -> Vec<ReplicaPlacement> {
     let total = (mean_total.round() as u32).max(3);
     let (per, rem) = (total / 3, total % 3);
@@ -563,8 +624,7 @@ pub fn equal_cost_lite_fleet(mean_total: f64) -> Vec<ReplicaPlacement> {
 }
 
 /// The reactive reference tunables of the compressed diurnal day —
-/// the calibration table in `docs/fleet.md` §5, in code, so the
-/// example, e2e test, and bench cannot silently diverge.
+/// the calibration table in `docs/fleet.md` §5, in code.
 pub fn diurnal_reference_reactive() -> AutoscalerConfig {
     AutoscalerConfig {
         min_per_region: 1,
@@ -577,12 +637,12 @@ pub fn diurnal_reference_reactive() -> AutoscalerConfig {
     }
 }
 
-/// The predictive reference tunables of the compressed diurnal day
-/// (`docs/fleet.md` §5); `day`/`scale` must match the traffic source.
-pub fn diurnal_reference_predictive(day: SimDuration, scale: f64) -> PredictiveConfig {
+/// The predictive reference tunables of the reference diurnal day
+/// (`docs/fleet.md` §5), matched to its [`DIURNAL_DAY`] length and scale.
+pub fn diurnal_reference_predictive() -> PredictiveConfig {
     PredictiveConfig {
-        day,
-        scale,
+        day: DIURNAL_DAY,
+        scale: DIURNAL_DAY_SCALE,
         per_replica_rph: 12.0,
         lead: SimDuration::from_secs(60),
         provision_delay: SimDuration::from_secs(20),

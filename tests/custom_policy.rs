@@ -3,7 +3,7 @@
 //! policy module — runs through `ScenarioBuilder` and the full fabric
 //! with no `SystemKind` involved, and behaves as designed.
 
-use skywalker::core::RoutingConstraint;
+use skywalker::core::{BalancerConfig, PolicyKind, PolicyParams, RoutingConstraint};
 use skywalker::net::Region;
 use skywalker::replica::GpuProfile;
 use skywalker::workload::{generate_conversation_clients, ConversationConfig, IdGen};
@@ -230,6 +230,28 @@ fn centralized_fleet_keeps_true_replica_regions() {
         us_work > eu_work,
         "centralized fleet must expose true regions to the policy \
          ({us_work} US vs {eu_work} EU)"
+    );
+}
+
+/// The cache-aware defaults have one home, `PolicyParams::default()`:
+/// the fabric's config and both balancer presets read them from there.
+#[test]
+fn cache_aware_defaults_agree_across_fabric_balancer_and_policy() {
+    let policy = PolicyParams::default();
+    let fabric = FabricConfig::default();
+    assert_eq!(
+        policy,
+        PolicyParams {
+            trie_max_tokens: fabric.trie_max_tokens,
+            affinity_threshold: fabric.affinity_threshold,
+            balance_abs_threshold: fabric.balance_abs_threshold,
+        }
+    );
+    let region = Region::UsEast;
+    assert_eq!(policy, BalancerConfig::skywalker(region).params());
+    assert_eq!(
+        policy,
+        BalancerConfig::baseline(region, PolicyKind::LeastLoad).params()
     );
 }
 

@@ -14,20 +14,19 @@
 //! float equality is the right bar — looser comparisons would let real
 //! drift hide inside the tolerance.
 //!
-//! To refresh after an *intentional* behavior change:
-//!
-//! ```sh
-//! UPDATE_GOLDENS=1 cargo test --test golden_digests
-//! ```
-//! then commit the diff under `tests/golden/` alongside the change that
-//! explains it.
+//! To refresh after an *intentional* behavior change, rerun with
+//! `UPDATE_GOLDENS=1` (`tests/common/mod.rs`) and commit the diff under
+//! `tests/golden/` alongside the change that explains it.
 
+mod common;
+
+use common::{compare_or_update, read_committed, updating_goldens};
 use skywalker::sim::SimDuration;
 use skywalker::telemetry::names as metric_names;
 use skywalker::{
     disagg_scenario, fig10_diurnal_scenario, fig10_scenario, fig8_scenario, fig9_scenario,
     memory_pressure_scenario, run_scenario, DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch,
-    LruEvictor, NoEvict, PrefixAwareEvictor, RunSummary, Scenario, ShortestPromptFirst, SystemKind,
+    LruEvictor, NoEvict, PrefixAwareEvictor, Scenario, ShortestPromptFirst, SystemKind,
     TraceConfig, Workload,
 };
 use skywalker_metrics::json::{Report, Val};
@@ -154,48 +153,7 @@ fn render_group(
 
 fn run_group(name: &str, extra_keys: &[&'static str], cells: Vec<GoldenCell>) {
     let rendered = render_group(name, extra_keys, &cells, Instrument::None);
-    compare_or_update(name, &rendered);
-}
-
-/// Byte-compares the rendered report against `tests/golden/{name}.json`,
-/// printing the first differing line on mismatch; `UPDATE_GOLDENS=1`
-/// rewrites the file instead.
-fn compare_or_update(name: &str, rendered: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"));
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, rendered).expect("write golden");
-        println!("updated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run UPDATE_GOLDENS=1 cargo test --test golden_digests \
-             and commit the result",
-            path.display()
-        )
-    });
-    if expected == rendered {
-        return;
-    }
-    let exp_lines: Vec<&str> = expected.lines().collect();
-    let got_lines: Vec<&str> = rendered.lines().collect();
-    for i in 0..exp_lines.len().max(got_lines.len()) {
-        let e = exp_lines.get(i).copied().unwrap_or("<missing>");
-        let g = got_lines.get(i).copied().unwrap_or("<missing>");
-        if e != g {
-            panic!(
-                "golden {name} drifted at line {}:\n  expected: {e}\n  got:      {g}\n\
-                 If this change is intentional, refresh with \
-                 UPDATE_GOLDENS=1 cargo test --test golden_digests and commit the diff.",
-                i + 1
-            );
-        }
-    }
-    panic!("golden {name} drifted (line endings?)");
+    compare_or_update(&format!("tests/golden/{name}.json"), &rendered);
 }
 
 type CellList = Vec<GoldenCell>;
@@ -234,18 +192,10 @@ fn row_schemas_and_golden_keys_resolve_against_the_digest() {
         .chain(&DISAGG_KEYS)
         .map(|&k| (k, k))
         .collect();
-    for schema in [
-        RunSummary::FIG8_ROW,
-        RunSummary::ENGINE_ROW,
-        RunSummary::DISAGG_ROW,
-        RunSummary::FLEET_ROW,
-        &golden,
-    ] {
-        let row = s.row(schema);
-        let names: Vec<&str> = row.iter().map(|(name, _)| *name).collect();
-        let asked: Vec<&str> = schema.iter().map(|(name, _)| *name).collect();
-        assert_eq!(names, asked, "columns come back in schema order");
-    }
+    let row = s.row(&golden);
+    let names: Vec<&str> = row.iter().map(|(name, _)| *name).collect();
+    let asked: Vec<&str> = golden.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, asked, "columns come back in schema order");
 }
 
 /// All four paper workloads on SkyWalker: traffic-axis coverage.
@@ -364,7 +314,7 @@ fn golden_disagg() {
 /// (it skips instead: the file may be mid-rewrite in a parallel test).
 #[test]
 fn golden_memory_pressure_traced_is_byte_identical() {
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
+    if updating_goldens() {
         println!("skipping traced comparison while goldens are being refreshed");
         return;
     }
@@ -374,10 +324,7 @@ fn golden_memory_pressure_traced_is_byte_identical() {
         &memory_pressure_cells(),
         Instrument::Trace,
     );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/memory_pressure.json");
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    let expected = read_committed("tests/golden/memory_pressure.json");
     assert_eq!(
         expected, rendered,
         "attaching the trace recorder changed a run's digest — tracing must be observation-only"
@@ -392,14 +339,11 @@ fn golden_memory_pressure_traced_is_byte_identical() {
 /// into outcomes. Read-only like the traced gate above.
 #[test]
 fn golden_memory_pressure_telemetry_is_byte_identical_at_two_cadences() {
-    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
+    if updating_goldens() {
         println!("skipping telemetry comparison while goldens are being refreshed");
         return;
     }
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/memory_pressure.json");
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    let expected = read_committed("tests/golden/memory_pressure.json");
     for interval in [SimDuration::from_secs(1), SimDuration::from_millis(100)] {
         let rendered = render_group(
             "memory_pressure",

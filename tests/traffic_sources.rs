@@ -195,6 +195,12 @@ fn builder_rejects_prefill_regions_without_decode_capacity() {
     build(&[(us, 2)], vec![PrefillOnly, Colocated]).expect("colocated peer decodes");
     build(&[(us, 2)], vec![PrefillOnly]).expect("missing role entries default to Colocated");
 
+    // A list *longer* than the fleet is a mistake, not padding: the tail
+    // would describe replicas that do not exist.
+    let err = build(&[(us, 2)], vec![PrefillOnly, DecodeOnly, DecodeOnly]).unwrap_err();
+    assert_eq!(err, ScenarioError::RolesExceedFleet);
+    assert!(err.to_string().contains("more roles than replicas"));
+
     // Topologies with no prefill-only replica never trip the check:
     // all-colocated fleets and even a decode-only singleton (it simply
     // serves full requests' decode phase for colocated prefill elsewhere
