@@ -236,17 +236,24 @@ impl<T: Copy + Ord> RouteTrie<T> {
     /// the controller). Nodes whose target set empties are dropped.
     pub fn purge_target(&mut self, target: T) {
         self.tree[ROOT].data.remove_target(&target);
-        for (_, n) in self.tree.live_mut() {
+        let mut orphans = BTreeSet::new();
+        for (i, n) in self.tree.live_mut() {
             n.data.remove_target(&target);
+            if n.is_leaf() && n.data.targets.is_empty() {
+                orphans.insert(i);
+            }
         }
-        // Drop leaves with no targets (repeatedly, so chains collapse).
-        loop {
-            let orphan = self
-                .tree
-                .live()
-                .find_map(|(i, n)| (n.is_leaf() && n.data.targets.is_empty()).then_some(i));
-            let Some(i) = orphan else { break };
+        // Drop leaves with no targets, lowest arena index first — the
+        // order a rescan from slot 1 per dropped leaf would find them
+        // in, so slots recycle the same way. A parent left a target-less
+        // leaf joins the set, so chains collapse.
+        while let Some(i) = orphans.pop_first() {
+            let parent = self.tree[i].parent();
             self.remove_leaf(i);
+            let p = &self.tree[parent];
+            if parent != ROOT && p.is_leaf() && p.data.targets.is_empty() {
+                orphans.insert(parent);
+            }
         }
     }
 

@@ -397,3 +397,57 @@ fn equivalence_with_shared_prefixes() {
         }
     }
 }
+
+/// A trie the size a long run builds, then every target purged — what a
+/// balancer pays when a replica dies late in the day. Each purge drops
+/// thousands of orphaned leaves and collapses the chains above them.
+#[test]
+fn equivalence_when_purging_a_large_trie() {
+    const TARGETS: u8 = 8;
+    let mut rng = DetRng::for_component(61, "trie/equiv-purge-large");
+    let bound = 150_000;
+    let mut opt: RouteTrie<u8> = RouteTrie::new(bound);
+    let mut reference = RefTrie::new(bound);
+    let stems: Vec<Vec<u32>> = (0..64)
+        .map(|_| random_tokens(&mut rng, 32, 4, 24))
+        .collect();
+    let insert = |rng: &mut DetRng, opt: &mut RouteTrie<u8>, reference: &mut RefTrie| {
+        let stem = rng.choose(&stems).expect("non-empty");
+        let mut tokens = stem[..rng.range(0, stem.len() as u64 + 1) as usize].to_vec();
+        tokens.extend(random_tokens(rng, 32, 0, 16));
+        let target = rng.below(u64::from(TARGETS)) as u8;
+        opt.insert(&tokens, target);
+        reference.insert(&tokens, target);
+        tokens
+    };
+    for _ in 0..20_000 {
+        insert(&mut rng, &mut opt, &mut reference);
+    }
+    compare_state(61, 0, &opt, &reference);
+    assert!(opt.node_count() > 10_000, "{} nodes", opt.node_count());
+    assert!(opt.stored_tokens() > bound * 9 / 10, "the bound evicted");
+
+    for target in 0..TARGETS {
+        opt.purge_target(target);
+        reference.purge_target(target);
+        compare_state(61, 1 + usize::from(target), &opt, &reference);
+        // The survivors still route, and the recycled slots take new
+        // paths the same way on both sides.
+        for probe in 0..50 {
+            let tokens = insert(&mut rng, &mut opt, &mut reference);
+            let mask = rng.next_u64();
+            let got = opt
+                .best_match(&tokens, masked(mask))
+                .map(|m| (m.target, m.matched));
+            let want = reference.best_match(&tokens, masked(mask));
+            assert_eq!(got, want, "after purging {target}, probe {probe}");
+        }
+        compare_state(61, 100 + usize::from(target), &opt, &reference);
+    }
+    for target in 0..TARGETS {
+        opt.purge_target(target);
+        reference.purge_target(target);
+    }
+    compare_state(61, 200, &opt, &reference);
+    assert!(opt.is_empty(), "every target purged leaves no path");
+}

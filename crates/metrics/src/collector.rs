@@ -6,14 +6,26 @@
 //! collects the three lifecycle timestamps per request — arrival at the
 //! client, first output token, completion — plus token accounting, and
 //! reduces them to a [`RunReport`].
+//!
+//! A record lives only while something can still change it. Once a
+//! request is completed or failed *and* has its first token, no call
+//! alters what it contributes, so the tracker folds it into running
+//! totals — the exact-quantile samples (three `f64`s) and integer sums —
+//! frees its slot for reuse and forgets the id. What the tracker holds
+//! therefore follows the in-flight population plus 24 bytes of samples
+//! per finished request, not one whole record per request ever seen.
+//! The two terminal states that wait: a completed request whose first
+//! token is still in flight to the client (the two deliveries draw
+//! independent delays), and a failed request that never produced one.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_sim::SimTime;
 
 use crate::histogram::{Histogram, Summary};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Record {
     arrived: SimTime,
     first_token: Option<SimTime>,
@@ -27,15 +39,56 @@ struct Record {
     generated_tokens: u64,
 }
 
-/// The terminal state of one tracked request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// Completed normally.
-    Completed,
-    /// Still in flight when the run ended.
-    InFlight,
-    /// Rejected or failed.
-    Failed,
+impl Record {
+    /// True once no tracker call can change this record's contribution
+    /// to a report: terminal, and the first token (which may trail the
+    /// completion) has been seen.
+    fn is_settled(&self) -> bool {
+        (self.completed.is_some() || self.failed) && self.first_token.is_some()
+    }
+}
+
+/// The per-record part of a [`RunReport`], summed over a set of records.
+/// Every reduction is order-insensitive — integer sums, and histograms
+/// whose summary sorts before it sums — so settled records can be added
+/// as they finish and the rest at report time with the same result as
+/// one pass over all of them.
+#[derive(Debug, Default)]
+struct Totals {
+    ttft: Histogram,
+    e2e: Histogram,
+    hops: Histogram,
+    completed: u64,
+    in_flight: u64,
+    prompt_tokens: u64,
+    cached_tokens: u64,
+    generated_tokens: u64,
+    retry_events: u64,
+}
+
+impl Totals {
+    fn add(&mut self, r: &Record) {
+        if let Some(ft) = r.first_token {
+            self.ttft
+                .record(ft.saturating_since(r.arrived).as_secs_f64());
+        }
+        if let Some(h) = r.hops {
+            self.hops.record(h as f64);
+        }
+        self.retry_events += r.retries as u64;
+        match r.completed {
+            Some(done) => {
+                self.completed += 1;
+                self.e2e
+                    .record(done.saturating_since(r.arrived).as_secs_f64());
+                self.prompt_tokens += r.prompt_tokens;
+                self.cached_tokens += r.cached_prompt_tokens;
+                self.generated_tokens += r.generated_tokens;
+            }
+            None if r.failed => {}
+            None => self.in_flight += 1,
+        }
+    }
 }
 
 /// Collects request lifecycle events during a run.
@@ -57,13 +110,19 @@ pub enum RequestOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct RequestTracker {
-    /// Record arena in first-arrival order. Aggregation iterates this vec;
-    /// every reduction in [`report`](Self::report) is order-insensitive
-    /// (integer sums plus sorted-histogram statistics), so the switch from
-    /// id-ordered to arrival-ordered iteration is invisible in results.
-    records: Vec<Record>,
-    /// Request id → arena slot.
-    index: HashMap<u64, usize>, // det-allow(D02): lookup-only — keyed by request id, never iterated
+    /// Slab of the records not yet settled; `None` marks a vacated slot
+    /// waiting in `free`. Aggregation walks it by slot.
+    records: Vec<Option<Record>>,
+    /// Vacated slots of `records`, reused before the slab grows.
+    free: Vec<usize>,
+    /// Unsettled request id → slab slot. Hashed with a fixed key: ids
+    /// are removed as they settle, and with a random key the table's
+    /// tombstones — hence the instant it regrows — would differ from run
+    /// to run, which would make a run's peak heap inexact under a seed.
+    index: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id, never iterated
+    /// What the settled records contribute to a report.
+    settled: Totals,
+    registered: usize,
     failed: u64,
     retried: u64,
 }
@@ -74,18 +133,32 @@ impl RequestTracker {
         Self::default()
     }
 
-    fn rec(&self, id: u64) -> Option<&Record> {
-        self.index.get(&id).map(|&slot| &self.records[slot])
+    fn slot_mut(&mut self, slot: usize) -> &mut Record {
+        self.records[slot]
+            .as_mut()
+            .expect("an indexed slot holds a record")
     }
 
     fn rec_mut(&mut self, id: u64) -> Option<&mut Record> {
-        self.index.get(&id).map(|&slot| &mut self.records[slot])
+        let slot = *self.index.get(&id)?;
+        Some(self.slot_mut(slot))
+    }
+
+    /// Folds `id`'s record into the settled totals and releases its slot
+    /// and index entry, if nothing can change it any more.
+    fn settle(&mut self, id: u64, slot: usize) {
+        if let Some(record) = self.records[slot].take_if(|r| r.is_settled()) {
+            self.settled.add(&record);
+            self.free.push(slot);
+            self.index.remove(&id);
+        }
     }
 
     /// Records a request issued at `at` with `prompt_tokens` prompt tokens.
-    /// Re-registering an id overwrites the previous record.
+    /// Re-registering an id whose record is still open overwrites that
+    /// record; a settled id has been forgotten, so it registers afresh.
     pub fn arrival(&mut self, id: u64, at: SimTime, prompt_tokens: u64) {
-        let record = Record {
+        let record = Some(Record {
             arrived: at,
             first_token: None,
             completed: None,
@@ -96,49 +169,56 @@ impl RequestTracker {
             prompt_tokens,
             cached_prompt_tokens: 0,
             generated_tokens: 0,
-        };
-        match self.index.get(&id) {
-            Some(&slot) => self.records[slot] = record,
+        });
+        let slot = match self.index.get(&id) {
+            Some(&slot) => slot,
             None => {
-                self.index.insert(id, self.records.len());
-                self.records.push(record);
+                self.registered += 1;
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.records.push(None);
+                    self.records.len() - 1
+                });
+                self.index.insert(id, slot);
+                slot
             }
-        }
+        };
+        self.records[slot] = record;
     }
 
     /// Records the first output token for `id`. Unknown ids and repeated
     /// first tokens are ignored (the first observation wins).
     pub fn first_token(&mut self, id: u64, at: SimTime) {
-        if let Some(r) = self.rec_mut(id) {
-            r.first_token.get_or_insert(at);
+        if let Some(&slot) = self.index.get(&id) {
+            self.slot_mut(slot).first_token.get_or_insert(at);
+            self.settle(id, slot);
         }
     }
 
     /// Records completion for `id` with the generated token count and how
     /// many prompt tokens were served from the prefix cache.
     pub fn completion(&mut self, id: u64, at: SimTime, generated: u64, cached_prompt: u64) {
-        if let Some(r) = self.rec_mut(id) {
+        if let Some(&slot) = self.index.get(&id) {
+            let r = self.slot_mut(slot);
             if r.completed.is_none() && !r.failed {
                 r.completed = Some(at);
                 r.generated_tokens = generated;
                 r.cached_prompt_tokens = cached_prompt.min(r.prompt_tokens);
+                self.settle(id, slot);
             }
         }
     }
 
     /// Records a rejected/failed request: it stops counting as in-flight
-    /// and its outcome becomes [`RequestOutcome::Failed`]. Failing a
-    /// completed (or already-failed) request is ignored.
+    /// and is reported as failed. Failing a completed (or already-failed)
+    /// request is ignored.
     pub fn failure(&mut self, id: u64) {
-        let mut newly_failed = false;
-        if let Some(r) = self.rec_mut(id) {
+        if let Some(&slot) = self.index.get(&id) {
+            let r = self.slot_mut(slot);
             if r.completed.is_none() && !r.failed {
                 r.failed = true;
-                newly_failed = true;
+                self.failed += 1;
+                self.settle(id, slot);
             }
-        }
-        if newly_failed {
-            self.failed += 1;
         }
     }
 
@@ -174,47 +254,24 @@ impl RequestTracker {
         }
     }
 
-    /// When `id` arrived, or `None` if it was never registered. Lets
-    /// observers (the telemetry plane's TTFT sketch) compute latencies
-    /// without shadow-tracking arrival times.
+    /// When `id` arrived, or `None` if it was never registered or its
+    /// record has settled. Lets observers (the telemetry plane's TTFT
+    /// sketch) compute latencies without shadow-tracking arrival times;
+    /// they read it *before* reporting the first token, which may be
+    /// the call that settles the record.
     pub fn arrival_time(&self, id: u64) -> Option<SimTime> {
-        self.rec(id).map(|r| r.arrived)
-    }
-
-    /// The forwarding-chain length recorded for `id`, or `None` if the
-    /// request never reached a balancer (or was never registered).
-    pub fn hops_of(&self, id: u64) -> Option<u8> {
-        self.rec(id).and_then(|r| r.hops)
-    }
-
-    /// How many times `id` bounced onto another path (0 if never, or if
-    /// the id was never registered). Unlike [`RunReport::retried`],
-    /// this counts *events*, not requests.
-    pub fn retries_of(&self, id: u64) -> u32 {
-        self.rec(id).map_or(0, |r| r.retries)
-    }
-
-    /// The outcome of a tracked request, or `None` if never registered.
-    pub fn outcome(&self, id: u64) -> Option<RequestOutcome> {
-        self.rec(id).map(|r| {
-            if r.completed.is_some() {
-                RequestOutcome::Completed
-            } else if r.failed {
-                RequestOutcome::Failed
-            } else {
-                RequestOutcome::InFlight
-            }
-        })
+        let slot = *self.index.get(&id)?;
+        self.records[slot].as_ref().map(|r| r.arrived)
     }
 
     /// Number of requests registered (completed, in flight, or failed).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.registered
     }
 
     /// True if nothing has been tracked.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.failed == 0
+        self.registered == 0
     }
 
     /// Aggregates everything observed so far into a [`RunReport`].
@@ -224,59 +281,43 @@ impl RequestTracker {
     /// distributions include only requests that reached the respective
     /// lifecycle point.
     pub fn report(&self, run_end: SimTime) -> RunReport {
-        let mut ttft = Histogram::new();
-        let mut e2e = Histogram::new();
-        let mut hops = Histogram::new();
-        let mut completed = 0u64;
-        let mut in_flight = 0u64;
-        let mut prompt_tokens = 0u64;
-        let mut cached_tokens = 0u64;
-        let mut generated_tokens = 0u64;
-        let mut retry_events = 0u64;
-        for r in &self.records {
-            if let Some(ft) = r.first_token {
-                ttft.record(ft.saturating_since(r.arrived).as_secs_f64());
-            }
-            if let Some(h) = r.hops {
-                hops.record(h as f64);
-            }
-            retry_events += r.retries as u64;
-            match r.completed {
-                Some(done) => {
-                    completed += 1;
-                    e2e.record(done.saturating_since(r.arrived).as_secs_f64());
-                    prompt_tokens += r.prompt_tokens;
-                    cached_tokens += r.cached_prompt_tokens;
-                    generated_tokens += r.generated_tokens;
-                }
-                None if r.failed => {}
-                None => in_flight += 1,
-            }
+        // The sums continue from the settled ones; the open records'
+        // samples are gathered apart, so that the settled samples are
+        // summarized where they are instead of being copied first.
+        let settled = &self.settled;
+        let mut t = Totals {
+            ttft: Histogram::new(),
+            e2e: Histogram::new(),
+            hops: Histogram::new(),
+            ..*settled
+        };
+        for r in self.records.iter().flatten() {
+            t.add(r);
         }
         let window = run_end.as_secs_f64();
-        let service_tokens = prompt_tokens + generated_tokens;
+        let service_tokens = t.prompt_tokens + t.generated_tokens;
         RunReport {
-            completed,
-            in_flight,
+            completed: t.completed,
+            in_flight: t.in_flight,
             failed: self.failed,
             retried: self.retried,
-            retry_events,
-            prompt_tokens,
-            cached_prompt_tokens: cached_tokens,
-            generated_tokens,
+            retry_events: t.retry_events,
+            prompt_tokens: t.prompt_tokens,
+            cached_prompt_tokens: t.cached_tokens,
+            generated_tokens: t.generated_tokens,
             throughput_tps: if window > 0.0 {
                 service_tokens as f64 / window
             } else {
                 0.0
             },
-            cache_hit_rate: if prompt_tokens > 0 {
-                cached_tokens as f64 / prompt_tokens as f64
+            cache_hit_rate: if t.prompt_tokens > 0 {
+                t.cached_tokens as f64 / t.prompt_tokens as f64
             } else {
                 0.0
             },
-            ttft: ttft.summary(),
-            e2e: e2e.summary(),
-            hops: hops.summary(),
+            ttft: settled.ttft.summary_with(&t.ttft),
+            e2e: settled.e2e.summary_with(&t.e2e),
+            hops: settled.hops.summary_with(&t.hops),
         }
     }
 }
@@ -323,10 +364,235 @@ pub struct RunReport {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use skywalker_sim::DetRng;
+
     use super::*;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
+    }
+
+    /// The reference the settling tracker is held to: every request kept
+    /// whole to the end, reduced in one pass at report time.
+    #[derive(Default)]
+    struct KeepEverything {
+        requests: BTreeMap<u64, Kept>,
+        /// Requests ever failed / ever retried: running counts, which a
+        /// re-registration does not take back.
+        failed: u64,
+        retried: u64,
+    }
+
+    #[derive(Default)]
+    struct Kept {
+        arrived: SimTime,
+        prompt: u64,
+        first_token: Option<SimTime>,
+        /// (at, generated, cached prompt tokens).
+        completed: Option<(SimTime, u64, u64)>,
+        failed: bool,
+        retries: u64,
+        hops: Option<u8>,
+    }
+
+    impl Kept {
+        fn terminal(&self) -> bool {
+            self.completed.is_some() || self.failed
+        }
+
+        fn open(&self) -> bool {
+            !(self.terminal() && self.first_token.is_some())
+        }
+    }
+
+    impl KeepEverything {
+        fn open_ids(&self) -> Vec<u64> {
+            let open = self.requests.iter().filter(|(_, k)| k.open());
+            open.map(|(&id, _)| id).collect()
+        }
+
+        fn report(&self, run_end: SimTime) -> RunReport {
+            let (mut ttft, mut e2e, mut hops) =
+                (Histogram::new(), Histogram::new(), Histogram::new());
+            let mut r = RunReport {
+                completed: 0,
+                in_flight: 0,
+                failed: self.failed,
+                retried: self.retried,
+                retry_events: 0,
+                prompt_tokens: 0,
+                cached_prompt_tokens: 0,
+                generated_tokens: 0,
+                throughput_tps: 0.0,
+                cache_hit_rate: 0.0,
+                ttft: Summary::EMPTY,
+                e2e: Summary::EMPTY,
+                hops: Summary::EMPTY,
+            };
+            for k in self.requests.values() {
+                if let Some(ft) = k.first_token {
+                    ttft.record(ft.saturating_since(k.arrived).as_secs_f64());
+                }
+                if let Some(h) = k.hops {
+                    hops.record(f64::from(h));
+                }
+                r.retry_events += k.retries;
+                match k.completed {
+                    Some((at, generated, cached)) => {
+                        r.completed += 1;
+                        e2e.record(at.saturating_since(k.arrived).as_secs_f64());
+                        r.prompt_tokens += k.prompt;
+                        r.cached_prompt_tokens += cached.min(k.prompt);
+                        r.generated_tokens += generated;
+                    }
+                    None if k.failed => {}
+                    None => r.in_flight += 1,
+                }
+            }
+            let tokens = (r.prompt_tokens + r.generated_tokens) as f64;
+            if run_end > SimTime::ZERO {
+                r.throughput_tps = tokens / run_end.as_secs_f64();
+            }
+            if r.prompt_tokens > 0 {
+                r.cache_hit_rate = r.cached_prompt_tokens as f64 / r.prompt_tokens as f64;
+            }
+            (r.ttft, r.e2e, r.hops) = (ttft.summary(), e2e.summary(), hops.summary());
+            r
+        }
+    }
+
+    /// Every field of a report, floats as their bit patterns.
+    fn bits(r: &RunReport) -> Vec<u64> {
+        let mut out = vec![
+            r.completed,
+            r.in_flight,
+            r.failed,
+            r.retried,
+            r.retry_events,
+            r.prompt_tokens,
+            r.cached_prompt_tokens,
+            r.generated_tokens,
+            r.throughput_tps.to_bits(),
+            r.cache_hit_rate.to_bits(),
+        ];
+        for s in [r.ttft, r.e2e, r.hops] {
+            out.push(s.count as u64);
+            let floats = [
+                s.p10, s.p25, s.p50, s.p75, s.p90, s.p99, s.mean, s.min, s.max,
+            ];
+            out.extend(floats.map(f64::to_bits));
+        }
+        out
+    }
+
+    /// Random lifecycles — including the orders the fabric can produce
+    /// only rarely (first token after completion or after failure,
+    /// completion after failure, a live id registered again) — reduce to
+    /// the same report, bit for bit, as keeping every request whole; and
+    /// the slab holds the open requests, not the history.
+    #[test]
+    fn settling_matches_keeping_everything() {
+        for seed in [1, 2, 61] {
+            let mut rng = DetRng::new(seed);
+            let mut t = RequestTracker::new();
+            let mut model = KeepEverything::default();
+            let (mut now, mut next_id, mut registrations, mut most_open) = (0u64, 0u64, 0, 0);
+            for step in 0..8_000 {
+                now += rng.below(40);
+                let at = ms(now);
+                let open = model.open_ids();
+                // Terminal requests no longer travel, so like the fabric
+                // the script addresses open ids (and, one time in ten, an
+                // id nobody registered).
+                let id = match rng.choose(&open) {
+                    Some(&id) if !rng.chance(0.1) => id,
+                    _ => u64::MAX - rng.below(4),
+                };
+                let known = model.requests.get_mut(&id);
+                match rng.below(8) {
+                    0 | 1 => {
+                        let (id, prompt) = (next_id, rng.below(4_000));
+                        next_id += 1;
+                        registrations += 1;
+                        t.arrival(id, at, prompt);
+                        let fresh = Kept {
+                            arrived: at,
+                            prompt,
+                            ..Kept::default()
+                        };
+                        model.requests.insert(id, fresh);
+                    }
+                    2 => {
+                        let hops = rng.below(5) as u8;
+                        t.record_hops(id, hops);
+                        if let Some(k) = known {
+                            k.hops = Some(k.hops.map_or(hops, |h| h.max(hops)));
+                        }
+                    }
+                    3 => {
+                        t.retry(id);
+                        if let Some(k) = known.filter(|k| !k.terminal()) {
+                            k.retries += 1;
+                            model.retried += u64::from(k.retries == 1);
+                        }
+                    }
+                    4 | 5 => {
+                        t.first_token(id, at);
+                        if let Some(k) = known {
+                            k.first_token.get_or_insert(at);
+                        }
+                    }
+                    6 => {
+                        let (generated, cached) = (rng.below(900), rng.below(5_000));
+                        t.completion(id, at, generated, cached);
+                        if let Some(k) = known.filter(|k| !k.terminal()) {
+                            k.completed = Some((at, generated, cached));
+                        }
+                    }
+                    _ if rng.chance(0.5) => {
+                        t.failure(id);
+                        if let Some(k) = known.filter(|k| !k.terminal()) {
+                            k.failed = true;
+                            model.failed += 1;
+                        }
+                    }
+                    _ => {
+                        // A live id registered again starts over.
+                        if let Some(k) = known {
+                            let prompt = rng.below(4_000);
+                            t.arrival(id, at, prompt);
+                            *k = Kept {
+                                arrived: at,
+                                prompt,
+                                ..Kept::default()
+                            };
+                        }
+                    }
+                }
+                most_open = most_open.max(model.open_ids().len());
+                assert!(t.records.len() <= most_open, "seed {seed} step {step}");
+                if step % 500 == 499 {
+                    let end = ms(now + 1);
+                    assert_eq!(
+                        bits(&t.report(end)),
+                        bits(&model.report(end)),
+                        "seed {seed} step {step}"
+                    );
+                    assert_eq!(t.len(), registrations);
+                    for id in model.open_ids() {
+                        assert_eq!(t.arrival_time(id), Some(model.requests[&id].arrived));
+                    }
+                }
+            }
+            let settled = model.requests.len() - model.open_ids().len();
+            assert!(
+                settled > 500,
+                "seed {seed}: the script settled only {settled}"
+            );
+            assert_eq!(t.index.len(), model.open_ids().len());
+        }
     }
 
     #[test]
@@ -403,10 +669,8 @@ mod tests {
         t.failure(1); // repeat: still one failure
         t.failure(42); // unknown id: no effect
         let r = t.report(SimTime::from_secs(1));
-        assert_eq!(r.failed, 1);
-        assert_eq!(r.completed, 0);
-        assert_eq!(r.in_flight, 0);
-        assert_eq!(t.outcome(1), Some(RequestOutcome::Failed));
+        assert_eq!((r.failed, r.completed, r.in_flight), (1, 0, 0));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -414,19 +678,24 @@ mod tests {
         let mut t = RequestTracker::new();
         t.arrival(1, ms(0), 10);
         t.failure(1);
-        // A straggling completion for a failed request is ignored: the
-        // outcome stays Failed and nothing double-counts.
+        // A straggling completion for a failed request is ignored: it
+        // stays failed and nothing double-counts.
         t.completion(1, ms(5), 3, 0);
         let r = t.report(SimTime::from_secs(1));
         assert_eq!((r.failed, r.completed, r.in_flight), (1, 0, 0));
-        assert_eq!(t.outcome(1), Some(RequestOutcome::Failed));
-        // And failing a completed request is equally ignored.
+        assert_eq!((r.e2e.count, r.generated_tokens), (0, 0));
+        // And failing a completed request is equally ignored — whether
+        // its record is still open (2) or already settled (3).
         t.arrival(2, ms(0), 10);
         t.completion(2, ms(5), 3, 0);
         t.failure(2);
+        t.arrival(3, ms(0), 10);
+        t.first_token(3, ms(1));
+        t.completion(3, ms(5), 3, 0);
+        t.failure(3);
         let r = t.report(SimTime::from_secs(1));
-        assert_eq!((r.failed, r.completed), (1, 1));
-        assert_eq!(t.outcome(2), Some(RequestOutcome::Completed));
+        assert_eq!((r.failed, r.completed, r.in_flight), (1, 2, 0));
+        assert_eq!((r.e2e.count, r.generated_tokens), (2, 6));
     }
 
     #[test]
@@ -441,11 +710,15 @@ mod tests {
         t.retry(99); // unknown: ignored
         let r = t.report(SimTime::from_secs(1));
         assert_eq!(r.retried, 1);
-        // ... but the event counter sees both bounces of request 1.
+        // ... but the event counter sees both bounces of request 1, and
+        // nothing from the completed or the unknown id.
         assert_eq!(r.retry_events, 2);
-        assert_eq!(t.retries_of(1), 2);
-        assert_eq!(t.retries_of(2), 0);
-        assert_eq!(t.retries_of(99), 0);
+        // The bounces survive the record settling.
+        t.first_token(1, ms(7));
+        t.completion(1, ms(9), 1, 0);
+        t.retry(1);
+        let r = t.report(SimTime::from_secs(1));
+        assert_eq!((r.retried, r.retry_events), (1, 2));
     }
 
     #[test]
@@ -459,10 +732,8 @@ mod tests {
         t.record_hops(2, 1);
         t.arrival(3, ms(0), 10); // never reached a balancer
         t.record_hops(99, 7); // unknown: ignored
-        assert_eq!(t.hops_of(1), Some(3));
-        assert_eq!(t.hops_of(3), None);
-        assert_eq!(t.hops_of(99), None);
         let r = t.report(SimTime::from_secs(1));
+        // Requests 1 and 2 only: 3 and 99 contribute no sample.
         assert_eq!(r.hops.count, 2);
         assert!((r.hops.max - 3.0).abs() < 1e-9);
         assert!((r.hops.min - 1.0).abs() < 1e-9);
@@ -485,11 +756,17 @@ mod tests {
     #[test]
     fn outcomes_reported() {
         let mut t = RequestTracker::new();
+        let outcomes = |t: &RequestTracker| {
+            let r = t.report(SimTime::from_secs(1));
+            (r.in_flight, r.completed, r.failed)
+        };
         t.arrival(1, ms(0), 10);
-        assert_eq!(t.outcome(1), Some(RequestOutcome::InFlight));
+        assert_eq!(outcomes(&t), (1, 0, 0));
         t.completion(1, ms(5), 1, 0);
-        assert_eq!(t.outcome(1), Some(RequestOutcome::Completed));
-        assert_eq!(t.outcome(2), None);
+        assert_eq!(outcomes(&t), (0, 1, 0));
+        t.completion(2, ms(5), 1, 0); // never registered: no outcome
+        assert_eq!(outcomes(&t), (0, 1, 0));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

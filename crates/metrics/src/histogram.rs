@@ -180,6 +180,17 @@ impl Histogram {
         }
     }
 
+    /// The summary of this histogram's and `other`'s samples taken
+    /// together. Copies the samples only if `other` has any.
+    pub(crate) fn summary_with(&self, other: &Histogram) -> Summary {
+        if other.is_empty() {
+            return self.summary();
+        }
+        let mut all = self.clone();
+        all.merge(other);
+        all.summary()
+    }
+
     /// Read-only view of the raw samples (unsorted insertion order is not
     /// preserved once a quantile has been queried). The returned guard
     /// borrows the interior cache; drop it before calling `record`/`merge`.

@@ -29,7 +29,7 @@ mod histogram;
 mod spread;
 mod timeseries;
 
-pub use collector::{RequestOutcome, RequestTracker, RunReport};
+pub use collector::{RequestTracker, RunReport};
 pub use histogram::{Histogram, Summary};
 pub use spread::Spread;
 pub use timeseries::{peak_gap, TimeSeries};

@@ -152,7 +152,7 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
             exhausted: false,
             pending_arrivals: 0,
         },
-        reqs: HashMap::new(),
+        reqs: HashMap::default(),
         dns,
         controller,
         fleet: FleetPlane {

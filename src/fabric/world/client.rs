@@ -1,18 +1,34 @@
 //! The client layer: the traffic stream, closed-loop client programs,
 //! and the request's two client-facing edges — issue (DNS → balancer)
 //! and delivery (first token, completion).
+//!
+//! What the layer holds follows the in-flight population, not the run
+//! length. A stage's requests are *moved* out of the client's program
+//! when the stage is issued (the prompts travel with the events from
+//! then on), a client's programs are dropped when it retires, and a
+//! request's [`ReqState`] is removed when its completion is delivered.
+//! What stays per client ever admitted is the [`ClientState`] shell
+//! (region and cursor); what stays per request is the entry of one that
+//! terminally failed or took its post-crash reroute.
+
+use std::collections::hash_map::Entry;
+use std::mem;
 
 use skywalker_net::Region;
 use skywalker_replica::{Completion, Request, RequestId};
 use skywalker_sim::{DetRng, SimDuration};
 use skywalker_trace::TraceEventKind::RetryWait;
-use skywalker_workload::{ClientEvent, ClientSpec, TrafficSource};
+use skywalker_workload::{ClientEvent, ClientSpec, Program, TrafficSource};
 
 use super::{Ev, Fabric, ReqState, Sched};
 use crate::fabric::FabricConfig;
 
 pub(crate) struct ClientState {
-    spec: ClientSpec,
+    region: Region,
+    /// The client's programs. An issued stage is left behind empty, so
+    /// the stage counts [`advance`](Self::advance) reads never change;
+    /// emptied outright when the client retires.
+    programs: Vec<Program>,
     program_idx: usize,
     stage_idx: usize,
     inflight: u32,
@@ -23,7 +39,7 @@ impl ClientState {
     /// Moves past the stage that just drained, skipping empty programs;
     /// marks the client finished when no program is left.
     fn advance(&mut self) {
-        if let Some(p) = self.spec.programs.get(self.program_idx) {
+        if let Some(p) = self.programs.get(self.program_idx) {
             self.stage_idx += 1;
             if self.stage_idx >= p.stages.len() {
                 self.program_idx += 1;
@@ -31,14 +47,13 @@ impl ClientState {
             }
         }
         while self
-            .spec
             .programs
             .get(self.program_idx)
             .is_some_and(|p| p.stages.is_empty())
         {
             self.program_idx += 1;
         }
-        self.finished = self.spec.programs.get(self.program_idx).is_none();
+        self.finished = self.programs.get(self.program_idx).is_none();
     }
 }
 
@@ -77,7 +92,8 @@ impl Fabric {
     /// t = 0 cohort and for streamed arrivals — and returns its index.
     pub(crate) fn admit(&mut self, spec: ClientSpec) -> usize {
         self.clients.push(ClientState {
-            spec,
+            region: spec.region,
+            programs: spec.programs,
             program_idx: 0,
             stage_idx: 0,
             inflight: 0,
@@ -95,16 +111,14 @@ impl Fabric {
 
     pub(crate) fn on_issue_stage(&mut self, client: usize, sched: &mut Sched) {
         let c = &mut self.clients[client];
-        let program = c.spec.programs.get(c.program_idx);
-        let Some(reqs) = program.and_then(|p| p.stages.get(c.stage_idx)).cloned() else {
-            // Empty client (no programs at all).
-            if !c.finished {
-                c.finished = true;
-                self.active_clients -= 1;
-                self.maybe_stop(sched);
-            }
-            return;
-        };
+        let program = c.programs.get_mut(c.program_idx);
+        let stage = program.and_then(|p| p.stages.get_mut(c.stage_idx));
+        let reqs = stage.map(mem::take).unwrap_or_default();
+        if reqs.is_empty() {
+            // Nothing to wait for — an empty stage, or a client with no
+            // stage to start on: move past it at once.
+            return self.stage_drained(client, sched);
+        }
         c.inflight = reqs.len() as u32;
         for req in reqs {
             self.obs
@@ -128,7 +142,7 @@ impl Fabric {
     /// wire toward it; during a total outage the client waits and
     /// retries.
     fn send_request(&mut self, client: usize, req: Request, sched: &mut Sched) {
-        let region = self.clients[client].spec.region;
+        let region = self.clients[client].region;
         let Some(ep) = self.dns.resolve(region) else {
             return self.retry_later(req, sched);
         };
@@ -158,17 +172,26 @@ impl Fabric {
         id: RequestId,
     ) -> Option<(usize, SimDuration)> {
         let client = self.reqs.get(&id.0)?.client;
-        let to = self.clients[client].spec.region;
+        let to = self.clients[client].region;
         Some((client, self.cfg.net.sample_one_way(from, to, &mut self.rng)))
     }
 
     pub(crate) fn on_first_token(&mut self, client: usize, req: RequestId, sched: &mut Sched) {
-        let region = self.clients[client].spec.region;
+        let region = self.clients[client].region;
         self.obs.first_token_delivered(req.0, region, sched.now());
     }
 
     pub(crate) fn on_completion(&mut self, client: usize, done: Completion, sched: &mut Sched) {
         self.obs.delivered(&done, sched.now());
+        // Delivered: nothing routes this request any more. Only one that
+        // took its post-crash reroute keeps its entry — the crashed
+        // replica's last finished iteration may still owe it a first
+        // token, and `client_leg` must keep finding it.
+        if let Entry::Occupied(state) = self.reqs.entry(done.id.0) {
+            if !state.get().rerouted {
+                state.remove();
+            }
+        }
         self.request_finished(client, sched);
     }
 
@@ -180,16 +203,23 @@ impl Fabric {
         }
     }
 
-    /// Marks one in-flight request of `client` finished and, if its stage
-    /// drained, schedules the next stage (or retires the client).
+    /// Marks one in-flight request of `client` finished and moves the
+    /// client on if that drained its stage.
     fn request_finished(&mut self, client: usize, sched: &mut Sched) {
         let c = &mut self.clients[client];
         c.inflight = c.inflight.saturating_sub(1);
-        if c.finished || c.inflight > 0 {
-            return;
+        if !c.finished && c.inflight == 0 {
+            self.stage_drained(client, sched);
         }
+    }
+
+    /// Schedules the stage after the one `client` just drained, or
+    /// retires the client and releases its programs.
+    fn stage_drained(&mut self, client: usize, sched: &mut Sched) {
+        let c = &mut self.clients[client];
         c.advance();
         if c.finished {
+            c.programs = Vec::new();
             self.active_clients -= 1;
             self.maybe_stop(sched);
         } else {

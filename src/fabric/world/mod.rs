@@ -19,6 +19,7 @@ mod replica;
 mod ticks;
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_core::Controller;
 use skywalker_fleet::FleetEvent;
@@ -117,7 +118,11 @@ pub(crate) enum Ev {
 }
 
 /// Fabric-side routing state of one request, alive from its first issue
-/// to the end of the run.
+/// until its completion is delivered to the client. Entries of requests
+/// that terminally failed or were rerouted after a crash stay to the end
+/// of the run: the crashed replica's last finished iteration can still
+/// stream a first token for them. Those are bounded by failures, not by
+/// run length.
 pub(crate) struct ReqState {
     /// The issuing client.
     client: usize,
@@ -145,7 +150,12 @@ pub(crate) struct Fabric {
     pub(crate) clients: Vec<ClientState>,
     pub(crate) active_clients: usize,
     pub(crate) traffic: Traffic,
-    pub(crate) reqs: HashMap<u64, ReqState>, // det-allow(D02): lookup-only — keyed by request id, never iterated
+    /// Requests in flight (and the few [`ReqState`] keeps longer), by
+    /// id. Hashed with a fixed key: entries are removed on delivery, and
+    /// a randomly keyed table's tombstones — hence the instant it
+    /// regrows — would differ from run to run, which would make a run's
+    /// peak heap inexact under a seed.
+    pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id, never iterated
     pub(crate) dns: DnsResolver,
     pub(crate) controller: Controller,
     pub(crate) forward_enabled: bool,

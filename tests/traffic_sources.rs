@@ -5,9 +5,11 @@
 //! crate, outside `skywalker-workload`.
 
 use skywalker::net::Region;
-use skywalker::replica::GpuProfile;
+use skywalker::replica::{GpuProfile, Request};
 use skywalker::sim::{SimDuration, SimTime};
-use skywalker::workload::{ArrivalSchedule, ConversationConfig, ConversationSource};
+use skywalker::workload::{
+    ArrivalSchedule, ClientSpec, ConversationConfig, ConversationSource, Program,
+};
 use skywalker::{
     balanced_fleet, lite_fleet, run_scenario, workload_clients, FabricConfig, FlashCrowdSource,
     RagCorpusConfig, RagCorpusSource, ReplicaPlacement, ReplicaRole, RunSummary, Scenario,
@@ -126,6 +128,53 @@ fn ramped_arrivals_stream_through_the_fabric() {
     let zero = run_scenario(&scenario, &zero_cfg);
     assert_eq!(zero.end_time, s.end_time);
     assert_eq!(zero.report.completed, s.report.completed);
+}
+
+/// A stage, program or client with nothing in it is nothing to wait
+/// for: the client moves past it at once instead of idling, with
+/// nothing in flight, until the deadline.
+#[test]
+fn empty_stages_and_programs_do_not_strand_their_client() {
+    let req = |id: u64| Request::new(id, format!("u{id}/0"), (0..64).collect(), 8);
+    let client = |programs: Vec<Vec<Vec<Request>>>| ClientSpec {
+        region: Region::UsEast,
+        user: "u".into(),
+        programs: programs
+            .into_iter()
+            .map(|stages| Program { stages })
+            .collect(),
+    };
+    let clients = vec![
+        // The reported shape: an empty stage between two real ones.
+        client(vec![vec![vec![req(1)], vec![], vec![req(2)]]]),
+        // Leading and trailing empty stages, and two in a row.
+        client(vec![vec![vec![], vec![req(3)], vec![], vec![]]]),
+        // A program without stages ahead of a real one.
+        client(vec![vec![], vec![vec![req(4), req(5)]]]),
+        // Nothing but empty stages, and nothing at all.
+        client(vec![vec![vec![], vec![]]]),
+        client(vec![]),
+    ];
+    let emitted: usize = clients.iter().map(ClientSpec::total_requests).sum();
+    assert_eq!(emitted, 5);
+    let scenario = SystemKind::SkyWalker
+        .builder()
+        .replicas(lite_fleet(&[(Region::UsEast, 1)]))
+        .clients(clients)
+        .build()
+        .expect("fleet and clients are set");
+    let cfg = FabricConfig {
+        deadline: SimTime::from_secs(600),
+        ..FabricConfig::default()
+    };
+    let s = run_scenario(&scenario, &cfg);
+    conservation(&s, emitted, "empty stages");
+    assert_eq!(s.report.completed as usize, emitted);
+    assert!(
+        s.end_time < SimTime::from_secs(60),
+        "the run idled to {} instead of ending with its last request",
+        s.end_time
+    );
 }
 
 #[test]
