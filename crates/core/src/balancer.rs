@@ -84,15 +84,9 @@ pub struct BalancerConfig {
     /// Queue-length buffer τ: a peer is available only if its queue is at
     /// most this (Alg. 1 line 12).
     pub tau: u32,
-    /// Size bound for routing tries, in tokens.
-    pub trie_max_tokens: usize,
-    /// Hit-ratio threshold below which the cache-aware policy explores
-    /// by load instead of chasing affinity (§5.1 discusses 50 %).
-    pub affinity_threshold: f64,
-    /// Load-gap override of the cache-aware policy: beyond this many
-    /// outstanding requests between the most and least loaded candidate,
-    /// affinity is abandoned for shortest-queue routing.
-    pub balance_abs_threshold: u32,
+    /// Construction parameters of the policies at both layers (trie
+    /// bound, affinity threshold, load-gap override).
+    pub params: PolicyParams,
     /// Maximum LB-to-LB hops (1 = a request is forwarded at most once).
     pub max_hops: u8,
     /// Regulatory forwarding constraint (§4.1).
@@ -122,26 +116,14 @@ impl BalancerConfig {
     /// A single-region baseline (RR/LL/CH/SGL): the given policy with
     /// blind pushing and no cross-region forwarding.
     pub fn baseline(region: Region, policy: PolicyKind) -> Self {
-        let params = PolicyParams::default();
         BalancerConfig {
             region,
             policy,
             push_mode: PushMode::Blind,
             tau: 0,
-            trie_max_tokens: params.trie_max_tokens,
-            affinity_threshold: params.affinity_threshold,
-            balance_abs_threshold: params.balance_abs_threshold,
+            params: PolicyParams::default(),
             max_hops: 0,
             constraint: RoutingConstraint::Unrestricted,
-        }
-    }
-
-    /// The policy-construction parameters embedded in this configuration.
-    pub fn params(&self) -> PolicyParams {
-        PolicyParams {
-            trie_max_tokens: self.trie_max_tokens,
-            affinity_threshold: self.affinity_threshold,
-            balance_abs_threshold: self.balance_abs_threshold,
         }
     }
 }
@@ -166,11 +148,11 @@ pub trait PolicyFactory: std::fmt::Debug + Send + Sync {
 
 impl PolicyFactory for PolicyKind {
     fn build_local(&self, cfg: &BalancerConfig) -> Box<dyn RoutingPolicy<ReplicaId>> {
-        self.build(&cfg.params())
+        self.build(&cfg.params)
     }
 
     fn build_remote(&self, cfg: &BalancerConfig) -> Box<dyn RoutingPolicy<LbId>> {
-        self.build(&cfg.params())
+        self.build(&cfg.params)
     }
 
     fn label(&self) -> String {

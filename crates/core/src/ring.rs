@@ -8,14 +8,12 @@
 //! full), the lookup keeps walking the ring to the next virtual node of an
 //! available target, rather than failing or queueing behind the busy one.
 
+use skywalker_sim::{fnv1a_bytes, FNV_OFFSET};
+
 /// Hashes a routing key (user id / session id) onto the ring.
 pub fn hash_key(key: &str) -> u64 {
     // FNV-1a then a finalizer, so short keys still spread.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let mut h = fnv1a_bytes(FNV_OFFSET, key.as_bytes());
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 29)

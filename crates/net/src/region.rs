@@ -202,12 +202,6 @@ impl LatencyModel {
         }
     }
 
-    /// Sets the relative jitter standard deviation (clamped to `[0, 0.5]`).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 0.5);
-        self
-    }
-
     /// The nominal round-trip time between two regions.
     pub fn rtt(&self, a: Region, b: Region) -> SimDuration {
         SimDuration::from_micros(self.rtt_us[a.index()][b.index()])

@@ -216,11 +216,6 @@ impl<E> Engine<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Schedules an event `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Runs until the event queue is empty or a handler requests a stop.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W) -> RunStats {
         self.run_until(world, SimTime::MAX)

@@ -63,5 +63,5 @@ mod rng;
 mod time;
 
 pub use engine::{Engine, RunStats, Scheduler, World};
-pub use rng::{DetRng, Zipf};
+pub use rng::{fnv1a_bytes, fnv1a_words, DetRng, Zipf, FNV_OFFSET};
 pub use time::{SimDuration, SimTime};

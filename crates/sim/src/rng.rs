@@ -13,14 +13,27 @@
 //! dependencies — the deterministic paths must not drift with a crate
 //! upgrade anyway).
 
-/// Hashes a string label to a 64-bit stream id (FNV-1a).
+/// The offset basis a 64-bit FNV-1a fold starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over whole words, continuing from `h` (start a fresh
+/// hash at [`FNV_OFFSET`]): the workspace's one non-cryptographic fold,
+/// behind stream labels, ring keys, synthetic-text labels and test
+/// fingerprints.
+pub fn fnv1a_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(h, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+}
+
+/// [`fnv1a_words`] one byte per round — FNV-1a as published.
+pub fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a_words(h, bytes.iter().map(|&b| u64::from(b)))
+}
+
+/// Hashes a string label to a 64-bit stream id.
 fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, label.as_bytes())
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -60,7 +73,7 @@ impl DetRng {
     /// let a = DetRng::for_component(42, "replica/us-east/0");
     /// let b = DetRng::for_component(42, "replica/us-east/1");
     /// // Different components get independent streams.
-    /// assert_ne!(a.clone().next_u64_pub(), b.clone().next_u64_pub());
+    /// assert_ne!(a.clone().next_u64(), b.clone().next_u64());
     /// ```
     pub fn for_component(root_seed: u64, label: &str) -> Self {
         Self::new(root_seed ^ fnv1a(label))
@@ -91,11 +104,6 @@ impl DetRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Public alias for drawing a raw `u64` (used in doctests).
-    pub fn next_u64_pub(&mut self) -> u64 {
-        self.next()
     }
 
     /// Draws a raw `u32` (the high half of one generator step).

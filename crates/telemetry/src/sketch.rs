@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use skywalker_metrics::Summary;
+use skywalker_sim::{fnv1a_bytes, FNV_OFFSET};
 
 /// The default relative-error bound `α` (1%): a reported P90 of 100ms means
 /// the exact rank-0.90 sample lies in `[99ms, 101ms]`.
@@ -257,26 +258,21 @@ impl QuantileSketch {
     /// byte-identical for every query; used by the property suite to prove
     /// merge order-invariance.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn put(h: &mut u64, x: u64) {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        let mut h = OFFSET;
-        put(&mut h, self.alpha.to_bits());
-        put(&mut h, self.count);
-        put(&mut h, self.zero_count);
-        put(&mut h, self.sum.to_bits());
-        put(&mut h, self.min.to_bits());
-        put(&mut h, self.max.to_bits());
-        for (&idx, &c) in &self.buckets {
-            put(&mut h, idx as i64 as u64);
-            put(&mut h, c);
-        }
-        h
+        let head = [
+            self.alpha.to_bits(),
+            self.count,
+            self.zero_count,
+            self.sum.to_bits(),
+            self.min.to_bits(),
+            self.max.to_bits(),
+        ];
+        let buckets = self
+            .buckets
+            .iter()
+            .flat_map(|(&idx, &c)| [idx as i64 as u64, c]);
+        head.into_iter()
+            .chain(buckets)
+            .fold(FNV_OFFSET, |h, x| fnv1a_bytes(h, &x.to_le_bytes()))
     }
 
     /// Bucket index for a value `> MIN_TRACKED`: `ceil(ln(v) / ln(γ))`.

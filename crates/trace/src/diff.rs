@@ -28,16 +28,6 @@ pub struct PhaseDelta {
 }
 
 impl PhaseDelta {
-    /// Other minus base, mean seconds per request.
-    pub fn delta_mean(&self) -> f64 {
-        self.other.mean - self.base.mean
-    }
-
-    /// Other minus base, p50 seconds.
-    pub fn delta_p50(&self) -> f64 {
-        self.other.p50 - self.base.p50
-    }
-
     /// Other minus base, p90 seconds.
     pub fn delta_p90(&self) -> f64 {
         self.other.p90 - self.base.p90

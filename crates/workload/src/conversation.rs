@@ -20,10 +20,11 @@
 
 use skywalker_net::Region;
 use skywalker_replica::{output_token, Request};
-use skywalker_sim::{DetRng, Zipf};
+use skywalker_sim::{fnv1a_words, DetRng, Zipf, FNV_OFFSET};
 
 use crate::lengths::LengthModel;
 use crate::program::{ClientSpec, IdGen, Program};
+use crate::source::{ClientGen, SlotSource};
 
 /// Tunables of the conversation generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,179 +124,149 @@ fn stream_token(label: u64, k: u32) -> u32 {
     (h >> 32) as u32
 }
 
-fn label(parts: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in parts {
-        h ^= p;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+fn fragment(parts: &[u64], len: u32) -> Vec<u32> {
+    let label = fnv1a_words(FNV_OFFSET, parts.iter().copied());
+    (0..len).map(|k| stream_token(label, k)).collect()
 }
 
-fn fragment(lbl: u64, len: u32) -> Vec<u32> {
-    (0..len).map(|k| stream_token(lbl, k)).collect()
-}
-
-/// Generates the client population for one conversation workload.
-///
-/// `users_per_region` lists `(region, user_count)`; `seed` controls all
-/// randomness. Every user gets a [`ClientSpec`] whose programs are that
-/// user's conversations.
-///
-/// This is the eager form; [`crate::source::ConversationSource`] streams
-/// the same clients one arrival at a time through the identical per-user
-/// generator, so both paths are byte-for-byte interchangeable.
-pub fn generate_clients(
-    cfg: &ConversationConfig,
-    users_per_region: &[(Region, u32)],
+/// The content of a conversation workload: each slot is one user, whose
+/// activity level and conversations are an independent random stream
+/// keyed by `(seed, user id)` — users can be generated in any order, at
+/// their arrival instants, without perturbing one another.
+#[derive(Debug, Clone)]
+pub struct ConversationGen {
+    cfg: ConversationConfig,
     seed: u64,
-    ids: &mut IdGen,
-) -> Vec<ClientSpec> {
-    let global_zipf = Zipf::new(cfg.global_templates.max(1), cfg.template_zipf);
-    let regional_zipf =
-        (cfg.regional_templates > 0).then(|| Zipf::new(cfg.regional_templates, cfg.template_zipf));
-
-    let mut clients = Vec::new();
-    let mut user_seq = 0u64;
-    for &(region, count) in users_per_region {
-        for _ in 0..count {
-            clients.push(generate_user(
-                cfg,
-                region,
-                user_seq,
-                seed,
-                ids,
-                &global_zipf,
-                regional_zipf.as_ref(),
-            ));
-            user_seq += 1;
-        }
-    }
-    clients
+    user_base: u64,
+    global_zipf: Zipf,
+    regional_zipf: Option<Zipf>,
 }
 
-/// Generates one user's full [`ClientSpec`] — activity level and all of
-/// their conversations. Each user's randomness is an independent stream
-/// keyed by `(seed, user id)`, so users can be generated in any order or
-/// lazily at arrival time without perturbing one another — which is how
-/// [`crate::source::ConversationSource`] streams them, and how external
-/// sources with their own arrival processes (e.g. a diurnal feed) can
-/// generate each user at its arrival instant instead of materializing
-/// the population up front. Pass per-pool [`Zipf`]s built from the
-/// config (`Zipf::new(cfg.global_templates.max(1), cfg.template_zipf)`,
-/// and the regional pool if `cfg.regional_templates > 0`).
-pub fn generate_user(
-    cfg: &ConversationConfig,
-    region: Region,
-    user_id: u64,
-    seed: u64,
-    ids: &mut IdGen,
-    global_zipf: &Zipf,
-    regional_zipf: Option<&Zipf>,
-) -> ClientSpec {
-    let user = format!("user-{user_id}");
-    let mut rng = DetRng::for_component(seed, &format!("conv/{user}"));
-    // Heavy-tailed per-user activity: median near the low end of the
-    // clamp range, a long tail of power users.
-    let (lo, hi) = cfg.conversations_per_user;
-    let median = f64::from(lo.max(1)) * 2.0;
-    let n_convs = rng
-        .lognormal(median.ln(), cfg.activity_sigma)
-        .round()
-        .clamp(f64::from(lo), f64::from(hi)) as u32;
-    let mut programs = Vec::with_capacity(n_convs as usize);
-    for conv in 0..n_convs {
-        programs.push(generate_conversation(
+impl ConversationGen {
+    /// A generator of `cfg`-shaped users. Slot `k` is user
+    /// `user_base + k`: generators sharing a run (the lanes of a diurnal
+    /// day) take disjoint bases so no two name the same user.
+    pub fn new(cfg: ConversationConfig, seed: u64, user_base: u64) -> Self {
+        let global_zipf = Zipf::new(cfg.global_templates.max(1), cfg.template_zipf);
+        let regional_zipf = (cfg.regional_templates > 0)
+            .then(|| Zipf::new(cfg.regional_templates, cfg.template_zipf));
+        ConversationGen {
             cfg,
-            region,
-            user_id,
-            &user,
-            conv,
-            &mut rng,
-            ids,
+            seed,
+            user_base,
             global_zipf,
             regional_zipf,
-        ));
+        }
     }
-    ClientSpec {
-        region,
-        user,
-        programs,
+
+    fn conversation(
+        &self,
+        region: Region,
+        user_id: u64,
+        user: &str,
+        conv: u32,
+        rng: &mut DetRng,
+        ids: &mut IdGen,
+    ) -> Program {
+        let cfg = &self.cfg;
+        // Pick the application template: regional pools model apps with a
+        // geographically concentrated user base.
+        let template = match (&self.regional_zipf, rng.chance(cfg.p_regional_template)) {
+            (Some(z), true) => {
+                let t = z.sample(rng) as u64;
+                fragment(&[0xA11, region.index() as u64, t], cfg.template_tokens)
+            }
+            _ => {
+                let t = self.global_zipf.sample(rng) as u64;
+                fragment(&[0x61, t], cfg.template_tokens)
+            }
+        };
+        let persona = fragment(&[0x9E, user_id], cfg.persona_tokens);
+
+        let turns = rng.range(
+            u64::from(cfg.turns_per_conversation.0),
+            u64::from(cfg.turns_per_conversation.1) + 1,
+        ) as u32;
+
+        let mut history = template;
+        history.extend(&persona);
+
+        let mut stages = Vec::with_capacity(turns as usize);
+        for turn in 0..turns {
+            let fresh = fragment(
+                &[0xF5, user_id, u64::from(conv), u64::from(turn)],
+                cfg.turn_input.sample(rng),
+            );
+            history.extend(&fresh);
+            let out_len = cfg.turn_output.sample(rng);
+            let id = ids.next_id();
+            stages.push(vec![Request::new(
+                id,
+                format!("{user}/conv-{conv}"),
+                history.clone(),
+                out_len,
+            )]);
+            // The assistant reply becomes part of the next turn's prompt.
+            history.extend((0..out_len).map(|k| output_token(id, k)));
+        }
+        Program { stages }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn generate_conversation(
-    cfg: &ConversationConfig,
-    region: Region,
-    user_id: u64,
-    user: &str,
-    conv: u32,
-    rng: &mut DetRng,
-    ids: &mut IdGen,
-    global_zipf: &Zipf,
-    regional_zipf: Option<&Zipf>,
-) -> Program {
-    // Pick the application template: regional pools model apps with a
-    // geographically concentrated user base.
-    let template = match (regional_zipf, rng.chance(cfg.p_regional_template)) {
-        (Some(z), true) => {
-            let t = z.sample(rng) as u64;
-            fragment(
-                label(&[0xA11, region.index() as u64, t]),
-                cfg.template_tokens,
-            )
+impl ClientGen for ConversationGen {
+    fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
+        let user_id = self.user_base + slot as u64;
+        let user = format!("user-{user_id}");
+        let mut rng = DetRng::for_component(self.seed, &format!("conv/{user}"));
+        // Heavy-tailed per-user activity: median near the low end of the
+        // clamp range, a long tail of power users.
+        let (lo, hi) = self.cfg.conversations_per_user;
+        let median = f64::from(lo.max(1)) * 2.0;
+        let n_convs = rng
+            .lognormal(median.ln(), self.cfg.activity_sigma)
+            .round()
+            .clamp(f64::from(lo), f64::from(hi)) as u32;
+        let programs = (0..n_convs)
+            .map(|conv| self.conversation(region, user_id, &user, conv, &mut rng, ids))
+            .collect();
+        ClientSpec {
+            region,
+            user,
+            programs,
         }
-        _ => {
-            let t = global_zipf.sample(rng) as u64;
-            fragment(label(&[0x61, t]), cfg.template_tokens)
-        }
-    };
-    let persona = fragment(label(&[0x9E & 0xFFFF, user_id]), cfg.persona_tokens);
-
-    let turns = rng.range(
-        u64::from(cfg.turns_per_conversation.0),
-        u64::from(cfg.turns_per_conversation.1) + 1,
-    ) as u32;
-
-    let mut history: Vec<u32> = Vec::new();
-    history.extend(&template);
-    history.extend(&persona);
-
-    let mut stages = Vec::with_capacity(turns as usize);
-    for turn in 0..turns {
-        let fresh = fragment(
-            label(&[0xF5, user_id, u64::from(conv), u64::from(turn)]),
-            cfg.turn_input.sample(rng),
-        );
-        history.extend(&fresh);
-        let out_len = cfg.turn_output.sample(rng);
-        let id = ids.next_id();
-        stages.push(vec![Request::new(
-            id,
-            format!("{user}/conv-{conv}"),
-            history.clone(),
-            out_len,
-        )]);
-        // The assistant reply becomes part of the next turn's prompt.
-        history.extend((0..out_len).map(|k| output_token(id, k)));
     }
-    Program { stages }
+}
+
+/// The multi-turn conversation workloads (WildChat, ChatBot Arena) as a
+/// streaming source: [`ConversationGen`] under the shared slot walk.
+pub type ConversationSource = SlotSource<ConversationGen>;
+
+impl ConversationSource {
+    /// A source over `users_per_region` `(region, user_count)` slots,
+    /// all arriving at `t = 0`.
+    pub fn new(cfg: ConversationConfig, users_per_region: Vec<(Region, u32)>, seed: u64) -> Self {
+        SlotSource::over(ConversationGen::new(cfg, seed, 0), users_per_region, seed)
+            .with_label("conversations")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prefix_stats::{grouped_similarity, prefix_similarity};
+    use crate::source::drain;
 
     fn one_region() -> Vec<(Region, u32)> {
         vec![(Region::UsEast, 12)]
     }
 
+    fn clients(cfg: ConversationConfig, slots: Vec<(Region, u32)>, seed: u64) -> Vec<ClientSpec> {
+        drain(&mut ConversationSource::new(cfg, slots, seed))
+    }
+
     #[test]
     fn turns_are_sequential_single_request_stages() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(&ConversationConfig::wildchat(), &one_region(), 1, &mut ids);
+        let clients = clients(ConversationConfig::wildchat(), one_region(), 1);
         assert_eq!(clients.len(), 12);
         for c in &clients {
             assert!(!c.programs.is_empty());
@@ -308,8 +279,7 @@ mod tests {
 
     #[test]
     fn consecutive_turns_extend_the_prompt_exactly() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(&ConversationConfig::wildchat(), &one_region(), 2, &mut ids);
+        let clients = clients(ConversationConfig::wildchat(), one_region(), 2);
         let p = &clients[0].programs[0];
         for pair in p.stages.windows(2) {
             let a = &pair[0][0];
@@ -334,8 +304,7 @@ mod tests {
 
     #[test]
     fn request_ids_globally_unique() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(&ConversationConfig::arena(), &one_region(), 3, &mut ids);
+        let clients = clients(ConversationConfig::arena(), one_region(), 3);
         let mut seen: Vec<u64> = clients
             .iter()
             .flat_map(|c| c.programs.iter())
@@ -350,8 +319,7 @@ mod tests {
 
     #[test]
     fn session_key_stable_within_conversation() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(&ConversationConfig::wildchat(), &one_region(), 4, &mut ids);
+        let clients = clients(ConversationConfig::wildchat(), one_region(), 4);
         for c in &clients {
             for p in &c.programs {
                 let keys: Vec<&str> = p.requests().map(|r| r.session_key.as_str()).collect();
@@ -362,10 +330,8 @@ mod tests {
 
     #[test]
     fn deterministic_generation() {
-        let mut ids1 = IdGen::new();
-        let mut ids2 = IdGen::new();
-        let a = generate_clients(&ConversationConfig::arena(), &one_region(), 5, &mut ids1);
-        let b = generate_clients(&ConversationConfig::arena(), &one_region(), 5, &mut ids2);
+        let a = clients(ConversationConfig::arena(), one_region(), 5);
+        let b = clients(ConversationConfig::arena(), one_region(), 5);
         assert_eq!(a, b);
     }
 
@@ -373,13 +339,12 @@ mod tests {
     /// paper's ordering and rough magnitudes.
     #[test]
     fn wildchat_similarity_structure() {
-        let mut ids = IdGen::new();
         let regions = vec![
             (Region::UsEast, 10),
             (Region::EuWest, 10),
             (Region::ApNortheast, 10),
         ];
-        let clients = generate_clients(&ConversationConfig::wildchat(), &regions, 11, &mut ids);
+        let clients = clients(ConversationConfig::wildchat(), regions.clone(), 11);
 
         // Group prompts by user.
         let user_groups: Vec<Vec<Vec<u32>>> = clients
@@ -432,13 +397,7 @@ mod tests {
 
     #[test]
     fn arena_similarity_structure() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(
-            &ConversationConfig::arena(),
-            &[(Region::UsEast, 24)],
-            13,
-            &mut ids,
-        );
+        let clients = clients(ConversationConfig::arena(), vec![(Region::UsEast, 24)], 13);
         let user_groups: Vec<Vec<Vec<u32>>> = clients
             .iter()
             .map(|c| {

@@ -21,11 +21,10 @@
 //! [`TrafficSource`]s** ([`source`]): the fabric pulls client arrivals as
 //! simulated time advances and each client's [`program::Program`]s —
 //! fully materialized stages of [`skywalker_replica::Request`]s — are
-//! generated lazily at its arrival instant. The eager
-//! `generate_*_clients` functions remain as thin drains of the same
-//! generators for tests and offline analysis, and any external type
-//! implementing [`TrafficSource`] plugs into the fabric without touching
-//! this crate.
+//! generated lazily at its arrival instant. A new generated workload is
+//! one [`ClientGen`] method under the shared [`SlotSource`]; any external
+//! type implementing [`TrafficSource`] plugs into the fabric without
+//! touching this crate.
 
 pub mod conversation;
 pub mod diurnal;
@@ -35,10 +34,7 @@ pub mod program;
 pub mod source;
 pub mod tot;
 
-pub use conversation::{
-    generate_clients as generate_conversation_clients, generate_user as generate_conversation_user,
-    ConversationConfig,
-};
+pub use conversation::{ConversationConfig, ConversationGen, ConversationSource};
 pub use diurnal::{aggregate_hourly, fig2_countries, fig3_regions, variance_ratio, DiurnalProfile};
 pub use lengths::LengthModel;
 pub use prefix_stats::{
@@ -48,7 +44,7 @@ pub use prefix_stats::{
 pub use program::{ClientSpec, IdGen, Program};
 pub use source::{
     distinct_regions, drain, region_of_slot, total_slots, ArrivalSchedule, ArrivalTimes,
-    ArrivalWalk, ClientEvent, ClientListSource, CloneTrafficSource, ConversationSource,
-    MergeSource, TotSource, TrafficSource,
+    ArrivalWalk, ClientEvent, ClientGen, ClientListSource, CloneTrafficSource, MergeSource,
+    SlotSource, TrafficSource,
 };
-pub use tot::{generate_clients as generate_tot_clients, generate_tree, TotConfig};
+pub use tot::{generate_tree, TotConfig, TotGen, TotSource};

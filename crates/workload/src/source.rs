@@ -10,13 +10,15 @@
 //! inside this crate or out — plugs into `ScenarioBuilder` exactly like a
 //! custom routing policy plugs into the balancer.
 //!
-//! The four paper workloads are provided as sources here
-//! ([`ConversationSource`], [`TotSource`], composed by [`MergeSource`]),
-//! and a pre-materialized `Vec<ClientSpec>` adapts through
-//! [`ClientListSource`]. Arrival pacing is orthogonal to content:
-//! every built-in source takes an [`ArrivalSchedule`] (all at once, a
-//! uniform ramp, or a Poisson process), and external sources can reuse
-//! the same [`ArrivalTimes`] iterator.
+//! Most workloads differ only in *content*: what the client in slot `k`
+//! asks. That is one method, [`ClientGen::client`], and [`SlotSource`]
+//! supplies everything else once — the `(region, count)` slots, the
+//! [`ArrivalSchedule`] walk, the request-id range, the label, and the
+//! cadence-invariant `next_batch`. The paper's workloads are that source
+//! over a generator ([`crate::ConversationSource`], [`crate::TotSource`],
+//! composed by [`MergeSource`]); a pre-materialized `Vec<ClientSpec>`
+//! adapts through [`ClientListSource`]. A workload with its own arrival
+//! process implements [`TrafficSource`] directly.
 //!
 //! # Contract
 //!
@@ -38,16 +40,14 @@
 //!   stream (e.g. sampling diagnostics).
 //! - Request ids must be unique *across* sources sharing a run. When
 //!   composing sources (see [`MergeSource`]), give each a disjoint id
-//!   range via its `with_first_request_id` constructor.
+//!   range via [`SlotSource::with_first_request_id`].
 
 use std::fmt;
 
 use skywalker_net::Region;
-use skywalker_sim::{DetRng, SimDuration, SimTime, Zipf};
+use skywalker_sim::{DetRng, SimDuration, SimTime};
 
-use crate::conversation::{generate_user, ConversationConfig};
 use crate::program::{ClientSpec, IdGen};
-use crate::tot::{generate_tot_client, TotConfig};
 
 /// One traffic event: a closed-loop client joining the simulation at
 /// `at`, running `spec`'s programs to completion.
@@ -215,11 +215,11 @@ pub fn total_slots(per_region: &[(Region, u32)]) -> usize {
     per_region.iter().map(|&(_, n)| n as usize).sum()
 }
 
-/// Distinct regions of `(region, count)` slots, in first-appearance
-/// order — the shape [`TrafficSource::regions`] wants.
-pub fn distinct_regions(per_region: &[(Region, u32)]) -> Vec<Region> {
+/// The distinct regions among `regions`, in first-appearance order — the
+/// shape [`TrafficSource::regions`] wants.
+pub fn distinct_regions(regions: impl IntoIterator<Item = Region>) -> Vec<Region> {
     let mut out = Vec::new();
-    for &(region, _) in per_region {
+    for region in regions {
         if !out.contains(&region) {
             out.push(region);
         }
@@ -227,15 +227,34 @@ pub fn distinct_regions(per_region: &[(Region, u32)]) -> Vec<Region> {
     out
 }
 
-/// Cursor over an [`ArrivalSchedule`]: which of `total` clients have
-/// been emitted, and when the next one is due. The shared emission walk
-/// behind every built-in generator source; sources outside this crate
-/// can reuse it the same way.
+/// The arrival instants a walk has yet to hand out: drawn lazily from a
+/// schedule, or listed explicitly.
+#[derive(Debug, Clone)]
+enum Instants {
+    Scheduled(ArrivalTimes),
+    Explicit(std::vec::IntoIter<SimTime>),
+}
+
+impl Iterator for Instants {
+    type Item = SimTime;
+
+    fn next(&mut self) -> Option<SimTime> {
+        match self {
+            Instants::Scheduled(times) => times.next(),
+            Instants::Explicit(times) => times.next(),
+        }
+    }
+}
+
+/// Cursor over a sequence of arrival instants: which of `total` clients
+/// have been emitted, and when the next one is due. The emission walk
+/// under [`SlotSource`]; sources outside this crate can reuse it the
+/// same way.
 #[derive(Debug, Clone)]
 pub struct ArrivalWalk {
     seed: u64,
     total: usize,
-    times: ArrivalTimes,
+    times: Instants,
     next_at: Option<SimTime>,
     cursor: usize,
 }
@@ -243,7 +262,23 @@ pub struct ArrivalWalk {
 impl ArrivalWalk {
     /// A walk over `total` arrivals under `schedule`.
     pub fn new(schedule: ArrivalSchedule, total: usize, seed: u64) -> Self {
-        let mut times = schedule.times(total, seed);
+        Self::over(
+            Instants::Scheduled(schedule.times(total, seed)),
+            total,
+            seed,
+        )
+    }
+
+    /// A walk over explicit, nondecreasing `instants` — an arrival
+    /// process no [`ArrivalSchedule`] describes (a sampled rate curve).
+    /// A later [`ArrivalWalk::reschedule`] draws under seed 0.
+    pub fn from_instants(instants: Vec<SimTime>) -> Self {
+        debug_assert!(instants.windows(2).all(|w| w[0] <= w[1]));
+        let total = instants.len();
+        Self::over(Instants::Explicit(instants.into_iter()), total, 0)
+    }
+
+    fn over(mut times: Instants, total: usize, seed: u64) -> Self {
         let next_at = times.next();
         ArrivalWalk {
             seed,
@@ -260,11 +295,12 @@ impl ArrivalWalk {
     /// violating the nondecreasing-`at` contract. (Defensively, instants
     /// already consumed are skipped so a client is never re-emitted.)
     pub fn reschedule(&mut self, schedule: ArrivalSchedule) {
-        self.times = schedule.times(self.total, self.seed);
+        let mut times = schedule.times(self.total, self.seed);
         for _ in 0..self.cursor {
-            self.times.next();
+            times.next();
         }
-        self.next_at = self.times.next();
+        self.next_at = times.next();
+        self.times = Instants::Scheduled(times);
     }
 
     /// If the next client is due by `now`, consumes it and returns its
@@ -286,6 +322,106 @@ impl ArrivalWalk {
     }
 }
 
+/// The content of a generated workload: what the client in each slot
+/// asks. This is the one thing that varies between generated workloads;
+/// [`SlotSource`] supplies the rest.
+///
+/// Slots are handed out in order, each exactly once. Content must depend
+/// only on the generator's own seeded state and the slot — derive
+/// per-client randomness as `DetRng::for_component(seed, label-of-slot)`
+/// — so that pacing never perturbs it.
+pub trait ClientGen: fmt::Debug + Clone + Send + 'static {
+    /// The client in `slot`, issuing from `region`, its request ids
+    /// drawn from `ids`.
+    fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec;
+}
+
+/// A population of generated clients as a streaming source: `(region,
+/// count)` slots walked under an [`ArrivalSchedule`], each client's
+/// programs generated by `G` at its arrival instant, so memory tracks
+/// the *active* population instead of the total request count.
+#[derive(Debug, Clone)]
+pub struct SlotSource<G> {
+    pub(crate) content: G,
+    pub(crate) slots: Vec<(Region, u32)>,
+    pub(crate) first_request_id: u64,
+    ids: IdGen,
+    walk: ArrivalWalk,
+    label: String,
+}
+
+impl<G: ClientGen> SlotSource<G> {
+    /// `content` over `slots`, everyone arriving at `t = 0`; `seed`
+    /// drives a later [`SlotSource::with_schedule`].
+    pub fn over(content: G, slots: Vec<(Region, u32)>, seed: u64) -> Self {
+        let walk = ArrivalWalk::new(ArrivalSchedule::Immediate, total_slots(&slots), seed);
+        Self::walking(content, slots, walk)
+    }
+
+    /// `content` for one region's clients arriving at explicit,
+    /// nondecreasing `instants`.
+    pub fn at_instants(content: G, region: Region, instants: Vec<SimTime>) -> Self {
+        let slots = vec![(region, instants.len() as u32)];
+        Self::walking(content, slots, ArrivalWalk::from_instants(instants))
+    }
+
+    fn walking(content: G, slots: Vec<(Region, u32)>, walk: ArrivalWalk) -> Self {
+        SlotSource {
+            content,
+            slots,
+            first_request_id: 0,
+            ids: IdGen::new(),
+            walk,
+            label: "generated".to_string(),
+        }
+    }
+
+    /// Replaces the arrival schedule (default: everyone at `t = 0`).
+    /// Builder-style: call before the source is first polled — see
+    /// [`ArrivalWalk::reschedule`].
+    pub fn with_schedule(mut self, schedule: ArrivalSchedule) -> Self {
+        self.walk.reschedule(schedule);
+        self
+    }
+
+    /// Offsets the request-id space (compose sources with disjoint ids).
+    pub fn with_first_request_id(mut self, first: u64) -> Self {
+        self.first_request_id = first;
+        self.ids = IdGen::starting_at(first);
+        self
+    }
+
+    /// Overrides the display label.
+    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+        self.label = label.into();
+        self
+    }
+}
+
+impl<G: ClientGen> TrafficSource for SlotSource<G> {
+    fn regions(&self) -> Vec<Region> {
+        distinct_regions(self.slots.iter().map(|&(region, _)| region))
+    }
+
+    fn next_batch(&mut self, now: SimTime, _rng: &mut DetRng) -> Vec<ClientEvent> {
+        let mut out = Vec::new();
+        while let Some((slot, at)) = self.walk.pop_due(now) {
+            let region = region_of_slot(&self.slots, slot);
+            let spec = self.content.client(slot, region, &mut self.ids);
+            out.push(ClientEvent { at, spec });
+        }
+        out
+    }
+
+    fn is_exhausted(&self) -> bool {
+        self.walk.is_exhausted()
+    }
+
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+}
+
 /// Thin adapter: a pre-materialized client population as a source. Every
 /// client arrives at `t = 0`, in vector order — exactly the old eager
 /// semantics, so `ScenarioBuilder::clients` keeps working unchanged.
@@ -301,12 +437,7 @@ pub struct ClientListSource {
 impl ClientListSource {
     /// Wraps an eagerly built population.
     pub fn new(specs: Vec<ClientSpec>) -> Self {
-        let mut regions = Vec::new();
-        for spec in &specs {
-            if !regions.contains(&spec.region) {
-                regions.push(spec.region);
-            }
-        }
+        let regions = distinct_regions(specs.iter().map(|spec| spec.region));
         ClientListSource {
             specs,
             regions,
@@ -348,222 +479,13 @@ impl TrafficSource for ClientListSource {
     }
 }
 
-/// The multi-turn conversation workloads (WildChat, ChatBot Arena) as a
-/// streaming source: each user's conversations are generated at the
-/// user's arrival instant, not up front, so memory tracks the *active*
-/// population instead of the total request count.
-///
-/// Generates byte-identical [`ClientSpec`]s to
-/// [`crate::conversation::generate_clients`] under the same seed.
-#[derive(Debug, Clone)]
-pub struct ConversationSource {
-    cfg: ConversationConfig,
-    users_per_region: Vec<(Region, u32)>,
-    seed: u64,
-    ids: IdGen,
-    global_zipf: Zipf,
-    regional_zipf: Option<Zipf>,
-    walk: ArrivalWalk,
-    label: String,
-}
-
-impl ConversationSource {
-    /// A source over `users_per_region` `(region, user_count)` slots,
-    /// all arriving at `t = 0`.
-    pub fn new(cfg: ConversationConfig, users_per_region: Vec<(Region, u32)>, seed: u64) -> Self {
-        let walk = ArrivalWalk::new(
-            ArrivalSchedule::Immediate,
-            total_slots(&users_per_region),
-            seed,
-        );
-        let global_zipf = Zipf::new(cfg.global_templates.max(1), cfg.template_zipf);
-        let regional_zipf = (cfg.regional_templates > 0)
-            .then(|| Zipf::new(cfg.regional_templates, cfg.template_zipf));
-        ConversationSource {
-            cfg,
-            users_per_region,
-            seed,
-            ids: IdGen::new(),
-            global_zipf,
-            regional_zipf,
-            walk,
-            label: "conversations".to_string(),
-        }
-    }
-
-    /// Replaces the arrival schedule (default: everyone at `t = 0`).
-    /// Builder-style: call before the source is first polled — see
-    /// [`ArrivalWalk::reschedule`].
-    pub fn with_schedule(mut self, schedule: ArrivalSchedule) -> Self {
-        self.walk.reschedule(schedule);
-        self
-    }
-
-    /// Offsets the request-id space (compose sources with disjoint ids).
-    pub fn with_first_request_id(mut self, first: u64) -> Self {
-        self.ids = IdGen::starting_at(first);
-        self
-    }
-
-    /// Overrides the display label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-}
-
-impl TrafficSource for ConversationSource {
-    fn regions(&self) -> Vec<Region> {
-        distinct_regions(&self.users_per_region)
-    }
-
-    fn next_batch(&mut self, now: SimTime, _rng: &mut DetRng) -> Vec<ClientEvent> {
-        let mut out = Vec::new();
-        while let Some((slot, at)) = self.walk.pop_due(now) {
-            let region = region_of_slot(&self.users_per_region, slot);
-            let spec = generate_user(
-                &self.cfg,
-                region,
-                slot as u64,
-                self.seed,
-                &mut self.ids,
-                &self.global_zipf,
-                self.regional_zipf.as_ref(),
-            );
-            out.push(ClientEvent { at, spec });
-        }
-        out
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.walk.is_exhausted()
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
-/// Tree-of-Thoughts traffic as a streaming source; each client's trees
-/// are generated at its arrival instant. Generates byte-identical
-/// [`ClientSpec`]s to [`crate::tot::generate_clients`] under the same
-/// seed.
-#[derive(Debug, Clone)]
-pub struct TotSource {
-    cfg: TotConfig,
-    clients_per_region: Vec<(Region, u32)>,
-    trees_per_client: u32,
-    seed: u64,
-    first_request_id: u64,
-    ids: IdGen,
-    question_seq: u64,
-    walk: ArrivalWalk,
-    label: String,
-}
-
-impl TotSource {
-    /// A source over `clients_per_region` slots, each client solving
-    /// `trees_per_client` questions back-to-back, all arriving at
-    /// `t = 0`.
-    pub fn new(
-        cfg: TotConfig,
-        clients_per_region: Vec<(Region, u32)>,
-        trees_per_client: u32,
-        seed: u64,
-    ) -> Self {
-        let walk = ArrivalWalk::new(
-            ArrivalSchedule::Immediate,
-            total_slots(&clients_per_region),
-            seed,
-        );
-        TotSource {
-            cfg,
-            clients_per_region,
-            trees_per_client,
-            seed,
-            first_request_id: 0,
-            ids: IdGen::new(),
-            question_seq: 0,
-            walk,
-            label: "tot".to_string(),
-        }
-    }
-
-    /// Replaces the arrival schedule (default: everyone at `t = 0`).
-    /// Builder-style: call before the source is first polled — see
-    /// [`ArrivalWalk::reschedule`].
-    pub fn with_schedule(mut self, schedule: ArrivalSchedule) -> Self {
-        self.walk.reschedule(schedule);
-        self
-    }
-
-    /// Offsets the request-id space (compose sources with disjoint ids).
-    pub fn with_first_request_id(mut self, first: u64) -> Self {
-        self.first_request_id = first;
-        self.ids = IdGen::starting_at(first);
-        self
-    }
-
-    /// Overrides the display label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// Total requests this source will ever emit — ToT trees have a fixed
-    /// shape, so the count is closed-form. Useful for carving out the
-    /// next source's id range when composing.
-    pub fn total_requests(&self) -> u64 {
-        total_slots(&self.clients_per_region) as u64
-            * u64::from(self.trees_per_client)
-            * u64::from(self.cfg.requests_per_tree())
-    }
-
-    /// One past the last request id this source can allocate.
-    pub fn request_id_end(&self) -> u64 {
-        self.first_request_id + self.total_requests()
-    }
-}
-
-impl TrafficSource for TotSource {
-    fn regions(&self) -> Vec<Region> {
-        distinct_regions(&self.clients_per_region)
-    }
-
-    fn next_batch(&mut self, now: SimTime, _rng: &mut DetRng) -> Vec<ClientEvent> {
-        let mut out = Vec::new();
-        while let Some((slot, at)) = self.walk.pop_due(now) {
-            let region = region_of_slot(&self.clients_per_region, slot);
-            let spec = generate_tot_client(
-                &self.cfg,
-                region,
-                slot as u64,
-                self.trees_per_client,
-                &mut self.question_seq,
-                self.seed,
-                &mut self.ids,
-            );
-            out.push(ClientEvent { at, spec });
-        }
-        out
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.walk.is_exhausted()
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
 /// Composes several sources into one stream (e.g. the Mixed Tree
 /// workload: heavy 4-branch US trees merged with 2-branch traffic
 /// elsewhere). Batches preserve child order for same-instant arrivals
 /// and are stably sorted by arrival time across children.
 ///
-/// Children are responsible for disjoint request-id ranges — see the
-/// `with_first_request_id` constructors.
+/// Children are responsible for disjoint request-id ranges — see
+/// [`SlotSource::with_first_request_id`].
 #[derive(Debug, Clone)]
 pub struct MergeSource {
     sources: Vec<Box<dyn TrafficSource>>,
@@ -590,15 +512,7 @@ impl MergeSource {
 
 impl TrafficSource for MergeSource {
     fn regions(&self) -> Vec<Region> {
-        let mut out = Vec::new();
-        for s in &self.sources {
-            for r in s.regions() {
-                if !out.contains(&r) {
-                    out.push(r);
-                }
-            }
-        }
-        out
+        distinct_regions(self.sources.iter().flat_map(|s| s.regions()))
     }
 
     fn next_batch(&mut self, now: SimTime, rng: &mut DetRng) -> Vec<ClientEvent> {
@@ -622,23 +536,121 @@ impl TrafficSource for MergeSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conversation::generate_clients as eager_conversations;
-    use crate::tot::generate_clients as eager_tot;
+    use crate::conversation::{ConversationConfig, ConversationSource};
+    use crate::program::Program;
+    use crate::tot::{TotConfig, TotSource};
+    use skywalker_replica::Request;
 
     fn rng() -> DetRng {
         DetRng::new(0)
     }
 
+    /// The smallest generator: one request naming its slot.
+    #[derive(Debug, Clone)]
+    struct Echo;
+
+    impl ClientGen for Echo {
+        fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
+            let req = Request::new(ids.next_id(), "echo", vec![slot as u32], 1);
+            ClientSpec {
+                region,
+                user: format!("echo-{slot}"),
+                programs: vec![Program {
+                    stages: vec![vec![req]],
+                }],
+            }
+        }
+    }
+
+    /// What [`SlotSource`] promises every generator: cadence invariance,
+    /// the slot → region walk, the id range, and schedule swaps that
+    /// never re-emit a client.
+    #[test]
+    fn slot_source_contract() {
+        let slots = vec![
+            (Region::UsEast, 3),
+            (Region::EuWest, 0),
+            (Region::ApNortheast, 2),
+            (Region::UsEast, 1),
+        ];
+        let poisson = ArrivalSchedule::Poisson {
+            mean_gap: SimDuration::from_millis(7),
+        };
+        let source = SlotSource::over(Echo, slots, 5)
+            .with_schedule(poisson)
+            .with_first_request_id(100);
+        assert_eq!(
+            source.regions(),
+            vec![Region::UsEast, Region::EuWest, Region::ApNortheast],
+            "a zero-count region is still declared, and none twice"
+        );
+        assert_eq!(source.label(), "generated");
+
+        // One poll to the end of time against 1 ms steps.
+        let mut coarse = source.clone();
+        let whole = coarse.next_batch(SimTime::MAX, &mut rng());
+        let mut fine = source.clone();
+        let mut stepped = Vec::new();
+        let mut ms = 0;
+        while !fine.is_exhausted() {
+            stepped.extend(fine.next_batch(SimTime::from_millis(ms), &mut rng()));
+            ms += 1;
+        }
+        assert_eq!(whole, stepped, "polling cadence is not semantics");
+        assert!(coarse.is_exhausted());
+        assert!(whole.windows(2).all(|w| w[0].at <= w[1].at));
+        assert!(whole.last().expect("six clients").at > SimTime::ZERO);
+
+        use Region::{ApNortheast, UsEast};
+        let regions: Vec<Region> = whole.iter().map(|e| e.spec.region).collect();
+        assert_eq!(
+            regions,
+            [UsEast, UsEast, UsEast, ApNortheast, ApNortheast, UsEast]
+        );
+        for (slot, e) in whole.iter().enumerate() {
+            let req = &e.spec.programs[0].stages[0][0];
+            assert_eq!(req.prompt, [slot as u32], "slots in order, each once");
+            assert_eq!(req.id.0, 100 + slot as u64, "ids start where told");
+        }
+
+        // A schedule swapped in before the first poll replaces every
+        // instant; swapped in mid-stream it only covers what is left.
+        let mut swapped = source.with_schedule(ArrivalSchedule::Immediate);
+        let mut late = swapped.clone();
+        let at_zero = swapped.next_batch(SimTime::ZERO, &mut rng());
+        assert_eq!(at_zero.len(), 6);
+        late.walk.reschedule(poisson);
+        let first = late.next_batch(SimTime::ZERO, &mut rng());
+        assert_eq!(first.len(), 1, "Poisson starts with one client at t = 0");
+        late.walk.reschedule(ArrivalSchedule::Immediate);
+        let rest = late.next_batch(SimTime::ZERO, &mut rng());
+        let replayed: Vec<_> = first.into_iter().chain(rest).map(|e| e.spec).collect();
+        let specs: Vec<_> = at_zero.into_iter().map(|e| e.spec).collect();
+        assert_eq!(replayed, specs, "no client skipped or emitted twice");
+    }
+
+    #[test]
+    fn explicit_instants_walk_like_a_schedule() {
+        let instants: Vec<SimTime> = [0, 5, 5, 9].map(SimTime::from_secs).to_vec();
+        let mut src = SlotSource::at_instants(Echo, Region::EuWest, instants.clone());
+        assert_eq!(src.regions(), vec![Region::EuWest]);
+        let early = src.next_batch(SimTime::from_secs(5), &mut rng());
+        assert_eq!(early.len(), 3);
+        assert!(!src.is_exhausted());
+        let late = src.next_batch(SimTime::MAX, &mut rng());
+        let at: Vec<SimTime> = early.iter().chain(&late).map(|e| e.at).collect();
+        assert_eq!(at, instants);
+        assert!(src.is_exhausted());
+    }
+
     #[test]
     fn client_list_adapts_eagerly_built_populations() {
-        let mut ids = IdGen::new();
-        let specs = eager_tot(
-            &TotConfig::branch2(),
-            &[(Region::UsEast, 2), (Region::EuWest, 1)],
+        let specs = drain(&mut TotSource::new(
+            TotConfig::branch2(),
+            vec![(Region::UsEast, 2), (Region::EuWest, 1)],
             1,
             7,
-            &mut ids,
-        );
+        ));
         let mut src = ClientListSource::new(specs.clone());
         assert_eq!(src.regions(), vec![Region::UsEast, Region::EuWest]);
         assert!(!src.is_exhausted());
@@ -651,54 +663,6 @@ mod tests {
         );
         assert!(src.is_exhausted());
         assert!(src.next_batch(SimTime::MAX, &mut rng()).is_empty());
-    }
-
-    #[test]
-    fn conversation_source_matches_eager_generator() {
-        let regions = [(Region::UsEast, 5), (Region::ApNortheast, 3)];
-        let mut ids = IdGen::new();
-        let eager = eager_conversations(&ConversationConfig::wildchat(), &regions, 11, &mut ids);
-        let mut src = ConversationSource::new(ConversationConfig::wildchat(), regions.to_vec(), 11);
-        let lazy = drain(&mut src);
-        assert_eq!(eager, lazy);
-    }
-
-    #[test]
-    fn tot_source_matches_eager_generator() {
-        let regions = [(Region::UsEast, 3), (Region::EuWest, 2)];
-        let mut ids = IdGen::new();
-        let eager = eager_tot(&TotConfig::branch2(), &regions, 2, 13, &mut ids);
-        let mut src = TotSource::new(TotConfig::branch2(), regions.to_vec(), 2, 13);
-        let lazy = drain(&mut src);
-        assert_eq!(eager, lazy);
-        assert_eq!(
-            src.total_requests(),
-            lazy.iter().map(|c| c.total_requests() as u64).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn lazy_emission_is_poll_cadence_invariant() {
-        let regions = vec![(Region::UsEast, 20)];
-        let sched = ArrivalSchedule::UniformRamp {
-            over: SimDuration::from_secs(100),
-        };
-        let mut coarse = ConversationSource::new(ConversationConfig::arena(), regions.clone(), 3)
-            .with_schedule(sched);
-        let mut fine = coarse.clone();
-
-        let mut a = Vec::new();
-        for step in [0u64, 50, 100] {
-            a.extend(coarse.next_batch(SimTime::from_secs(step), &mut rng()));
-        }
-        let mut b = Vec::new();
-        for step in 0..=100u64 {
-            b.extend(fine.next_batch(SimTime::from_secs(step), &mut rng()));
-        }
-        assert_eq!(a.len(), 20);
-        assert_eq!(a, b, "batching granularity must not change the stream");
-        assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(coarse.is_exhausted() && fine.is_exhausted());
     }
 
     #[test]

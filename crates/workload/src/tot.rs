@@ -18,6 +18,7 @@ use skywalker_sim::DetRng;
 
 use crate::lengths::LengthModel;
 use crate::program::{ClientSpec, IdGen, Program};
+use crate::source::{total_slots, ClientGen, SlotSource};
 
 /// Tree-of-Thoughts generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,65 +127,68 @@ pub fn generate_tree(
     Program { stages }
 }
 
-/// Generates ToT clients: each client solves `trees_per_client` questions
-/// back-to-back.
-///
-/// This is the eager form; [`crate::source::TotSource`] streams the same
-/// clients one arrival at a time through the identical per-client
-/// generator, so both paths are byte-for-byte interchangeable.
-pub fn generate_clients(
-    cfg: &TotConfig,
-    clients_per_region: &[(Region, u32)],
+/// The content of a Tree-of-Thoughts workload: each slot is one client
+/// solving `trees_per_client` questions back-to-back. Per-client
+/// randomness is an independent stream keyed by `(seed, client)`.
+#[derive(Debug, Clone)]
+pub struct TotGen {
+    cfg: TotConfig,
     trees_per_client: u32,
     seed: u64,
-    ids: &mut IdGen,
-) -> Vec<ClientSpec> {
-    let mut out = Vec::new();
-    let mut question_seq = 0u64;
-    let mut client_seq = 0u64;
-    for &(region, count) in clients_per_region {
-        for _ in 0..count {
-            out.push(generate_tot_client(
-                cfg,
-                region,
-                client_seq,
-                trees_per_client,
-                &mut question_seq,
-                seed,
-                ids,
-            ));
-            client_seq += 1;
-        }
-    }
-    out
 }
 
-/// Generates one ToT client: `trees_per_client` trees over consecutive
-/// question ids drawn from `question_seq`. Per-client randomness is an
-/// independent stream keyed by `(seed, client id)`, so clients can be
-/// generated lazily at arrival time.
-pub(crate) fn generate_tot_client(
-    cfg: &TotConfig,
-    region: Region,
-    client_seq: u64,
-    trees_per_client: u32,
-    question_seq: &mut u64,
-    seed: u64,
-    ids: &mut IdGen,
-) -> ClientSpec {
-    let user = format!("tot-client-{client_seq}");
-    let mut rng = DetRng::for_component(seed, &user);
-    let programs = (0..trees_per_client)
-        .map(|_| {
-            let q = *question_seq;
-            *question_seq += 1;
-            generate_tree(cfg, q, &mut rng, ids)
-        })
-        .collect();
-    ClientSpec {
-        region,
-        user,
-        programs,
+impl ClientGen for TotGen {
+    fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
+        let user = format!("tot-client-{slot}");
+        let mut rng = DetRng::for_component(self.seed, &user);
+        // Question ids run consecutively across the clients of a source.
+        let trees = u64::from(self.trees_per_client);
+        let first = slot as u64 * trees;
+        let programs = (first..first + trees)
+            .map(|question| generate_tree(&self.cfg, question, &mut rng, ids))
+            .collect();
+        ClientSpec {
+            region,
+            user,
+            programs,
+        }
+    }
+}
+
+/// Tree-of-Thoughts traffic as a streaming source: [`TotGen`] under the
+/// shared slot walk.
+pub type TotSource = SlotSource<TotGen>;
+
+impl TotSource {
+    /// A source over `clients_per_region` slots, each client solving
+    /// `trees_per_client` questions back-to-back, all arriving at
+    /// `t = 0`.
+    pub fn new(
+        cfg: TotConfig,
+        clients_per_region: Vec<(Region, u32)>,
+        trees_per_client: u32,
+        seed: u64,
+    ) -> Self {
+        let content = TotGen {
+            cfg,
+            trees_per_client,
+            seed,
+        };
+        SlotSource::over(content, clients_per_region, seed).with_label("tot")
+    }
+
+    /// Total requests this source will ever emit — ToT trees have a fixed
+    /// shape, so the count is closed-form. Useful for carving out the
+    /// next source's id range when composing.
+    pub fn total_requests(&self) -> u64 {
+        total_slots(&self.slots) as u64
+            * u64::from(self.content.trees_per_client)
+            * u64::from(self.content.cfg.requests_per_tree())
+    }
+
+    /// One past the last request id this source can allocate.
+    pub fn request_id_end(&self) -> u64 {
+        self.first_request_id + self.total_requests()
     }
 }
 
@@ -265,19 +269,22 @@ mod tests {
 
     #[test]
     fn client_generation_counts() {
-        let mut ids = IdGen::new();
-        let clients = generate_clients(
-            &TotConfig::branch2(),
-            &[(Region::UsEast, 3), (Region::EuWest, 2)],
+        let mut src = TotSource::new(
+            TotConfig::branch2(),
+            vec![(Region::UsEast, 3), (Region::EuWest, 2)],
             2,
             6,
-            &mut ids,
-        );
+        )
+        .with_first_request_id(40);
+        assert_eq!(src.total_requests(), 150);
+        assert_eq!(src.request_id_end(), 190);
+        let clients = crate::source::drain(&mut src);
         assert_eq!(clients.len(), 5);
         for c in &clients {
             assert_eq!(c.programs.len(), 2);
             assert_eq!(c.total_requests(), 30);
         }
+        assert_eq!(src.request_id_end(), 190, "a closed form, not a cursor");
         // All question ids distinct → no cross-client prefix sharing.
         let roots: Vec<&Request> = clients
             .iter()

@@ -6,8 +6,8 @@
 use skywalker_net::Region;
 use skywalker_sim::DetRng;
 use skywalker_workload::{
-    generate_conversation_clients, grouped_similarity, mean_cross_similarity,
-    mean_within_similarity, prefix_similarity, similarity_matrix, ConversationConfig, IdGen,
+    drain, grouped_similarity, mean_cross_similarity, mean_within_similarity, prefix_similarity,
+    similarity_matrix, ConversationConfig, ConversationSource,
 };
 
 fn random_seq(rng: &mut DetRng, max_len: u64, alphabet: u64) -> Vec<u32> {
@@ -95,13 +95,11 @@ fn group_means_stay_bounded_and_consistent() {
 #[test]
 fn conversation_clients_keep_within_at_least_cross_across_seeds() {
     for seed in [1u64, 7, 23, 1999, 0xF00D] {
-        let mut ids = IdGen::new();
-        let clients = generate_conversation_clients(
-            &ConversationConfig::wildchat(),
-            &[(Region::UsEast, 8), (Region::EuWest, 8)],
+        let clients = drain(&mut ConversationSource::new(
+            ConversationConfig::wildchat(),
+            vec![(Region::UsEast, 8), (Region::EuWest, 8)],
             seed,
-            &mut ids,
-        );
+        ));
         let groups: Vec<Vec<Vec<u32>>> = clients
             .iter()
             .map(|c| {

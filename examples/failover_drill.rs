@@ -20,7 +20,7 @@ use skywalker::{
 
 fn main() {
     let cfg = FabricConfig::default();
-    let clients = workload_clients(Workload::WildChat, 0.2, 99);
+    let clients = workload_clients(Workload::WildChat, 0.2, 99).expect("positive scale");
     let total_requests: usize = clients.iter().map(|c| c.total_requests()).sum();
 
     println!("Failover drill: {total_requests} requests, 3 regions, 12 replicas");

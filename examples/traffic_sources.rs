@@ -112,6 +112,7 @@ fn main() {
     println!("\nThe crowd arrives *mid-run* — the fabric pulls it from the source as");
     println!("virtual time advances. Region-local strands the spike on one EU");
     println!("replica; SkyWalker forwards it to idle capacity abroad.");
-    println!("\nBoth sources implement the TrafficSource trait outside skywalker-");
-    println!("workload — no enum grew a variant. Recipe: docs/workloads.md");
+    println!("\nBoth sources live outside skywalker-workload — the corpus is one");
+    println!("ClientGen method under SlotSource, the crowd implements TrafficSource");
+    println!("itself — and no enum grew a variant. Recipe: docs/workloads.md");
 }

@@ -16,14 +16,12 @@ pub struct FabricConfig {
     pub net: LatencyModel,
     /// Selective-pushing probe interval (the paper uses 100 ms, §4.1).
     pub probe_interval: SimDuration,
-    /// LB → controller heartbeat interval.
-    pub heartbeat_interval: SimDuration,
     /// How far ahead the fabric polls the scenario's [`TrafficSource`](crate::TrafficSource)
     /// for upcoming client arrivals. Arrivals keep their exact instants
     /// regardless — this only batches the pull; smaller is more polls,
     /// larger is bigger batches. Clamped to at least one millisecond so
     /// the poll loop always advances virtual time at a sane rate (as are
-    /// the probe, heartbeat, fleet-poll, and telemetry intervals).
+    /// the probe, fleet-poll, and telemetry intervals).
     pub traffic_poll_interval: SimDuration,
     /// How often the fabric polls the scenario's [`FleetPlan`](crate::FleetPlan) with a
     /// fresh [`FleetObservation`](crate::FleetObservation). Scheduled commands keep their exact
@@ -33,15 +31,11 @@ pub struct FabricConfig {
     pub fleet_poll_interval: SimDuration,
     /// Hard stop; the run ends even if clients are unfinished.
     pub deadline: SimTime,
-    /// Memory bound of the balancer routing tries, in tokens.
-    pub trie_max_tokens: usize,
-    /// Hit-ratio threshold of the cache-aware policy (§5.1: 0.5).
-    pub affinity_threshold: f64,
-    /// Load-gap override of the cache-aware policy: beyond this many
-    /// outstanding requests between the most and least loaded candidate,
-    /// affinity yields to shortest-queue routing (the SGLang router's
-    /// default is 32).
-    pub balance_abs_threshold: u32,
+    /// Construction parameters of every balancer's routing policies —
+    /// trie memory bound, affinity threshold (§5.1: 0.5), load-gap
+    /// override — handed to each [`BalancerConfig`](skywalker_core::BalancerConfig)
+    /// as they are.
+    pub policy: PolicyParams,
     /// Span tracing for bottleneck attribution. `None` (the default)
     /// records nothing; `Some` attaches a [`TraceRecorder`](crate::trace::TraceRecorder) and the run
     /// returns a [`TraceSummary`](crate::TraceSummary). Tracing is observation-only — it
@@ -74,6 +68,10 @@ impl FabricConfig {
     /// The smallest period any self-rescheduling tick may have.
     const MIN_TICK: SimDuration = SimDuration::from_millis(1);
 
+    /// LB → controller heartbeat interval, and the controller's check
+    /// period.
+    pub(super) const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
     /// Controller failure-detection timeout.
     pub(super) const CONTROLLER_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
@@ -81,17 +79,16 @@ impl FabricConfig {
     pub(super) const RETRY_DELAY: SimDuration = SimDuration::from_secs(1);
 
     /// This config as the world runs it: every interval that paces a
-    /// self-rescheduling event (`ProbeTick`, `HeartbeatTick` /
-    /// `ControllerTick`, `TrafficPoll`, `FleetPoll`, `TelemetryTick`) is
-    /// at least [`Self::MIN_TICK`]. A zero interval would re-enqueue its
-    /// tick at the same instant forever and the run would never reach
-    /// the deadline; a sub-millisecond one buys nothing (arrivals and
-    /// fleet commands keep their exact instants via the look-ahead).
+    /// self-rescheduling event (`ProbeTick`, `TrafficPoll`, `FleetPoll`,
+    /// `TelemetryTick`) is at least [`Self::MIN_TICK`]. A zero interval
+    /// would re-enqueue its tick at the same instant forever and the run
+    /// would never reach the deadline; a sub-millisecond one buys nothing
+    /// (arrivals and fleet commands keep their exact instants via the
+    /// look-ahead).
     pub(super) fn clamped(&self) -> FabricConfig {
         let mut cfg = self.clone();
         let clamp = |interval: &mut SimDuration| *interval = (*interval).max(Self::MIN_TICK);
         clamp(&mut cfg.probe_interval);
-        clamp(&mut cfg.heartbeat_interval);
         clamp(&mut cfg.traffic_poll_interval);
         clamp(&mut cfg.fleet_poll_interval);
         if let Some(t) = cfg.telemetry.as_mut() {
@@ -103,18 +100,14 @@ impl FabricConfig {
 
 impl Default for FabricConfig {
     fn default() -> Self {
-        let policy = PolicyParams::default();
         FabricConfig {
             seed: 0xD1CE,
             net: LatencyModel::default_wan(),
             probe_interval: SimDuration::from_millis(100),
-            heartbeat_interval: SimDuration::from_millis(500),
             traffic_poll_interval: SimDuration::from_millis(500),
             fleet_poll_interval: SimDuration::from_millis(500),
             deadline: SimTime::from_secs(4 * 3600),
-            trie_max_tokens: policy.trie_max_tokens,
-            affinity_threshold: policy.affinity_threshold,
-            balance_abs_threshold: policy.balance_abs_threshold,
+            policy: PolicyParams::default(),
             trace: None,
             telemetry: None,
         }

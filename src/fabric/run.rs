@@ -12,6 +12,7 @@ use skywalker_metrics::{peak_gap, TimeSeries};
 use skywalker_net::{DnsResolver, Endpoint, Region};
 use skywalker_replica::ReplicaStats;
 use skywalker_sim::{DetRng, Engine, SimTime};
+use skywalker_workload::distinct_regions;
 
 use super::observers::Observers;
 use super::summary::ratio;
@@ -31,7 +32,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
     if !world.clients.is_empty() || !world.traffic.exhausted {
         engine.schedule(SimTime::ZERO, Ev::ProbeTick);
         engine.schedule(SimTime::ZERO, Ev::HeartbeatTick);
-        let first_check = SimTime::ZERO + world.cfg.heartbeat_interval;
+        let first_check = SimTime::ZERO + FabricConfig::HEARTBEAT_INTERVAL;
         engine.schedule(first_check, Ev::ControllerTick);
         if !world.traffic.exhausted {
             engine.schedule(SimTime::ZERO, Ev::TrafficPoll);
@@ -54,14 +55,8 @@ fn lb_regions(scenario: &Scenario) -> Vec<Region> {
     match scenario.deployment {
         Deployment::Centralized { lb_region, .. } => vec![lb_region],
         Deployment::PerRegion { .. } => {
-            let mut regions: Vec<Region> = Vec::new();
             let hosting = scenario.replicas.iter().map(|p| p.region);
-            for region in hosting.chain(scenario.traffic.regions()) {
-                if !regions.contains(&region) {
-                    regions.push(region);
-                }
-            }
-            regions
+            distinct_regions(hosting.chain(scenario.traffic.regions()))
         }
     }
 }
@@ -99,9 +94,7 @@ fn build_lbs(
             policy,
             push_mode,
             tau,
-            trie_max_tokens: cfg.trie_max_tokens,
-            affinity_threshold: cfg.affinity_threshold,
-            balance_abs_threshold: cfg.balance_abs_threshold,
+            params: cfg.policy,
             max_hops: u8::from(forward),
             constraint,
         };

@@ -246,6 +246,10 @@ pub enum ScenarioError {
     /// replicas: the tail would apply to nothing. (A *shorter* list is
     /// padded with [`ReplicaRole::Colocated`].)
     RolesExceedFleet,
+    /// A population scale (`ScenarioBuilder::workload` and the scaled
+    /// presets) that is not a positive finite number, or that scales a
+    /// client count past `u32::MAX`: there is no population to build.
+    InvalidScale,
 }
 
 impl fmt::Display for ScenarioError {
@@ -271,6 +275,12 @@ impl fmt::Display for ScenarioError {
                 f,
                 "scenario lists more roles than replicas: ScenarioBuilder::roles is indexed \
                  like ScenarioBuilder::replicas and may be shorter, never longer"
+            ),
+            ScenarioError::InvalidScale => write!(
+                f,
+                "scenario has a population scale that is not a positive finite number: \
+                 pass ScenarioBuilder::workload (or the scaled preset) a scale in (0, ∞) \
+                 small enough for the client counts to fit in 32 bits"
             ),
         }
     }
@@ -312,7 +322,7 @@ pub struct ScenarioBuilder {
     policy_factory: Option<Arc<dyn PolicyFactory>>,
     replicas: Vec<ReplicaPlacement>,
     roles: Vec<ReplicaRole>,
-    traffic: Option<Box<dyn TrafficSource>>,
+    traffic: Option<Result<Box<dyn TrafficSource>, ScenarioError>>,
     fleet_plan: Option<Box<dyn FleetPlan>>,
     constraint: Option<RoutingConstraint>,
     engine: Option<EngineSpec>,
@@ -386,8 +396,17 @@ impl ScenarioBuilder {
     /// a pre-materialized population. Any external implementation plugs
     /// in here — the workload counterpart of
     /// [`ScenarioBuilder::policy_factory`].
-    pub fn traffic_source(mut self, source: Box<dyn TrafficSource>) -> Self {
-        self.traffic = Some(source);
+    pub fn traffic_source(self, source: Box<dyn TrafficSource>) -> Self {
+        self.traffic(Ok(source))
+    }
+
+    /// Traffic a preset may have failed to size (an invalid population
+    /// scale): the error waits for [`ScenarioBuilder::build`] to report.
+    pub(crate) fn traffic(
+        mut self,
+        traffic: Result<Box<dyn TrafficSource>, ScenarioError>,
+    ) -> Self {
+        self.traffic = Some(traffic);
         self
     }
 
@@ -436,7 +455,8 @@ impl ScenarioBuilder {
     /// [`ScenarioError::NoDecodeCapacity`] when a region's prefill-only
     /// replicas have no local decode target;
     /// [`ScenarioError::RolesExceedFleet`] when the role list is longer
-    /// than the fleet.
+    /// than the fleet; [`ScenarioError::InvalidScale`] when the traffic
+    /// was sized by a scale that is not a positive finite number.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let role_of = |roles: &[ReplicaRole], i: usize| roles.get(i).copied().unwrap_or_default();
         // Decode-only replicas are invisible to the balancers.
@@ -448,7 +468,7 @@ impl ScenarioBuilder {
         if self.roles.len() > self.replicas.len() {
             return Err(ScenarioError::RolesExceedFleet);
         }
-        let traffic = self.traffic.ok_or(ScenarioError::NoTraffic)?;
+        let traffic = self.traffic.ok_or(ScenarioError::NoTraffic)??;
         if traffic.is_exhausted() {
             return Err(ScenarioError::NoTraffic);
         }

@@ -1,13 +1,13 @@
 //! The periodic planes, each a self-rescheduling tick: selective-pushing
 //! probes, balancer heartbeats and the controller's failure detector,
-//! and the telemetry sampler. Every period comes from the clamped
-//! [`FabricConfig`](crate::fabric::FabricConfig), so a tick always
-//! advances virtual time.
+//! and the telemetry sampler. Every configurable period comes from the
+//! clamped [`FabricConfig`], so a tick always advances virtual time.
 
 use skywalker_core::LbId;
 use skywalker_sim::SimTime;
 
 use super::{Ev, Fabric, ReplicaHealth, Sched};
+use crate::fabric::FabricConfig;
 
 impl Fabric {
     pub(crate) fn on_probe_tick(&mut self, sched: &mut Sched) {
@@ -88,12 +88,12 @@ impl Fabric {
                 self.apply_control_actions(actions, sched);
             }
         }
-        sched.after(self.cfg.heartbeat_interval, Ev::HeartbeatTick);
+        sched.after(FabricConfig::HEARTBEAT_INTERVAL, Ev::HeartbeatTick);
     }
 
     pub(crate) fn on_controller_tick(&mut self, sched: &mut Sched) {
         let actions = self.controller.check(sched.now());
         self.apply_control_actions(actions, sched);
-        sched.after(self.cfg.heartbeat_interval, Ev::ControllerTick);
+        sched.after(FabricConfig::HEARTBEAT_INTERVAL, Ev::ControllerTick);
     }
 }

@@ -18,43 +18,78 @@ use skywalker_net::Region;
 use skywalker_replica::{EngineSpec, GpuProfile, KvConfig, LruEvictor, ReplicaRole, TieredEvictor};
 use skywalker_sim::SimDuration;
 use skywalker_workload::{
-    drain, fig3_regions, generate_conversation_clients, generate_tot_clients, ClientSpec,
-    ConversationConfig, ConversationSource, DiurnalProfile, IdGen, LengthModel, MergeSource,
-    TotConfig, TotSource, TrafficSource,
+    drain, fig3_regions, ClientSpec, ConversationConfig, ConversationSource, DiurnalProfile,
+    LengthModel, MergeSource, TotConfig, TotSource, TrafficSource,
 };
 
 use skywalker_fleet::{AutoscalerConfig, ChaosConfig, ChaosPlan, ThresholdAutoscaler};
 
 use crate::autoscale::{PredictiveAutoscaler, PredictiveConfig};
-use crate::fabric::{FabricConfig, ReplicaPlacement, Scenario, ScenarioBuilder, SystemKind};
+use crate::fabric::{
+    FabricConfig, ReplicaPlacement, Scenario, ScenarioBuilder, ScenarioError, SystemKind,
+};
 use crate::sources::{DiurnalSource, RagCorpusConfig, RagCorpusSource};
 
 /// The paper's three serving regions.
 pub const REGIONS: [Region; 3] = Region::PAPER_TRIO;
 
+/// `counts` placed on the trio, west to east.
+fn trio(counts: [u32; 3]) -> [(Region, u32); 3] {
+    [0, 1, 2].map(|i| (REGIONS[i], counts[i]))
+}
+
+/// `total` split evenly across the trio, remainders going west-to-east.
+fn trio_split(total: u32) -> [(Region, u32); 3] {
+    let (per, rem) = (total / 3, total % 3);
+    trio([per + u32::from(rem > 0), per + u32::from(rem > 1), per])
+}
+
+/// `base` clients at `scale` (1.0 = the paper's count), never fewer
+/// than `floor` — the one place a population scale is applied, so the
+/// one place it is checked: a scale that is not a positive finite number
+/// (or that overflows the count) would otherwise run the floor or try to
+/// generate four billion clients before the engine starts.
+fn scaled(base: u32, scale: f64, floor: u32) -> Result<u32, ScenarioError> {
+    let n = (f64::from(base) * scale).round();
+    // NaN fails the first comparison, +∞ the second.
+    if scale > 0.0 && n <= f64::from(u32::MAX) {
+        Ok((n as u32).max(floor))
+    } else {
+        Err(ScenarioError::InvalidScale)
+    }
+}
+
+/// `(region, base)` client slots at `scale`, one client per region at
+/// least.
+fn scaled_slots(bases: &[(Region, u32)], scale: f64) -> Result<Vec<(Region, u32)>, ScenarioError> {
+    bases
+        .iter()
+        .map(|&(region, base)| Ok((region, scaled(base, scale, 1)?)))
+        .collect()
+}
+
+/// A fleet of `profile` replicas with the given per-region counts.
+fn fleet_of(profile: GpuProfile, counts: &[(Region, u32)]) -> Vec<ReplicaPlacement> {
+    counts
+        .iter()
+        .flat_map(|&(region, n)| (0..n).map(move |_| ReplicaPlacement { region, profile }))
+        .collect()
+}
+
 /// An L4 fleet with the given per-region replica counts.
 pub fn l4_fleet(counts: &[(Region, u32)]) -> Vec<ReplicaPlacement> {
-    let mut fleet = Vec::new();
-    for &(region, n) in counts {
-        for _ in 0..n {
-            fleet.push(ReplicaPlacement {
-                region,
-                profile: GpuProfile::L4_LLAMA_8B,
-            });
-        }
-    }
-    fleet
+    fleet_of(GpuProfile::L4_LLAMA_8B, counts)
 }
 
 /// A balanced 12-replica fleet (4 per region), the ToT configuration.
 pub fn balanced_fleet() -> Vec<ReplicaPlacement> {
-    l4_fleet(&[(REGIONS[0], 4), (REGIONS[1], 4), (REGIONS[2], 4)])
+    l4_fleet(&trio([4, 4, 4]))
 }
 
 /// The unbalanced fleet variant (3 US / 2 EU / 3 Asia + 4 extra US = the
 /// paper also tests 3/3/2; we expose the knob).
 pub fn unbalanced_fleet() -> Vec<ReplicaPlacement> {
-    l4_fleet(&[(REGIONS[0], 3), (REGIONS[1], 2), (REGIONS[2], 3)])
+    l4_fleet(&trio([3, 2, 3]))
 }
 
 /// The four macrobenchmark workloads of Fig. 8 — preset constructors for
@@ -96,80 +131,69 @@ impl Workload {
     /// The streaming source generating this workload at the given scale
     /// (1.0 = the paper's client counts); clients materialize lazily at
     /// their arrival instants.
-    pub fn source(&self, scale: f64, seed: u64) -> Box<dyn TrafficSource> {
-        let n = |base: u32| ((f64::from(base) * scale).round() as u32).max(1);
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::InvalidScale`] unless `scale` is a positive
+    /// finite number.
+    pub fn source(&self, scale: f64, seed: u64) -> Result<Box<dyn TrafficSource>, ScenarioError> {
+        // Clients per region at scale 1.0, west to east.
+        let bases = match self {
+            Workload::Arena => [80, 80, 80],
+            Workload::WildChat => [40, 30, 30],
+            Workload::Tot | Workload::MixedTree => [40, 20, 20],
+        };
+        let slots = scaled_slots(&trio(bases), scale)?;
+        let label = self.label();
+        Ok(match self {
             Workload::Arena => Box::new(
-                ConversationSource::new(
-                    ConversationConfig::arena(),
-                    vec![
-                        (REGIONS[0], n(80)),
-                        (REGIONS[1], n(80)),
-                        (REGIONS[2], n(80)),
-                    ],
-                    seed,
-                )
-                .with_label(self.label()),
+                ConversationSource::new(ConversationConfig::arena(), slots, seed).with_label(label),
             ),
             Workload::WildChat => Box::new(
-                ConversationSource::new(
-                    ConversationConfig::wildchat(),
-                    vec![
-                        (REGIONS[0], n(40)),
-                        (REGIONS[1], n(30)),
-                        (REGIONS[2], n(30)),
-                    ],
-                    seed,
-                )
-                .with_label(self.label()),
+                ConversationSource::new(ConversationConfig::wildchat(), slots, seed)
+                    .with_label(label),
             ),
-            Workload::Tot => Box::new(
-                TotSource::new(
-                    TotConfig::branch2(),
-                    vec![
-                        (REGIONS[0], n(40)),
-                        (REGIONS[1], n(20)),
-                        (REGIONS[2], n(20)),
-                    ],
-                    2,
-                    seed,
-                )
-                .with_label(self.label()),
-            ),
-            Workload::MixedTree => {
-                // US: two clients of heavy 4-branch trees; EU/Asia:
-                // 2-branch. The light source's id range starts past the
-                // heavy source's closed-form request count.
-                let heavy = TotSource::new(TotConfig::branch4(), vec![(REGIONS[0], 2)], 2, seed);
-                let light = TotSource::new(
-                    TotConfig::branch2(),
-                    vec![(REGIONS[1], n(20)), (REGIONS[2], n(20))],
-                    2,
-                    seed ^ 0xBEEF,
-                )
-                .with_first_request_id(heavy.request_id_end());
-                Box::new(
-                    MergeSource::new(vec![Box::new(heavy), Box::new(light)])
-                        .with_label(self.label()),
-                )
+            Workload::Tot => {
+                Box::new(TotSource::new(TotConfig::branch2(), slots, 2, seed).with_label(label))
             }
-        }
+            Workload::MixedTree => {
+                // ToT, except that the US runs two clients of heavy
+                // 4-branch trees whatever the scale. The light source's
+                // id range starts past the heavy source's closed-form
+                // request count.
+                let heavy = TotSource::new(TotConfig::branch4(), vec![(REGIONS[0], 2)], 2, seed);
+                let light =
+                    TotSource::new(TotConfig::branch2(), slots[1..].to_vec(), 2, seed ^ 0xBEEF)
+                        .with_first_request_id(heavy.request_id_end());
+                Box::new(MergeSource::new(vec![Box::new(heavy), Box::new(light)]).with_label(label))
+            }
+        })
     }
 }
 
 /// Builds the client population for a workload, scaled by `scale`
 /// (1.0 = the paper's client counts) — the eager drain of
 /// [`Workload::source`], kept for tests and offline analysis.
-pub fn workload_clients(workload: Workload, scale: f64, seed: u64) -> Vec<ClientSpec> {
-    drain(workload.source(scale, seed).as_mut())
+///
+/// # Errors
+///
+/// [`ScenarioError::InvalidScale`], as [`Workload::source`].
+pub fn workload_clients(
+    workload: Workload,
+    scale: f64,
+    seed: u64,
+) -> Result<Vec<ClientSpec>, ScenarioError> {
+    Ok(drain(workload.source(scale, seed)?.as_mut()))
 }
 
 impl ScenarioBuilder {
     /// Sets the traffic to one of the paper's workloads at the given
     /// scale (1.0 = the paper's client counts), streamed through
-    /// [`Workload::source`].
+    /// [`Workload::source`]. A scale that is not a positive finite
+    /// number fails [`ScenarioBuilder::build`] with
+    /// [`ScenarioError::InvalidScale`].
     pub fn workload(self, workload: Workload, scale: f64, seed: u64) -> Self {
-        self.traffic_source(workload.source(scale, seed))
+        self.traffic(workload.source(scale, seed))
     }
 
     /// Sets the replica fleet to the workload's standard Fig. 8 fleet
@@ -198,18 +222,11 @@ pub fn fig8_scenario(system: SystemKind, workload: Workload, scale: f64, seed: u
 /// `replicas` replicas.
 pub fn fig9_scenario(system: SystemKind, replicas: u32, clients: u32, seed: u64) -> Scenario {
     let region = REGIONS[0];
-    let mut ids = IdGen::new();
-    let clients = generate_tot_clients(
-        &TotConfig::branch2(),
-        &[(region, clients)],
-        2,
-        seed,
-        &mut ids,
-    );
+    let trees = TotSource::new(TotConfig::branch2(), vec![(region, clients)], 2, seed);
     system
         .builder()
         .replicas(l4_fleet(&[(region, replicas)]))
-        .clients(clients)
+        .traffic_source(Box::new(trees))
         .build()
         .expect("fig9 presets set a fleet and clients")
 }
@@ -218,31 +235,16 @@ pub fn fig9_scenario(system: SystemKind, replicas: u32, clients: u32, seed: u64)
 /// (120 US / 40 EU / 40 Asia at scale 1.0) over an evenly distributed
 /// fleet of `total_replicas`.
 pub fn fig10_scenario(system: SystemKind, total_replicas: u32, scale: f64, seed: u64) -> Scenario {
-    let per = total_replicas / 3;
-    let rem = total_replicas % 3;
-    let fleet = l4_fleet(&[
-        (REGIONS[0], per + u32::from(rem > 0)),
-        (REGIONS[1], per + u32::from(rem > 1)),
-        (REGIONS[2], per),
-    ]);
-    let mut ids = IdGen::new();
-    let n = |base: u32| ((f64::from(base) * scale).round() as u32).max(1);
-    let clients = generate_conversation_clients(
-        &ConversationConfig::wildchat(),
-        &[
-            (REGIONS[0], n(120)),
-            (REGIONS[1], n(40)),
-            (REGIONS[2], n(40)),
-        ],
-        seed,
-        &mut ids,
-    );
+    let users = scaled_slots(&trio([120, 40, 40]), scale).map(|slots| {
+        let users = ConversationSource::new(ConversationConfig::wildchat(), slots, seed);
+        Box::new(users) as Box<dyn TrafficSource>
+    });
     system
         .builder()
-        .replicas(fleet)
-        .clients(clients)
+        .replicas(l4_fleet(&trio_split(total_replicas)))
+        .traffic(users)
         .build()
-        .expect("fig10 presets set a fleet and clients")
+        .expect("fig10 presets set a fleet and a positive finite client scale")
 }
 
 /// A deliberately small replica for compressed diurnal days: L4 timing
@@ -252,30 +254,17 @@ pub fn fig10_scenario(system: SystemKind, total_replicas: u32, scale: f64, seed:
 /// every replica idle and nothing for an autoscaler to react to.
 pub const L4_LITE: GpuProfile = GpuProfile {
     name: "L4-lite/llama-3.1-8b",
-    prefill_base_us: 20_000,
-    prefill_per_token_us: 547.0,
-    chunk_base_us: 8_000,
-    decode_base_us: 28_000,
-    decode_per_request_us: 450.0,
     kv: KvConfig {
         capacity_tokens: 6_144,
         block_tokens: 16,
     },
     max_batch_size: 6,
-    kv_transfer_us_per_token: 8.0,
+    ..GpuProfile::L4_LLAMA_8B
 };
 
 /// An [`L4_LITE`] fleet with the given per-region replica counts.
 pub fn lite_fleet(counts: &[(Region, u32)]) -> Vec<ReplicaPlacement> {
-    counts
-        .iter()
-        .flat_map(|&(region, n)| {
-            (0..n).map(move |_| ReplicaPlacement {
-                region,
-                profile: L4_LITE,
-            })
-        })
-        .collect()
+    fleet_of(L4_LITE, counts)
 }
 
 /// The diurnal rate curves of the paper's three macrobenchmark regions
@@ -305,11 +294,6 @@ pub fn fig10_diurnal_scenario(
     scale: f64,
     seed: u64,
 ) -> Scenario {
-    let fleet = lite_fleet(&[
-        (REGIONS[0], per_region),
-        (REGIONS[1], per_region),
-        (REGIONS[2], per_region),
-    ]);
     let source = DiurnalSource::new(
         &trio_diurnal_profiles(),
         day,
@@ -319,7 +303,7 @@ pub fn fig10_diurnal_scenario(
     );
     system
         .builder()
-        .replicas(fleet)
+        .replicas(lite_fleet(&trio([per_region; 3])))
         .traffic_source(Box::new(source))
         .label(format!("{} (diurnal)", system.label()))
         .build()
@@ -335,18 +319,25 @@ pub fn fig10_diurnal_scenario(
 /// instead of routing.
 pub const L4_PRESSURE: GpuProfile = GpuProfile {
     name: "L4-pressure/llama-3.1-8b",
-    prefill_base_us: 20_000,
-    prefill_per_token_us: 547.0,
-    chunk_base_us: 8_000,
-    decode_base_us: 28_000,
-    decode_per_request_us: 450.0,
     kv: KvConfig {
         capacity_tokens: 2_048,
         block_tokens: 16,
     },
     max_batch_size: 16,
-    kv_transfer_us_per_token: 8.0,
+    ..GpuProfile::L4_LLAMA_8B
 };
+
+/// `base · scale` RAG users (two at least) over `corpus`, all in the
+/// first region: the traffic of the two single-region engine presets.
+fn rag_users(
+    corpus: RagCorpusConfig,
+    base: u32,
+    scale: f64,
+    seed: u64,
+) -> Result<Box<dyn TrafficSource>, ScenarioError> {
+    let users = vec![(REGIONS[0], scaled(base, scale, 2)?)];
+    Ok(Box::new(RagCorpusSource::new(corpus, users, seed)))
+}
 
 /// The memory-pressure preset: a single-region, two-replica
 /// [`L4_PRESSURE`] fleet serving RAG traffic over a hot shared corpus
@@ -360,8 +351,6 @@ pub const L4_PRESSURE: GpuProfile = GpuProfile {
 /// lands in the scenario label, so shootout tables and goldens
 /// self-describe.
 pub fn memory_pressure_scenario(engine: EngineSpec, scale: f64, seed: u64) -> Scenario {
-    let region = REGIONS[0];
-    let users = ((40.0 * scale).round() as u32).max(2);
     let cfg = RagCorpusConfig {
         corpus_docs: 8,
         doc_tokens: 256,
@@ -383,22 +372,12 @@ pub fn memory_pressure_scenario(engine: EngineSpec, scale: f64, seed: u64) -> Sc
     let label = format!("memory-pressure/{}", engine.label());
     SystemKind::SkyWalker
         .builder()
-        .replicas(vec![
-            ReplicaPlacement {
-                region,
-                profile: L4_PRESSURE,
-            };
-            2
-        ])
-        .traffic_source(Box::new(RagCorpusSource::new(
-            cfg,
-            vec![(region, users)],
-            seed,
-        )))
+        .replicas(fleet_of(L4_PRESSURE, &[(REGIONS[0], 2)]))
+        .traffic(rag_users(cfg, 40, scale, seed))
         .engine(engine)
         .label(label)
         .build()
-        .expect("memory-pressure preset sets a fleet and traffic")
+        .expect("memory-pressure preset sets a fleet and a positive finite user scale")
 }
 
 /// The two traffic shapes of the disaggregation shootout: where the
@@ -494,8 +473,6 @@ pub fn disagg_engine() -> EngineSpec {
 /// would otherwise starve prefill admission, and loses when halving
 /// prefill capacity just doubles the prompt queue.
 pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed: u64) -> Scenario {
-    let region = REGIONS[0];
-    let users = ((32.0 * scale).round() as u32).max(2);
     let roles = if disagg {
         vec![
             ReplicaRole::PrefillOnly,
@@ -513,17 +490,13 @@ pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed:
     );
     SystemKind::SkyWalker
         .builder()
-        .replicas(lite_fleet(&[(region, 4)]))
+        .replicas(lite_fleet(&[(REGIONS[0], 4)]))
         .roles(roles)
-        .traffic_source(Box::new(RagCorpusSource::new(
-            workload.corpus(),
-            vec![(region, users)],
-            seed,
-        )))
+        .traffic(rag_users(workload.corpus(), 32, scale, seed))
         .engine(disagg_engine())
         .label(label)
         .build()
-        .expect("disagg preset sets a fleet and traffic")
+        .expect("disagg preset sets a fleet and a positive finite user scale")
 }
 
 /// Turns a seed-parametric preset into a recipe shaped for a sweep
@@ -611,16 +584,9 @@ pub fn diurnal_day_scenario(strategy: DayStrategy, seed: u64) -> Scenario {
 /// The equal-cost static counterpart of an elastic run: a lite fleet
 /// whose size matches the elastic run's time-weighted mean replica
 /// count (`RunSummary::fleet.mean_total()`), rounded and split across
-/// the trio with remainders going west-to-east — the same
-/// replica-seconds, spent statically.
+/// the trio — the same replica-seconds, spent statically.
 pub fn equal_cost_lite_fleet(mean_total: f64) -> Vec<ReplicaPlacement> {
-    let total = (mean_total.round() as u32).max(3);
-    let (per, rem) = (total / 3, total % 3);
-    lite_fleet(&[
-        (REGIONS[0], per + u32::from(rem > 0)),
-        (REGIONS[1], per + u32::from(rem > 1)),
-        (REGIONS[2], per),
-    ])
+    lite_fleet(&trio_split((mean_total.round() as u32).max(3)))
 }
 
 /// The reactive reference tunables of the compressed diurnal day —
@@ -669,15 +635,16 @@ mod tests {
 
     #[test]
     fn workload_client_counts_match_paper_at_full_scale() {
-        let arena = workload_clients(Workload::Arena, 1.0, 1);
+        let workload_clients = |w, scale| workload_clients(w, scale, 1).expect("positive scale");
+        let arena = workload_clients(Workload::Arena, 1.0);
         assert_eq!(arena.len(), 240, "80 clients per region");
-        let wildchat = workload_clients(Workload::WildChat, 1.0, 1);
+        let wildchat = workload_clients(Workload::WildChat, 1.0);
         assert_eq!(wildchat.len(), 100, "40 + 30 + 30");
-        let tot = workload_clients(Workload::Tot, 1.0, 1);
+        let tot = workload_clients(Workload::Tot, 1.0);
         assert_eq!(tot.len(), 80, "40 + 20 + 20");
         // ToT: 2 trees of 15 requests each per client.
         assert!(tot.iter().all(|c| c.total_requests() == 30));
-        let mixed = workload_clients(Workload::MixedTree, 1.0, 1);
+        let mixed = workload_clients(Workload::MixedTree, 1.0);
         // 2 heavy US clients with 85-request trees.
         let heavy: Vec<_> = mixed.iter().filter(|c| c.total_requests() == 170).collect();
         assert_eq!(heavy.len(), 2);
@@ -686,7 +653,7 @@ mod tests {
 
     #[test]
     fn scale_shrinks_population_with_floor() {
-        let small = workload_clients(Workload::Arena, 0.01, 1);
+        let small = workload_clients(Workload::Arena, 0.01, 1).expect("positive scale");
         assert_eq!(small.len(), 3, "floor of one client per region");
     }
 
@@ -700,39 +667,6 @@ mod tests {
             .clients_until(SimTime::ZERO)
             .iter()
             .all(|c| c.region == REGIONS[0]));
-    }
-
-    /// `Workload::source` must generate exactly what the legacy eager
-    /// generators produced, client for client and id for id.
-    #[test]
-    fn workload_sources_match_legacy_eager_generators() {
-        let seed = 5;
-        let n = |base: u32| ((f64::from(base) * 0.1).round() as u32).max(1);
-
-        let mut ids = IdGen::new();
-        let arena = generate_conversation_clients(
-            &ConversationConfig::arena(),
-            &[
-                (REGIONS[0], n(80)),
-                (REGIONS[1], n(80)),
-                (REGIONS[2], n(80)),
-            ],
-            seed,
-            &mut ids,
-        );
-        assert_eq!(arena, workload_clients(Workload::Arena, 0.1, seed));
-
-        let mut ids = IdGen::new();
-        let mut mixed =
-            generate_tot_clients(&TotConfig::branch4(), &[(REGIONS[0], 2)], 2, seed, &mut ids);
-        mixed.extend(generate_tot_clients(
-            &TotConfig::branch2(),
-            &[(REGIONS[1], n(20)), (REGIONS[2], n(20))],
-            2,
-            seed ^ 0xBEEF,
-            &mut ids,
-        ));
-        assert_eq!(mixed, workload_clients(Workload::MixedTree, 0.1, seed));
     }
 
     #[test]

@@ -11,9 +11,8 @@ use skywalker::net::Region;
 use skywalker::replica::{output_token, KvConfig, PrefixCache};
 use skywalker::sim::DetRng;
 use skywalker::workload::{
-    aggregate_hourly, fig2_countries, fig3_regions, generate_conversation_clients,
-    grouped_similarity, similarity_matrix, variance_ratio, ClientSpec, ConversationConfig, IdGen,
-    LengthModel,
+    aggregate_hourly, drain, fig2_countries, fig3_regions, grouped_similarity, similarity_matrix,
+    variance_ratio, ClientSpec, ConversationConfig, ConversationSource, LengthModel,
 };
 use skywalker::{l4_fleet, Scenario, SystemKind};
 
@@ -91,7 +90,7 @@ pub fn fig4b_scenario(seed: u64) -> Scenario {
 }
 
 fn conversations(cfg: ConversationConfig, users: &[(Region, u32)], seed: u64) -> Vec<ClientSpec> {
-    generate_conversation_clients(&cfg, users, seed, &mut IdGen::new())
+    drain(&mut ConversationSource::new(cfg, users.to_vec(), seed))
 }
 
 fn prompts_by_user(clients: &[ClientSpec]) -> Vec<Vec<Vec<u32>>> {

@@ -160,11 +160,11 @@ pub fn spec() -> SweepSpec {
         });
     }
     for threshold in [0.0, 1.0] {
-        let knob = move |cfg: &mut FabricConfig| cfg.affinity_threshold = threshold;
+        let knob = move |cfg: &mut FabricConfig| cfg.policy.affinity_threshold = threshold;
         grid.add_with(format!("abl3/threshold-{threshold}"), knob, fig9(60));
     }
     for bound in [1 << 12, 1 << 24] {
-        let knob = move |cfg: &mut FabricConfig| cfg.trie_max_tokens = bound;
+        let knob = move |cfg: &mut FabricConfig| cfg.policy.trie_max_tokens = bound;
         grid.add_with(format!("abl4/trie-{bound}"), knob, fig9(40));
     }
     // Two replicas per region: six L4s, or the second of each pair an A100.
@@ -177,7 +177,7 @@ pub fn spec() -> SweepSpec {
             let fleet = REGIONS
                 .iter()
                 .flat_map(|&region| pair.map(|profile| ReplicaPlacement { region, profile }));
-            let clients = workload_clients(Workload::WildChat, 0.3, seed);
+            let clients = workload_clients(Workload::WildChat, 0.3, seed).expect("positive scale");
             let builder = SystemKind::SkyWalker.builder().replicas(fleet.collect());
             builder.clients(clients).build().expect("fleet and clients")
         });

@@ -77,7 +77,7 @@ fn chaos_runs_conserve_requests() {
         let scenario = SystemKind::SkyWalker
             .builder()
             .replicas(balanced_fleet())
-            .clients(workload_clients(Workload::WildChat, 0.1, seed))
+            .clients(workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale"))
             .fleet_plan(Box::new(chaos))
             .engine(engine)
             .build()

@@ -3,10 +3,10 @@
 //! policy module — runs through `ScenarioBuilder` and the full fabric
 //! with no `SystemKind` involved, and behaves as designed.
 
-use skywalker::core::{BalancerConfig, PolicyKind, PolicyParams, RoutingConstraint};
+use skywalker::core::RoutingConstraint;
 use skywalker::net::Region;
 use skywalker::replica::GpuProfile;
-use skywalker::workload::{generate_conversation_clients, ConversationConfig, IdGen};
+use skywalker::workload::{ConversationConfig, ConversationSource};
 use skywalker::{
     fig8_scenario, run_scenario, FabricConfig, P2cLocalFactory, ReplicaPlacement, Scenario,
     SystemKind, Workload,
@@ -83,18 +83,16 @@ fn p2c_spill_prefers_the_same_continent() {
             profile: GpuProfile::L4_LLAMA_8B,
         },
     ];
-    let mut ids = IdGen::new();
-    let clients = generate_conversation_clients(
-        &ConversationConfig::wildchat(),
-        &[(Region::EuWest, 20)],
+    let clients = ConversationSource::new(
+        ConversationConfig::wildchat(),
+        vec![(Region::EuWest, 20)],
         41,
-        &mut ids,
     );
     let scenario = Scenario::builder()
         .deployment(SystemKind::SkyWalker.deployment())
         .policy_factory(P2cLocalFactory::new(41))
         .replicas(fleet)
-        .clients(clients)
+        .traffic_source(Box::new(clients))
         .build()
         .expect("fleet and clients are set");
     let s = run_scenario(&scenario, &FabricConfig::default());
@@ -127,19 +125,17 @@ fn builder_constraint_composes_with_custom_policy() {
             profile: GpuProfile::L4_LLAMA_8B,
         },
     ];
-    let mut ids = IdGen::new();
-    let clients = generate_conversation_clients(
-        &ConversationConfig::wildchat(),
-        &[(Region::EuWest, 12)],
+    let clients = ConversationSource::new(
+        ConversationConfig::wildchat(),
+        vec![(Region::EuWest, 12)],
         43,
-        &mut ids,
     );
     let scenario = Scenario::builder()
         .deployment(SystemKind::SkyWalker.deployment())
         .policy_factory(P2cLocalFactory::new(43))
         .constraint(RoutingConstraint::GdprEu)
         .replicas(fleet)
-        .clients(clients)
+        .traffic_source(Box::new(clients))
         .build()
         .expect("fleet and clients are set");
     let s = run_scenario(&scenario, &FabricConfig::default());
@@ -199,12 +195,10 @@ fn centralized_fleet_keeps_true_replica_regions() {
             profile: GpuProfile::L4_LLAMA_8B,
         },
     ];
-    let mut ids = IdGen::new();
-    let clients = generate_conversation_clients(
-        &ConversationConfig::wildchat(),
-        &[(Region::UsEast, 8)],
+    let clients = ConversationSource::new(
+        ConversationConfig::wildchat(),
+        vec![(Region::UsEast, 8)],
         45,
-        &mut ids,
     );
     let scenario = Scenario::builder()
         .deployment(Deployment::Centralized {
@@ -217,7 +211,7 @@ fn centralized_fleet_keeps_true_replica_regions() {
             locality_penalty: 64,
         })
         .replicas(fleet)
-        .clients(clients)
+        .traffic_source(Box::new(clients))
         .build()
         .expect("fleet and clients are set");
     let s = run_scenario(&scenario, &FabricConfig::default());
@@ -233,28 +227,6 @@ fn centralized_fleet_keeps_true_replica_regions() {
     );
 }
 
-/// The cache-aware defaults have one home, `PolicyParams::default()`:
-/// the fabric's config and both balancer presets read them from there.
-#[test]
-fn cache_aware_defaults_agree_across_fabric_balancer_and_policy() {
-    let policy = PolicyParams::default();
-    let fabric = FabricConfig::default();
-    assert_eq!(
-        policy,
-        PolicyParams {
-            trie_max_tokens: fabric.trie_max_tokens,
-            affinity_threshold: fabric.affinity_threshold,
-            balance_abs_threshold: fabric.balance_abs_threshold,
-        }
-    );
-    let region = Region::UsEast;
-    assert_eq!(policy, BalancerConfig::skywalker(region).params());
-    assert_eq!(
-        policy,
-        BalancerConfig::baseline(region, PolicyKind::LeastLoad).params()
-    );
-}
-
 #[test]
 fn fabric_balance_threshold_reaches_the_policy() {
     // The once-hardcoded cache-aware balance override is now plumbed
@@ -263,10 +235,8 @@ fn fabric_balance_threshold_reaches_the_policy() {
     // whose replica hit rate collapses relative to the default.
     let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Tot, 0.08, 13);
     let default_cfg = FabricConfig::default();
-    let tight_cfg = FabricConfig {
-        balance_abs_threshold: 0,
-        ..FabricConfig::default()
-    };
+    let mut tight_cfg = FabricConfig::default();
+    tight_cfg.policy.balance_abs_threshold = 0;
     let with_affinity = run_scenario(&scenario, &default_cfg);
     let without = run_scenario(&scenario, &tight_cfg);
     assert!(

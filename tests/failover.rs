@@ -23,7 +23,7 @@ fn lb_up(at_secs: u64, lb: u32) -> FleetCommand {
 /// drill (none = the healthy baseline); returns the summary and the
 /// number of requests the clients will issue.
 fn run_drill(commands: Vec<FleetCommand>, seed: u64) -> (RunSummary, usize) {
-    let clients = workload_clients(Workload::WildChat, 0.1, seed);
+    let clients = workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale");
     let expected: usize = clients.iter().map(|c| c.total_requests()).sum();
     let mut builder = SystemKind::SkyWalker
         .builder()

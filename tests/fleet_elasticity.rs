@@ -15,6 +15,7 @@ use skywalker::{
 
 fn expected_requests(scale: f64, seed: u64) -> usize {
     workload_clients(Workload::WildChat, scale, seed)
+        .expect("positive scale")
         .iter()
         .map(|c| c.total_requests())
         .sum()
@@ -27,7 +28,7 @@ fn accounted(s: &RunSummary) -> u64 {
 #[test]
 fn scheduled_join_and_drain_lifecycle() {
     let seed = 41;
-    let clients = workload_clients(Workload::WildChat, 0.1, seed);
+    let clients = workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale");
     let expected: usize = clients.iter().map(|c| c.total_requests()).sum();
     let plan = ScheduledPlan::new(vec![
         FleetCommand::new(
@@ -76,7 +77,7 @@ fn scheduled_join_and_drain_lifecycle() {
 #[test]
 fn crash_reroutes_once_then_fails() {
     let seed = 43;
-    let clients = workload_clients(Workload::WildChat, 0.1, seed);
+    let clients = workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale");
     let expected: usize = clients.iter().map(|c| c.total_requests()).sum();
     // Crash one replica mid-run; its in-flight work reroutes.
     let plan = ScheduledPlan::new(vec![FleetCommand::new(
@@ -122,7 +123,7 @@ fn chaos_churn_accounts_every_request() {
     let scenario = SystemKind::SkyWalker
         .builder()
         .replicas(balanced_fleet())
-        .clients(workload_clients(Workload::WildChat, 0.1, seed))
+        .clients(workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale"))
         .fleet_plan(Box::new(chaos))
         .build()
         .expect("valid scenario");
@@ -177,7 +178,7 @@ fn drill_and_autoscaler_compose() {
             (REGIONS[1], 2),
             (REGIONS[2], 2),
         ]))
-        .clients(workload_clients(Workload::WildChat, 0.1, seed))
+        .clients(workload_clients(Workload::WildChat, 0.1, seed).expect("positive scale"))
         .fleet_plan(Box::new(MergePlan::new(vec![
             Box::new(flap),
             Box::new(autoscaler),

@@ -7,7 +7,7 @@ use skywalker::core::{PolicyKind, PushMode, RoutingConstraint};
 use skywalker::fabric::Deployment;
 use skywalker::net::Region;
 use skywalker::replica::GpuProfile;
-use skywalker::workload::{generate_conversation_clients, ConversationConfig, IdGen};
+use skywalker::workload::{ConversationConfig, ConversationSource};
 use skywalker::{run_scenario, FabricConfig, ReplicaPlacement, Scenario, SystemKind};
 
 fn eu_heavy_scenario(constraint: RoutingConstraint, seed: u64) -> Scenario {
@@ -30,17 +30,15 @@ fn eu_heavy_scenario(constraint: RoutingConstraint, seed: u64) -> Scenario {
             profile: GpuProfile::L4_LLAMA_8B,
         },
     ];
-    let mut ids = IdGen::new();
-    let clients = generate_conversation_clients(
-        &ConversationConfig::wildchat(),
-        &[(Region::EuWest, 20)],
+    let clients = ConversationSource::new(
+        ConversationConfig::wildchat(),
+        vec![(Region::EuWest, 20)],
         seed,
-        &mut ids,
     );
     SystemKind::SkyWalker
         .builder()
         .replicas(fleet)
-        .clients(clients)
+        .traffic_source(Box::new(clients))
         .deployment(Deployment::PerRegion {
             policy: PolicyKind::CacheAware,
             push: PushMode::Pending,

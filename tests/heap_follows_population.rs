@@ -123,10 +123,8 @@ fn measure(users: u32) -> Measured {
     drop(clients);
     // Route tries at the paper's bound would dwarf a run this small and
     // grow with it; a small bound holds them at their steady state.
-    let cfg = FabricConfig {
-        trie_max_tokens: 1 << 14,
-        ..FabricConfig::default()
-    };
+    let mut cfg = FabricConfig::default();
+    cfg.policy.trie_max_tokens = 1 << 14;
 
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);

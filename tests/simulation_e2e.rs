@@ -154,9 +154,8 @@ fn zeroed_tick_intervals_still_run_to_completion() {
     use skywalker::sim::{SimDuration, SimTime};
     use skywalker::{ChaosConfig, ChaosPlan, TelemetryConfig};
     type Zero = fn(&mut FabricConfig);
-    let zeroed: [(&str, Zero); 5] = [
+    let zeroed: [(&str, Zero); 4] = [
         ("probe", |c| c.probe_interval = SimDuration::ZERO),
-        ("heartbeat", |c| c.heartbeat_interval = SimDuration::ZERO),
         ("traffic_poll", |c| {
             c.traffic_poll_interval = SimDuration::ZERO
         }),

@@ -6,14 +6,17 @@
 
 use skywalker::net::Region;
 use skywalker::replica::{GpuProfile, Request};
-use skywalker::sim::{SimDuration, SimTime};
+use skywalker::sim::{fnv1a_bytes, fnv1a_words, DetRng, SimDuration, SimTime, FNV_OFFSET};
 use skywalker::workload::{
-    ArrivalSchedule, ClientSpec, ConversationConfig, ConversationSource, Program,
+    ArrivalSchedule, ClientSpec, ConversationConfig, ConversationSource, Program, TotConfig,
+    TotSource, TrafficSource,
 };
 use skywalker::{
-    balanced_fleet, lite_fleet, run_scenario, workload_clients, FabricConfig, FlashCrowdSource,
-    RagCorpusConfig, RagCorpusSource, ReplicaPlacement, ReplicaRole, RunSummary, Scenario,
-    ScenarioError, SystemKind, Workload,
+    balanced_fleet, disagg_scenario, fig10_scenario, fig9_scenario, lite_fleet,
+    memory_pressure_scenario, run_scenario, trio_diurnal_profiles, workload_clients,
+    DisaggWorkload, DiurnalSource, EngineSpec, FabricConfig, FlashCrowdSource, RagCorpusConfig,
+    RagCorpusSource, ReplicaPlacement, ReplicaRole, RunSummary, Scenario, ScenarioError,
+    SystemKind, Workload,
 };
 
 fn conservation(s: &RunSummary, expected: usize, what: &str) {
@@ -37,13 +40,13 @@ fn source_run_matches_materialized_run_exactly() {
         let via_source = SystemKind::SkyWalker
             .builder()
             .fig8_fleet(workload)
-            .traffic_source(workload.source(scale, seed))
+            .workload(workload, scale, seed)
             .build()
             .expect("fleet and source are set");
         let via_clients = SystemKind::SkyWalker
             .builder()
             .fig8_fleet(workload)
-            .clients(workload_clients(workload, scale, seed))
+            .clients(workload_clients(workload, scale, seed).expect("positive scale"))
             .build()
             .expect("fleet and clients are set");
 
@@ -66,7 +69,7 @@ fn scenarios_with_sources_replay_deterministically() {
     let scenario = SystemKind::SkyWalker
         .builder()
         .replicas(balanced_fleet())
-        .traffic_source(Workload::WildChat.source(0.08, 7))
+        .workload(Workload::WildChat, 0.08, 7)
         .build()
         .expect("fleet and source are set");
     let cfg = FabricConfig::default();
@@ -204,6 +207,44 @@ fn builder_validates_fleet_and_traffic() {
         ScenarioError::NoTraffic,
         "an exhausted source is no traffic"
     );
+}
+
+/// A population scale that is not a positive finite number used to run
+/// the one-client floor (`NaN`, negatives, zero) or try to generate
+/// `u32::MAX` clients per region before the engine started (`+∞`, or
+/// anything large enough to saturate the count).
+#[test]
+fn builder_rejects_scales_that_are_not_positive_and_finite() {
+    for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 1e9] {
+        for workload in Workload::ALL {
+            let err = Scenario::builder()
+                .replicas(balanced_fleet())
+                .workload(workload, scale, 1)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ScenarioError::InvalidScale, "{workload:?} at {scale}");
+            assert!(err.to_string().contains("not a positive finite number"));
+            assert_eq!(
+                workload_clients(workload, scale, 1),
+                Err(ScenarioError::InvalidScale)
+            );
+        }
+    }
+    // The scaled presets surface it through their `expect`.
+    type Preset = fn(f64) -> Scenario;
+    let presets: [Preset; 3] = [
+        |scale| memory_pressure_scenario(EngineSpec::default(), scale, 1),
+        |scale| disagg_scenario(DisaggWorkload::DecodeHeavy, true, scale, 1),
+        |scale| fig10_scenario(SystemKind::SkyWalker, 6, scale, 1),
+    ];
+    for preset in presets {
+        let refused = std::panic::catch_unwind(|| preset(f64::NAN)).unwrap_err();
+        let msg = refused.downcast_ref::<String>().expect("an expect message");
+        assert!(msg.contains("InvalidScale"), "{msg}");
+    }
+    // The smallest positive scales still build the floor.
+    let tiny = workload_clients(Workload::Arena, f64::MIN_POSITIVE, 1).expect("positive scale");
+    assert_eq!(tiny.len(), 3);
 }
 
 /// Role-topology validation: a prefill-only replica needs a
@@ -398,4 +439,216 @@ fn flash_crowd_source_triggers_cross_region_offload() {
         s.report.ttft.p90,
         l.report.ttft.p90
     );
+}
+
+/// FNV-1a over everything a drained source emitted: per client its
+/// arrival instant, region, user and program shape; per request its id,
+/// session key, every prompt token, output target and output offset.
+fn stream_fingerprint(mut source: Box<dyn TrafficSource>) -> u64 {
+    let mut rng = DetRng::new(0);
+    let mut h = FNV_OFFSET;
+    while !source.is_exhausted() {
+        let batch = source.next_batch(SimTime::MAX, &mut rng);
+        assert!(!batch.is_empty(), "a source that is not exhausted emits");
+        for e in batch {
+            h = fnv1a_words(h, [e.at.as_micros(), e.spec.region.index() as u64]);
+            h = fnv1a_bytes(h, e.spec.user.as_bytes());
+            for p in &e.spec.programs {
+                h = fnv1a_words(h, [p.stages.len() as u64]);
+                for stage in &p.stages {
+                    h = fnv1a_words(h, [stage.len() as u64]);
+                    for r in stage {
+                        h = fnv1a_words(h, [r.id.0]);
+                        h = fnv1a_bytes(h, r.session_key.as_bytes());
+                        h = fnv1a_words(h, r.prompt.iter().map(|&t| u64::from(t)));
+                        let tail = [r.target_output_tokens, r.output_offset];
+                        h = fnv1a_words(h, tail.map(u64::from));
+                    }
+                }
+            }
+        }
+    }
+    h
+}
+
+/// Every built-in source emits, token for token, the stream it emitted
+/// before the generators were folded under one slot walk: fingerprints
+/// recorded at the parent of that change (seeds 1, 7, 61), where the
+/// streaming sources were themselves pinned to the eager generators
+/// this replaces. A mismatch means generated traffic changed — and with
+/// it every golden — not that the constant needs refreshing.
+#[test]
+fn built_in_sources_emit_the_recorded_streams() {
+    let poisson = ArrivalSchedule::Poisson {
+        mean_gap: SimDuration::from_millis(300),
+    };
+    // Uneven slots with an empty region, and ids that do not start at 0.
+    let slots = || {
+        vec![
+            (Region::UsEast, 5),
+            (Region::EuWest, 0),
+            (Region::ApNortheast, 3),
+        ]
+    };
+    type Source = Box<dyn TrafficSource>;
+    type Row = (&'static str, Box<dyn Fn(u64) -> Source>, [u64; 3]);
+    let preset = |w: Workload| move |seed| w.source(0.1, seed).expect("positive scale");
+    let rows: Vec<Row> = vec![
+        (
+            "Arena",
+            Box::new(preset(Workload::Arena)),
+            [
+                0x8111_a340_7549_c0af,
+                0xb608_2738_0487_a730,
+                0xac29_ab15_deae_7740,
+            ],
+        ),
+        (
+            "WildChat",
+            Box::new(preset(Workload::WildChat)),
+            [
+                0x2cb5_4a12_d42e_c6a0,
+                0xb39b_f88c_b7f0_dd49,
+                0x7ad9_6ffa_3168_db15,
+            ],
+        ),
+        (
+            "ToT",
+            Box::new(preset(Workload::Tot)),
+            [
+                0xc5eb_1764_2a05_f3a1,
+                0xbda7_1aeb_3939_5b84,
+                0x4809_2602_ce30_c756,
+            ],
+        ),
+        (
+            "Mixed Tree",
+            Box::new(preset(Workload::MixedTree)),
+            [
+                0xfa8f_4b32_0cc6_11ec,
+                0xccfe_a633_3f57_c4dd,
+                0xbb5d_f060_506b_f889,
+            ],
+        ),
+        (
+            "ConversationSource / Poisson",
+            Box::new(move |seed| {
+                Box::new(
+                    ConversationSource::new(ConversationConfig::wildchat(), slots(), seed)
+                        .with_schedule(poisson)
+                        .with_first_request_id(1 << 20),
+                )
+            }),
+            [
+                0x57f8_41ec_8128_401e,
+                0x7e0b_175e_c385_36be,
+                0x0e7b_400d_b85e_a746,
+            ],
+        ),
+        (
+            "TotSource / Poisson",
+            Box::new(move |seed| {
+                Box::new(
+                    TotSource::new(TotConfig::branch4(), slots(), 1, seed)
+                        .with_schedule(poisson)
+                        .with_first_request_id(1 << 20),
+                )
+            }),
+            [
+                0xb810_69b6_de02_baf6,
+                0x8d24_6a13_ccf7_5aa1,
+                0xb809_096e_f5c3_7338,
+            ],
+        ),
+        (
+            "RagCorpusSource",
+            Box::new(move |seed| {
+                Box::new(RagCorpusSource::new(
+                    RagCorpusConfig::default(),
+                    slots(),
+                    seed,
+                ))
+            }),
+            [
+                0x3adb_a7df_d368_6f10,
+                0x2081_0e74_24d0_8d97,
+                0x43e2_5f17_9980_fba0,
+            ],
+        ),
+        (
+            "RagCorpusSource / Poisson",
+            Box::new(move |seed| {
+                Box::new(
+                    RagCorpusSource::new(RagCorpusConfig::default(), slots(), seed)
+                        .with_schedule(poisson),
+                )
+            }),
+            [
+                0xb48a_be8b_eced_298b,
+                0x9ec4_851f_769c_19cf,
+                0xd6f7_a008_f14a_cae1,
+            ],
+        ),
+        (
+            "DiurnalSource",
+            Box::new(|seed| {
+                Box::new(DiurnalSource::new(
+                    &trio_diurnal_profiles(),
+                    SimDuration::from_secs(600),
+                    0.004,
+                    &DiurnalSource::light_chat(),
+                    seed,
+                ))
+            }),
+            [
+                0xaf04_6095_91a0_94a1,
+                0x1faf_f359_23c2_ee8f,
+                0xb55f_b41a_19c6_b796,
+            ],
+        ),
+        (
+            "FlashCrowdSource",
+            Box::new(|seed| {
+                Box::new(FlashCrowdSource::new(
+                    vec![(Region::UsEast, 3), (Region::EuWest, 2)],
+                    Region::EuWest,
+                    12,
+                    SimTime::from_secs(30),
+                    seed,
+                ))
+            }),
+            [
+                0x4b69_6b12_881f_c238,
+                0x7390_6135_c455_4777,
+                0x8743_75dc_64f9_769e,
+            ],
+        ),
+        // The two presets that fed an eager population to
+        // `ScenarioBuilder::clients` at the parent.
+        (
+            "fig9_scenario",
+            Box::new(|seed| fig9_scenario(SystemKind::SkyWalker, 4, 10, seed).traffic),
+            [
+                0x1444_d60d_1cd3_1f58,
+                0x55b7_9896_b0da_58fb,
+                0x3c8d_807f_6453_d2f7,
+            ],
+        ),
+        (
+            "fig10_scenario",
+            Box::new(|seed| fig10_scenario(SystemKind::SkyWalker, 6, 0.1, seed).traffic),
+            [
+                0x6065_06d4_7cc3_73ce,
+                0xbfb3_926a_3975_cf66,
+                0x7687_ba03_be22_7e3a,
+            ],
+        ),
+    ];
+    for (name, source, recorded) in rows {
+        let emitted = [1, 7, 61].map(|seed| stream_fingerprint(source(seed)));
+        assert_eq!(
+            emitted, recorded,
+            "{name}: emitted {emitted:#018x?}, recorded {recorded:#018x?}"
+        );
+    }
 }
