@@ -45,6 +45,21 @@ struct Running {
     prefill_remaining: u64,
 }
 
+/// [`Replica::step`]'s per-iteration working storage, kept between
+/// iterations so that one which admits, preempts and finishes nothing —
+/// a steady decode step, or one stalled behind an unfit head — does not
+/// touch the allocator. Nothing in it outlives the step that filled it.
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// The queue snapshots behind the policy's [`StepView`].
+    pending_view: Vec<PendingView>,
+    running_view: Vec<RunningView>,
+    /// Which pending indices admission has consumed.
+    taken: Vec<bool>,
+    /// Running indices that reached their target this iteration.
+    finished: Vec<usize>,
+}
+
 /// A finished request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -209,6 +224,7 @@ pub struct Replica {
     /// Cumulative promoted tokens already charged as transfer time, so
     /// each [`Replica::step`] bills only its own promotions.
     promoted_charged: u64,
+    scratch: StepScratch,
 }
 
 impl Replica {
@@ -245,6 +261,7 @@ impl Replica {
             policy: batch,
             stats: ReplicaStats::default(),
             promoted_charged: 0,
+            scratch: StepScratch::default(),
         }
     }
 
@@ -340,33 +357,33 @@ impl Replica {
         // Snapshot the queues for the policy. Plan indices refer to
         // these snapshots; nothing below reorders the pending queue
         // until admission has consumed its indices.
-        let pending_view: Vec<PendingView> = self
-            .pending
-            .iter()
-            .map(|r| PendingView {
+        let scratch = &mut self.scratch;
+        scratch.pending_view.clear();
+        scratch
+            .pending_view
+            .extend(self.pending.iter().map(|r| PendingView {
                 id: r.id,
                 prompt_tokens: r.prompt.len() as u32,
-                target_output_tokens: r.target_output_tokens,
-            })
-            .collect();
-        let running_view: Vec<RunningView> = self
-            .running
-            .iter()
-            .map(|r| RunningView {
+                target_output_tokens: r.target_output_tokens.max(1),
+            }));
+        scratch.running_view.clear();
+        scratch
+            .running_view
+            .extend(self.running.iter().map(|r| RunningView {
                 id: r.req.id,
                 prompt_tokens: r.req.prompt.len() as u32,
                 generated: r.generated,
                 target: r.target,
                 prefill_remaining: r.prefill_remaining,
-            })
-            .collect();
+            }));
+        let kv_reclaimable = self.cache.reclaimable_tokens();
         let view = StepView {
-            pending: &pending_view,
-            running: &running_view,
+            pending: &scratch.pending_view,
+            running: &scratch.running_view,
             kv_capacity: self.profile.kv.capacity_tokens,
             kv_used: self.cache.used_tokens(),
-            kv_reclaimable: self.cache.reclaimable_tokens(),
-            kv_committed: self.cache.used_tokens() - self.cache.reclaimable_tokens()
+            kv_reclaimable,
+            kv_committed: self.cache.used_tokens() - kv_reclaimable
                 + self.private_tokens
                 + self.reserved_tokens,
             max_batch: self.profile.max_batch_size,
@@ -417,13 +434,14 @@ impl Replica {
         // must see earlier admissions); the owned requests move out of
         // the pending queue in one pass afterwards.
         let mut admissions: Vec<(usize, Lease, u64, u64)> = Vec::new();
-        let mut taken = vec![false; self.pending.len()];
+        self.scratch.taken.clear();
+        self.scratch.taken.resize(self.pending.len(), false);
         let mut prefill_fresh = 0u64;
         for &idx in &plan.admit_order {
             if self.running.len() + admissions.len() >= self.profile.max_batch_size as usize {
                 break;
             }
-            if idx >= self.pending.len() || taken[idx] {
+            if idx >= self.pending.len() || self.scratch.taken[idx] {
                 continue;
             }
             let target = self.pending[idx].target_output_tokens.max(1);
@@ -457,7 +475,7 @@ impl Replica {
             self.stats.prompt_tokens += req.prompt.len() as u64;
             self.stats.cached_prompt_tokens += cached;
             out.admitted.push(req.id);
-            taken[idx] = true;
+            self.scratch.taken[idx] = true;
             admissions.push((idx, lease, cached, uncached - first));
         }
         if !admissions.is_empty() {
@@ -526,7 +544,7 @@ impl Replica {
         out.duration = duration;
 
         // Advance every fully-prefilled running request by one token.
-        let mut finished = Vec::new();
+        self.scratch.finished.clear();
         for (i, run) in self.running.iter_mut().enumerate() {
             if run.prefill_remaining > 0 {
                 continue;
@@ -539,17 +557,22 @@ impl Replica {
             self.reserved_tokens -= 1;
             self.stats.generated_tokens += 1;
             if run.generated >= run.target {
-                finished.push(i);
+                self.scratch.finished.push(i);
             }
         }
 
         // Retire finished requests (highest index first so removals do not
-        // shift earlier indices).
-        for &i in finished.iter().rev() {
+        // shift earlier indices). Their output tokens share one buffer
+        // that lives for this iteration only: an iteration that retires
+        // is not a steady one, and kept on the replica the buffer would
+        // hold the longest output that replica ever served.
+        let mut generated_ids: Vec<u32> = Vec::new();
+        for &i in self.scratch.finished.iter().rev() {
             let run = self.running.swap_remove(i);
-            let generated_ids: Vec<u32> = (0..run.generated)
-                .map(|k| output_token(run.req.id.0, run.req.output_offset + k))
-                .collect();
+            generated_ids.clear();
+            generated_ids.extend(
+                (0..run.generated).map(|k| output_token(run.req.id.0, run.req.output_offset + k)),
+            );
             self.private_tokens -= u64::from(run.generated);
             self.cache.complete(run.lease, &generated_ids);
             self.stats.completed += 1;
@@ -1041,6 +1064,52 @@ mod tests {
             let (done, _) = r.run_to_idle();
             assert_eq!(done.len(), 1, "preempted request still completes");
             assert_eq!(r.stats().preempted, 1);
+        }
+
+        /// Admits shortest-output-first and records the lengths it was
+        /// shown.
+        #[derive(Debug, Clone, Default)]
+        struct ShortestOutputFirst {
+            seen: std::sync::Arc<std::sync::Mutex<Vec<u32>>>,
+        }
+
+        impl crate::BatchPolicy for ShortestOutputFirst {
+            fn plan(&mut self, view: &crate::StepView<'_>) -> crate::BatchPlan {
+                let mut plan = crate::BatchPlan::fcfs(view.pending.len());
+                plan.admit_order
+                    .sort_by_key(|&i| view.pending[i].target_output_tokens);
+                let mut seen = self.seen.lock().expect("no panic under this lock");
+                seen.extend(view.pending.iter().map(|p| p.target_output_tokens));
+                plan
+            }
+
+            fn label(&self) -> String {
+                "shortest-output-first".to_string()
+            }
+        }
+
+        #[test]
+        fn policies_see_the_output_length_the_replica_will_serve() {
+            // A zero-output request is served as one token; a policy
+            // ranking by output length must see that 1, not a 0 that
+            // sorts it ahead of a real one-token request.
+            let policy = ShortestOutputFirst::default();
+            let seen = policy.seen.clone();
+            let mut r = Replica::with_engine(
+                ReplicaId(0),
+                small_profile(1024, 1),
+                Box::new(policy),
+                Box::new(LruEvictor),
+            );
+            r.enqueue(req(1, vec![1], 1));
+            r.enqueue(req(2, vec![2], 0));
+            let out = r.step();
+            assert_eq!(*seen.lock().unwrap(), [1, 1]);
+            assert_eq!(
+                out.admitted,
+                vec![RequestId(1)],
+                "a tie keeps arrival order"
+            );
         }
 
         #[test]

@@ -29,10 +29,18 @@
 //! shared [`RadixArena`]; this file keeps only what is caching: pins,
 //! the LRU clock, hit counts, residency tiers, block-rounded charges
 //! and the evictor hand-off.
+//!
+//! What a lookup of the reclaimable total or the choice of one victim
+//! costs does not depend on how much is resident: the total is a
+//! counter, and the evictable leaves and the unpinned host nodes are
+//! bit sets over arena slots (`radix::SlotSet`), all three moved at the
+//! few places a node's pin state, tier or existence changes.
+//! [`PrefixCache::check_invariants`] holds them to full scans of the
+//! arena.
 
 use std::fmt;
 
-use crate::radix::{RadixArena, ROOT};
+use crate::radix::{Node, RadixArena, SlotSet, ROOT};
 
 /// Cache geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,6 +364,18 @@ pub struct PrefixCache {
     demoted_tokens: u64,
     /// Cumulative block-rounded tokens promoted host→GPU.
     promoted_tokens: u64,
+    /// Block-rounded charge of the unpinned GPU nodes — what
+    /// [`PrefixCache::reclaimable_tokens`] reports — moved wherever such
+    /// a node's pin state, tier or existence changes.
+    reclaimable: u64,
+    /// The evictable leaves (unpinned, childless, GPU-resident): the
+    /// [`KvEvictor`]'s candidates, kept true by [`Self::sync`].
+    evictable: SlotSet,
+    /// The unpinned host-resident nodes: the host tier's own victims.
+    host_idle: SlotSet,
+    /// [`Self::list_candidates`]' output, reused from victim to victim:
+    /// the view of each member of `evictable`, in its order.
+    candidates: Vec<EvictCandidate>,
 }
 
 impl PrefixCache {
@@ -387,6 +407,10 @@ impl PrefixCache {
             host_used: 0,
             demoted_tokens: 0,
             promoted_tokens: 0,
+            reclaimable: 0,
+            evictable: SlotSet::default(),
+            host_idle: SlotSet::default(),
+            candidates: Vec::new(),
         }
     }
 
@@ -468,7 +492,7 @@ impl PrefixCache {
         // A node is reclaimable iff no lease passes through it; whole
         // unpinned subtrees drain leaf-first, so counting every unpinned
         // GPU node is exact (host nodes are already off the GPU).
-        self.charge_where(|e| e.refs == 0 && e.tier == Tier::Gpu)
+        self.reclaimable
     }
 
     /// Like [`PrefixCache::matched_tokens`], but split by residency
@@ -494,7 +518,7 @@ impl PrefixCache {
     /// harmless eviction of unpinned entries).
     pub fn acquire(&mut self, tokens: &[u32]) -> Result<(Lease, u64), KvError> {
         self.touch(ROOT);
-        self.tree[ROOT].data.refs += 1;
+        self.add_pin(ROOT);
         let wp = self.walk_pin(ROOT, tokens);
         let cached = wp.matched as u64;
         match self.make_room(&wp, tokens) {
@@ -512,7 +536,7 @@ impl PrefixCache {
             }
             Err(e) => {
                 self.unpin(&wp.pinned);
-                self.tree[ROOT].data.refs -= 1;
+                self.drop_pin(ROOT);
                 Err(e)
             }
         }
@@ -546,13 +570,11 @@ impl PrefixCache {
     pub fn release(&mut self, lease: Lease) {
         let mut node = lease.node;
         loop {
-            let n = &mut self.tree[node];
-            debug_assert!(n.data.refs > 0, "release without matching acquire");
-            n.data.refs = n.data.refs.saturating_sub(1);
+            self.drop_pin(node);
             if node == ROOT {
                 break;
             }
-            node = n.parent();
+            node = self.tree[node].parent();
         }
     }
 
@@ -619,6 +641,28 @@ impl PrefixCache {
             self.used_tokens,
             "pinned + reclaimable must partition used tokens"
         );
+        // The maintained state, refereed by full scans of the arena.
+        assert_eq!(
+            self.reclaimable,
+            self.charge_where(|e| e.refs == 0 && e.tier == Tier::Gpu),
+            "reclaimable counter drifted from the scan"
+        );
+        let scan = |keep: fn(&Node<Entry>) -> bool| {
+            let live = self.tree.live();
+            live.filter_map(move |(i, n)| keep(n).then_some(i))
+        };
+        assert!(
+            self.evictable.iter().eq(scan(|n| {
+                n.data.refs == 0 && n.is_leaf() && n.data.tier == Tier::Gpu
+            })),
+            "evictable-leaf index drifted from the scan"
+        );
+        assert!(
+            self.host_idle
+                .iter()
+                .eq(scan(|n| n.data.refs == 0 && n.data.tier == Tier::Host)),
+            "unpinned-host index drifted from the scan"
+        );
     }
 
     // ---- internals -------------------------------------------------------
@@ -659,7 +703,7 @@ impl PrefixCache {
         let mut pending_split = None;
         let mut promote = Vec::new();
         while let Some((child, common)) = self.tree.descend(node, &tokens[pos..]) {
-            self.tree[child].data.refs += 1;
+            self.add_pin(child);
             self.tree[child].data.hits += 1;
             self.touch(child);
             pinned.push(child);
@@ -687,8 +731,50 @@ impl PrefixCache {
 
     fn unpin(&mut self, pinned: &[usize]) {
         for &i in pinned {
-            self.tree[i].data.refs -= 1;
+            self.drop_pin(i);
         }
+    }
+
+    /// Adds one pin to `idx`. The first takes the node out of the
+    /// reclaimable pool and off the victim indexes.
+    fn add_pin(&mut self, idx: usize) {
+        let e = &mut self.tree[idx].data;
+        e.refs += 1;
+        if e.refs == 1 {
+            if e.tier == Tier::Gpu {
+                self.reclaimable -= self.charge_of(idx);
+            }
+            self.sync(idx);
+        }
+    }
+
+    /// Drops one pin from `idx`. The last one out hands the node back
+    /// to the reclaimable pool and the victim indexes.
+    fn drop_pin(&mut self, idx: usize) {
+        let e = &mut self.tree[idx].data;
+        debug_assert!(e.refs > 0, "release without matching acquire");
+        let was = e.refs;
+        e.refs = was.saturating_sub(1);
+        if was == 1 {
+            if e.tier == Tier::Gpu {
+                self.reclaimable += self.charge_of(idx);
+            }
+            self.sync(idx);
+        }
+    }
+
+    /// Re-derives `idx`'s membership of the two victim indexes from the
+    /// node itself: called wherever its pin state or tier changes, and
+    /// on a parent that lost a child. (A node gains a child only in
+    /// [`Self::apply`], on the walk's pinned path, where it is in
+    /// neither set already.) The root is never a victim, and its empty
+    /// segment charges nothing, so it takes pins like any node.
+    fn sync(&mut self, idx: usize) {
+        let n = &self.tree[idx];
+        let idle = idx != ROOT && n.data.refs == 0 && n.is_leaf();
+        let tier = n.data.tier;
+        self.evictable.set(idx, idle && tier == Tier::Gpu);
+        self.host_idle.set(idx, idle && tier == Tier::Host);
     }
 
     /// Exact extra charge `apply` will incur, then frees that much space.
@@ -715,11 +801,11 @@ impl PrefixCache {
             });
         }
         while self.cfg.capacity_tokens - self.used_tokens < needed {
-            let (ids, candidates) = self.evictable_leaves();
+            self.list_candidates();
             let victim = self
                 .evictor
-                .pick(&candidates)
-                .and_then(|i| ids.get(i).copied());
+                .pick(&self.candidates)
+                .and_then(|i| self.evictable.iter().nth(i));
             let Some(victim) = victim else {
                 // No GPU leaf is evictable. A host-resident leaf keeps
                 // its GPU parent an interior node forever, so a tree
@@ -755,11 +841,12 @@ impl PrefixCache {
     /// in flight (`walk_pin` pins matched host nodes until `apply`
     /// promotes them; those are never valid victims).
     fn lru_unpinned_host_node(&self) -> Option<usize> {
-        self.tree
-            .live()
-            .filter(|(_, n)| n.data.refs == 0 && n.data.tier == Tier::Host)
-            .min_by_key(|(_, n)| n.data.last_used)
-            .map(|(i, _)| i)
+        self.lru_of(self.host_idle.iter())
+    }
+
+    /// The least recently used of `slots`, ties to the lowest index.
+    fn lru_of(&self, slots: impl Iterator<Item = usize>) -> Option<usize> {
+        slots.min_by_key(|&i| (self.tree[i].data.last_used, i))
     }
 
     /// Moves `idx` from the GPU tier to the host tier, dropping
@@ -783,28 +870,29 @@ impl PrefixCache {
         }
         self.tree[idx].data.tier = Tier::Host;
         self.used_tokens -= charge;
+        self.reclaimable -= charge;
         self.host_used += charge;
         self.demoted_tokens += charge;
+        self.sync(idx);
     }
 
-    /// The currently evictable leaves (unpinned, childless), in stable
-    /// node-arena order: their arena ids and the candidate views handed
-    /// to the evictor.
-    fn evictable_leaves(&self) -> (Vec<usize>, Vec<EvictCandidate>) {
-        let mut ids = Vec::new();
-        let mut out = Vec::new();
-        for (i, n) in self.tree.live() {
-            if n.data.refs != 0 || !n.is_leaf() || n.data.tier != Tier::Gpu {
-                continue;
-            }
+    /// Lists the currently evictable leaves (unpinned, childless, on
+    /// the GPU) into `candidates`, the views handed to the evictor. The
+    /// index is walked in slot order, so the evictor sees stable
+    /// node-arena order — and its pick `i` is the index's `i`-th member
+    /// — at a cost per victim that follows the evictable leaves, not
+    /// the arena.
+    fn list_candidates(&mut self) {
+        self.candidates.clear();
+        for i in self.evictable.iter() {
+            let n = &self.tree[i];
             let mut depth = 0u32;
             let mut at = i;
             while at != ROOT {
                 depth += 1;
                 at = self.tree[at].parent();
             }
-            ids.push(i);
-            out.push(EvictCandidate {
+            self.candidates.push(EvictCandidate {
                 last_used: n.data.last_used,
                 hits: n.data.hits,
                 tokens: n.seg().len() as u32,
@@ -812,7 +900,6 @@ impl PrefixCache {
                 depth,
             });
         }
-        (ids, out)
     }
 
     /// Materializes the plan from [`Self::walk_pin`]: performs the pending
@@ -834,8 +921,9 @@ impl PrefixCache {
         if let Some((child, keep)) = wp.pending_split {
             let mid = self.split(child, keep);
             // `mid` inherited `child`'s refs, which include this walk's
-            // pin; the lease path runs through `mid`, not `child`.
-            self.tree[child].data.refs -= 1;
+            // pin; the lease path runs through `mid`, not `child` — a
+            // tail nobody else pins is reclaimable from here on.
+            self.drop_pin(child);
             node = mid;
         }
         if wp.matched < tokens.len() {
@@ -854,23 +942,29 @@ impl PrefixCache {
         node
     }
 
+    /// The least-recently-used unpinned leaf of either tier.
     fn lru_evictable_leaf(&self) -> Option<usize> {
-        self.tree
-            .live()
-            .filter(|(_, n)| n.data.refs == 0 && n.is_leaf())
-            .min_by_key(|(_, n)| n.data.last_used)
-            .map(|(i, _)| i)
+        self.lru_of(self.evictable.iter().chain(self.host_idle.iter()))
     }
 
     fn evict(&mut self, idx: usize) {
         debug_assert_eq!(self.tree[idx].data.refs, 0);
         let charge = self.charge_of(idx);
         match self.tree[idx].data.tier {
-            Tier::Gpu => self.used_tokens -= charge,
+            Tier::Gpu => {
+                self.used_tokens -= charge;
+                self.reclaimable -= charge;
+            }
             Tier::Host => self.host_used -= charge,
         }
         self.evicted_tokens += charge;
+        // The slot leaves both indexes before it can be recycled; the
+        // parent may just have become a leaf.
+        self.evictable.set(idx, false);
+        self.host_idle.set(idx, false);
+        let parent = self.tree[idx].parent();
         self.tree.remove_leaf(idx);
+        self.sync(parent);
     }
 
     /// Splits `child` so that exactly `keep` tokens of its segment move to

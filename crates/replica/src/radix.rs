@@ -19,7 +19,9 @@
 //!
 //! Slot assignment is observable — callers break ties and order scans
 //! by arena index — so it is fixed: a new node takes the most recently
-//! freed slot, else a fresh one at the end.
+//! freed slot, else a fresh one at the end. A caller that needs "the
+//! nodes whose payload satisfies X, in arena order" more often than X
+//! changes keeps a `SlotSet` beside the arena instead of scanning it.
 
 use std::ops::{Index, IndexMut};
 
@@ -256,9 +258,63 @@ impl<P: Clone> RadixArena<P> {
     }
 }
 
+/// A set of arena slots, one bit each: how a caller indexes the nodes
+/// that satisfy some predicate of its payload without rescanning the
+/// arena. Iteration is in ascending slot order — the order of
+/// [`RadixArena::live`] — at a cost of one word per 64 slots plus the
+/// members themselves. The caller keeps the bits true; a freed slot's
+/// bit must be cleared before the slot is recycled.
+#[derive(Debug, Default)]
+pub(crate) struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    /// Adds `idx` if `member`, removes it otherwise.
+    pub(crate) fn set(&mut self, idx: usize, member: bool) {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if member {
+            if word >= self.words.len() {
+                self.words.resize(word + 1, 0);
+            }
+            self.words[word] |= bit;
+        } else if let Some(w) = self.words.get_mut(word) {
+            *w &= !bit;
+        }
+    }
+
+    /// The members, in ascending slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_set_iterates_members_in_slot_order() {
+        let mut s = SlotSet::default();
+        assert_eq!(s.iter().count(), 0);
+        for idx in [200, 3, 64, 63, 3] {
+            s.set(idx, true);
+        }
+        s.set(9_999, false); // beyond the words held: nothing to clear
+        assert_eq!(s.iter().collect::<Vec<_>>(), [3, 63, 64, 200]);
+        s.set(64, false);
+        s.set(3, false);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [63, 200]);
+    }
 
     #[test]
     fn split_conserves_tokens_and_links() {
