@@ -76,8 +76,7 @@ pub struct BalancerConfig {
     pub region: Region,
     /// Built-in placement policy used at both layers when the balancer is
     /// constructed via [`RegionalBalancer::new`]. Custom policies ignore
-    /// this field and come in through [`RegionalBalancer::with_factory`]
-    /// or [`RegionalBalancer::with_policies`].
+    /// this field and come in through [`RegionalBalancer::with_factory`].
     pub policy: PolicyKind,
     /// Admission discipline for local replicas (§3.3).
     pub push_mode: PushMode,
@@ -207,16 +206,12 @@ pub struct RegionalBalancer {
     id: LbId,
     cfg: BalancerConfig,
     queue: VecDeque<Queued>,
+    /// One record per managed replica: its region, its probed view and
+    /// what this balancer has dispatched to it.
     replicas: BTreeMap<ReplicaId, ReplicaState>,
-    /// Region each managed replica actually serves — distinct from
-    /// `cfg.region` for centralized deployments fronting a multi-region
-    /// fleet and for re-homed replicas held on behalf of a dead peer.
-    replica_regions: BTreeMap<ReplicaId, Region>,
     peers: BTreeMap<LbId, PeerState>,
     local_policy: Box<dyn RoutingPolicy<ReplicaId>>,
     remote_policy: Box<dyn RoutingPolicy<LbId>>,
-    /// Per-replica dispatch counts, for load-variance analysis.
-    dispatches: BTreeMap<ReplicaId, u64>,
     stats: BalancerStats,
     /// Candidate buffers reused across [`dispatch`](Self::dispatch)
     /// iterations: the drain loop rebuilds the candidate set per queue
@@ -236,29 +231,14 @@ impl RegionalBalancer {
     /// Creates a balancer whose policies come from `factory` — the open
     /// entry point for policies that are not [`PolicyKind`] built-ins.
     pub fn with_factory(id: LbId, cfg: BalancerConfig, factory: &dyn PolicyFactory) -> Self {
-        let local = factory.build_local(&cfg);
-        let remote = factory.build_remote(&cfg);
-        Self::with_policies(id, cfg, local, remote)
-    }
-
-    /// Creates a balancer from explicit policy instances (lowest-level
-    /// constructor; the other two delegate here).
-    pub fn with_policies(
-        id: LbId,
-        cfg: BalancerConfig,
-        local_policy: Box<dyn RoutingPolicy<ReplicaId>>,
-        remote_policy: Box<dyn RoutingPolicy<LbId>>,
-    ) -> Self {
         RegionalBalancer {
             id,
             cfg,
             queue: VecDeque::new(),
             replicas: BTreeMap::new(),
-            replica_regions: BTreeMap::new(),
             peers: BTreeMap::new(),
-            local_policy,
-            remote_policy,
-            dispatches: BTreeMap::new(),
+            local_policy: factory.build_local(&cfg),
+            remote_policy: factory.build_remote(&cfg),
             stats: BalancerStats::default(),
             local_scratch: Vec::new(),
             remote_scratch: Vec::new(),
@@ -275,11 +255,6 @@ impl RegionalBalancer {
         self.cfg.region
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BalancerConfig {
-        &self.cfg
-    }
-
     /// Registers a replica served from this balancer's own region
     /// (initially idle).
     pub fn add_replica(&mut self, id: ReplicaId) {
@@ -290,30 +265,22 @@ impl RegionalBalancer {
     /// Registers a replica served from an explicit region — the honest
     /// form for centralized deployments fronting a multi-region fleet
     /// and for controller re-homing, so locality-aware policies see
-    /// where each candidate really is.
+    /// where each candidate really is. An id this balancer already
+    /// holds starts afresh, like any other registration.
     pub fn add_replica_in(&mut self, id: ReplicaId, region: Region) {
-        self.replicas.insert(id, ReplicaState::new(id));
-        self.replica_regions.insert(id, region);
+        self.replicas.insert(id, ReplicaState::new(id, region));
         self.local_policy.add_target(id);
     }
 
     /// Removes a replica (controller re-homing or decommission).
     pub fn remove_replica(&mut self, id: ReplicaId) {
         self.replicas.remove(&id);
-        self.replica_regions.remove(&id);
         self.local_policy.remove_target(id);
-        self.dispatches.remove(&id);
     }
 
-    /// Appends the managed replica ids to `out` (in id order), so
-    /// per-tick probe loops reuse one buffer across balancers.
-    pub fn replica_ids_into(&self, out: &mut Vec<ReplicaId>) {
-        out.extend(self.replicas.keys().copied());
-    }
-
-    /// The tracked state of one replica.
-    pub fn replica_state(&self, id: ReplicaId) -> Option<&ReplicaState> {
-        self.replicas.get(&id)
+    /// The managed replicas' records, in id order.
+    pub fn replica_states(&self) -> impl Iterator<Item = &ReplicaState> {
+        self.replicas.values()
     }
 
     /// Registers a peer balancer.
@@ -353,10 +320,18 @@ impl RegionalBalancer {
         kv_utilization: f64,
     ) {
         if let Some(r) = self.replicas.get_mut(&id) {
-            r.pending = pending;
-            r.running = running;
-            r.kv_utilization = kv_utilization;
-            r.dispatched_since_probe = 0;
+            r.refresh(pending, running, kv_utilization);
+        }
+    }
+
+    /// Probes every managed replica in one walk, in id order: `probe`
+    /// sees a replica's record and answers with its `(pending, running,
+    /// kv_utilization)` — [`on_replica_probe`](Self::on_replica_probe)
+    /// for a caller that holds all the replicas.
+    pub fn probe_replicas(&mut self, mut probe: impl FnMut(&ReplicaState) -> (u32, u32, f64)) {
+        for r in self.replicas.values_mut() {
+            let (pending, running, kv_utilization) = probe(r);
+            r.refresh(pending, running, kv_utilization);
         }
     }
 
@@ -414,11 +389,6 @@ impl RegionalBalancer {
     /// Cumulative counters.
     pub fn stats(&self) -> BalancerStats {
         self.stats
-    }
-
-    /// Per-replica dispatch counts (load-imbalance analysis).
-    pub fn dispatch_counts(&self) -> &BTreeMap<ReplicaId, u64> {
-        &self.dispatches
     }
 
     /// Drains the queue head-first while requests are routable (Alg. 1
@@ -483,14 +453,7 @@ impl RegionalBalancer {
             self.replicas
                 .values()
                 .filter(|r| self.cfg.push_mode.replica_available(r))
-                .map(|r| {
-                    let region = self
-                        .replica_regions
-                        .get(&r.id)
-                        .copied()
-                        .unwrap_or(self.cfg.region);
-                    TargetState::new(r.id, r.outstanding).in_region(region)
-                }),
+                .map(|r| TargetState::new(r.id, r.outstanding).in_region(r.region)),
         );
     }
 
@@ -513,8 +476,8 @@ impl RegionalBalancer {
         if let Some(r) = self.replicas.get_mut(&replica) {
             r.outstanding += 1;
             r.dispatched_since_probe += 1;
+            r.dispatched += 1;
         }
-        *self.dispatches.entry(replica).or_insert(0) += 1;
         self.stats.dispatched_local += 1;
     }
 }

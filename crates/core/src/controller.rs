@@ -48,6 +48,15 @@ struct LbRecord {
     alive: bool,
 }
 
+/// Where one registered replica belongs and where it is now.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    /// Its original balancer, which gets it back on recovery.
+    home: LbId,
+    /// The balancer currently holding it.
+    holder: LbId,
+}
+
 /// The centralized, fault-tolerant controller.
 ///
 /// # Examples
@@ -79,10 +88,7 @@ pub struct Controller {
     net: LatencyModel,
     timeout: SimDuration,
     lbs: BTreeMap<LbId, LbRecord>,
-    /// Original (home) balancer of each replica.
-    home: BTreeMap<ReplicaId, LbId>,
-    /// Current holder of each replica.
-    current: BTreeMap<ReplicaId, LbId>,
+    replicas: BTreeMap<ReplicaId, Placement>,
 }
 
 impl Controller {
@@ -93,8 +99,7 @@ impl Controller {
             net,
             timeout,
             lbs: BTreeMap::new(),
-            home: BTreeMap::new(),
-            current: BTreeMap::new(),
+            replicas: BTreeMap::new(),
         }
     }
 
@@ -112,16 +117,15 @@ impl Controller {
 
     /// Registers a replica under its home balancer.
     pub fn register_replica(&mut self, replica: ReplicaId, home: LbId) {
-        self.home.insert(replica, home);
-        self.current.insert(replica, home);
+        let holder = home;
+        self.replicas.insert(replica, Placement { home, holder });
     }
 
     /// Forgets a replica entirely (drain or crash): it is no longer
-    /// re-homed on failures nor handed back on recovery. Unknown
-    /// replicas are ignored.
-    pub fn deregister_replica(&mut self, replica: ReplicaId) {
-        self.home.remove(&replica);
-        self.current.remove(&replica);
+    /// re-homed on failures nor handed back on recovery. Returns the
+    /// balancer that was holding it (`None` for an unknown replica).
+    pub fn deregister_replica(&mut self, replica: ReplicaId) -> Option<LbId> {
+        self.replicas.remove(&replica).map(|p| p.holder)
     }
 
     /// Records a heartbeat. If the balancer was considered failed, this
@@ -138,19 +142,15 @@ impl Controller {
         rec.alive = true;
         let mut actions = vec![ControlAction::LbRecovered(id)];
         // Hand back every replica whose home is this balancer.
-        let to_return: Vec<(ReplicaId, LbId)> = self
-            .current
-            .iter()
-            .filter(|(r, holder)| self.home.get(r) == Some(&id) && **holder != id)
-            .map(|(r, holder)| (*r, *holder))
-            .collect();
-        for (replica, from) in to_return {
-            self.current.insert(replica, id);
-            actions.push(ControlAction::Reassign {
-                replica,
-                from,
-                to: id,
-            });
+        for (&replica, p) in &mut self.replicas {
+            if p.home == id && p.holder != id {
+                let from = std::mem::replace(&mut p.holder, id);
+                actions.push(ControlAction::Reassign {
+                    replica,
+                    from,
+                    to: id,
+                });
+            }
         }
         actions
     }
@@ -171,22 +171,20 @@ impl Controller {
         }
         // Re-home replicas currently held by dead balancers (covers both
         // fresh failures and replicas stranded by cascading failures).
-        let holders: Vec<(ReplicaId, LbId)> = self.current.iter().map(|(r, l)| (*r, *l)).collect();
-        for (replica, holder) in holders {
-            let holder_alive = self.lbs.get(&holder).map(|r| r.alive).unwrap_or(false);
-            if holder_alive {
+        let Controller {
+            net, lbs, replicas, ..
+        } = self;
+        for (&replica, p) in replicas {
+            let holder = lbs.get(&p.holder);
+            if holder.is_some_and(|rec| rec.alive) {
                 continue;
             }
-            let holder_region = self
-                .lbs
-                .get(&holder)
-                .map(|r| r.region)
-                .unwrap_or(Region::UsEast);
-            if let Some(target) = self.nearest_alive(holder_region) {
-                self.current.insert(replica, target);
+            let holder_region = holder.map_or(Region::UsEast, |rec| rec.region);
+            if let Some(target) = nearest_alive(net, lbs, holder_region) {
+                let from = std::mem::replace(&mut p.holder, target);
                 actions.push(ControlAction::Reassign {
                     replica,
-                    from: holder,
+                    from,
                     to: target,
                 });
             }
@@ -204,16 +202,16 @@ impl Controller {
 
     /// The balancer currently holding a replica.
     pub fn holder(&self, replica: ReplicaId) -> Option<LbId> {
-        self.current.get(&replica).copied()
+        self.replicas.get(&replica).map(|p| p.holder)
     }
+}
 
-    fn nearest_alive(&self, from: Region) -> Option<LbId> {
-        self.lbs
-            .iter()
-            .filter(|(_, rec)| rec.alive)
-            .min_by_key(|(id, rec)| (self.net.rtt(from, rec.region), **id))
-            .map(|(id, _)| *id)
-    }
+/// The live balancer nearest to `from` by RTT (lowest id on a tie).
+fn nearest_alive(net: &LatencyModel, lbs: &BTreeMap<LbId, LbRecord>, from: Region) -> Option<LbId> {
+    lbs.iter()
+        .filter(|(_, rec)| rec.alive)
+        .min_by_key(|(id, rec)| (net.rtt(from, rec.region), **id))
+        .map(|(id, _)| *id)
 }
 
 #[cfg(test)]

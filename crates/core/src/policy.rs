@@ -173,12 +173,6 @@ impl PolicyKind {
             )),
         }
     }
-
-    /// Builds a boxed policy with default parameters (affinity threshold
-    /// 0.5, balance override 32).
-    pub fn build_default<T: RingTarget>(&self) -> Box<dyn RoutingPolicy<T>> {
-        self.build(&PolicyParams::default())
-    }
 }
 
 /// Picks the least-loaded candidate with stable (lowest-id) ties — the
@@ -244,13 +238,8 @@ pub struct ConsistentHash<T> {
 impl<T: RingTarget> ConsistentHash<T> {
     /// A ring with 64 virtual nodes per target.
     pub fn new() -> Self {
-        Self::with_vnodes(64)
-    }
-
-    /// A ring with an explicit virtual-node count.
-    pub fn with_vnodes(vnodes_per_target: u32) -> Self {
         ConsistentHash {
-            ring: HashRing::new(vnodes_per_target),
+            ring: HashRing::new(64),
         }
     }
 }
@@ -553,7 +542,7 @@ mod tests {
             PolicyKind::ConsistentHash,
             PolicyKind::CacheAware,
         ] {
-            let mut p: Box<dyn RoutingPolicy<u32>> = kind.build_default();
+            let mut p: Box<dyn RoutingPolicy<u32>> = kind.build(&PolicyParams::default());
             p.add_target(0);
             assert_eq!(p.select("k", &[], &states(&[0])), Some(0));
             assert_eq!(p.name(), kind.label());

@@ -16,6 +16,7 @@
 //!   whose pending queue is empty. The replica itself knows whether it is
 //!   memory-bound; its pending queue is the distilled signal.
 
+use skywalker_net::Region;
 use skywalker_replica::ReplicaId;
 
 /// Maximum requests SP-P pushes to one replica between two probes.
@@ -25,14 +26,20 @@ use skywalker_replica::ReplicaId;
 /// replica whose last probe said "pending = 0". This is the replica-side
 /// analogue of the τ queue buffer on the LB-to-LB path (Alg. 1 line 11:
 /// "small buffer for newly arriving requests").
-pub const PROBE_WINDOW_BURST: u32 = 8;
+const PROBE_WINDOW_BURST: u32 = 8;
 
-/// The balancer's view of one replica, refreshed by heartbeat probes
-/// (Alg. 1, `MonitorAvailability`).
+/// Everything one balancer knows about one replica it manages: where
+/// it is, the view heartbeat probes refresh (Alg. 1,
+/// `MonitorAvailability`), and what this balancer has sent it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaState {
     /// The replica.
     pub id: ReplicaId,
+    /// Region the replica actually serves — distinct from the
+    /// balancer's own for centralized deployments fronting a
+    /// multi-region fleet and for re-homed replicas held on behalf of a
+    /// dead peer.
+    pub region: Region,
     /// Requests this balancer has dispatched and not yet seen complete.
     pub outstanding: u32,
     /// Pending-queue depth from the last probe.
@@ -43,19 +50,32 @@ pub struct ReplicaState {
     pub kv_utilization: f64,
     /// Requests dispatched since the last probe refreshed this view.
     pub dispatched_since_probe: u32,
+    /// Requests this balancer ever dispatched to the replica
+    /// (load-imbalance analysis).
+    pub dispatched: u64,
 }
 
 impl ReplicaState {
-    /// A fresh, empty replica view.
-    pub fn new(id: ReplicaId) -> Self {
+    /// A fresh, empty view of a replica serving from `region`.
+    pub fn new(id: ReplicaId, region: Region) -> Self {
         ReplicaState {
             id,
+            region,
             outstanding: 0,
             pending: 0,
             running: 0,
             kv_utilization: 0.0,
             dispatched_since_probe: 0,
+            dispatched: 0,
         }
+    }
+
+    /// Ingests one heartbeat probe (Alg. 1 lines 3–8).
+    pub(crate) fn refresh(&mut self, pending: u32, running: u32, kv_utilization: f64) {
+        self.pending = pending;
+        self.running = running;
+        self.kv_utilization = kv_utilization;
+        self.dispatched_since_probe = 0;
     }
 }
 
@@ -104,7 +124,7 @@ mod tests {
         ReplicaState {
             outstanding,
             pending,
-            ..ReplicaState::new(ReplicaId(0))
+            ..ReplicaState::new(ReplicaId(0), Region::UsEast)
         }
     }
 

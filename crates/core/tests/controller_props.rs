@@ -8,7 +8,7 @@
 //! (Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.)
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use skywalker_core::{ControlAction, Controller, LbId};
 use skywalker_net::{LatencyModel, Region};
@@ -183,6 +183,80 @@ fn total_outage_then_single_survivor_adopts_everyone() {
                 Some(survivor),
                 "case {case}: replica {i} not adopted by the survivor"
             );
+        }
+    }
+}
+
+/// Applies a batch of actions the way a deployment would — take the
+/// replica off `from`, put it on `to` — to per-balancer replica sets.
+fn apply(held: &mut BTreeMap<LbId, BTreeSet<ReplicaId>>, actions: &[ControlAction]) {
+    for a in actions {
+        if let ControlAction::Reassign { replica, from, to } = a {
+            assert!(held.entry(*from).or_default().remove(replica), "{a:?}");
+            assert!(held.entry(*to).or_default().insert(*replica), "{a:?}");
+        }
+    }
+}
+
+/// One placement record per replica: through any cascade of failures
+/// and recoveries every registered replica sits on exactly one
+/// balancer — the one `holder()` names — and a recovering balancer is
+/// handed exactly the replicas whose home it is, no one else's.
+#[test]
+fn every_replica_has_one_holder_and_recovery_returns_only_home_replicas() {
+    let replicas = || (0..LBS.len() as u32 * REPLICAS_PER_LB).map(ReplicaId);
+    for case in 0..64u64 {
+        let mut rng = DetRng::for_component(case, "controller/one-holder");
+        let mut c = controller();
+        let mut held: BTreeMap<LbId, BTreeSet<ReplicaId>> = BTreeMap::new();
+        for r in replicas() {
+            held.entry(home_of(r)).or_default().insert(r);
+        }
+        let mut now = SimTime::ZERO;
+        for step in 0..rng.range(4, 30) {
+            now += TIMEOUT + SimDuration::from_secs(1);
+            for (lb, _) in LBS {
+                if rng.below(2) == 0 {
+                    continue; // silent this round
+                }
+                let was_alive = c.is_alive(lb);
+                let before = held.clone();
+                let actions = c.heartbeat(lb, now);
+                apply(&mut held, &actions);
+                if was_alive {
+                    assert!(actions.is_empty(), "case {case} step {step}");
+                    continue;
+                }
+                let returned: BTreeSet<ReplicaId> = actions
+                    .iter()
+                    .filter_map(|a| match a {
+                        ControlAction::Reassign { replica, to, .. } if *to == lb => Some(*replica),
+                        _ => None,
+                    })
+                    .collect();
+                let owed: BTreeSet<ReplicaId> = replicas()
+                    .filter(|r| home_of(*r) == lb && !before[&lb].contains(r))
+                    .collect();
+                assert_eq!(returned, owed, "case {case} step {step}: recovery of {lb}");
+                assert_eq!(
+                    returned.len() + 1,
+                    actions.len(),
+                    "case {case}: only hand-backs"
+                );
+            }
+            apply(&mut held, &c.check(now));
+            for r in replicas() {
+                let on: Vec<LbId> = held
+                    .iter()
+                    .filter(|(_, set)| set.contains(&r))
+                    .map(|(lb, _)| *lb)
+                    .collect();
+                assert_eq!(
+                    on,
+                    [c.holder(r).expect("registered")],
+                    "case {case} step {step}"
+                );
+            }
         }
     }
 }

@@ -27,15 +27,10 @@ use std::fmt;
 
 /// Hourly price of one 8×H100 p5.48xlarge instance under a three-year
 /// reserved commitment (§2.1).
-pub const RESERVED_HOURLY_USD: f64 = 37.56;
+const RESERVED_HOURLY_USD: f64 = 37.56;
 
 /// Hourly on-demand price of the same instance (§2.1).
-pub const ON_DEMAND_HOURLY_USD: f64 = 98.32;
-
-/// Cost reduction factor achievable by on-premise deployment relative to
-/// reserved cloud instances over the hardware lifetime (§2.1 cites up to
-/// 46.3 %).
-pub const ON_PREM_DISCOUNT: f64 = 0.463;
+const ON_DEMAND_HOURLY_USD: f64 = 98.32;
 
 /// An instance pricing profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +50,7 @@ impl Pricing {
 
     /// A normalized profile (reserved = 1.0/h) that keeps the paper's
     /// on-demand/reserved ratio; convenient for ratio-only experiments.
+    // det-allow(D07): the normalized prices the doctest and the Fig. 3 unit tests compute in
     pub const UNIT: Pricing = Pricing {
         reserved_hourly_usd: 1.0,
         on_demand_hourly_usd: ON_DEMAND_HOURLY_USD / RESERVED_HOURLY_USD,
@@ -73,6 +69,7 @@ pub struct DemandMatrix {
 
 /// Errors constructing a [`DemandMatrix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
+// det-allow(D07): the error of `DemandMatrix::new`; no caller matches on it yet
 pub enum DemandError {
     /// No regions supplied.
     NoRegions,
@@ -119,23 +116,23 @@ impl DemandMatrix {
     }
 
     /// Number of intervals.
-    pub fn intervals(&self) -> usize {
+    fn intervals(&self) -> usize {
         self.demand[0].len()
     }
 
     /// Peak demand of one region across all intervals.
-    pub fn region_peak(&self, region: usize) -> u32 {
+    fn region_peak(&self, region: usize) -> u32 {
         self.demand[region].iter().copied().max().unwrap_or(0)
     }
 
     /// Sum of per-region peaks: the fleet size under region-local
     /// provisioning.
-    pub fn sum_of_region_peaks(&self) -> u32 {
+    fn sum_of_region_peaks(&self) -> u32 {
         (0..self.regions()).map(|r| self.region_peak(r)).sum()
     }
 
     /// The aggregated (global) demand per interval.
-    pub fn aggregated(&self) -> Vec<u32> {
+    fn aggregated(&self) -> Vec<u32> {
         (0..self.intervals())
             .map(|i| self.demand.iter().map(|d| d[i]).sum())
             .collect()
@@ -143,12 +140,12 @@ impl DemandMatrix {
 
     /// Peak of the aggregated demand: the fleet size under global
     /// provisioning.
-    pub fn aggregated_peak(&self) -> u32 {
+    fn aggregated_peak(&self) -> u32 {
         self.aggregated().into_iter().max().unwrap_or(0)
     }
 
     /// Total replica-hours actually demanded (the on-demand lower bound).
-    pub fn total_replica_hours(&self) -> f64 {
+    fn total_replica_hours(&self) -> f64 {
         let total: u64 = self
             .demand
             .iter()
@@ -159,39 +156,14 @@ impl DemandMatrix {
     }
 
     /// Duration of the whole window in hours.
-    pub fn window_hours(&self) -> f64 {
+    fn window_hours(&self) -> f64 {
         self.intervals() as f64 * self.interval_hours
-    }
-
-    /// Peak-to-trough load variance of one region
-    /// (`max/min` over intervals; `inf` if the trough is zero). The paper
-    /// reports per-region variance of 2.88–32.64× and 1.29× aggregated
-    /// (Fig. 3a).
-    pub fn region_variance(&self, region: usize) -> f64 {
-        let max = self.region_peak(region) as f64;
-        let min = self.demand[region].iter().copied().min().unwrap_or(0) as f64;
-        if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
-
-    /// Peak-to-trough variance of the aggregated demand.
-    pub fn aggregated_variance(&self) -> f64 {
-        let agg = self.aggregated();
-        let max = agg.iter().copied().max().unwrap_or(0) as f64;
-        let min = agg.iter().copied().min().unwrap_or(0) as f64;
-        if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
     }
 }
 
 /// Cost of the three provisioning strategies over a demand window.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// det-allow(D07): what `compare_costs` returns; callers only read its fields
 pub struct CostComparison {
     /// Reserved instances sized to each region's own peak.
     pub region_local_usd: f64,
@@ -267,11 +239,6 @@ pub fn replicas_for_rate(rate: &[f64], per_replica: f64, min_replicas: u32) -> V
         .collect()
 }
 
-/// Reserved cost of running `replicas` instances for `hours`.
-pub fn reserved_cost(replicas: u32, hours: f64, pricing: Pricing) -> f64 {
-    replicas as f64 * hours * pricing.reserved_hourly_usd
-}
-
 /// Reserved cost of a measured capacity integral: `replica_seconds` is
 /// the time-weighted fleet size multiplied by the run duration (what an
 /// elastic run reports as `mean_total() × end_time`), priced at the
@@ -338,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_smooths_variance() {
-        let d = demand_fixture();
-        // Each region swings 4x; the aggregate only 1.4x.
-        assert!((d.region_variance(0) - 4.0).abs() < 1e-9);
-        assert!(d.aggregated_variance() < 1.5);
-    }
-
-    #[test]
-    fn variance_with_zero_trough_is_infinite() {
-        let d = DemandMatrix::new(vec![vec![0, 5]], 1.0).unwrap();
-        assert!(d.region_variance(0).is_infinite());
-        assert!(d.aggregated_variance().is_infinite());
-    }
-
-    #[test]
     fn cost_comparison_orders_strategies() {
         let d = demand_fixture();
         let c = compare_costs(&d, Pricing::P5_48XLARGE);
@@ -400,18 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn reserved_cost_scales_linearly() {
+    fn replica_seconds_cost_prices_at_the_reserved_rate() {
         let p = Pricing::P5_48XLARGE;
-        assert!((reserved_cost(2, 3.0, p) - 2.0 * 3.0 * RESERVED_HOURLY_USD).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replica_seconds_cost_matches_reserved_cost() {
-        let p = Pricing::P5_48XLARGE;
-        // 2 replicas for 3 hours, expressed as replica-seconds, must
-        // price identically to the instance-count form.
+        // 2 replicas for 3 hours, expressed as replica-seconds.
         let rs = 2.0 * 3.0 * 3600.0;
-        assert!((replica_seconds_cost(rs, p) - reserved_cost(2, 3.0, p)).abs() < 1e-9);
+        assert!((replica_seconds_cost(rs, p) - 2.0 * 3.0 * RESERVED_HOURLY_USD).abs() < 1e-9);
         assert_eq!(replica_seconds_cost(0.0, p), 0.0);
         // Fractional fleets (a time-weighted mean) price linearly.
         assert!((replica_seconds_cost(1800.0, Pricing::UNIT) - 0.5).abs() < 1e-12);

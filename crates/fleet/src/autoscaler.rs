@@ -74,11 +74,6 @@ impl ThresholdAutoscaler {
             provisioning: ProvisionLedger::new(),
         }
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.cfg
-    }
 }
 
 impl FleetPlan for ThresholdAutoscaler {

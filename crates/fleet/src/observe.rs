@@ -107,11 +107,6 @@ impl FleetObservation {
             .count() as u32
     }
 
-    /// Total live (not draining) replicas across every region.
-    pub fn total_live(&self) -> u32 {
-        self.replicas.iter().filter(|r| !r.draining).count() as u32
-    }
-
     /// Outstanding load per live replica in `region`: balancer queue
     /// plus dispatched-not-completed, divided by the live count. A
     /// region with no live replicas reports the raw load (as if one
@@ -224,7 +219,6 @@ mod tests {
         let o = obs();
         assert_eq!(o.live_in(Region::UsEast), 1);
         assert_eq!(o.live_in(Region::EuWest), 1);
-        assert_eq!(o.total_live(), 2);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl ScheduledPlan {
         self.label = label.into();
         self
     }
-
-    /// The full schedule (inspection/testing helper).
-    pub fn commands(&self) -> &[FleetCommand] {
-        &self.commands
-    }
 }
 
 impl FleetPlan for ScheduledPlan {

@@ -1,4 +1,5 @@
-//! `skywalker-lint` — a zero-dependency static determinism auditor.
+//! `skywalker-lint` — a zero-dependency static auditor: the determinism
+//! contract (rules D01–D06) and the used public surface (D07).
 //!
 //! The whole reproduction rests on one contract: **a run is a pure
 //! function of its seed** — bit-identical across thread counts, debug
@@ -8,7 +9,9 @@
 //! prose; this crate enforces them at the source level with a
 //! lightweight Rust tokenizer ([`tokens`]) and a per-file rule engine
 //! ([`rules`]), so a stray wall-clock read or hash-order iteration is a
-//! CI failure, not a silent digest invalidation six PRs later.
+//! CI failure, not a silent digest invalidation six PRs later. D07 asks
+//! the one cross-file question — is this `pub` item named anywhere but
+//! its own file? — of the same tokens.
 //!
 //! Run it with `cargo run -p skywalker-lint` from anywhere in the
 //! workspace (add `--json` for machine-diffable output); the rule
@@ -34,17 +37,20 @@
 pub mod rules;
 pub mod tokens;
 
-use rules::{Allow, Finding};
+use rules::{Allow, Finding, Mentions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use tokens::Lexed;
 
 /// Workspace-relative path of the committed escape budget.
-pub const BUDGET_PATH: &str = "crates/lint/det_allow.budget";
+const BUDGET_PATH: &str = "crates/lint/det_allow.budget";
 
 /// The committed-vs-live escape budget comparison.
 #[derive(Debug, Clone, Default)]
+// det-allow(D07): the type of `LintReport::budget`, which callers read through the field
 pub struct Budget {
-    /// Per-rule pragma counts parsed from [`BUDGET_PATH`].
+    /// Per-rule pragma counts parsed from the committed budget file,
+    /// `crates/lint/det_allow.budget`.
     pub committed: BTreeMap<String, u32>,
     /// Per-rule counts of pragmas actually in force (suppressing a
     /// finding) in the scanned tree.
@@ -256,33 +262,62 @@ fn parse_budget(text: &str) -> BTreeMap<String, u32> {
     out
 }
 
-/// Audits the whole workspace rooted at `root`: every `.rs` file under
-/// it (minus `target/`, dotdirs, and the fixture corpus), plus the
-/// escape-budget check against [`BUDGET_PATH`].
-pub fn lint_workspace(root: &Path) -> LintReport {
-    let files = collect_rs_files(root);
+/// Runs every rule over a set of lexed files: the per-file rules on
+/// each, and D07 against the names the whole set (and `docs`) mentions.
+fn lint_tree(files: &[(String, Lexed)], docs: &[String]) -> LintReport {
+    let mut mentions = Mentions::default();
+    for (_, lexed) in files {
+        mentions.add_source(lexed);
+    }
+    for text in docs {
+        mentions.add_doc(text);
+    }
     let mut report = LintReport {
         files_scanned: files.len(),
         ..LintReport::default()
     };
-    for path in &files {
-        let Ok(src) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = rel_unix(root, path);
-        let file = rules::lint_source(&src, &rel);
+    for (rel, lexed) in files {
+        let file = rules::lint_lexed(lexed, rel, Some(&mentions));
         report.findings.extend(file.findings);
         report.allows.extend(file.allows);
     }
+    for a in &report.allows {
+        *report.budget.live.entry(a.rule.clone()).or_insert(0) += 1;
+    }
+    report
+}
+
+/// The prose D07 accepts a mention from: `README.md` and `docs/*.md`.
+fn read_docs(root: &Path) -> Vec<String> {
+    let mut paths = vec![root.join("README.md")];
+    if let Ok(entries) = std::fs::read_dir(root.join("docs")) {
+        paths.extend(entries.flatten().map(|e| e.path()));
+    }
+    paths
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "md"))
+        .filter_map(|p| std::fs::read_to_string(p).ok())
+        .collect()
+}
+
+/// Audits the whole workspace rooted at `root`: every `.rs` file under
+/// it (minus `target/`, dotdirs, and the fixture corpus), plus the
+/// escape-budget check against `crates/lint/det_allow.budget`.
+pub fn lint_workspace(root: &Path) -> LintReport {
+    let files: Vec<(String, Lexed)> = collect_rs_files(root)
+        .iter()
+        .filter_map(|path| {
+            let src = std::fs::read_to_string(path).ok()?;
+            Some((rel_unix(root, path), tokens::tokenize(&src)))
+        })
+        .collect();
+    let mut report = lint_tree(&files, &read_docs(root));
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
         .allows
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    for a in &report.allows {
-        *report.budget.live.entry(a.rule.clone()).or_insert(0) += 1;
-    }
     report.budget.committed = std::fs::read_to_string(root.join(BUDGET_PATH))
         .map(|t| parse_budget(&t))
         .unwrap_or_default();
@@ -291,38 +326,33 @@ pub fn lint_workspace(root: &Path) -> LintReport {
 
 /// Audits an explicit list of files. Each file is scoped by its bare
 /// name (no path exemptions — this is how the fixture corpus is
-/// checked), and no budget comparison is made.
+/// checked), the listed files are the whole tree D07 looks for mentions
+/// in, and no budget comparison is made.
 pub fn lint_files(paths: &[PathBuf]) -> LintReport {
-    let mut report = LintReport {
-        files_scanned: paths.len(),
-        ..LintReport::default()
-    };
+    let mut unreadable = Vec::new();
+    let mut files = Vec::new();
     for path in paths {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                report.findings.push(Finding {
-                    file: path.display().to_string(),
-                    line: 0,
-                    rule: "D00",
-                    message: format!("unreadable file: {e}"),
-                    hint: "pass paths to existing .rs files",
-                });
-                continue;
+        match std::fs::read_to_string(path) {
+            Ok(src) => {
+                let name = path
+                    .file_name()
+                    .map(|n| n.to_string_lossy().into_owned())
+                    .unwrap_or_else(|| path.display().to_string());
+                files.push((name, tokens::tokenize(&src)));
             }
-        };
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        let file = rules::lint_source(&src, &name);
-        report.findings.extend(file.findings);
-        report.allows.extend(file.allows);
+            Err(e) => unreadable.push(Finding {
+                file: path.display().to_string(),
+                line: 0,
+                rule: "D00",
+                message: format!("unreadable file: {e}"),
+                hint: "pass paths to existing .rs files",
+            }),
+        }
     }
+    let mut report = lint_tree(&files, &[]);
+    report.files_scanned = paths.len();
+    report.findings.splice(0..0, unreadable);
     // Mirror the live counts so `clean()` reflects findings only.
-    for a in &report.allows {
-        *report.budget.live.entry(a.rule.clone()).or_insert(0) += 1;
-    }
     report.budget.committed = report.budget.live.clone();
     report
 }

@@ -1,4 +1,4 @@
-//! CLI for the determinism auditor.
+//! CLI for the source auditor.
 //!
 //! ```sh
 //! cargo run -p skywalker-lint              # audit the whole workspace
@@ -29,13 +29,14 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "skywalker-lint: static determinism auditor\n\n\
+                    "skywalker-lint: static determinism and public-surface auditor\n\n\
                      USAGE: skywalker-lint [--json] [--root <dir>] [files...]\n\n\
                      With no files: audits every .rs under the workspace root\n\
                      (located by walking up from the current directory) and\n\
                      checks the det-allow escape budget. With files: audits\n\
-                     just those, scoped by bare file name, no budget check.\n\n\
-                     Rules D01..D06 are cataloged in docs/determinism.md."
+                     just those (the whole tree D07 sees), scoped by bare file\n\
+                     name, no budget check.\n\n\
+                     Rules D01..D07 are cataloged in docs/determinism.md."
                 );
                 return ExitCode::SUCCESS;
             }

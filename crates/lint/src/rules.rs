@@ -1,24 +1,25 @@
-//! The determinism rule catalog and the per-file rule engine.
+//! The rule catalog and the per-file rule engine.
 //!
-//! Every rule is a token-pattern check scoped by path: the simulator's
-//! reproducibility contract ("same seed ⇒ bit-identical digests, at any
-//! thread count, debug or release") only binds the code that can feed a
-//! digest, so the live TCP plane, the bench harness, and test/bench/
-//! example code are exempted per rule rather than globally. Escapes are
-//! explicit and budgeted: a trailing (or preceding-line) comment pragma
-//! of the form `det-allow(<rule>): <reason>` suppresses exactly one
-//! rule on exactly one line, and the workspace-wide pragma count is
-//! pinned by `crates/lint/det_allow.budget` so it can only shrink
-//! deliberately.
+//! D01–D06 guard determinism; D07 keeps the public surface to what
+//! something uses. Every rule is a token-pattern check scoped by path:
+//! the simulator's reproducibility contract ("same seed ⇒ bit-identical
+//! digests, at any thread count, debug or release") only binds the code
+//! that can feed a digest, so the live TCP plane, the bench harness, and
+//! test/bench/example code are exempted per rule rather than globally.
+//! Escapes are explicit and budgeted: a trailing (or preceding-line)
+//! comment pragma of the form `det-allow(<rule>): <reason>` suppresses
+//! exactly one rule on exactly one line, and the workspace-wide pragma
+//! count is pinned by `crates/lint/det_allow.budget` so it can only
+//! shrink deliberately.
 
-use crate::tokens::{tokenize, Tok, TokKind};
+use crate::tokens::{tokenize, Lexed, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule's identity and fix guidance, as shown in diagnostics and
 /// `docs/determinism.md`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable rule id (`D01`..`D06`).
+    /// Stable rule id (`D01`..`D07`).
     pub id: &'static str,
     /// One-line statement of the invariant.
     pub title: &'static str,
@@ -27,7 +28,7 @@ pub struct RuleInfo {
 }
 
 /// The rule catalog, in id order.
-pub const RULES: [RuleInfo; 6] = [
+pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         id: "D01",
         title: "no wall-clock reads in deterministic code",
@@ -65,6 +66,13 @@ pub const RULES: [RuleInfo; 6] = [
         hint: "write `det-allow(<rule>): <reason>` on (or directly above) the \
                offending line; delete stale pragmas and shrink the budget",
     },
+    RuleInfo {
+        id: "D07",
+        title: "no `pub` item that no other file and no doc names",
+        hint: "delete it with the tests that exercise only it, or narrow it to \
+               `pub(crate)`; an API kept on purpose carries a det-allow escape \
+               with the reason",
+    },
 ];
 
 /// Looks up a rule by id.
@@ -79,7 +87,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D01`..`D06`).
+    /// Rule id (`D01`..`D07`).
     pub rule: &'static str,
     /// What was matched, specifically.
     pub message: String,
@@ -102,6 +110,7 @@ pub struct Allow {
 
 /// The result of linting one file.
 #[derive(Debug, Clone, Default)]
+// det-allow(D07): what `lint_source` returns; callers only read its fields
 pub struct FileLint {
     /// Violations (post-suppression).
     pub findings: Vec<Finding>,
@@ -152,6 +161,9 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
                 && !in_dir(path, "crates/lab/")
                 && !in_dir(path, "crates/bench/")
         }
+        // Library files declare the public surface; the bench harness is
+        // a binary package of its own.
+        "D07" => !in_dir(path, "crates/bench/") && !is_example_path(path),
         _ => true,
     }
 }
@@ -396,13 +408,83 @@ fn float_bound_idents(toks: &[Tok]) -> BTreeSet<String> {
     out
 }
 
-/// Runs every rule over one file's source.
+/// Where names are mentioned across one audited tree — what D07 needs
+/// to know beyond the file in hand. A name scan, not a resolver: any
+/// identifier token with the item's name counts as a mention.
+#[derive(Debug, Clone, Default)]
+pub struct Mentions {
+    /// Identifier → number of source files it occurs in.
+    files: BTreeMap<String, u32>,
+    /// Words of the prose docs.
+    docs: BTreeSet<String>,
+}
+
+impl Mentions {
+    /// Counts one source file's identifiers (each once).
+    pub fn add_source(&mut self, lexed: &Lexed) {
+        let names: BTreeSet<&str> = lexed.tokens.iter().filter_map(Tok::ident).collect();
+        for name in names {
+            *self.files.entry(name.to_string()).or_insert(0) += 1;
+        }
+    }
+
+    /// Adds the words of one prose document.
+    pub fn add_doc(&mut self, text: &str) {
+        let words = text.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        self.docs
+            .extend(words.filter(|w| !w.is_empty()).map(String::from));
+    }
+
+    /// Whether `name`, declared in one counted file, also occurs in
+    /// another one or in a doc.
+    fn elsewhere(&self, name: &str) -> bool {
+        self.files.get(name).is_some_and(|n| *n > 1) || self.docs.contains(name)
+    }
+}
+
+const PUB_ITEM_KINDS: [&str; 6] = ["fn", "struct", "enum", "trait", "const", "type"];
+const FN_QUALIFIERS: [&str; 3] = ["unsafe", "async", "extern"];
+
+/// `(line, name)` of every unrestricted-`pub` function, struct, enum,
+/// trait, constant and type alias declared in `toks`.
+fn pub_items(toks: &[Tok]) -> Vec<(u32, &str)> {
+    let word = |i: usize| toks.get(i).and_then(Tok::ident);
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("pub") {
+            continue;
+        }
+        // `pub const unsafe extern "C" fn`: step over what qualifies a
+        // `fn`. A `const` in front of a name is the item kind itself.
+        let mut j = i + 1;
+        while match word(j) {
+            Some("const") => word(j + 1).is_some_and(|w| w == "fn" || FN_QUALIFIERS.contains(&w)),
+            Some(w) => FN_QUALIFIERS.contains(&w),
+            None => toks.get(j).is_some_and(|q| q.kind == TokKind::Str),
+        } {
+            j += 1;
+        }
+        if let (Some(kind), Some(name)) = (word(j), word(j + 1)) {
+            if PUB_ITEM_KINDS.contains(&kind) {
+                out.push((t.line, name));
+            }
+        }
+    }
+    out
+}
+
+/// Runs the per-file rules (D01–D06) over one file's source.
 ///
 /// `rel_path` is the workspace-relative, `/`-separated path used for
 /// rule scoping; pass a bare file name to lint content with no path
 /// exemptions (how fixture files are checked).
 pub fn lint_source(src: &str, rel_path: &str) -> FileLint {
-    let lexed = tokenize(src);
+    lint_lexed(&tokenize(src), rel_path, None)
+}
+
+/// Runs every rule over one lexed file; D07 runs when the tree's
+/// [`Mentions`] are given.
+pub fn lint_lexed(lexed: &Lexed, rel_path: &str, mentions: Option<&Mentions>) -> FileLint {
     let toks = &lexed.tokens;
     let mut pragmas = parse_pragmas(&lexed.comments);
     let exempt = cfg_test_ranges(toks);
@@ -570,6 +652,16 @@ pub fn lint_source(src: &str, rel_path: &str) -> FileLint {
                 b += 1;
             }
         }
+    }
+
+    // D07 — a public item nothing outside this file names.
+    let orphans = mentions.map(|m| pub_items(toks).into_iter().filter(|(_, n)| !m.elsewhere(n)));
+    for (line, name) in orphans.into_iter().flatten() {
+        push(
+            "D07",
+            line,
+            format!("`pub` item `{name}` is named in no other file and no doc"),
+        );
     }
 
     // Pragma resolution: a finding is suppressed by a matching pragma on
@@ -778,6 +870,40 @@ mod tests {
         // Sorted collect first: no D05 (and a BTreeMap: no D02 either).
         let src = "fn f(m: BTreeMap<u64, f64>) -> f64 { m.values().sum::<f64>() }";
         assert!(rules_hit(src, "crates/metrics/src/x.rs").is_empty());
+    }
+
+    #[test]
+    fn pub_items_names_what_is_declared_unrestricted() {
+        let src = "pub const fn a() {} pub const B: u8 = 0; pub(crate) fn c() {} \
+                   pub unsafe extern \"C\" fn d() {} pub struct E; pub use f::G; \
+                   pub type H = u8; pub mod i {} fn j() {}";
+        let lexed = tokenize(src);
+        let names: Vec<&str> = pub_items(&lexed.tokens)
+            .into_iter()
+            .map(|(_, name)| name)
+            .collect();
+        assert_eq!(names, ["a", "B", "d", "E", "H"]);
+    }
+
+    #[test]
+    fn unreferenced_pub_is_found_only_with_the_tree_in_hand() {
+        let lib = tokenize("pub fn orphan() {}\npub fn used() {}\npub fn told() {}");
+        assert!(lint_lexed(&lib, "src/a.rs", None).findings.is_empty());
+        let mut tree = Mentions::default();
+        tree.add_source(&lib);
+        tree.add_source(&tokenize("fn f() { used(); }"));
+        tree.add_doc("call `told()` first");
+        let found = lint_lexed(&lib, "src/a.rs", Some(&tree)).findings;
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].rule, found[0].line), ("D07", 1));
+        // Tests, examples and the bench harness declare no library surface.
+        for path in [
+            "tests/a.rs",
+            "examples/a.rs",
+            "crates/bench/skybench/src/a.rs",
+        ] {
+            assert!(lint_lexed(&lib, path, Some(&tree)).findings.is_empty());
+        }
     }
 
     #[test]

@@ -191,7 +191,9 @@ pub fn tokenize(src: &str) -> Lexed {
                 let next = chars.get(i + 1).copied();
                 let after = chars.get(i + 2).copied();
                 if next == Some('\\') {
-                    i = skip_quoted(&chars, i + 2, '\'', &mut line);
+                    // From the backslash, so `'\\'` and `'\''` end at
+                    // their own closing quote.
+                    i = skip_quoted(&chars, i + 1, '\'', &mut line);
                     out.tokens.push(Tok {
                         line: start_line,
                         kind: TokKind::Char,
@@ -379,6 +381,14 @@ mod tests {
         let chars = l.tokens.iter().filter(|t| t.kind == TokKind::Char).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 2);
+    }
+
+    #[test]
+    fn escaped_quote_and_backslash_chars_end_where_they_close() {
+        assert_eq!(
+            idents(r"let a = '\\'; let b = '\''; after"),
+            vec!["let", "a", "let", "b", "after"]
+        );
     }
 
     #[test]

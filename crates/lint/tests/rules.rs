@@ -6,13 +6,14 @@
 
 use std::path::{Path, PathBuf};
 
-const FAIL_FIXTURES: [(&str, &str); 6] = [
+const FAIL_FIXTURES: [(&str, &str); 7] = [
     ("d01_fail.rs", "D01"),
     ("d02_fail.rs", "D02"),
     ("d03_fail.rs", "D03"),
     ("d04_fail.rs", "D04"),
     ("d05_fail.rs", "D05"),
     ("d06_fail.rs", "D06"),
+    ("d07_fail.rs", "D07"),
 ];
 
 const PASS_FIXTURES: [&str; 6] = [
@@ -61,6 +62,19 @@ fn passing_fixtures_are_clean() {
             rep.findings
         );
     }
+}
+
+/// D07 is the one rule that reads across files: the pass fixture is
+/// clean only beside the file that names its public item.
+#[test]
+fn d07_pass_fixture_is_clean_beside_its_user_and_orphaned_alone() {
+    let pair = skywalker_lint::lint_files(&[fixture("d07_pass.rs"), fixture("d07_user.rs")]);
+    assert!(pair.findings.is_empty(), "{:?}", pair.findings);
+    assert_eq!(pair.allows.len(), 1, "the kept-on-purpose trait");
+    let alone = lint_fixture("d07_pass.rs");
+    let orphans: Vec<_> = alone.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(orphans, ["D07"], "{:?}", alone.findings);
+    assert!(alone.findings[0].message.contains("used_by_the_other_file"));
 }
 
 #[test]

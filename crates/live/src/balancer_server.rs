@@ -172,10 +172,7 @@ impl BalancerServer {
 
     /// Binds and serves a pre-built balancer (lowest-level entry point;
     /// the other constructors delegate here).
-    pub fn spawn_balancer(
-        balancer: RegionalBalancer,
-        probe_interval: Duration,
-    ) -> io::Result<Self> {
+    fn spawn_balancer(balancer: RegionalBalancer, probe_interval: Duration) -> io::Result<Self> {
         let net = Server::spawn(Mutex::new(balancer), move |net| net.prober(probe_interval))?;
         Ok(BalancerServer { net })
     }

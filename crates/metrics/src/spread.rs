@@ -63,21 +63,6 @@ impl Spread {
             p90: interpolate(&kept, 0.90),
         }
     }
-
-    /// Max − min: the absolute seed-to-seed span.
-    pub fn span(&self) -> f64 {
-        self.max - self.min
-    }
-
-    /// Span as a fraction of the mean (0 when the mean is 0) — the
-    /// quick "how seed-sensitive is this cell" number.
-    pub fn relative_span(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.span() / self.mean.abs()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,8 +75,6 @@ mod tests {
         assert_eq!(s.count, 3);
         assert!((s.mean - 4.0).abs() < 1e-12);
         assert_eq!((s.min, s.max), (2.0, 6.0));
-        assert!((s.span() - 4.0).abs() < 1e-12);
-        assert!((s.relative_span() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -109,15 +92,7 @@ mod tests {
     #[test]
     fn single_sample_has_zero_span() {
         let s = Spread::from_samples(&[7.5]);
-        assert_eq!(s.span(), 0.0);
-        assert_eq!(s.relative_span(), 0.0);
-    }
-
-    #[test]
-    fn zero_mean_relative_span_is_zero() {
-        let s = Spread::from_samples(&[-1.0, 1.0]);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.relative_span(), 0.0);
+        assert_eq!((s.min, s.max), (7.5, 7.5));
     }
 
     #[test]

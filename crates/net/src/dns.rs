@@ -71,11 +71,6 @@ impl DnsResolver {
         }
     }
 
-    /// Removes an endpoint entirely.
-    pub fn withdraw(&mut self, ep: Endpoint) {
-        self.records.remove(&ep);
-    }
-
     /// Number of advertised endpoints (healthy or not).
     pub fn len(&self) -> usize {
         self.records.len()
@@ -94,18 +89,6 @@ impl DnsResolver {
             .filter(|(_, healthy)| **healthy)
             .map(|(ep, _)| *ep)
             .min_by_key(|ep| (self.net.rtt(client, ep.region), *ep))
-    }
-
-    /// All healthy endpoints, nearest first, for clients that retry.
-    pub fn resolve_all(&self, client: Region) -> Vec<Endpoint> {
-        let mut eps: Vec<Endpoint> = self
-            .records
-            .iter()
-            .filter(|(_, healthy)| **healthy)
-            .map(|(ep, _)| *ep)
-            .collect();
-        eps.sort_by_key(|ep| (self.net.rtt(client, ep.region), *ep));
-        eps
     }
 }
 
@@ -159,33 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn withdraw_removes_record() {
-        let mut dns = trio_resolver();
-        assert_eq!(dns.len(), 3);
-        dns.withdraw(Endpoint {
-            region: Region::EuWest,
-            lb_id: 1,
-        });
-        assert_eq!(dns.len(), 2);
-        assert_ne!(dns.resolve(Region::EuWest).unwrap().region, Region::EuWest);
-    }
-
-    #[test]
     fn empty_resolver_returns_none() {
         let dns = DnsResolver::new(LatencyModel::default_wan());
         assert!(dns.is_empty());
         assert_eq!(dns.resolve(Region::UsEast), None);
-        assert!(dns.resolve_all(Region::UsEast).is_empty());
-    }
-
-    #[test]
-    fn resolve_all_sorted_nearest_first() {
-        let dns = trio_resolver();
-        let eps = dns.resolve_all(Region::EuWest);
-        assert_eq!(eps.len(), 3);
-        assert_eq!(eps[0].region, Region::EuWest);
-        let net = LatencyModel::default_wan();
-        assert!(net.rtt(Region::EuWest, eps[1].region) <= net.rtt(Region::EuWest, eps[2].region));
     }
 
     #[test]

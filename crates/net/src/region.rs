@@ -177,39 +177,9 @@ impl LatencyModel {
         }
     }
 
-    /// A zero-latency model (useful for isolating algorithmic effects, and
-    /// for the paper's single-region microbenchmarks where everything is
-    /// co-located).
-    pub fn zero() -> Self {
-        LatencyModel {
-            rtt_us: [[0; 6]; 6],
-            jitter: 0.0,
-        }
-    }
-
-    /// A uniform model: `same_ms` RTT within a region, `cross_ms` between
-    /// any two distinct regions.
-    pub fn uniform(same_ms: u64, cross_ms: u64) -> Self {
-        let mut m = [[0u64; 6]; 6];
-        for a in Region::ALL {
-            for b in Region::ALL {
-                m[a.index()][b.index()] = if a == b { same_ms } else { cross_ms } * 1_000;
-            }
-        }
-        LatencyModel {
-            rtt_us: m,
-            jitter: 0.0,
-        }
-    }
-
     /// The nominal round-trip time between two regions.
     pub fn rtt(&self, a: Region, b: Region) -> SimDuration {
         SimDuration::from_micros(self.rtt_us[a.index()][b.index()])
-    }
-
-    /// The nominal one-way delay (half the RTT).
-    pub fn one_way(&self, a: Region, b: Region) -> SimDuration {
-        SimDuration::from_micros(self.rtt_us[a.index()][b.index()] / 2)
     }
 
     /// Samples a jittered one-way delay.
@@ -220,15 +190,6 @@ impl LatencyModel {
         }
         let factor = (1.0 + self.jitter * rng.std_normal()).max(0.5);
         SimDuration::from_micros((base * factor).round() as u64)
-    }
-
-    /// Returns the region in `candidates` with the lowest RTT from `from`
-    /// (ties broken by candidate order). Returns `None` if empty.
-    pub fn nearest(&self, from: Region, candidates: &[Region]) -> Option<Region> {
-        candidates
-            .iter()
-            .copied()
-            .min_by_key(|c| self.rtt_us[from.index()][c.index()])
     }
 }
 
@@ -264,58 +225,15 @@ mod tests {
     }
 
     #[test]
-    fn one_way_is_half_rtt() {
-        let net = LatencyModel::default_wan();
-        let rtt = net.rtt(Region::UsEast, Region::EuWest);
-        assert_eq!(net.one_way(Region::UsEast, Region::EuWest), rtt / 2);
-    }
-
-    #[test]
     fn sample_one_way_close_to_nominal() {
         let net = LatencyModel::default_wan();
         let mut rng = DetRng::new(1);
-        let nominal = net.one_way(Region::UsEast, Region::ApNortheast);
+        let nominal = net.rtt(Region::UsEast, Region::ApNortheast) / 2;
         for _ in 0..1000 {
             let s = net.sample_one_way(Region::UsEast, Region::ApNortheast, &mut rng);
             let ratio = s.as_secs_f64() / nominal.as_secs_f64();
             assert!((0.5..1.5).contains(&ratio), "ratio {ratio}");
         }
-    }
-
-    #[test]
-    fn zero_model_samples_zero() {
-        let net = LatencyModel::zero();
-        let mut rng = DetRng::new(2);
-        assert_eq!(
-            net.sample_one_way(Region::UsEast, Region::ApSoutheast, &mut rng),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn uniform_model() {
-        let net = LatencyModel::uniform(1, 100);
-        assert_eq!(
-            net.rtt(Region::UsEast, Region::UsEast),
-            SimDuration::from_millis(1)
-        );
-        assert_eq!(
-            net.rtt(Region::UsEast, Region::EuWest),
-            SimDuration::from_millis(100)
-        );
-    }
-
-    #[test]
-    fn nearest_picks_lowest_rtt() {
-        let net = LatencyModel::default_wan();
-        let nearest = net
-            .nearest(
-                Region::UsEast,
-                &[Region::EuWest, Region::UsWest, Region::ApNortheast],
-            )
-            .unwrap();
-        assert_eq!(nearest, Region::UsWest);
-        assert_eq!(net.nearest(Region::UsEast, &[]), None);
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl Message {
 
     /// Appends the payload [`Message::encode`] returns to `buf`, leaving
     /// what `buf` already holds untouched.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(WIRE_VERSION);
         buf.push(self.tag());
         match self {

@@ -265,11 +265,6 @@ impl Replica {
         }
     }
 
-    /// The engine's display label, e.g. `"fcfs+lru"`.
-    pub fn engine_label(&self) -> String {
-        format!("{}+{}", self.policy.label(), self.cache.evictor_label())
-    }
-
     /// The replica id.
     pub fn id(&self) -> ReplicaId {
         self.id

@@ -414,11 +414,6 @@ impl PrefixCache {
         }
     }
 
-    /// The eviction policy's display label.
-    pub fn evictor_label(&self) -> String {
-        self.evictor.label()
-    }
-
     /// Cumulative block-rounded tokens reclaimed by eviction.
     pub fn evicted_tokens(&self) -> u64 {
         self.evicted_tokens
@@ -454,22 +449,9 @@ impl PrefixCache {
         self.charge_where(|e| e.refs > 0)
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> KvConfig {
-        self.cfg
-    }
-
     /// Tokens currently charged against capacity (block-rounded).
     pub fn used_tokens(&self) -> u64 {
         self.used_tokens
-    }
-
-    /// Fraction of capacity in use, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.cfg.capacity_tokens == 0 {
-            return 1.0;
-        }
-        self.used_tokens as f64 / self.cfg.capacity_tokens as f64
     }
 
     /// Cumulative prefix hit rate over all `acquire` calls.
@@ -1199,7 +1181,6 @@ mod tests {
     fn zero_capacity_rejects_everything() {
         let mut c = cache(0);
         assert!(c.acquire(&[1]).is_err());
-        assert_eq!(c.utilization(), 1.0);
     }
 
     #[test]
@@ -1255,7 +1236,6 @@ mod tests {
         let (b, _) = c.acquire(&[9; 8]).unwrap(); // must evict the 4-token charge
         assert_eq!(c.evicted_tokens(), 4);
         c.release(b);
-        assert_eq!(c.evictor_label(), "lru");
     }
 
     #[test]

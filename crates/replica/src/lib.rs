@@ -49,7 +49,7 @@ pub use kvcache::{
 };
 pub use request::{Request, RequestId};
 pub use timing::GpuProfile;
-pub use tokenizer::{output_token, tokenize, tokenize_words};
+pub use tokenizer::output_token;
 
 /// What serving phases a replica runs — the disaggregation axis.
 ///

@@ -58,12 +58,6 @@ impl Request {
     pub fn prompt_len(&self) -> u32 {
         self.prompt.len() as u32
     }
-
-    /// Total KV-token footprint the request will eventually hold
-    /// (prompt plus all generated tokens).
-    pub fn total_tokens(&self) -> u64 {
-        self.prompt.len() as u64 + u64::from(self.target_output_tokens)
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +69,6 @@ mod tests {
         let r = Request::new(7, "user-1", vec![1, 2, 3], 10);
         assert_eq!(r.id, RequestId(7));
         assert_eq!(r.prompt_len(), 3);
-        assert_eq!(r.total_tokens(), 13);
         assert_eq!(format!("{}", r.id), "req-7");
     }
 }

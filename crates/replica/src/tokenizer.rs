@@ -1,100 +1,19 @@
-//! Deterministic synthetic tokenization.
+//! Deterministic synthetic tokens.
 //!
-//! The workloads construct prompts as text; the caches and routers operate
-//! on token ids. A real BPE tokenizer is unnecessary for the evaluation —
-//! what matters is that *textual prefix relationships survive tokenization*
-//! (two prompts sharing a text prefix share a token prefix). Hashing each
-//! whitespace-delimited word to a stable id has exactly that property, at a
-//! realistic ~1 token per word granularity.
-
-/// Stable 32-bit FNV-1a, the word → token-id map.
-fn fnv1a_32(word: &str) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in word.as_bytes() {
-        h ^= u32::from(*b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Tokenizes text: one token per whitespace-delimited word.
-///
-/// # Examples
-///
-/// ```
-/// use skywalker_replica::tokenize;
-///
-/// let a = tokenize("the quick brown fox");
-/// let b = tokenize("the quick brown dog");
-/// assert_eq!(a.len(), 4);
-/// // Shared text prefix → shared token prefix.
-/// assert_eq!(a[..3], b[..3]);
-/// assert_ne!(a[3], b[3]);
-/// ```
-pub fn tokenize(text: &str) -> Vec<u32> {
-    text.split_whitespace().map(fnv1a_32).collect()
-}
-
-/// Tokenizes a pre-split word sequence (avoids re-joining in generators).
-pub fn tokenize_words<'a, I: IntoIterator<Item = &'a str>>(words: I) -> Vec<u32> {
-    words.into_iter().map(fnv1a_32).collect()
-}
+//! Caches and routers operate on token ids, and decoding is deterministic
+//! in this simulation: a request's output tokens are a pure function of
+//! its id.
 
 /// The `index`-th output token of request `request_id`.
 ///
-/// Decoding is deterministic in this simulation: both the replica (which
-/// "generates" the tokens) and the workload generator (which must embed the
-/// assistant's reply into the next conversation turn) compute the same
-/// sequence from the request id alone.
+/// Both the replica (which "generates" the tokens) and the workload
+/// generator (which must embed the assistant's reply into the next
+/// conversation turn) compute the same sequence from the request id
+/// alone.
 pub fn output_token(request_id: u64, index: u32) -> u32 {
     let mut h: u64 = request_id ^ 0x6a09_e667_f3bc_c908;
     h ^= u64::from(index).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     (h >> 32) as u32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deterministic() {
-        assert_eq!(tokenize("hello world"), tokenize("hello world"));
-    }
-
-    #[test]
-    fn empty_and_whitespace() {
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("   \t\n ").is_empty());
-    }
-
-    #[test]
-    fn prefix_preservation() {
-        let a = tokenize("system: you are helpful. user: what is 2+2");
-        let b = tokenize("system: you are helpful. user: write a poem");
-        let shared = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
-        assert_eq!(
-            shared, 5,
-            "the shared five-word prefix tokenizes identically"
-        );
-    }
-
-    #[test]
-    fn words_variant_matches() {
-        assert_eq!(tokenize("a b c"), tokenize_words(["a", "b", "c"]));
-    }
-
-    #[test]
-    fn distinct_words_rarely_collide() {
-        let ids: Vec<u32> = (0..1000).map(|i| fnv1a_32(&format!("word{i}"))).collect();
-        let mut dedup = ids.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(
-            dedup.len(),
-            ids.len(),
-            "no collisions in a small vocabulary"
-        );
-    }
 }

@@ -116,19 +116,6 @@ impl DetRng {
         self.next()
     }
 
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         // 53 high bits → uniform double in [0,1).
@@ -181,7 +168,7 @@ impl DetRng {
     }
 
     /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.std_normal()
     }
 
@@ -202,27 +189,6 @@ impl DetRng {
             u = 1.0 - 1e-16;
         }
         -(1.0 - u).ln() / rate
-    }
-
-    /// Samples an index from a discrete weight vector (weights need not be
-    /// normalized; non-finite or negative weights count as zero).
-    ///
-    /// Returns `None` for an empty or all-zero weight vector.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-        let total: f64 = weights.iter().copied().map(clean).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut target = self.f64() * total;
-        for (i, w) in weights.iter().copied().map(clean).enumerate() {
-            target -= w;
-            if target < 0.0 {
-                return Some(i);
-            }
-        }
-        // Floating-point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
 
     /// Fisher–Yates shuffle.
@@ -392,27 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = DetRng::new(19);
-        let weights = [0.0, 1.0, 3.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..20_000 {
-            counts[rng.weighted_index(&weights).unwrap()] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn weighted_index_degenerate() {
-        let mut rng = DetRng::new(23);
-        assert_eq!(rng.weighted_index(&[]), None);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), None);
-        assert_eq!(rng.weighted_index(&[f64::NAN, 1.0]), Some(1));
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = DetRng::new(29);
         let mut v: Vec<u32> = (0..100).collect();
@@ -454,13 +399,5 @@ mod tests {
         for c in counts {
             assert!((c as f64 - 10_000.0).abs() < 500.0, "count {c}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = DetRng::new(43);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|b| *b != 0));
     }
 }

@@ -108,12 +108,6 @@ impl SimDuration {
         SimDuration((s * 1e6).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond and saturating at zero for negative inputs.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Returns the duration in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -130,7 +124,7 @@ impl SimDuration {
     }
 
     /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -274,7 +268,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
     }
 
     #[test]

@@ -174,12 +174,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of occupied buckets (memory is proportional to this, not to
-    /// the number of observations).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.zero_count > 0)
-    }
-
     /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`), or 0 for an
     /// empty sketch.
     ///
@@ -325,7 +319,7 @@ mod tests {
         assert_eq!(s.count(), 3);
         assert_eq!(s.quantile(0.5), 0.0);
         assert_eq!(s.min(), 0.0);
-        assert_eq!(s.bucket_count(), 1);
+        assert!(s.buckets.is_empty());
     }
 
     #[test]
@@ -349,7 +343,7 @@ mod tests {
         }
         assert_eq!(s.count(), 1_000_000);
         // ln(1e9)/ln(γ) ≈ 1036 buckets at α = 1%.
-        assert!(s.bucket_count() < 1_100, "buckets = {}", s.bucket_count());
+        assert!(s.buckets.len() < 1_100, "buckets = {}", s.buckets.len());
     }
 
     #[test]
@@ -435,6 +429,6 @@ mod tests {
             fine.record(v);
             coarse.record(v);
         }
-        assert!(coarse.bucket_count() < fine.bucket_count());
+        assert!(coarse.buckets.len() < fine.buckets.len());
     }
 }

@@ -81,7 +81,7 @@ impl Phase {
     ];
 
     /// Number of phases.
-    pub const COUNT: usize = Self::ALL.len();
+    const COUNT: usize = Self::ALL.len();
 
     /// Stable display label (also the diff-table key).
     pub fn label(&self) -> &'static str {

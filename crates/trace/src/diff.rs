@@ -29,7 +29,7 @@ pub struct PhaseDelta {
 
 impl PhaseDelta {
     /// Other minus base, p90 seconds.
-    pub fn delta_p90(&self) -> f64 {
+    fn delta_p90(&self) -> f64 {
         self.other.p90 - self.base.p90
     }
 }
@@ -92,22 +92,6 @@ impl TraceDiff {
     /// any phase moved at all.
     pub fn dominant_ttft_mover(&self) -> Option<Phase> {
         self.ttft_phases
-            .iter()
-            .max_by(|a, b| {
-                a.delta_p90()
-                    .abs()
-                    .partial_cmp(&b.delta_p90().abs())
-                    .expect("finite percentiles")
-                    .then(b.phase.label().cmp(a.phase.label()))
-            })
-            .filter(|d| d.delta_p90() != 0.0)
-            .map(|d| d.phase)
-    }
-
-    /// The phase moving end-to-end latency the most (largest absolute
-    /// p90 delta).
-    pub fn dominant_e2e_mover(&self) -> Option<Phase> {
-        self.phases
             .iter()
             .max_by(|a, b| {
                 a.delta_p90()
@@ -219,7 +203,6 @@ mod tests {
         let slow = report("slow", 5_100);
         let diff = TraceDiff::between(&base, &slow);
         assert_eq!(diff.dominant_ttft_mover(), Some(Phase::AdmissionWait));
-        assert_eq!(diff.dominant_e2e_mover(), Some(Phase::AdmissionWait));
         let aw = diff
             .phases
             .iter()
@@ -242,6 +225,5 @@ mod tests {
     fn identical_runs_have_no_dominant_mover() {
         let diff = TraceDiff::between(&report("a", 100), &report("b", 100));
         assert_eq!(diff.dominant_ttft_mover(), None);
-        assert_eq!(diff.dominant_e2e_mover(), None);
     }
 }

@@ -146,20 +146,6 @@ impl BottleneckReport {
         }
     }
 
-    /// The phase with the largest share of end-to-end time, if any time
-    /// was attributed at all.
-    pub fn dominant(&self) -> Option<Phase> {
-        self.phases
-            .iter()
-            .max_by(|a, b| {
-                a.total
-                    .cmp(&b.total)
-                    .then(b.phase.label().cmp(a.phase.label()))
-            })
-            .filter(|s| s.total > SimDuration::ZERO)
-            .map(|s| s.phase)
-    }
-
     /// Renders the flamegraph-style text breakdown.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -271,7 +257,6 @@ mod tests {
         // Shares across phases sum to 1.
         let share_sum: f64 = rep.phases.iter().map(|s| s.share).sum();
         assert!((share_sum - 1.0).abs() < 1e-9);
-        assert_eq!(rep.dominant(), Some(Phase::Decode));
         // TTFT section counts both delivered first tokens.
         assert_eq!(rep.ttft.count, 2);
         let render = rep.render();
@@ -290,7 +275,6 @@ mod tests {
             5,
         );
         assert_eq!(rep.completed, 0);
-        assert_eq!(rep.dominant(), None);
         assert!(rep.render().contains("3 events dropped"));
     }
 }

@@ -37,11 +37,6 @@ impl IdGen {
         self.0 += 1;
         id
     }
-
-    /// Number of ids handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.0
-    }
 }
 
 /// One client program: stages of concurrently issued requests.
@@ -61,11 +56,6 @@ impl Program {
     /// Iterates over every request in stage order.
     pub fn requests(&self) -> impl Iterator<Item = &Request> {
         self.stages.iter().flatten()
-    }
-
-    /// Maximum concurrency the program ever asks for.
-    pub fn max_stage_width(&self) -> usize {
-        self.stages.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -97,8 +87,7 @@ mod tests {
         let mut g = IdGen::new();
         let a = g.next_id();
         let b = g.next_id();
-        assert_ne!(a, b);
-        assert_eq!(g.issued(), 2);
+        assert!(a < b);
     }
 
     #[test]
@@ -113,7 +102,6 @@ mod tests {
             ],
         };
         assert_eq!(p.total_requests(), 3);
-        assert_eq!(p.max_stage_width(), 2);
         assert_eq!(p.requests().count(), 3);
     }
 

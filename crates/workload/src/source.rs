@@ -272,7 +272,7 @@ impl ArrivalWalk {
     /// A walk over explicit, nondecreasing `instants` — an arrival
     /// process no [`ArrivalSchedule`] describes (a sampled rate curve).
     /// A later [`ArrivalWalk::reschedule`] draws under seed 0.
-    pub fn from_instants(instants: Vec<SimTime>) -> Self {
+    fn from_instants(instants: Vec<SimTime>) -> Self {
         debug_assert!(instants.windows(2).all(|w| w[0] <= w[1]));
         let total = instants.len();
         Self::over(Instants::Explicit(instants.into_iter()), total, 0)
@@ -294,7 +294,7 @@ impl ArrivalWalk {
     /// place its remaining instants before already-emitted ones,
     /// violating the nondecreasing-`at` contract. (Defensively, instants
     /// already consumed are skipped so a client is never re-emitted.)
-    pub fn reschedule(&mut self, schedule: ArrivalSchedule) {
+    fn reschedule(&mut self, schedule: ArrivalSchedule) {
         let mut times = schedule.times(self.total, self.seed);
         for _ in 0..self.cursor {
             times.next();
@@ -305,7 +305,7 @@ impl ArrivalWalk {
 
     /// If the next client is due by `now`, consumes it and returns its
     /// `(slot index, arrival instant)`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(usize, SimTime)> {
+    fn pop_due(&mut self, now: SimTime) -> Option<(usize, SimTime)> {
         let at = self.next_at?;
         if at > now {
             return None;
@@ -377,8 +377,9 @@ impl<G: ClientGen> SlotSource<G> {
     }
 
     /// Replaces the arrival schedule (default: everyone at `t = 0`).
-    /// Builder-style: call before the source is first polled — see
-    /// [`ArrivalWalk::reschedule`].
+    /// Builder-style: call before the source is first polled — a
+    /// schedule swapped in mid-stream may place its remaining instants
+    /// before already-emitted ones.
     pub fn with_schedule(mut self, schedule: ArrivalSchedule) -> Self {
         self.walk.reschedule(schedule);
         self

@@ -55,7 +55,7 @@ impl TotConfig {
     }
 
     /// Requests per tree: `1 + b + b² + … + b^(depth-1)`.
-    pub fn requests_per_tree(&self) -> u32 {
+    fn requests_per_tree(&self) -> u32 {
         (0..self.depth).map(|l| self.branch.pow(l)).sum()
     }
 }

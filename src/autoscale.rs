@@ -85,7 +85,7 @@ impl PredictiveAutoscaler {
     }
 
     /// The replica count `region` should run at UTC hour `hour`.
-    pub fn target_at(&self, region: Region, hour: f64) -> u32 {
+    fn target_at(&self, region: Region, hour: f64) -> u32 {
         let rate: f64 = self
             .profiles
             .iter()

@@ -2,7 +2,7 @@
 //! on the event engine until every client is done (or the deadline),
 //! and condenses the end state into a [`RunSummary`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use skywalker_core::{
     BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
@@ -10,7 +10,7 @@ use skywalker_core::{
 use skywalker_fleet::FleetObservation;
 use skywalker_metrics::{peak_gap, TimeSeries};
 use skywalker_net::{DnsResolver, Endpoint, Region};
-use skywalker_replica::ReplicaStats;
+use skywalker_replica::{ReplicaRole, ReplicaStats};
 use skywalker_sim::{DetRng, Engine, SimTime};
 use skywalker_workload::distinct_regions;
 
@@ -133,7 +133,6 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
         replicas: Vec::with_capacity(scenario.replicas.len()),
         // `None` = the default FCFS + LRU engine.
         engine: scenario.engine.clone().unwrap_or_default(),
-        disagg: BTreeMap::new(),
         transfers: TransferSummary::default(),
         clients: Vec::new(),
         active_clients: 0,
@@ -156,14 +155,19 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
             observation: FleetObservation::default(),
         },
         obs: Observers::new(&cfg),
-        probe_ids: Vec::new(),
         probe_statuses: Vec::new(),
         cfg,
     };
     // Replicas attach to the balancer of their region (or the single
-    // centralized balancer).
+    // centralized balancer). No roles means every replica Colocated;
+    // otherwise `build()` made the list as long as the fleet.
+    let classical = scenario.roles.is_empty();
     for (i, p) in scenario.replicas.iter().enumerate() {
-        let role = scenario.roles.get(i).copied().unwrap_or_default();
+        let role = if classical {
+            ReplicaRole::Colocated
+        } else {
+            scenario.roles[i]
+        };
         world.add_replica(p.region, p.profile, role);
     }
     world.fleet.record(SimTime::ZERO, &world.replicas);
@@ -198,6 +202,13 @@ fn summarize(
     end: SimTime,
     peak_events: usize,
 ) -> RunSummary {
+    // A handoff's bookkeeping lives and dies with its request's legs:
+    // once every client is done and nothing is on the wire, none may be
+    // left.
+    debug_assert!(
+        world.active_clients > 0 || world.transfers.in_transfer() > 0 || world.handoffs_retired(),
+        "a drained run still holds disagg handoff state"
+    );
     world.fleet.record(end, &world.replicas);
     // One final flush so the summary snapshot reflects the end state even
     // when the run ends between ticks (no-op with telemetry off).
@@ -210,8 +221,8 @@ fn summarize(
 
     let mut dispatched = vec![0.0; world.replicas.len()];
     for slot in &world.lbs {
-        for (rid, n) in slot.lb.dispatch_counts() {
-            dispatched[rid.0 as usize] += *n as f64;
+        for r in slot.lb.replica_states() {
+            dispatched[r.id.0 as usize] += r.dispatched as f64;
         }
     }
     let peak_outstanding: Vec<u32> = world.replicas.iter().map(|s| s.peak_outstanding).collect();

@@ -172,9 +172,9 @@ pub struct Scenario {
     pub policy_factory: Option<Arc<dyn PolicyFactory>>,
     /// The replica fleet.
     pub replicas: Vec<ReplicaPlacement>,
-    /// Serving role per replica, indexed like `replicas`. Shorter
-    /// vectors are padded with [`ReplicaRole::Colocated`], so an empty
-    /// vector (the default) is the classical colocated fleet.
+    /// Serving role per replica, indexed like `replicas`: either empty
+    /// (the default — the classical fleet, every replica
+    /// [`ReplicaRole::Colocated`]) or exactly as long as the fleet.
     /// [`ReplicaRole::PrefillOnly`] replicas hand every request off to
     /// a decode-capable peer after the prompt phase;
     /// [`ReplicaRole::DecodeOnly`] replicas are invisible to the
@@ -242,10 +242,10 @@ pub enum ScenarioError {
     /// no decode-capable replica (colocated or decode-only): every
     /// handoff from that region would have nowhere to land.
     NoDecodeCapacity,
-    /// [`ScenarioBuilder::roles`] lists more roles than the fleet has
-    /// replicas: the tail would apply to nothing. (A *shorter* list is
-    /// padded with [`ReplicaRole::Colocated`].)
-    RolesExceedFleet,
+    /// [`ScenarioBuilder::roles`] is neither empty nor exactly as long
+    /// as the fleet: a longer list's tail would apply to nothing, and a
+    /// shorter one leaves replicas whose role nobody stated.
+    RolesMismatchFleet,
     /// A population scale (`ScenarioBuilder::workload` and the scaled
     /// presets) that is not a positive finite number, or that scales a
     /// client count past `u32::MAX`: there is no population to build.
@@ -271,10 +271,11 @@ impl fmt::Display for ScenarioError {
                  replica: add a Colocated or DecodeOnly peer there, or adjust \
                  ScenarioBuilder::roles"
             ),
-            ScenarioError::RolesExceedFleet => write!(
+            ScenarioError::RolesMismatchFleet => write!(
                 f,
-                "scenario lists more roles than replicas: ScenarioBuilder::roles is indexed \
-                 like ScenarioBuilder::replicas and may be shorter, never longer"
+                "scenario's role list does not match its fleet: ScenarioBuilder::roles is \
+                 indexed like ScenarioBuilder::replicas and is either empty (every replica \
+                 Colocated) or exactly as long"
             ),
             ScenarioError::InvalidScale => write!(
                 f,
@@ -371,11 +372,12 @@ impl ScenarioBuilder {
     }
 
     /// Assigns serving roles to the fleet, indexed like
-    /// [`ScenarioBuilder::replicas`]; missing entries default to
-    /// [`ReplicaRole::Colocated`]. [`ScenarioBuilder::build`] rejects
-    /// assignments that leave a region's prefill-only replicas with no
-    /// decode-capable target ([`ScenarioError::NoDecodeCapacity`]) and
-    /// lists longer than the fleet ([`ScenarioError::RolesExceedFleet`]).
+    /// [`ScenarioBuilder::replicas`]; an empty list (the default) makes
+    /// every replica [`ReplicaRole::Colocated`].
+    /// [`ScenarioBuilder::build`] rejects assignments that leave a
+    /// region's prefill-only replicas with no decode-capable target
+    /// ([`ScenarioError::NoDecodeCapacity`]) and non-empty lists of any
+    /// length but the fleet's ([`ScenarioError::RolesMismatchFleet`]).
     pub fn roles(mut self, roles: Vec<ReplicaRole>) -> Self {
         self.roles = roles;
         self
@@ -454,33 +456,30 @@ impl ScenarioBuilder {
     /// an already-exhausted traffic source;
     /// [`ScenarioError::NoDecodeCapacity`] when a region's prefill-only
     /// replicas have no local decode target;
-    /// [`ScenarioError::RolesExceedFleet`] when the role list is longer
-    /// than the fleet; [`ScenarioError::InvalidScale`] when the traffic
+    /// [`ScenarioError::RolesMismatchFleet`] when the role list is
+    /// neither empty nor as long as the fleet;
+    /// [`ScenarioError::InvalidScale`] when the traffic
     /// was sized by a scale that is not a positive finite number.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        let role_of = |roles: &[ReplicaRole], i: usize| roles.get(i).copied().unwrap_or_default();
+        // No roles means the classical fleet: every replica Colocated,
+        // so all of them routable and none handing off.
+        let classical = self.roles.is_empty();
+        if !classical && self.roles.len() != self.replicas.len() {
+            return Err(ScenarioError::RolesMismatchFleet);
+        }
         // Decode-only replicas are invisible to the balancers.
-        let routable =
-            (0..self.replicas.len()).any(|i| role_of(&self.roles, i) != ReplicaRole::DecodeOnly);
+        let routable = (classical && !self.replicas.is_empty())
+            || self.roles.iter().any(|r| *r != ReplicaRole::DecodeOnly);
         if !routable {
             return Err(ScenarioError::EmptyFleet);
-        }
-        if self.roles.len() > self.replicas.len() {
-            return Err(ScenarioError::RolesExceedFleet);
         }
         let traffic = self.traffic.ok_or(ScenarioError::NoTraffic)??;
         if traffic.is_exhausted() {
             return Err(ScenarioError::NoTraffic);
         }
-        for (i, p) in self.replicas.iter().enumerate() {
-            if role_of(&self.roles, i) != ReplicaRole::PrefillOnly {
-                continue;
-            }
-            let has_decode = self
-                .replicas
-                .iter()
-                .enumerate()
-                .any(|(j, q)| q.region == p.region && role_of(&self.roles, j).decodes());
+        let fleet = || self.replicas.iter().zip(&self.roles);
+        for (p, _) in fleet().filter(|(_, role)| **role == ReplicaRole::PrefillOnly) {
+            let has_decode = fleet().any(|(q, role)| q.region == p.region && role.decodes());
             if !has_decode {
                 return Err(ScenarioError::NoDecodeCapacity);
             }

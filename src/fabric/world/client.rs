@@ -20,6 +20,7 @@ use skywalker_sim::{DetRng, SimDuration};
 use skywalker_trace::TraceEventKind::RetryWait;
 use skywalker_workload::{ClientEvent, ClientSpec, Program, TrafficSource};
 
+use super::disagg::DisaggStage;
 use super::{Ev, Fabric, ReqState, Sched};
 use crate::fabric::FabricConfig;
 
@@ -127,6 +128,7 @@ impl Fabric {
                 client,
                 lb: None,
                 rerouted: false,
+                disagg: None,
             };
             self.reqs.insert(req.id.0, state);
             self.send_request(client, req, sched);
@@ -164,16 +166,19 @@ impl Fabric {
         }
     }
 
-    /// The wire leg carrying a replica's output for request `id` from
-    /// `from` back to its client: who receives it and after how long.
-    pub(crate) fn client_leg(
-        &mut self,
-        from: Region,
-        id: RequestId,
-    ) -> Option<(usize, SimDuration)> {
-        let client = self.reqs.get(&id.0)?.client;
+    /// Who receives a replica's output for request `id`, and which leg
+    /// of a disaggregated request produced it (`None` for a colocated
+    /// one) — or `None` when nothing routes the request any more.
+    pub(crate) fn output_route(&self, id: u64) -> Option<(usize, Option<DisaggStage>)> {
+        let state = self.reqs.get(&id)?;
+        Some((state.client, state.disagg.as_ref().map(|m| m.stage)))
+    }
+
+    /// Samples the wire leg carrying a replica's output from `from` back
+    /// to `client`.
+    pub(crate) fn delay_to_client(&mut self, from: Region, client: usize) -> SimDuration {
         let to = self.clients[client].region;
-        Some((client, self.cfg.net.sample_one_way(from, to, &mut self.rng)))
+        self.cfg.net.sample_one_way(from, to, &mut self.rng)
     }
 
     pub(crate) fn on_first_token(&mut self, client: usize, req: RequestId, sched: &mut Sched) {

@@ -18,24 +18,31 @@ pub(crate) enum DisaggStage {
     Decode,
 }
 
-/// Fabric-side bookkeeping for one disaggregated request, alive from
-/// the prefill-replica intercept until the decode leg's completion is
-/// delivered (or the request terminally fails).
+/// Fabric-side bookkeeping for one disaggregated request, held in its
+/// [`ReqState`](super::ReqState) from the prefill-replica intercept
+/// until the decode leg's completion leaves its replica (or the request
+/// fails or retries).
 pub(crate) struct DisaggMeta {
     /// The request exactly as the client issued it; failure paths
     /// restore it so retries re-enter the pipeline unmodified.
     orig: Request,
     /// Current leg.
-    stage: DisaggStage,
+    pub(super) stage: DisaggStage,
     /// Prompt tokens the prefill leg served from its prefix cache —
     /// the cache credit the client's completion reports.
     cached_at_prefill: u32,
 }
 
 impl Fabric {
-    /// The leg request `id` is on, or `None` for a colocated request.
-    pub(crate) fn disagg_stage(&self, id: u64) -> Option<DisaggStage> {
-        self.disagg.get(&id).map(|m| m.stage)
+    /// The handoff bookkeeping slot of in-flight request `id`.
+    fn handoff(&mut self, id: u64) -> Option<&mut Option<Box<DisaggMeta>>> {
+        self.reqs.get_mut(&id).map(|state| &mut state.disagg)
+    }
+
+    /// Whether no request still carries handoff bookkeeping — what a
+    /// drained run must end with (an order-free walk, debug builds only).
+    pub(crate) fn handoffs_retired(&self) -> bool {
+        self.reqs.values().all(|state| state.disagg.is_none())
     }
 
     /// Intercepts a fresh request at a prefill-only replica into its
@@ -48,7 +55,9 @@ impl Fabric {
             stage: DisaggStage::Prefill,
             cached_at_prefill: 0,
         };
-        self.disagg.insert(leg1.id.0, meta);
+        *self
+            .handoff(leg1.id.0)
+            .expect("a request at a replica is in flight") = Some(Box::new(meta));
         leg1
     }
 
@@ -57,8 +66,8 @@ impl Fabric {
     /// legs' generated tokens — and retires the bookkeeping.
     pub(crate) fn merge_decode_leg(&mut self, c: Completion) -> Completion {
         let meta = self
-            .disagg
-            .remove(&c.id.0)
+            .handoff(c.id.0)
+            .and_then(Option::take)
             .expect("decode stage implies meta");
         Completion {
             id: c.id,
@@ -73,7 +82,7 @@ impl Fabric {
     /// pipeline unmodified. A request with no disagg meta passes
     /// through untouched.
     pub(crate) fn restore_original(&mut self, req: Request) -> Request {
-        match self.disagg.remove(&req.id.0) {
+        match self.handoff(req.id.0).and_then(Option::take) {
             Some(meta) => meta.orig,
             None => req,
         }
@@ -110,8 +119,8 @@ impl Fabric {
     pub(crate) fn start_handoff(&mut self, from: u32, c: &Completion, sched: &mut Sched) {
         let req = c.id.0;
         let meta = self
-            .disagg
-            .get_mut(&req)
+            .handoff(req)
+            .and_then(Option::as_mut)
             .expect("prefill stage implies meta");
         meta.stage = DisaggStage::Decode;
         meta.cached_at_prefill = c.cached_prompt_tokens;

@@ -170,10 +170,9 @@ impl Fabric {
 
     /// Takes `replica` off its balancer's and the controller's books.
     fn deregister(&mut self, replica: ReplicaId) {
-        if let Some(holder) = self.controller.holder(replica) {
+        if let Some(holder) = self.controller.deregister_replica(replica) {
             self.lbs[holder.0 as usize].lb.remove_replica(replica);
         }
-        self.controller.deregister_replica(replica);
     }
 
     /// Gives a crash casualty its one reroute, or counts it failed.

@@ -18,13 +18,13 @@ mod lb;
 mod replica;
 mod ticks;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_core::Controller;
 use skywalker_fleet::FleetEvent;
 use skywalker_net::{DnsResolver, Region};
-use skywalker_replica::{Completion, EngineSpec, ReplicaId, Request, RequestId};
+use skywalker_replica::{Completion, EngineSpec, Request, RequestId};
 use skywalker_sim::{DetRng, Scheduler, SimTime, World};
 use skywalker_workload::ClientSpec;
 
@@ -33,7 +33,7 @@ use super::{FabricConfig, TransferSummary};
 
 use client::ClientState;
 pub(crate) use client::Traffic;
-pub(crate) use disagg::DisaggMeta;
+use disagg::DisaggMeta;
 pub(crate) use fleet::FleetPlane;
 pub(crate) use lb::LbSlot;
 pub(crate) use replica::{ReplicaHealth, ReplicaSlot};
@@ -131,6 +131,10 @@ pub(crate) struct ReqState {
     lb: Option<u32>,
     /// Whether it already took its one post-crash reroute.
     rerouted: bool,
+    /// Its prefill→decode handoff, from the prefill-replica intercept
+    /// until the decode leg's completion leaves the replica (or the
+    /// request fails or retries); `None` for a colocated request.
+    disagg: Option<Box<DisaggMeta>>,
 }
 
 pub(crate) struct Fabric {
@@ -143,27 +147,23 @@ pub(crate) struct Fabric {
     pub(crate) replicas: Vec<ReplicaSlot>,
     /// The serving engine cloned into every replica.
     pub(crate) engine: EngineSpec,
-    /// In-flight disaggregated requests by id.
-    pub(crate) disagg: BTreeMap<u64, DisaggMeta>,
     /// KV-handoff accounting across the prefill→decode boundary.
     pub(crate) transfers: TransferSummary,
     pub(crate) clients: Vec<ClientState>,
     pub(crate) active_clients: usize,
     pub(crate) traffic: Traffic,
     /// Requests in flight (and the few [`ReqState`] keeps longer), by
-    /// id. Hashed with a fixed key: entries are removed on delivery, and
-    /// a randomly keyed table's tombstones — hence the instant it
-    /// regrows — would differ from run to run, which would make a run's
-    /// peak heap inexact under a seed.
-    pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id, never iterated
+    /// id — the one table a request's routing, reroute and handoff state
+    /// live in. Hashed with a fixed key: entries are removed on
+    /// delivery, and a randomly keyed table's tombstones — hence the
+    /// instant it regrows — would differ from run to run, which would
+    /// make a run's peak heap inexact under a seed.
+    pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id; walked only by the order-free `handoffs_retired` debug check
     pub(crate) dns: DnsResolver,
     pub(crate) controller: Controller,
     pub(crate) forward_enabled: bool,
     pub(crate) fleet: FleetPlane,
     pub(crate) obs: Observers,
-    /// Scratch for [`Ev::ProbeTick`]'s per-balancer replica walk, reused
-    /// across ticks instead of allocating a fresh id list per balancer.
-    pub(crate) probe_ids: Vec<ReplicaId>,
     /// Scratch for the peer-status fan-out assembled on every probe tick.
     pub(crate) probe_statuses: Vec<(u32, Region, (u32, u32))>,
 }

@@ -199,20 +199,24 @@ impl Fabric {
         for id in first_tokens {
             let req = id.0;
             self.obs.trace(now, FirstToken { req, replica });
+            let Some((client, stage)) = self.output_route(req) else {
+                continue;
+            };
             // The decode leg of a disaggregated request re-emits a
             // first token when its (cache-warm) prefill pass finishes;
             // the client already got theirs from the prefill replica.
-            if self.disagg_stage(req) == Some(DisaggStage::Decode) {
-                continue;
-            }
-            if let Some((client, delay)) = self.client_leg(region, id) {
+            if stage != Some(DisaggStage::Decode) {
+                let delay = self.delay_to_client(region, client);
                 sched.after(delay, Ev::DeliverFirstToken { client, req: id });
             }
         }
         for c in completions {
             let req = c.id.0;
             self.obs.trace(now, ReplicaDone { req, replica });
-            let completion = match self.disagg_stage(req) {
+            let Some((client, stage)) = self.output_route(req) else {
+                continue;
+            };
+            let completion = match stage {
                 Some(DisaggStage::Prefill) => {
                     // Prefill leg done: credit the dispatching balancer
                     // (the decode leg is invisible to it) and ship the
@@ -229,9 +233,8 @@ impl Fabric {
                     c
                 }
             };
-            if let Some((client, delay)) = self.client_leg(region, completion.id) {
-                sched.after(delay, Ev::DeliverCompletion { client, completion });
-            }
+            let delay = self.delay_to_client(region, client);
+            sched.after(delay, Ev::DeliverCompletion { client, completion });
         }
         if !crashed {
             let slot = &mut self.replicas[replica as usize];

@@ -14,23 +14,18 @@ impl Fabric {
         let now = sched.now();
         // Each live balancer probes its replicas' queue depths and KV
         // pressure (the selective-pushing signal, §4.1).
-        let ids = &mut self.probe_ids;
+        let replicas = &mut self.replicas;
         for slot in self.lbs.iter_mut().filter(|s| s.alive) {
-            ids.clear();
-            slot.lb.replica_ids_into(ids);
-            for &rid in ids.iter() {
-                let probed = &mut self.replicas[rid.0 as usize];
+            slot.lb.probe_replicas(|state| {
+                let probed = &mut replicas[state.id.0 as usize];
+                probed.peak_outstanding = probed.peak_outstanding.max(state.outstanding);
                 let r = &probed.replica;
-                slot.lb.on_replica_probe(
-                    rid,
+                (
                     r.pending_len() as u32,
                     r.running_len() as u32,
                     r.kv_utilization(),
-                );
-                if let Some(state) = slot.lb.replica_state(rid) {
-                    probed.peak_outstanding = probed.peak_outstanding.max(state.outstanding);
-                }
-            }
+                )
+            });
         }
         for slot in &mut self.replicas {
             if slot.health != ReplicaHealth::Crashed {

@@ -47,6 +47,7 @@ impl ShortestPromptFirst {
     }
 
     /// Overrides the aging bound (clamped to ≥ 1 round).
+    // det-allow(D07): the seam the aging unit tests configure the policy through
     pub fn with_aging(mut self, rounds: u32) -> Self {
         self.max_skipped = rounds.max(1);
         self

@@ -280,16 +280,18 @@ fn builder_rejects_prefill_regions_without_decode_capacity() {
     // A decode-only peer in the same region satisfies the prefill side.
     build(&[(us, 2)], vec![PrefillOnly, DecodeOnly]).expect("split pair in one region is valid");
 
-    // A colocated peer decodes too, so it also satisfies it — including
-    // via the default: roles shorter than the fleet pad with Colocated.
+    // A colocated peer decodes too, so it also satisfies it.
     build(&[(us, 2)], vec![PrefillOnly, Colocated]).expect("colocated peer decodes");
-    build(&[(us, 2)], vec![PrefillOnly]).expect("missing role entries default to Colocated");
 
-    // A list *longer* than the fleet is a mistake, not padding: the tail
-    // would describe replicas that do not exist.
-    let err = build(&[(us, 2)], vec![PrefillOnly, DecodeOnly, DecodeOnly]).unwrap_err();
-    assert_eq!(err, ScenarioError::RolesExceedFleet);
-    assert!(err.to_string().contains("more roles than replicas"));
+    // A role list is empty (every replica Colocated) or names every
+    // replica: a shorter one leaves roles nobody stated, and a longer
+    // one's tail would describe replicas that do not exist.
+    build(&[(us, 2)], vec![]).expect("no roles is the classical colocated fleet");
+    for roles in [vec![PrefillOnly], vec![PrefillOnly, DecodeOnly, DecodeOnly]] {
+        let err = build(&[(us, 2)], roles).unwrap_err();
+        assert_eq!(err, ScenarioError::RolesMismatchFleet);
+        assert!(err.to_string().contains("does not match its fleet"));
+    }
 
     // Topologies with no prefill-only replica never trip the check:
     // all-colocated fleets and even a decode-only singleton (it simply
