@@ -102,11 +102,10 @@ impl Phase {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|p| *p == self)
-            .expect("every phase is in ALL")
+        self as usize
     }
 }
 
@@ -138,7 +137,7 @@ impl PhaseBreakdown {
 }
 
 /// How a traced request's timeline ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceOutcome {
     /// The full response reached the client.
     Completed,
@@ -146,11 +145,12 @@ pub enum TraceOutcome {
     Failed,
     /// The timeline just stops — still in flight at run end, or its
     /// tail fell past the recorder's capacity.
+    #[default]
     Unfinished,
 }
 
 /// One request's attributed timeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
     /// Request id.
     pub req: u64,
@@ -174,7 +174,7 @@ pub struct RequestTrace {
 
 /// The TTFT side of a request's attribution: the main chain clipped at
 /// first-token production, plus the parallel delivery leg.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TtftTrace {
     /// Phase decomposition; sums exactly to [`ttft`](Self::ttft).
     pub phases: PhaseBreakdown,
@@ -193,36 +193,29 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Runs the attribution pass over a recorded trace.
+    /// Runs the attribution pass over a recorded trace: one walk over
+    /// the log, folding each event into its request's running totals.
     pub fn from_summary(summary: &TraceSummary) -> Attribution {
-        // Replica-level annotations first: stall windows refine the
-        // admission-wait of every request pending there.
-        let mut stalls: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+        let mut folds: Vec<Fold> = Vec::new();
+        let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut stalls: BTreeMap<u32, StallClock> = BTreeMap::new();
         for ev in &summary.events {
             if let TraceEventKind::ReplicaStall { replica, until } = ev.kind {
-                stalls.entry(replica).or_default().push((ev.at, until));
+                stalls.entry(replica).or_default().open(ev.at, until);
             }
+            let Some(req) = ev.kind.request() else {
+                continue;
+            };
+            let slot = *slot_of.entry(req).or_insert_with(|| {
+                folds.push(Fold::new(req));
+                folds.len() - 1
+            });
+            folds[slot].step(ev.at, ev.kind, &stalls);
         }
-
-        // Group per-request milestones, preserving execution order (the
-        // engine hands events out in virtual-time order, so each group
-        // is already chronological).
-        let mut order: Vec<u64> = Vec::new();
-        let mut timelines: BTreeMap<u64, Vec<(SimTime, TraceEventKind)>> = BTreeMap::new();
-        for ev in &summary.events {
-            if let Some(req) = ev.kind.request() {
-                let line = timelines.entry(req).or_insert_with(|| {
-                    order.push(req);
-                    Vec::new()
-                });
-                line.push((ev.at, ev.kind));
-            }
-        }
-
-        let requests = order
-            .into_iter()
-            .map(|req| attribute_one(req, &timelines[&req], &stalls))
-            .collect();
+        // Collected in place, into the folds' own (larger, and grown by
+        // doubling) allocation: give the difference back.
+        let mut requests: Vec<RequestTrace> = folds.into_iter().map(Fold::finish).collect();
+        requests.shrink_to_fit();
         Attribution {
             requests,
             dropped_events: summary.dropped_events,
@@ -258,120 +251,128 @@ fn outgoing_phase(kind: &TraceEventKind) -> Option<Phase> {
     }
 }
 
-/// Microseconds of `[a, b)` covered by the replica's stall windows.
-/// Windows never overlap (a replica runs one iteration at a time), so a
-/// plain sum of clipped windows is the union measure.
-fn stall_overlap(a: SimTime, b: SimTime, windows: &[(SimTime, SimTime)]) -> SimDuration {
-    let mut covered = SimDuration::ZERO;
-    for &(s, u) in windows {
-        let lo = s.max(a);
-        let hi = u.min(b);
-        if hi > lo {
-            covered += hi.since(lo);
-        }
-    }
-    covered
+/// One replica's stall windows so far, as a clock that only runs while
+/// the replica is stalled. Windows never overlap (a replica runs one
+/// iteration at a time) and the log is in time order, so only the
+/// latest window can reach past the instant being asked about.
+#[derive(Default)]
+struct StallClock {
+    /// Whole length of every window opened so far.
+    total: SimDuration,
+    /// End of the latest window.
+    until: SimTime,
 }
 
-fn attribute_one(
-    req: u64,
-    timeline: &[(SimTime, TraceEventKind)],
-    stalls: &BTreeMap<u32, Vec<(SimTime, SimTime)>>,
-) -> RequestTrace {
-    // Split the parallel first-token-delivery leg off the main chain.
-    let mut chain: Vec<(SimTime, TraceEventKind)> = Vec::with_capacity(timeline.len());
-    let mut ttft_delivered: Option<SimTime> = None;
-    let mut first_token_at: Option<SimTime> = None;
-    let (mut hops, mut retries, mut preemptions) = (0u8, 0u32, 0u32);
-    let mut terminal: Option<TraceOutcome> = None;
-    for &(at, kind) in timeline {
-        if let TraceEventKind::FirstTokenDelivered { .. } = kind {
-            // First observation wins — matches RequestTracker::first_token.
-            ttft_delivered.get_or_insert(at);
-            continue;
+impl StallClock {
+    fn open(&mut self, at: SimTime, until: SimTime) {
+        self.total += until.saturating_since(at);
+        self.until = until;
+    }
+
+    /// Stalled time before `at`. The stalled part of `[a, b)` is
+    /// `before(b) - before(a)`.
+    fn before(&self, at: SimTime) -> SimDuration {
+        self.total - self.until.saturating_since(at)
+    }
+}
+
+/// One request's attribution so far: the [`RequestTrace`] being built
+/// and where its main chain stands.
+#[derive(Default)]
+struct Fold {
+    /// `e2e` and `ttft` are filled in by [`finish`](Self::finish).
+    trace: RequestTrace,
+    /// First main-chain milestone.
+    start: Option<SimTime>,
+    /// Latest main-chain milestone, and the phase the interval after it
+    /// is charged to.
+    last_at: SimTime,
+    open: Option<Phase>,
+    /// When the latest milestone is `ReplicaQueued`: the replica and
+    /// its stall clock's reading then.
+    queued: Option<(u32, SimDuration)>,
+    /// The first `FirstToken`: when, and the phases up to it — the
+    /// main chain clipped at first-token production.
+    first_token: Option<(SimTime, PhaseBreakdown)>,
+    /// The first `FirstTokenDelivered`.
+    first_delivery: Option<SimTime>,
+}
+
+impl Fold {
+    fn new(req: u64) -> Fold {
+        let mut fold = Fold::default();
+        fold.trace.req = req;
+        fold
+    }
+
+    fn step(&mut self, at: SimTime, kind: TraceEventKind, stalls: &BTreeMap<u32, StallClock>) {
+        use TraceEventKind::*;
+        if let FirstTokenDelivered { .. } = kind {
+            // The parallel first-token-delivery leg is not part of the
+            // main chain. First observation wins — matches
+            // RequestTracker::first_token.
+            self.first_delivery.get_or_insert(at);
+            return;
         }
-        if terminal.is_some() {
+        if self.trace.outcome != TraceOutcome::Unfinished {
             // A crash can fail a request whose last iteration's outputs
             // still stream out afterwards; everything past the terminal
             // milestone is that echo, not lifecycle.
-            continue;
+            return;
+        }
+        let stalled_before = |replica| {
+            stalls
+                .get(&replica)
+                .map_or(SimDuration::ZERO, |c| c.before(at))
+        };
+        let trace = &mut self.trace;
+        let span = at.saturating_since(self.last_at);
+        match (self.open, self.queued) {
+            // Waiting on a stalled replica is memory pressure, not
+            // ordinary queueing; integer arithmetic keeps the split
+            // summing exactly to the original interval.
+            (Some(_), Some((replica, before))) => {
+                let stalled = stalled_before(replica) - before;
+                trace.phases.add(Phase::KvStall, stalled);
+                trace.phases.add(Phase::AdmissionWait, span - stalled);
+            }
+            (Some(phase), None) => trace.phases.add(phase, span),
+            (None, _) => {}
         }
         match kind {
-            TraceEventKind::Issued { .. } if !chain.is_empty() => retries += 1,
-            TraceEventKind::LbQueued { hops: h, .. } => hops = hops.max(h.saturating_add(1)),
-            TraceEventKind::Preempted { .. } => preemptions += 1,
-            TraceEventKind::FirstToken { .. } => {
-                first_token_at.get_or_insert(at);
-            }
-            TraceEventKind::Delivered { .. } => terminal = Some(TraceOutcome::Completed),
-            TraceEventKind::Failed { .. } => terminal = Some(TraceOutcome::Failed),
+            Issued { .. } if self.start.is_some() => trace.retries += 1,
+            LbQueued { hops, .. } => trace.hops = trace.hops.max(hops.saturating_add(1)),
+            Preempted { .. } => trace.preemptions += 1,
+            FirstToken { .. } => _ = self.first_token.get_or_insert((at, trace.phases)),
+            Delivered { .. } => trace.outcome = TraceOutcome::Completed,
+            Failed { .. } => trace.outcome = TraceOutcome::Failed,
             _ => {}
         }
-        chain.push((at, kind));
+        self.start.get_or_insert(at);
+        self.last_at = at;
+        self.open = outgoing_phase(&kind);
+        self.queued = match kind {
+            ReplicaQueued { replica, .. } => Some((replica, stalled_before(replica))),
+            _ => None,
+        };
     }
 
-    let mut phases = PhaseBreakdown::default();
-    let mut ttft_phases = PhaseBreakdown::default();
-    let ttft_clip = first_token_at.filter(|_| ttft_delivered.is_some());
-    for pair in chain.windows(2) {
-        let ((from_at, from_kind), (to_at, _)) = (pair[0], pair[1]);
-        let Some(phase) = outgoing_phase(&from_kind) else {
-            continue;
-        };
-        let charge = |out: &mut PhaseBreakdown, a: SimTime, b: SimTime| {
-            if b <= a {
-                return;
-            }
-            let span = b.since(a);
-            if phase == Phase::AdmissionWait {
-                // Waiting on a stalled replica is memory pressure, not
-                // ordinary queueing; integer clipping keeps the split
-                // summing exactly to the original interval.
-                let replica = match from_kind {
-                    TraceEventKind::ReplicaQueued { replica, .. } => Some(replica),
-                    _ => None,
-                };
-                let stalled = replica
-                    .and_then(|r| stalls.get(&r))
-                    .map_or(SimDuration::ZERO, |w| stall_overlap(a, b, w));
-                out.add(Phase::KvStall, stalled);
-                out.add(Phase::AdmissionWait, span - stalled);
-            } else {
-                out.add(phase, span);
-            }
-        };
-        charge(&mut phases, from_at, to_at);
-        if let Some(clip) = ttft_clip {
-            // The TTFT view is the same chain clipped at first-token
-            // production; the delivery leg is added below.
-            charge(&mut ttft_phases, from_at, to_at.min(clip));
-        }
-    }
-
-    let start = chain.first().map_or(SimTime::ZERO, |(at, _)| *at);
-    let end = chain.last().map_or(start, |(at, _)| *at);
-    let ttft = match (ttft_clip, ttft_delivered) {
-        (Some(produced), Some(delivered)) => {
+    fn finish(self) -> RequestTrace {
+        let start = self.start.unwrap_or(self.last_at);
+        let first_token = self.first_token.zip(self.first_delivery);
+        let ttft = first_token.map(|((produced, mut phases), delivered)| {
             // Causality: any delivery's production is at or after the
             // first production, so this leg is non-negative.
-            ttft_phases.add(Phase::FirstTokenNet, delivered.saturating_since(produced));
-            Some(TtftTrace {
-                phases: ttft_phases,
-                ttft: delivered.saturating_since(start),
-            })
+            phases.add(Phase::FirstTokenNet, delivered.saturating_since(produced));
+            let ttft = delivered.saturating_since(start);
+            TtftTrace { phases, ttft }
+        });
+        let e2e = self.last_at.saturating_since(start);
+        RequestTrace {
+            e2e,
+            ttft,
+            ..self.trace
         }
-        _ => None,
-    };
-
-    RequestTrace {
-        req,
-        phases,
-        e2e: end.since(start),
-        ttft,
-        outcome: terminal.unwrap_or(TraceOutcome::Unfinished),
-        hops,
-        retries,
-        preemptions,
     }
 }
 
@@ -396,6 +397,13 @@ mod tests {
     }
 
     use TraceEventKind::*;
+
+    #[test]
+    fn phase_discriminants_index_all() {
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, i, "{phase:?} is out of place in Phase::ALL");
+        }
+    }
 
     #[test]
     fn happy_path_conserves_and_maps_phases() {

@@ -190,7 +190,7 @@ mod tests {
             mk(220 + queue_us, Delivered { req: 1 }),
         ];
         let a = Attribution::from_summary(&TraceSummary {
-            events,
+            events: events.into_iter().collect(),
             capacity: 1 << 10,
             dropped_events: 0,
         });

@@ -5,8 +5,10 @@
 //! [`TraceRecorder`] (off by default) and feeds it timestamped
 //! [`TraceEvent`]s at its scheduling boundaries; recording never reads
 //! clocks, draws randomness, or changes scheduling, so a traced run is
-//! byte-identical to an untraced one. Everything else happens after the
-//! run, on the frozen [`TraceSummary`]:
+//! byte-identical to an untraced one. The events are held in a
+//! [`TraceLog`], losslessly at a few bytes each, so what a traced run
+//! adds to the heap is a tenth of the run, not most of it. Everything
+//! else happens after the run, on the frozen [`TraceSummary`]:
 //!
 //! - [`Attribution`] replays each request's timeline and decomposes its
 //!   end-to-end latency into exhaustive, non-overlapping [`Phase`]s —
@@ -46,11 +48,13 @@
 mod attribution;
 mod diff;
 mod event;
+mod log;
 mod recorder;
 mod report;
 
 pub use attribution::{Attribution, Phase, PhaseBreakdown, RequestTrace, TraceOutcome, TtftTrace};
 pub use diff::{PhaseDelta, TraceDiff};
 pub use event::{TraceEvent, TraceEventKind};
+pub use log::{TraceLog, TraceLogIter};
 pub use recorder::{TraceConfig, TraceRecorder, TraceSummary};
 pub use report::{BottleneckReport, PhaseStat};

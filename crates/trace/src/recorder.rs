@@ -4,16 +4,18 @@
 //! [`TraceRecorder::record`] from its event handlers and nothing else —
 //! no clocks read, no RNG drawn, no scheduling changed — so a run's
 //! outcome is byte-identical with the recorder on or off (pinned by the
-//! golden-digest gate). The buffer has a fixed capacity; once full,
-//! further events are *counted*, not stored ([`TraceRecorder::dropped_events`]),
+//! golden-digest gate). Events go into a [`TraceLog`], a few bytes
+//! each, up to a fixed capacity counted in events; once full, further
+//! events are *counted*, not stored ([`TraceRecorder::dropped_events`]),
 //! keeping the recorded prefix a coherent timeline instead of silently
 //! truncating the middle of one.
 
 use skywalker_sim::SimTime;
 
 use crate::event::{TraceEvent, TraceEventKind};
+use crate::log::TraceLog;
 
-/// Recorder settings: just the buffer capacity.
+/// Recorder settings: just the capacity, in events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Maximum events stored; later events are dropped (and counted).
@@ -21,9 +23,10 @@ pub struct TraceConfig {
 }
 
 impl Default for TraceConfig {
-    /// Roomy enough for every preset in the repository (the largest,
-    /// `fig8` at full scale, stays under a quarter of this), small
-    /// enough to be a non-event in memory (~a few tens of MB).
+    /// Roomy enough for every preset in the repository (the reference
+    /// diurnal day records two thirds of this, `fig8` at full scale
+    /// under a quarter), small enough to be a non-event in memory: a
+    /// full log is ~16 MB, and it is allocated as it fills.
     fn default() -> Self {
         TraceConfig { capacity: 1 << 21 }
     }
@@ -53,7 +56,7 @@ impl TraceConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
-    events: Vec<TraceEvent>,
+    events: TraceLog,
     capacity: usize,
     dropped: u64,
 }
@@ -62,9 +65,7 @@ impl TraceRecorder {
     /// An empty recorder with the config's capacity.
     pub fn new(cfg: TraceConfig) -> Self {
         TraceRecorder {
-            // Sized lazily (not `with_capacity(cfg.capacity)`): most runs
-            // record far fewer events than the default headroom allows.
-            events: Vec::new(),
+            events: TraceLog::default(),
             capacity: cfg.capacity,
             dropped: 0,
         }
@@ -110,7 +111,7 @@ impl TraceRecorder {
 #[derive(Debug, Clone)]
 pub struct TraceSummary {
     /// Recorded events, in execution (= virtual-time) order.
-    pub events: Vec<TraceEvent>,
+    pub events: TraceLog,
     /// The recorder's capacity during the run.
     pub capacity: usize,
     /// Events that arrived after the buffer filled. Non-zero means the
@@ -145,8 +146,9 @@ mod tests {
         let s = rec.into_summary();
         assert!(!s.complete());
         assert_eq!(s.capacity, 2);
-        assert_eq!(s.events[0].at, SimTime::from_micros(1));
-        assert_eq!(s.events[1].kind, TraceEventKind::Delivered { req: 1 });
+        let events: Vec<TraceEvent> = s.events.iter().collect();
+        assert_eq!(events[0].at, SimTime::from_micros(1));
+        assert_eq!(events[1].kind, TraceEventKind::Delivered { req: 1 });
     }
 
     #[test]

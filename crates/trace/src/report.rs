@@ -235,7 +235,7 @@ mod tests {
             mk(0, Issued { req: 3 }), // never finishes
         ];
         Attribution::from_summary(&TraceSummary {
-            events,
+            events: events.into_iter().collect(),
             capacity: 1 << 10,
             dropped_events: 0,
         })

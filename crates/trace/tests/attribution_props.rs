@@ -13,6 +13,10 @@
 //!    unfinished counts equal the tracker-side
 //!    `RunReport`'s completed/failed/in-flight, and the mean latencies
 //!    agree to float tolerance (two independent observers of one run).
+//! 4. **Reference agreement** — the one-pass fold in
+//!    `Attribution::from_summary` equals, field for field and in the
+//!    same request order, the plain group-then-walk model kept at the
+//!    bottom of this file.
 //!
 //! Coverage is the repository's full experiment space: five serving
 //! engines under memory pressure (preemption + eviction + KV stalls),
@@ -21,14 +25,19 @@
 //! joins), and a reactive autoscaler (drains + joins) — well over a
 //! hundred seeded runs in total.
 
+use std::collections::BTreeMap;
+
 use skywalker::{
-    fig10_diurnal_scenario, fig8_scenario, fig9_scenario, memory_pressure_scenario, run_scenario,
-    ChaosConfig, ChaosPlan, EngineSpec, FabricConfig, FcfsBatch, LruEvictor, NoEvict,
-    PrefixAwareEvictor, RunSummary, Scenario, ShortestPromptFirst, SystemKind, ThresholdAutoscaler,
-    TraceConfig, Workload,
+    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, fig9_scenario,
+    memory_pressure_scenario, run_scenario, ChaosConfig, ChaosPlan, DisaggWorkload, EngineSpec,
+    FabricConfig, FcfsBatch, LruEvictor, NoEvict, PrefixAwareEvictor, RunSummary, Scenario,
+    ShortestPromptFirst, SystemKind, ThresholdAutoscaler, TraceConfig, Workload,
 };
-use skywalker_sim::SimDuration;
-use skywalker_trace::{Attribution, TraceOutcome};
+use skywalker_sim::{DetRng, SimDuration, SimTime};
+use skywalker_trace::{
+    Attribution, Phase, PhaseBreakdown, RequestTrace, TraceEvent, TraceEventKind, TraceOutcome,
+    TraceSummary, TtftTrace,
+};
 
 fn traced(seed: u64) -> FabricConfig {
     FabricConfig {
@@ -85,6 +94,7 @@ fn check(label: &str, scenario: &Scenario, seed: u64) -> (Attribution, RunSummar
         !a.requests.is_empty(),
         "{label}/{seed}: no requests attributed"
     );
+    assert_matches_reference(&format!("{label}/{seed}"), &a, &trace);
 
     let (mut completed, mut failed, mut unfinished) = (0usize, 0usize, 0usize);
     for r in &a.requests {
@@ -261,4 +271,303 @@ fn conservation_under_autoscaling() {
         elastic |= summary.fleet.is_elastic();
     }
     assert!(elastic, "the autoscaler should act at least once in 4 runs");
+}
+
+fn assert_matches_reference(tag: &str, a: &Attribution, trace: &TraceSummary) {
+    let reference = reference_attribution(trace);
+    assert_eq!(a.requests.len(), reference.len(), "{tag}");
+    for (got, want) in a.requests.iter().zip(&reference) {
+        assert_eq!(got, want, "{tag}: one-pass fold left the reference");
+    }
+}
+
+/// The paths a trace can take that the fold treats specially; the
+/// agreement with the reference means something only where they occur.
+#[derive(Debug, Default)]
+struct Paths {
+    retries: u32,
+    preemptions: u32,
+    echoes_after_terminal: u32,
+    first_token_delivered_after_failed: u32,
+    kv_transfers: u32,
+    stalls_overlapping_across_replicas: u32,
+}
+
+impl Paths {
+    fn add(&mut self, trace: &TraceSummary) {
+        use TraceEventKind::*;
+        let mut issued: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut ended: BTreeMap<u64, bool> = BTreeMap::new(); // req -> failed?
+        let mut open_until: BTreeMap<u32, SimTime> = BTreeMap::new();
+        for ev in &trace.events {
+            match ev.kind {
+                ReplicaStall { replica, until } => {
+                    let elsewhere = |(r, u): (&u32, &SimTime)| *r != replica && *u > ev.at;
+                    self.stalls_overlapping_across_replicas +=
+                        u32::from(open_until.iter().any(elsewhere));
+                    open_until.insert(replica, until);
+                }
+                Evicted { .. } => {}
+                Preempted { .. } => self.preemptions += 1,
+                KvTransfer { .. } => self.kv_transfers += 1,
+                Issued { req } => {
+                    let n = issued.entry(req).or_default();
+                    self.retries += u32::from(*n > 0);
+                    *n += 1;
+                }
+                Delivered { req } => _ = ended.entry(req).or_insert(false),
+                Failed { req } => _ = ended.entry(req).or_insert(true),
+                FirstTokenDelivered { req } => {
+                    self.first_token_delivered_after_failed +=
+                        u32::from(ended.get(&req) == Some(&true));
+                }
+                kind => {
+                    let req = kind.request().expect("a per-request milestone");
+                    self.echoes_after_terminal += u32::from(ended.contains_key(&req));
+                }
+            }
+        }
+    }
+}
+
+/// Every special path occurs somewhere in what is held against the
+/// reference: five in fabric runs (each goes through [`check`]); the
+/// sixth, a crash echo after a terminal milestone, needs a request to
+/// lose its one reroute too and no preset run produces it — it comes
+/// from time-ordered random event soups, which also cover every
+/// milestone order the fabric never emits.
+#[test]
+fn reference_agreement_covers_every_special_path() {
+    let mut paths = Paths::default();
+    let mut see = |label: &str, scenario: &Scenario, seed: u64| {
+        let (_, summary) = check(label, scenario, seed);
+        paths.add(summary.trace.as_ref().expect("check saw the trace"));
+    };
+    let preempting = EngineSpec::new(
+        Box::new(FcfsBatch::new().with_preemption(0.9)),
+        Box::new(LruEvictor),
+    );
+    for seed in 1..=3 {
+        let scenario = memory_pressure_scenario(preempting.clone(), 0.25, seed);
+        see("paths/preempt", &scenario, seed);
+        let scenario = fig9_scenario(SystemKind::SkyWalker, 2, 6, seed);
+        see("paths/fig9", &scenario, seed);
+    }
+    for seed in [5, 23, 61] {
+        let mut scenario = disagg_scenario(DisaggWorkload::DecodeHeavy, true, 0.5, seed);
+        scenario.fleet_plan = Some(Box::new(ChaosPlan::new(
+            ChaosConfig {
+                mtbf: SimDuration::from_secs(20),
+                mttr: SimDuration::from_secs(15),
+                min_live_per_region: 1,
+                ..ChaosConfig::default()
+            },
+            seed,
+        )));
+        see("paths/disagg-chaos", &scenario, seed);
+    }
+
+    for case in 0..200 {
+        let trace = event_soup(case);
+        let a = Attribution::from_summary(&trace);
+        assert_matches_reference(&format!("soup/{case}"), &a, &trace);
+        paths.add(&trace);
+    }
+    println!("{paths:?}");
+    assert!(paths.retries > 0, "{paths:?}");
+    assert!(paths.preemptions > 0, "{paths:?}");
+    assert!(paths.echoes_after_terminal > 0, "{paths:?}");
+    assert!(paths.first_token_delivered_after_failed > 0, "{paths:?}");
+    assert!(paths.kv_transfers > 0, "{paths:?}");
+    assert!(paths.stalls_overlapping_across_replicas > 0, "{paths:?}");
+}
+
+/// 400 events in time order over 12 requests and 3 replicas, kinds
+/// drawn uniformly with no regard for what a lifecycle allows. Holds
+/// the two things attribution relies on: `at` never goes back, and a
+/// replica's stall windows do not overlap each other.
+fn event_soup(case: u64) -> TraceSummary {
+    use TraceEventKind::*;
+    let mut rng = DetRng::for_component(case, "attribution/soup");
+    let mut now = 0;
+    let mut stalled_until = [0u64; 3];
+    let mut events = Vec::new();
+    while events.len() < 400 {
+        now += rng.below(40);
+        let req = rng.below(12);
+        let replica = rng.below(3) as u32;
+        let kind = match rng.below(16) {
+            0 => Issued { req },
+            1 => RetryWait { req },
+            2 => LbQueued {
+                req,
+                lb: 0,
+                hops: rng.below(3) as u8,
+            },
+            3 => Dispatched {
+                req,
+                lb: 0,
+                replica,
+            },
+            4 => Forwarded { req, from: 0 },
+            5 | 6 => ReplicaQueued { req, replica },
+            7 => Admitted { req, replica },
+            8 => Preempted { req, replica },
+            9 => FirstToken { req, replica },
+            10 => ReplicaDone { req, replica },
+            11 => KvTransfer {
+                req,
+                from: replica,
+                to: 0,
+                tokens: 1,
+            },
+            12 => FirstTokenDelivered { req },
+            13 if rng.chance(0.5) => Delivered { req },
+            13 => Failed { req },
+            _ if stalled_until[replica as usize] > now => continue,
+            _ => {
+                stalled_until[replica as usize] = now + 1 + rng.below(120);
+                let until = SimTime::from_micros(stalled_until[replica as usize]);
+                ReplicaStall { replica, until }
+            }
+        };
+        let at = SimTime::from_micros(now);
+        events.push(TraceEvent { at, kind });
+    }
+    TraceSummary {
+        events: events.into_iter().collect(),
+        capacity: 400,
+        dropped_events: 0,
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference model: regroup the whole trace by request, then walk
+// each request's timeline against every stall window its replica ever
+// had. Quadratic in places and a second copy of the trace — which is
+// why the library does not do it this way — but plain enough to read
+// off `docs/tracing.md`.
+// ---------------------------------------------------------------------
+
+fn reference_attribution(trace: &TraceSummary) -> Vec<RequestTrace> {
+    let mut stalls: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    let mut order: Vec<u64> = Vec::new();
+    let mut timelines: BTreeMap<u64, Vec<(SimTime, TraceEventKind)>> = BTreeMap::new();
+    for ev in &trace.events {
+        if let TraceEventKind::ReplicaStall { replica, until } = ev.kind {
+            stalls.entry(replica).or_default().push((ev.at, until));
+        }
+        if let Some(req) = ev.kind.request() {
+            if !timelines.contains_key(&req) {
+                order.push(req);
+            }
+            timelines.entry(req).or_default().push((ev.at, ev.kind));
+        }
+    }
+    order
+        .into_iter()
+        .map(|req| reference_one(req, &timelines[&req], &stalls))
+        .collect()
+}
+
+fn reference_phase(kind: &TraceEventKind) -> Option<Phase> {
+    use TraceEventKind::*;
+    Some(match kind {
+        Issued { .. } => Phase::ClientNet,
+        RetryWait { .. } => Phase::RetryBackoff,
+        LbQueued { .. } => Phase::LbQueue,
+        Forwarded { .. } => Phase::ForwardNet,
+        Dispatched { .. } => Phase::DispatchNet,
+        ReplicaQueued { .. } => Phase::AdmissionWait,
+        Admitted { .. } => Phase::Prefill,
+        FirstToken { .. } => Phase::Decode,
+        Preempted { .. } => Phase::PreemptWait,
+        KvTransfer { .. } => Phase::KvTransfer,
+        ReplicaDone { .. } => Phase::DeliveryNet,
+        _ => return None,
+    })
+}
+
+fn reference_one(
+    req: u64,
+    timeline: &[(SimTime, TraceEventKind)],
+    stalls: &BTreeMap<u32, Vec<(SimTime, SimTime)>>,
+) -> RequestTrace {
+    use TraceEventKind::*;
+    // The main chain: everything up to the terminal milestone except
+    // the parallel first-token-delivery leg.
+    let mut chain: Vec<(SimTime, TraceEventKind)> = Vec::new();
+    let mut delivered_at: Option<SimTime> = None;
+    let mut produced_at: Option<SimTime> = None;
+    let (mut hops, mut retries, mut preemptions) = (0u8, 0u32, 0u32);
+    let mut outcome = TraceOutcome::Unfinished;
+    for &(at, kind) in timeline {
+        if let FirstTokenDelivered { .. } = kind {
+            delivered_at.get_or_insert(at);
+            continue;
+        }
+        if outcome != TraceOutcome::Unfinished {
+            continue;
+        }
+        match kind {
+            Issued { .. } if !chain.is_empty() => retries += 1,
+            LbQueued { hops: h, .. } => hops = hops.max(h.saturating_add(1)),
+            Preempted { .. } => preemptions += 1,
+            FirstToken { .. } => drop(produced_at.get_or_insert(at)),
+            Delivered { .. } => outcome = TraceOutcome::Completed,
+            Failed { .. } => outcome = TraceOutcome::Failed,
+            _ => {}
+        }
+        chain.push((at, kind));
+    }
+
+    let charge = |out: &mut PhaseBreakdown, from: &TraceEventKind, a: SimTime, b: SimTime| {
+        let (Some(phase), true) = (reference_phase(from), b > a) else {
+            return;
+        };
+        let span = b.since(a);
+        let ReplicaQueued { replica, .. } = from else {
+            return out.add(phase, span);
+        };
+        // Sum of the replica's stall windows clipped to [a, b).
+        let mut stalled = SimDuration::ZERO;
+        for &(s, u) in stalls.get(replica).map_or(&[][..], Vec::as_slice) {
+            let (lo, hi) = (s.max(a), u.min(b));
+            if hi > lo {
+                stalled += hi.since(lo);
+            }
+        }
+        out.add(Phase::KvStall, stalled);
+        out.add(Phase::AdmissionWait, span - stalled);
+    };
+    let mut phases = PhaseBreakdown::default();
+    let mut ttft_phases = PhaseBreakdown::default();
+    let clip = produced_at.filter(|_| delivered_at.is_some());
+    for pair in chain.windows(2) {
+        let ((a, from), (b, _)) = (pair[0], pair[1]);
+        charge(&mut phases, &from, a, b);
+        if let Some(clip) = clip {
+            charge(&mut ttft_phases, &from, a, b.min(clip));
+        }
+    }
+
+    let start = chain.first().map_or(SimTime::ZERO, |(at, _)| *at);
+    let end = chain.last().map_or(start, |(at, _)| *at);
+    let ttft = clip.zip(delivered_at).map(|(produced, delivered)| {
+        ttft_phases.add(Phase::FirstTokenNet, delivered.saturating_since(produced));
+        TtftTrace {
+            phases: ttft_phases,
+            ttft: delivered.saturating_since(start),
+        }
+    });
+    RequestTrace {
+        req,
+        phases,
+        e2e: end.since(start),
+        ttft,
+        outcome,
+        hops,
+        retries,
+        preemptions,
+    }
 }
