@@ -16,12 +16,6 @@ pub struct CellStats {
     pub ttft_p50: Spread,
     /// TTFT 90th percentile, seconds.
     pub ttft_p90: Spread,
-    /// TTFT mean, seconds.
-    pub ttft_mean: Spread,
-    /// End-to-end latency median, seconds.
-    pub e2e_p50: Spread,
-    /// End-to-end latency 90th percentile, seconds.
-    pub e2e_p90: Spread,
     /// Service throughput, tokens per second.
     pub throughput_tps: Spread,
     /// Replica-measured prefix-cache hit ratio.
@@ -49,9 +43,6 @@ impl CellStats {
             replicates: runs.len(),
             ttft_p50: of(&|s| s.report.ttft.p50),
             ttft_p90: of(&|s| s.report.ttft.p90),
-            ttft_mean: of(&|s| s.report.ttft.mean),
-            e2e_p50: of(&|s| s.report.e2e.p50),
-            e2e_p90: of(&|s| s.report.e2e.p90),
             throughput_tps: of(&|s| s.report.throughput_tps),
             hit_rate: of(&|s| s.replica_hit_rate),
             completed: of(&|s| s.report.completed as f64),

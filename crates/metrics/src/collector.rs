@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
-use skywalker_sim::SimTime;
+use skywalker_sim::{SimDuration, SimTime};
 
 use crate::histogram::{Histogram, Summary};
 
@@ -185,13 +185,19 @@ impl RequestTracker {
         self.records[slot] = record;
     }
 
-    /// Records the first output token for `id`. Unknown ids and repeated
-    /// first tokens are ignored (the first observation wins).
-    pub fn first_token(&mut self, id: u64, at: SimTime) {
-        if let Some(&slot) = self.index.get(&id) {
-            self.slot_mut(slot).first_token.get_or_insert(at);
-            self.settle(id, slot);
+    /// Records the first output token for `id` and returns the request's
+    /// time to first token. `None` for an unknown id and for a repeated
+    /// first token (the first observation wins).
+    pub fn first_token(&mut self, id: u64, at: SimTime) -> Option<SimDuration> {
+        let slot = *self.index.get(&id)?;
+        let r = self.slot_mut(slot);
+        if r.first_token.is_some() {
+            return None;
         }
+        r.first_token = Some(at);
+        let ttft = at.saturating_since(r.arrived);
+        self.settle(id, slot);
+        Some(ttft)
     }
 
     /// Records completion for `id` with the generated token count and how
@@ -252,16 +258,6 @@ impl RequestTracker {
         if let Some(r) = self.rec_mut(id) {
             r.hops = Some(r.hops.map_or(hops, |h| h.max(hops)));
         }
-    }
-
-    /// When `id` arrived, or `None` if it was never registered or its
-    /// record has settled. Lets observers (the telemetry plane's TTFT
-    /// sketch) compute latencies without shadow-tracking arrival times;
-    /// they read it *before* reporting the first token, which may be
-    /// the call that settles the record.
-    pub fn arrival_time(&self, id: u64) -> Option<SimTime> {
-        let slot = *self.index.get(&id)?;
-        self.records[slot].as_ref().map(|r| r.arrived)
     }
 
     /// Number of requests registered (completed, in flight, or failed).
@@ -539,10 +535,11 @@ mod tests {
                         }
                     }
                     4 | 5 => {
-                        t.first_token(id, at);
-                        if let Some(k) = known {
-                            k.first_token.get_or_insert(at);
-                        }
+                        let expected = known.filter(|k| k.first_token.is_none()).map(|k| {
+                            k.first_token = Some(at);
+                            at.saturating_since(k.arrived)
+                        });
+                        assert_eq!(t.first_token(id, at), expected, "seed {seed} step {step}");
                     }
                     6 => {
                         let (generated, cached) = (rng.below(900), rng.below(5_000));
@@ -581,9 +578,6 @@ mod tests {
                         "seed {seed} step {step}"
                     );
                     assert_eq!(t.len(), registrations);
-                    for id in model.open_ids() {
-                        assert_eq!(t.arrival_time(id), Some(model.requests[&id].arrived));
-                    }
                 }
             }
             let settled = model.requests.len() - model.open_ids().len();

@@ -6,16 +6,15 @@
 //! (§5): service throughput in tokens per second, Time-to-First-Token
 //! (TTFT), and end-to-end request latency, the latter two as box plots
 //! (P10/25/50/75/90 plus the mean). It additionally tracks KV-cache hit
-//! rates and per-replica memory-utilization traces (Fig. 4b). This crate
-//! provides those measurements:
+//! rates. This crate provides those measurements:
 //!
 //! - [`Histogram`]: exact-percentile sample collection with the paper's
 //!   box-plot summary ([`Summary`]).
 //! - [`RequestTracker`]: per-request lifecycle records (arrival, first
 //!   token, completion) aggregated into a [`RunReport`].
-//! - [`TimeSeries`]: timestamped gauge traces, e.g. KV-cache utilization
-//!   per replica over time, with peak-gap statistics; optionally bounded
-//!   (oldest points drop first, and are counted) for sampled dashboards.
+//! - [`TimeSeries`]: timestamped gauge traces, e.g. a region's fleet
+//!   size over time; optionally bounded (oldest points drop first, and
+//!   are counted) for sampled dashboards.
 //! - [`Spread`]: mean/min/max/p50/p90 aggregation of one metric across
 //!   the replicates of a sweep cell or the per-request samples of a
 //!   trace phase.
@@ -32,4 +31,4 @@ mod timeseries;
 pub use collector::{RequestTracker, RunReport};
 pub use histogram::{Histogram, Summary};
 pub use spread::Spread;
-pub use timeseries::{peak_gap, TimeSeries};
+pub use timeseries::TimeSeries;

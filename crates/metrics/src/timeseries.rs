@@ -1,12 +1,9 @@
 //! Timestamped gauge traces.
 //!
-//! Figure 4b of the paper plots per-replica KV-cache memory utilization over
-//! time and reports the peak gap between replicas (2.64× under round robin).
-//! [`TimeSeries`] records `(time, value)` points for one gauge; free
-//! functions compare traces across replicas.
+//! [`TimeSeries`] records `(time, value)` points for one gauge.
 //!
-//! One type serves every trace in a run summary: the per-replica KV and
-//! per-region fleet-size traces keep every point, the telemetry plane's
+//! One type serves every trace in a run summary: the per-region
+//! fleet-size traces keep every point, the telemetry plane's
 //! per-tick dashboard series are [`TimeSeries::bounded`] so a multi-hour
 //! run keeps bounded memory — once full, the oldest point is dropped and
 //! an honest `dropped` counter increments (the same contract as the
@@ -154,21 +151,6 @@ impl TimeSeries {
     }
 }
 
-/// The ratio between the highest and lowest peak across a set of series —
-/// the paper's "peak memory usage difference between replicas reaches
-/// 2.64×" metric (Fig. 4b). Returns 1.0 for fewer than two series or when
-/// the smallest peak is zero.
-pub fn peak_gap(series: &[&TimeSeries]) -> f64 {
-    let peaks: Vec<f64> = series.iter().map(|s| s.peak()).collect();
-    let max = peaks.iter().copied().fold(f64::MIN, f64::max);
-    let min = peaks.iter().copied().fold(f64::MAX, f64::min);
-    if peaks.len() < 2 || min <= 0.0 {
-        1.0
-    } else {
-        max / min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,26 +249,5 @@ mod tests {
         assert_eq!(ts.value_at(t(15)), Some(1.0));
         assert_eq!(ts.value_at(t(20)), Some(2.0));
         assert_eq!(ts.value_at(t(99)), Some(2.0));
-    }
-
-    #[test]
-    fn peak_gap_matches_definition() {
-        let mut a = TimeSeries::new("a");
-        let mut b = TimeSeries::new("b");
-        a.record(t(0), 0.25);
-        b.record(t(0), 0.66);
-        let gap = peak_gap(&[&a, &b]);
-        assert!((gap - 0.66 / 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peak_gap_degenerate_cases() {
-        let a = TimeSeries::new("a");
-        assert_eq!(peak_gap(&[]), 1.0);
-        assert_eq!(peak_gap(&[&a]), 1.0);
-        let mut b = TimeSeries::new("b");
-        b.record(t(0), 0.5);
-        // One empty series → min peak 0 → ratio undefined → 1.0.
-        assert_eq!(peak_gap(&[&a, &b]), 1.0);
     }
 }

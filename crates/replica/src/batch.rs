@@ -150,12 +150,6 @@ pub struct ReplicaStats {
     pub cached_prompt_tokens: u64,
     /// Output tokens generated.
     pub generated_tokens: u64,
-    /// Continuous-batching iterations executed.
-    pub iterations: u64,
-    /// Peak concurrent batch size observed.
-    pub peak_batch: u32,
-    /// Peak KV utilization observed (0–1).
-    pub peak_kv_utilization: f64,
     /// Running decodes preempted by the batch policy (their generated
     /// output was discarded and the request re-queued). Re-admissions
     /// count again in `admitted`.
@@ -579,12 +573,6 @@ impl Replica {
             });
         }
 
-        self.stats.iterations += 1;
-        self.stats.peak_batch = self
-            .stats
-            .peak_batch
-            .max((self.running.len() + out.completions.len()) as u32);
-        self.stats.peak_kv_utilization = self.stats.peak_kv_utilization.max(self.kv_utilization());
         // Promote-on-hit cost: host→GPU KV movement triggered by this
         // iteration's admissions rides on the iteration clock, exactly
         // like the prefill work it replaced. Untiered caches never
@@ -876,8 +864,6 @@ mod tests {
         assert_eq!(s.completed, 4);
         assert_eq!(s.generated_tokens, 8);
         assert_eq!(s.prompt_tokens, 12);
-        assert!(s.iterations >= 2);
-        assert!(s.peak_batch >= 1);
         assert!(s.cached_prompt_tokens > 0, "identical prompts share cache");
     }
 

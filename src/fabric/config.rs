@@ -15,20 +15,8 @@ pub struct FabricConfig {
     /// Wide-area latency model.
     pub net: LatencyModel,
     /// Selective-pushing probe interval (the paper uses 100 ms, §4.1).
+    /// Clamped to at least one millisecond, as is the telemetry interval.
     pub probe_interval: SimDuration,
-    /// How far ahead the fabric polls the scenario's [`TrafficSource`](crate::TrafficSource)
-    /// for upcoming client arrivals. Arrivals keep their exact instants
-    /// regardless — this only batches the pull; smaller is more polls,
-    /// larger is bigger batches. Clamped to at least one millisecond so
-    /// the poll loop always advances virtual time at a sane rate (as are
-    /// the probe, fleet-poll, and telemetry intervals).
-    pub traffic_poll_interval: SimDuration,
-    /// How often the fabric polls the scenario's [`FleetPlan`](crate::FleetPlan) with a
-    /// fresh [`FleetObservation`](crate::FleetObservation). Scheduled commands keep their exact
-    /// instants regardless (the poll looks one interval ahead); this
-    /// sets the control plane's reaction latency for *reactive* plans
-    /// (autoscalers). Clamped to at least one millisecond.
-    pub fleet_poll_interval: SimDuration,
     /// Hard stop; the run ends even if clients are unfinished.
     pub deadline: SimTime,
     /// Construction parameters of every balancer's routing policies —
@@ -72,25 +60,30 @@ impl FabricConfig {
     /// period.
     pub(super) const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
+    /// How often, and how far ahead, the fabric polls the scenario's
+    /// [`TrafficSource`](crate::TrafficSource) and [`FleetPlan`](crate::FleetPlan).
+    /// Arrivals and scheduled commands keep their exact instants at any
+    /// cadence (the poll looks one interval ahead), so for them this
+    /// only batches the pull; for a *reactive* plan (an autoscaler) it is
+    /// the control plane's reaction latency, which the calibrated
+    /// autoscaler tables assume.
+    pub(super) const POLL_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
     /// Controller failure-detection timeout.
     pub(super) const CONTROLLER_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
     /// Client retry delay after losing a request to a dead balancer.
     pub(super) const RETRY_DELAY: SimDuration = SimDuration::from_secs(1);
 
-    /// This config as the world runs it: every interval that paces a
-    /// self-rescheduling event (`ProbeTick`, `TrafficPoll`, `FleetPoll`,
-    /// `TelemetryTick`) is at least [`Self::MIN_TICK`]. A zero interval
-    /// would re-enqueue its tick at the same instant forever and the run
-    /// would never reach the deadline; a sub-millisecond one buys nothing
-    /// (arrivals and fleet commands keep their exact instants via the
-    /// look-ahead).
+    /// This config as the world runs it: the two configurable intervals
+    /// that pace a self-rescheduling event (`ProbeTick`, `TelemetryTick`)
+    /// are at least [`Self::MIN_TICK`]. A zero interval would re-enqueue
+    /// its tick at the same instant forever and the run would never
+    /// reach the deadline.
     pub(super) fn clamped(&self) -> FabricConfig {
         let mut cfg = self.clone();
         let clamp = |interval: &mut SimDuration| *interval = (*interval).max(Self::MIN_TICK);
         clamp(&mut cfg.probe_interval);
-        clamp(&mut cfg.traffic_poll_interval);
-        clamp(&mut cfg.fleet_poll_interval);
         if let Some(t) = cfg.telemetry.as_mut() {
             clamp(&mut t.interval);
         }
@@ -104,8 +97,6 @@ impl Default for FabricConfig {
             seed: 0xD1CE,
             net: LatencyModel::default_wan(),
             probe_interval: SimDuration::from_millis(100),
-            traffic_poll_interval: SimDuration::from_millis(500),
-            fleet_poll_interval: SimDuration::from_millis(500),
             deadline: SimTime::from_secs(4 * 3600),
             policy: PolicyParams::default(),
             trace: None,

@@ -110,14 +110,11 @@ impl Observers {
     /// The first token reached the client in `region` (the TTFT instant).
     pub(crate) fn first_token_delivered(&mut self, req: u64, region: Region, at: SimTime) {
         self.trace(at, TraceEventKind::FirstTokenDelivered { req });
-        // Read before the first token is reported: that call settles the
-        // record of a request whose completion got here first.
-        let arrived = self.tracker.arrival_time(req);
-        self.tracker.first_token(req, at);
-        let (Some(plane), Some(arrived)) = (self.telemetry.as_mut(), arrived) else {
+        let ttft = self.tracker.first_token(req, at);
+        let (Some(plane), Some(ttft)) = (self.telemetry.as_mut(), ttft) else {
             return;
         };
-        let ttft = at.saturating_since(arrived).as_secs_f64();
+        let ttft = ttft.as_secs_f64();
         plane.registry.observe(names::TTFT_SECONDS, &[], ttft);
         let labels = [("region", region.name())];
         plane

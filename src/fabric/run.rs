@@ -8,7 +8,6 @@ use skywalker_core::{
     BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
 };
 use skywalker_fleet::FleetObservation;
-use skywalker_metrics::{peak_gap, TimeSeries};
 use skywalker_net::{DnsResolver, Endpoint, Region};
 use skywalker_replica::{ReplicaRole, ReplicaStats};
 use skywalker_sim::{DetRng, Engine, SimTime};
@@ -227,7 +226,7 @@ fn summarize(
     }
     let peak_outstanding: Vec<u32> = world.replicas.iter().map(|s| s.peak_outstanding).collect();
     let final_replicas = world.replicas.iter().filter(|s| s.is_active()).count() as u32;
-    let kv_series: Vec<TimeSeries> = world.replicas.into_iter().map(|s| s.kv_series).collect();
+    let kv_peaks: Vec<f64> = world.replicas.iter().map(|s| s.kv_peak).collect();
 
     RunSummary {
         label: scenario.label.clone(),
@@ -256,8 +255,8 @@ fn summarize(
             .max()
             .unwrap_or(0),
         peak_events,
-        kv_peak_gap: peak_gap(&kv_series.iter().collect::<Vec<_>>()),
-        kv_series,
+        kv_peak_gap: imbalance(kv_peaks.iter().copied()),
+        kv_peaks,
         fleet: FleetSummary {
             final_replicas,
             ..world.fleet.ledger

@@ -70,8 +70,9 @@ pub struct RunSummary {
     pub peak_events: usize,
     /// Max/min ratio of per-replica peak KV utilization (Fig. 4b).
     pub kv_peak_gap: f64,
-    /// Per-replica KV-utilization traces.
-    pub kv_series: Vec<TimeSeries>,
+    /// Peak KV utilization observed per replica (probe-sampled; one
+    /// entry per replica ever deployed).
+    pub kv_peaks: Vec<f64>,
     /// Fleet elasticity: per-region fleet-size traces and churn
     /// counters.
     pub fleet: FleetSummary,

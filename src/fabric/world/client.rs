@@ -75,7 +75,7 @@ impl Fabric {
         // Pull one poll interval ahead so every arrival can be scheduled
         // at its exact instant instead of being quantized to poll
         // boundaries.
-        let horizon = sched.now() + self.cfg.traffic_poll_interval;
+        let horizon = sched.now() + FabricConfig::POLL_INTERVAL;
         let t = &mut self.traffic;
         for ClientEvent { at, spec } in t.source.next_batch(horizon, &mut t.rng) {
             t.pending_arrivals += 1;
@@ -85,7 +85,7 @@ impl Fabric {
         if t.exhausted {
             self.maybe_stop(sched);
         } else {
-            sched.after(self.cfg.traffic_poll_interval, Ev::TrafficPoll);
+            sched.after(FabricConfig::POLL_INTERVAL, Ev::TrafficPoll);
         }
     }
 

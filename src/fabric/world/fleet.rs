@@ -10,7 +10,7 @@ use skywalker_replica::{ReplicaId, ReplicaRole, Request};
 use skywalker_sim::{DetRng, SimTime};
 
 use super::{Ev, Fabric, LbSlot, ReplicaHealth, ReplicaSlot, Sched};
-use crate::fabric::FleetSummary;
+use crate::fabric::{FabricConfig, FleetSummary};
 
 /// The fleet control plane's state: the plan being polled and the
 /// elasticity ledger that becomes the run's [`FleetSummary`].
@@ -92,14 +92,14 @@ impl Fabric {
         // Look one poll interval ahead so every scheduled command can
         // fire at its exact instant instead of being quantized to poll
         // boundaries.
-        let horizon = now + self.cfg.fleet_poll_interval;
+        let horizon = now + FabricConfig::POLL_INTERVAL;
         for FleetCommand { at, event } in
             plan.next_events(horizon, &fleet.observation, &mut fleet.rng)
         {
             sched.at(at, Ev::FleetApply { event });
         }
         if !plan.is_done() {
-            sched.after(self.cfg.fleet_poll_interval, Ev::FleetPoll);
+            sched.after(FabricConfig::POLL_INTERVAL, Ev::FleetPoll);
         }
     }
 

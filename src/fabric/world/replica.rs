@@ -3,7 +3,6 @@
 //! drive the continuous-batching step loop, and stream outputs back.
 
 use skywalker_core::LbId;
-use skywalker_metrics::TimeSeries;
 use skywalker_net::Region;
 use skywalker_replica::{
     Advance, Completion, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId,
@@ -40,8 +39,9 @@ pub(crate) struct ReplicaSlot {
     pub(crate) health: ReplicaHealth,
     /// An iteration is in flight (`Ev::IterationDone` is scheduled).
     pub(crate) stepping: bool,
-    /// Probe-sampled KV utilization.
-    pub(crate) kv_series: TimeSeries,
+    /// Peak KV utilization, sampled at every probe tick it was not
+    /// crashed for.
+    pub(crate) kv_peak: f64,
     /// Peak outstanding requests its balancer ever saw (probe-sampled).
     pub(crate) peak_outstanding: u32,
     /// Cumulative evicted-token count at the last trace point, for
@@ -80,7 +80,7 @@ impl Fabric {
             role,
             health: ReplicaHealth::Active,
             stepping: false,
-            kv_series: TimeSeries::new(format!("replica-{}/kv", rid.0)),
+            kv_peak: 0.0,
             peak_outstanding: 0,
             last_evicted: 0,
         });

@@ -27,9 +27,11 @@ impl Fabric {
                 )
             });
         }
+        // Not part of the probe walk above: no balancer probes a
+        // decode-only replica, or any replica while its balancer is down.
         for slot in &mut self.replicas {
             if slot.health != ReplicaHealth::Crashed {
-                slot.kv_series.record(now, slot.replica.kv_utilization());
+                slot.kv_peak = slot.kv_peak.max(slot.replica.kv_utilization());
             }
         }
         if self.forward_enabled {

@@ -17,12 +17,13 @@
 //! lease or a tracker record; this suite closes all three.
 
 use skywalker::sim::{SimDuration, SimTime};
+use skywalker::telemetry::{names, SampleValue};
 use skywalker::{
     balanced_fleet, disagg_scenario, lite_fleet, memory_pressure_scenario, run_scenario,
     workload_clients, AutoscalerConfig, BatchPlan, BatchPolicy, ChaosConfig, ChaosPlan,
     DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdSource, LruEvictor, NoEvict,
-    PrefixAwareEvictor, RunSummary, Scenario, ShortestPromptFirst, StepView, SystemKind,
-    ThresholdAutoscaler, Workload, L4_LITE, REGIONS,
+    PrefixAwareEvictor, ReplicaRole, RunSummary, Scenario, ShortestPromptFirst, StepView,
+    SystemKind, ThresholdAutoscaler, Workload, L4_LITE, REGIONS,
 };
 
 /// Independently materializes the scenario's traffic and counts every
@@ -164,7 +165,8 @@ fn preempt_storm_conserves_and_fails_nothing() {
     let engine = EngineSpec::new(Box::new(PreemptStorm { calls: 0 }), Box::new(LruEvictor));
     let scenario = memory_pressure_scenario(engine, 0.25, 9);
     let expected = injected(&scenario);
-    let s = run_scenario(&scenario, &FabricConfig::default());
+    let cfg = FabricConfig::default().telemetry(SimDuration::from_secs(1));
+    let s = run_scenario(&scenario, &cfg);
     assert!(s.preempted > 0, "the storm must actually preempt");
     assert_eq!(
         s.report.failed, 0,
@@ -172,6 +174,15 @@ fn preempt_storm_conserves_and_fails_nothing() {
     );
     assert_conserved("preempt-storm", expected, &s);
     assert_eq!(s.report.completed, expected);
+    // A preempted request's first token is delivered again; the
+    // telemetry plane samples its TTFT once, like the report.
+    let telemetry = s.telemetry.as_ref().expect("telemetry was enabled");
+    let ttft = telemetry.snapshot.get(names::TTFT_SECONDS, &[]);
+    let sketched = ttft.map(|sample| match sample.value {
+        SampleValue::Distribution { count, .. } => count,
+        _ => 0,
+    });
+    assert_eq!(sketched, Some(expected), "one TTFT sample a request");
 }
 
 /// Engine pressure: every serving engine — including the one that
@@ -281,6 +292,16 @@ fn disagg_runs_conserve_requests_and_transfers() {
                         s.transfers.started > 0,
                         "{tag}: split mode never handed off"
                     );
+                    // No balancer probes a decode-only replica, yet its
+                    // KV peak is sampled like any other's.
+                    let mut decoders = 0;
+                    for (i, role) in scenario.roles.iter().enumerate() {
+                        if *role == ReplicaRole::DecodeOnly && s.replica_stats[i].admitted > 0 {
+                            decoders += 1;
+                            assert!(s.kv_peaks[i] > 0.0, "{tag}: decoder {i} has no KV peak");
+                        }
+                    }
+                    assert!(decoders > 0, "{tag}: no decoder landed a handoff");
                 } else {
                     assert_eq!(s.transfers.started, 0, "{tag}: colocated mode handed off");
                 }

@@ -67,11 +67,15 @@ fn scheduled_join_and_drain_lifecycle() {
     let us = s.fleet.series(REGIONS[0]).expect("US trace");
     assert_eq!(us.points().last().unwrap().1, 3.0);
     // The joined replica (id 12) materialized as a first-class member:
-    // it has stats and a probed KV trace. (Whether it *serves* under a
-    // light closed-loop load is the affinity policy's call — a fresh
-    // empty cache attracts work only when the warmed replicas fill up.)
+    // it has stats and, like every replica, a probed KV peak that is
+    // nonzero exactly if it served. (Whether it *serves* under a light
+    // closed-loop load is the affinity policy's call — a fresh empty
+    // cache attracts work only when the warmed replicas fill up.)
     assert_eq!(s.replica_stats.len(), 13);
-    assert!(!s.kv_series[12].is_empty(), "joined replica must be probed");
+    assert_eq!(s.kv_peaks.len(), 13, "one peak per replica ever deployed");
+    for (i, (peak, stats)) in s.kv_peaks.iter().zip(&s.replica_stats).enumerate() {
+        assert_eq!(*peak > 0.0, stats.admitted > 0, "replica {i}: peak {peak}");
+    }
 }
 
 #[test]
@@ -105,6 +109,18 @@ fn crash_reroutes_once_then_fails() {
         s.report.retried >= 1 || s.replica_stats[3].admitted == 0,
         "in-flight work at the crash must have rerouted"
     );
+    // The crashed replica's KV peak stops moving at the crash: a run cut
+    // short right after it (before the next probe tick) reads the same
+    // value, while the survivors' peaks went on rising.
+    let cut = FabricConfig {
+        deadline: SimTime::from_millis(10_050),
+        ..FabricConfig::default()
+    };
+    let at_crash = run_scenario(&scenario, &cut);
+    assert_eq!(at_crash.fleet.crashes, 1);
+    assert_eq!(s.kv_peaks[3], at_crash.kv_peaks[3]);
+    let mut peaks = s.kv_peaks.iter().zip(&at_crash.kv_peaks);
+    assert!(peaks.any(|(full, cut)| full > cut));
 }
 
 #[test]

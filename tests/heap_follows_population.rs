@@ -7,7 +7,8 @@
 //! lets go of work when it finishes peaks at (nearly) the same heap for
 //! both; one that keeps every admitted client's prompts grows by the
 //! added prompt bytes — or by twice that, if issuing a stage also copies
-//! it.
+//! it — and one that archives a point per replica per probe tick grows
+//! by 16 bytes for each.
 //!
 //! One `#[test]` only: the counters are process-wide.
 
@@ -110,6 +111,8 @@ struct Measured {
     peak_bytes: usize,
     /// Bytes of every prompt the source emits.
     prompt_bytes: usize,
+    /// Requests the source emits.
+    requests: u64,
 }
 
 fn measure(users: u32) -> Measured {
@@ -136,6 +139,7 @@ fn measure(users: u32) -> Measured {
     Measured {
         peak_bytes,
         prompt_bytes: prompt_tokens * size_of::<u32>(),
+        requests,
     }
 }
 
@@ -156,14 +160,19 @@ fn peak_heap_follows_the_in_flight_population() {
     );
     assert!(added_prompts > 8_000_000, "the longer run emits more");
 
-    // What may still grow with run length is a few tens of bytes per
-    // request and per probe tick (latency samples, the KV time series,
-    // the per-client cursor) — not the prompts.
+    // What may still grow with run length is the three 8-byte latency
+    // samples a request leaves and the 48-byte shell a client leaves,
+    // each in a vector that doubles — nothing per probe tick, and not
+    // the prompts. Measured: 621 846 B for 10 985 added requests and
+    // 2 000 added clients; the bound is a quarter above that.
+    const PER_REQUEST: usize = 48;
+    const PER_CLIENT: usize = 128;
+    let added_requests = (long.requests - short.requests) as usize;
+    let allowed = PER_REQUEST * added_requests + PER_CLIENT * USERS as usize;
     assert!(
-        growth < added_prompts / 4,
-        "twice the users added {:.2} MB of peak heap for {:.2} MB of added prompts",
-        mb(growth),
-        mb(added_prompts)
+        growth < allowed,
+        "twice the users added {growth} B of peak heap; {added_requests} added requests and \
+         {USERS} added clients allow {allowed} B"
     );
     for run in [&short, &long] {
         assert!(

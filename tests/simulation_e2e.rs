@@ -140,7 +140,8 @@ fn summaries_are_internally_consistent() {
     assert!(r.ttft.p50 <= r.e2e.p50, "TTFT cannot exceed E2E");
     assert!(r.cache_hit_rate >= 0.0 && r.cache_hit_rate <= 1.0);
     assert!(s.request_rate() > 0.0);
-    assert_eq!(s.kv_series.len(), s.replica_stats.len());
+    assert_eq!(s.kv_peaks.len(), s.replica_stats.len());
+    assert!(s.kv_peaks.iter().all(|p| (0.0..=1.0).contains(p)));
     // Replica-side and client-side token accounting must agree.
     let replica_generated: u64 = s.replica_stats.iter().map(|x| x.generated_tokens).sum();
     assert!(replica_generated >= r.generated_tokens);
@@ -152,24 +153,18 @@ fn summaries_are_internally_consistent() {
 #[test]
 fn zeroed_tick_intervals_still_run_to_completion() {
     use skywalker::sim::{SimDuration, SimTime};
-    use skywalker::{ChaosConfig, ChaosPlan, TelemetryConfig};
+    use skywalker::TelemetryConfig;
     type Zero = fn(&mut FabricConfig);
-    let zeroed: [(&str, Zero); 4] = [
+    let zeroed: [(&str, Zero); 2] = [
         ("probe", |c| c.probe_interval = SimDuration::ZERO),
-        ("traffic_poll", |c| {
-            c.traffic_poll_interval = SimDuration::ZERO
-        }),
-        ("fleet_poll", |c| c.fleet_poll_interval = SimDuration::ZERO),
         ("telemetry", |c| {
             c.telemetry = Some(TelemetryConfig::every(SimDuration::ZERO))
         }),
     ];
-    // A chaos plan never finishes, so `FleetPoll` keeps rescheduling.
     let scenario = SystemKind::SkyWalker
         .builder()
         .fig8_fleet(Workload::Arena)
         .workload(Workload::Arena, 0.01, 3)
-        .fleet_plan(Box::new(ChaosPlan::new(ChaosConfig::default(), 3)))
         .build()
         .expect("fleet and workload are set");
     for (name, zero) in zeroed {
