@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use skywalker_metrics::json::{self, Val};
-use skywalker_metrics::Spread;
+use skywalker_metrics::Summary;
 
 use crate::exec::{CellResult, SweepResult};
 
@@ -51,17 +51,18 @@ const REPLICATE_ROW: &[(&str, &str)] = &[
     ("replica_seconds", "replica_seconds"),
 ];
 
-/// `mean [min, max]` with `prec` decimals, collapsing to just the mean
-/// when there is a single replicate.
-fn spread_cell(s: &Spread, prec: usize) -> String {
+/// `mean [min, max]` scaled by `scale`, with `prec` decimals, collapsing
+/// to just the mean when there is a single replicate.
+fn spread_cell(s: &Summary, scale: f64, prec: usize) -> String {
+    let (mean, min, max) = (scale * s.mean, scale * s.min, scale * s.max);
     if s.count <= 1 {
-        format!("{:.prec$}", s.mean)
+        format!("{mean:.prec$}")
     } else {
-        format!("{:.prec$} [{:.prec$}, {:.prec$}]", s.mean, s.min, s.max)
+        format!("{mean:.prec$} [{min:.prec$}, {max:.prec$}]")
     }
 }
 
-fn spread_fields(key: &'static str, s: &Spread, out: &mut Vec<(String, Val)>) {
+fn spread_fields(key: &'static str, s: &Summary, out: &mut Vec<(String, Val)>) {
     out.push((format!("{key}_mean"), Val::from(s.mean)));
     out.push((format!("{key}_min"), Val::from(s.min)));
     out.push((format!("{key}_max"), Val::from(s.max)));
@@ -85,25 +86,17 @@ impl SweepResult {
         let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
         for c in &self.cells {
             let st = &c.stats;
-            let hit = Spread {
-                count: st.hit_rate.count,
-                mean: 100.0 * st.hit_rate.mean,
-                min: 100.0 * st.hit_rate.min,
-                max: 100.0 * st.hit_rate.max,
-                p50: 100.0 * st.hit_rate.p50,
-                p90: 100.0 * st.hit_rate.p90,
-            };
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} | {} |",
                 c.label,
                 st.replicates,
-                spread_cell(&st.throughput_tps, 0),
-                spread_cell(&st.ttft_p50, 3),
-                spread_cell(&st.ttft_p90, 3),
-                spread_cell(&hit, 1),
-                spread_cell(&st.replica_seconds, 0),
-                spread_cell(&st.cost_usd, 2),
+                spread_cell(&st.throughput_tps, 1.0, 0),
+                spread_cell(&st.ttft_p50, 1.0, 3),
+                spread_cell(&st.ttft_p90, 1.0, 3),
+                spread_cell(&st.hit_rate, 100.0, 1),
+                spread_cell(&st.replica_seconds, 1.0, 0),
+                spread_cell(&st.cost_usd, 1.0, 2),
             );
         }
         out

@@ -2,42 +2,42 @@
 
 use skywalker::RunSummary;
 use skywalker_cost::{replica_seconds_cost, Pricing};
-use skywalker_metrics::Spread;
+use skywalker_metrics::Summary;
 
 use crate::exec::ReplicateRun;
 
 /// Seed-to-seed aggregates of one cell: every headline metric as a
-/// [`Spread`] (mean with min/max whiskers across replicates).
+/// [`Summary`] across replicates (the tables read mean, min and max).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellStats {
     /// Replicates aggregated.
     pub replicates: usize,
     /// TTFT median, seconds.
-    pub ttft_p50: Spread,
+    pub ttft_p50: Summary,
     /// TTFT 90th percentile, seconds.
-    pub ttft_p90: Spread,
+    pub ttft_p90: Summary,
     /// Service throughput, tokens per second.
-    pub throughput_tps: Spread,
+    pub throughput_tps: Summary,
     /// Replica-measured prefix-cache hit ratio.
-    pub hit_rate: Spread,
+    pub hit_rate: Summary,
     /// Requests completed.
-    pub completed: Spread,
+    pub completed: Summary,
     /// Requests failed.
-    pub failed: Spread,
+    pub failed: Summary,
     /// Cross-region forwards.
-    pub forwarded: Spread,
+    pub forwarded: Summary,
     /// Capacity spent: [`RunSummary::replica_seconds`] of each run.
-    pub replica_seconds: Spread,
+    pub replica_seconds: Summary,
     /// Reserved-rate price of that capacity
     /// ([`Pricing::P5_48XLARGE`], via `skywalker-cost`).
-    pub cost_usd: Spread,
+    pub cost_usd: Summary,
 }
 
 impl CellStats {
     /// Aggregates one cell's replicate runs.
     pub fn from_runs(runs: &[ReplicateRun]) -> CellStats {
         let of = |f: &dyn Fn(&RunSummary) -> f64| {
-            Spread::from_samples(&runs.iter().map(|r| f(&r.summary)).collect::<Vec<_>>())
+            Summary::of(&runs.iter().map(|r| f(&r.summary)).collect::<Vec<_>>())
         };
         CellStats {
             replicates: runs.len(),

@@ -58,7 +58,7 @@ pub const RULES: [RuleInfo; 7] = [
         id: "D05",
         title: "no float accumulation across unordered iteration",
         hint: "accumulate integers, or sort (BTree order / sorted collect) \
-               before reducing floats — see Histogram::summary",
+               before reducing floats — see Summary::of",
     },
     RuleInfo {
         id: "D06",

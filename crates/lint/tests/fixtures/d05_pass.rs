@@ -1,5 +1,5 @@
 //! D05 fixture — reduce floats in a fixed order (BTree key order here;
-//! sorting a collected Vec first also works — see Histogram::summary).
+//! sorting a collected Vec first also works — see Summary::of).
 
 use std::collections::BTreeMap;
 

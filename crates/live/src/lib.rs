@@ -308,6 +308,10 @@ mod tests {
             .run(&Request::new(10, "u", prompt.clone(), 2))
             .unwrap();
         assert_eq!(cold.cached_prompt_tokens, 0);
+        // A probe that sampled the serving replica between enqueue and
+        // admission reported it pending, and SP-P would steer the repeat
+        // away: wait until a later probe has reported both replicas free.
+        await_metric(lb.addr(), "skywalker_lb_available_replicas", 2.0);
         // The repeat must land on the same replica and hit its cache.
         let warm = client
             .run(&Request::new(11, "u", prompt.clone(), 2))

@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_sim::{SimDuration, SimTime};
 
-use crate::histogram::{Histogram, Summary};
+use crate::summary::Summary;
 
 #[derive(Debug)]
 struct Record {
@@ -49,15 +49,16 @@ impl Record {
 }
 
 /// The per-record part of a [`RunReport`], summed over a set of records.
-/// Every reduction is order-insensitive — integer sums, and histograms
-/// whose summary sorts before it sums — so settled records can be added
+/// Every reduction is order-insensitive — integer sums, and samples that
+/// [`Summary::of`] sorts before it sums — so settled records can be added
 /// as they finish and the rest at report time with the same result as
-/// one pass over all of them.
+/// one pass over all of them. The samples (seconds, and hop counts) are
+/// finite by construction, as [`Summary::of_in_place`] needs.
 #[derive(Debug, Default)]
 struct Totals {
-    ttft: Histogram,
-    e2e: Histogram,
-    hops: Histogram,
+    ttft: Vec<f64>,
+    e2e: Vec<f64>,
+    hops: Vec<f64>,
     completed: u64,
     in_flight: u64,
     prompt_tokens: u64,
@@ -69,18 +70,17 @@ struct Totals {
 impl Totals {
     fn add(&mut self, r: &Record) {
         if let Some(ft) = r.first_token {
-            self.ttft
-                .record(ft.saturating_since(r.arrived).as_secs_f64());
+            self.ttft.push(ft.saturating_since(r.arrived).as_secs_f64());
         }
         if let Some(h) = r.hops {
-            self.hops.record(h as f64);
+            self.hops.push(f64::from(h));
         }
         self.retry_events += r.retries as u64;
         match r.completed {
             Some(done) => {
                 self.completed += 1;
                 self.e2e
-                    .record(done.saturating_since(r.arrived).as_secs_f64());
+                    .push(done.saturating_since(r.arrived).as_secs_f64());
                 self.prompt_tokens += r.prompt_tokens;
                 self.cached_tokens += r.cached_prompt_tokens;
                 self.generated_tokens += r.generated_tokens;
@@ -275,16 +275,17 @@ impl RequestTracker {
     /// `run_end` bounds the measurement window for throughput: tokens of
     /// completed requests divided by the window length. TTFT and end-to-end
     /// distributions include only requests that reached the respective
-    /// lifecycle point.
-    pub fn report(&self, run_end: SimTime) -> RunReport {
+    /// lifecycle point. Takes `&mut self` only to sort the settled samples
+    /// in place; calling it changes no later report.
+    pub fn report(&mut self, run_end: SimTime) -> RunReport {
         // The sums continue from the settled ones; the open records'
         // samples are gathered apart, so that the settled samples are
         // summarized where they are instead of being copied first.
-        let settled = &self.settled;
+        let settled = &mut self.settled;
         let mut t = Totals {
-            ttft: Histogram::new(),
-            e2e: Histogram::new(),
-            hops: Histogram::new(),
+            ttft: Vec::new(),
+            e2e: Vec::new(),
+            hops: Vec::new(),
             ..*settled
         };
         for r in self.records.iter().flatten() {
@@ -311,11 +312,21 @@ impl RequestTracker {
             } else {
                 0.0
             },
-            ttft: settled.ttft.summary_with(&t.ttft),
-            e2e: settled.e2e.summary_with(&t.e2e),
-            hops: settled.hops.summary_with(&t.hops),
+            ttft: summary_with(&mut settled.ttft, t.ttft),
+            e2e: summary_with(&mut settled.e2e, t.e2e),
+            hops: summary_with(&mut settled.hops, t.hops),
         }
     }
+}
+
+/// The summary of the `settled` and `open` samples taken together. Sorts
+/// `settled` in place, and copies it only if `open` has any samples.
+fn summary_with(settled: &mut [f64], mut open: Vec<f64>) -> Summary {
+    if open.is_empty() {
+        return Summary::of_in_place(settled);
+    }
+    open.extend_from_slice(settled);
+    Summary::of_in_place(&mut open)
 }
 
 /// Aggregated results of one experiment run.
@@ -410,8 +421,7 @@ mod tests {
         }
 
         fn report(&self, run_end: SimTime) -> RunReport {
-            let (mut ttft, mut e2e, mut hops) =
-                (Histogram::new(), Histogram::new(), Histogram::new());
+            let (mut ttft, mut e2e, mut hops) = (Vec::new(), Vec::new(), Vec::new());
             let mut r = RunReport {
                 completed: 0,
                 in_flight: 0,
@@ -429,16 +439,16 @@ mod tests {
             };
             for k in self.requests.values() {
                 if let Some(ft) = k.first_token {
-                    ttft.record(ft.saturating_since(k.arrived).as_secs_f64());
+                    ttft.push(ft.saturating_since(k.arrived).as_secs_f64());
                 }
                 if let Some(h) = k.hops {
-                    hops.record(f64::from(h));
+                    hops.push(f64::from(h));
                 }
                 r.retry_events += k.retries;
                 match k.completed {
                     Some((at, generated, cached)) => {
                         r.completed += 1;
-                        e2e.record(at.saturating_since(k.arrived).as_secs_f64());
+                        e2e.push(at.saturating_since(k.arrived).as_secs_f64());
                         r.prompt_tokens += k.prompt;
                         r.cached_prompt_tokens += cached.min(k.prompt);
                         r.generated_tokens += generated;
@@ -454,7 +464,7 @@ mod tests {
             if r.prompt_tokens > 0 {
                 r.cache_hit_rate = r.cached_prompt_tokens as f64 / r.prompt_tokens as f64;
             }
-            (r.ttft, r.e2e, r.hops) = (ttft.summary(), e2e.summary(), hops.summary());
+            (r.ttft, r.e2e, r.hops) = (Summary::of(&ttft), Summary::of(&e2e), Summary::of(&hops));
             r
         }
     }
@@ -750,16 +760,16 @@ mod tests {
     #[test]
     fn outcomes_reported() {
         let mut t = RequestTracker::new();
-        let outcomes = |t: &RequestTracker| {
+        let outcomes = |t: &mut RequestTracker| {
             let r = t.report(SimTime::from_secs(1));
             (r.in_flight, r.completed, r.failed)
         };
         t.arrival(1, ms(0), 10);
-        assert_eq!(outcomes(&t), (1, 0, 0));
+        assert_eq!(outcomes(&mut t), (1, 0, 0));
         t.completion(1, ms(5), 1, 0);
-        assert_eq!(outcomes(&t), (0, 1, 0));
+        assert_eq!(outcomes(&mut t), (0, 1, 0));
         t.completion(2, ms(5), 1, 0); // never registered: no outcome
-        assert_eq!(outcomes(&t), (0, 1, 0));
+        assert_eq!(outcomes(&mut t), (0, 1, 0));
         assert_eq!(t.len(), 1);
     }
 

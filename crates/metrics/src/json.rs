@@ -4,7 +4,7 @@
 //! offline with zero external dependencies.
 //!
 //! This lives in the metrics crate so every reporting layer — the sweep
-//! lab, the golden suites, the telemetry export — shares one serializer.
+//! lab and the golden suites — shares one serializer.
 
 use std::fmt::Write as _;
 
@@ -166,7 +166,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_report_renders_valid_structure() {
+    fn report_renders_valid_structure() {
         let mut rep = Report::new("fig_test");
         rep.meta("scale", 0.25);
         rep.meta("seed", 8u64);

@@ -1,10 +1,8 @@
-//! Snapshot exporters: Prometheus text exposition, JSON, markdown.
+//! Snapshot exporters: Prometheus text exposition and markdown.
 //!
-//! All three render a [`MetricsSnapshot`], whose samples are already in
+//! Both render a [`MetricsSnapshot`], whose samples are already in
 //! deterministic `(name, labels)` order — so every exporter's output is a
 //! pure function of the registry contents, byte-for-byte reproducible.
-
-use skywalker_metrics::json::{Report, Val};
 
 use crate::registry::{MetricsSnapshot, SampleValue};
 
@@ -125,58 +123,6 @@ pub fn markdown_table(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders a snapshot as a [`Report`] (the workspace's hand-rolled JSON):
-/// one row per series, with distribution rows carrying
-/// count/sum/p50/p90/p99/min/max columns.
-pub fn json_report(name: &str, snap: &MetricsSnapshot) -> Report {
-    let mut report = Report::new(name);
-    report.meta("series", snap.len() as u64);
-    for sample in &snap.samples {
-        let labels = sample
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let metric: &str = &sample.name;
-        match &sample.value {
-            SampleValue::Counter(c) => report.row(&[
-                ("metric", Val::from(metric)),
-                ("labels", Val::from(labels)),
-                ("kind", Val::from("counter")),
-                ("value", Val::from(*c)),
-            ]),
-            SampleValue::Gauge(v) => report.row(&[
-                ("metric", Val::from(metric)),
-                ("labels", Val::from(labels)),
-                ("kind", Val::from("gauge")),
-                ("value", Val::from(*v)),
-            ]),
-            SampleValue::Distribution {
-                count,
-                sum,
-                p50,
-                p90,
-                p99,
-                min,
-                max,
-            } => report.row(&[
-                ("metric", Val::from(metric)),
-                ("labels", Val::from(labels)),
-                ("kind", Val::from("distribution")),
-                ("count", Val::from(*count)),
-                ("sum", Val::from(*sum)),
-                ("p50", Val::from(*p50)),
-                ("p90", Val::from(*p90)),
-                ("p99", Val::from(*p99)),
-                ("min", Val::from(*min)),
-                ("max", Val::from(*max)),
-            ]),
-        }
-    }
-    report
-}
-
 /// Formats a label block: `{a="1",b="2"}` (with an optional trailing
 /// `quantile` label), or the empty string when there are no labels.
 fn label_block(labels: &[(String, String)], quantile: Option<&str>) -> String {
@@ -278,15 +224,6 @@ mod tests {
         assert_eq!(md.lines().count(), 2 + 4);
         assert!(md.contains("| queue_depth | — | 3.5 |"));
         assert!(md.contains("region=us-east-1"));
-    }
-
-    #[test]
-    fn json_report_renders() {
-        let report = json_report("telemetry_demo", &demo_registry().snapshot());
-        assert_eq!(report.len(), 4);
-        let rendered = report.render();
-        assert!(rendered.contains("\"kind\": \"distribution\""));
-        assert!(rendered.contains("\"metric\": \"requests_total\""));
     }
 
     #[test]

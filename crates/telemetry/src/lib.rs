@@ -2,12 +2,12 @@
 //!
 //! Where `skywalker-trace` answers *where did this run's latency go* after
 //! the fact, this crate answers *what is the P90 right now*: a labeled
-//! [`MetricsRegistry`] of counters, gauges, and mergeable
-//! [`QuantileSketch`] distributions, sampled on a sim-time cadence into
-//! bounded [`TimeSeries`], and exported as Prometheus text exposition,
-//! JSON, or markdown. The same registry + exposition path — and the same
-//! [`names`] table — serves the live TCP plane, so a running cluster is
-//! scrapeable with `nc`.
+//! [`MetricsRegistry`] of counters, gauges, and [`QuantileSketch`]
+//! distributions (one fixed 1% error bound, [`RELATIVE_ERROR`]), sampled
+//! on a sim-time cadence into bounded [`TimeSeries`], and exported as
+//! Prometheus text exposition or markdown. The same registry + exposition
+//! path — and the same [`names`] table — serves the live TCP plane, so a
+//! running cluster is scrapeable with `nc`.
 //!
 //! Everything is deterministic by construction: integer bucket indices in
 //! `BTreeMap`s, exact integer counts, snapshot order a pure function of
@@ -33,11 +33,11 @@ mod registry;
 mod sketch;
 mod sparkline;
 
-pub use export::{json_report, markdown_table, prometheus_text};
+pub use export::{markdown_table, prometheus_text};
 pub use registry::{
     MetricKey, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
 };
-pub use sketch::{QuantileSketch, DEFAULT_RELATIVE_ERROR, MIN_TRACKED};
+pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
 pub use sparkline::sparkline;
 
 use skywalker_metrics::TimeSeries;
@@ -94,7 +94,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_series_lookup() {
+    fn telemetry_series_lookup() {
         let summary = TelemetrySummary {
             interval: SimDuration::from_secs(1),
             ticks: 2,

@@ -78,26 +78,12 @@ enum Metric {
 pub struct MetricsRegistry {
     metrics: BTreeMap<MetricKey, Metric>,
     kinds: BTreeMap<String, MetricKind>,
-    relative_error: f64,
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry; new distributions use the sketch's default
-    /// relative-error bound.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            metrics: BTreeMap::new(),
-            kinds: BTreeMap::new(),
-            relative_error: crate::sketch::DEFAULT_RELATIVE_ERROR,
-        }
-    }
-
-    /// Creates an empty registry whose distributions use the given
-    /// relative-error bound.
-    pub fn with_relative_error(alpha: f64) -> Self {
-        let mut reg = MetricsRegistry::new();
-        reg.relative_error = QuantileSketch::with_relative_error(alpha).relative_error();
-        reg
+        MetricsRegistry::default()
     }
 
     /// Number of registered series (name × label-set pairs).
@@ -148,11 +134,10 @@ impl MetricsRegistry {
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.check_kind(name, MetricKind::Distribution);
         let key = MetricKey::new(name, labels);
-        let alpha = self.relative_error;
         match self
             .metrics
             .entry(key)
-            .or_insert_with(|| Metric::Sketch(QuantileSketch::with_relative_error(alpha)))
+            .or_insert_with(|| Metric::Sketch(QuantileSketch::new()))
         {
             Metric::Sketch(s) => s.record(v),
             _ => unreachable!("kind checked above"),
@@ -183,30 +168,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merges `other` into `self`: counters add, gauges take `other`'s
-    /// value, sketches merge bucket-wise. Panics on a kind conflict for the
-    /// same name.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, kind) in &other.kinds {
-            self.check_kind(name, *kind);
-        }
-        for (key, metric) in &other.metrics {
-            match self.metrics.entry(key.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(metric.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    match (e.get_mut(), metric) {
-                        (Metric::Counter(a), Metric::Counter(b)) => *a += b,
-                        (Metric::Gauge(a), Metric::Gauge(b)) => *a = *b,
-                        (Metric::Sketch(a), Metric::Sketch(b)) => a.merge(b),
-                        _ => unreachable!("kinds checked above"),
-                    }
-                }
-            }
-        }
-    }
-
     /// A point-in-time snapshot of every series, in deterministic
     /// `(name, labels)` order.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -225,8 +186,6 @@ impl MetricsRegistry {
                         p50: s.quantile(0.50),
                         p90: s.quantile(0.90),
                         p99: s.quantile(0.99),
-                        min: s.min(),
-                        max: s.max(),
                     },
                 },
             })
@@ -254,7 +213,7 @@ pub enum SampleValue {
     Counter(u64),
     /// Point-in-time gauge.
     Gauge(f64),
-    /// Sketch distribution rollup: exact count/sum/min/max, approximate
+    /// Sketch distribution rollup: exact count and sum, approximate
     /// percentiles (within the sketch's relative-error bound).
     Distribution {
         /// Exact observation count.
@@ -267,10 +226,6 @@ pub enum SampleValue {
         p90: f64,
         /// Approximate 99th percentile.
         p99: f64,
-        /// Exact smallest observation.
-        min: f64,
-        /// Exact largest observation.
-        max: f64,
     },
 }
 
@@ -392,26 +347,6 @@ mod tests {
         assert_eq!(snap.samples[0].name, "a_gauge");
         assert_eq!(snap.samples[0].labels, vec![("r".into(), "1".into())]);
         assert_eq!(snap.samples[2].name, "z_total");
-    }
-
-    #[test]
-    fn merge_combines_by_kind() {
-        let mut a = MetricsRegistry::new();
-        a.inc("c_total", &[], 2);
-        a.set_gauge("g", &[], 1.0);
-        a.observe("d", &[], 10.0);
-
-        let mut b = MetricsRegistry::new();
-        b.inc("c_total", &[], 3);
-        b.set_gauge("g", &[], 9.0);
-        b.observe("d", &[], 20.0);
-        b.observe("only_b", &[], 1.0);
-
-        a.merge(&b);
-        assert_eq!(a.counter("c_total", &[]), 5);
-        assert_eq!(a.gauge("g", &[]), Some(9.0));
-        assert_eq!(a.sketch("d", &[]).unwrap().count(), 2);
-        assert_eq!(a.sketch("only_b", &[]).unwrap().count(), 1);
     }
 
     #[test]

@@ -1,27 +1,26 @@
-//! Mergeable log-bucketed quantile sketch.
+//! Log-bucketed quantile sketch.
 //!
-//! [`Histogram`](skywalker_metrics::Histogram) keeps every sample, which is
-//! exact but costs O(n) memory and an O(n log n) sort per query — the wrong
-//! trade for million-request runs or for answering "what is the P90 *right
-//! now*" mid-flight. `QuantileSketch` trades a bounded *relative* error for
+//! The exact path ([`Summary::of`](skywalker_metrics::Summary::of)) keeps
+//! every sample and sorts them once, at the end of a run — the wrong trade
+//! for answering "what is the P90 *right now*" mid-flight, on every
+//! telemetry tick. `QuantileSketch` trades a bounded *relative* error for
 //! O(buckets) memory and query time: values are counted in exponentially
 //! sized buckets (`bucket i` covers `(γ^(i-1), γ^i]` with
-//! `γ = (1+α)/(1−α)`), so any quantile estimate is within a factor `α` of an
-//! exact sample at that rank. Counts and the sum stay exact.
+//! `γ = (1+α)/(1−α)`), so any quantile estimate is within a factor `α` of
+//! an exact sample at that rank. Counts and the sum stay exact.
 //!
-//! Determinism: buckets are integer indices in a `BTreeMap`, all counters are
-//! integers, and merging two sketches adds bucket counts — so a merge of two
-//! sketches is order-invariant (`merge(a, b)` and `merge(b, a)` produce
-//! byte-identical state, checkable via [`QuantileSketch::digest`]).
+//! Determinism: buckets are integer indices in a `BTreeMap` and all
+//! counters are integers, so the sketch's state is a pure function of the
+//! recorded values.
 
 use std::collections::BTreeMap;
 
-use skywalker_metrics::Summary;
-use skywalker_sim::{fnv1a_bytes, FNV_OFFSET};
+/// The relative-error bound `α` (1%): a reported P90 of 100ms means the
+/// exact rank-0.90 sample lies in `[99ms, 101ms]`.
+pub const RELATIVE_ERROR: f64 = 0.01;
 
-/// The default relative-error bound `α` (1%): a reported P90 of 100ms means
-/// the exact rank-0.90 sample lies in `[99ms, 101ms]`.
-pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
+/// Bucket growth factor `γ = (1+α)/(1−α)`.
+const GAMMA: f64 = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
 
 /// Values at or below this threshold land in the dedicated zero bucket and
 /// are reported as exactly `0.0`. A relative-error guarantee is meaningless
@@ -30,8 +29,8 @@ pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
 /// resolution anyway.
 pub const MIN_TRACKED: f64 = 1e-12;
 
-/// A deterministic, mergeable quantile sketch with a fixed relative-error
-/// bound (DDSketch-style log buckets).
+/// A deterministic quantile sketch with the fixed relative-error bound
+/// [`RELATIVE_ERROR`] (DDSketch-style log buckets).
 ///
 /// # Examples
 ///
@@ -49,10 +48,6 @@ pub const MIN_TRACKED: f64 = 1e-12;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// Relative-error bound `α`.
-    alpha: f64,
-    /// Bucket growth factor `γ = (1+α)/(1−α)`.
-    gamma: f64,
     /// Cached `1 / ln(γ)` for index computation.
     inv_ln_gamma: f64,
     /// Bucket index → count, for values above [`MIN_TRACKED`]. Bucket `i`
@@ -77,27 +72,10 @@ impl Default for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Creates an empty sketch with the default 1% relative-error bound.
+    /// Creates an empty sketch.
     pub fn new() -> Self {
-        QuantileSketch::with_relative_error(DEFAULT_RELATIVE_ERROR)
-    }
-
-    /// Creates an empty sketch with relative-error bound `alpha`, clamped to
-    /// `[0.0001, 0.25]`. Smaller `alpha` means more buckets: covering
-    /// `1µs..1e6s` takes `ln(1e12)/ln(γ)` buckets — about 1,382 at 1% and
-    /// 276 at 5%.
-    pub fn with_relative_error(alpha: f64) -> Self {
-        let alpha = if alpha.is_finite() {
-            alpha
-        } else {
-            DEFAULT_RELATIVE_ERROR
-        };
-        let alpha = alpha.clamp(1e-4, 0.25);
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         QuantileSketch {
-            alpha,
-            gamma,
-            inv_ln_gamma: 1.0 / gamma.ln(),
+            inv_ln_gamma: 1.0 / GAMMA.ln(),
             buckets: BTreeMap::new(),
             zero_count: 0,
             count: 0,
@@ -105,11 +83,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// The configured relative-error bound `α`.
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
     }
 
     /// Records one observation. Non-finite values are ignored; negative
@@ -196,77 +169,10 @@ impl QuantileSketch {
         for (&idx, &c) in &self.buckets {
             cum += c;
             if cum > rank {
-                return self.bucket_value(idx).clamp(self.min, self.max);
+                return Self::bucket_value(idx).clamp(self.min, self.max);
             }
         }
         self.max()
-    }
-
-    /// The box-plot summary over the sketch: approximate percentiles
-    /// (within `α`), exact count/mean/min/max.
-    pub fn summary(&self) -> Summary {
-        if self.count == 0 {
-            return Summary::EMPTY;
-        }
-        Summary {
-            count: self.count as usize,
-            p10: self.quantile(0.10),
-            p25: self.quantile(0.25),
-            p50: self.quantile(0.50),
-            p75: self.quantile(0.75),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-            mean: self.mean(),
-            min: self.min(),
-            max: self.max(),
-        }
-    }
-
-    /// Merges all observations from `other` into `self`. Panics if the two
-    /// sketches were built with different relative-error bounds (their
-    /// bucket grids are incompatible).
-    ///
-    /// Merging is a pairwise-commutative integer addition of bucket counts:
-    /// `merge(a, b)` and `merge(b, a)` yield byte-identical sketches (see
-    /// [`QuantileSketch::digest`]).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            self.alpha == other.alpha,
-            "cannot merge sketches with different relative-error bounds \
-             ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
-        }
-        self.zero_count += other.zero_count;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// An FNV-1a digest over the full sketch state (bound, buckets, counts,
-    /// sum/min/max bit patterns). Two sketches with equal digests are
-    /// byte-identical for every query; used by the property suite to prove
-    /// merge order-invariance.
-    pub fn digest(&self) -> u64 {
-        let head = [
-            self.alpha.to_bits(),
-            self.count,
-            self.zero_count,
-            self.sum.to_bits(),
-            self.min.to_bits(),
-            self.max.to_bits(),
-        ];
-        let buckets = self
-            .buckets
-            .iter()
-            .flat_map(|(&idx, &c)| [idx as i64 as u64, c]);
-        head.into_iter()
-            .chain(buckets)
-            .fold(FNV_OFFSET, |h, x| fnv1a_bytes(h, &x.to_le_bytes()))
     }
 
     /// Bucket index for a value `> MIN_TRACKED`: `ceil(ln(v) / ln(γ))`.
@@ -276,8 +182,8 @@ impl QuantileSketch {
 
     /// The representative value of bucket `i`: the midpoint-in-ratio
     /// `2γ^i/(γ+1)`, within `α` of every value in `(γ^(i-1), γ^i]`.
-    fn bucket_value(&self, idx: i32) -> f64 {
-        2.0 * self.gamma.powi(idx) / (self.gamma + 1.0)
+    fn bucket_value(idx: i32) -> f64 {
+        2.0 * GAMMA.powi(idx) / (GAMMA + 1.0)
     }
 }
 
@@ -294,7 +200,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.summary(), Summary::EMPTY);
     }
 
     #[test]
@@ -303,7 +208,7 @@ mod tests {
         s.record(0.123);
         for q in [0.0, 0.5, 0.9, 1.0] {
             let est = s.quantile(q);
-            assert!((est - 0.123).abs() / 0.123 <= s.relative_error() + 1e-9);
+            assert!((est - 0.123).abs() / 0.123 <= RELATIVE_ERROR + 1e-9);
         }
         assert_eq!(s.min(), 0.123);
         assert_eq!(s.max(), 0.123);
@@ -330,7 +235,7 @@ mod tests {
         s.record(f64::NEG_INFINITY);
         s.record(2.0);
         assert_eq!(s.count(), 1);
-        assert!((s.quantile(0.5) - 2.0).abs() / 2.0 <= s.relative_error() + 1e-9);
+        assert!((s.quantile(0.5) - 2.0).abs() / 2.0 <= RELATIVE_ERROR + 1e-9);
     }
 
     #[test]
@@ -362,73 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_recording_into_one() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut all = QuantileSketch::new();
-        for i in 1..=500 {
-            a.record(i as f64 * 0.01);
-            all.record(i as f64 * 0.01);
-        }
-        for i in 500..=1000 {
-            b.record(i as f64 * 0.01);
-            all.record(i as f64 * 0.01);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.digest(), all.digest());
-        assert_eq!(a.quantile(0.9), all.quantile(0.9));
-    }
-
-    #[test]
-    fn merge_is_pairwise_commutative() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        for i in 0..300 {
-            a.record((i % 17) as f64 + 0.5);
-            b.record((i % 23) as f64 * 2.0);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.digest(), ba.digest());
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    #[should_panic(expected = "different relative-error bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = QuantileSketch::with_relative_error(0.01);
-        let b = QuantileSketch::with_relative_error(0.05);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn summary_orders_percentiles() {
+    fn quantiles_are_ordered() {
         let mut s = QuantileSketch::new();
         for i in 0..1000 {
             s.record((i as f64).powi(2));
         }
-        let sm = s.summary();
-        assert!(sm.min <= sm.p10);
-        assert!(sm.p10 <= sm.p25);
-        assert!(sm.p25 <= sm.p50);
-        assert!(sm.p50 <= sm.p75);
-        assert!(sm.p75 <= sm.p90);
-        assert!(sm.p90 <= sm.p99);
-        assert!(sm.p99 <= sm.max);
-    }
-
-    #[test]
-    fn wider_bound_uses_fewer_buckets() {
-        let mut fine = QuantileSketch::with_relative_error(0.01);
-        let mut coarse = QuantileSketch::with_relative_error(0.05);
-        for i in 1..=10_000 {
-            let v = (i as f64) * 1e-4;
-            fine.record(v);
-            coarse.record(v);
-        }
-        assert!(coarse.buckets.len() < fine.buckets.len());
+        let qs = [0.0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0].map(|q| s.quantile(q));
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
+        assert!(s.min() <= qs[0] && qs[7] <= s.max(), "{qs:?}");
     }
 }

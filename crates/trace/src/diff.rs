@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use skywalker_metrics::Spread;
+use skywalker_metrics::Summary;
 
 use crate::attribution::Phase;
 use crate::report::BottleneckReport;
@@ -18,9 +18,9 @@ pub struct PhaseDelta {
     /// The phase.
     pub phase: Phase,
     /// Per-request seconds in the base run.
-    pub base: Spread,
+    pub base: Summary,
     /// Per-request seconds in the other run.
-    pub other: Spread,
+    pub other: Summary,
     /// Share of total time in the base run (0..=1).
     pub base_share: f64,
     /// Share of total time in the other run (0..=1).
@@ -42,9 +42,9 @@ pub struct TraceDiff {
     /// Label of the compared run.
     pub other_label: String,
     /// End-to-end latency of (base, other), seconds.
-    pub e2e: (Spread, Spread),
+    pub e2e: (Summary, Summary),
     /// TTFT of (base, other), seconds.
-    pub ttft: (Spread, Spread),
+    pub ttft: (Summary, Summary),
     /// Per-phase end-to-end deltas, one entry per [`Phase`].
     pub phases: Vec<PhaseDelta>,
     /// Per-phase TTFT deltas, one entry per [`Phase`].
@@ -96,8 +96,7 @@ impl TraceDiff {
             .max_by(|a, b| {
                 a.delta_p90()
                     .abs()
-                    .partial_cmp(&b.delta_p90().abs())
-                    .expect("finite percentiles")
+                    .total_cmp(&b.delta_p90().abs())
                     .then(b.phase.label().cmp(a.phase.label()))
             })
             .filter(|d| d.delta_p90() != 0.0)
@@ -134,11 +133,7 @@ impl TraceDiff {
                 out,
                 "dominant TTFT mover: {} ({:+.4}s at p90)",
                 p.label(),
-                self.ttft_phases[Phase::ALL
-                    .iter()
-                    .position(|q| *q == p)
-                    .expect("phase in ALL")]
-                .delta_p90()
+                self.ttft_phases[p as usize].delta_p90()
             );
         }
         out

@@ -1,14 +1,14 @@
 //! Aggregating an [`Attribution`] into a readable bottleneck breakdown.
 //!
 //! The report answers "where did the time go" for one run: per-phase
-//! totals with their share of all end-to-end time, per-request p50/p90
-//! via [`Spread`], and the top-k offender requests per phase — rendered
+//! totals with their share of all end-to-end time, per-request
+//! percentiles via [`Summary::of`], and the top-k offender requests per phase — rendered
 //! as a text flamegraph (share-proportional bars, widest phase on top
 //! of the pipeline order it occurred in).
 
 use std::fmt::Write as _;
 
-use skywalker_metrics::Spread;
+use skywalker_metrics::Summary;
 use skywalker_sim::SimDuration;
 
 use crate::attribution::{Attribution, Phase, TraceOutcome};
@@ -22,8 +22,8 @@ pub struct PhaseStat {
     pub total: SimDuration,
     /// This phase's fraction of the sum over all phases (0..=1).
     pub share: f64,
-    /// Per-request durations in seconds (count/mean/min/max/p50/p90).
-    pub seconds: Spread,
+    /// Per-request durations in seconds.
+    pub seconds: Summary,
     /// The requests that spent the most time here, `(id, duration)`,
     /// longest first.
     pub top: Vec<(u64, SimDuration)>,
@@ -44,10 +44,10 @@ pub struct BottleneckReport {
     /// Events the recorder could not store.
     pub dropped_events: u64,
     /// End-to-end latency across completed requests, in seconds.
-    pub e2e: Spread,
+    pub e2e: Summary,
     /// Client-observed TTFT across requests with a delivered first
     /// token, in seconds.
-    pub ttft: Spread,
+    pub ttft: Summary,
     /// End-to-end phase aggregates, one entry per [`Phase`] (zero
     /// phases included, so two reports always align for diffing).
     pub phases: Vec<PhaseStat>,
@@ -88,7 +88,7 @@ where
                 } else {
                     0.0
                 },
-                seconds: Spread::from_samples(&samples),
+                seconds: Summary::of(&samples),
                 top: per_req,
             }
         })
@@ -101,13 +101,13 @@ impl BottleneckReport {
     /// its tail phases); `top_k` bounds the offender list per phase.
     pub fn new(label: impl Into<String>, attribution: &Attribution, top_k: usize) -> Self {
         let completed: Vec<_> = attribution.completed().collect();
-        let e2e = Spread::from_samples(
+        let e2e = Summary::of(
             &completed
                 .iter()
                 .map(|r| r.e2e.as_secs_f64())
                 .collect::<Vec<_>>(),
         );
-        let ttft = Spread::from_samples(
+        let ttft = Summary::of(
             &attribution
                 .requests
                 .iter()

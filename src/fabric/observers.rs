@@ -155,10 +155,12 @@ impl Observers {
         plane.ticks += 1;
         let reg = &mut plane.registry;
 
-        // Balancer plane: live queue depths plus the cumulative routing
-        // counters the balancers already track exactly.
+        // Balancer plane: queue depths plus the cumulative routing
+        // counters the balancers already track exactly. A crashed
+        // balancer is sampled too: its queue was emptied when it went
+        // down, and its counters stay where the crash left them.
         let mut total_queue = 0u64;
-        for lb in lbs.iter().filter(|s| s.alive).map(|s| &s.lb) {
+        for lb in lbs.iter().map(|s| &s.lb) {
             let stats = lb.stats();
             let labels = [("region", lb.region().name())];
             reg.set_gauge(names::LB_QUEUE_DEPTH, &labels, lb.queue_len() as f64);
@@ -208,7 +210,7 @@ impl Observers {
             .unwrap_or(0.0);
 
         // Per tick: fleet-wide replica hit ratio, mean KV utilization
-        // across serving replicas, total live-balancer queue depth,
+        // across serving replicas, total balancer queue depth,
         // serving replica count, sketch-P90 TTFT (seconds).
         let samples = [
             ("hit_ratio", hit),
@@ -231,7 +233,7 @@ impl Observers {
     /// Closes every sink at the run's end instant: the client-observed
     /// report, then the trace and telemetry summaries when attached.
     pub(crate) fn finish(
-        self,
+        mut self,
         end: SimTime,
     ) -> (RunReport, Option<TraceSummary>, Option<TelemetrySummary>) {
         (

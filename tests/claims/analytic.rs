@@ -6,7 +6,7 @@
 
 use skywalker::core::{hash_key, HashRing};
 use skywalker::cost::{compare_costs, replicas_for_rate, DemandMatrix, Pricing};
-use skywalker::metrics::Spread;
+use skywalker::metrics::Summary;
 use skywalker::net::Region;
 use skywalker::replica::{output_token, KvConfig, PrefixCache};
 use skywalker::sim::DetRng;
@@ -30,7 +30,7 @@ pub fn fig2() -> [f64; 3] {
         afternoon += u32::from((12..18).contains(&local));
         peaks.push(counts[peak_utc]);
     }
-    let peaks = Spread::from_samples(&peaks);
+    let peaks = Summary::of(&peaks);
     [peaks.max, peaks.min, f64::from(afternoon)]
 }
 
@@ -41,7 +41,7 @@ pub fn fig2() -> [f64; 3] {
 pub fn fig3() -> [f64; 5] {
     let profiles: Vec<_> = fig3_regions().into_iter().map(|(_, p)| p).collect();
     let swings: Vec<f64> = profiles.iter().map(|p| p.variance_ratio()).collect();
-    let swings = Spread::from_samples(&swings);
+    let swings = Summary::of(&swings);
     // ~400 requests/hour per replica keeps quantization fine-grained
     // relative to the demand curve (coarser grids understate the savings).
     let demand = DemandMatrix::new(

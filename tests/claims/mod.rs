@@ -9,7 +9,7 @@ pub mod cells;
 use std::fmt::Write as _;
 
 use skywalker::metrics::json::{Report, Val};
-use skywalker::metrics::Spread;
+use skywalker::metrics::Summary;
 use skywalker::RunSummary;
 use skywalker_lab::SweepResult;
 
@@ -201,13 +201,13 @@ pub fn check(row: &str, band: Band, verdict: Verdict, measured: f64) -> Result<(
 
 /// A row with its measured values over the seeds: `p50` is the row's
 /// value, `min`/`max` the seed envelope.
-pub type Evaluated = (Claim, Spread);
+pub type Evaluated = (Claim, Summary);
 
 /// Evaluates every row once per seed.
 pub fn evaluate(claims: Vec<Claim>, sweep: &SweepResult) -> Vec<Evaluated> {
     let evaluated = claims.into_iter().map(|claim| {
         let per_seed = cells::SEEDS.map(|seed| (claim.measure)(&Results { sweep, seed }));
-        let measured = Spread::from_samples(&per_seed);
+        let measured = Summary::of(&per_seed);
         (claim, measured)
     });
     evaluated.collect()

@@ -5,10 +5,12 @@
 //! The drills drive the fleet surface — a [`ScheduledPlan`] of
 //! [`FleetEvent::LbDown`]/[`FleetEvent::LbUp`] commands.
 
-use skywalker::sim::SimTime;
+use skywalker::net::Region;
+use skywalker::sim::{SimDuration, SimTime};
+use skywalker::telemetry::{names, SampleValue};
 use skywalker::{
-    balanced_fleet, run_scenario, workload_clients, FabricConfig, FleetCommand, FleetEvent,
-    RunSummary, ScheduledPlan, SystemKind, Workload,
+    balanced_fleet, l4_fleet, run_scenario, workload_clients, FabricConfig, FleetCommand,
+    FleetEvent, RunSummary, ScheduledPlan, SystemKind, Workload,
 };
 
 fn lb_down(at_secs: u64, lb: u32) -> FleetCommand {
@@ -104,4 +106,55 @@ fn faulted_run_matches_healthy_totals() {
     // in the report.
     assert!(faulted.report.retried >= 1);
     assert_eq!(healthy.report.retried, 0);
+}
+
+/// A crashed balancer's queue-depth gauge reads the queue it has — none,
+/// its queue was lost with it — not the one it had at the last telemetry
+/// tick before the crash.
+#[test]
+fn crashed_balancers_report_empty_queues() {
+    // 100 clients on one replica per region: every client's first request
+    // arrives in the first second, so at the 0.5 s tick the balancers are
+    // queueing. All three crash at 0.75 s and stay down.
+    let crash = SimTime::from_millis(750);
+    let clients = workload_clients(Workload::WildChat, 1.0, 21).expect("positive scale");
+    let one_each = [
+        (Region::UsEast, 1),
+        (Region::EuWest, 1),
+        (Region::ApNortheast, 1),
+    ];
+    let plan = (0..3).map(|lb| FleetCommand::new(crash, FleetEvent::LbDown { lb }));
+    let scenario = SystemKind::SkyWalker
+        .builder()
+        .replicas(l4_fleet(&one_each))
+        .clients(clients)
+        .fleet_plan(Box::new(ScheduledPlan::new(plan.collect())))
+        .build()
+        .expect("fleet and clients are both set");
+    let cfg = FabricConfig {
+        deadline: SimTime::from_secs(5),
+        ..FabricConfig::default().telemetry(SimDuration::from_millis(500))
+    };
+    let s = run_scenario(&scenario, &cfg);
+    let telemetry = s.telemetry.expect("telemetry was enabled");
+
+    let queue = telemetry.series("queue_depth").expect("sampled every tick");
+    let before = queue.points().take_while(|&(at, _)| at < crash).last();
+    let (_, queued) = before.expect("a tick before the crash");
+    assert!(queued > 0.0, "the drill needs a queue to lose");
+    let gauges: Vec<_> = telemetry
+        .snapshot
+        .samples
+        .iter()
+        .filter(|sample| sample.name == names::LB_QUEUE_DEPTH)
+        .map(|sample| (&sample.labels, &sample.value))
+        .collect();
+    assert_eq!(gauges.len(), 3, "one gauge per balancer");
+    for (labels, value) in gauges {
+        assert_eq!(
+            *value,
+            SampleValue::Gauge(0.0),
+            "{labels:?}: a crashed balancer reports requests queued"
+        );
+    }
 }

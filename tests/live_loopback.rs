@@ -4,8 +4,8 @@
 //! threads.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use skywalker::core::{BalancerConfig, LbId};
 use skywalker::net::Region;
@@ -13,6 +13,30 @@ use skywalker::replica::{GpuProfile, ReplicaId, Request};
 use skywalker_live::{scrape_metrics, BalancerServer, LiveClient, ReplicaServer};
 
 const FAST: f64 = 0.001; // 1000× faster than real time
+
+/// Polls the balancer's scrape until it counts `n` available replicas,
+/// failing after 2 s. A probe that sampled a replica between enqueue and
+/// admission reported it pending, and SP-P steers the next request away
+/// from a pending replica; once every replica reads available again, a
+/// probe taken after the last completion has been applied.
+fn await_available_replicas(lb: SocketAddr, n: f64) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let text = scrape_metrics(lb).unwrap();
+        let sample = text
+            .lines()
+            .find(|l| l.starts_with("skywalker_lb_available_replicas"));
+        let value = sample.and_then(|l| l.rsplit_once(' ')?.1.parse::<f64>().ok());
+        if value == Some(n) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "available replicas stuck at {value:?}, never {n}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
 
 #[test]
 fn three_region_topology_serves_and_forwards() {
@@ -99,6 +123,9 @@ fn session_affinity_warms_caches_over_the_wire() {
     let mut prompt: Vec<u32> = (0..200).collect();
     let mut cached_last = 0;
     for (i, turn) in (0..3u64).enumerate() {
+        if i > 0 {
+            await_available_replicas(lb.addr(), 2.0);
+        }
         let out = client
             .run(&Request::new(10 + turn, "user-7/conv-0", prompt.clone(), 8))
             .unwrap();

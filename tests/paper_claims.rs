@@ -34,7 +34,7 @@ use claims::Band::{Above, Amount, Below, Range, Ratio};
 use claims::{analytic, cells, check, claim, evaluate, render_json, render_markdown};
 use claims::{Claim, Results, Verdict};
 use skywalker::cost::fleet_reduction;
-use skywalker::metrics::Spread;
+use skywalker::metrics::Summary;
 use skywalker::{RunSummary, SystemKind, Workload};
 
 // Units, appended to every printed value.
@@ -162,11 +162,11 @@ fn macrobenchmark() -> Vec<Claim> {
     let sky = |r: &Results, w: Workload, of: Metric| -> f64 {
         of(r.cell(&format!("fig8/{}/SkyWalker", w.label())))
     };
-    let baselines = |r: &Results, w: Workload, of: Metric| -> Spread {
+    let baselines = |r: &Results, w: Workload, of: Metric| -> Summary {
         let ours = [Some(SystemKind::SkyWalker), Some(SystemKind::SkyWalkerCh)];
         let grid = format!("fig8/{}/", w.label());
         let baselines = r.cells(&grid).filter(|s| !ours.contains(&s.system));
-        Spread::from_samples(&baselines.map(of).collect::<Vec<_>>())
+        Summary::of(&baselines.map(of).collect::<Vec<_>>())
     };
     let throughput = "1.12–2.06x across workloads";
     let throughput_departs = [
@@ -354,7 +354,7 @@ fn extensions() -> Vec<Claim> {
             .demo(Above(1.02), RATIO)
             .measured(|r| {
                 let p90s: Vec<f64> = r.cells("engine/").map(p90_ttft).collect();
-                let p90s = Spread::from_samples(&p90s);
+                let p90s = Summary::of(&p90s);
                 p90s.max / p90s.min
             }),
         claim("Disagg shootout")
