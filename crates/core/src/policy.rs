@@ -285,8 +285,8 @@ impl<T: RingTarget> RoutingPolicy<T> for ConsistentHash<T> {
 /// serving engine — under KV pressure an aggressive `KvEvictor`
 /// (`skywalker-replica`) discards exactly the prefixes this trie still
 /// advertises, and the realized replica hit rate falls below the
-/// routing estimate. The `memory_pressure` preset +
-/// `examples/engine_shootout.rs` measure that gap per engine; see
+/// routing estimate. The `memory_pressure` preset and the "Engine
+/// shootout" row of `docs/claims.md` measure that gap per engine; see
 /// `docs/replica.md` §4 for the interplay and how to calibrate
 /// `affinity_threshold` against eviction churn.
 #[derive(Debug)]

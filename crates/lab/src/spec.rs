@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use skywalker::{EngineSpec, FabricConfig, Scenario};
+use skywalker::{FabricConfig, Scenario};
 use skywalker_sim::DetRng;
 
 /// A cell recipe: derived seed in, runnable experiment out.
@@ -143,32 +143,6 @@ impl SweepSpec {
         self
     }
 
-    /// Crosses one scenario recipe with a list of serving engines: one
-    /// cell per engine, labeled `"{base}/{engine label}"`, each
-    /// installing its engine into the recipe's scenario. This is the
-    /// engine axis of the grid — combine with ordinary
-    /// [`SweepSpec::cell`]s to sweep engines × policies × traffic ×
-    /// fleets in one run (`examples/engine_shootout.rs`).
-    pub fn engine_cells(
-        mut self,
-        base: impl Into<String>,
-        recipe: impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static,
-        engines: Vec<EngineSpec>,
-    ) -> Self {
-        let base = base.into();
-        for engine in engines {
-            let label = format!("{base}/{}", engine.label());
-            let recipe = recipe.clone();
-            self = self.cell(label.clone(), move |seed| {
-                let (mut scenario, cfg) = recipe(seed);
-                scenario.label = label.clone();
-                scenario.engine = Some(engine.clone());
-                (scenario, cfg)
-            });
-        }
-        self
-    }
-
     /// The sweep's display label.
     pub fn label(&self) -> &str {
         &self.label
@@ -177,16 +151,6 @@ impl SweepSpec {
     /// The root seed of the sweep.
     pub fn sweep_seed(&self) -> u64 {
         self.sweep_seed
-    }
-
-    /// Number of cells in the grid.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of replicates per cell.
-    pub fn replicate_count(&self) -> usize {
-        self.replicate_tags.len()
     }
 
     /// Total crossings (cells × replicates) the sweep will execute.
@@ -230,8 +194,8 @@ mod tests {
             .replicates(3)
             .cell("a", tiny_recipe)
             .cell("b", tiny_recipe);
-        assert_eq!(spec.cell_count(), 2);
-        assert_eq!(spec.replicate_count(), 3);
+        assert_eq!(spec.cells.len(), 2);
+        assert_eq!(spec.replicate_tags.len(), 3);
         assert_eq!(spec.total_runs(), 6);
         assert_eq!(spec.label(), "t");
         assert_eq!(spec.sweep_seed(), 1);
@@ -249,28 +213,7 @@ mod tests {
     #[test]
     fn replicates_clamped_to_one() {
         let spec = SweepSpec::new("t", 1).replicates(0);
-        assert_eq!(spec.replicate_count(), 1);
-    }
-
-    #[test]
-    fn engine_cells_cross_engines_into_labeled_cells() {
-        use skywalker::{EngineSpec, FcfsBatch, LruEvictor, PrefixAwareEvictor};
-        let engines = vec![
-            EngineSpec::default(),
-            EngineSpec::new(Box::new(FcfsBatch::chunked(64)), Box::new(LruEvictor)),
-            EngineSpec::new(Box::new(FcfsBatch::new()), Box::new(PrefixAwareEvictor)),
-        ];
-        let spec = SweepSpec::new("engines", 1).engine_cells("tot", tiny_recipe, engines);
-        assert_eq!(spec.cell_count(), 3);
-        assert_eq!(spec.cells[0].label(), "tot/fcfs+lru");
-        assert_eq!(spec.cells[1].label(), "tot/fcfs-chunk64+lru");
-        assert_eq!(spec.cells[2].label(), "tot/fcfs+prefix-aware");
-        let (scenario, _) = spec.cells[1].build(5);
-        assert_eq!(scenario.label, "tot/fcfs-chunk64+lru");
-        assert_eq!(
-            scenario.engine.as_ref().map(|e| e.label()),
-            Some("fcfs-chunk64+lru".to_string())
-        );
+        assert_eq!(spec.replicate_tags, vec![0]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use skywalker_sim::SimTime;
 /// }
 /// assert_eq!(ring.len(), 3); // capacity bound
 /// assert_eq!(ring.dropped(), 2); // honest drop counter
-/// assert_eq!(ring.latest(), Some((SimTime::from_secs(4), 4.0)));
+/// assert_eq!(ring.values(), vec![2.0, 3.0, 4.0]); // newest kept
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -113,11 +113,6 @@ impl TimeSeries {
         self.points.iter().map(|&(_, v)| v).collect()
     }
 
-    /// The most recent point, if any.
-    pub fn latest(&self) -> Option<(SimTime, f64)> {
-        self.points.back().copied()
-    }
-
     /// The largest retained value, or 0 for an empty series.
     pub fn peak(&self) -> f64 {
         self.points.iter().map(|(_, v)| *v).fold(0.0, f64::max)
@@ -137,16 +132,6 @@ impl TimeSeries {
             0.0
         } else {
             acc / dur
-        }
-    }
-
-    /// The value in effect at `t` (last observation at or before `t`), or
-    /// `None` before the first retained observation.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|(pt, _)| pt.cmp(&t)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
         }
     }
 }
@@ -183,9 +168,6 @@ mod tests {
         assert_eq!(s.dropped(), 6);
         assert_eq!(s.values(), vec![6.0, 7.0, 8.0, 9.0]);
         assert_eq!(s.points().next(), Some((t(6), 6.0)));
-        // Queries see only what is retained.
-        assert_eq!(s.value_at(t(5)), None);
-        assert_eq!(s.value_at(t(7)), Some(7.0));
         // A zero bound is clamped to one point.
         let mut one = TimeSeries::bounded("y", 0);
         one.record(t(0), 1.0);
@@ -209,7 +191,6 @@ mod tests {
             s.record(t(5), f64::NAN);
             s.record(t(5), f64::INFINITY);
             assert!(s.is_empty());
-            assert_eq!(s.latest(), None);
             s.record(t(5), 1.0);
             s.record(t(4), 2.0);
             s.record(t(5), 3.0); // same instant is in order
@@ -237,17 +218,5 @@ mod tests {
         // Two points at the same instant: zero duration.
         ts.record(t(1), 6.0);
         assert_eq!(ts.time_weighted_mean(), 0.0);
-    }
-
-    #[test]
-    fn value_at_steps() {
-        let mut ts = TimeSeries::new("x");
-        ts.record(t(10), 1.0);
-        ts.record(t(20), 2.0);
-        assert_eq!(ts.value_at(t(5)), None);
-        assert_eq!(ts.value_at(t(10)), Some(1.0));
-        assert_eq!(ts.value_at(t(15)), Some(1.0));
-        assert_eq!(ts.value_at(t(20)), Some(2.0));
-        assert_eq!(ts.value_at(t(99)), Some(2.0));
     }
 }

@@ -1,8 +1,8 @@
-//! Snapshot exporters: Prometheus text exposition and markdown.
+//! Snapshot exporter: Prometheus text exposition.
 //!
-//! Both render a [`MetricsSnapshot`], whose samples are already in
-//! deterministic `(name, labels)` order — so every exporter's output is a
-//! pure function of the registry contents, byte-for-byte reproducible.
+//! It renders a [`MetricsSnapshot`], whose samples are already in
+//! deterministic `(name, labels)` order — so the output is a pure
+//! function of the registry contents, byte-for-byte reproducible.
 
 use crate::registry::{MetricsSnapshot, SampleValue};
 
@@ -83,42 +83,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
                 out.push('\n');
             }
         }
-    }
-    out
-}
-
-/// Renders a snapshot as a markdown table (`metric | labels | value`),
-/// suitable for dropping into a run report.
-pub fn markdown_table(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("| metric | labels | value |\n|---|---|---|\n");
-    for sample in &snap.samples {
-        let labels = if sample.labels.is_empty() {
-            "—".to_string()
-        } else {
-            sample
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let value = match &sample.value {
-            SampleValue::Counter(c) => c.to_string(),
-            SampleValue::Gauge(v) => fmt_float(*v),
-            SampleValue::Distribution {
-                count,
-                p50,
-                p90,
-                p99,
-                ..
-            } => format!(
-                "n={count} p50={} p90={} p99={}",
-                fmt_float(*p50),
-                fmt_float(*p90),
-                fmt_float(*p99)
-            ),
-        };
-        out.push_str(&format!("| {} | {labels} | {value} |\n", sample.name));
     }
     out
 }
@@ -215,15 +179,6 @@ mod tests {
         reg.inc("x_total", &[("p", "a\"b\\c\nd")], 1);
         let text = prometheus_text(&reg.snapshot());
         assert!(text.contains(r#"x_total{p="a\"b\\c\nd"} 1"#));
-    }
-
-    #[test]
-    fn markdown_table_lists_every_series() {
-        let md = markdown_table(&demo_registry().snapshot());
-        assert!(md.starts_with("| metric | labels | value |"));
-        assert_eq!(md.lines().count(), 2 + 4);
-        assert!(md.contains("| queue_depth | — | 3.5 |"));
-        assert!(md.contains("region=us-east-1"));
     }
 
     #[test]

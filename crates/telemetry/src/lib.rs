@@ -5,7 +5,7 @@
 //! [`MetricsRegistry`] of counters, gauges, and [`QuantileSketch`]
 //! distributions (one fixed 1% error bound, [`RELATIVE_ERROR`]), sampled
 //! on a sim-time cadence into bounded [`TimeSeries`], and exported as
-//! Prometheus text exposition or markdown. The same registry + exposition
+//! Prometheus text exposition. The same registry + exposition
 //! path — and the same [`names`] table — serves the live TCP plane, so a
 //! running cluster is scrapeable with `nc`.
 //!
@@ -31,14 +31,12 @@ mod export;
 pub mod names;
 mod registry;
 mod sketch;
-mod sparkline;
 
-pub use export::{markdown_table, prometheus_text};
+pub use export::prometheus_text;
 pub use registry::{
     MetricKey, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
 };
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
-pub use sparkline::sparkline;
 
 use skywalker_metrics::TimeSeries;
 use skywalker_sim::SimDuration;

@@ -358,13 +358,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// As [`ScenarioBuilder::policy_factory`], for an already-shared
-    /// factory.
-    pub fn policy_factory_arc(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        self.policy_factory = Some(factory);
-        self
-    }
-
     /// Sets the replica fleet.
     pub fn replicas(mut self, replicas: Vec<ReplicaPlacement>) -> Self {
         self.replicas = replicas;

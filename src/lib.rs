@@ -20,7 +20,7 @@
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
 //! | `skywalker-lab` | the parallel experiment lab: deterministic multi-threaded sweeps over scenario grids |
 //! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`) |
-//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, Prometheus/markdown export (`docs/telemetry.md`) |
+//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, Prometheus export (`docs/telemetry.md`) |
 //! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], and [`P2cLocal`] — a custom policy built on the open surface |
 //!
 //! `skywalker-lab` sits *above* this facade (it consumes [`Scenario`]
@@ -57,9 +57,9 @@
 //!
 //! The paper's seven systems remain available as presets — each is now a
 //! thin wrapper over the same builder. The system-comparison loop below
-//! is `examples/quickstart.rs` in miniature (run the real thing with
-//! `cargo run --release --example quickstart`), compiled here so the
-//! front-door code can never rot:
+//! is compiled here so the front-door code can never rot; the Fig. 8 rows
+//! of `docs/claims.md` (`cargo test --test paper_claims`) gate the same
+//! comparison at full size:
 //!
 //! ```
 //! use skywalker::{fig8_scenario, run_scenario, FabricConfig, SystemKind, Workload};
@@ -82,8 +82,9 @@
 //! To run a whole *grid* of such cells — policy × workload × fleet ×
 //! seed — in parallel with bit-identical results at any thread count,
 //! hand a [`recipe`] (a seed-parametric closure building a [`Scenario`]) to
-//! `skywalker_lab::SweepSpec`; see `examples/sweep.rs` and
-//! `docs/architecture.md`.
+//! `skywalker_lab::SweepSpec`; `tests/paper_claims.rs` runs the whole
+//! claims table as one such sweep, and `docs/architecture.md` has the
+//! determinism rules.
 //!
 //! ## Extending
 //!
@@ -94,7 +95,64 @@
 //!   the factory to [`ScenarioBuilder::policy_factory`], and the same
 //!   implementation runs in the simulator and behind the live TCP
 //!   servers. Recipe in `docs/extending.md`; [`P2cLocal`] is the worked
-//!   example.
+//!   example, and the smallest one hashes the session key over whatever
+//!   candidates are up:
+//!
+//!   ```
+//!   use skywalker::core::{
+//!       hash_key, BalancerConfig, LbId, PolicyFactory, RingTarget, RoutingPolicy, TargetState,
+//!   };
+//!   use skywalker::replica::ReplicaId;
+//!   use skywalker::{run_scenario, FabricConfig, Scenario, SystemKind, Workload};
+//!
+//!   /// Sticky per session while the fleet is stable, rebalancing as
+//!   /// availability shifts.
+//!   #[derive(Debug)]
+//!   struct SessionSticky;
+//!
+//!   impl<T: RingTarget> RoutingPolicy<T> for SessionSticky {
+//!       fn select(&mut self, key: &str, _prompt: &[u32], candidates: &[TargetState<T>]) -> Option<T> {
+//!           if candidates.is_empty() {
+//!               return None;
+//!           }
+//!           let idx = (hash_key(key) % candidates.len() as u64) as usize;
+//!           Some(candidates[idx].id)
+//!       }
+//!
+//!       fn name(&self) -> &str {
+//!           "Sticky"
+//!       }
+//!   }
+//!
+//!   /// Both layers run the same stateless policy.
+//!   #[derive(Debug)]
+//!   struct SessionStickyFactory;
+//!
+//!   impl PolicyFactory for SessionStickyFactory {
+//!       fn build_local(&self, _cfg: &BalancerConfig) -> Box<dyn RoutingPolicy<ReplicaId>> {
+//!           Box::new(SessionSticky)
+//!       }
+//!
+//!       fn build_remote(&self, _cfg: &BalancerConfig) -> Box<dyn RoutingPolicy<LbId>> {
+//!           Box::new(SessionSticky)
+//!       }
+//!
+//!       fn label(&self) -> String {
+//!           "Sticky".to_string()
+//!       }
+//!   }
+//!
+//!   let scenario = Scenario::builder()
+//!       .deployment(SystemKind::SkyWalker.deployment())
+//!       .policy_factory(SessionStickyFactory)
+//!       .fig8_fleet(Workload::Tot)
+//!       .workload(Workload::Tot, 0.02, 77)
+//!       .build()
+//!       .expect("fleet and workload are set");
+//!   let s = run_scenario(&scenario, &FabricConfig::default());
+//!   assert_eq!(s.label, "Sticky");
+//!   assert!(s.report.completed > 0);
+//!   ```
 //! - **Traffic**: implement [`TrafficSource`] —
 //!   a lazy stream of client arrivals the fabric pulls as simulated time
 //!   advances — and hand it to [`ScenarioBuilder::traffic_source`]. The
@@ -117,13 +175,14 @@
 //!   fleet joins, runs a clone. [`FcfsBatch`] + [`LruEvictor`] are the
 //!   (byte-identical-to-history) defaults; recipe in `docs/replica.md`;
 //!   [`ShortestPromptFirst`] is the worked example outside the replica
-//!   crate, and `examples/engine_shootout.rs` races engines under the
-//!   [`memory_pressure_scenario`] preset.
+//!   crate, and the "Engine shootout" row of `docs/claims.md` races
+//!   engines under the [`memory_pressure_scenario`] preset.
 //!
 //! And once cells exist on any axis, `skywalker-lab` sweeps their cross
 //! product — policy × workload × fleet × seed — across OS threads with
-//! bit-identical results at any worker count (`examples/sweep.rs`;
-//! determinism rules in `docs/architecture.md`).
+//! bit-identical results at any worker count
+//! (`crates/lab/tests/thread_invariance.rs`; determinism rules in
+//! `docs/architecture.md`).
 
 pub mod autoscale;
 pub mod fabric;
@@ -155,8 +214,8 @@ pub use skywalker_replica::{
     PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView, TieredEvictor,
 };
 pub use skywalker_telemetry::{
-    markdown_table, prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch,
-    TelemetryConfig, TelemetrySummary,
+    prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, TelemetryConfig,
+    TelemetrySummary,
 };
 pub use skywalker_trace::{
     Attribution, BottleneckReport, Phase, TraceConfig, TraceDiff, TraceSummary,

@@ -343,9 +343,10 @@ fn rag_users(
 /// [`L4_PRESSURE`] fleet serving RAG traffic over a hot shared corpus
 /// whose working set alone fills one replica's KV cache. This is the
 /// scenario where engines *measurably diverge* — run it across
-/// [`EngineSpec`]s (`examples/engine_shootout.rs`) and P90 TTFT and the
-/// replica hit ratio split by engine, because the bottleneck is the
-/// serving loop, not the wide-area routing the other presets stress.
+/// [`EngineSpec`]s (the "Engine shootout" row of `docs/claims.md`) and
+/// P90 TTFT and the replica hit ratio split by engine, because the
+/// bottleneck is the serving loop, not the wide-area routing the other
+/// presets stress.
 ///
 /// `scale` thins the user population (1.0 ≈ 40 users); the engine label
 /// lands in the scenario label, so shootout tables and goldens
@@ -468,8 +469,8 @@ pub fn disagg_engine() -> EngineSpec {
 /// decode-only replicas (`disagg = true`). Both variants run the
 /// [`disagg_engine`] two-tier cache, so the comparison isolates the
 /// role split. Sweep both [`DisaggWorkload`] shapes and the P90 TTFT
-/// verdict crosses over (`examples/disagg_shootout.rs`; gated as the
-/// disagg rows of `docs/claims.md`): the split pays when running decodes
+/// verdict crosses over (gated as the "Disagg shootout" rows of
+/// `docs/claims.md`): the split pays when running decodes
 /// would otherwise starve prefill admission, and loses when halving
 /// prefill capacity just doubles the prompt queue.
 pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed: u64) -> Scenario {
@@ -543,9 +544,8 @@ pub enum DayStrategy {
 
 /// The reference diurnal-day fleet experiment: [`fig10_diurnal_scenario`]
 /// over [`DIURNAL_DAY`] under one of the four [`DayStrategy`]s — the one
-/// recipe behind `examples/autoscale_day.rs` and the "Fleet day" rows of
-/// `docs/claims.md`. The same `seed` gives every strategy the same day
-/// of traffic.
+/// recipe behind the "Fleet day" rows of `docs/claims.md`. The same
+/// `seed` gives every strategy the same day of traffic.
 pub fn diurnal_day_scenario(strategy: DayStrategy, seed: u64) -> Scenario {
     let per_region = match strategy {
         DayStrategy::Static | DayStrategy::Chaos => 3,

@@ -10,7 +10,8 @@
 //! proxy: prompt length), skipping over requests that do not fit
 //! instead of head-of-line blocking on them. Under memory pressure this
 //! trades worst-case fairness for mean/P90 TTFT — exactly the
-//! divergence `examples/engine_shootout.rs` measures against FCFS.
+//! divergence the "Engine shootout" row of `docs/claims.md` measures
+//! against FCFS.
 
 use skywalker_replica::{BatchPlan, BatchPolicy, StepView};
 

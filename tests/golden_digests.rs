@@ -134,6 +134,11 @@ fn render_group(
                         t.is_some_and(|t| t.ticks > 0 && !t.snapshot.is_empty()),
                         "{tag}/{seed}: telemetry was requested but sampled nothing"
                     );
+                    assert!(
+                        t.and_then(|t| t.series("ttft_p90_seconds"))
+                            .is_some_and(|s| s.values().iter().any(|&v| v > 0.0)),
+                        "{tag}/{seed}: the sampled TTFT series never saw a first token"
+                    );
                     for sample in t.iter().flat_map(|t| &t.snapshot.samples) {
                         assert!(
                             metric_names::ALL.contains(&sample.name.as_str()),

@@ -182,3 +182,51 @@ fn zeroed_tick_intervals_still_run_to_completion() {
         );
     }
 }
+
+/// Where the P90 TTFT goes under KV pressure: `fcfs+noevict` pins a full
+/// cache and stops caching prefixes, so its P90 TTFT sits well above
+/// `fcfs+lru`'s, and the structural trace diff must blame the KV-memory
+/// side of serving (cache-miss prefill, admission backlog or a KV stall),
+/// not decoding speed.
+#[test]
+fn trace_diff_blames_kv_memory_for_the_engine_spread() {
+    use skywalker::{
+        memory_pressure_scenario, Attribution, BottleneckReport, EngineSpec, FcfsBatch, NoEvict,
+        Phase, TraceDiff,
+    };
+    let traced_run = |engine: EngineSpec| {
+        let scenario = memory_pressure_scenario(engine, 0.25, 2);
+        let cfg = FabricConfig {
+            seed: 2,
+            ..FabricConfig::default()
+        }
+        .traced();
+        let s = run_scenario(&scenario, &cfg);
+        let trace = s.trace.as_ref().expect("tracing was enabled");
+        assert!(trace.complete(), "recorder overflowed");
+        let report = BottleneckReport::new(s.label.clone(), &Attribution::from_summary(trace), 3);
+        (s.report.ttft.p90, report)
+    };
+    let (lru_p90, lru) = traced_run(EngineSpec::default());
+    let (noevict_p90, noevict) = traced_run(EngineSpec::new(
+        Box::new(FcfsBatch::new()),
+        Box::new(NoEvict),
+    ));
+
+    let ratio = noevict_p90 / lru_p90;
+    assert!(
+        ratio > 1.2,
+        "expected a visible P90-TTFT spread between the engines, got {ratio:.2}x"
+    );
+    let mover = TraceDiff::between(&lru, &noevict)
+        .dominant_ttft_mover()
+        .expect("a spread this wide has a dominant phase");
+    assert!(
+        matches!(
+            mover,
+            Phase::Prefill | Phase::AdmissionWait | Phase::KvStall
+        ),
+        "expected a KV-memory-side phase to dominate the TTFT delta, got {}",
+        mover.label()
+    );
+}
