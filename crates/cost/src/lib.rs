@@ -239,17 +239,6 @@ pub fn replicas_for_rate(rate: &[f64], per_replica: f64, min_replicas: u32) -> V
         .collect()
 }
 
-/// Reserved cost of a measured capacity integral: `replica_seconds` is
-/// the time-weighted fleet size multiplied by the run duration (what an
-/// elastic run reports as `mean_total() × end_time`), priced at the
-/// reserved hourly rate. This is how simulation output — where fleets
-/// change size mid-run and the natural unit is replica-*seconds* —
-/// plugs into the same pricing as the interval-based [`DemandMatrix`]
-/// comparisons.
-pub fn replica_seconds_cost(replica_seconds: f64, pricing: Pricing) -> f64 {
-    (replica_seconds / 3600.0) * pricing.reserved_hourly_usd
-}
-
 /// Fractional cost reduction from serving the same throughput with fewer
 /// replicas (Fig. 10: 9 SkyWalker replicas match 12 region-local replicas,
 /// a 25 % reduction).
@@ -349,17 +338,6 @@ mod tests {
         assert_eq!(c.region_local_usd, 0.0);
         assert_eq!(c.aggregation_savings(), 0.0);
         assert_eq!(c.on_demand_multiple(), 0.0);
-    }
-
-    #[test]
-    fn replica_seconds_cost_prices_at_the_reserved_rate() {
-        let p = Pricing::P5_48XLARGE;
-        // 2 replicas for 3 hours, expressed as replica-seconds.
-        let rs = 2.0 * 3.0 * 3600.0;
-        assert!((replica_seconds_cost(rs, p) - 2.0 * 3.0 * RESERVED_HOURLY_USD).abs() < 1e-9);
-        assert_eq!(replica_seconds_cost(0.0, p), 0.0);
-        // Fractional fleets (a time-weighted mean) price linearly.
-        assert!((replica_seconds_cost(1800.0, Pricing::UNIT) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,155 +1,61 @@
-//! Sweep execution: a `std::thread` worker pool over the crossing list.
+//! Sweep execution: a `std::thread` worker pool over the cell list.
 //!
-//! Work is a flat, cell-major list of `(cell, replicate)` crossings.
-//! Workers claim crossings through one shared atomic cursor and write
-//! each result into its pre-assigned slot, so the assembled
-//! [`SweepResult`] is ordered by the *grid*, never by completion order.
-//! Combined with the seed derivation in [`crate::spec`] (every
-//! crossing's inputs are fixed up front), this makes the result
-//! bit-identical at any worker count — the pool only decides how fast
-//! the grid fills in, not what it fills in with.
+//! Workers claim cells through one shared atomic cursor and hand back
+//! `(index, summary)` pairs; each summary is then put in its cell's
+//! slot, so the assembled [`SweepResult`] is ordered by the spec, never
+//! by completion order. Combined with seedless recipes (every cell's
+//! inputs are fixed up front), this makes the result bit-identical at
+//! any worker count — the pool only decides how fast the list fills in,
+//! not what it fills in with.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use skywalker::{run_scenario, RunSummary};
 
-use crate::spec::{derive_seed, SweepSpec};
-use crate::stats::CellStats;
-
-/// One executed crossing.
-#[derive(Debug, Clone)]
-pub struct ReplicateRun {
-    /// The replicate tag this run was derived from.
-    pub tag: u64,
-    /// The derived seed the recipe received.
-    pub seed: u64,
-    /// The run's full summary.
-    pub summary: RunSummary,
-}
-
-/// One cell's results: every replicate run plus the aggregates.
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// The cell's label.
-    pub label: String,
-    /// Replicate runs, in tag-list order.
-    pub runs: Vec<ReplicateRun>,
-    /// Seed-to-seed aggregates over `runs`.
-    pub stats: CellStats,
-}
-
-/// The executed sweep: per-cell results in grid order, plus how it was
-/// run. Only `workers` and `wall` depend on the execution environment;
-/// everything a [`SweepReport`](crate::SweepReport) serializes is a
-/// pure function of the spec.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// The sweep's display label.
-    pub label: String,
-    /// The root seed every crossing was derived from.
-    pub sweep_seed: u64,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock duration of the execution (excluded from reports —
-    /// it is the one thing the worker count *does* change).
-    pub wall: Duration,
-    /// Per-cell results, in spec order.
-    pub cells: Vec<CellResult>,
-}
-
-impl SweepResult {
-    /// Total crossings executed.
-    pub fn total_runs(&self) -> usize {
-        self.cells.iter().map(|c| c.runs.len()).sum()
-    }
-
-    /// The result of one cell by label.
-    pub fn cell(&self, label: &str) -> Option<&CellResult> {
-        self.cells.iter().find(|c| c.label == label)
-    }
-}
+use crate::{SweepResult, SweepSpec};
 
 impl SweepSpec {
-    /// Executes every crossing of the grid on `workers` OS threads
-    /// (clamped to ≥ 1; `1` runs inline on the caller's thread) and
-    /// returns results in grid order.
+    /// Executes every cell on `workers` OS threads (clamped to
+    /// `1..=cells`) and returns the results in spec order.
     ///
     /// The returned summaries are bit-identical for any `workers` value
     /// — parallelism is pure wall-clock. A panicking recipe or run
-    /// propagates to the caller after the pool unwinds.
+    /// reaches the caller with its own payload once every worker has
+    /// stopped.
     pub fn run(&self, workers: usize) -> SweepResult {
-        let start = Instant::now();
-        let jobs: Vec<(usize, u64)> = self
-            .cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, _)| self.replicate_tags.iter().map(move |&tag| (ci, tag)))
-            .collect();
-
-        let execute = |&(ci, tag): &(usize, u64)| -> ReplicateRun {
-            let cell = &self.cells[ci];
-            let seed = derive_seed(self.sweep_seed, &cell.label, tag);
-            let (scenario, cfg) = cell.build(seed);
-            let summary = run_scenario(&scenario, &cfg);
-            ReplicateRun { tag, seed, summary }
+        let workers = workers.clamp(1, self.cells.len().max(1));
+        let mut slots: Vec<Option<RunSummary>> = self.cells.iter().map(|_| None).collect();
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // Relaxed: the cursor publishes no data (the summaries
+                // come back through `join`); `fetch_add` alone makes each
+                // index claimed once.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some((_, recipe)) = self.cells.get(i) else {
+                    return done;
+                };
+                let (scenario, cfg) = recipe();
+                done.push((i, run_scenario(&scenario, &cfg)));
+            }
         };
-
-        let workers = workers.max(1).min(jobs.len().max(1));
-        let flat: Vec<ReplicateRun> = if workers <= 1 {
-            jobs.iter().map(execute).collect()
-        } else {
-            // One pre-assigned slot per crossing: completion order is
-            // irrelevant, the grid order is baked into the slot index.
-            let slots: Vec<Mutex<Option<ReplicateRun>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let run = execute(job);
-                        *slots[i].lock().expect("result slot poisoned") = Some(run);
-                    });
+        std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            for worker in pool {
+                match worker.join() {
+                    Ok(done) => done.into_iter().for_each(|(i, s)| slots[i] = Some(s)),
+                    Err(payload) => resume_unwind(payload),
                 }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every claimed job stores its result")
-                })
-                .collect()
-        };
-
-        let reps = self.replicate_tags.len();
-        // Move the flat results into their cells (RunSummary carries
-        // histograms and time series — cloning here would double the
-        // sweep's peak memory for nothing).
-        let mut flat = flat.into_iter();
-        let cells = self
-            .cells
-            .iter()
-            .map(|cell| {
-                let runs: Vec<ReplicateRun> = flat.by_ref().take(reps).collect();
-                let stats = CellStats::from_runs(&runs);
-                CellResult {
-                    label: cell.label.clone(),
-                    runs,
-                    stats,
-                }
-            })
-            .collect();
-
+            }
+        });
+        let labels = self.cells.iter().map(|(label, _)| label.clone());
+        let summaries = slots
+            .into_iter()
+            .map(|s| s.expect("every cell is claimed once"));
         SweepResult {
-            label: self.label.clone(),
-            sweep_seed: self.sweep_seed,
-            workers,
-            wall: start.elapsed(),
-            cells,
+            cells: labels.zip(summaries).collect(),
         }
     }
 }

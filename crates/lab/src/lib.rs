@@ -1,86 +1,101 @@
 //! # skywalker-lab
 //!
-//! The parallel experiment lab: deterministic multi-threaded parameter
-//! sweeps over SkyWalker scenarios.
-//!
-//! PRs 1–3 opened the three experiment axes — routing policies, traffic
-//! sources, fleet plans — but every run still executed one at a time.
-//! Reproducing a paper-style figure is a *grid*: policy × workload ×
-//! fleet × seed, dozens of cells, minutes of serial wall-clock. The lab
-//! is the multiplier: describe the grid once as a [`SweepSpec`], and
-//! [`SweepSpec::run`] fans it across OS threads while guaranteeing the
-//! results are **bit-identical at any worker count**.
+//! The parallel experiment lab: a list of labelled scenario recipes,
+//! run on a pool of OS threads, one [`RunSummary`] back per cell in the
+//! order the cells were added — **bit-identical at any worker count**.
 //!
 //! That guarantee is by construction, not by locking discipline:
 //!
-//! 1. every crossing's seed is [`derive_seed`]`(sweep_seed, cell_label,
-//!    replicate_tag)` — fixed before any thread starts;
-//! 2. cell recipes are pure functions of that seed, and
-//!    [`run_scenario`](skywalker::run_scenario) is deterministic given
-//!    `(Scenario, FabricConfig)`;
-//! 3. results land in slots pre-assigned by grid position, so assembly
+//! 1. a recipe takes no arguments — whatever seed it runs under is
+//!    captured when the cell is added, before any thread starts;
+//! 2. recipes are pure, and [`run_scenario`](skywalker::run_scenario)
+//!    is deterministic given `(Scenario, FabricConfig)`;
+//! 3. each result lands in the slot of its cell's position, so assembly
 //!    order never depends on completion order.
 //!
 //! Threads therefore only change the wall-clock. The thread-invariance
-//! tests pin this: one [`SweepSpec`] run with 1, 2, and 8 workers must
-//! serialize to byte-identical [`SweepReport`] JSON.
+//! tests pin this: every run's full [`RunSummary::digest_fields`] is the
+//! same at 1, 2 and 8 workers, and the same as a serial `run_scenario`.
 //!
 //! ## Example
 //!
-//! A two-cell comparison (SkyWalker vs round robin), two seeds each,
-//! executed on two workers:
+//! SkyWalker against round robin on the same two seeds, on two workers:
 //!
 //! ```
-//! use skywalker::{balanced_fleet, FabricConfig, Scenario, SystemKind, Workload};
+//! use skywalker::{fig8_scenario, recipe, SystemKind, Workload};
 //! use skywalker_lab::SweepSpec;
 //!
-//! let cell = |system: SystemKind| {
-//!     move |seed: u64| {
-//!         let cfg = FabricConfig { seed, ..FabricConfig::default() };
-//!         let scenario = system
-//!             .builder()
-//!             .replicas(balanced_fleet())
-//!             .workload(Workload::Tot, 0.02, seed)
-//!             .build()
-//!             .expect("fleet and workload are set");
-//!         (scenario, cfg)
+//! let mut spec = SweepSpec::new();
+//! for system in [SystemKind::SkyWalker, SystemKind::RoundRobin] {
+//!     let cell = recipe(move |seed| fig8_scenario(system, Workload::Tot, 0.02, seed));
+//!     for seed in [1, 2] {
+//!         let cell = cell.clone();
+//!         spec = spec.cell(format!("{system:?}@{seed}"), move || cell(seed));
 //!     }
-//! };
-//! let spec = SweepSpec::new("demo", 7)
-//!     .replicates(2)
-//!     .cell("skywalker", cell(SystemKind::SkyWalker))
-//!     .cell("round-robin", cell(SystemKind::RoundRobin));
+//! }
 //!
 //! let result = spec.run(2);
-//! assert_eq!(result.total_runs(), 4);
-//! let sky = result.cell("skywalker").expect("cell ran");
-//! assert!(sky.stats.throughput_tps.mean > 0.0);
-//! // Worker count is pure wall-clock: same bytes on one thread.
-//! assert_eq!(
-//!     result.report().json_string(),
-//!     spec.run(1).report().json_string(),
-//! );
-//! println!("{}", result.report().markdown());
+//! assert_eq!(result.cells.len(), 4);
+//! let sky = result.cell("SkyWalker@1").expect("cell ran");
+//! assert!(sky.report.throughput_tps > 0.0);
 //! ```
 //!
 //! ## Relation to the rest of the workspace
 //!
 //! The lab sits *above* the facade crate (it consumes [`Scenario`] and
-//! [`run_scenario`](skywalker::run_scenario)), so `skywalker` itself cannot re-export it — add
-//! `skywalker-lab` as its own dependency. `skywalker::scenarios`
-//! provides the presets and `skywalker::recipe`, which shapes any of
-//! them for [`SweepSpec::cell`]; the paper-claims table
-//! (`tests/paper_claims.rs`) runs all of its simulated cells as one
-//! sweep on the lab.
-//!
-//! [`Scenario`]: skywalker::Scenario
+//! [`run_scenario`](skywalker::run_scenario)), so `skywalker` itself
+//! cannot re-export it — add `skywalker-lab` as its own dependency.
+//! `skywalker::recipe` shapes any preset for a seed; the paper-claims
+//! table (`tests/paper_claims.rs`) runs all of its simulated cells as
+//! one sweep on the lab.
+
+use skywalker::{FabricConfig, RunSummary, Scenario};
 
 mod exec;
-mod report;
-mod spec;
-mod stats;
 
-pub use exec::{CellResult, ReplicateRun, SweepResult};
-pub use report::SweepReport;
-pub use spec::{derive_seed, Cell, RecipeFn, SweepSpec};
-pub use stats::CellStats;
+/// A cell recipe: a runnable experiment, seed and all. Must be pure —
+/// the sweep may invoke it from any worker thread, in any order.
+type RecipeFn = dyn Fn() -> (Scenario, FabricConfig) + Send + Sync;
+
+/// A list of labelled recipes, executed by [`SweepSpec::run`].
+#[derive(Default)]
+pub struct SweepSpec {
+    cells: Vec<(String, Box<RecipeFn>)>,
+}
+
+impl SweepSpec {
+    /// An empty sweep.
+    pub fn new() -> Self {
+        SweepSpec::default()
+    }
+
+    /// Appends one cell. Labels must be unique — they are the lookup key
+    /// of [`SweepResult::cell`]; duplicates are debug-asserted against.
+    pub fn cell(
+        mut self,
+        label: impl Into<String>,
+        recipe: impl Fn() -> (Scenario, FabricConfig) + Send + Sync + 'static,
+    ) -> Self {
+        let label = label.into();
+        debug_assert!(
+            self.cells.iter().all(|(l, _)| *l != label),
+            "duplicate cell label {label:?} would shadow lookups"
+        );
+        self.cells.push((label, Box::new(recipe)));
+        self
+    }
+}
+
+/// The executed sweep: one `(label, summary)` per cell, in spec order.
+#[derive(Debug)]
+pub struct SweepResult {
+    /// Per-cell results, in the order the cells were added.
+    pub cells: Vec<(String, RunSummary)>,
+}
+
+impl SweepResult {
+    /// The run of one cell by label.
+    pub fn cell(&self, label: &str) -> Option<&RunSummary> {
+        self.cells.iter().find(|(l, _)| l == label).map(|(_, s)| s)
+    }
+}

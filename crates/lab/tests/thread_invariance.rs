@@ -1,109 +1,78 @@
-//! The lab's core guarantee, pinned: the same `SweepSpec` produces
-//! bit-identical results at any worker count, and the worker pool
-//! agrees run-for-run with plain serial `run_scenario` execution.
+//! The lab's core guarantee, pinned: the same cells give the same full
+//! run digest, in spec order, at any worker count — and the same as a
+//! plain serial `run_scenario` over the recipes.
 
-use skywalker::{fig8_scenario, recipe, run_scenario, SystemKind, Workload};
-use skywalker_lab::{derive_seed, SweepSpec};
+use skywalker::{
+    fig8_scenario, recipe, run_scenario, FabricConfig, RunSummary, Scenario, SystemKind, Workload,
+};
+use skywalker_lab::SweepSpec;
 
-const SCALE: f64 = 0.02;
+/// `(system, scale, seed)` per cell. The first cell is the longest and
+/// the last the shortest, so a pool that kept completion order would
+/// hand them back reordered.
+const CELLS: [(SystemKind, f64, u64); 4] = [
+    (SystemKind::SkyWalker, 0.04, 61),
+    (SystemKind::RoundRobin, 0.03, 61),
+    (SystemKind::SkyWalker, 0.02, 62),
+    (SystemKind::RoundRobin, 0.01, 62),
+];
 
-fn demo_spec() -> SweepSpec {
-    SweepSpec::new("invariance", 61)
-        .replicates(2)
-        .cell(
-            "skywalker/tot",
-            recipe(|seed| fig8_scenario(SystemKind::SkyWalker, Workload::Tot, SCALE, seed)),
-        )
-        .cell(
-            "round-robin/tot",
-            recipe(|seed| fig8_scenario(SystemKind::RoundRobin, Workload::Tot, SCALE, seed)),
-        )
+fn build((system, scale, seed): (SystemKind, f64, u64)) -> (Scenario, FabricConfig) {
+    recipe(move |seed| fig8_scenario(system, Workload::Tot, scale, seed))(seed)
 }
 
-/// The satellite acceptance check: workers ∈ {1, 2, 8} serialize to
-/// identical `SweepReport` JSON (and markdown).
+fn spec() -> SweepSpec {
+    CELLS.into_iter().fold(SweepSpec::new(), |spec, cell| {
+        let label = format!("{:?}/{}@{}", cell.0, cell.1, cell.2);
+        spec.cell(label, move || build(cell))
+    })
+}
+
+/// Every digest field, `Debug`-formatted: floats print exactly (NaN
+/// included), so equal strings mean bit-equal runs.
+fn digest(s: &RunSummary) -> String {
+    format!("{:?}", s.digest_fields())
+}
+
+fn digests(cells: &[(String, RunSummary)]) -> Vec<(String, String)> {
+    cells.iter().map(|(l, s)| (l.clone(), digest(s))).collect()
+}
+
 #[test]
-fn report_identical_across_worker_counts() {
-    let spec = demo_spec();
-    let one = spec.run(1);
-    let two = spec.run(2);
-    let eight = spec.run(8);
-
-    let reference = one.report().json_string();
-    assert!(!reference.is_empty());
-    assert_eq!(two.report().json_string(), reference, "2 workers diverged");
-    assert_eq!(
-        eight.report().json_string(),
-        reference,
-        "8 workers diverged"
-    );
-    assert_eq!(two.report().markdown(), one.report().markdown());
-
-    // The pool clamps to the job count; the requested parallelism is
-    // still recorded faithfully up to that clamp.
-    assert_eq!(one.workers, 1);
-    assert_eq!(two.workers, 2);
-    assert_eq!(eight.workers, 4, "8 workers clamp to the 4 crossings");
+fn full_digests_identical_across_worker_counts() {
+    let one = digests(&spec().run(1).cells);
+    assert_eq!(one.len(), CELLS.len());
+    for workers in [2, 8] {
+        assert_eq!(
+            digests(&spec().run(workers).cells),
+            one,
+            "{workers} workers diverged"
+        );
+    }
 }
 
-/// Parity against hand-rolled serial execution: the pool must produce
-/// exactly what a plain loop over `derive_seed` + `run_scenario` does.
+/// The pool must produce, cell for cell, exactly what a plain loop over
+/// the recipes and `run_scenario` does.
 #[test]
 fn pool_matches_serial_run_scenario() {
-    let spec = demo_spec();
-    let result = spec.run(8);
-    assert_eq!(result.total_runs(), 4);
-
-    for cell in &result.cells {
-        let system = if cell.label.starts_with("skywalker") {
-            SystemKind::SkyWalker
-        } else {
-            SystemKind::RoundRobin
-        };
-        let recipe = recipe(move |seed| fig8_scenario(system, Workload::Tot, SCALE, seed));
-        for (rep_idx, run) in cell.runs.iter().enumerate() {
-            let expected_seed = derive_seed(61, &cell.label, rep_idx as u64);
-            assert_eq!(run.tag, rep_idx as u64);
-            assert_eq!(run.seed, expected_seed, "seed derivation drifted");
-            let (scenario, cfg) = recipe(expected_seed);
-            let serial = run_scenario(&scenario, &cfg);
-            assert_eq!(serial.report.completed, run.summary.report.completed);
-            assert_eq!(serial.report.failed, run.summary.report.failed);
-            assert_eq!(serial.forwarded, run.summary.forwarded);
-            assert_eq!(serial.end_time, run.summary.end_time);
-            assert!(
-                (serial.report.throughput_tps - run.summary.report.throughput_tps).abs() < 1e-12
-            );
-            assert!((serial.report.ttft.p50 - run.summary.report.ttft.p50).abs() < 1e-12);
-        }
+    let pooled = spec().run(8);
+    assert_eq!(pooled.cells.len(), CELLS.len());
+    for ((label, run), cell) in pooled.cells.iter().zip(CELLS) {
+        let (scenario, cfg) = build(cell);
+        let serial = run_scenario(&scenario, &cfg);
+        assert!(serial.report.completed > 0, "{label} served nothing");
+        assert_eq!(digest(run), digest(&serial), "{label} left the serial run");
+        assert_eq!(pooled.cell(label).map(digest), Some(digest(run)));
     }
 }
 
-/// Replicates vary while cells stay comparable: aggregates are ordered
-/// (min ≤ mean ≤ max) and the derived seeds differ per replicate.
+/// A recipe's own panic reaches the caller, not the pool's generic one.
 #[test]
-fn cell_stats_aggregate_replicates() {
-    let result = demo_spec().run(2);
-    for cell in &result.cells {
-        assert_eq!(cell.stats.replicates, 2);
-        let seeds: Vec<u64> = cell.runs.iter().map(|r| r.seed).collect();
-        assert_ne!(seeds[0], seeds[1], "replicates must not share a seed");
-        for s in [
-            &cell.stats.ttft_p50,
-            &cell.stats.throughput_tps,
-            &cell.stats.completed,
-            &cell.stats.replica_seconds,
-            &cell.stats.cost_usd,
-        ] {
-            assert_eq!(s.count, 2);
-            assert!(s.min <= s.mean && s.mean <= s.max, "unordered spread {s:?}");
-        }
-        // A static 12- or 8-replica fleet over the run duration.
-        let rs = &cell.stats.replica_seconds;
-        assert!(rs.mean > 0.0);
-        assert!(cell.stats.cost_usd.mean > 0.0);
-    }
-    // Both cells served traffic.
-    assert!(result.cells[0].stats.completed.mean > 0.0);
-    assert!(result.cells[1].stats.completed.mean > 0.0);
+#[should_panic(expected = "recipe failed")]
+fn recipe_panic_reaches_the_caller() {
+    let fail = || -> (Scenario, FabricConfig) { panic!("recipe failed") };
+    SweepSpec::new()
+        .cell("ok", move || build(CELLS[3]))
+        .cell("fails", fail)
+        .run(2);
 }

@@ -44,9 +44,8 @@ pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         id: "D03",
         title: "DetRng construction goes through the seed discipline",
-        hint: "derive streams with DetRng::for_component / DetRng::derive (or \
-               derive_seed in sweeps); raw seeds belong at scenario roots \
-               (tests, benches, examples)",
+        hint: "derive streams with DetRng::for_component / DetRng::derive; raw \
+               seeds belong at scenario roots (tests, benches, examples)",
     },
     RuleInfo {
         id: "D04",
@@ -147,12 +146,7 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
         return rule_id == "D06";
     }
     match rule_id {
-        "D01" => {
-            !in_dir(path, "crates/live/")
-                && !in_dir(path, "crates/bench/")
-                && path != "crates/lab/src/exec.rs"
-        }
-        "D02" | "D05" => !in_dir(path, "crates/live/") && !in_dir(path, "crates/bench/"),
+        "D01" | "D02" | "D05" => !in_dir(path, "crates/live/") && !in_dir(path, "crates/bench/"),
         "D03" => {
             !in_dir(path, "crates/sim/") && !in_dir(path, "crates/bench/") && !is_example_path(path)
         }
@@ -750,7 +744,7 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(rules_hit(src, "src/fabric.rs"), vec!["D01"]);
         assert!(rules_hit(src, "crates/live/src/client.rs").is_empty());
-        assert!(rules_hit(src, "crates/lab/src/exec.rs").is_empty());
+        assert_eq!(rules_hit(src, "crates/lab/src/exec.rs"), vec!["D01"]);
         assert!(rules_hit(src, "tests/e2e.rs").is_empty());
     }
 

@@ -160,6 +160,34 @@ mod tests {
         r0.shutdown();
     }
 
+    /// A scrape peer that sends `G` and then 1 MiB after 1 MiB with no
+    /// blank line and no pause is answered after a bounded read, not read
+    /// for as long as it keeps sending.
+    #[test]
+    fn endless_ascii_scrape_is_answered_and_closed() {
+        use std::io::Write;
+        let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let mut peer = std::net::TcpStream::connect(srv.addr()).unwrap();
+        peer.write_all(b"G").unwrap();
+        eventually("the scrape is served", || srv.net.serving() == 1);
+        let flood = std::thread::spawn(move || {
+            let mib = vec![b'x'; 1 << 20];
+            // Stops when the server closes the connection (or at 64 MiB).
+            for _ in 0..64 {
+                if peer.write_all(&mib).is_err() {
+                    break;
+                }
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while srv.net.serving() > 0 {
+            assert!(Instant::now() < deadline, "the scrape is still reading");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        srv.shutdown();
+        drop(flood.join());
+    }
+
     /// Polls `addr`'s scrape until the sample `name` reaches `at_least`;
     /// returns the value it then had.
     fn await_metric(addr: std::net::SocketAddr, name: &str, at_least: f64) -> f64 {

@@ -31,20 +31,25 @@ pub(crate) fn is_ascii_scrape(stream: &TcpStream) -> bool {
     matches!(stream.peek(&mut first), Ok(1) if first[0] == b'G')
 }
 
+/// The most request bytes an ASCII scrape reads before it answers.
+const SCRAPE_REQUEST_MAX: usize = 4096;
+
 /// Serves one ASCII scrape: drains the request line(s) briefly, writes a
 /// minimal HTTP response with the exposition body, and closes.
 pub(crate) fn serve_ascii_scrape(mut stream: TcpStream, body: &str) {
     // Drain what the client sent (request line + headers) so `curl`
     // does not see a reset mid-request; a short timeout keeps a bare
-    // `nc` that never sends a blank line from wedging the thread.
+    // `nc` that never sends a blank line from wedging the thread, and
+    // the fixed buffer a peer that never stops sending.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut buf = [0u8; 1024];
-    let mut seen = Vec::new();
-    loop {
-        match stream.read(&mut buf) {
+    let mut buf = [0u8; SCRAPE_REQUEST_MAX];
+    let mut len = 0;
+    while len < buf.len() {
+        match stream.read(&mut buf[len..]) {
             Ok(0) | Err(_) => break,
             Ok(n) => {
-                seen.extend_from_slice(&buf[..n]);
+                len += n;
+                let seen = &buf[..len];
                 if seen.windows(2).any(|w| w == b"\n\n")
                     || seen.windows(4).any(|w| w == b"\r\n\r\n")
                 {

@@ -3,8 +3,8 @@
 //! across commits. Hand-rolled serialization — the workspace builds
 //! offline with zero external dependencies.
 //!
-//! This lives in the metrics crate so every reporting layer — the sweep
-//! lab and the golden suites — shares one serializer.
+//! This lives in the metrics crate so every reporting layer — the claims
+//! table and the golden suites — shares one serializer.
 
 use std::fmt::Write as _;
 

@@ -9,16 +9,16 @@
 //! rates. This crate provides those measurements:
 //!
 //! - [`Summary`]: the paper's box-plot summary, and [`Summary::of`], the
-//!   one exact reducer of a sample set — a run's latencies, one metric
-//!   across the replicates of a sweep cell, or the per-request samples of
-//!   a trace phase.
+//!   one exact reducer of a sample set — a run's latencies, one claim
+//!   row's value across its seeds, or the per-request samples of a trace
+//!   phase.
 //! - [`RequestTracker`]: per-request lifecycle records (arrival, first
 //!   token, completion) aggregated into a [`RunReport`].
 //! - [`TimeSeries`]: timestamped gauge traces, e.g. a region's fleet
 //!   size over time; optionally bounded (oldest points drop first, and
 //!   are counted) for sampled dashboards.
 //! - [`json`]: the zero-dependency JSON report serializer shared by the
-//!   sweep lab and the golden suites.
+//!   claims table and the golden suites.
 
 pub mod json;
 

@@ -9,8 +9,8 @@
 //! relative error for O(buckets) memory.)
 //!
 //! The same reducer serves a run's TTFT and end-to-end latencies, one
-//! metric across a sweep cell's replicates, and a trace phase's
-//! per-request durations.
+//! claim row's value across its seeds, and a trace phase's per-request
+//! durations.
 
 /// The box-plot summary the paper draws for every latency distribution:
 /// P10/P90 whiskers, P25/P75 box, P50 median line, and the mean marker.

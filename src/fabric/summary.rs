@@ -95,12 +95,12 @@ impl RunSummary {
     /// The capacity integral of the run: time-weighted mean fleet size ×
     /// run duration, in replica-seconds — identical for a static fleet to
     /// `replicas × end_time`, and the honest cost basis for elastic runs.
-    pub fn replica_seconds(&self) -> f64 {
+    fn replica_seconds(&self) -> f64 {
         self.fleet.mean_total() * self.end_time.as_secs_f64()
     }
 
     /// The run digest: every deterministic outcome the regression suites
-    /// and the lab's reports carry, as named values in one fixed order.
+    /// and the claims table carry, as named values in one fixed order.
     /// Anything that pins a file format selects keys from this list
     /// ([`RunSummary::row`]); the order and the existing names are a
     /// contract — append, never reorder.

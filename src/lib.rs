@@ -25,8 +25,9 @@
 //!
 //! `skywalker-lab` sits *above* this facade (it consumes [`Scenario`]
 //! and [`run_scenario`]), so it is not re-exported here — depend on it
-//! directly; [`recipe`] below turns any seed-parametric preset into the
-//! shape its `SweepSpec::cell` takes.
+//! directly; [`recipe`] below turns any seed-parametric preset into a
+//! `(Scenario, FabricConfig)` per seed, and a `SweepSpec::cell` is a
+//! closure calling it with one seed.
 //!
 //! ## Quickstart
 //!
@@ -81,8 +82,9 @@
 //!
 //! To run a whole *grid* of such cells — policy × workload × fleet ×
 //! seed — in parallel with bit-identical results at any thread count,
-//! hand a [`recipe`] (a seed-parametric closure building a [`Scenario`]) to
-//! `skywalker_lab::SweepSpec`; `tests/paper_claims.rs` runs the whole
+//! add one labelled cell per seed, `move || recipe(seed)` with a
+//! [`recipe`], to a `skywalker_lab::SweepSpec`; its `run` returns one
+//! [`RunSummary`] per cell. `tests/paper_claims.rs` runs the whole
 //! claims table as one such sweep, and `docs/architecture.md` has the
 //! determinism rules.
 //!

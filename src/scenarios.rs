@@ -500,14 +500,14 @@ pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed:
         .expect("disagg preset sets a fleet and a positive finite user scale")
 }
 
-/// Turns a seed-parametric preset into a recipe shaped for a sweep
-/// harness (`skywalker-lab`'s `SweepSpec::cell`): the seed the sweep
-/// derives per `(cell, replicate)` drives both the traffic generation
-/// and the fabric's root seed, so every crossing of a sweep is an
-/// independent, reproducible experiment. Wrap any of the `*_scenario`
-/// presets — `recipe(move |seed| fig8_scenario(system, workload, scale,
-/// seed))` — or a closure that builds on one (e.g. attaches a fleet
-/// plan) to sweep variants.
+/// Turns a seed-parametric preset into a recipe for a sweep harness:
+/// one seed drives both the traffic generation and the fabric's root
+/// seed, so each seed's run is an independent, reproducible experiment.
+/// A `skywalker-lab` cell calls it with the seed its label names —
+/// `spec.cell(format!("{label}@{seed}"), move || cell(seed))`. Wrap any
+/// of the `*_scenario` presets — `recipe(move |seed| fig8_scenario(
+/// system, workload, scale, seed))` — or a closure that builds on one
+/// (e.g. attaches a fleet plan) to sweep variants.
 pub fn recipe(
     scenario: impl Fn(u64) -> Scenario + Clone + Send + Sync + 'static,
 ) -> impl Fn(u64) -> (Scenario, FabricConfig) + Clone + Send + Sync + 'static {

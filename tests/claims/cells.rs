@@ -3,9 +3,8 @@
 //! One scale per recipe, written here and nowhere else; Fig. 8 runs at
 //! the paper's client counts (scale 1.0). Every recipe runs once per
 //! seed of [`SEEDS`], as the cell `"{label}@{seed}"`, and spends that
-//! seed on both the traffic and the fabric — not the seed the lab would
-//! derive from the cell label — so the cells a row compares see the
-//! same traffic, and the fleet strategies the same day.
+//! seed on both the traffic and the fabric, so the cells a row compares
+//! see the same traffic, and the fleet strategies the same day.
 
 use std::sync::Arc;
 
@@ -226,12 +225,11 @@ pub fn spec() -> SweepSpec {
         });
     }
 
-    let mut spec = SweepSpec::new("paper_claims", 0);
+    let mut spec = SweepSpec::new();
     for (label, recipe) in grid.0 {
         for seed in SEEDS {
             let recipe = recipe.clone();
-            // The lab's own derived seed is deliberately unused.
-            spec = spec.cell(format!("{label}@{seed}"), move |_| recipe(seed));
+            spec = spec.cell(format!("{label}@{seed}"), move || recipe(seed));
         }
     }
     spec

@@ -23,11 +23,9 @@ impl Results<'_> {
     /// The run of recipe `label` under this evaluation's seed.
     pub fn cell(&self, label: &str) -> &RunSummary {
         let label = format!("{label}@{}", self.seed);
-        let cell = self
-            .sweep
+        self.sweep
             .cell(&label)
-            .unwrap_or_else(|| panic!("a claim reads cell `{label}`, which the sweep never ran"));
-        &cell.runs[0].summary
+            .unwrap_or_else(|| panic!("a claim reads cell `{label}`, which the sweep never ran"))
     }
 
     /// Every run under this evaluation's seed whose label starts with
@@ -35,8 +33,8 @@ impl Results<'_> {
     pub fn cells<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RunSummary> {
         let seed = format!("@{}", self.seed);
         let ours = move |label: &str| label.starts_with(prefix) && label.ends_with(&seed);
-        let cells = self.sweep.cells.iter().filter(move |c| ours(&c.label));
-        cells.map(|c| &c.runs[0].summary)
+        let cells = self.sweep.cells.iter().filter(move |(l, _)| ours(l));
+        cells.map(|(_, s)| s)
     }
 }
 
@@ -246,12 +244,12 @@ pub fn render_json(rows: &[Evaluated], sweep: &SweepResult) -> String {
         ]);
     }
     let schema: Vec<(&str, &str)> = CELL_KEYS.split_whitespace().map(|k| (k, k)).collect();
-    for cell in &sweep.cells {
+    for (label, summary) in &sweep.cells {
         let mut fields = vec![
             ("row", Val::from("cell")),
-            ("cell", Val::from(cell.label.as_str())),
+            ("cell", Val::from(label.as_str())),
         ];
-        fields.extend(cell.runs[0].summary.row(&schema));
+        fields.extend(summary.row(&schema));
         rep.row(&fields);
     }
     rep.render()

@@ -6,38 +6,71 @@
 //! digests *across* builds): here we pin them *within* a build, where a
 //! violation points at ambient state rather than intended change.
 
+use std::sync::Arc;
+
 use skywalker::sim::SimDuration;
 use skywalker::{
-    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, memory_pressure_scenario, recipe,
-    run_scenario, DisaggWorkload, EngineSpec, FabricConfig, RunSummary, Scenario, SystemKind,
-    Workload,
+    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, memory_pressure_scenario, run_scenario,
+    DisaggWorkload, EngineSpec, FabricConfig, RunSummary, Scenario, SystemKind, Workload,
 };
 use skywalker_lab::SweepSpec;
-use skywalker_metrics::json::{Report, Val};
+use skywalker_metrics::json::Report;
 
 /// Renders the run digest as a stable JSON document, so equality here
 /// means equality in the golden files.
-fn digest(tag: &str, seed: u64, s: &RunSummary) -> String {
+fn digest(tag: &str, s: &RunSummary) -> String {
     let mut rep = Report::new(format!("double_run_{tag}"));
-    let mut row = vec![("seed", Val::from(seed))];
-    row.extend(s.digest_fields());
-    rep.row(&row);
+    rep.row(&s.digest_fields());
     rep.render()
 }
 
+const SEEDS: [u64; 2] = [1, 7];
+
+fn config(seed: u64) -> FabricConfig {
+    FabricConfig {
+        seed,
+        ..FabricConfig::default()
+    }
+}
+
 fn assert_double_run(tag: &str, build: impl Fn(u64) -> Scenario) {
-    for seed in [1u64, 7] {
-        let cfg = FabricConfig {
-            seed,
-            ..FabricConfig::default()
-        };
-        let first = digest(tag, seed, &run_scenario(&build(seed), &cfg));
-        let second = digest(tag, seed, &run_scenario(&build(seed), &cfg));
+    for seed in SEEDS {
+        let tag = format!("{tag}@{seed}");
+        let first = digest(&tag, &run_scenario(&build(seed), &config(seed)));
+        let second = digest(&tag, &run_scenario(&build(seed), &config(seed)));
         assert_eq!(
             first, second,
-            "{tag}/seed {seed}: two in-process runs diverged — ambient state leaked into the sim"
+            "{tag}: two in-process runs diverged — ambient state leaked into the sim"
         );
     }
+}
+
+/// A seed-parametric preset, as a lab cell list holds it.
+type Preset = Arc<dyn Fn(u64) -> Scenario + Send + Sync>;
+
+/// Runs every preset at each of [`SEEDS`] as one lab sweep, on 1 and on
+/// 2 workers: every cell's full run digest must be the same.
+fn assert_worker_count_invariant(presets: Vec<(String, Preset)>) {
+    let spec = || {
+        let mut spec = SweepSpec::new();
+        for (label, build) in &presets {
+            for seed in SEEDS {
+                let build = Arc::clone(build);
+                let cell = move || (build(seed), config(seed));
+                spec = spec.cell(format!("{label}@{seed}"), cell);
+            }
+        }
+        spec
+    };
+    let digests = |workers| -> Vec<String> {
+        let cells = spec().run(workers).cells;
+        cells.iter().map(|(label, s)| digest(label, s)).collect()
+    };
+    assert_eq!(
+        digests(1),
+        digests(2),
+        "a sweep's run digests must be bit-identical at any worker count"
+    );
 }
 
 #[test]
@@ -82,73 +115,40 @@ fn disagg_preset_is_stable_across_reruns() {
     });
 }
 
-/// The diurnal cell again, through the lab's parallel executor: worker
-/// count must be invisible in the rendered sweep report.
+/// The diurnal cell again, through the lab's parallel executor.
 #[test]
 fn lab_diurnal_sweep_is_worker_count_invariant() {
-    let sweep = || {
-        SweepSpec::new("double-run-diurnal", 42).replicates(2).cell(
-            "skywalker-diurnal-q25",
-            recipe(|seed| {
-                fig10_diurnal_scenario(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25, seed)
-            }),
-        )
-    };
-    let serial = sweep().run(1).report().json_string();
-    let parallel = sweep().run(2).report().json_string();
-    assert_eq!(
-        serial, parallel,
-        "diurnal sweep results must be bit-identical at any worker count"
-    );
+    assert_worker_count_invariant(vec![(
+        "skywalker-diurnal-q25".into(),
+        Arc::new(|seed| fig10_diurnal_scenario(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25, seed)),
+    )]);
 }
 
-/// The role axis through the lab: a sweep mixing colocated and split
-/// cells of both traffic shapes renders identically at any worker
-/// count. Handoff scheduling rides the same deterministic event queue
-/// as everything else, so thread placement must be invisible.
+/// The role axis through the lab: colocated and split cells of both
+/// traffic shapes. Handoff scheduling rides the same deterministic event
+/// queue as everything else, so thread placement must be invisible.
 #[test]
 fn lab_disagg_sweep_is_worker_count_invariant() {
-    let sweep = || {
-        let mut spec = SweepSpec::new("double-run-disagg", 42).replicates(2);
-        for wl in DisaggWorkload::ALL {
-            for disagg in [false, true] {
-                let label = format!("{}/{}", wl.label(), if disagg { "split" } else { "colo" });
-                spec = spec.cell(
-                    label,
-                    recipe(move |seed| disagg_scenario(wl, disagg, 0.5, seed)),
-                );
-            }
+    let mut cells: Vec<(String, Preset)> = Vec::new();
+    for wl in DisaggWorkload::ALL {
+        for disagg in [false, true] {
+            let label = format!("{}/{}", wl.label(), if disagg { "split" } else { "colo" });
+            cells.push((
+                label,
+                Arc::new(move |seed| disagg_scenario(wl, disagg, 0.5, seed)),
+            ));
         }
-        spec
-    };
-    let serial = sweep().run(1).report().json_string();
-    let parallel = sweep().run(2).report().json_string();
-    assert_eq!(
-        serial, parallel,
-        "disagg sweep results must be bit-identical at any worker count"
-    );
+    }
+    assert_worker_count_invariant(cells);
 }
 
-/// The lab's slot-addressed pool must be invisible in the results: the
-/// same sweep at 1 worker and at 2 workers renders the same JSON.
 #[test]
 fn lab_sweep_is_worker_count_invariant() {
-    let sweep = || {
-        SweepSpec::new("double-run", 42)
-            .replicates(2)
-            .cell(
-                "skywalker-tot",
-                recipe(|seed| fig8_scenario(SystemKind::SkyWalker, Workload::Tot, 0.02, seed)),
-            )
-            .cell(
-                "least-load-tot",
-                recipe(|seed| fig8_scenario(SystemKind::LeastLoad, Workload::Tot, 0.02, seed)),
-            )
+    let fig8 = |system| -> Preset {
+        Arc::new(move |seed| fig8_scenario(system, Workload::Tot, 0.02, seed))
     };
-    let serial = sweep().run(1).report().json_string();
-    let parallel = sweep().run(2).report().json_string();
-    assert_eq!(
-        serial, parallel,
-        "sweep results must be bit-identical at any worker count"
-    );
+    assert_worker_count_invariant(vec![
+        ("skywalker-tot".into(), fig8(SystemKind::SkyWalker)),
+        ("least-load-tot".into(), fig8(SystemKind::LeastLoad)),
+    ]);
 }
