@@ -9,8 +9,10 @@
 //! dies only when every balancer is down.
 //!
 //! The controller emits [`ControlAction`]s; the deployment fabric (or
-//! operator tooling, in a real deployment) applies them to the balancers
-//! and the DNS records.
+//! operator tooling, in a real deployment) applies them to the
+//! balancers. Its map of which balancers are alive is also what clients
+//! resolve against ([`Controller::resolve`]): the latency-based DNS
+//! records a real deployment would keep in step with it.
 
 use std::collections::BTreeMap;
 
@@ -23,11 +25,12 @@ use crate::balancer::LbId;
 /// Directives from the controller to the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlAction {
-    /// A balancer missed its heartbeat deadline: withdraw its DNS record
-    /// and stop forwarding to it.
+    /// A balancer missed its heartbeat deadline: its peers stop
+    /// forwarding to it (clients stop resolving to it as the action is
+    /// emitted).
     LbFailed(LbId),
-    /// A failed balancer is back: restore its DNS record and resume
-    /// forwarding.
+    /// A failed balancer is back: its peers resume forwarding to it
+    /// (clients resolve to it again as the action is emitted).
     LbRecovered(LbId),
     /// Move a replica between balancers (failure re-homing or recovery
     /// hand-back).
@@ -204,6 +207,15 @@ impl Controller {
     pub fn holder(&self, replica: ReplicaId) -> Option<LbId> {
         self.replicas.get(&replica).map(|p| p.holder)
     }
+
+    /// Where a client in `region` is sent: the nearest balancer by RTT
+    /// among those the controller holds alive — latency-based DNS over
+    /// one record per balancer (§4.1), whose records the controller
+    /// withdraws on a failure and restores on recovery (§4.2). `None`
+    /// when every balancer is down.
+    pub fn resolve(&self, region: Region) -> Option<LbId> {
+        nearest_alive(&self.net, &self.lbs, region)
+    }
 }
 
 /// The live balancer nearest to `from` by RTT (lowest id on a tie).
@@ -357,6 +369,54 @@ mod tests {
         let mut c = controller();
         assert!(c.heartbeat(LbId(99), SimTime::from_secs(1)).is_empty());
         assert!(!c.is_alive(LbId(99)));
+    }
+
+    #[test]
+    fn resolve_prefers_the_clients_own_region() {
+        let c = controller();
+        for (i, region) in Region::PAPER_TRIO.into_iter().enumerate() {
+            assert_eq!(c.resolve(region), Some(LbId(i as u32)), "{region}");
+        }
+    }
+
+    #[test]
+    fn resolve_sends_an_uncovered_region_to_the_nearest_balancer() {
+        let c = controller();
+        // eu-central's nearest balancer is eu-west's, us-west's us-east's.
+        assert_eq!(c.resolve(Region::EuCentral), Some(LbId(1)));
+        assert_eq!(c.resolve(Region::UsWest), Some(LbId(0)));
+    }
+
+    #[test]
+    fn resolve_skips_a_failed_balancer_until_its_heartbeat_returns() {
+        let mut c = controller();
+        beat_all(&mut c, SimTime::ZERO);
+        // LB 0 (us-east) goes silent and is declared failed.
+        c.heartbeat(LbId(1), SimTime::from_secs(2));
+        c.heartbeat(LbId(2), SimTime::from_secs(2));
+        c.check(SimTime::from_secs(2));
+        // us-east's next nearest is eu-west (75 ms vs 160 ms).
+        assert_eq!(c.resolve(Region::UsEast), Some(LbId(1)));
+        c.heartbeat(LbId(0), SimTime::from_secs(3));
+        assert_eq!(c.resolve(Region::UsEast), Some(LbId(0)));
+    }
+
+    #[test]
+    fn resolve_finds_nothing_when_no_balancer_is_alive() {
+        let empty = Controller::new(LatencyModel::default_wan(), SimDuration::from_secs(1));
+        assert_eq!(empty.resolve(Region::UsEast), None);
+        let mut c = controller();
+        beat_all(&mut c, SimTime::ZERO);
+        c.check(SimTime::from_secs(2));
+        assert_eq!(c.resolve(Region::UsEast), None);
+    }
+
+    #[test]
+    fn resolve_breaks_a_same_region_tie_by_lowest_id() {
+        let mut c = Controller::new(LatencyModel::default_wan(), SimDuration::from_secs(1));
+        c.register_lb(LbId(7), Region::UsEast);
+        c.register_lb(LbId(3), Region::UsEast);
+        assert_eq!(c.resolve(Region::UsEast), Some(LbId(3)));
     }
 
     #[test]

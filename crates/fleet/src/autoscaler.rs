@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use skywalker_net::Region;
 use skywalker_replica::GpuProfile;
-use skywalker_sim::{DetRng, SimDuration, SimTime};
+use skywalker_sim::{SimDuration, SimTime};
 
 use crate::event::{FleetCommand, FleetEvent};
 use crate::observe::{FleetObservation, ProvisionLedger};
@@ -77,12 +77,7 @@ impl ThresholdAutoscaler {
 }
 
 impl FleetPlan for ThresholdAutoscaler {
-    fn next_events(
-        &mut self,
-        _horizon: SimTime,
-        obs: &FleetObservation,
-        _rng: &mut DetRng,
-    ) -> Vec<FleetCommand> {
+    fn next_events(&mut self, _horizon: SimTime, obs: &FleetObservation) -> Vec<FleetCommand> {
         let now = obs.now;
         // Replicas whose provisioning delay has elapsed show up in the
         // observation; stop double-counting them.
@@ -193,8 +188,7 @@ mod tests {
     #[test]
     fn scales_out_under_pressure_after_provision_delay() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
-        let cmds = a.next_events(t(1), &obs(t(0), 2, 10, 10), &mut rng);
+        let cmds = a.next_events(t(1), &obs(t(0), 2, 10, 10));
         assert_eq!(cmds.len(), 1);
         assert_eq!(cmds[0].at, t(10), "join lands after the provisioning delay");
         assert!(matches!(
@@ -209,27 +203,17 @@ mod tests {
     #[test]
     fn cooldown_and_provisioning_suppress_thrash() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
-        assert_eq!(
-            a.next_events(t(1), &obs(t(0), 2, 10, 10), &mut rng).len(),
-            1
-        );
+        assert_eq!(a.next_events(t(1), &obs(t(0), 2, 10, 10)).len(), 1);
         // Still overloaded 5 s later: cooldown holds the fire.
-        assert!(a
-            .next_events(t(6), &obs(t(5), 2, 12, 12), &mut rng)
-            .is_empty());
+        assert!(a.next_events(t(6), &obs(t(5), 2, 12, 12)).is_empty());
         // After the cooldown, a second join may go out.
-        assert_eq!(
-            a.next_events(t(61), &obs(t(60), 3, 30, 30), &mut rng).len(),
-            1
-        );
+        assert_eq!(a.next_events(t(61), &obs(t(60), 3, 30, 30)).len(), 1);
     }
 
     #[test]
     fn scales_in_to_the_floor_only() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
-        let cmds = a.next_events(t(1), &obs(t(0), 3, 0, 1), &mut rng);
+        let cmds = a.next_events(t(1), &obs(t(0), 3, 0, 1));
         assert_eq!(cmds.len(), 1);
         // Least-loaded is replica 0 (running = id); ties prefer the
         // youngest, but here loads differ.
@@ -241,18 +225,14 @@ mod tests {
         ));
         // A single remaining replica is never drained.
         let mut idle = ThresholdAutoscaler::new(cfg());
-        assert!(idle
-            .next_events(t(1), &obs(t(0), 1, 0, 0), &mut rng)
-            .is_empty());
+        assert!(idle.next_events(t(1), &obs(t(0), 1, 0, 0)).is_empty());
     }
 
     #[test]
     fn max_bound_caps_growth() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
         assert!(
-            a.next_events(t(1), &obs(t(0), 4, 99, 99), &mut rng)
-                .is_empty(),
+            a.next_events(t(1), &obs(t(0), 4, 99, 99)).is_empty(),
             "at max_per_region nothing more joins"
         );
     }
@@ -260,7 +240,6 @@ mod tests {
     #[test]
     fn dead_balancer_region_is_unobservable_not_idle() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
         // The region is genuinely busy, but its balancer just went
         // down (§4.2 drill): the load reads zero. The autoscaler must
         // not read that as idleness and drain healthy capacity
@@ -268,22 +247,19 @@ mod tests {
         let mut o = obs(t(0), 3, 0, 0);
         o.balancers[0].alive = false;
         assert!(
-            a.next_events(t(1), &o, &mut rng).is_empty(),
+            a.next_events(t(1), &o).is_empty(),
             "no scale decision while the region is unobservable"
         );
         // Balancer back: normal scale-in resumes.
         o.balancers[0].alive = true;
-        assert_eq!(a.next_events(t(2), &o, &mut rng).len(), 1);
+        assert_eq!(a.next_events(t(2), &o).len(), 1);
     }
 
     #[test]
     fn steady_load_leaves_the_fleet_alone() {
         let mut a = ThresholdAutoscaler::new(cfg());
-        let mut rng = DetRng::new(0);
         // Load per replica = 4: between the thresholds.
-        assert!(a
-            .next_events(t(1), &obs(t(0), 2, 4, 4), &mut rng)
-            .is_empty());
+        assert!(a.next_events(t(1), &obs(t(0), 2, 4, 4)).is_empty());
         assert!(!a.is_done(), "an autoscaler watches until the run ends");
     }
 }

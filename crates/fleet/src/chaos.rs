@@ -88,12 +88,7 @@ impl ChaosPlan {
 }
 
 impl FleetPlan for ChaosPlan {
-    fn next_events(
-        &mut self,
-        horizon: SimTime,
-        obs: &FleetObservation,
-        _rng: &mut DetRng,
-    ) -> Vec<FleetCommand> {
+    fn next_events(&mut self, horizon: SimTime, obs: &FleetObservation) -> Vec<FleetCommand> {
         let mut out = Vec::new();
         // Victims crashed within this poll batch: the observation does
         // not refresh between same-batch failures, so exclude them by
@@ -203,9 +198,8 @@ mod tests {
     #[test]
     fn crashes_pair_with_replacements_in_same_region() {
         let mut plan = ChaosPlan::new(cfg(), 7);
-        let mut rng = DetRng::new(0);
         let o = obs(SimTime::ZERO, &[(Region::UsEast, 3), (Region::EuWest, 3)]);
-        let cmds = plan.next_events(SimTime::from_secs(600), &o, &mut rng);
+        let cmds = plan.next_events(SimTime::from_secs(600), &o);
         assert!(!cmds.is_empty());
         assert_eq!(cmds.len() % 2, 0, "each crash has a join");
         for pair in cmds.chunks(2) {
@@ -230,16 +224,15 @@ mod tests {
         // (the floor is observation-dependent by design; the failure
         // *clock* is what must not depend on polling).
         let o = |now| obs(now, &[(Region::UsEast, 32)]);
-        let mut rng = DetRng::new(0);
         let mut coarse = ChaosPlan::new(cfg(), 3);
         let mut fine = coarse.clone();
         let mut a = Vec::new();
         for h in [100u64, 300] {
-            a.extend(coarse.next_events(SimTime::from_secs(h), &o(SimTime::ZERO), &mut rng));
+            a.extend(coarse.next_events(SimTime::from_secs(h), &o(SimTime::ZERO)));
         }
         let mut b = Vec::new();
         for h in (10..=300u64).step_by(10) {
-            b.extend(fine.next_events(SimTime::from_secs(h), &o(SimTime::ZERO), &mut rng));
+            b.extend(fine.next_events(SimTime::from_secs(h), &o(SimTime::ZERO)));
         }
         let times = |v: &[FleetCommand]| {
             v.iter()
@@ -262,21 +255,16 @@ mod tests {
         // exactly A's post-100 instants: skips consume no clock draws.
         let mut a = ChaosPlan::new(cfg(), 9);
         let mut b = a.clone();
-        let mut rng = DetRng::new(0);
         let rich = |now| obs(now, &[(Region::UsEast, 32)]);
         let empty = FleetObservation {
             now: SimTime::ZERO,
             replicas: Vec::new(),
             balancers: Vec::new(),
         };
-        let a_cmds = a.next_events(SimTime::from_secs(300), &rich(SimTime::ZERO), &mut rng);
-        let skipped = b.next_events(SimTime::from_secs(100), &empty, &mut rng);
+        let a_cmds = a.next_events(SimTime::from_secs(300), &rich(SimTime::ZERO));
+        let skipped = b.next_events(SimTime::from_secs(100), &empty);
         assert!(skipped.is_empty());
-        let b_cmds = b.next_events(
-            SimTime::from_secs(300),
-            &rich(SimTime::from_secs(100)),
-            &mut rng,
-        );
+        let b_cmds = b.next_events(SimTime::from_secs(300), &rich(SimTime::from_secs(100)));
         let crash_times = |v: &[FleetCommand]| {
             v.iter()
                 .filter(|c| matches!(c.event, FleetEvent::ReplicaCrash { .. }))
@@ -298,10 +286,9 @@ mod tests {
             ..cfg()
         };
         let mut plan = ChaosPlan::new(chaos, 11);
-        let mut rng = DetRng::new(0);
         // Two replicas per region: nothing may be killed.
         let o = obs(SimTime::ZERO, &[(Region::UsEast, 2), (Region::EuWest, 2)]);
-        let cmds = plan.next_events(SimTime::from_secs(1_000), &o, &mut rng);
+        let cmds = plan.next_events(SimTime::from_secs(1_000), &o);
         assert!(cmds.is_empty(), "floor protects the whole fleet: {cmds:?}");
         // Clock kept ticking while nothing was eligible.
         assert!(!plan.is_done());
@@ -314,9 +301,8 @@ mod tests {
             ..cfg()
         };
         let mut plan = ChaosPlan::new(chaos, 5);
-        let mut rng = DetRng::new(0);
         let o = obs(SimTime::ZERO, &[(Region::UsEast, 4)]);
-        let cmds = plan.next_events(SimTime::from_secs(10_000), &o, &mut rng);
+        let cmds = plan.next_events(SimTime::from_secs(10_000), &o);
         assert!(plan.is_done());
         assert!(cmds
             .iter()

@@ -18,18 +18,19 @@
 //! - Commands must not be re-emitted: the fabric applies each returned
 //!   command exactly once.
 //! - Time-driven plans must derive their instants from their own seeded
-//!   state, never from the polling cadence or the `rng` parameter (its
-//!   draw sequence varies with how often the plan is polled). Reactive
-//!   plans necessarily act on the observation at poll time; keep their
-//!   *decisions* a pure function of `(observation, own state)` so runs
-//!   stay reproducible.
+//!   state, never from the polling cadence. A plan that draws randomness
+//!   owns its stream, seeded at construction (as `ChaosPlan` does): the
+//!   fabric hands it none, since draws made per poll would depend on how
+//!   often it is polled. Reactive plans necessarily act on the
+//!   observation at poll time; keep their *decisions* a pure function of
+//!   `(observation, own state)` so runs stay reproducible.
 //! - [`FleetPlan::is_done`] is `true` once no future call can produce
 //!   another command; the fabric then stops polling. A plan that never
 //!   finishes is legal (an autoscaler watches until the run ends).
 
 use std::fmt;
 
-use skywalker_sim::{DetRng, SimTime};
+use skywalker_sim::SimTime;
 
 use crate::event::FleetCommand;
 use crate::observe::FleetObservation;
@@ -56,12 +57,7 @@ pub trait FleetPlan: fmt::Debug + Send + CloneFleetPlan {
     /// Returns every not-yet-emitted command due by `horizon` (and any
     /// reactive commands the current observation triggers), in
     /// nondecreasing `at` order.
-    fn next_events(
-        &mut self,
-        horizon: SimTime,
-        obs: &FleetObservation,
-        rng: &mut DetRng,
-    ) -> Vec<FleetCommand>;
+    fn next_events(&mut self, horizon: SimTime, obs: &FleetObservation) -> Vec<FleetCommand>;
 
     /// True once no future [`FleetPlan::next_events`] call can return
     /// another command.
@@ -109,12 +105,7 @@ impl ScheduledPlan {
 }
 
 impl FleetPlan for ScheduledPlan {
-    fn next_events(
-        &mut self,
-        horizon: SimTime,
-        _obs: &FleetObservation,
-        _rng: &mut DetRng,
-    ) -> Vec<FleetCommand> {
+    fn next_events(&mut self, horizon: SimTime, _obs: &FleetObservation) -> Vec<FleetCommand> {
         let mut out = Vec::new();
         while let Some(cmd) = self.commands.get(self.cursor) {
             if cmd.at > horizon {
@@ -163,15 +154,10 @@ impl MergePlan {
 }
 
 impl FleetPlan for MergePlan {
-    fn next_events(
-        &mut self,
-        horizon: SimTime,
-        obs: &FleetObservation,
-        rng: &mut DetRng,
-    ) -> Vec<FleetCommand> {
+    fn next_events(&mut self, horizon: SimTime, obs: &FleetObservation) -> Vec<FleetCommand> {
         let mut out = Vec::new();
         for p in &mut self.plans {
-            out.extend(p.next_events(horizon, obs, rng));
+            out.extend(p.next_events(horizon, obs));
         }
         out.sort_by_key(|c| c.at);
         out
@@ -205,16 +191,15 @@ mod tests {
 
     #[test]
     fn scheduled_plan_emits_in_time_order_once() {
-        let mut rng = DetRng::new(0);
         let mut plan = ScheduledPlan::new(vec![lb_down(30, 2), lb_down(10, 0), lb_down(20, 1)]);
         assert!(!plan.is_done());
-        let first = plan.next_events(SimTime::from_secs(15), &empty_obs(SimTime::ZERO), &mut rng);
+        let first = plan.next_events(SimTime::from_secs(15), &empty_obs(SimTime::ZERO));
         assert_eq!(first, vec![lb_down(10, 0)]);
         // Re-polling the same horizon emits nothing new.
         assert!(plan
-            .next_events(SimTime::from_secs(15), &empty_obs(SimTime::ZERO), &mut rng)
+            .next_events(SimTime::from_secs(15), &empty_obs(SimTime::ZERO))
             .is_empty());
-        let rest = plan.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO), &mut rng);
+        let rest = plan.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO));
         assert_eq!(rest, vec![lb_down(20, 1), lb_down(30, 2)]);
         assert!(plan.is_done());
     }
@@ -224,18 +209,13 @@ mod tests {
         let cmds = vec![lb_down(5, 0), lb_down(5, 1), lb_down(12, 2), lb_down(40, 0)];
         let mut coarse = ScheduledPlan::new(cmds.clone());
         let mut fine = coarse.clone();
-        let mut rng = DetRng::new(0);
         let mut a = Vec::new();
         for h in [0u64, 20, 40] {
-            a.extend(coarse.next_events(
-                SimTime::from_secs(h),
-                &empty_obs(SimTime::ZERO),
-                &mut rng,
-            ));
+            a.extend(coarse.next_events(SimTime::from_secs(h), &empty_obs(SimTime::ZERO)));
         }
         let mut b = Vec::new();
         for h in 0..=40u64 {
-            b.extend(fine.next_events(SimTime::from_secs(h), &empty_obs(SimTime::ZERO), &mut rng));
+            b.extend(fine.next_events(SimTime::from_secs(h), &empty_obs(SimTime::ZERO)));
         }
         assert_eq!(a, b, "batching granularity must not change the stream");
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
@@ -243,22 +223,20 @@ mod tests {
 
     #[test]
     fn merge_plan_interleaves_children_by_time() {
-        let mut rng = DetRng::new(0);
         let a = ScheduledPlan::new(vec![lb_down(10, 0), lb_down(30, 0)]);
         let b = ScheduledPlan::new(vec![lb_down(20, 1)]);
         let mut merged = MergePlan::new(vec![Box::new(a), Box::new(b)]);
         assert_eq!(merged.label(), "scheduled+scheduled");
-        let all = merged.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO), &mut rng);
+        let all = merged.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO));
         assert_eq!(all, vec![lb_down(10, 0), lb_down(20, 1), lb_down(30, 0)]);
         assert!(merged.is_done());
     }
 
     #[test]
     fn boxed_plans_clone_with_state() {
-        let mut rng = DetRng::new(0);
         let mut plan: Box<dyn FleetPlan> = Box::new(ScheduledPlan::new(vec![lb_down(10, 0)]));
         let fresh = plan.clone();
-        plan.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO), &mut rng);
+        plan.next_events(SimTime::MAX, &empty_obs(SimTime::ZERO));
         assert!(plan.is_done());
         assert!(!fresh.is_done(), "clone rewinds to the clone point");
     }

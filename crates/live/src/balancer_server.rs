@@ -11,8 +11,9 @@
 //!
 //! Sockets, connection threads and the reply table are the skeleton's
 //! ([`crate::server`]); this file is the balancer's own: its state, what
-//! each message means on each [`Link`], the prober, and the metric
-//! listing.
+//! each message means on each [`Link`], and the prober. What a scrape
+//! shows is `skywalker_telemetry::publish::balancer`, the listing the
+//! simulated fabric publishes too.
 
 use std::io;
 use std::net::SocketAddr;
@@ -22,7 +23,7 @@ use std::time::Duration;
 use skywalker_core::{BalancerConfig, Decision, LbId, PolicyFactory, RegionalBalancer};
 use skywalker_net::{Message, Region};
 use skywalker_replica::{ReplicaId, Request};
-use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
+use skywalker_telemetry::{prometheus_text, publish, MetricsRegistry};
 
 use crate::client::infer_frame;
 use crate::server::{Link, Outbox, Server, Service};
@@ -32,21 +33,8 @@ pub(crate) type Balancer = Mutex<RegionalBalancer>;
 
 impl Service for Balancer {
     fn metrics_text(&self) -> String {
-        let lb = self.lock();
-        let (stats, (avail, queue_len)) = (lb.stats(), lb.status());
         let mut reg = MetricsRegistry::new();
-        let labels = [("region", lb.region().name())];
-        reg.inc(names::LB_RECEIVED_TOTAL, &labels, stats.received);
-        reg.inc(
-            names::LB_DISPATCHED_LOCAL_TOTAL,
-            &labels,
-            stats.dispatched_local,
-        );
-        reg.inc(names::LB_FORWARDED_TOTAL, &labels, stats.forwarded);
-        reg.set_gauge(names::LB_QUEUE_DEPTH, &labels, f64::from(queue_len));
-        reg.set_gauge(names::LB_PEAK_QUEUE, &labels, stats.peak_queue as f64);
-        reg.set_gauge(names::LB_AVAILABLE_REPLICAS, &labels, f64::from(avail));
-        drop(lb);
+        publish::balancer(&mut reg, &self.lock());
         prometheus_text(&reg.snapshot())
     }
 
@@ -197,11 +185,6 @@ impl BalancerServer {
     pub fn connect_peer(&self, id: LbId, region: Region, addr: SocketAddr) -> io::Result<()> {
         self.net
             .dial(addr, Link::Lb(id), |lb| lb.lock().add_peer(id, region))
-    }
-
-    /// Current queue length (test observability).
-    pub fn queue_len(&self) -> usize {
-        self.net.state.lock().queue_len()
     }
 
     /// Requests forwarded to peers so far.

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use skywalker_net::Message;
 use skywalker_replica::{Advance, GpuProfile, Replica, ReplicaId, Request};
-use skywalker_telemetry::{names, prometheus_text, MetricsRegistry};
+use skywalker_telemetry::{prometheus_text, publish, MetricsRegistry};
 
 use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
@@ -44,33 +44,8 @@ pub(crate) struct Backend {
 
 impl Service for Backend {
     fn metrics_text(&self) -> String {
-        let r = self.replica.lock();
-        let stats = r.stats();
-        let id = format!("{}", r.id().0);
-        let labels = [("replica", id.as_str())];
         let mut reg = MetricsRegistry::new();
-        reg.inc(names::REPLICA_ADMITTED_TOTAL, &labels, stats.admitted);
-        reg.inc(names::REPLICA_COMPLETED_TOTAL, &labels, stats.completed);
-        reg.inc(
-            names::REPLICA_PROMPT_TOKENS_TOTAL,
-            &labels,
-            stats.prompt_tokens,
-        );
-        reg.inc(
-            names::REPLICA_CACHED_PROMPT_TOKENS_TOTAL,
-            &labels,
-            stats.cached_prompt_tokens,
-        );
-        reg.inc(
-            names::REPLICA_GENERATED_TOKENS_TOTAL,
-            &labels,
-            stats.generated_tokens,
-        );
-        reg.set_gauge(names::REPLICA_PENDING, &labels, r.pending_len() as f64);
-        reg.set_gauge(names::REPLICA_RUNNING, &labels, r.running_len() as f64);
-        reg.set_gauge(names::KV_UTILIZATION, &labels, r.kv_utilization());
-        reg.set_gauge(names::REPLICA_HIT_RATIO, &labels, stats.hit_rate());
-        drop(r);
+        publish::replica(&mut reg, &self.replica.lock());
         prometheus_text(&reg.snapshot())
     }
 
@@ -126,16 +101,6 @@ impl ReplicaServer {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.net.addr
-    }
-
-    /// Current pending-queue depth (test observability).
-    pub fn pending_len(&self) -> usize {
-        self.net.state.replica.lock().pending_len()
-    }
-
-    /// Cumulative prefix-cache hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        self.net.state.replica.lock().stats().hit_rate()
     }
 
     /// Stops the server: joins the stepper and the acceptor, closes every

@@ -224,6 +224,20 @@ mod tests {
         assert!(worst <= SimDuration::from_millis(250));
     }
 
+    /// No row repeats an RTT, so the nearest of balancers in distinct
+    /// regions is unique: no tie-break rule ever decides where a client
+    /// is sent.
+    #[test]
+    fn no_row_repeats_an_rtt() {
+        let net = LatencyModel::default_wan();
+        for a in Region::ALL {
+            let mut row: Vec<SimDuration> = Region::ALL.iter().map(|&b| net.rtt(a, b)).collect();
+            row.sort();
+            row.dedup();
+            assert_eq!(row.len(), Region::ALL.len(), "a repeated RTT from {a}");
+        }
+    }
+
     #[test]
     fn sample_one_way_close_to_nominal() {
         let net = LatencyModel::default_wan();

@@ -3,11 +3,15 @@
 //! Where `skywalker-trace` answers *where did this run's latency go* after
 //! the fact, this crate answers *what is the P90 right now*: a labeled
 //! [`MetricsRegistry`] of counters, gauges, and [`QuantileSketch`]
-//! distributions (one fixed 1% error bound, [`RELATIVE_ERROR`]), sampled
-//! on a sim-time cadence into bounded [`TimeSeries`], and exported as
-//! Prometheus text exposition. The same registry + exposition
-//! path — and the same [`names`] table — serves the live TCP plane, so a
-//! running cluster is scrapeable with `nc`.
+//! distributions (one fixed 1% error bound, [`RELATIVE_ERROR`]), a
+//! handful of dashboard series sampled on a sim-time cadence into
+//! bounded [`TimeSeries`], and Prometheus text exposition.
+//!
+//! A balancer's and a replica's metrics are listed once, in [`publish`],
+//! under the names of the one [`names`] table. Both planes publish
+//! through that listing: a live TCP server on every scrape (so a running
+//! cluster is scrapeable with `nc`), the simulated fabric once at run
+//! end.
 //!
 //! Everything is deterministic by construction: integer bucket indices in
 //! `BTreeMap`s, exact integer counts, snapshot order a pure function of
@@ -29,6 +33,7 @@
 
 mod export;
 pub mod names;
+pub mod publish;
 mod registry;
 mod sketch;
 
@@ -49,7 +54,7 @@ pub const SERIES_CAPACITY: usize = 4096;
 ///
 /// Off by default; turn it on per-run with
 /// `FabricConfig::telemetry(interval)` — the fabric then samples its
-/// registry every `interval` of sim time into series bounded to
+/// dashboard series every `interval` of sim time into series bounded to
 /// [`SERIES_CAPACITY`] points and attaches a [`TelemetrySummary`] to the
 /// run summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,15 +70,17 @@ impl TelemetryConfig {
     }
 }
 
-/// What a telemetry-enabled run hands back: the final registry snapshot,
-/// the sampled series, and the tick count.
+/// What a telemetry-enabled run hands back: the registry snapshot taken
+/// at run end, the sampled series, and the tick count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// The sampling cadence the run used.
     pub interval: SimDuration,
     /// Number of telemetry ticks that fired.
     pub ticks: u64,
-    /// Final registry snapshot, in deterministic order.
+    /// The registry at run end, in deterministic order: the TTFT
+    /// sketches, every balancer's and every replica's listing, and the
+    /// fleet-wide totals.
     pub snapshot: MetricsSnapshot,
     /// Series sampled each tick (bounded to [`SERIES_CAPACITY`]
     /// points), sorted by name.

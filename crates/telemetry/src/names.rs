@@ -1,10 +1,11 @@
 //! The one table of `skywalker_*` metric names.
 //!
-//! The simulated fabric's telemetry plane and the live servers' `/metrics`
-//! scrapes both publish through a [`MetricsRegistry`](crate::MetricsRegistry);
-//! every name either side uses is spelled here and nowhere else, so the
-//! two planes cannot drift apart and a scraper can check what it reads
-//! against [`ALL`].
+//! A balancer's and a replica's series are listed once, in
+//! [`publish`](crate::publish), and both planes publish through that
+//! listing: the live servers' `/metrics` scrapes and the simulated
+//! fabric's final snapshot carry the same names with the same labels.
+//! Every name is spelled here and nowhere else, so a scraper can check
+//! what it reads against [`ALL`].
 
 macro_rules! names {
     ($($(#[$doc:meta])* $ident:ident = $name:literal;)*) => {
@@ -16,7 +17,7 @@ macro_rules! names {
 }
 
 names! {
-    // Balancer plane (labelled by `region`).
+    // One balancer (labelled by `region`): `publish::balancer`.
     /// Requests a balancer accepted.
     LB_RECEIVED_TOTAL = "skywalker_lb_received_total";
     /// Requests a balancer dispatched to one of its own replicas.
@@ -25,36 +26,35 @@ names! {
     LB_FORWARDED_TOTAL = "skywalker_lb_forwarded_total";
     /// Requests waiting in a balancer's queue right now.
     LB_QUEUE_DEPTH = "skywalker_lb_queue_depth";
-    /// High-water mark of a balancer's queue (live plane).
+    /// High-water mark of a balancer's queue.
     LB_PEAK_QUEUE = "skywalker_lb_peak_queue";
-    /// Replicas a balancer may currently push to (live plane).
+    /// Replicas a balancer may currently push to.
     LB_AVAILABLE_REPLICAS = "skywalker_lb_available_replicas";
 
-    // Replica plane (fleet-wide in the sim, labelled by `replica` live).
-    /// Requests admitted into a replica's batch (live plane).
+    // One replica (labelled by `replica`): `publish::replica`.
+    /// Requests admitted into a replica's batch.
     REPLICA_ADMITTED_TOTAL = "skywalker_replica_admitted_total";
-    /// Requests replicas finished.
+    /// Requests a replica finished.
     REPLICA_COMPLETED_TOTAL = "skywalker_replica_completed_total";
-    /// Prompt tokens replicas processed (live plane).
+    /// Prompt tokens a replica processed.
     REPLICA_PROMPT_TOKENS_TOTAL = "skywalker_replica_prompt_tokens_total";
-    /// Prompt tokens served from the prefix cache (live plane).
+    /// Prompt tokens a replica served from its prefix cache.
     REPLICA_CACHED_PROMPT_TOKENS_TOTAL = "skywalker_replica_cached_prompt_tokens_total";
-    /// Tokens replicas generated (live plane).
+    /// Tokens a replica generated.
     REPLICA_GENERATED_TOKENS_TOTAL = "skywalker_replica_generated_tokens_total";
-    /// Requests waiting for admission at a replica (live plane).
+    /// Requests waiting for admission at a replica.
     REPLICA_PENDING = "skywalker_replica_pending";
-    /// Requests in a replica's running batch (live plane).
+    /// Requests in a replica's running batch.
     REPLICA_RUNNING = "skywalker_replica_running";
-    /// Cached share of all prompt tokens processed so far.
+    /// Cached share of the prompt tokens a replica processed so far.
     REPLICA_HIT_RATIO = "skywalker_replica_hit_ratio";
-    /// One replica's KV-cache utilization (live plane).
+    /// A replica's KV-cache utilization.
     KV_UTILIZATION = "skywalker_kv_utilization";
-    /// Mean KV-cache utilization across serving replicas (sim plane).
-    KV_UTILIZATION_MEAN = "skywalker_kv_utilization_mean";
-    /// Replicas currently serving (sim plane).
-    SERVING_REPLICAS = "skywalker_serving_replicas";
 
-    // Client-observed latency and the disaggregation plane (sim plane).
+    // The fleet and its clients (unlabelled unless noted), which only a
+    // simulated run has a view of.
+    /// Replicas serving at the end of the run.
+    SERVING_REPLICAS = "skywalker_serving_replicas";
     /// Time to first token, all regions.
     TTFT_SECONDS = "skywalker_ttft_seconds";
     /// Time to first token, labelled by client `region`.

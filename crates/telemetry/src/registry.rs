@@ -62,7 +62,7 @@ enum Metric {
 /// # Examples
 ///
 /// ```
-/// use skywalker_telemetry::MetricsRegistry;
+/// use skywalker_telemetry::{MetricsRegistry, SampleValue};
 ///
 /// let mut reg = MetricsRegistry::new();
 /// reg.inc("requests_total", &[("region", "us-east-1")], 3);
@@ -70,8 +70,9 @@ enum Metric {
 /// reg.observe("ttft_seconds", &[("region", "us-east-1")], 0.120);
 /// reg.observe("ttft_seconds", &[("region", "us-east-1")], 0.480);
 ///
-/// assert_eq!(reg.counter("requests_total", &[("region", "us-east-1")]), 3);
 /// let snap = reg.snapshot();
+/// let requests = snap.get("requests_total", &[("region", "us-east-1")]).unwrap();
+/// assert_eq!(requests.value, SampleValue::Counter(3));
 /// assert_eq!(snap.samples.len(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,35 +87,12 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Number of registered series (name × label-set pairs).
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True if nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// Adds `delta` to a counter, creating it at zero first.
     pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
         self.check_kind(name, MetricKind::Counter);
         let key = MetricKey::new(name, labels);
         match self.metrics.entry(key).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += delta,
-            _ => unreachable!("kind checked above"),
-        }
-    }
-
-    /// Raises a counter to `total` if it is below it (no-op otherwise).
-    /// This is the sampling form: callers that already track an exact
-    /// cumulative count (e.g. a balancer's forwarded-request stat) publish
-    /// it monotonically without the registry double-counting.
-    pub fn counter_at_least(&mut self, name: &str, labels: &[(&str, &str)], total: u64) {
-        self.check_kind(name, MetricKind::Counter);
-        let key = MetricKey::new(name, labels);
-        match self.metrics.entry(key).or_insert(Metric::Counter(0)) {
-            Metric::Counter(c) => *c = (*c).max(total),
             _ => unreachable!("kind checked above"),
         }
     }
@@ -141,22 +119,6 @@ impl MetricsRegistry {
         {
             Metric::Sketch(s) => s.record(v),
             _ => unreachable!("kind checked above"),
-        }
-    }
-
-    /// Reads a counter (0 if absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.metrics.get(&MetricKey::new(name, labels)) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
-    /// Reads a gauge, if set.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.metrics.get(&MetricKey::new(name, labels)) {
-            Some(Metric::Gauge(v)) => Some(*v),
-            _ => None,
         }
     }
 
@@ -272,22 +234,21 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// The value `reg` exports for one series, if it has it.
+    fn value(reg: &MetricsRegistry, name: &str, labels: &[(&str, &str)]) -> Option<SampleValue> {
+        reg.snapshot().get(name, labels).map(|s| s.value.clone())
+    }
+
     #[test]
     fn counters_accumulate() {
         let mut reg = MetricsRegistry::new();
         reg.inc("hits_total", &[], 1);
         reg.inc("hits_total", &[], 2);
-        assert_eq!(reg.counter("hits_total", &[]), 3);
-        assert_eq!(reg.counter("misses_total", &[]), 0);
-    }
-
-    #[test]
-    fn counter_at_least_is_monotonic() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_at_least("fwd_total", &[], 5);
-        reg.counter_at_least("fwd_total", &[], 3);
-        reg.counter_at_least("fwd_total", &[], 9);
-        assert_eq!(reg.counter("fwd_total", &[]), 9);
+        assert_eq!(
+            value(&reg, "hits_total", &[]),
+            Some(SampleValue::Counter(3))
+        );
+        assert_eq!(value(&reg, "misses_total", &[]), None);
     }
 
     #[test]
@@ -295,8 +256,12 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.inc("x_total", &[("b", "2"), ("a", "1")], 1);
         reg.inc("x_total", &[("a", "1"), ("b", "2")], 1);
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.counter("x_total", &[("a", "1"), ("b", "2")]), 2);
+        assert_eq!(reg.snapshot().len(), 1);
+        let labels = [("a", "1"), ("b", "2")];
+        assert_eq!(
+            value(&reg, "x_total", &labels),
+            Some(SampleValue::Counter(2))
+        );
     }
 
     #[test]
@@ -305,7 +270,7 @@ mod tests {
         reg.set_gauge("depth", &[], 4.0);
         reg.set_gauge("depth", &[], 2.0);
         reg.set_gauge("depth", &[], f64::NAN);
-        assert_eq!(reg.gauge("depth", &[]), Some(2.0));
+        assert_eq!(value(&reg, "depth", &[]), Some(SampleValue::Gauge(2.0)));
     }
 
     #[test]

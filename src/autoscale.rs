@@ -19,7 +19,7 @@
 use skywalker_fleet::{FleetCommand, FleetEvent, FleetObservation, FleetPlan, ProvisionLedger};
 use skywalker_net::Region;
 use skywalker_replica::GpuProfile;
-use skywalker_sim::{DetRng, SimDuration, SimTime};
+use skywalker_sim::{SimDuration, SimTime};
 use skywalker_workload::DiurnalProfile;
 
 /// Tunables of the predictive autoscaler. The `day`/`scale` pair must
@@ -98,12 +98,7 @@ impl PredictiveAutoscaler {
 }
 
 impl FleetPlan for PredictiveAutoscaler {
-    fn next_events(
-        &mut self,
-        _horizon: SimTime,
-        obs: &FleetObservation,
-        _rng: &mut DetRng,
-    ) -> Vec<FleetCommand> {
+    fn next_events(&mut self, _horizon: SimTime, obs: &FleetObservation) -> Vec<FleetCommand> {
         let now = obs.now;
         self.provisioning.prune(now);
         let ahead = now + self.cfg.lead;
@@ -216,14 +211,12 @@ mod tests {
     #[test]
     fn provisions_ahead_of_the_ramp() {
         let mut p = planner();
-        let mut rng = DetRng::new(0);
         // 2400 s day, so 19:00 UTC ≈ t = 1900 s. At t = 1700 the lead
         // (100 s) reads the curve near the ramp; demand exceeds one
         // replica well before the peak.
         let cmds = p.next_events(
             SimTime::from_secs(1_700),
             &obs(SimTime::from_secs(1_700), 1),
-            &mut rng,
         );
         assert!(!cmds.is_empty(), "the ramp must trigger pre-provisioning");
         assert!(cmds.iter().all(|c| matches!(
@@ -242,7 +235,6 @@ mod tests {
         let again = p.next_events(
             SimTime::from_secs(1_701),
             &obs(SimTime::from_secs(1_701), 1),
-            &mut rng,
         );
         assert!(again.is_empty(), "{again:?}");
     }
@@ -250,10 +242,9 @@ mod tests {
     #[test]
     fn steers_down_in_the_trough() {
         let mut p = planner();
-        let mut rng = DetRng::new(0);
         // 07:00 UTC ≈ t = 700 s: the trough wants far fewer than 5.
         let o = obs(SimTime::from_secs(700), 5);
-        let cmds = p.next_events(SimTime::from_secs(700), &o, &mut rng);
+        let cmds = p.next_events(SimTime::from_secs(700), &o);
         let target = p.target_at(Region::UsEast, (700.0 + 100.0) / 2_400.0 * 24.0);
         assert_eq!(cmds.len(), (5 - target) as usize);
         // Least-loaded victims first (load equals id in the fixture).

@@ -15,7 +15,7 @@ use skywalker_net::Region;
 use skywalker_replica::Completion;
 use skywalker_sim::{SimDuration, SimTime};
 use skywalker_telemetry::{
-    names, MetricsRegistry, TelemetryConfig, TelemetrySummary, SERIES_CAPACITY,
+    names, publish, MetricsRegistry, TelemetryConfig, TelemetrySummary, SERIES_CAPACITY,
 };
 use skywalker_trace::{TraceEventKind, TraceRecorder, TraceSummary};
 
@@ -24,8 +24,8 @@ use super::world::{LbSlot, ReplicaSlot};
 use super::{FabricConfig, TransferSummary};
 
 /// The streaming metrics plane: a labeled registry fed at lifecycle
-/// points (TTFT sketches) and on the telemetry tick (gauges, cumulative
-/// counters), plus bounded dashboard series sampled every tick.
+/// points (TTFT sketches) and, once at run end, with every component's
+/// listing; plus bounded dashboard series sampled every tick.
 struct TelemetryPlane {
     cfg: TelemetryConfig,
     registry: MetricsRegistry,
@@ -37,7 +37,29 @@ struct TelemetryPlane {
 }
 
 impl TelemetryPlane {
-    fn into_summary(self) -> TelemetrySummary {
+    /// Publishes the run's end state — every balancer (a crashed one
+    /// reads the queue it has, none, and the counters the crash left),
+    /// every replica ever deployed, the serving count and, on a
+    /// disaggregated fleet, the handoff totals — and snapshots it.
+    fn into_summary(
+        mut self,
+        lbs: &[LbSlot],
+        replicas: &[ReplicaSlot],
+        transfers: &TransferSummary,
+    ) -> TelemetrySummary {
+        let reg = &mut self.registry;
+        for slot in lbs {
+            publish::balancer(reg, &slot.lb);
+        }
+        for slot in replicas {
+            publish::replica(reg, &slot.replica);
+        }
+        let serving = replicas.iter().filter(|s| s.is_active()).count();
+        reg.set_gauge(names::SERVING_REPLICAS, &[], serving as f64);
+        if transfers.started > 0 {
+            reg.inc(names::KV_TRANSFERS_TOTAL, &[], transfers.started);
+            reg.inc(names::KV_TRANSFER_TOKENS_TOTAL, &[], transfers.tokens_sent);
+        }
         TelemetrySummary {
             interval: self.cfg.interval,
             ticks: self.ticks,
@@ -139,47 +161,23 @@ impl Observers {
         self.tracker.failure(req);
     }
 
-    /// Samples the authoritative fabric state into the metrics plane
-    /// (no-op when telemetry is off): reads balancer/replica state,
-    /// writes only the registry and the dashboard series.
-    pub(crate) fn sample(
-        &mut self,
-        now: SimTime,
-        lbs: &[LbSlot],
-        replicas: &[ReplicaSlot],
-        transfers: &TransferSummary,
-    ) {
+    /// Samples the five dashboard series (no-op when telemetry is off):
+    /// reads balancer and replica state, writes only the series. The
+    /// registry is not written here — between ticks nothing reads it but
+    /// the TTFT sketch — so components are published once, at run end.
+    pub(crate) fn sample(&mut self, now: SimTime, lbs: &[LbSlot], replicas: &[ReplicaSlot]) {
         let Some(plane) = self.telemetry.as_mut() else {
             return;
         };
         plane.ticks += 1;
-        let reg = &mut plane.registry;
 
-        // Balancer plane: queue depths plus the cumulative routing
-        // counters the balancers already track exactly. A crashed
-        // balancer is sampled too: its queue was emptied when it went
-        // down, and its counters stay where the crash left them.
-        let mut total_queue = 0u64;
-        for lb in lbs.iter().map(|s| &s.lb) {
-            let stats = lb.stats();
-            let labels = [("region", lb.region().name())];
-            reg.set_gauge(names::LB_QUEUE_DEPTH, &labels, lb.queue_len() as f64);
-            reg.counter_at_least(names::LB_RECEIVED_TOTAL, &labels, stats.received);
-            reg.counter_at_least(
-                names::LB_DISPATCHED_LOCAL_TOTAL,
-                &labels,
-                stats.dispatched_local,
-            );
-            reg.counter_at_least(names::LB_FORWARDED_TOTAL, &labels, stats.forwarded);
-            total_queue += lb.queue_len() as u64;
-        }
-
-        // Replica plane: serving count, KV pressure, cache effectiveness.
+        // A crashed balancer counts too: its queue was emptied when it
+        // went down.
+        let total_queue: usize = lbs.iter().map(|s| s.lb.queue_len()).sum();
         let mut serving = 0u64;
         let mut kv_sum = 0.0;
         let mut prompt = 0u64;
         let mut cached = 0u64;
-        let mut completed = 0u64;
         for slot in replicas {
             if slot.is_active() {
                 serving += 1;
@@ -188,23 +186,9 @@ impl Observers {
             let stats = slot.replica.stats();
             prompt += stats.prompt_tokens;
             cached += stats.cached_prompt_tokens;
-            completed += stats.completed;
         }
-        let kv_mean = ratio(kv_sum, serving as f64);
-        let hit = ratio(cached as f64, prompt as f64);
-        reg.set_gauge(names::SERVING_REPLICAS, &[], serving as f64);
-        reg.set_gauge(names::KV_UTILIZATION_MEAN, &[], kv_mean);
-        reg.set_gauge(names::REPLICA_HIT_RATIO, &[], hit);
-        reg.counter_at_least(names::REPLICA_COMPLETED_TOTAL, &[], completed);
-
-        // Disaggregation plane: cumulative handoff counts and volume
-        // (flat zeros — and no extra series — on colocated fleets).
-        if transfers.started > 0 {
-            reg.counter_at_least(names::KV_TRANSFERS_TOTAL, &[], transfers.started);
-            reg.counter_at_least(names::KV_TRANSFER_TOKENS_TOTAL, &[], transfers.tokens_sent);
-        }
-
-        let ttft_p90 = reg
+        let ttft_p90 = plane
+            .registry
             .sketch(names::TTFT_SECONDS, &[])
             .map(|s| s.quantile(0.90))
             .unwrap_or(0.0);
@@ -213,8 +197,8 @@ impl Observers {
         // across serving replicas, total balancer queue depth,
         // serving replica count, sketch-P90 TTFT (seconds).
         let samples = [
-            ("hit_ratio", hit),
-            ("kv_utilization", kv_mean),
+            ("hit_ratio", ratio(cached as f64, prompt as f64)),
+            ("kv_utilization", ratio(kv_sum, serving as f64)),
             ("queue_depth", total_queue as f64),
             ("serving_replicas", serving as f64),
             ("ttft_p90_seconds", ttft_p90),
@@ -231,15 +215,22 @@ impl Observers {
     }
 
     /// Closes every sink at the run's end instant: the client-observed
-    /// report, then the trace and telemetry summaries when attached.
+    /// report, then the trace and telemetry summaries when attached. The
+    /// telemetry plane takes one last sample (the run may end between
+    /// ticks) and publishes the end state.
     pub(crate) fn finish(
         mut self,
         end: SimTime,
+        lbs: &[LbSlot],
+        replicas: &[ReplicaSlot],
+        transfers: &TransferSummary,
     ) -> (RunReport, Option<TraceSummary>, Option<TelemetrySummary>) {
+        self.sample(end, lbs, replicas);
         (
             self.tracker.report(end),
             self.tracer.map(TraceRecorder::into_summary),
-            self.telemetry.map(TelemetryPlane::into_summary),
+            self.telemetry
+                .map(|plane| plane.into_summary(lbs, replicas, transfers)),
         )
     }
 }

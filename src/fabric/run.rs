@@ -8,7 +8,7 @@ use skywalker_core::{
     BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
 };
 use skywalker_fleet::FleetObservation;
-use skywalker_net::{DnsResolver, Endpoint, Region};
+use skywalker_net::Region;
 use skywalker_replica::{ReplicaRole, ReplicaStats};
 use skywalker_sim::{DetRng, Engine, SimTime};
 use skywalker_workload::distinct_regions;
@@ -60,13 +60,13 @@ fn lb_regions(scenario: &Scenario) -> Vec<Region> {
     }
 }
 
-/// The balancers, each advertised in DNS and registered with the
-/// controller, peered all-to-all when forwarding is on.
+/// The balancers, each registered with the controller (which is also
+/// what clients resolve against), peered all-to-all when forwarding is
+/// on.
 fn build_lbs(
     scenario: &Scenario,
     cfg: &FabricConfig,
     forward: bool,
-    dns: &mut DnsResolver,
     controller: &mut Controller,
 ) -> Vec<LbSlot> {
     let (policy, push_mode, tau, constraint) = match scenario.deployment {
@@ -99,7 +99,6 @@ fn build_lbs(
         };
         let lb = RegionalBalancer::with_factory(LbId(lb_id), bcfg, factory);
         lbs.push(LbSlot { lb, alive: true });
-        dns.advertise(Endpoint { region, lb_id });
         controller.register_lb(LbId(lb_id), region);
     }
     if forward {
@@ -116,14 +115,13 @@ fn build_lbs(
 
 fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
     let cfg = cfg.clamped();
-    let mut dns = DnsResolver::new(cfg.net.clone());
     let mut controller = Controller::new(cfg.net.clone(), FabricConfig::CONTROLLER_TIMEOUT);
     // Only per-region deployments forward between balancers.
     let forward_enabled = matches!(
         scenario.deployment,
         Deployment::PerRegion { forward: true, .. }
     );
-    let lbs = build_lbs(scenario, &cfg, forward_enabled, &mut dns, &mut controller);
+    let lbs = build_lbs(scenario, &cfg, forward_enabled, &mut controller);
 
     let mut world = Fabric {
         rng: DetRng::for_component(cfg.seed, "fabric/net"),
@@ -144,12 +142,10 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
             pending_arrivals: 0,
         },
         reqs: HashMap::default(),
-        dns,
         controller,
         fleet: FleetPlane {
             // Each run polls a fresh clone, like the traffic source.
             plan: scenario.fleet_plan.clone(),
-            rng: DetRng::for_component(cfg.seed, "fabric/fleet"),
             ledger: FleetSummary::default(),
             observation: FleetObservation::default(),
         },
@@ -209,10 +205,10 @@ fn summarize(
         "a drained run still holds disagg handoff state"
     );
     world.fleet.record(end, &world.replicas);
-    // One final flush so the summary snapshot reflects the end state even
-    // when the run ends between ticks (no-op with telemetry off).
-    world.sample_telemetry(end);
-    let (report, trace, telemetry) = world.obs.finish(end);
+    let (report, trace, telemetry) =
+        world
+            .obs
+            .finish(end, &world.lbs, &world.replicas, &world.transfers);
 
     let replica_stats: Vec<ReplicaStats> =
         world.replicas.iter().map(|s| s.replica.stats()).collect();

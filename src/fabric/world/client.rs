@@ -1,6 +1,7 @@
 //! The client layer: the traffic stream, closed-loop client programs,
-//! and the request's two client-facing edges — issue (DNS → balancer)
-//! and delivery (first token, completion).
+//! and the request's two client-facing edges — issue (nearest alive
+//! balancer, resolved through the controller) and delivery (first
+//! token, completion).
 //!
 //! What the layer holds follows the in-flight population, not the run
 //! length. A stage's requests are *moved* out of the client's program
@@ -14,6 +15,7 @@
 use std::collections::hash_map::Entry;
 use std::mem;
 
+use skywalker_core::LbId;
 use skywalker_net::Region;
 use skywalker_replica::{Completion, Request, RequestId};
 use skywalker_sim::{DetRng, SimDuration};
@@ -140,24 +142,22 @@ impl Fabric {
         self.send_request(client, req, sched);
     }
 
-    /// Resolves the client's entry balancer and puts the request on the
-    /// wire toward it; during a total outage the client waits and
-    /// retries.
+    /// Resolves the client's entry balancer — the nearest one the
+    /// controller holds alive, as latency-based DNS would (§4.1) — and
+    /// puts the request on the wire toward it; during a total outage the
+    /// client waits and retries.
     fn send_request(&mut self, client: usize, req: Request, sched: &mut Sched) {
         let region = self.clients[client].region;
-        let Some(ep) = self.dns.resolve(region) else {
+        let Some(LbId(lb)) = self.controller.resolve(region) else {
             return self.retry_later(req, sched);
         };
-        let delay = self
-            .cfg
-            .net
-            .sample_one_way(region, ep.region, &mut self.rng);
-        let lb = ep.lb_id;
+        let to = self.lbs[lb as usize].lb.region();
+        let delay = self.cfg.net.sample_one_way(region, to, &mut self.rng);
         sched.after(delay, Ev::LbReceive { lb, req, hops: 0 });
     }
 
     /// A request lost before reaching a replica (dead balancer, dropped
-    /// queue, DNS outage): its client backs off, then re-issues it.
+    /// queue, no balancer alive): its client backs off, then re-issues it.
     pub(crate) fn retry_later(&mut self, req: Request, sched: &mut Sched) {
         if let Some(state) = self.reqs.get(&req.id.0) {
             let client = state.client;

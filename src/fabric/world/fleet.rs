@@ -7,7 +7,7 @@ use skywalker_fleet::{
 };
 use skywalker_metrics::TimeSeries;
 use skywalker_replica::{ReplicaId, ReplicaRole, Request};
-use skywalker_sim::{DetRng, SimTime};
+use skywalker_sim::SimTime;
 
 use super::{Ev, Fabric, LbSlot, ReplicaHealth, ReplicaSlot, Sched};
 use crate::fabric::{FabricConfig, FleetSummary};
@@ -17,9 +17,6 @@ use crate::fabric::{FabricConfig, FleetSummary};
 pub(crate) struct FleetPlane {
     /// The scenario's plan, polled as sim time advances.
     pub(crate) plan: Option<Box<dyn FleetPlan>>,
-    /// Randomness stream handed to the plan (separate from the network
-    /// stream, so plans cannot perturb latency sampling).
-    pub(crate) rng: DetRng,
     /// The elasticity ledger, kept in its final shape: per-region
     /// serving-replica traces (sorted by region) and churn counters.
     /// `final_replicas` is filled in when the run ends.
@@ -93,9 +90,7 @@ impl Fabric {
         // fire at its exact instant instead of being quantized to poll
         // boundaries.
         let horizon = now + FabricConfig::POLL_INTERVAL;
-        for FleetCommand { at, event } in
-            plan.next_events(horizon, &fleet.observation, &mut fleet.rng)
-        {
+        for FleetCommand { at, event } in plan.next_events(horizon, &fleet.observation) {
             sched.at(at, Ev::FleetApply { event });
         }
         if !plan.is_done() {

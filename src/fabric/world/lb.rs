@@ -3,7 +3,7 @@
 //! peer balancer), and the controller's failover actions.
 
 use skywalker_core::{ControlAction, Decision, LbId, RegionalBalancer};
-use skywalker_net::{Endpoint, Region};
+use skywalker_net::Region;
 use skywalker_replica::{ReplicaId, Request};
 use skywalker_trace::TraceEventKind::{Dispatched, Forwarded};
 
@@ -19,7 +19,7 @@ impl Fabric {
     pub(crate) fn on_lb_receive(&mut self, lb: u32, req: Request, hops: u8, sched: &mut Sched) {
         let slot = &mut self.lbs[lb as usize];
         if !slot.alive {
-            // Connection refused: the client retries via DNS.
+            // Connection refused: the client retries, resolving again.
             return self.retry_later(req, sched);
         }
         self.obs.lb_queued(req.id.0, lb, hops, sched.now());
@@ -109,17 +109,10 @@ impl Fabric {
             .0
     }
 
-    /// Publishes balancer `id`'s health to DNS and to its peers.
+    /// Tells balancer `id`'s peers whether it is up. Clients need no
+    /// telling: they resolve against the controller, which already
+    /// flipped it.
     fn set_lb_health(&mut self, id: LbId, healthy: bool) {
-        let ep = Endpoint {
-            region: self.lbs[id.0 as usize].lb.region(),
-            lb_id: id.0,
-        };
-        if healthy {
-            self.dns.mark_healthy(ep);
-        } else {
-            self.dns.mark_unhealthy(ep);
-        }
         for (j, peer) in self.lbs.iter_mut().enumerate() {
             if j as u32 != id.0 {
                 peer.lb.set_peer_alive(id, healthy);

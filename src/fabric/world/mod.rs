@@ -5,7 +5,7 @@
 //! | module | owns | handles |
 //! |---|---|---|
 //! | [`client`] | clients, traffic source, request ledger | `TrafficPoll`, `ClientArrive`, `IssueStage`, `Retry`, `DeliverFirstToken`, `DeliverCompletion` |
-//! | [`lb`] | balancer slots, DNS, controller actions | `LbReceive`, `LbDispatch`, `PeerStatus` |
+//! | [`lb`] | balancer slots, controller actions | `LbReceive`, `LbDispatch`, `PeerStatus` |
 //! | [`replica`] | replica slots, the step loop | `ReplicaReceive`, `ReplicaKick`, `IterationDone` |
 //! | [`disagg`] | prefill→decode handoffs | `KvTransfer` |
 //! | [`fleet`] | the fleet plan, joins/drains/crashes | `FleetPoll`, `FleetApply` |
@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_core::Controller;
 use skywalker_fleet::FleetEvent;
-use skywalker_net::{DnsResolver, Region};
+use skywalker_net::Region;
 use skywalker_replica::{Completion, EngineSpec, Request, RequestId};
 use skywalker_sim::{DetRng, Scheduler, SimTime, World};
 use skywalker_workload::ClientSpec;
@@ -94,10 +94,10 @@ pub(crate) enum Ev {
         completion: Completion,
     },
     ProbeTick,
-    /// Sample the authoritative fabric state into the metrics plane;
-    /// reschedules itself every telemetry interval. Read-only against
-    /// the simulation: it writes the registry and ring series, never the
-    /// scheduler state, RNG streams, or any component.
+    /// Sample the fabric state into the dashboard series; reschedules
+    /// itself every telemetry interval. Read-only against the
+    /// simulation: it writes the series, never the scheduler state, RNG
+    /// streams, or any component.
     TelemetryTick,
     /// Balancer `from`'s `(available replicas, queue length)` reaches
     /// its peer `to`.
@@ -141,7 +141,7 @@ pub(crate) struct Fabric {
     /// The run's knobs, with every tick interval clamped.
     pub(crate) cfg: FabricConfig,
     /// Network-latency randomness (the only stream the world draws from
-    /// directly; traffic and fleet plans get their own).
+    /// directly; the traffic source gets its own).
     pub(crate) rng: DetRng,
     pub(crate) lbs: Vec<LbSlot>,
     pub(crate) replicas: Vec<ReplicaSlot>,
@@ -159,7 +159,8 @@ pub(crate) struct Fabric {
     /// instant it regrows — would differ from run to run, which would
     /// make a run's peak heap inexact under a seed.
     pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id; walked only by the order-free `handoffs_retired` debug check
-    pub(crate) dns: DnsResolver,
+    /// The balancer map failover acts on — and what clients resolve their
+    /// entry balancer against (`Controller::resolve`).
     pub(crate) controller: Controller,
     pub(crate) forward_enabled: bool,
     pub(crate) fleet: FleetPlane,

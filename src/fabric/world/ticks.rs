@@ -1,10 +1,9 @@
 //! The periodic planes, each a self-rescheduling tick: selective-pushing
 //! probes, balancer heartbeats and the controller's failure detector,
-//! and the telemetry sampler. Every configurable period comes from the
+//! and the telemetry sampler (the dashboard series only). Every configurable period comes from the
 //! clamped [`FabricConfig`], so a tick always advances virtual time.
 
 use skywalker_core::LbId;
-use skywalker_sim::SimTime;
 
 use super::{Ev, Fabric, ReplicaHealth, Sched};
 use crate::fabric::FabricConfig;
@@ -65,17 +64,10 @@ impl Fabric {
     }
 
     pub(crate) fn on_telemetry_tick(&mut self, sched: &mut Sched) {
-        self.sample_telemetry(sched.now());
+        self.obs.sample(sched.now(), &self.lbs, &self.replicas);
         if let Some(interval) = self.obs.telemetry_interval() {
             sched.after(interval, Ev::TelemetryTick);
         }
-    }
-
-    /// Samples the authoritative fabric state into the metrics plane
-    /// (no-op with telemetry off).
-    pub(crate) fn sample_telemetry(&mut self, now: SimTime) {
-        self.obs
-            .sample(now, &self.lbs, &self.replicas, &self.transfers);
     }
 
     pub(crate) fn on_heartbeat_tick(&mut self, sched: &mut Sched) {

@@ -10,17 +10,17 @@
 //! | Crate | Provides |
 //! |---|---|
 //! | `skywalker-sim` | deterministic discrete-event engine, seeded RNG |
-//! | `skywalker-net` | regions, WAN latency model, DNS, wire codec |
+//! | `skywalker-net` | regions, WAN latency model, wire codec |
 //! | `skywalker-replica` | continuous-batching replica with radix KV cache |
 //! | `skywalker-workload` | WildChat/Arena/ToT-style trace generators |
-//! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller |
+//! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller (failover, and client resolution: the latency-based DNS stand-in) |
 //! | `skywalker-fleet` | the elastic fleet control plane: the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`] |
 //! | `skywalker-cost` | reserved/on-demand provisioning cost model |
 //! | `skywalker-metrics` | exact box-plot summaries, request tracking, time series, the JSON report serializer |
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
 //! | `skywalker-lab` | the parallel experiment lab: deterministic multi-threaded sweeps over scenario grids |
 //! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`) |
-//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, Prometheus export (`docs/telemetry.md`) |
+//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, the one metric listing per balancer and replica that both planes publish, Prometheus export (`docs/telemetry.md`) |
 //! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], and [`P2cLocal`] — a custom policy built on the open surface |
 //!
 //! `skywalker-lab` sits *above* this facade (it consumes [`Scenario`]

@@ -7,10 +7,11 @@
 
 use skywalker::replica::{GpuProfile, ReplicaId};
 use skywalker::sim::{SimDuration, SimTime};
+use skywalker::telemetry::{names, SampleValue, TelemetrySummary};
 use skywalker::{
-    balanced_fleet, l4_fleet, run_scenario, workload_clients, AutoscalerConfig, ChaosConfig,
-    ChaosPlan, FabricConfig, FleetCommand, FleetEvent, MergePlan, RunSummary, ScheduledPlan,
-    SystemKind, ThresholdAutoscaler, Workload, REGIONS,
+    balanced_fleet, diurnal_day_scenario, l4_fleet, run_scenario, workload_clients,
+    AutoscalerConfig, ChaosConfig, ChaosPlan, DayStrategy, FabricConfig, FleetCommand, FleetEvent,
+    MergePlan, RunSummary, ScheduledPlan, SystemKind, ThresholdAutoscaler, Workload, REGIONS,
 };
 
 fn expected_requests(scale: f64, seed: u64) -> usize {
@@ -204,4 +205,80 @@ fn drill_and_autoscaler_compose() {
     let s = run_scenario(&scenario, &FabricConfig::default());
     assert_eq!(accounted(&s) as usize, expected);
     assert_eq!(s.report.in_flight, 0);
+}
+
+/// The snapshot's `name` series, one per component, as (label value,
+/// value) in snapshot order.
+fn listing<'a>(t: &'a TelemetrySummary, name: &str) -> Vec<(&'a str, &'a SampleValue)> {
+    let series = t.snapshot.samples.iter().filter(|s| s.name == name);
+    series
+        .map(|s| match s.labels.as_slice() {
+            [(_, label)] => (label.as_str(), &s.value),
+            other => panic!("{name} carries labels {other:?}"),
+        })
+        .collect()
+}
+
+/// A telemetry run's final snapshot lists every balancer and every
+/// replica the run ever deployed — joined and crashed ones included —
+/// under the names a live scrape uses, and its counters add up to the
+/// run summary's.
+#[test]
+fn final_snapshot_lists_every_component_ever_deployed() {
+    let seed = 61;
+    let scenario = diurnal_day_scenario(DayStrategy::Chaos, seed);
+    let cfg = FabricConfig {
+        seed,
+        ..FabricConfig::default().telemetry(SimDuration::from_secs(10))
+    };
+    let s = run_scenario(&scenario, &cfg);
+    assert!(
+        s.fleet.crashes > 0 && s.fleet.joins > 0,
+        "the day needs churn"
+    );
+    let t = s.telemetry.as_ref().expect("telemetry was enabled");
+
+    let mut regions: Vec<String> = REGIONS.iter().map(|r| r.name().to_string()).collect();
+    let mut replicas: Vec<String> = (0..s.replica_stats.len()).map(|i| i.to_string()).collect();
+    regions.sort();
+    replicas.sort();
+    let balancer_names = [
+        names::LB_RECEIVED_TOTAL,
+        names::LB_DISPATCHED_LOCAL_TOTAL,
+        names::LB_FORWARDED_TOTAL,
+        names::LB_QUEUE_DEPTH,
+        names::LB_PEAK_QUEUE,
+        names::LB_AVAILABLE_REPLICAS,
+    ];
+    let replica_names = [
+        names::REPLICA_ADMITTED_TOTAL,
+        names::REPLICA_COMPLETED_TOTAL,
+        names::REPLICA_PROMPT_TOKENS_TOTAL,
+        names::REPLICA_CACHED_PROMPT_TOKENS_TOTAL,
+        names::REPLICA_GENERATED_TOKENS_TOTAL,
+        names::REPLICA_PENDING,
+        names::REPLICA_RUNNING,
+        names::REPLICA_HIT_RATIO,
+        names::KV_UTILIZATION,
+    ];
+    for (names, expected) in [
+        (&balancer_names[..], &regions),
+        (&replica_names[..], &replicas),
+    ] {
+        for name in names {
+            let labels: Vec<&str> = listing(t, name).iter().map(|&(l, _)| l).collect();
+            assert_eq!(labels, *expected, "{name}: one series per component");
+        }
+    }
+
+    let total = |name| -> u64 {
+        let counters = listing(t, name).into_iter().map(|(_, v)| match v {
+            SampleValue::Counter(c) => *c,
+            other => panic!("{name} is not a counter: {other:?}"),
+        });
+        counters.sum()
+    };
+    let completed: u64 = s.replica_stats.iter().map(|r| r.completed).sum();
+    assert_eq!(total(names::REPLICA_COMPLETED_TOTAL), completed);
+    assert_eq!(total(names::LB_FORWARDED_TOTAL), s.forwarded);
 }

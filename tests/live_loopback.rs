@@ -244,6 +244,71 @@ fn parse_exposition(text: &str) -> Vec<(String, f64)> {
     samples
 }
 
+/// A balancer's scrape after three requests from one client, each a
+/// repeat of the same 64-token prompt, on one replica.
+const LB_SCRAPE: &str = r#"# TYPE skywalker_lb_available_replicas gauge
+skywalker_lb_available_replicas{region="us-east-1"} 1
+# TYPE skywalker_lb_dispatched_local_total counter
+skywalker_lb_dispatched_local_total{region="us-east-1"} 3
+# TYPE skywalker_lb_forwarded_total counter
+skywalker_lb_forwarded_total{region="us-east-1"} 0
+# TYPE skywalker_lb_peak_queue gauge
+skywalker_lb_peak_queue{region="us-east-1"} 1
+# TYPE skywalker_lb_queue_depth gauge
+skywalker_lb_queue_depth{region="us-east-1"} 0
+# TYPE skywalker_lb_received_total counter
+skywalker_lb_received_total{region="us-east-1"} 3
+"#;
+
+/// That replica's scrape after the same three requests.
+const REPLICA_SCRAPE: &str = r#"# TYPE skywalker_kv_utilization gauge
+skywalker_kv_utilization{replica="0"} 0.0022786458333333335
+# TYPE skywalker_replica_admitted_total counter
+skywalker_replica_admitted_total{replica="0"} 3
+# TYPE skywalker_replica_cached_prompt_tokens_total counter
+skywalker_replica_cached_prompt_tokens_total{replica="0"} 128
+# TYPE skywalker_replica_completed_total counter
+skywalker_replica_completed_total{replica="0"} 3
+# TYPE skywalker_replica_generated_tokens_total counter
+skywalker_replica_generated_tokens_total{replica="0"} 24
+# TYPE skywalker_replica_hit_ratio gauge
+skywalker_replica_hit_ratio{replica="0"} 0.6666666666666666
+# TYPE skywalker_replica_pending gauge
+skywalker_replica_pending{replica="0"} 0
+# TYPE skywalker_replica_prompt_tokens_total counter
+skywalker_replica_prompt_tokens_total{replica="0"} 192
+# TYPE skywalker_replica_running gauge
+skywalker_replica_running{replica="0"} 0
+"#;
+
+/// Both servers' scrape texts, byte for byte, for a fixed request
+/// sequence: the exposition every scraper of a live cluster — skybench's
+/// `live_loopback` counters among them — parses.
+#[test]
+fn scrape_texts_are_pinned() {
+    let r0 = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, FAST).unwrap();
+    let lb = BalancerServer::spawn(
+        LbId(0),
+        BalancerConfig::skywalker(Region::UsEast),
+        Duration::from_millis(10),
+    )
+    .unwrap();
+    lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+    let mut client = LiveClient::connect(lb.addr()).unwrap();
+    for i in 0..3u64 {
+        let out = client
+            .run(&Request::new(i, "u", (0..64).collect(), 8))
+            .unwrap();
+        assert_eq!(out.generated, 8);
+    }
+    // A probe after the last completion: the replica reads available.
+    await_available_replicas(lb.addr(), 1.0);
+    assert_eq!(scrape_metrics(lb.addr()).unwrap(), LB_SCRAPE);
+    assert_eq!(scrape_metrics(r0.addr()).unwrap(), REPLICA_SCRAPE);
+    lb.shutdown();
+    r0.shutdown();
+}
+
 #[test]
 fn metrics_scrape_over_the_wire() {
     let r0 = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, FAST).unwrap();
