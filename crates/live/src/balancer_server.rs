@@ -63,11 +63,10 @@ impl Service for Balancer {
             }
             Message::ProbeLb => {
                 let (available_replicas, queue_len) = lb.lock().status();
-                let _ = reply.send(Message::LbStatus {
+                return reply.send(&Message::LbStatus {
                     available_replicas,
                     queue_len,
                 });
-                return;
             }
             Message::ReplicaStatus {
                 pending,
@@ -120,7 +119,7 @@ impl Server<Balancer> {
                     Link::Replica(_) => Message::ProbeReplica,
                     _ => Message::ProbeLb,
                 };
-                let _ = outbox.send(probe);
+                outbox.send(&probe);
             }
             std::thread::sleep(interval);
         }
@@ -171,17 +170,18 @@ impl BalancerServer {
     }
 
     /// Attaches a replica server: opens the data connection and registers
-    /// it with the balancer. The link's outbox is registered *before* the
-    /// replica becomes routable, so a dispatch can never race the
-    /// connection setup and drop a request.
+    /// it with the balancer. The connection's write half is in the link
+    /// table *before* the replica becomes routable, so a dispatch can
+    /// never race the connection setup and drop a request; the thread
+    /// that dispatches writes the `Infer` itself.
     pub fn attach_replica(&self, id: ReplicaId, addr: SocketAddr) -> io::Result<()> {
         self.net
             .dial(addr, Link::Replica(id), |lb| lb.lock().add_replica(id))
     }
 
     /// Connects to a peer balancer for cross-region forwarding. As with
-    /// replicas, the link's outbox is registered before the peer becomes
-    /// a forwarding candidate.
+    /// replicas, the connection's write half is in the link table before
+    /// the peer becomes a forwarding candidate.
     pub fn connect_peer(&self, id: LbId, region: Region, addr: SocketAddr) -> io::Result<()> {
         self.net
             .dial(addr, Link::Lb(id), |lb| lb.lock().add_peer(id, region))

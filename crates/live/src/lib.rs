@@ -140,23 +140,30 @@ mod tests {
         conns.into_iter().for_each(assert_closed_by_shutdown);
     }
 
+    /// Also a half-open peer: two bytes of a length prefix, then silence.
+    /// Its thread waits in `read` and holds nothing else, so a client is
+    /// served meanwhile, and `shutdown()` still ends it in time.
     #[test]
     fn balancer_shutdown_closes_open_connections() {
-        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
-        let lb = BalancerServer::spawn(
-            LbId(0),
-            BalancerConfig::skywalker(Region::UsEast),
-            Duration::from_millis(10),
-        )
-        .unwrap();
-        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+        use std::io::Write;
+        let (lb, r0) = balancer_with_a_replica();
         let conn = served_connection(lb.addr(), Message::ProbeLb);
+        let mut stalled = std::net::TcpStream::connect(lb.addr()).unwrap();
+        stalled.write_all(&[0, 0]).unwrap();
+        eventually("the stalled peer is served", || lb.net.serving() == 3);
+        let mut client = LiveClient::connect(lb.addr()).unwrap();
+        let out = client.run(&Request::new(1, "u", vec![7; 16], 4)).unwrap();
+        assert_eq!(out.generated, 4);
+
         let net = Arc::clone(&lb.net);
+        let started = Instant::now();
         lb.shutdown();
+        assert!(started.elapsed() < server::DRAIN_TIMEOUT);
         assert_eq!(net.serving(), 0, "shutdown() left connection threads");
         // With the replica still up, a balancer that kept its links
         // would route this request and answer it.
         assert_closed_by_shutdown(conn);
+        assert_closed_by_shutdown(stalled);
         r0.shutdown();
     }
 
@@ -188,6 +195,124 @@ mod tests {
         drop(flood.join());
     }
 
+    /// A balancer with one replica attached, probing every 10 ms.
+    fn balancer_with_a_replica() -> (BalancerServer, ReplicaServer) {
+        let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
+        let lb = BalancerServer::spawn(
+            LbId(0),
+            BalancerConfig::skywalker(Region::UsEast),
+            Duration::from_millis(10),
+        )
+        .unwrap();
+        lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
+        (lb, r0)
+    }
+
+    /// Connects to `addr`, writes `lead`, then 16 000 `MetricsRequest`s —
+    /// several times what the socket buffers hold of their answers — and
+    /// never reads. Stops sending early once the server drops it; the
+    /// thread returns the connection still open, since closing it would
+    /// end the drill.
+    fn flood_without_reading(
+        addr: std::net::SocketAddr,
+        lead: &[Message],
+    ) -> std::thread::JoinHandle<std::net::TcpStream> {
+        use std::io::Write;
+        let mut flooder = std::net::TcpStream::connect(addr).unwrap();
+        flooder
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        lead.iter()
+            .for_each(|m| write_frame(&mut flooder, m).unwrap());
+        std::thread::spawn(move || {
+            let mut burst = Vec::new();
+            for _ in 0..1000 {
+                write_frame(&mut burst, &Message::MetricsRequest).unwrap();
+            }
+            for _ in 0..16 {
+                if flooder.write_all(&burst).is_err() {
+                    break;
+                }
+            }
+            flooder
+        })
+    }
+
+    /// A peer that floods `MetricsRequest`s and never reads what they are
+    /// answered with costs one blocked sender for at most `WRITE_TIMEOUT`,
+    /// then its connection; another client is served as usual meanwhile.
+    /// (Were answers queued for a writer thread instead, the queue would
+    /// grow for as long as the peer sends, and the connection would stay.)
+    #[test]
+    fn a_peer_that_never_reads_is_disconnected() {
+        let (lb, r0) = balancer_with_a_replica();
+        let mut client = LiveClient::connect(lb.addr()).unwrap();
+        eventually("the link and the client are served", || {
+            lb.net.serving() == 2
+        });
+
+        let started = Instant::now();
+        let flood = flood_without_reading(lb.addr(), &[]);
+        eventually("the flooder is served", || lb.net.serving() == 3);
+
+        for i in 0..50u64 {
+            let req = Request::new(i, format!("u{i}"), vec![i as u32; 16], 4);
+            let out = client.run(&req).unwrap();
+            assert!(out.e2e < Duration::from_millis(100), "request {i}: {out:?}");
+        }
+        let deadline = started + server::WRITE_TIMEOUT + Duration::from_secs(1);
+        until(deadline, "the flooder is disconnected", || {
+            lb.net.serving() == 2
+        });
+        drop(flood.join().unwrap());
+        lb.shutdown();
+        r0.shutdown();
+    }
+
+    /// The trade for writing on the producing thread: a relay is a shared
+    /// sender. The pump of a replica link writes the answers of every
+    /// client that replica serves, so while it waits on a peer that never
+    /// reads, every client behind that link waits too — for at most
+    /// `WRITE_TIMEOUT`, after which the peer is cut off and writes to it
+    /// fail at once. The flooder's own request is sized to complete on
+    /// the shared replica a few hundred ms into the flood, while its
+    /// socket is full; the other client's request in flight then waits
+    /// out the rest of the flooder's timeout.
+    #[test]
+    fn a_relay_to_a_peer_that_never_reads_holds_its_link_at_most_write_timeout() {
+        let (lb, r0) = balancer_with_a_replica();
+        let mut client = LiveClient::connect(lb.addr()).unwrap();
+        eventually("the link and the client are served", || {
+            lb.net.serving() == 2
+        });
+
+        let started = Instant::now();
+        let doomed = Message::Infer {
+            request_id: 1 << 40,
+            session_key: "flooder".into(),
+            prompt: vec![3; 64],
+            max_new_tokens: 10_000,
+            hops: 0,
+        };
+        let flood = flood_without_reading(lb.addr(), &[doomed]);
+        eventually("the flooder is served", || lb.net.serving() == 3);
+        let deadline = started + server::WRITE_TIMEOUT + Duration::from_secs(1);
+        let mut slowest = Duration::ZERO;
+        for i in 0.. {
+            if lb.net.serving() == 2 {
+                break; // the flooder is cut off
+            }
+            assert!(Instant::now() < deadline, "the flooder is still connected");
+            let req = Request::new(i, format!("u{i}"), vec![i as u32; 16], 4);
+            slowest = slowest.max(client.run(&req).unwrap().e2e);
+        }
+        let bound = server::WRITE_TIMEOUT + Duration::from_millis(250);
+        assert!(slowest < bound, "a request took {slowest:?}");
+        drop(flood.join().unwrap());
+        lb.shutdown();
+        r0.shutdown();
+    }
+
     /// Polls `addr`'s scrape until the sample `name` reaches `at_least`;
     /// returns the value it then had.
     fn await_metric(addr: std::net::SocketAddr, name: &str, at_least: f64) -> f64 {
@@ -207,9 +332,13 @@ mod tests {
     /// Polls (bounded) until `cond` holds. `dial` returning says the peer's
     /// kernel took the connection, not that its acceptor thread has.
     fn eventually(what: &str, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(5);
+        until(Instant::now() + Duration::from_secs(5), what, cond);
+    }
+
+    /// Polls until `cond` holds; fails if it does not by `deadline`.
+    fn until(deadline: Instant, what: &str, cond: impl Fn() -> bool) {
         while !cond() {
-            assert!(Instant::now() < deadline, "never: {what}");
+            assert!(Instant::now() < deadline, "not in time: {what}");
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -231,19 +360,20 @@ mod tests {
         .unwrap();
         lb.attach_replica(ReplicaId(0), r0.addr()).unwrap();
 
-        let (done, outcome) = std::sync::mpsc::channel();
         let addr = lb.addr();
         let client = std::thread::spawn(move || {
             let mut c = LiveClient::connect(addr).unwrap();
-            let _ = done.send(c.run(&Request::new(1, "doomed", vec![9; 64], 4000)));
+            c.run(&Request::new(1, "doomed", vec![9; 64], 4000))
         });
         await_metric(r0.addr(), "skywalker_replica_running", 1.0);
         lb.attach_replica(ReplicaId(1), r1.addr()).unwrap();
         r0.shutdown();
 
-        let answer = outcome
-            .recv_timeout(Duration::from_secs(2))
-            .expect("the in-flight request must be answered, not stranded");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        until(deadline, "the in-flight request is answered", || {
+            client.is_finished()
+        });
+        let answer = client.join().unwrap();
         assert!(
             matches!(
                 answer,
@@ -251,7 +381,6 @@ mod tests {
             ),
             "{answer:?}"
         );
-        client.join().unwrap();
 
         let mut c = LiveClient::connect(lb.addr()).unwrap();
         for i in 0..20u64 {

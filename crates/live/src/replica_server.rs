@@ -66,11 +66,13 @@ impl Service for Backend {
             }
             Message::ProbeReplica => {
                 let r = replica.lock();
-                let _ = reply.send(Message::ReplicaStatus {
+                let status = Message::ReplicaStatus {
                     pending: r.pending_len() as u32,
                     running: r.running_len() as u32,
                     kv_utilization_ppt: (r.kv_utilization() * 1000.0) as u16,
-                });
+                };
+                drop(r);
+                reply.send(&status);
             }
             _ => {} // Ignore anything a replica should not receive.
         }

@@ -2,18 +2,39 @@
 //!
 //! [`Server<S>`] owns everything `BalancerServer` and `ReplicaServer`
 //! share: the listener and its accept loop, outbound links
-//! ([`Server::dial`]), the per-connection pump (a reader loop on the
-//! connection's thread, a writer thread draining the connection's
-//! outbox, an in-band [`Message::Shutdown`] sentinel that ends the
-//! writer), the table of who awaits which request's responses, the set
-//! of open streams — one per connection thread still running — the
-//! one-shot [`ask`], and [`Server::shutdown`]. A server supplies its
-//! state `S` and the two methods of [`Service`]; the skeleton never asks
-//! which server it is serving.
+//! ([`Server::dial`]), the per-connection pump (one thread per
+//! connection: a reader loop that hands each frame to the service), the
+//! table of who awaits which request's responses, the set of open
+//! streams — one per connection thread still running — the one-shot
+//! [`ask`], and [`Server::shutdown`]. A server supplies its state `S`
+//! and the two methods of [`Service`]; the skeleton never asks which
+//! server it is serving.
 //!
-//! No socket here waits on Nagle: every one is born with `TCP_NODELAY`
+//! A connection's [`Outbox`] is its write half: whoever sends a frame —
+//! a pump answering on its own connection or relaying to another, the
+//! prober, the stepper — encodes and writes it, on its own thread. No
+//! socket here waits on Nagle: every one is born with `TCP_NODELAY`
 //! ([`open`] for those this crate connects, the acceptor for the rest),
-//! and a frame leaves in one `write`.
+//! and a frame leaves in one `write`. Every socket a server serves has a
+//! [`WRITE_TIMEOUT`]: a peer that stops reading costs one blocked sender
+//! for at most that long, then loses its connection, and later writes to
+//! it fail at once. That sender may be shared: the pump of a replica or
+//! peer link relays the answers of every client behind that link, so a
+//! client that stops reading with a request in flight holds them all for
+//! up to [`WRITE_TIMEOUT`], once per connection it opens. That is the
+//! price of having no writer thread: one would avoid the stall, at the
+//! cost of a queue that grows without bound for such a peer.
+//!
+//! Two rules keep the senders apart:
+//!
+//! - **No socket write under a shared lock.** The table lock, the
+//!   balancer's and the replica's mutex are held to look a connection up
+//!   and mark a request in flight, or to compute an answer — then
+//!   dropped, and only then is the frame written. A blocked peer stalls
+//!   its sender, never a lock every thread needs. (`shutdown()` shuts
+//!   streams down under the table lock; a shutdown never blocks.)
+//! - **Frames never interleave.** Senders on one connection take turns
+//!   on that connection's writer lock, and a frame is one `write`.
 //!
 //! Three ordering rules live here and nowhere else:
 //!
@@ -29,14 +50,14 @@
 //!    outbox is missing, and a link that dies at once is torn down
 //!    after it was set up, not before.
 //! 3. **A link ends at one exit.** However the reader loop ends (EOF,
-//!    error, a `Shutdown` frame, the server closing the stream), the
-//!    pump hands the service a final `Shutdown` on that link (unless the
-//!    server itself is closing: it has no routing state left to keep),
-//!    then drops the link's outbox and answers every request in flight
-//!    over it with `Reject`. Looking a link up and marking a request in
-//!    flight on it ([`Server::send_via`]) happen under the same lock as
-//!    that teardown, so a request is either sent and swept, or refused —
-//!    never lost.
+//!    error, a `Shutdown` frame, a failed write, the server closing the
+//!    stream), the pump shuts the socket down, hands the service a final
+//!    `Shutdown` on that link (unless the server itself is closing: it
+//!    has no routing state left to keep), then takes the link out of the
+//!    table and answers every request in flight over it with `Reject`.
+//!    Looking a link up and marking a request in flight on it
+//!    ([`Server::send_via`]) happen under the same lock as that teardown,
+//!    so a request is either sent and swept, or refused — never lost.
 //!
 //! (A fourth rule is the replica's own and stays in `replica_server.rs`:
 //! its stepper steps, checks for a stuck head and goes to wait for an
@@ -49,9 +70,8 @@
 //! [`DRAIN_TIMEOUT`], says how many are not).
 
 use std::collections::{BTreeMap, HashMap};
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -64,11 +84,34 @@ use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
 use crate::sync::Mutex;
 
 /// How long [`Server::shutdown`] waits for connection threads to end.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The longest one `write` to a served socket may block.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// One connection's write half.
+pub(crate) struct Writer(Mutex<TcpStream>);
 
 /// Everything sent to one connection goes through its outbox.
-pub(crate) type Outbox = Sender<Message>;
-type Inbox = Receiver<Message>;
+pub(crate) type Outbox = Arc<Writer>;
+
+impl Writer {
+    /// Encodes `msg` and writes the frame in one `write`, on the calling
+    /// thread. A connection that cannot take it shuts down, so its reader
+    /// ends (rule 3).
+    pub(crate) fn send(&self, msg: &Message) {
+        let mut frame = Vec::new();
+        let encoded = write_frame(&mut frame, msg).is_ok();
+        let stream = self.0.lock();
+        // A blocking send comes back short only once `WRITE_TIMEOUT` ran
+        // out mid-frame. Writing the rest would restart the clock, and a
+        // peer whose kernel frees a few hundred bytes a second would hold
+        // the sender for good.
+        if !encoded || !matches!((&*stream).write(&frame), Ok(n) if n == frame.len()) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
 
 /// Which connection a frame arrived on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,9 +192,8 @@ impl<S: Service> Server<S> {
                 break;
             }
             let Ok(stream) = conn else { break };
-            let (tx, rx) = channel::<Message>();
             if let Ok(handles) = stream.set_nodelay(true).and_then(|()| handles(stream)) {
-                self.serve(handles, Link::Inbound, tx, rx);
+                self.serve(handles, Link::Inbound);
             }
         }
     }
@@ -161,7 +203,9 @@ impl<S: Service> Server<S> {
         self.table.lock().closed
     }
 
-    /// Opens the outbound link `who` to `addr` (ordering rule 2).
+    /// Opens the outbound link `who` to `addr` (ordering rule 2): its
+    /// outbox, the socket's write half, is in the link table before
+    /// `routable` runs, and its one connection thread starts after.
     pub(crate) fn dial(
         self: &Arc<Self>,
         addr: SocketAddr,
@@ -169,10 +213,9 @@ impl<S: Service> Server<S> {
         routable: impl FnOnce(&S),
     ) -> io::Result<()> {
         let handles = handles(open(addr)?)?;
-        let (tx, rx) = channel::<Message>();
-        self.table.lock().links.insert(who, tx.clone());
+        self.table.lock().links.insert(who, Arc::clone(&handles.1));
         routable(&self.state);
-        self.serve(handles, who, tx, rx);
+        self.serve(handles, who);
         Ok(())
     }
 
@@ -184,8 +227,8 @@ impl<S: Service> Server<S> {
 
     /// Starts a connection thread, keeping one handle for `shutdown()` to
     /// close; once closing, drops the connection unserved.
-    fn serve(self: &Arc<Self>, conn: [TcpStream; 3], link: Link, tx: Outbox, rx: Inbox) {
-        let [reader, writer, closer] = conn;
+    fn serve(self: &Arc<Self>, conn: Handles, link: Link) {
+        let (reader, tx, closer) = conn;
         let id = {
             let mut table = self.table.lock();
             if table.closed {
@@ -201,9 +244,7 @@ impl<S: Service> Server<S> {
             if link == Link::Inbound && is_ascii_scrape(&reader) {
                 serve_ascii_scrape(reader, &net.state.metrics_text());
             } else {
-                let writer = std::thread::spawn(move || write_loop(writer, &rx));
                 net.pump(reader, link, &tx);
-                let _ = writer.join();
             }
             net.table.lock().streams.remove(&id);
             net.drained.notify_all();
@@ -217,26 +258,28 @@ impl<S: Service> Server<S> {
             match read_frame(&mut reader) {
                 Ok(Message::MetricsRequest) => {
                     let text = self.state.metrics_text();
-                    let _ = tx.send(Message::MetricsText { text });
+                    tx.send(&Message::MetricsText { text });
                 }
                 Ok(Message::Shutdown) | Err(_) => break,
                 Ok(msg) => S::on_frame(self, link, msg, tx),
             }
         }
-        // The sentinel goes first so the writer winds down meanwhile.
-        let _ = tx.send(Message::Shutdown);
+        // A reply table entry may keep the outbox alive: the peer must
+        // see the close now, not when the last one goes.
+        let _ = reader.shutdown(Shutdown::Both);
         // A server that is itself closing has no routing state to keep.
         if !self.closing() {
             S::on_frame(self, link, Message::Shutdown, tx);
         }
-        let mut table = self.table.lock();
-        table.links.remove(&link);
-        table.pending.retain(|id, p| {
-            if p.via == Some(link) {
-                let _ = p.to.send(link_closed(*id));
-            }
-            p.via != Some(link)
-        });
+        let swept: Vec<(u64, Pending)> = {
+            let mut table = self.table.lock();
+            table.links.remove(&link);
+            let on_link = |_: &u64, p: &mut Pending| p.via == Some(link);
+            table.pending.extract_if(on_link).collect()
+        };
+        for (id, p) in swept {
+            p.to.send(&link_closed(id));
+        }
     }
 
     /// Records that `to` awaits the responses to request `id`.
@@ -249,26 +292,32 @@ impl<S: Service> Server<S> {
     /// but `FirstToken` is the request's last.
     pub(crate) fn reply(&self, id: u64, msg: Message) {
         let last = !matches!(msg, Message::FirstToken { .. });
-        let mut table = self.table.lock();
-        if let Some(p) = table.pending.get(&id) {
-            let _ = p.to.send(msg);
-        }
-        if last {
-            table.pending.remove(&id);
+        let to = {
+            let mut table = self.table.lock();
+            if last {
+                table.pending.remove(&id).map(|p| p.to)
+            } else {
+                table.pending.get(&id).map(|p| p.to.clone())
+            }
+        };
+        if let Some(to) = to {
+            to.send(&msg);
         }
     }
 
-    /// Sends request `id` out over `link` and marks it in flight there;
-    /// if the link is gone, answers the request with `Reject`.
+    /// Marks request `id` in flight on `link` and sends it out there; if
+    /// the link is gone, answers the request with `Reject`.
     pub(crate) fn send_via(&self, link: Link, id: u64, msg: Message) {
-        let mut table = self.table.lock();
-        let Some(tx) = table.links.get(&link) else {
-            drop(table);
-            return self.reply(id, link_closed(id));
+        let tx = {
+            let mut table = self.table.lock();
+            if let Some(p) = table.pending.get_mut(&id) {
+                p.via = Some(link);
+            }
+            table.links.get(&link).cloned()
         };
-        let _ = tx.send(msg);
-        if let Some(p) = table.pending.get_mut(&id) {
-            p.via = Some(link);
+        match tx {
+            Some(tx) => tx.send(&msg),
+            None => self.reply(id, link_closed(id)),
         }
     }
 
@@ -309,10 +358,16 @@ impl<S: Service> Server<S> {
     }
 }
 
-/// A connection's three handles on its socket: for the reader loop, for
-/// the writer thread, and for `shutdown()` to close.
-fn handles(stream: TcpStream) -> io::Result<[TcpStream; 3]> {
-    Ok([stream.try_clone()?, stream.try_clone()?, stream])
+/// A connection's three handles on its socket: the reader loop's, the
+/// outbox, and the one `shutdown()` closes.
+type Handles = (TcpStream, Outbox, TcpStream);
+
+/// Every socket a server serves passes here, so here it gets its
+/// [`WRITE_TIMEOUT`].
+fn handles(stream: TcpStream) -> io::Result<Handles> {
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let writer = Arc::new(Writer(Mutex::new(stream.try_clone()?)));
+    Ok((stream.try_clone()?, writer, stream))
 }
 
 /// Connects to `addr`; where every socket this crate opens is born, and
@@ -321,15 +376,6 @@ pub(crate) fn open(addr: SocketAddr) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     Ok(stream)
-}
-
-/// Serializes everything sent to one peer, until the `Shutdown` sentinel.
-fn write_loop(mut writer: TcpStream, outbox: &Inbox) {
-    while let Ok(msg) = outbox.recv() {
-        if matches!(msg, Message::Shutdown) || write_frame(&mut writer, &msg).is_err() {
-            break;
-        }
-    }
 }
 
 fn link_closed(request_id: u64) -> Message {
@@ -358,22 +404,53 @@ mod tests {
         (near, listener.accept().unwrap().0)
     }
 
-    /// The channel is FIFO and the sentinel travels in it: what was
-    /// queued ahead of `Shutdown` is written, what is behind it is not.
-    #[test]
-    fn writer_sends_everything_queued_ahead_of_the_sentinel() {
-        let (near, mut far) = pair();
-        let (tx, rx) = channel::<Message>();
-        let sent: Vec<Message> = (0..135)
-            .map(|request_id| Message::FirstToken { request_id })
-            .collect();
-        sent.iter().for_each(|m| tx.send(m.clone()).unwrap());
-        tx.send(Message::Shutdown).unwrap();
-        tx.send(Message::ProbeLb).unwrap(); // behind the sentinel: never sent
+    /// Frame `nth` of sender `thread`: distinct, and every 50th is 256 KiB,
+    /// more than the socket has room for — a `write` that waits for room
+    /// is where another sender's bytes would get in.
+    fn numbered(thread: u64, nth: u64) -> Message {
+        let request_id = thread << 32 | nth;
+        let len = if nth.is_multiple_of(50) {
+            1 << 16
+        } else {
+            nth % 50
+        };
+        Message::Infer {
+            request_id,
+            session_key: format!("sender-{thread}"),
+            prompt: vec![request_id as u32; len as usize],
+            max_new_tokens: 1,
+            hops: 0,
+        }
+    }
 
-        write_loop(near, &rx);
-        let got: Vec<Message> = std::iter::from_fn(|| read_frame(&mut far).ok()).collect();
-        assert_eq!(got, sent);
+    /// Eight threads send through one writer at once: every frame arrives
+    /// whole, and each thread's frames in the order it sent them.
+    #[test]
+    fn concurrent_senders_never_interleave_frames() {
+        const THREADS: u64 = 8;
+        const FRAMES: u64 = 500;
+        let (near, mut far) = pair();
+        let (_, writer, _) = handles(near).unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut next = [0; THREADS as usize];
+            for _ in 0..THREADS * FRAMES {
+                let got = read_frame(&mut far).expect("a whole frame");
+                let Message::Infer { request_id, .. } = got else {
+                    panic!("not an Infer: {got:?}");
+                };
+                let thread = (request_id >> 32) as usize;
+                assert_eq!(got, numbered(thread as u64, next[thread]));
+                next[thread] += 1;
+            }
+            next
+        });
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let writer = &writer;
+                scope.spawn(move || (0..FRAMES).for_each(|n| writer.send(&numbered(thread, n))));
+            }
+        });
+        assert_eq!(reader.join().unwrap(), [FRAMES; THREADS as usize]);
     }
 
     #[test]
