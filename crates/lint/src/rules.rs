@@ -33,7 +33,7 @@ pub const RULES: [RuleInfo; 7] = [
         id: "D01",
         title: "no wall-clock reads in deterministic code",
         hint: "use sim virtual time (SimTime / the scheduler); real-time \
-               measurement belongs in crates/live, crates/bench, or the lab executor",
+               measurement belongs in crates/live or crates/bench",
     },
     RuleInfo {
         id: "D02",
@@ -45,13 +45,13 @@ pub const RULES: [RuleInfo; 7] = [
         id: "D03",
         title: "DetRng construction goes through the seed discipline",
         hint: "derive streams with DetRng::for_component / DetRng::derive; raw \
-               seeds belong at scenario roots (tests, benches, examples)",
+               seeds belong at scenario roots (tests, benches)",
     },
     RuleInfo {
         id: "D04",
         title: "no ambient threading in simulation code",
         hint: "sim state must stay single-threaded; parallelism belongs in \
-               crates/lab's slot-addressed pool, crates/live, or benches",
+               the lab's slot-addressed pool (src/lab.rs), crates/live, or benches",
     },
     RuleInfo {
         id: "D05",
@@ -132,10 +132,6 @@ fn is_test_or_bench_path(path: &str) -> bool {
         || path.contains("/benches/")
 }
 
-fn is_example_path(path: &str) -> bool {
-    path.starts_with("examples/") || path.contains("/examples/")
-}
-
 /// Whether `rule_id` is in force for the file at `path` (workspace-
 /// relative, `/`-separated). Test and bench code is a scenario root:
 /// it seeds, times, and threads legitimately.
@@ -147,17 +143,13 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
     }
     match rule_id {
         "D01" | "D02" | "D05" => !in_dir(path, "crates/live/") && !in_dir(path, "crates/bench/"),
-        "D03" => {
-            !in_dir(path, "crates/sim/") && !in_dir(path, "crates/bench/") && !is_example_path(path)
-        }
+        "D03" => !in_dir(path, "crates/sim/") && !in_dir(path, "crates/bench/"),
         "D04" => {
-            !in_dir(path, "crates/live/")
-                && !in_dir(path, "crates/lab/")
-                && !in_dir(path, "crates/bench/")
+            !in_dir(path, "crates/live/") && path != "src/lab.rs" && !in_dir(path, "crates/bench/")
         }
         // Library files declare the public surface; the bench harness is
         // a binary package of its own.
-        "D07" => !in_dir(path, "crates/bench/") && !is_example_path(path),
+        "D07" => !in_dir(path, "crates/bench/"),
         _ => true,
     }
 }
@@ -744,7 +736,7 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(rules_hit(src, "src/fabric.rs"), vec!["D01"]);
         assert!(rules_hit(src, "crates/live/src/client.rs").is_empty());
-        assert_eq!(rules_hit(src, "crates/lab/src/exec.rs"), vec!["D01"]);
+        assert_eq!(rules_hit(src, "src/lab.rs"), vec!["D01"]);
         assert!(rules_hit(src, "tests/e2e.rs").is_empty());
     }
 
@@ -836,7 +828,6 @@ mod tests {
         );
         assert!(rules_hit("let r = DetRng::for_component(7, \"x\");", "src/a.rs").is_empty());
         assert!(rules_hit("let c = parent.derive(\"child\");", "src/a.rs").is_empty());
-        assert!(rules_hit("let r = DetRng::new(7);", "examples/x.rs").is_empty());
         assert!(rules_hit("let r = DetRng::new(7);", "crates/sim/src/rng.rs").is_empty());
     }
 
@@ -844,7 +835,8 @@ mod tests {
     fn threading_discipline() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_hit(src, "src/a.rs"), vec!["D04"]);
-        assert!(rules_hit(src, "crates/lab/src/exec.rs").is_empty());
+        assert!(rules_hit(src, "src/lab.rs").is_empty());
+        assert_eq!(rules_hit(src, "src/fabric/run.rs"), vec!["D04"]);
         assert!(rules_hit(src, "crates/live/src/lib.rs").is_empty());
         assert_eq!(
             rules_hit("use std::sync::mpsc::channel;", "src/a.rs"),
@@ -890,12 +882,8 @@ mod tests {
         let found = lint_lexed(&lib, "src/a.rs", Some(&tree)).findings;
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!((found[0].rule, found[0].line), ("D07", 1));
-        // Tests, examples and the bench harness declare no library surface.
-        for path in [
-            "tests/a.rs",
-            "examples/a.rs",
-            "crates/bench/skybench/src/a.rs",
-        ] {
+        // Tests and the bench harness declare no library surface.
+        for path in ["tests/a.rs", "crates/bench/skybench/src/a.rs"] {
             assert!(lint_lexed(&lib, path, Some(&tree)).findings.is_empty());
         }
     }

@@ -1,5 +1,3 @@
-//! # skywalker-cost
-//!
 //! The GPU provisioning cost model behind the paper's economic argument
 //! (§2.1–2.2, Fig. 3b, Fig. 10).
 //!
@@ -77,6 +75,8 @@ pub enum DemandError {
     RaggedIntervals,
     /// A region has zero intervals.
     NoIntervals,
+    /// The interval length is zero, negative or not finite.
+    InvalidIntervalHours,
 }
 
 impl fmt::Display for DemandError {
@@ -85,6 +85,12 @@ impl fmt::Display for DemandError {
             DemandError::NoRegions => write!(f, "demand matrix has no regions"),
             DemandError::RaggedIntervals => write!(f, "regions have differing interval counts"),
             DemandError::NoIntervals => write!(f, "demand matrix has zero intervals"),
+            DemandError::InvalidIntervalHours => {
+                write!(
+                    f,
+                    "interval length must be a positive, finite number of hours"
+                )
+            }
         }
     }
 }
@@ -92,8 +98,12 @@ impl fmt::Display for DemandError {
 impl std::error::Error for DemandError {}
 
 impl DemandMatrix {
-    /// Builds a demand matrix from per-region interval series.
+    /// Builds a demand matrix from per-region interval series, each
+    /// interval `interval_hours` long.
     pub fn new(demand: Vec<Vec<u32>>, interval_hours: f64) -> Result<Self, DemandError> {
+        if !(interval_hours.is_finite() && interval_hours > 0.0) {
+            return Err(DemandError::InvalidIntervalHours);
+        }
         if demand.is_empty() {
             return Err(DemandError::NoRegions);
         }
@@ -200,7 +210,7 @@ impl CostComparison {
 /// # Examples
 ///
 /// ```
-/// use skywalker_cost::{compare_costs, DemandMatrix, Pricing};
+/// use skywalker::cost::{compare_costs, DemandMatrix, Pricing};
 ///
 /// // Two regions with perfectly anti-correlated demand: each peaks at 4,
 /// // but the aggregate is a flat 5.
@@ -280,6 +290,15 @@ mod tests {
             DemandMatrix::new(vec![vec![1, 2], vec![1]], 1.0).unwrap_err(),
             DemandError::RaggedIntervals
         );
+        // A NaN or negative window would price the same demand at NaN or
+        // negative dollars.
+        for hours in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                DemandMatrix::new(vec![vec![1]], hours).unwrap_err(),
+                DemandError::InvalidIntervalHours,
+                "{hours}"
+            );
+        }
     }
 
     #[test]
@@ -346,6 +365,7 @@ mod tests {
             DemandError::NoRegions,
             DemandError::RaggedIntervals,
             DemandError::NoIntervals,
+            DemandError::InvalidIntervalHours,
         ] {
             assert!(!format!("{e}").is_empty());
         }

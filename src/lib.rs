@@ -15,19 +15,11 @@
 //! | `skywalker-workload` | WildChat/Arena/ToT-style trace generators |
 //! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller (failover, and client resolution: the latency-based DNS stand-in) |
 //! | `skywalker-fleet` | the elastic fleet control plane: the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`] |
-//! | `skywalker-cost` | reserved/on-demand provisioning cost model |
 //! | `skywalker-metrics` | exact box-plot summaries, request tracking, time series, the JSON report serializer |
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
-//! | `skywalker-lab` | the parallel experiment lab: deterministic multi-threaded sweeps over scenario grids |
 //! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`) |
 //! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, the one metric listing per balancer and replica that both planes publish, Prometheus export (`docs/telemetry.md`) |
-//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], and [`P2cLocal`] — a custom policy built on the open surface |
-//!
-//! `skywalker-lab` sits *above* this facade (it consumes [`Scenario`]
-//! and [`run_scenario`]), so it is not re-exported here — depend on it
-//! directly; [`recipe`] below turns any seed-parametric preset into a
-//! `(Scenario, FabricConfig)` per seed, and a `SweepSpec::cell` is a
-//! closure calling it with one seed.
+//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], the parallel experiment [`lab`] (deterministic multi-threaded sweeps over scenario grids), the reserved/on-demand provisioning [`cost`] model, and [`P2cLocal`] — a custom policy built on the open surface |
 //!
 //! ## Quickstart
 //!
@@ -83,7 +75,7 @@
 //! To run a whole *grid* of such cells — policy × workload × fleet ×
 //! seed — in parallel with bit-identical results at any thread count,
 //! add one labelled cell per seed, `move || recipe(seed)` with a
-//! [`recipe`], to a `skywalker_lab::SweepSpec`; its `run` returns one
+//! [`recipe`], to a [`lab::SweepSpec`]; its `run` returns one
 //! [`RunSummary`] per cell. `tests/paper_claims.rs` runs the whole
 //! claims table as one such sweep, and `docs/architecture.md` has the
 //! determinism rules.
@@ -180,14 +172,16 @@
 //!   crate, and the "Engine shootout" row of `docs/claims.md` races
 //!   engines under the [`memory_pressure_scenario`] preset.
 //!
-//! And once cells exist on any axis, `skywalker-lab` sweeps their cross
+//! And once cells exist on any axis, the [`lab`] sweeps their cross
 //! product — policy × workload × fleet × seed — across OS threads with
 //! bit-identical results at any worker count
-//! (`crates/lab/tests/thread_invariance.rs`; determinism rules in
+//! (`tests/determinism_double_run.rs`; determinism rules in
 //! `docs/architecture.md`).
 
 pub mod autoscale;
+pub mod cost;
 pub mod fabric;
+pub mod lab;
 mod p2c;
 pub mod scenarios;
 mod sjf;
@@ -231,7 +225,6 @@ pub use workload::{
 // Re-export the member crates under stable names so downstream users can
 // depend on `skywalker` alone.
 pub use skywalker_core as core;
-pub use skywalker_cost as cost;
 pub use skywalker_fleet as fleet;
 pub use skywalker_metrics as metrics;
 pub use skywalker_net as net;

@@ -503,7 +503,7 @@ pub fn disagg_scenario(workload: DisaggWorkload, disagg: bool, scale: f64, seed:
 /// Turns a seed-parametric preset into a recipe for a sweep harness:
 /// one seed drives both the traffic generation and the fabric's root
 /// seed, so each seed's run is an independent, reproducible experiment.
-/// A `skywalker-lab` cell calls it with the seed its label names —
+/// A [`crate::lab`] cell calls it with the seed its label names —
 /// `spec.cell(format!("{label}@{seed}"), move || cell(seed))`. Wrap any
 /// of the `*_scenario` presets — `recipe(move |seed| fig8_scenario(
 /// system, workload, scale, seed))` — or a closure that builds on one

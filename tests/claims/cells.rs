@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use skywalker::core::{PolicyKind, PushMode, RoutingConstraint};
+use skywalker::lab::SweepSpec;
 use skywalker::net::Region;
 use skywalker::replica::GpuProfile;
 use skywalker::sim::{SimDuration, SimTime};
@@ -19,7 +20,6 @@ use skywalker::{
     LruEvictor, NoEvict, PrefixAwareEvictor, RagCorpusConfig, RagCorpusSource, ReplicaPlacement,
     Scenario, ShortestPromptFirst, SystemKind, TrafficSource, Workload, REGIONS,
 };
-use skywalker_lab::SweepSpec;
 
 use super::analytic::fig4b_scenario;
 

@@ -8,10 +8,10 @@ pub mod cells;
 
 use std::fmt::Write as _;
 
+use skywalker::lab::SweepResult;
 use skywalker::metrics::json::{Report, Val};
 use skywalker::metrics::Summary;
 use skywalker::RunSummary;
-use skywalker_lab::SweepResult;
 
 /// The simulated cells of one seed — what a row's measure reads.
 pub struct Results<'a> {

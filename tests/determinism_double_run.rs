@@ -8,69 +8,83 @@
 
 use std::sync::Arc;
 
+use skywalker::lab::SweepSpec;
 use skywalker::sim::SimDuration;
 use skywalker::{
-    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, memory_pressure_scenario, run_scenario,
-    DisaggWorkload, EngineSpec, FabricConfig, RunSummary, Scenario, SystemKind, Workload,
+    disagg_scenario, fig10_diurnal_scenario, fig8_scenario, memory_pressure_scenario, recipe,
+    run_scenario, DisaggWorkload, EngineSpec, FabricConfig, RunSummary, Scenario, SystemKind,
+    Workload,
 };
-use skywalker_lab::SweepSpec;
-use skywalker_metrics::json::Report;
 
-/// Renders the run digest as a stable JSON document, so equality here
-/// means equality in the golden files.
-fn digest(tag: &str, s: &RunSummary) -> String {
-    let mut rep = Report::new(format!("double_run_{tag}"));
-    rep.row(&s.digest_fields());
-    rep.render()
+/// Every digest field, `Debug`-formatted: floats print exactly (NaN
+/// included), so equal strings mean bit-equal runs, and so equal golden
+/// files.
+fn digest(s: &RunSummary) -> String {
+    format!("{:?}", s.digest_fields())
 }
 
 const SEEDS: [u64; 2] = [1, 7];
 
-fn config(seed: u64) -> FabricConfig {
-    FabricConfig {
-        seed,
-        ..FabricConfig::default()
-    }
-}
-
-fn assert_double_run(tag: &str, build: impl Fn(u64) -> Scenario) {
+fn assert_double_run(tag: &str, preset: impl Fn(u64) -> Scenario + Clone + Send + Sync + 'static) {
+    let cell = recipe(preset);
     for seed in SEEDS {
-        let tag = format!("{tag}@{seed}");
-        let first = digest(&tag, &run_scenario(&build(seed), &config(seed)));
-        let second = digest(&tag, &run_scenario(&build(seed), &config(seed)));
+        let run = || {
+            let (scenario, cfg) = cell(seed);
+            digest(&run_scenario(&scenario, &cfg))
+        };
         assert_eq!(
-            first, second,
-            "{tag}: two in-process runs diverged — ambient state leaked into the sim"
+            run(),
+            run(),
+            "{tag}@{seed}: two in-process runs diverged — ambient state leaked into the sim"
         );
     }
 }
 
-/// A seed-parametric preset, as a lab cell list holds it.
-type Preset = Arc<dyn Fn(u64) -> Scenario + Send + Sync>;
+/// One lab cell: its label and its recipe, seed and all.
+type Cell = (
+    String,
+    Arc<dyn Fn() -> (Scenario, FabricConfig) + Send + Sync>,
+);
 
-/// Runs every preset at each of [`SEEDS`] as one lab sweep, on 1 and on
-/// 2 workers: every cell's full run digest must be the same.
-fn assert_worker_count_invariant(presets: Vec<(String, Preset)>) {
-    let spec = || {
-        let mut spec = SweepSpec::new();
-        for (label, build) in &presets {
-            for seed in SEEDS {
-                let build = Arc::clone(build);
-                let cell = move || (build(seed), config(seed));
-                spec = spec.cell(format!("{label}@{seed}"), cell);
-            }
+/// A seed-parametric preset's cells, `"{label}@{seed}"` for each of
+/// [`SEEDS`].
+fn seeded(
+    label: &str,
+    preset: impl Fn(u64) -> Scenario + Clone + Send + Sync + 'static,
+) -> Vec<Cell> {
+    let cell = recipe(preset);
+    SEEDS
+        .map(|seed| -> Cell {
+            let cell = cell.clone();
+            (format!("{label}@{seed}"), Arc::new(move || cell(seed)))
+        })
+        .to_vec()
+}
+
+/// Runs `cells` as one lab sweep per entry of `workers`: every sweep must
+/// give each cell's full run digest, in spec order, as the first sweep
+/// did, and a label must look up its own cell. Returns the digests.
+fn assert_worker_count_invariant(cells: &[Cell], workers: &[usize]) -> Vec<(String, String)> {
+    let sweep = |workers| -> Vec<(String, String)> {
+        let spec = cells
+            .iter()
+            .fold(SweepSpec::new(), |spec, (label, recipe)| {
+                let recipe = Arc::clone(recipe);
+                spec.cell(label.clone(), move || recipe())
+            });
+        let result = spec.run(workers);
+        for (label, run) in &result.cells {
+            let found = result.cell(label).expect("every label is found");
+            assert!(std::ptr::eq(found, run), "{label} looked up another cell");
         }
-        spec
+        let digests = result.cells.iter().map(|(l, run)| (l.clone(), digest(run)));
+        digests.collect()
     };
-    let digests = |workers| -> Vec<String> {
-        let cells = spec().run(workers).cells;
-        cells.iter().map(|(label, s)| digest(label, s)).collect()
-    };
-    assert_eq!(
-        digests(1),
-        digests(2),
-        "a sweep's run digests must be bit-identical at any worker count"
-    );
+    let first = sweep(workers[0]);
+    for &workers in &workers[1..] {
+        assert_eq!(sweep(workers), first, "{workers} workers diverged");
+    }
+    first
 }
 
 #[test]
@@ -118,10 +132,10 @@ fn disagg_preset_is_stable_across_reruns() {
 /// The diurnal cell again, through the lab's parallel executor.
 #[test]
 fn lab_diurnal_sweep_is_worker_count_invariant() {
-    assert_worker_count_invariant(vec![(
-        "skywalker-diurnal-q25".into(),
-        Arc::new(|seed| fig10_diurnal_scenario(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25, seed)),
-    )]);
+    let cells = seeded("skywalker-diurnal-q25", |seed| {
+        fig10_diurnal_scenario(SystemKind::SkyWalker, 2, DIURNAL_DAY, 0.25, seed)
+    });
+    assert_worker_count_invariant(&cells, &[1, 2]);
 }
 
 /// The role axis through the lab: colocated and split cells of both
@@ -129,26 +143,80 @@ fn lab_diurnal_sweep_is_worker_count_invariant() {
 /// queue as everything else, so thread placement must be invisible.
 #[test]
 fn lab_disagg_sweep_is_worker_count_invariant() {
-    let mut cells: Vec<(String, Preset)> = Vec::new();
+    let mut cells = Vec::new();
     for wl in DisaggWorkload::ALL {
         for disagg in [false, true] {
             let label = format!("{}/{}", wl.label(), if disagg { "split" } else { "colo" });
-            cells.push((
-                label,
-                Arc::new(move |seed| disagg_scenario(wl, disagg, 0.5, seed)),
-            ));
+            cells.extend(seeded(&label, move |seed| {
+                disagg_scenario(wl, disagg, 0.5, seed)
+            }));
         }
     }
-    assert_worker_count_invariant(cells);
+    assert_worker_count_invariant(&cells, &[1, 2]);
 }
 
+/// `(system, scale, seed)` per cell. The first cell is the longest and
+/// the last the shortest, so a pool that kept completion order would
+/// hand them back reordered.
+const FIG8_CELLS: [(SystemKind, f64, u64); 4] = [
+    (SystemKind::SkyWalker, 0.04, 61),
+    (SystemKind::RoundRobin, 0.03, 61),
+    (SystemKind::SkyWalker, 0.02, 62),
+    (SystemKind::RoundRobin, 0.01, 62),
+];
+
+fn fig8_cell((system, scale, seed): (SystemKind, f64, u64)) -> Cell {
+    let cell = recipe(move |seed| fig8_scenario(system, Workload::Tot, scale, seed));
+    (
+        format!("{system:?}/{scale}@{seed}"),
+        Arc::new(move || cell(seed)),
+    )
+}
+
+/// The four longest-first cells and two policies at two seeds, at 1, 2
+/// and 8 workers, and against a plain serial `run_scenario` over the
+/// recipes.
 #[test]
 fn lab_sweep_is_worker_count_invariant() {
-    let fig8 = |system| -> Preset {
-        Arc::new(move |seed| fig8_scenario(system, Workload::Tot, 0.02, seed))
-    };
-    assert_worker_count_invariant(vec![
-        ("skywalker-tot".into(), fig8(SystemKind::SkyWalker)),
-        ("least-load-tot".into(), fig8(SystemKind::LeastLoad)),
-    ]);
+    let mut cells = FIG8_CELLS.map(fig8_cell).to_vec();
+    for (label, system) in [
+        ("skywalker-tot", SystemKind::SkyWalker),
+        ("least-load-tot", SystemKind::LeastLoad),
+    ] {
+        cells.extend(seeded(label, move |seed| {
+            fig8_scenario(system, Workload::Tot, 0.02, seed)
+        }));
+    }
+    let pooled = assert_worker_count_invariant(&cells, &[1, 2, 8]);
+    let serial: Vec<(String, String)> = cells
+        .iter()
+        .map(|(label, recipe)| {
+            let (scenario, cfg) = recipe();
+            let run = run_scenario(&scenario, &cfg);
+            assert!(run.report.completed > 0, "{label} served nothing");
+            (label.clone(), digest(&run))
+        })
+        .collect();
+    assert_eq!(pooled, serial, "the pool left the serial run");
+}
+
+/// A recipe's own panic reaches the caller, not the pool's generic one.
+#[test]
+#[should_panic(expected = "recipe failed")]
+fn recipe_panic_reaches_the_caller() {
+    let (_, ok) = fig8_cell(FIG8_CELLS[3]);
+    let fail = || -> (Scenario, FabricConfig) { panic!("recipe failed") };
+    SweepSpec::new()
+        .cell("ok", move || ok())
+        .cell("fails", fail)
+        .run(2);
+}
+
+/// A label is the lookup key of `SweepResult::cell`: adding a second
+/// cell under it panics, in release builds too.
+#[test]
+#[should_panic(expected = "duplicate cell label")]
+fn duplicate_cell_label_panics() {
+    let never = || -> (Scenario, FabricConfig) { unreachable!("the sweep is never run") };
+    SweepSpec::new().cell("twice", never).cell("twice", never);
 }
