@@ -19,8 +19,10 @@
 //! The tree itself — segments, links, splits, slot recycling — is
 //! [`skywalker_replica::radix::RadixArena`], the same structure the
 //! replica's KV cache stands on; this file keeps only what is routing.
-//! Per-node target maps are inline sorted small-vecs (binary search on
-//! the target id) rather than `BTreeMap`s: target counts are small.
+//! Per-node target maps are exact sorted slices (binary search on the
+//! target id) rather than `BTreeMap`s: target counts are small, and a
+//! node gains a target far less often than it is read, so a one-target
+//! leaf holds one 16-byte entry, not a vector's spare capacity.
 //! Eviction order is maintained incrementally in a `(created_seq, node)`
 //! index, so `insert` at the size bound is O(log n) instead of a full
 //! arena scan per evicted leaf.
@@ -47,7 +49,7 @@ struct Route<T> {
     /// Targets recorded at this node as `(target, seq)`, sorted by
     /// target; `seq` is the sequence number of the target's most recent
     /// insertion (freshness).
-    targets: Vec<(T, u64)>,
+    targets: Box<[(T, u64)]>,
     /// Sequence number when this node was first created (eviction order).
     created_seq: u64,
 }
@@ -60,7 +62,10 @@ impl<T: Copy + Ord> Route<T> {
     fn set_target(&mut self, target: T, seq: u64) {
         match self.position(&target) {
             Ok(i) => self.targets[i].1 = seq,
-            Err(i) => self.targets.insert(i, (target, seq)),
+            Err(i) => {
+                let (head, tail) = self.targets.split_at(i);
+                self.targets = [head, &[(target, seq)], tail].concat().into();
+            }
         }
     }
 
@@ -70,7 +75,8 @@ impl<T: Copy + Ord> Route<T> {
 
     fn remove_target(&mut self, target: &T) {
         if let Ok(i) = self.position(target) {
-            self.targets.remove(i);
+            let (head, tail) = self.targets.split_at(i);
+            self.targets = [head, &tail[1..]].concat().into();
         }
     }
 
@@ -122,7 +128,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
     pub fn new(max_tokens: usize) -> Self {
         RouteTrie {
             tree: RadixArena::new(Route {
-                targets: Vec::new(),
+                targets: Box::default(),
                 created_seq: 0,
             }),
             leaves: BTreeSet::new(),
@@ -178,7 +184,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
                             .remove(&(self.tree[node].data.created_seq, node));
                     }
                     let route = Route {
-                        targets: Vec::new(),
+                        targets: Box::default(),
                         created_seq: seq,
                     };
                     let leaf = self.tree.alloc(&tokens[pos..], node, route);

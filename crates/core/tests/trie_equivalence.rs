@@ -3,8 +3,8 @@
 //! `RefTrie` below is a straight port of the pre-optimization
 //! implementation: per-node `BTreeMap` child and target maps and a full
 //! arena scan (`min_by_key(created_seq)`) per evicted leaf. The optimized
-//! trie replaced those with inline sorted small-vecs and an incremental
-//! `(created_seq, index)` eviction frontier — pure data-structure swaps
+//! trie replaced those with flat sorted child and target lists and an
+//! incremental `(created_seq, index)` eviction frontier — pure data-structure swaps
 //! that must not change a single observable.
 //!
 //! Both tries share the same free-list discipline (LIFO `free.pop()`,

@@ -11,11 +11,15 @@
 //!
 //! # Layout
 //!
-//! Nodes live in a `Vec` arena with a LIFO free-list; recycled slots
-//! keep their buffer capacity, so a tree at its steady-state size stops
-//! allocating. Children are an inline small-vec sorted by first token
-//! (binary search): fan-out is small, and the flat layout keeps descent
-//! on one cache line per node.
+//! Nodes live in a `Vec` arena with a LIFO free-list, and a node holds
+//! what it stores: its segment is an exact `Box<[u32]>`, freed with its
+//! slot (a split allocates head and tail anew), and its links are `u32`
+//! arena indices. Its child index — sorted by first token, searched by
+//! bisection — grows from one entry by doubling; an empty one keeps its
+//! few bytes with the slot, so the next occupant's first child costs no
+//! allocation. A stored token costs its own four bytes plus a share of
+//! the node around it, not the segment some earlier occupant of the slot
+//! left behind.
 //!
 //! Slot assignment is observable — callers break ties and order scans
 //! by arena index — so it is fixed: a new node takes the most recently
@@ -31,11 +35,11 @@ pub const ROOT: usize = 0;
 /// One tree node: the structure is the arena's, the payload the caller's.
 #[derive(Debug)]
 pub struct Node<P> {
-    seg: Vec<u32>,
-    parent: usize,
+    seg: Box<[u32]>,
+    parent: u32,
     /// `(first token of the child's segment, child index)`, sorted by
     /// token.
-    children: Vec<(u32, usize)>,
+    children: Vec<(u32, u32)>,
     /// True while the slot is on the free list.
     dead: bool,
     /// What the caller keeps per node.
@@ -50,7 +54,7 @@ impl<P> Node<P> {
 
     /// Arena index of the parent.
     pub fn parent(&self) -> usize {
-        self.parent
+        self.parent as usize
     }
 
     /// True if the node has no children.
@@ -60,17 +64,27 @@ impl<P> Node<P> {
 
     /// The child whose segment starts with `token`.
     pub fn child(&self, token: u32) -> Option<usize> {
-        self.position(token).ok().map(|i| self.children[i].1)
+        self.position(token)
+            .ok()
+            .map(|i| self.children[i].1 as usize)
     }
 
     fn position(&self, token: u32) -> Result<usize, usize> {
         self.children.binary_search_by_key(&token, |c| c.0)
     }
 
-    fn link(&mut self, token: u32, idx: usize) {
+    fn link(&mut self, token: u32, idx: u32) {
         match self.position(token) {
             Ok(i) => self.children[i].1 = idx,
-            Err(i) => self.children.insert(i, (token, idx)),
+            Err(i) => {
+                // One entry first, then doubling: most nodes have no
+                // child or two, and none pays for four.
+                let len = self.children.len();
+                if len == self.children.capacity() {
+                    self.children.reserve_exact(len.max(1));
+                }
+                self.children.insert(i, (token, idx));
+            }
         }
     }
 }
@@ -117,8 +131,8 @@ impl<P: Clone> RadixArena<P> {
     pub fn new(root: P) -> Self {
         RadixArena {
             nodes: vec![Node {
-                seg: Vec::new(),
-                parent: ROOT,
+                seg: Box::default(),
+                parent: ROOT as u32,
                 children: Vec::new(),
                 dead: false,
                 data: root,
@@ -163,39 +177,51 @@ impl<P: Clone> RadixArena<P> {
     /// starting with `seg[0]`) under `parent`; returns its index.
     pub fn alloc(&mut self, seg: &[u32], parent: usize, data: P) -> usize {
         let idx = self.take_slot(parent, data);
-        self.nodes[idx].seg.extend_from_slice(seg);
-        self.nodes[parent].link(seg[0], idx);
+        self.nodes[idx].seg = seg.into();
+        self.nodes[parent].link(seg[0], idx as u32);
         idx
     }
 
     /// Splits `child`'s edge after `keep` tokens (`0 < keep <` its
     /// length): a new node between `child` and its parent takes the
     /// first `keep` tokens and a clone of `child`'s payload, `child`
-    /// keeps the tail in place. Returns the new node.
+    /// keeps the tail. Both segments are allocated exactly and the old
+    /// one is freed. Returns the new node.
     pub fn split(&mut self, child: usize, keep: usize) -> usize {
         debug_assert!(keep > 0 && keep < self.nodes[child].seg.len());
-        let parent = self.nodes[child].parent;
+        let parent = self.nodes[child].parent();
         let mid = self.take_slot(parent, self.nodes[child].data.clone());
-        let mut head = std::mem::take(&mut self.nodes[mid].seg);
-        head.extend(self.nodes[child].seg.drain(..keep));
-        self.nodes[child].parent = mid;
-        let tail_first = self.nodes[child].seg[0];
-        self.nodes[mid].children.push((tail_first, child));
-        self.nodes[parent].link(head[0], mid);
+        let seg = &self.nodes[child].seg;
+        let (head, tail): (Box<[u32]>, Box<[u32]>) = (seg[..keep].into(), seg[keep..].into());
+        let (head_first, tail_first) = (head[0], tail[0]);
+        self.nodes[child].seg = tail;
+        self.nodes[child].parent = mid as u32;
         self.nodes[mid].seg = head;
+        self.nodes[mid].link(tail_first, child as u32);
+        self.nodes[parent].link(head_first, mid as u32);
         mid
     }
 
-    /// Frees a childless non-root node; its buffers stay with the slot.
+    /// Frees a childless non-root node and its segment; the slot keeps
+    /// its place on the free list and its empty child index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parent does not link to the node: the tree is
+    /// already broken.
     pub fn remove_leaf(&mut self, idx: usize) {
         debug_assert!(idx != ROOT && self.nodes[idx].is_leaf());
-        let (parent, first) = (self.nodes[idx].parent, self.nodes[idx].seg[0]);
-        if let Ok(i) = self.nodes[parent].position(first) {
-            self.nodes[parent].children.remove(i);
-        }
         let n = &mut self.nodes[idx];
+        let (parent, first) = (n.parent(), n.seg[0]);
         n.dead = true;
-        n.seg.clear();
+        n.seg = Box::default();
+        let p = &mut self.nodes[parent];
+        let i = p
+            .position(first)
+            .ok()
+            .filter(|&i| p.children[i].1 as usize == idx)
+            .unwrap_or_else(|| panic!("invariant: parent {parent} does not link to leaf {idx}"));
+        p.children.remove(i);
         self.free.push(idx);
     }
 
@@ -218,27 +244,39 @@ impl<P: Clone> RadixArena<P> {
     }
 
     /// Checks the structure: segments non-empty, child indexes sorted,
-    /// every parent live and linking back.
+    /// every parent live and linking back, every dead slot empty.
     ///
     /// # Panics
     ///
-    /// Panics if a link is broken.
+    /// Panics if a link is broken or a freed slot still holds tokens.
     pub fn check_invariants(&self) {
+        for &i in &self.free {
+            let n = &self.nodes[i];
+            assert!(n.dead, "free slot {i} is live");
+            assert!(n.seg.is_empty(), "dead slot {i} holds a segment");
+        }
         for (i, n) in self.live() {
             assert!(!n.seg.is_empty(), "non-root node with empty segment");
             assert!(
                 n.children.windows(2).all(|w| w[0].0 < w[1].0),
                 "child index out of order"
             );
-            let parent = &self.nodes[n.parent];
+            let parent = &self.nodes[n.parent()];
             assert!(!parent.dead, "live node under dead parent");
             assert_eq!(parent.child(n.seg[0]), Some(i), "parent/child link broken");
         }
     }
 
     /// The most recently freed slot, else a fresh one: live, childless,
-    /// empty segment (capacity kept), under `parent`.
+    /// empty segment, under `parent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fresh slot's index would not fit the `u32` links. The
+    /// paper's bound of 1 << 22 tokens caps a trie at about 4 M nodes,
+    /// a thousandth of that.
     fn take_slot(&mut self, parent: usize, data: P) -> usize {
+        let parent = parent as u32;
         if let Some(idx) = self.free.pop() {
             let n = &mut self.nodes[idx];
             n.parent = parent;
@@ -246,14 +284,19 @@ impl<P: Clone> RadixArena<P> {
             n.data = data;
             idx
         } else {
+            let idx = self.nodes.len();
+            assert!(
+                u32::try_from(idx).is_ok(),
+                "invariant: arena slot {idx} does not fit a u32 link"
+            );
             self.nodes.push(Node {
-                seg: Vec::new(),
+                seg: Box::default(),
                 parent,
                 children: Vec::new(),
                 dead: false,
                 data,
             });
-            self.nodes.len() - 1
+            idx
         }
     }
 }
@@ -331,22 +374,44 @@ mod tests {
     }
 
     #[test]
-    fn freed_slots_are_reused_lifo_and_keep_capacity() {
+    fn freed_slots_are_reused_lifo_and_hold_exact_segments() {
         let mut t = RadixArena::new(());
         let a = t.alloc(&[1; 64], ROOT, ());
-        let b = t.alloc(&[2, 2], ROOT, ());
+        let b = t.alloc(&[2, 2, 2], ROOT, ());
         let c = t.alloc(&[3, 3], ROOT, ());
         t.remove_leaf(a);
         t.remove_leaf(c);
+        assert!(
+            t[a].seg.is_empty() && t[c].seg.is_empty(),
+            "freed with the slot"
+        );
+        t.check_invariants();
         // Last freed, first reused; a split takes its slot the same way.
         assert_eq!(t.alloc(&[4, 4], ROOT, ()), c);
         assert_eq!(t.split(b, 1), a);
-        assert!(
-            t[a].seg.capacity() >= 64,
-            "a recycled slot keeps its buffer"
-        );
         assert_eq!(t.alloc(&[5], ROOT, ()), 4, "free list empty: a fresh slot");
+        // The slot that held 64 tokens holds the one it stores, and the
+        // split's tail gave up the head's token.
+        assert_eq!(
+            (&*t[a].seg, &*t[b].seg, &*t[c].seg),
+            (&[2][..], &[2, 2][..], &[4, 4][..])
+        );
+        assert_eq!(
+            (t[a].children.capacity(), t[ROOT].children.capacity()),
+            (1, 4)
+        );
         t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not link to leaf")]
+    fn removing_an_unlinked_leaf_is_a_broken_invariant() {
+        let mut t = RadixArena::new(());
+        let a = t.alloc(&[1, 2], ROOT, ());
+        let b = t.alloc(&[3], a, ());
+        t[ROOT].children.clear();
+        t.remove_leaf(b);
+        t.remove_leaf(a);
     }
 
     #[test]

@@ -150,9 +150,11 @@ fn peak_heap_follows_the_in_flight_population() {
     let long = measure(2 * USERS);
     let added_prompts = long.prompt_bytes - short.prompt_bytes;
     let growth = long.peak_bytes.saturating_sub(short.peak_bytes);
+    let added_requests = (long.requests - short.requests) as usize;
     let mb = |bytes: usize| bytes as f64 / 1e6;
     println!(
-        "peak {:.2} -> {:.2} MB, prompts {:.2} -> {:.2} MB",
+        "peak {:.2} -> {:.2} MB, prompts {:.2} -> {:.2} MB; {growth} B for {added_requests} \
+         added requests",
         mb(short.peak_bytes),
         mb(long.peak_bytes),
         mb(short.prompt_bytes),
@@ -163,11 +165,11 @@ fn peak_heap_follows_the_in_flight_population() {
     // What may still grow with run length is the three 8-byte latency
     // samples a request leaves and the 48-byte shell a client leaves,
     // each in a vector that doubles — nothing per probe tick, and not
-    // the prompts. Measured: 621 846 B for 10 985 added requests and
-    // 2 000 added clients; the bound is a quarter above that.
-    const PER_REQUEST: usize = 48;
-    const PER_CLIENT: usize = 128;
-    let added_requests = (long.requests - short.requests) as usize;
+    // the prompts. Measured: 527 108 B for 10 985 added requests and
+    // 2 000 added clients (621 846 B while the radix tree's freed slots
+    // kept their segment buffers); the bound is a quarter above that.
+    const PER_REQUEST: usize = 40;
+    const PER_CLIENT: usize = 112;
     let allowed = PER_REQUEST * added_requests + PER_CLIENT * USERS as usize;
     assert!(
         growth < allowed,
