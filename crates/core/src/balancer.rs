@@ -214,8 +214,7 @@ pub struct RegionalBalancer {
     remote_policy: Box<dyn RoutingPolicy<LbId>>,
     stats: BalancerStats,
     /// Candidate buffers reused across [`dispatch`](Self::dispatch)
-    /// iterations: the drain loop rebuilds the candidate set per queue
-    /// head, and these keep that rebuild allocation-free.
+    /// calls, so that building them allocates nothing.
     local_scratch: Vec<TargetState<ReplicaId>>,
     remote_scratch: Vec<TargetState<LbId>>,
 }
@@ -394,13 +393,21 @@ impl RegionalBalancer {
     /// Drains the queue head-first while requests are routable (Alg. 1
     /// `HandleRequest`): local available replicas first; if none, an
     /// available remote balancer; if neither, the head waits (FCFS).
+    ///
+    /// The local candidate list is built once per call, and not at all
+    /// for an empty queue: a local dispatch changes only the chosen
+    /// replica's record, so only its entry is refreshed. A forward
+    /// changes a peer's record, so the remote list is rebuilt per head.
     pub fn dispatch(&mut self) -> Vec<Decision> {
         let mut out = Vec::new();
+        if self.queue.is_empty() {
+            return out;
+        }
         let mut local_candidates = std::mem::take(&mut self.local_scratch);
         let mut remote_candidates = std::mem::take(&mut self.remote_scratch);
+        local_candidates.clear();
+        self.fill_local_candidates(&mut local_candidates);
         while let Some(head) = self.queue.front() {
-            local_candidates.clear();
-            self.fill_local_candidates(&mut local_candidates);
             if !local_candidates.is_empty() {
                 let q = self.queue.pop_front().expect("front checked");
                 let replica = self
@@ -408,6 +415,7 @@ impl RegionalBalancer {
                     .select(&q.req.session_key, &q.req.prompt, &local_candidates)
                     .expect("candidates non-empty");
                 self.note_local_dispatch(&q.req, replica);
+                self.refresh_local_candidate(&mut local_candidates, replica);
                 out.push(Decision::Local {
                     req: q.req,
                     replica,
@@ -448,13 +456,34 @@ impl RegionalBalancer {
         out
     }
 
+    /// The available local replicas, in id order.
     fn fill_local_candidates(&self, out: &mut Vec<TargetState<ReplicaId>>) {
         out.extend(
             self.replicas
                 .values()
                 .filter(|r| self.cfg.push_mode.replica_available(r))
-                .map(|r| TargetState::new(r.id, r.outstanding).in_region(r.region)),
+                .map(|r| self.local_candidate(r)),
         );
+    }
+
+    fn local_candidate(&self, r: &ReplicaState) -> TargetState<ReplicaId> {
+        TargetState::new(r.id, r.outstanding).in_region(r.region)
+    }
+
+    /// Brings the entry of `id` — one of the id-ordered `candidates`,
+    /// as the policy contract promises — up to date with its record:
+    /// its new load, or its removal once it is no longer available.
+    fn refresh_local_candidate(&self, candidates: &mut Vec<TargetState<ReplicaId>>, id: ReplicaId) {
+        let Ok(i) = candidates.binary_search_by_key(&id, |c| c.id) else {
+            return;
+        };
+        let record = self.replicas.get(&id);
+        match record.filter(|r| self.cfg.push_mode.replica_available(r)) {
+            Some(r) => candidates[i] = self.local_candidate(r),
+            None => {
+                candidates.remove(i);
+            }
+        }
     }
 
     fn fill_remote_candidates(&self, out: &mut Vec<TargetState<LbId>>) {
@@ -547,6 +576,33 @@ mod tests {
             other => panic!("expected forward, got {other:?}"),
         }
         assert_eq!(lb.stats().forwarded, 1);
+    }
+
+    #[test]
+    fn one_dispatch_call_sees_each_dispatch_it_made() {
+        // The candidate list is built once per call: the loads and the
+        // availability of its entries must still follow every dispatch.
+        let cfg = BalancerConfig {
+            push_mode: PushMode::Outstanding { max: 2 },
+            ..BalancerConfig::baseline(Region::UsEast, PolicyKind::LeastLoad)
+        };
+        let mut lb = RegionalBalancer::new(LbId(0), cfg);
+        for i in 0..3 {
+            lb.add_replica(ReplicaId(i));
+        }
+        for i in 0..8 {
+            lb.submit(req(i, "u", vec![1]), 0);
+        }
+        let picks: Vec<u32> = lb
+            .dispatch()
+            .iter()
+            .map(|d| match d {
+                Decision::Local { replica, .. } => replica.0,
+                other => panic!("expected local dispatch, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2], "least load, then full");
+        assert_eq!(lb.queue_len(), 2);
     }
 
     #[test]

@@ -78,10 +78,15 @@ impl<T> TargetState<T> {
 /// - return `None` **iff** `candidates` is empty;
 /// - return the id of one of the `candidates` (the push mode has already
 ///   deemed every listed candidate available);
+/// - expect `candidates` in strictly ascending id order, as
+///   [`RegionalBalancer`](crate::RegionalBalancer) lists them: a policy
+///   may test membership by binary search, as [`CacheAware`] does (it
+///   `debug_assert`s the order);
 /// - be deterministic given its own state (the simulator replays runs
 ///   bit-for-bit; derive any randomness from seeds, not ambient entropy).
 pub trait RoutingPolicy<T: RingTarget>: std::fmt::Debug + Send {
-    /// Picks a target among `candidates`.
+    /// Picks a target among `candidates`, which are in ascending id
+    /// order.
     ///
     /// `key` is the session/consistent-hashing key; `prompt` the token
     /// sequence for prefix matching.
@@ -329,7 +334,11 @@ impl<T: RingTarget> RoutingPolicy<T> for CacheAware<T> {
         if max_load - min_load > self.balance_abs_threshold {
             return least_loaded(candidates);
         }
-        let in_candidates = |t: &T| candidates.iter().any(|c| c.id == *t);
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0].id < w[1].id),
+            "candidates must come in ascending id order"
+        );
+        let in_candidates = |t: &T| candidates.binary_search_by_key(t, |c| c.id).is_ok();
         let best = self.trie.best_match(prompt, in_candidates);
         let hit_ratio = match (&best, prompt.len()) {
             (Some(m), n) if n > 0 => m.matched as f64 / n as f64,

@@ -46,9 +46,10 @@ struct Running {
 }
 
 /// [`Replica::step`]'s per-iteration working storage, kept between
-/// iterations so that one which admits, preempts and finishes nothing —
-/// a steady decode step, or one stalled behind an unfit head — does not
-/// touch the allocator. Nothing in it outlives the step that filled it.
+/// iterations so that only preempting or retiring a request makes a
+/// step allocate: a steady decode step, one stalled behind an unfit
+/// head and one that admits reuse what earlier steps grew. Nothing in
+/// it outlives the step that filled it.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// The queue snapshots behind the policy's [`StepView`].
@@ -56,8 +57,38 @@ struct StepScratch {
     running_view: Vec<RunningView>,
     /// Which pending indices admission has consumed.
     taken: Vec<bool>,
+    /// Admitted this iteration, in plan order: `(pending index, lease,
+    /// cached tokens, prefill still to run)`.
+    admissions: Vec<(usize, Lease, u64, u64)>,
+    /// The admitted pending indices, highest first.
+    idxs: Vec<usize>,
+    /// The admitted requests as they left the pending queue, by index.
+    removed: Vec<(usize, Request)>,
     /// Running indices that reached their target this iteration.
     finished: Vec<usize>,
+    /// The vectors of a [`StepOutcome`] handed back through
+    /// [`Replica::recycle`], emptied, for the next step to fill.
+    outcome: StepOutcome,
+}
+
+/// A request the fit check turned away, and the state it failed in.
+/// While the same request is offered, no node has been inserted into or
+/// removed from the cache, and the committed tokens have not fallen, the
+/// check would fail again: the prompt charge follows the matched prefix,
+/// which only a node insert or removal can change, and the rest of the
+/// check only grows with the committed tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Unfit {
+    /// The request: its id, prompt length and served output length. An
+    /// id names one prompt; a leg with a different prompt (the decode
+    /// leg of a handoff) has a different length.
+    id: RequestId,
+    prompt_len: usize,
+    target: u32,
+    /// [`PrefixCache::tree_edits`] at the failed check.
+    tree_edits: u64,
+    /// [`Replica::committed_tokens`] at the failed check.
+    committed: u64,
 }
 
 /// A finished request.
@@ -219,6 +250,8 @@ pub struct Replica {
     /// each [`Replica::step`] bills only its own promotions.
     promoted_charged: u64,
     scratch: StepScratch,
+    /// The last failed fit check, while it still holds.
+    unfit: Option<Unfit>,
 }
 
 impl Replica {
@@ -256,6 +289,7 @@ impl Replica {
             stats: ReplicaStats::default(),
             promoted_charged: 0,
             scratch: StepScratch::default(),
+            unfit: None,
         }
     }
 
@@ -341,7 +375,7 @@ impl Replica {
     /// running request. Returns what happened and how long it took; an
     /// idle replica returns a zero-duration outcome.
     pub fn step(&mut self) -> StepOutcome {
-        let mut out = StepOutcome::default();
+        let mut out = std::mem::take(&mut self.scratch.outcome);
 
         // Snapshot the queues for the policy. Plan indices refer to
         // these snapshots; nothing below reorders the pending queue
@@ -365,16 +399,15 @@ impl Replica {
                 target: r.target,
                 prefill_remaining: r.prefill_remaining,
             }));
-        let kv_reclaimable = self.cache.reclaimable_tokens();
+        let kv_committed = self.committed_tokens();
+        let scratch = &self.scratch;
         let view = StepView {
             pending: &scratch.pending_view,
             running: &scratch.running_view,
             kv_capacity: self.profile.kv.capacity_tokens,
             kv_used: self.cache.used_tokens(),
-            kv_reclaimable,
-            kv_committed: self.cache.used_tokens() - kv_reclaimable
-                + self.private_tokens
-                + self.reserved_tokens,
+            kv_reclaimable: self.cache.reclaimable_tokens(),
+            kv_committed,
             max_batch: self.profile.max_batch_size,
         };
         let plan = self.policy.plan(&view);
@@ -422,11 +455,11 @@ impl Replica {
         // Counters and cache state update immediately (later fit checks
         // must see earlier admissions); the owned requests move out of
         // the pending queue in one pass afterwards.
-        let mut admissions: Vec<(usize, Lease, u64, u64)> = Vec::new();
+        let mut admissions = std::mem::take(&mut self.scratch.admissions);
         self.scratch.taken.clear();
         self.scratch.taken.resize(self.pending.len(), false);
         let mut prefill_fresh = 0u64;
-        for &idx in &plan.admit_order {
+        for idx in plan.admit_order.indices(self.pending.len()) {
             if self.running.len() + admissions.len() >= self.profile.max_batch_size as usize {
                 break;
             }
@@ -434,7 +467,7 @@ impl Replica {
                 continue;
             }
             let target = self.pending[idx].target_output_tokens.max(1);
-            if !self.admission_fits(&self.pending[idx].prompt, target) {
+            if !self.admission_fits(idx, target) {
                 if plan.skip_unfit {
                     continue;
                 }
@@ -472,17 +505,15 @@ impl Replica {
             // remaining indices stay valid (O(1) per removal in the
             // FCFS common case of front indices), then enter the batch
             // in *plan* order.
-            let mut removed: Vec<(usize, Request)> = {
-                let mut idxs: Vec<usize> = admissions.iter().map(|a| a.0).collect();
-                idxs.sort_unstable_by(|a, b| b.cmp(a));
-                idxs.into_iter()
-                    .map(|i| {
-                        let req = self.pending.remove(i).expect("admitted index in range");
-                        (i, req)
-                    })
-                    .collect()
-            };
-            for (idx, lease, cached, prefill_remaining) in admissions {
+            let StepScratch { idxs, removed, .. } = &mut self.scratch;
+            idxs.clear();
+            idxs.extend(admissions.iter().map(|a| a.0));
+            idxs.sort_unstable_by(|a, b| b.cmp(a));
+            for &i in idxs.iter() {
+                let req = self.pending.remove(i).expect("admitted index in range");
+                removed.push((i, req));
+            }
+            for (idx, lease, cached, prefill_remaining) in admissions.drain(..) {
                 let pos = removed
                     .iter()
                     .position(|(i, _)| *i == idx)
@@ -499,6 +530,7 @@ impl Replica {
                 });
             }
         }
+        self.scratch.admissions = admissions;
         // Preempted requests go back to the *front* (oldest first): the
         // default FCFS re-admits them before anything newer, so
         // preemption cannot starve a request forever.
@@ -587,21 +619,65 @@ impl Replica {
         out
     }
 
-    /// Conservative fit check for admitting a request: uncached prompt
-    /// charge plus full output reservation must fit next to everything
-    /// already resident or reserved. This is the replica's own safety
-    /// rail — batch policies choose *order*, not whether this holds.
-    fn admission_fits(&self, prompt: &[u32], target: u32) -> bool {
+    /// Hands back a [`StepOutcome`] this replica returned, once its
+    /// reader is done with it: the next step refills its vectors
+    /// instead of allocating new ones. Dropping an outcome instead is
+    /// always correct; it only costs those allocations.
+    pub fn recycle(&mut self, mut out: StepOutcome) {
+        out.admitted.clear();
+        out.preempted.clear();
+        out.first_tokens.clear();
+        out.completions.clear();
+        out.duration = SimDuration::ZERO;
+        self.scratch.outcome = out;
+    }
+
+    /// Tokens committed against capacity: unreclaimable cache state plus
+    /// private decode tokens plus outstanding output reservations.
+    fn committed_tokens(&self) -> u64 {
+        self.cache.used_tokens() - self.cache.reclaimable_tokens()
+            + self.private_tokens
+            + self.reserved_tokens
+    }
+
+    /// Conservative fit check for admitting pending request `idx`:
+    /// uncached prompt charge plus full output reservation (`target`)
+    /// must fit next to everything already resident or reserved. This
+    /// is the replica's own safety rail — batch policies choose *order*,
+    /// not whether this holds. A failure is remembered, and the same
+    /// request offered again is turned away without walking the cache
+    /// while the failure provably still holds (see [`Unfit`]) — the
+    /// head of an FCFS queue stalled on KV memory is offered every
+    /// iteration.
+    fn admission_fits(&mut self, idx: usize, target: u32) -> bool {
+        let req = &self.pending[idx];
+        let committed = self.committed_tokens();
+        let tree_edits = self.cache.tree_edits();
+        let same = |u: &Unfit| {
+            (u.id, u.prompt_len, u.target) == (req.id, req.prompt.len(), target)
+                && u.tree_edits == tree_edits
+                && committed >= u.committed
+        };
+        if self.unfit.as_ref().is_some_and(same) {
+            return false;
+        }
         let cap = self.profile.kv.capacity_tokens;
-        let cached = self.cache.matched_tokens(prompt);
-        let uncached = prompt.len() as u64 - cached;
+        let cached = self.cache.matched_tokens(&req.prompt);
+        let uncached = req.prompt.len() as u64 - cached;
         // Block-rounding slack: one extra block covers a possible split.
         let block = u64::from(self.profile.kv.block_tokens);
         let prompt_charge = uncached.div_ceil(block.max(1)) * block.max(1) + block;
-        let committed = self.cache.used_tokens() - self.cache.reclaimable_tokens()
-            + self.private_tokens
-            + self.reserved_tokens;
-        committed + prompt_charge + u64::from(target) <= cap
+        let fits = committed + prompt_charge + u64::from(target) <= cap;
+        if !fits {
+            self.unfit = Some(Unfit {
+                id: req.id,
+                prompt_len: req.prompt.len(),
+                target,
+                tree_edits,
+                committed,
+            });
+        }
+        fits
     }
 
     /// Removes and returns the head of the pending queue. Drivers use
@@ -664,9 +740,10 @@ impl Replica {
         let mut elapsed = SimDuration::ZERO;
         loop {
             match self.advance() {
-                Advance::Worked(out) | Advance::Progressed(out) => {
+                Advance::Worked(mut out) | Advance::Progressed(mut out) => {
                     elapsed += out.duration;
-                    completions.extend(out.completions);
+                    completions.append(&mut out.completions);
+                    self.recycle(out);
                 }
                 Advance::DroppedHead(..) => {}
                 Advance::Idle => break,
@@ -1011,10 +1088,10 @@ mod tests {
 
         impl crate::BatchPolicy for PreemptAllOnce {
             fn plan(&mut self, view: &crate::StepView<'_>) -> crate::BatchPlan {
-                let mut plan = crate::BatchPlan::fcfs(view.pending.len());
+                let mut plan = crate::BatchPlan::fcfs();
                 if !self.fired && !view.running.is_empty() {
                     self.fired = true;
-                    plan.admit_order.clear();
+                    plan.admit_order = crate::AdmitOrder::default();
                     plan.preempt = (0..view.running.len()).collect();
                 }
                 plan
@@ -1056,9 +1133,12 @@ mod tests {
 
         impl crate::BatchPolicy for ShortestOutputFirst {
             fn plan(&mut self, view: &crate::StepView<'_>) -> crate::BatchPlan {
-                let mut plan = crate::BatchPlan::fcfs(view.pending.len());
-                plan.admit_order
-                    .sort_by_key(|&i| view.pending[i].target_output_tokens);
+                let mut order: Vec<usize> = (0..view.pending.len()).collect();
+                order.sort_by_key(|&i| view.pending[i].target_output_tokens);
+                let plan = crate::BatchPlan {
+                    admit_order: crate::AdmitOrder::Indices(order),
+                    ..crate::BatchPlan::fcfs()
+                };
                 let mut seen = self.seen.lock().expect("no panic under this lock");
                 seen.extend(view.pending.iter().map(|p| p.target_output_tokens));
                 plan
@@ -1140,6 +1220,197 @@ mod tests {
             // 4 pinned lease tokens + 2 private decode tokens.
             assert_eq!(r.stats().crash_reclaimed_tokens, 6);
             assert_eq!(r.cache().reclaimable_tokens(), r.cache().used_tokens());
+        }
+    }
+
+    /// The head latch: a request the fit check turned away is turned
+    /// away again without a cache walk only while the check would fail.
+    /// Every step below is refereed by a fit check made afresh.
+    mod head_latch {
+        use super::*;
+
+        /// The fit check without the latch: a full walk of the prompt.
+        fn fits_afresh(r: &Replica, idx: usize) -> bool {
+            let req = &r.pending[idx];
+            let block = u64::from(r.profile.kv.block_tokens);
+            let uncached = req.prompt.len() as u64 - r.cache.matched_tokens(&req.prompt);
+            let charge = uncached.div_ceil(block) * block + block;
+            let target = u64::from(req.target_output_tokens.max(1));
+            r.committed_tokens() + charge + target <= r.profile.kv.capacity_tokens
+        }
+
+        /// Steps once; the head is admitted iff it fits afresh. Returns
+        /// whether it was, and the ids the step completed.
+        fn step_refereed(r: &mut Replica) -> (bool, Vec<u64>) {
+            let head = r.pending.front().map(|q| q.id);
+            let fits = !r.pending.is_empty() && fits_afresh(r, 0);
+            let out = r.step();
+            let admitted = head.is_some_and(|id| out.admitted.contains(&id));
+            assert_eq!(admitted, fits, "head {head:?}");
+            (admitted, out.completions.iter().map(|c| c.id.0).collect())
+        }
+
+        /// Steps until the head is admitted; returns the step at which
+        /// each of `watch` completed, and the step that admitted it.
+        fn run_until_admitted(r: &mut Replica, watch: &[u64]) -> (Vec<Option<usize>>, usize) {
+            let mut completed = vec![None; watch.len()];
+            for k in 0..200 {
+                let (admitted, done) = step_refereed(r);
+                for (at, id) in completed.iter_mut().zip(watch) {
+                    if done.contains(id) {
+                        *at = Some(k);
+                    }
+                }
+                if admitted {
+                    return (completed, k);
+                }
+                assert!(r.unfit.is_some(), "a refused head is latched");
+            }
+            panic!("head never admitted");
+        }
+
+        fn tokens(from: u32, n: u32) -> Vec<u32> {
+            (from..from + n).collect()
+        }
+
+        #[test]
+        fn a_completion_releases_the_latch_the_step_after_it() {
+            // A commits 4 + 24 tokens while it runs; B needs 8 + 30 of
+            // 64 and fits only once A is gone.
+            let mut r = Replica::new(ReplicaId(0), small_profile(64, 16));
+            r.enqueue(req(1, vec![1, 2, 3], 24));
+            r.step();
+            r.enqueue(req(2, vec![5, 6, 7], 30));
+            let (completed, admitted) = run_until_admitted(&mut r, &[1]);
+            assert_eq!(completed, [Some(admitted - 1)]);
+            assert!(admitted > 20, "B waited out A's decode");
+        }
+
+        /// FCFS that preempts the second running request at its `at`-th
+        /// plan.
+        #[derive(Debug, Clone)]
+        struct PreemptSecondAt {
+            at: u32,
+            calls: u32,
+        }
+
+        impl crate::BatchPolicy for PreemptSecondAt {
+            fn plan(&mut self, _view: &crate::StepView<'_>) -> crate::BatchPlan {
+                self.calls += 1;
+                let mut plan = crate::BatchPlan::fcfs();
+                if self.calls == self.at {
+                    plan.preempt.push(1);
+                }
+                plan
+            }
+
+            fn label(&self) -> String {
+                "preempt-second-at".to_string()
+            }
+        }
+
+        #[test]
+        fn a_preemption_releases_the_latch_in_its_own_step() {
+            // A1 and A2 commit 24 each of 64; B needs 8 + 20. The fifth
+            // plan preempts A2: the committed tokens fall while no node
+            // is inserted or removed, and B is admitted in that step.
+            let policy = Box::new(PreemptSecondAt { at: 5, calls: 0 });
+            let mut r = Replica::with_engine(
+                ReplicaId(0),
+                small_profile(64, 16),
+                policy,
+                Box::new(crate::LruEvictor),
+            );
+            r.enqueue(req(1, vec![1, 2, 3], 20));
+            r.enqueue(req(3, vec![5, 6, 7], 20));
+            r.step();
+            r.enqueue(req(2, vec![9, 10, 11], 20));
+            for _ in 0..3 {
+                assert_eq!(step_refereed(&mut r), (false, vec![]));
+            }
+            let (edits, committed) = (r.cache.tree_edits(), r.committed_tokens());
+            assert_eq!(
+                r.unfit.map(|u| (u.tree_edits, u.committed)),
+                Some((edits, committed))
+            );
+            // The fit check runs after the preemption, inside the step,
+            // so it is refereed by hand: 48 - 24 + 8 + 20 <= 64.
+            let out = r.step();
+            assert_eq!(
+                (out.preempted, out.admitted),
+                (vec![RequestId(3)], vec![RequestId(2)])
+            );
+            assert_eq!(r.cache.tree_edits(), edits + 1, "B's own leaf only");
+        }
+
+        #[test]
+        fn an_insert_releases_the_latch_at_once() {
+            // A commits 4 + 20; B's 16 uncached tokens charge 20, so B's
+            // 21 output tokens miss by one. Four of its tokens cached
+            // save a block: the next step admits it.
+            let mut r = Replica::new(ReplicaId(0), small_profile(64, 16));
+            r.enqueue(req(1, vec![1, 2, 3, 4], 20));
+            r.step();
+            let prompt = tokens(10, 16);
+            r.enqueue(req(2, prompt.clone(), 21));
+            for _ in 0..3 {
+                assert_eq!(step_refereed(&mut r), (false, vec![]));
+            }
+            let latched = r.unfit.expect("B latched");
+            assert!(r.prewarm(&prompt[..4]));
+            assert_eq!(r.cache.tree_edits(), latched.tree_edits + 1);
+            assert_eq!(step_refereed(&mut r), (true, vec![]));
+        }
+
+        #[test]
+        fn an_eviction_releases_the_latch_and_the_recheck_sees_it() {
+            // B's first 8 tokens are cached (W ran them), and two
+            // decodes commit 14 + 24 of 128. With its prefix B would
+            // fit once A1 is done; evicted, it waits for A2 as well.
+            let mut r = Replica::new(ReplicaId(0), small_profile(128, 16));
+            let prompt = tokens(10, 16);
+            r.enqueue(req(9, prompt[..8].to_vec(), 1));
+            r.run_to_idle();
+            r.enqueue(req(1, vec![1, 2, 3, 4], 10));
+            r.enqueue(req(3, vec![5, 6, 7, 8], 20));
+            r.step();
+            r.enqueue(req(2, prompt.clone(), 88));
+            assert_eq!(step_refereed(&mut r), (false, vec![]));
+            assert_eq!(r.cache.matched_tokens(&prompt), 8);
+            let latched = r.unfit.expect("B latched");
+            r.cache.clear_unpinned();
+            assert_eq!(r.cache.matched_tokens(&prompt), 0);
+            assert!(r.cache.tree_edits() > latched.tree_edits);
+            let (completed, admitted) = run_until_admitted(&mut r, &[1, 3]);
+            let (a1, a2) = (completed[0].expect("A1"), completed[1].expect("A2"));
+            assert!(a1 < a2, "A1 finished first and freed too little");
+            assert_eq!(a2 + 1, admitted);
+        }
+
+        #[test]
+        fn a_different_request_at_the_head_is_checked_afresh() {
+            // C's prompt is cached, B's is not; both are 8 tokens long
+            // and ask for 30 beside A's 4 + 20 of 64: B misses, C fits.
+            let stalled = || {
+                let mut r = Replica::new(ReplicaId(0), small_profile(64, 16));
+                r.enqueue(req(5, tokens(40, 8), 1));
+                r.run_to_idle();
+                r.enqueue(req(1, vec![1, 2, 3, 4], 20));
+                r.step();
+                r.enqueue(req(2, tokens(60, 8), 30));
+                assert_eq!(step_refereed(&mut r), (false, vec![]));
+                assert_eq!(r.unfit.map(|u| u.id), Some(RequestId(2)));
+                r.pop_pending_head().expect("B");
+                r
+            };
+            // Another id, the same prompt length and target.
+            let mut r = stalled();
+            r.enqueue(req(3, tokens(40, 8), 30));
+            assert_eq!(step_refereed(&mut r), (true, vec![]));
+            // The same id and prompt, a smaller target.
+            let mut r = stalled();
+            r.enqueue(req(2, tokens(60, 8), 10));
+            assert_eq!(step_refereed(&mut r), (true, vec![]));
         }
     }
 

@@ -95,9 +95,8 @@ impl StepView<'_> {
 /// corrupt.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchPlan {
-    /// Pending-queue indices to *try* admitting, in order. Indices
-    /// refer to [`StepView::pending`].
-    pub admit_order: Vec<usize>,
+    /// Pending requests to *try* admitting, in order.
+    pub admit_order: AdmitOrder,
     /// What a failed fit check does: `false` stops admission at the
     /// first candidate that does not fit (FCFS head-of-line blocking —
     /// no starvation), `true` skips it and keeps trying later
@@ -117,14 +116,43 @@ pub struct BatchPlan {
 
 impl BatchPlan {
     /// The historical plan: admit in arrival order, stop at the first
-    /// misfit, full prefill, no preemption.
-    pub fn fcfs(pending_len: usize) -> Self {
+    /// misfit, full prefill, no preemption. It holds no vector, so
+    /// planning it allocates nothing.
+    pub fn fcfs() -> Self {
         BatchPlan {
-            admit_order: (0..pending_len).collect(),
+            admit_order: AdmitOrder::Fcfs,
             skip_unfit: false,
             prefill_chunk: None,
             preempt: Vec::new(),
         }
+    }
+}
+
+/// Which pending requests a [`BatchPlan`] offers for admission, and in
+/// what order. The default offers none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdmitOrder {
+    /// The whole pending queue, in arrival order.
+    Fcfs,
+    /// These indices into [`StepView::pending`], in this order.
+    Indices(Vec<usize>),
+}
+
+impl Default for AdmitOrder {
+    fn default() -> Self {
+        AdmitOrder::Indices(Vec::new())
+    }
+}
+
+impl AdmitOrder {
+    /// The pending-queue indices offered, in order, for a queue
+    /// `pending_len` long.
+    pub fn indices(&self, pending_len: usize) -> impl Iterator<Item = usize> + '_ {
+        let (arrival, listed) = match self {
+            AdmitOrder::Fcfs => (0..pending_len, &[][..]),
+            AdmitOrder::Indices(idxs) => (0..0, idxs.as_slice()),
+        };
+        arrival.chain(listed.iter().copied())
     }
 }
 
@@ -208,7 +236,7 @@ impl FcfsBatch {
 
 impl BatchPolicy for FcfsBatch {
     fn plan(&mut self, view: &StepView<'_>) -> BatchPlan {
-        let mut plan = BatchPlan::fcfs(view.pending.len());
+        let mut plan = BatchPlan::fcfs();
         plan.prefill_chunk = self.chunk;
         if let Some(frac) = self.preempt_above {
             if view.running.len() > 1 && view.kv_pressure() > frac {
@@ -313,7 +341,8 @@ mod tests {
             },
         ];
         let p = FcfsBatch::new().plan(&view(&pending, &[]));
-        assert_eq!(p, BatchPlan::fcfs(2));
+        assert_eq!(p, BatchPlan::fcfs());
+        assert_eq!(p.admit_order.indices(2).collect::<Vec<_>>(), [0, 1]);
         assert!(!p.skip_unfit);
         assert!(p.prefill_chunk.is_none());
         assert!(p.preempt.is_empty());

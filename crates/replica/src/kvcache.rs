@@ -376,6 +376,9 @@ pub struct PrefixCache {
     /// [`Self::list_candidates`]' output, reused from victim to victim:
     /// the view of each member of `evictable`, in its order.
     candidates: Vec<EvictCandidate>,
+    /// Nodes inserted (fresh leaves and split heads) plus nodes removed,
+    /// since creation: [`PrefixCache::tree_edits`].
+    tree_edits: u64,
 }
 
 impl PrefixCache {
@@ -411,6 +414,7 @@ impl PrefixCache {
             evictable: SlotSet::default(),
             host_idle: SlotSet::default(),
             candidates: Vec::new(),
+            tree_edits: 0,
         }
     }
 
@@ -461,6 +465,14 @@ impl PrefixCache {
         } else {
             self.total_cached_tokens as f64 / self.total_prompt_tokens as f64
         }
+    }
+
+    /// How many nodes have been inserted or removed so far. A node's
+    /// tokens never change while it lives (a split keeps them, in two
+    /// nodes), so [`PrefixCache::matched_tokens`] gives the same answer
+    /// for any prompt until this count moves.
+    pub fn tree_edits(&self) -> u64 {
+        self.tree_edits
     }
 
     /// Longest cached prefix of `tokens`, in tokens, without mutating
@@ -920,6 +932,7 @@ impl PrefixCache {
                 tier: Tier::Gpu,
             };
             node = self.tree.alloc(seg, node, entry);
+            self.tree_edits += 1;
         }
         node
     }
@@ -946,6 +959,7 @@ impl PrefixCache {
         self.host_idle.set(idx, false);
         let parent = self.tree[idx].parent();
         self.tree.remove_leaf(idx);
+        self.tree_edits += 1;
         self.sync(parent);
     }
 
@@ -957,6 +971,7 @@ impl PrefixCache {
         // GPU-only used-token arithmetic below is always right.
         debug_assert_eq!(self.tree[child].data.tier, Tier::Gpu);
         self.used_tokens += self.split_extra(child, keep);
+        self.tree_edits += 1;
         self.tree.split(child, keep)
     }
 }

@@ -40,8 +40,8 @@ mod tokenizer;
 
 pub use batch::{Advance, Completion, Replica, ReplicaStats, StepOutcome};
 pub use engine::{
-    BatchPlan, BatchPolicy, CloneBatchPolicy, EngineSpec, FcfsBatch, PendingView, RunningView,
-    StepView,
+    AdmitOrder, BatchPlan, BatchPolicy, CloneBatchPolicy, EngineSpec, FcfsBatch, PendingView,
+    RunningView, StepView,
 };
 pub use kvcache::{
     CloneKvEvictor, EvictCandidate, KvConfig, KvError, KvEvictor, Lease, LruEvictor, NoEvict,

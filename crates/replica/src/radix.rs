@@ -148,13 +148,7 @@ impl<P: Clone> RadixArena<P> {
     /// `tokens[0]`, or `tokens` is empty.
     pub fn descend(&self, node: usize, tokens: &[u32]) -> Option<(usize, usize)> {
         let child = self.nodes[node].child(*tokens.first()?)?;
-        let common = self.nodes[child]
-            .seg
-            .iter()
-            .zip(tokens)
-            .take_while(|(a, b)| a == b)
-            .count();
-        Some((child, common))
+        Some((child, common_prefix(&self.nodes[child].seg, tokens)))
     }
 
     /// Every [`RadixArena::descend`] step from `from` along `tokens`,
@@ -301,6 +295,25 @@ impl<P: Clone> RadixArena<P> {
     }
 }
 
+/// How many leading tokens `a` and `b` share, compared eight at a time
+/// while whole blocks of eight agree.
+fn common_prefix(a: &[u32], b: &[u32]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let (blocks, _) = a.as_chunks::<8>();
+    let same = blocks
+        .iter()
+        .zip(b.as_chunks::<8>().0)
+        .take_while(|(x, y)| x == y)
+        .count();
+    let at = 8 * same;
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
 /// A set of arena slots, one bit each: how a caller indexes the nodes
 /// that satisfy some predicate of its payload without rescanning the
 /// arena. Iteration is in ascending slot order — the order of
@@ -428,6 +441,22 @@ mod tests {
         let steps: Vec<_> = t.walk(ROOT, &[1, 2, 3, 4, 9, 9]).collect();
         assert_eq!(steps, [(a, 3), (b, 1)]);
         assert_eq!(t.walk(a, &[4, 5, 6]).collect::<Vec<_>>(), [(b, 2)]);
+    }
+
+    #[test]
+    fn common_prefix_matches_a_token_by_token_count() {
+        let base: Vec<u32> = (0..40).collect();
+        for len in [0, 1, 7, 8, 9, 16, 23, 40] {
+            for diverge in 0..=len {
+                let mut other = base[..len].to_vec();
+                if diverge < len {
+                    other[diverge] = u32::MAX;
+                }
+                let slow = base.iter().zip(&other).take_while(|(a, b)| a == b).count();
+                assert_eq!(common_prefix(&base, &other), slow, "{len} {diverge}");
+                assert_eq!(common_prefix(&other, &base), slow, "{len} {diverge}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! Three readings, each over a `PrefixCache` of a few thousand resident
 //! nodes: a steady decode iteration (full batch, nothing admitted or
-//! finished) allocates nothing; neither does an iteration stalled
-//! behind a pending head that does not fit; and an `acquire` that must
-//! evict eight victims allocates no more than one that evicts one.
+//! finished) allocates nothing, the batch policy's plan included;
+//! neither does an iteration stalled behind a pending head that does
+//! not fit; and an `acquire` that must evict eight victims allocates no
+//! more than one that evicts one.
 //!
 //! One `#[test]` only: the counters are process-wide.
 
@@ -14,8 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use skywalker_replica::{
-    BatchPlan, BatchPolicy, FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica,
-    ReplicaId, Request, StepView,
+    FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica, ReplicaId, Request,
 };
 
 /// `System`, plus a count of every block it was asked for or asked to
@@ -23,8 +23,6 @@ use skywalker_replica::{
 struct Counting;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// The share of `ALLOCS` made inside [`Metered::plan`].
-static IN_PLAN: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments and returns its result unchanged; the counter is a plain
@@ -63,25 +61,6 @@ fn allocs_during(f: impl FnOnce()) -> usize {
     ALLOCS.load(Relaxed) - before
 }
 
-/// FCFS, with the allocations made inside `plan` counted apart. A
-/// [`BatchPlan`] owns its `admit_order`, so a policy that offers any
-/// pending request allocates that vector; it is the policy's, and the
-/// iteration's own cost is what remains.
-#[derive(Debug, Clone)]
-struct Metered(FcfsBatch);
-
-impl BatchPolicy for Metered {
-    fn plan(&mut self, view: &StepView<'_>) -> BatchPlan {
-        let mut plan = BatchPlan::default();
-        IN_PLAN.fetch_add(allocs_during(|| plan = self.0.plan(view)), Relaxed);
-        plan
-    }
-
-    fn label(&self) -> String {
-        self.0.label()
-    }
-}
-
 const RUNNING: u32 = 32;
 const KV_TOKENS: u64 = 1 << 20;
 
@@ -97,7 +76,7 @@ fn warmed_replica(max_batch_size: u32) -> Replica {
         max_batch_size,
         ..GpuProfile::L4_LLAMA_8B
     };
-    let policy = Box::new(Metered(FcfsBatch::new()));
+    let policy = Box::new(FcfsBatch::new());
     let mut r = Replica::with_engine(ReplicaId(0), profile, policy, Box::new(LruEvictor));
     for i in 0..4_000u32 {
         r.enqueue(Request::new(u64::from(i), "warm", vec![i; 8], 1));
@@ -119,17 +98,17 @@ fn warmed_replica(max_batch_size: u32) -> Replica {
     r
 }
 
-/// Steps `r` `n` times, none of which may admit or finish anything;
-/// returns `(allocations, of which inside the policy's plan)`.
-fn steady_steps(r: &mut Replica, n: usize) -> (usize, usize) {
-    let in_plan = IN_PLAN.load(Relaxed);
-    let total = allocs_during(|| {
+/// Steps `r` `n` times, none of which may admit or finish anything,
+/// handing each outcome back as the fabric does; returns the
+/// allocations made.
+fn steady_steps(r: &mut Replica, n: usize) -> usize {
+    allocs_during(|| {
         for _ in 0..n {
             let out = r.step();
             assert!(out.worked() && out.admitted.is_empty() && out.completions.is_empty());
+            r.recycle(out);
         }
-    });
-    (total, IN_PLAN.load(Relaxed) - in_plan)
+    })
 }
 
 #[test]
@@ -137,20 +116,19 @@ fn a_steady_iteration_and_an_extra_victim_cost_no_allocation() {
     // Steady decode, batch at its ceiling, nothing pending: not one
     // allocation, the policy's (empty) plan included.
     let mut full = warmed_replica(RUNNING);
-    assert_eq!(steady_steps(&mut full, 1_500), (0, 0));
+    assert_eq!(steady_steps(&mut full, 1_500), 0);
 
     // Stalled head: room in the batch, but the head's output
     // reservation cannot fit beside the running decodes, so every
-    // iteration re-runs the fit check (a prefix walk of its prompt) and
-    // leaves it queued. Past the first such step, which sizes the
-    // scratch, the iteration's own work allocates nothing.
+    // iteration offers it and leaves it queued. Past the first such
+    // step, which sizes the scratch, nothing allocates: not the
+    // iteration, and not FCFS's plan, which holds no vector.
     let mut stalled = warmed_replica(2 * RUNNING);
     let reservation = (KV_TOKENS - 100_000) as u32;
     stalled.enqueue(Request::new(20_000, "big", vec![7; 64], reservation));
     stalled.enqueue(Request::new(20_001, "behind", vec![8; 64], 4));
     steady_steps(&mut stalled, 1);
-    let (total, in_plan) = steady_steps(&mut stalled, 1_500);
-    assert_eq!(total - in_plan, 0, "{total} allocations, {in_plan} in plan");
+    assert_eq!(steady_steps(&mut stalled, 1_500), 0);
     assert_eq!(stalled.pending_len(), 2, "FCFS: nothing passes the head");
 
     // Eviction: 1 024 four-token leaves in a cache with 28 tokens free,

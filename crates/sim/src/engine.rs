@@ -9,6 +9,19 @@
 //! The design is deliberately minimal: the engine knows nothing about LLM
 //! serving. Higher layers (replicas, balancers, clients) define an event
 //! enum and implement [`World::handle`].
+//!
+//! # Inline delivery
+//!
+//! A handler whose last action is a follow-up at the current instant may
+//! run that follow-up itself instead of scheduling it, when
+//! [`Scheduler::runs_next_now`] says the engine would deliver it next
+//! anyway: nothing else is pending at this instant, the handler has
+//! scheduled nothing at it, and no stop was requested. Delivered that
+//! way or queued, the follow-up sees the same world at the same instant
+//! and every event after it keeps its place; only the sequence numbers
+//! of later events shift down by one, and they only ever order events
+//! among themselves. The run delivers one event fewer
+//! ([`Engine::delivered`]) and is otherwise the same run.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -31,22 +44,33 @@ pub trait World {
 ///
 /// Scheduling is append-only during a handler invocation; the engine drains
 /// the buffer into its heap after the handler returns. This avoids exposing
-/// the heap (and any iteration-order subtleties) to user code.
+/// the heap (and any iteration-order subtleties) to user code. The one
+/// thing a handler may do besides appending is run a follow-up inline
+/// while [`Scheduler::runs_next_now`] holds (see the module docs): that
+/// follow-up appends to the same buffer, in the order it would have
+/// appended as an event of its own.
 pub struct Scheduler<E> {
     now: SimTime,
     buffered: Vec<(SimTime, E)>,
     stop_requested: bool,
+    /// Nothing but the event being handled was pending at `now`.
+    alone_at_now: bool,
+    /// This invocation has scheduled something at `now`.
+    scheduled_now: bool,
 }
 
 impl<E> Scheduler<E> {
     /// `buffered` is handed in by the engine so its capacity can be
-    /// recycled across handler invocations.
-    fn with_buffer(now: SimTime, buffered: Vec<(SimTime, E)>) -> Self {
+    /// recycled across handler invocations; `alone_at_now` says whether
+    /// any other event is pending at `now`.
+    fn with_buffer(now: SimTime, buffered: Vec<(SimTime, E)>, alone_at_now: bool) -> Self {
         debug_assert!(buffered.is_empty());
         Scheduler {
             now,
             buffered,
             stop_requested: false,
+            alone_at_now,
+            scheduled_now: false,
         }
     }
 
@@ -55,9 +79,19 @@ impl<E> Scheduler<E> {
         self.now
     }
 
+    /// True when an event scheduled at the current instant would be the
+    /// next one delivered: no other event is pending at this instant,
+    /// this invocation has scheduled nothing at it, and no stop was
+    /// requested. A handler may then run that event's work inline instead
+    /// of scheduling it, and the run delivers everything else in the same
+    /// order.
+    pub fn runs_next_now(&self) -> bool {
+        self.alone_at_now && !self.scheduled_now && !self.stop_requested
+    }
+
     /// Schedules `event` to fire `delay` after the current instant.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.buffered.push((self.now + delay, event));
+        self.push(self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute instant.
@@ -65,8 +99,12 @@ impl<E> Scheduler<E> {
     /// Instants in the past are clamped to the current time, so the event is
     /// delivered next (never retroactively).
     pub fn at(&mut self, at: SimTime, event: E) {
-        let t = if at < self.now { self.now } else { at };
-        self.buffered.push((t, event));
+        self.push(if at < self.now { self.now } else { at }, event);
+    }
+
+    fn push(&mut self, at: SimTime, event: E) {
+        self.scheduled_now |= at == self.now;
+        self.buffered.push((at, event));
     }
 
     /// Requests that the engine stop after the current handler returns,
@@ -255,7 +293,12 @@ impl<E> Engine<E> {
             self.now = entry.at;
             self.delivered += 1;
 
-            let mut sched = Scheduler::with_buffer(self.now, std::mem::take(&mut self.scratch));
+            // The batch holds every other event pending at this instant:
+            // the refill drained the heap's, and same-instant follow-ups
+            // join the batch.
+            let alone = self.batch.is_empty();
+            let mut sched =
+                Scheduler::with_buffer(self.now, std::mem::take(&mut self.scratch), alone);
             world.handle(self.now, entry.event, &mut sched);
             let mut buffered = sched.buffered;
             for (at, event) in buffered.drain(..) {
@@ -463,6 +506,66 @@ mod tests {
         engine.run(&mut w);
         let tags: Vec<&Ev> = w.seen.iter().map(|(_, e)| e).collect();
         assert_eq!(tags, vec![&Ev::StopNow, &Ev::Tag(7), &Ev::Tag(8)]);
+    }
+
+    /// Records, for every delivery, whether a follow-up at `now` would
+    /// run next — after the handler's own scheduling, as a handler's
+    /// last action sees it.
+    struct Probe {
+        seen: Vec<(u32, bool)>,
+    }
+
+    impl World for Probe {
+        type Event = u32;
+
+        fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+            match ev {
+                // Schedules later only: the query stays true.
+                10 => sched.after(SimDuration::from_micros(1), 99),
+                // Schedules at the current instant first.
+                20 => sched.after(SimDuration::ZERO, 99),
+                // Clamped into the current instant.
+                21 => sched.at(SimTime::ZERO, 99),
+                30 => sched.stop(),
+                _ => {}
+            }
+            self.seen.push((ev, sched.runs_next_now()));
+        }
+    }
+
+    fn probe(events: &[(u64, u32)]) -> Vec<(u32, bool)> {
+        let mut engine = Engine::new();
+        for &(at, ev) in events {
+            engine.schedule(SimTime::from_micros(at), ev);
+        }
+        let mut w = Probe { seen: Vec::new() };
+        engine.run(&mut w);
+        w.seen
+    }
+
+    #[test]
+    fn runs_next_now_when_alone_at_the_instant() {
+        // Later events do not count: only the current instant does.
+        assert_eq!(probe(&[(5, 1), (6, 2)]), [(1, true), (2, true)]);
+        assert_eq!(probe(&[(5, 10)]), [(10, true), (99, true)]);
+    }
+
+    #[test]
+    fn not_next_while_another_event_is_pending_at_the_instant() {
+        // The first of two same-instant events is not alone; the second
+        // is, once the first has been delivered.
+        assert_eq!(probe(&[(5, 1), (5, 2)]), [(1, false), (2, true)]);
+    }
+
+    #[test]
+    fn not_next_once_the_handler_scheduled_at_the_instant() {
+        assert_eq!(probe(&[(5, 20)]), [(20, false), (99, true)]);
+        assert_eq!(probe(&[(5, 21)]), [(21, false), (99, true)]);
+    }
+
+    #[test]
+    fn not_next_after_a_stop_request() {
+        assert_eq!(probe(&[(5, 30), (6, 1)]), [(30, false)]);
     }
 
     #[test]

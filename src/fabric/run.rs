@@ -44,7 +44,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
         }
     }
     let end = engine.run_until(&mut world, cfg.deadline).end_time;
-    summarize(scenario, world, end, engine.peak_pending())
+    summarize(scenario, world, end, &engine)
 }
 
 /// Where balancers sit. Client regions come from the traffic source's
@@ -195,7 +195,7 @@ fn summarize(
     scenario: &Scenario,
     mut world: Fabric,
     end: SimTime,
-    peak_events: usize,
+    engine: &Engine<Ev>,
 ) -> RunSummary {
     // A handoff's bookkeeping lives and dies with its request's legs:
     // once every client is done and nothing is on the wire, none may be
@@ -250,7 +250,8 @@ fn summarize(
             .map(|s| s.lb.stats().peak_queue)
             .max()
             .unwrap_or(0),
-        peak_events,
+        peak_events: engine.peak_pending(),
+        delivered_events: engine.delivered(),
         kv_peak_gap: imbalance(kv_peaks.iter().copied()),
         kv_peaks,
         fleet: FleetSummary {

@@ -68,6 +68,13 @@ pub struct RunSummary {
     /// the event-queue depth capacity planning keys off when scaling
     /// client populations.
     pub peak_events: usize,
+    /// Events the simulation engine delivered over the run
+    /// ([`Engine::delivered`](skywalker_sim::Engine::delivered)): the
+    /// simulator's own work, not the modelled system's. A follow-up run
+    /// inline (`Scheduler::runs_next_now`) is not delivered, so this
+    /// counts queue round trips. It is not a digest field: a change that
+    /// moves it changes how the run is computed, not what it computes.
+    pub delivered_events: u64,
     /// Max/min ratio of per-replica peak KV utilization (Fig. 4b).
     pub kv_peak_gap: f64,
     /// Peak KV utilization observed per replica (probe-sampled; one

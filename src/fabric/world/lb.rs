@@ -24,7 +24,7 @@ impl Fabric {
         }
         self.obs.lb_queued(req.id.0, lb, hops, sched.now());
         slot.lb.submit(req, hops);
-        sched.at(sched.now(), Ev::LbDispatch { lb });
+        self.follow_up(Ev::LbDispatch { lb }, sched);
     }
 
     pub(crate) fn on_lb_dispatch(&mut self, lb: u32, sched: &mut Sched) {
@@ -74,7 +74,7 @@ impl Fabric {
         let slot = &mut self.lbs[to as usize];
         if slot.alive {
             slot.lb.on_peer_probe(LbId(from), status.0, status.1);
-            sched.at(sched.now(), Ev::LbDispatch { lb: to });
+            self.follow_up(Ev::LbDispatch { lb: to }, sched);
         }
     }
 

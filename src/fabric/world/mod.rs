@@ -72,10 +72,10 @@ pub(crate) enum Ev {
     ReplicaKick {
         replica: u32,
     },
+    /// The iteration in flight on `replica` is done; its outcome waits
+    /// in the replica's slot.
     IterationDone {
         replica: u32,
-        first_tokens: Vec<RequestId>,
-        completions: Vec<Completion>,
     },
     /// A disaggregated KV handoff lands at its decode replica: the
     /// modeled interconnect delay has elapsed since the prefill side
@@ -169,6 +169,21 @@ pub(crate) struct Fabric {
     pub(crate) probe_statuses: Vec<(u32, Region, (u32, u32))>,
 }
 
+impl Fabric {
+    /// Delivers `ev` at the current instant. When the engine would
+    /// deliver it next anyway ([`Scheduler::runs_next_now`]) it runs
+    /// here, inline, which saves the queue a round trip and changes
+    /// nothing else; otherwise it is scheduled. Only a handler's last
+    /// action may be such a follow-up.
+    pub(crate) fn follow_up(&mut self, ev: Ev, sched: &mut Sched) {
+        if sched.runs_next_now() {
+            self.handle(sched.now(), ev, sched);
+        } else {
+            sched.at(sched.now(), ev);
+        }
+    }
+}
+
 impl World for Fabric {
     type Event = Ev;
 
@@ -182,11 +197,7 @@ impl World for Fabric {
             Ev::LbDispatch { lb } => self.on_lb_dispatch(lb, sched),
             Ev::ReplicaReceive { replica, req } => self.on_replica_receive(replica, req, sched),
             Ev::ReplicaKick { replica } => self.on_replica_kick(replica, sched),
-            Ev::IterationDone {
-                replica,
-                first_tokens,
-                completions,
-            } => self.on_iteration_done(replica, first_tokens, completions, sched),
+            Ev::IterationDone { replica } => self.on_iteration_done(replica, sched),
             Ev::KvTransfer { to, req } => self.on_kv_transfer(to, req, sched),
             Ev::DeliverFirstToken { client, req } => self.on_first_token(client, req, sched),
             Ev::DeliverCompletion { client, completion } => {

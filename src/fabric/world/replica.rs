@@ -5,8 +5,7 @@
 use skywalker_core::LbId;
 use skywalker_net::Region;
 use skywalker_replica::{
-    Advance, Completion, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId,
-    StepOutcome,
+    Advance, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId, StepOutcome,
 };
 use skywalker_sim::SimTime;
 use skywalker_trace::TraceEventKind::{
@@ -39,6 +38,9 @@ pub(crate) struct ReplicaSlot {
     pub(crate) health: ReplicaHealth,
     /// An iteration is in flight (`Ev::IterationDone` is scheduled).
     pub(crate) stepping: bool,
+    /// The outcome of the iteration in flight, published when it is
+    /// done; empty otherwise.
+    in_flight: StepOutcome,
     /// Peak KV utilization, sampled at every probe tick it was not
     /// crashed for.
     pub(crate) kv_peak: f64,
@@ -80,6 +82,7 @@ impl Fabric {
             role,
             health: ReplicaHealth::Active,
             stepping: false,
+            in_flight: StepOutcome::default(),
             kv_peak: 0.0,
             peak_outstanding: 0,
             last_evicted: 0,
@@ -118,7 +121,7 @@ impl Fabric {
         let (id, now) = (req.id.0, sched.now());
         self.obs.trace(now, ReplicaQueued { req: id, replica });
         self.replicas[replica as usize].replica.enqueue(req);
-        sched.at(now, Ev::ReplicaKick { replica });
+        self.follow_up(Ev::ReplicaKick { replica }, sched);
     }
 
     pub(crate) fn on_replica_kick(&mut self, replica: u32, sched: &mut Sched) {
@@ -131,22 +134,18 @@ impl Fabric {
             if let (true, Some(out)) = (self.obs.tracing(), stepped.outcome()) {
                 self.trace_step(replica, out, sched.now());
             }
+            let slot = &mut self.replicas[i];
             match stepped {
                 Advance::Worked(out) => {
-                    self.replicas[i].stepping = true;
-                    sched.after(
-                        out.duration,
-                        Ev::IterationDone {
-                            replica,
-                            first_tokens: out.first_tokens,
-                            completions: out.completions,
-                        },
-                    );
+                    slot.stepping = true;
+                    sched.after(out.duration, Ev::IterationDone { replica });
+                    slot.in_flight = out;
                     return;
                 }
-                Advance::Progressed(_) => {}
+                Advance::Progressed(out) => slot.replica.recycle(out),
                 // Head request can never fit: fail it and keep going.
-                Advance::DroppedHead(_, dropped) => {
+                Advance::DroppedHead(out, dropped) => {
+                    slot.replica.recycle(out);
                     let id = self.restore_original(dropped).id.0;
                     self.credit_lb(id, replica);
                     self.fail_request(id, sched);
@@ -180,23 +179,20 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn on_iteration_done(
-        &mut self,
-        replica: u32,
-        first_tokens: Vec<RequestId>,
-        completions: Vec<Completion>,
-        sched: &mut Sched,
-    ) {
+    /// Publishes the outputs of the iteration that just finished, then
+    /// hands its outcome's vectors back to the replica for the next one.
+    pub(crate) fn on_iteration_done(&mut self, replica: u32, sched: &mut Sched) {
         let now = sched.now();
         let slot = &mut self.replicas[replica as usize];
         slot.stepping = false;
+        let out = std::mem::take(&mut slot.in_flight);
         let region = slot.region;
         // Outputs of an iteration that finished before a crash landed
         // still stream out (crash granularity is the iteration
         // boundary); the still-running remainder was already failed by
         // the crash itself.
         let crashed = slot.health == ReplicaHealth::Crashed;
-        for id in first_tokens {
+        for &id in &out.first_tokens {
             let req = id.0;
             self.obs.trace(now, FirstToken { req, replica });
             let Some((client, stage)) = self.output_route(req) else {
@@ -210,7 +206,7 @@ impl Fabric {
                 sched.after(delay, Ev::DeliverFirstToken { client, req: id });
             }
         }
-        for c in completions {
+        for &c in &out.completions {
             let req = c.id.0;
             self.obs.trace(now, ReplicaDone { req, replica });
             let Some((client, stage)) = self.output_route(req) else {
@@ -236,12 +232,13 @@ impl Fabric {
             let delay = self.delay_to_client(region, client);
             sched.after(delay, Ev::DeliverCompletion { client, completion });
         }
+        let slot = &mut self.replicas[replica as usize];
+        slot.replica.recycle(out);
         if !crashed {
-            let slot = &mut self.replicas[replica as usize];
             if slot.health == ReplicaHealth::Draining && slot.replica.is_idle() {
                 slot.health = ReplicaHealth::Retired;
             }
-            sched.at(now, Ev::ReplicaKick { replica });
+            self.follow_up(Ev::ReplicaKick { replica }, sched);
         }
     }
 

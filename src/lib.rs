@@ -206,8 +206,9 @@ pub use skywalker_fleet::{
     FleetPlan, MergePlan, ScheduledPlan, ThresholdAutoscaler,
 };
 pub use skywalker_replica::{
-    BatchPlan, BatchPolicy, EngineSpec, EvictCandidate, FcfsBatch, KvEvictor, LruEvictor, NoEvict,
-    PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView, TieredEvictor,
+    AdmitOrder, BatchPlan, BatchPolicy, EngineSpec, EvictCandidate, FcfsBatch, KvEvictor,
+    LruEvictor, NoEvict, PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView,
+    TieredEvictor,
 };
 pub use skywalker_telemetry::{
     prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, TelemetryConfig,

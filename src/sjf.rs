@@ -13,7 +13,7 @@
 //! divergence the "Engine shootout" row of `docs/claims.md` measures
 //! against FCFS.
 
-use skywalker_replica::{BatchPlan, BatchPolicy, StepView};
+use skywalker_replica::{AdmitOrder, BatchPlan, BatchPolicy, StepView};
 
 /// Shortest-prompt-first admission with optional prefill chunking.
 ///
@@ -100,7 +100,7 @@ impl BatchPolicy for ShortestPromptFirst {
         };
 
         BatchPlan {
-            admit_order: order,
+            admit_order: AdmitOrder::Indices(order),
             skip_unfit,
             prefill_chunk: self.chunk,
             preempt: Vec::new(),
@@ -147,7 +147,7 @@ mod tests {
     fn orders_by_prompt_length_then_arrival() {
         let p = pending(&[(1, 30), (2, 10), (3, 30), (4, 5)]);
         let plan = ShortestPromptFirst::new().plan(&view(&p));
-        assert_eq!(plan.admit_order, vec![3, 1, 0, 2]);
+        assert_eq!(plan.admit_order, AdmitOrder::Indices(vec![3, 1, 0, 2]));
         assert!(plan.skip_unfit, "SJF skips misfits instead of blocking");
         assert!(plan.preempt.is_empty());
     }
@@ -158,10 +158,12 @@ mod tests {
         let mut policy = ShortestPromptFirst::new().with_aging(3);
         for _ in 0..3 {
             let plan = policy.plan(&view(&p));
-            assert_eq!(plan.admit_order[0], 1, "short prompt leads pre-aging");
+            let first = plan.admit_order.indices(p.len()).next();
+            assert_eq!(first, Some(1), "short prompt leads pre-aging");
         }
         let plan = policy.plan(&view(&p));
-        assert_eq!(plan.admit_order[0], 0, "starved long prompt promoted");
+        let first = plan.admit_order.indices(p.len()).next();
+        assert_eq!(first, Some(0), "starved long prompt promoted");
         assert!(!plan.skip_unfit, "blocking protects the starved request");
     }
 

@@ -32,15 +32,18 @@ use skywalker_workload::{
 
 /// Deterministic token stream for synthetic document/topic text.
 fn fragment(parts: &[u64], len: u32) -> Vec<u32> {
+    fragment_tokens(parts, len).collect()
+}
+
+/// [`fragment`]'s tokens, one at a time.
+fn fragment_tokens(parts: &[u64], len: u32) -> impl Iterator<Item = u32> {
     let label = fnv1a_words(FNV_OFFSET, parts.iter().copied());
-    (0..len)
-        .map(|k| {
-            let mut h = label ^ 0x6b_9d_3a_44_af_01_77_c3;
-            h ^= u64::from(k).wrapping_mul(0x2545_f491_4f6c_dd1d);
-            h = (h ^ (h >> 31)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-            (h >> 32) as u32
-        })
-        .collect()
+    (0..len).map(move |k| {
+        let mut h = label ^ 0x6b_9d_3a_44_af_01_77_c3;
+        h ^= u64::from(k).wrapping_mul(0x2545_f491_4f6c_dd1d);
+        h = (h ^ (h >> 31)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        (h >> 32) as u32
+    })
 }
 
 /// Tunables of the RAG shared-corpus workload.
@@ -97,6 +100,10 @@ pub struct RagCorpusSource {
     cfg: RagCorpusConfig,
     seed: u64,
     zipf: Zipf,
+    /// Each document's tokens, by index, made the first time a query
+    /// retrieves it (empty until then). A run pulls from its own copy
+    /// of the source, so a run tokenizes each document once.
+    docs: Vec<Vec<u32>>,
 }
 
 impl RagCorpusSource {
@@ -108,8 +115,25 @@ impl RagCorpusSource {
         seed: u64,
     ) -> SlotSource<Self> {
         let zipf = Zipf::new(cfg.corpus_docs.max(1), cfg.doc_zipf);
-        SlotSource::over(RagCorpusSource { cfg, seed, zipf }, users_per_region, seed)
-            .with_label("RAG corpus")
+        let source = RagCorpusSource {
+            cfg,
+            seed,
+            zipf,
+            docs: Vec::new(),
+        };
+        SlotSource::over(source, users_per_region, seed).with_label("RAG corpus")
+    }
+
+    /// Document `doc`'s tokens, made on first use.
+    fn document(&mut self, doc: usize) -> &[u32] {
+        if self.docs.len() <= doc {
+            self.docs.resize(doc + 1, Vec::new());
+        }
+        if self.docs[doc].is_empty() {
+            let parts = [0xD0C, self.seed, doc as u64];
+            self.docs[doc] = fragment(&parts, self.cfg.doc_tokens);
+        }
+        &self.docs[doc]
     }
 }
 
@@ -121,14 +145,15 @@ impl ClientGen for RagCorpusSource {
         let n_queries = rng.range(u64::from(lo), u64::from(hi) + 1) as u32;
         let programs = (0..n_queries)
             .map(|q| {
-                let doc = self.zipf.sample(&mut rng) as u64;
+                let doc = self.zipf.sample(&mut rng);
+                let query_len = self.cfg.query_tokens.sample(&mut rng);
+                let query = [0x9E1, self.seed, slot as u64, u64::from(q)];
                 // The document block is shared corpus-wide: every user
                 // retrieving document `doc` gets the identical prefix.
-                let mut prompt = fragment(&[0xD0C, self.seed, doc], self.cfg.doc_tokens);
-                prompt.extend(fragment(
-                    &[0x9E1, self.seed, slot as u64, u64::from(q)],
-                    self.cfg.query_tokens.sample(&mut rng),
-                ));
+                let document = self.document(doc);
+                let mut prompt = Vec::with_capacity(document.len() + query_len as usize);
+                prompt.extend_from_slice(document);
+                prompt.extend(fragment_tokens(&query, query_len));
                 let out_len = self.cfg.answer_tokens.sample(&mut rng);
                 // Key the session by document, not user: affinity
                 // routing then sees corpus structure directly.

@@ -20,7 +20,7 @@ use skywalker::sim::{SimDuration, SimTime};
 use skywalker::telemetry::{names, SampleValue};
 use skywalker::{
     balanced_fleet, disagg_scenario, lite_fleet, memory_pressure_scenario, run_scenario,
-    workload_clients, AutoscalerConfig, BatchPlan, BatchPolicy, ChaosConfig, ChaosPlan,
+    workload_clients, AdmitOrder, AutoscalerConfig, BatchPlan, BatchPolicy, ChaosConfig, ChaosPlan,
     DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdSource, LruEvictor, NoEvict,
     PrefixAwareEvictor, ReplicaRole, RunSummary, Scenario, ShortestPromptFirst, StepView,
     SystemKind, ThresholdAutoscaler, Workload, L4_LITE, REGIONS,
@@ -144,9 +144,9 @@ struct PreemptStorm {
 impl BatchPolicy for PreemptStorm {
     fn plan(&mut self, view: &StepView<'_>) -> BatchPlan {
         self.calls += 1;
-        let mut plan = BatchPlan::fcfs(view.pending.len());
+        let mut plan = BatchPlan::fcfs();
         if self.calls.is_multiple_of(400) && !view.running.is_empty() {
-            plan.admit_order.clear();
+            plan.admit_order = AdmitOrder::default();
             plan.preempt = (0..view.running.len()).collect();
         }
         plan

@@ -51,6 +51,20 @@ fn deterministic_given_seed() {
     assert!((a.report.ttft.p90 - b.report.ttft.p90).abs() < 1e-12);
 }
 
+/// The events a run delivers are exact under a seed, so they are pinned
+/// here: a change that moves the count changes how much work the
+/// simulator does per request, and has to say so. (No golden shows it;
+/// it is not a digest field.)
+#[test]
+fn delivered_events_are_pinned() {
+    let s = small(SystemKind::SkyWalker, Workload::Arena, 11);
+    assert_eq!(
+        (s.delivered_events, s.report.completed),
+        (45_060, 328),
+        "events delivered, requests completed"
+    );
+}
+
 #[test]
 fn different_seeds_differ() {
     let a = small(SystemKind::SkyWalker, Workload::Arena, 1);
