@@ -100,7 +100,7 @@ mod tests {
             &Message::Infer {
                 request_id: 1,
                 session_key: "late".into(),
-                prompt: vec![1, 2, 3],
+                prompt: vec![1, 2, 3].into(),
                 max_new_tokens: 2,
                 hops: 0,
             },
@@ -290,7 +290,7 @@ mod tests {
         let doomed = Message::Infer {
             request_id: 1 << 40,
             session_key: "flooder".into(),
-            prompt: vec![3; 64],
+            prompt: vec![3; 64].into(),
             max_new_tokens: 10_000,
             hops: 0,
         };

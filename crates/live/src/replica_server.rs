@@ -193,7 +193,7 @@ mod tests {
             &Message::Infer {
                 request_id: 1,
                 session_key: "u".into(),
-                prompt: vec![1, 2, 3],
+                prompt: vec![1, 2, 3].into(),
                 max_new_tokens: 4,
                 hops: 0,
             },
@@ -240,8 +240,8 @@ mod tests {
                         &mut conn,
                         &Message::Infer {
                             request_id: i,
-                            session_key: format!("u{i}"),
-                            prompt: vec![i as u32; 8],
+                            session_key: format!("u{i}").into(),
+                            prompt: vec![i as u32; 8].into(),
                             max_new_tokens: 3,
                             hops: 0,
                         },
@@ -287,8 +287,8 @@ mod tests {
                             &mut conn,
                             &Message::Infer {
                                 request_id: i,
-                                session_key: format!("u{c}"),
-                                prompt: vec![c as u32; 4],
+                                session_key: format!("u{c}").into(),
+                                prompt: vec![c as u32; 4].into(),
                                 max_new_tokens: 1,
                                 hops: 0,
                             },
@@ -325,7 +325,7 @@ mod tests {
                 &Message::Infer {
                     request_id: i,
                     session_key: "u".into(),
-                    prompt: vec![i as u32; 4],
+                    prompt: vec![i as u32; 4].into(),
                     max_new_tokens: 1,
                     hops: 0,
                 },
@@ -348,7 +348,7 @@ mod tests {
             &Message::Infer {
                 request_id: 9,
                 session_key: "u".into(),
-                prompt: vec![7; 60_000],
+                prompt: vec![7; 60_000].into(),
                 max_new_tokens: 1,
                 hops: 0,
             },

@@ -416,8 +416,8 @@ mod tests {
         };
         Message::Infer {
             request_id,
-            session_key: format!("sender-{thread}"),
-            prompt: vec![request_id as u32; len as usize],
+            session_key: format!("sender-{thread}").into(),
+            prompt: vec![request_id as u32; len as usize].into(),
             max_new_tokens: 1,
             hops: 0,
         }

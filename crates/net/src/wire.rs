@@ -11,6 +11,7 @@
 //! from a peer.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Protocol version byte; bumped on any incompatible change.
 pub const WIRE_VERSION: u8 = 1;
@@ -67,10 +68,11 @@ pub enum Message {
     Infer {
         /// Globally unique request id.
         request_id: u64,
-        /// Consistent-hashing key (user id / session id).
-        session_key: String,
-        /// Prompt token ids.
-        prompt: Vec<u32>,
+        /// Consistent-hashing key (user id / session id), shared with the
+        /// request it carries.
+        session_key: Arc<str>,
+        /// Prompt token ids, shared with the request it carries.
+        prompt: Arc<[u32]>,
         /// Number of tokens to generate.
         max_new_tokens: u32,
         /// How many LB-to-LB hops this request has taken (loop guard).
@@ -187,22 +189,21 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// A length-prefixed UTF-8 field, borrowed from the frame.
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
     }
 
-    fn tokens(&mut self) -> Result<Vec<u32>, WireError> {
+    /// A length-prefixed token field, built in one exact-size allocation
+    /// straight from the frame's bytes.
+    fn tokens(&mut self) -> Result<Arc<[u32]>, WireError> {
         let len = self.u32()? as usize;
-        if len.saturating_mul(4) > self.data.len() - self.pos {
-            return Err(WireError::Truncated);
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.u32()?);
-        }
-        Ok(v)
+        let bytes = self.take(len.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_be_bytes(w.try_into().expect("len 4")))
+            .collect())
     }
 }
 
@@ -301,7 +302,7 @@ impl Message {
         let msg = match tag {
             1 => Message::Infer {
                 request_id: c.u64()?,
-                session_key: c.string()?,
+                session_key: c.str()?.into(),
                 prompt: c.tokens()?,
                 max_new_tokens: c.u32()?,
                 hops: c.u8()?,
@@ -327,11 +328,13 @@ impl Message {
             },
             8 => Message::Reject {
                 request_id: c.u64()?,
-                reason: c.string()?,
+                reason: c.str()?.into(),
             },
             9 => Message::Shutdown,
             10 => Message::MetricsRequest,
-            11 => Message::MetricsText { text: c.string()? },
+            11 => Message::MetricsText {
+                text: c.str()?.into(),
+            },
             t => return Err(WireError::BadTag(t)),
         };
         Ok(msg)
@@ -382,14 +385,19 @@ mod tests {
     use super::*;
 
     fn all_messages() -> Vec<Message> {
+        // Two requests holding one prompt and one key, as ToT siblings do.
+        let key: Arc<str> = "user-7/session-3".into();
+        let prompt: Arc<[u32]> = vec![1, 2, 3, 65535, 0].into();
+        let sibling = |request_id| Message::Infer {
+            request_id,
+            session_key: key.clone(),
+            prompt: prompt.clone(),
+            max_new_tokens: 256,
+            hops: 2,
+        };
         vec![
-            Message::Infer {
-                request_id: 42,
-                session_key: "user-7/session-3".to_string(),
-                prompt: vec![1, 2, 3, 65535, 0],
-                max_new_tokens: 256,
-                hops: 2,
-            },
+            sibling(42),
+            sibling(43),
             Message::FirstToken { request_id: 42 },
             Message::Completed {
                 request_id: 42,
@@ -563,8 +571,8 @@ mod tests {
     fn empty_prompt_and_key_ok() {
         let msg = Message::Infer {
             request_id: 0,
-            session_key: String::new(),
-            prompt: vec![],
+            session_key: "".into(),
+            prompt: Arc::new([]),
             max_new_tokens: 0,
             hops: 0,
         };

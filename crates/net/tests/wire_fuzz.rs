@@ -51,8 +51,8 @@ fn all_variants() -> Vec<Message> {
     vec![
         Message::Infer {
             request_id: 42,
-            session_key: "user-7/session-3".to_string(),
-            prompt: vec![1, 2, 3, 65535, 0, 7, 7, 7],
+            session_key: "user-7/session-3".into(),
+            prompt: vec![1, 2, 3, 65535, 0, 7, 7, 7].into(),
             max_new_tokens: 256,
             hops: 2,
         },

@@ -1,5 +1,7 @@
 //! Inference request types shared by the replica, balancer, and workloads.
 
+use std::sync::Arc;
+
 /// A globally unique request identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
@@ -17,14 +19,21 @@ impl std::fmt::Display for RequestId {
 /// stochastic output length); the *balancer never reads it* — that is the
 /// paper's load-unpredictability premise (§2.3): output length is unknown
 /// until decoding ends.
+///
+/// The key and the prompt are shared and immutable: cloning a request —
+/// a retry, the disaggregated prefill leg, a relay over the wire — copies
+/// two pointers, and requests with identical content (a Tree-of-Thoughts
+/// node's children, a conversation's turns) can hold one buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Globally unique id.
     pub id: RequestId,
     /// Consistent-hashing key: user id, session id, or program id (§3.2).
-    pub session_key: String,
-    /// Prompt token ids.
-    pub prompt: Vec<u32>,
+    /// Shared and immutable; the requests of one session hold one key.
+    pub session_key: Arc<str>,
+    /// Prompt token ids. Shared and immutable; requests with the same
+    /// prompt may hold one buffer.
+    pub prompt: Arc<[u32]>,
     /// Tokens the request will generate (hidden from the balancer).
     pub target_output_tokens: u32,
     /// Index of the first output token this request emits, in the
@@ -41,14 +50,14 @@ impl Request {
     /// Convenience constructor.
     pub fn new(
         id: u64,
-        session_key: impl Into<String>,
-        prompt: Vec<u32>,
+        session_key: impl Into<Arc<str>>,
+        prompt: impl Into<Arc<[u32]>>,
         target_output_tokens: u32,
     ) -> Self {
         Request {
             id: RequestId(id),
             session_key: session_key.into(),
-            prompt,
+            prompt: prompt.into(),
             target_output_tokens,
             output_offset: 0,
         }
@@ -59,6 +68,10 @@ impl Request {
         self.prompt.len() as u32
     }
 }
+
+// A field that grows a request fails to compile here: requests ride in
+// every fabric event and every replica queue.
+const _: () = assert!(std::mem::size_of::<Request>() == 48);
 
 #[cfg(test)]
 mod tests {

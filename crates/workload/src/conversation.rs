@@ -18,6 +18,8 @@
 //! A conversation's prompt at turn `t` is:
 //! `template ++ persona ++ (fresh_1 ++ reply_1) ++ … ++ fresh_t`.
 
+use std::sync::Arc;
+
 use skywalker_net::Region;
 use skywalker_replica::{output_token, Request};
 use skywalker_sim::{fnv1a_words, DetRng, Zipf, FNV_OFFSET};
@@ -191,6 +193,8 @@ impl ConversationGen {
         let mut history = template;
         history.extend(&persona);
 
+        // One key for the whole conversation, shared by its turns.
+        let session_key: Arc<str> = format!("{user}/conv-{conv}").into();
         let mut stages = Vec::with_capacity(turns as usize);
         for turn in 0..turns {
             let fresh = fragment(
@@ -202,8 +206,8 @@ impl ConversationGen {
             let id = ids.next_id();
             stages.push(vec![Request::new(
                 id,
-                format!("{user}/conv-{conv}"),
-                history.clone(),
+                session_key.clone(),
+                &history[..],
                 out_len,
             )]);
             // The assistant reply becomes part of the next turn's prompt.
@@ -287,7 +291,7 @@ mod tests {
             assert!(b.prompt.len() > a.prompt.len());
             assert_eq!(
                 &b.prompt[..a.prompt.len()],
-                a.prompt.as_slice(),
+                &a.prompt[..],
                 "turn t+1 must extend turn t"
             );
             // Specifically, the reply tokens follow immediately.
@@ -322,8 +326,10 @@ mod tests {
         let clients = clients(ConversationConfig::wildchat(), one_region(), 4);
         for c in &clients {
             for p in &c.programs {
-                let keys: Vec<&str> = p.requests().map(|r| r.session_key.as_str()).collect();
+                let keys: Vec<&Arc<str>> = p.requests().map(|r| &r.session_key).collect();
                 assert!(keys.windows(2).all(|w| w[0] == w[1]));
+                // The turns hold one key buffer, not equal copies.
+                assert!(keys.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
             }
         }
     }
@@ -353,7 +359,7 @@ mod tests {
                 c.programs
                     .iter()
                     .flat_map(|p| p.requests())
-                    .map(|r| r.prompt.clone())
+                    .map(|r| r.prompt.to_vec())
                     .collect()
             })
             .collect();
@@ -367,7 +373,7 @@ mod tests {
                     c.programs
                         .iter()
                         .flat_map(|p| p.requests())
-                        .map(|r| r.prompt.clone()),
+                        .map(|r| r.prompt.to_vec()),
                 );
             }
         }
@@ -404,7 +410,7 @@ mod tests {
                 c.programs
                     .iter()
                     .flat_map(|p| p.requests())
-                    .map(|r| r.prompt.clone())
+                    .map(|r| r.prompt.to_vec())
                     .collect()
             })
             .collect();

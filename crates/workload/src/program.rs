@@ -11,6 +11,10 @@
 //! even though later turns embed the model's earlier replies — because the
 //! simulated decode is deterministic: the workload computes the same
 //! [`skywalker_replica::output_token`] stream the replica will "generate".
+//! Identical content is held once: a request's prompt and session key are
+//! shared buffers, so the children of a Tree-of-Thoughts node hold one
+//! prompt, and the requests of a tree, a conversation or a RAG document
+//! hold one key.
 
 use skywalker_net::Region;
 use skywalker_replica::Request;

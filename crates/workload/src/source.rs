@@ -610,7 +610,7 @@ mod tests {
         );
         for (slot, e) in whole.iter().enumerate() {
             let req = &e.spec.programs[0].stages[0][0];
-            assert_eq!(req.prompt, [slot as u32], "slots in order, each once");
+            assert_eq!(*req.prompt, [slot as u32], "slots in order, each once");
             assert_eq!(req.id.0, 100 + slot as u64, "ids start where told");
         }
 

@@ -12,6 +12,8 @@
 //! hashing on the question id is nearly optimal for uniform trees
 //! (Fig. 8c) — and why heterogeneous trees break it (Fig. 8d).
 
+use std::sync::Arc;
+
 use skywalker_net::Region;
 use skywalker_replica::{output_token, Request};
 use skywalker_sim::DetRng;
@@ -60,7 +62,7 @@ impl TotConfig {
     }
 }
 
-fn question_fragment(question_id: u64, len: u32) -> Vec<u32> {
+fn question_fragment(question_id: u64, len: u32) -> Arc<[u32]> {
     (0..len)
         .map(|k| {
             let mut h = question_id ^ 0x7a37_59df_44b5_3f91;
@@ -73,7 +75,8 @@ fn question_fragment(question_id: u64, len: u32) -> Vec<u32> {
 
 /// Generates one ToT tree as a program: stage `l` holds the `branch^l`
 /// node requests of level `l`; every node's prompt embeds its ancestors'
-/// generated thoughts.
+/// generated thoughts. A node's children get the same prompt, so they
+/// hold one buffer, and the whole tree holds one key.
 pub fn generate_tree(
     cfg: &TotConfig,
     question_id: u64,
@@ -81,48 +84,28 @@ pub fn generate_tree(
     ids: &mut IdGen,
 ) -> Program {
     let question = question_fragment(question_id, cfg.question_tokens);
-    let session_key = format!("question-{question_id}");
-
-    // Per level: (request, prompt including the node's own future reply is
-    // not included — children extend with the parent's reply).
+    let session_key: Arc<str> = format!("question-{question_id}").into();
+    let mut node = |prompt: &Arc<[u32]>, rng: &mut DetRng| {
+        let (id, out_len) = (ids.next_id(), cfg.thought.sample(rng));
+        Request::new(id, session_key.clone(), prompt.clone(), out_len)
+    };
     let mut stages: Vec<Vec<Request>> = Vec::with_capacity(cfg.depth as usize);
-    // Prompts of the previous level's nodes, paired with their request ids
-    // and output lengths, so children can extend them.
-    let mut frontier: Vec<(Vec<u32>, u64, u32)> = Vec::new();
-
-    for level in 0..cfg.depth {
-        let mut stage = Vec::new();
-        let mut next_frontier = Vec::new();
-        if level == 0 {
-            let out_len = cfg.thought.sample(rng);
-            let id = ids.next_id();
-            stage.push(Request::new(
-                id,
-                session_key.clone(),
-                question.clone(),
-                out_len,
-            ));
-            next_frontier.push((question.clone(), id, out_len));
-        } else {
-            for (parent_prompt, parent_id, parent_out) in &frontier {
-                for _child in 0..cfg.branch {
-                    // Child prompt: parent's prompt + parent's thought.
-                    let mut prompt = parent_prompt.clone();
-                    prompt.extend((0..*parent_out).map(|k| output_token(*parent_id, k)));
-                    let out_len = cfg.thought.sample(rng);
-                    let id = ids.next_id();
-                    stage.push(Request::new(
-                        id,
-                        session_key.clone(),
-                        prompt.clone(),
-                        out_len,
-                    ));
-                    next_frontier.push((prompt, id, out_len));
+    for _ in 0..cfg.depth {
+        let stage = match stages.last() {
+            None => vec![node(&question, rng)],
+            Some(parents) => {
+                let mut stage = Vec::with_capacity(parents.len() * cfg.branch as usize);
+                for parent in parents {
+                    // Every child's prompt: parent's prompt + parent's thought.
+                    let thought =
+                        (0..parent.target_output_tokens).map(|k| output_token(parent.id.0, k));
+                    let prompt = parent.prompt.iter().copied().chain(thought).collect();
+                    stage.extend((0..cfg.branch).map(|_| node(&prompt, rng)));
                 }
+                stage
             }
-        }
+        };
         stages.push(stage);
-        frontier = next_frontier;
     }
     Program { stages }
 }
@@ -224,10 +207,7 @@ mod tests {
             for (c_idx, child) in p.stages[level].iter().enumerate() {
                 let parent = &p.stages[level - 1][c_idx / 2];
                 assert!(child.prompt.len() > parent.prompt.len());
-                assert_eq!(
-                    &child.prompt[..parent.prompt.len()],
-                    parent.prompt.as_slice()
-                );
+                assert_eq!(&child.prompt[..parent.prompt.len()], &parent.prompt[..]);
                 assert_eq!(prefix_similarity(&parent.prompt, &child.prompt), 1.0);
             }
         }
@@ -244,6 +224,13 @@ mod tests {
             // Siblings have identical prompts at level 1 (question +
             // root's thought), so similarity is 1.
             assert_eq!(prefix_similarity(&pair[0].prompt, &pair[1].prompt), 1.0);
+        }
+        // At every level, a node's children hold one prompt buffer.
+        for stage in &p.stages[1..] {
+            for siblings in stage.chunks(cfg.branch as usize) {
+                let prompt = &siblings[0].prompt;
+                assert!(siblings.iter().all(|r| Arc::ptr_eq(&r.prompt, prompt)));
+            }
         }
     }
 
@@ -264,7 +251,10 @@ mod tests {
         let mut rng = DetRng::new(5);
         let mut ids = IdGen::new();
         let p = generate_tree(&cfg, 42, &mut rng, &mut ids);
-        assert!(p.requests().all(|r| r.session_key == "question-42"));
+        assert!(p.requests().all(|r| &*r.session_key == "question-42"));
+        // All 15 requests hold one key buffer.
+        let key = &p.stages[0][0].session_key;
+        assert!(p.requests().all(|r| Arc::ptr_eq(&r.session_key, key)));
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn conversation_clients_keep_within_at_least_cross_across_seeds() {
                 c.programs
                     .iter()
                     .flat_map(|p| p.requests())
-                    .map(|r| r.prompt.clone())
+                    .map(|r| r.prompt.to_vec())
                     .collect()
             })
             .collect();

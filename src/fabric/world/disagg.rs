@@ -33,6 +33,30 @@ pub(crate) struct DisaggMeta {
     cached_at_prefill: u32,
 }
 
+/// The one-token prefill leg of `orig`: the same request, sharing its key
+/// and prompt buffers, asked for its first token only.
+fn prefill_leg(orig: &Request) -> Request {
+    Request {
+        target_output_tokens: 1,
+        ..orig.clone()
+    }
+}
+
+/// The decode leg of `orig`. It replays the prompt plus the first token
+/// the prefill replica produced — exactly the KV state the transfer
+/// ships — in one exact-size buffer, and `output_offset = 1` keeps its
+/// generated token ids identical to the colocated stream.
+fn decode_leg(orig: &Request) -> Request {
+    let first = output_token(orig.id.0, 0);
+    Request {
+        id: orig.id,
+        session_key: orig.session_key.clone(),
+        prompt: orig.prompt.iter().copied().chain([first]).collect(),
+        target_output_tokens: orig.target_output_tokens - 1,
+        output_offset: 1,
+    }
+}
+
 impl Fabric {
     /// The handoff bookkeeping slot of in-flight request `id`.
     fn handoff(&mut self, id: u64) -> Option<&mut Option<Box<DisaggMeta>>> {
@@ -48,8 +72,7 @@ impl Fabric {
     /// Intercepts a fresh request at a prefill-only replica into its
     /// one-token prefill leg, remembering the original.
     pub(crate) fn split_prefill_leg(&mut self, req: Request) -> Request {
-        let mut leg1 = req.clone();
-        leg1.target_output_tokens = 1;
+        let leg1 = prefill_leg(&req);
         let meta = DisaggMeta {
             orig: req,
             stage: DisaggStage::Prefill,
@@ -124,19 +147,7 @@ impl Fabric {
             .expect("prefill stage implies meta");
         meta.stage = DisaggStage::Decode;
         meta.cached_at_prefill = c.cached_prompt_tokens;
-        // The decode leg replays the prompt plus the first token the
-        // prefill replica produced — exactly the KV state the transfer
-        // ships — and `output_offset = 1` keeps its generated token
-        // ids identical to the colocated stream.
-        let mut prompt = meta.orig.prompt.clone();
-        prompt.push(output_token(req, 0));
-        let leg2 = Request {
-            id: meta.orig.id,
-            session_key: meta.orig.session_key.clone(),
-            prompt,
-            target_output_tokens: meta.orig.target_output_tokens - 1,
-            output_offset: 1,
-        };
+        let leg2 = decode_leg(&meta.orig);
         let tokens = leg2.prompt.len() as u64;
         let sender = &self.replicas[from as usize];
         let Some(to) = self.pick_decode_target(sender.region, &leg2.prompt) else {
@@ -185,5 +196,36 @@ impl Fabric {
         self.replicas[to].replica.prewarm(&req.prompt);
         let replica = to as u32;
         sched.at(sched.now(), Ev::ReplicaReceive { replica, req });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+
+    #[test]
+    fn the_prefill_leg_shares_the_original_buffers() {
+        let orig = Request::new(9, "question-3", vec![4, 5, 6], 12);
+        let leg = prefill_leg(&orig);
+        assert!(Arc::ptr_eq(&leg.prompt, &orig.prompt));
+        assert!(Arc::ptr_eq(&leg.session_key, &orig.session_key));
+        assert_eq!(
+            (leg.id, leg.target_output_tokens, leg.output_offset),
+            (orig.id, 1, 0)
+        );
+    }
+
+    #[test]
+    fn the_decode_leg_extends_the_prompt_by_the_first_token() {
+        let orig = Request::new(9, "question-3", vec![4, 5, 6], 12);
+        let leg = decode_leg(&orig);
+        assert_eq!(*leg.prompt, [4, 5, 6, output_token(9, 0)]);
+        assert!(Arc::ptr_eq(&leg.session_key, &orig.session_key));
+        assert_eq!(
+            (leg.id, leg.target_output_tokens, leg.output_offset),
+            (orig.id, 11, 1)
+        );
     }
 }

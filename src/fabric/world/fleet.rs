@@ -91,6 +91,7 @@ impl Fabric {
         // boundaries.
         let horizon = now + FabricConfig::POLL_INTERVAL;
         for FleetCommand { at, event } in plan.next_events(horizon, &fleet.observation) {
+            let event = Box::new(event);
             sched.at(at, Ev::FleetApply { event });
         }
         if !plan.is_done() {

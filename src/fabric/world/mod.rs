@@ -111,11 +111,18 @@ pub(crate) enum Ev {
     /// Poll the scenario's fleet plan with a fresh observation;
     /// reschedules itself while the plan has more to give.
     FleetPoll,
-    /// Apply one fleet change at its exact instant.
+    /// Apply one fleet change at its exact instant. Boxed: a join carries
+    /// a whole [`GpuProfile`](skywalker_replica::GpuProfile), and this
+    /// arm fires a handful of times a run.
     FleetApply {
-        event: FleetEvent,
+        event: Box<FleetEvent>,
     },
 }
+
+// Every pending event is one of these in the engine's queue: a field that
+// grows an event past a 48-byte request and its routing words fails to
+// compile here.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
 
 /// Fabric-side routing state of one request, alive from its first issue
 /// until its completion is delivered to the client. Entries of requests
@@ -209,7 +216,7 @@ impl World for Fabric {
             Ev::HeartbeatTick => self.on_heartbeat_tick(sched),
             Ev::ControllerTick => self.on_controller_tick(sched),
             Ev::FleetPoll => self.on_fleet_poll(sched),
-            Ev::FleetApply { event } => self.on_fleet_event(event, sched),
+            Ev::FleetApply { event } => self.on_fleet_event(*event, sched),
         }
     }
 }

@@ -21,6 +21,8 @@
 //! conversation lane per region at instants sampled from a rate curve.
 //! Nothing in `skywalker-workload` or the fabric names any of them.
 
+use std::sync::Arc;
+
 use skywalker_net::Region;
 use skywalker_replica::{output_token, Request};
 use skywalker_sim::{fnv1a_words, DetRng, SimDuration, SimTime, Zipf, FNV_OFFSET};
@@ -100,10 +102,18 @@ pub struct RagCorpusSource {
     cfg: RagCorpusConfig,
     seed: u64,
     zipf: Zipf,
-    /// Each document's tokens, by index, made the first time a query
-    /// retrieves it (empty until then). A run pulls from its own copy
-    /// of the source, so a run tokenizes each document once.
-    docs: Vec<Vec<u32>>,
+    /// Each document, by index, made the first time a query retrieves
+    /// it (`None` until then). A run pulls from its own copy of the
+    /// source, so a run tokenizes each document once.
+    docs: Vec<Option<Document>>,
+}
+
+/// One corpus document, as its queries use it.
+#[derive(Debug, Clone)]
+struct Document {
+    tokens: Vec<u32>,
+    /// `doc-{index}`: the session key every query retrieving it shares.
+    key: Arc<str>,
 }
 
 impl RagCorpusSource {
@@ -124,16 +134,15 @@ impl RagCorpusSource {
         SlotSource::over(source, users_per_region, seed).with_label("RAG corpus")
     }
 
-    /// Document `doc`'s tokens, made on first use.
-    fn document(&mut self, doc: usize) -> &[u32] {
+    /// Document `doc`, made on first use.
+    fn document(&mut self, doc: usize) -> &Document {
         if self.docs.len() <= doc {
-            self.docs.resize(doc + 1, Vec::new());
+            self.docs.resize(doc + 1, None);
         }
-        if self.docs[doc].is_empty() {
-            let parts = [0xD0C, self.seed, doc as u64];
-            self.docs[doc] = fragment(&parts, self.cfg.doc_tokens);
-        }
-        &self.docs[doc]
+        self.docs[doc].get_or_insert_with(|| Document {
+            tokens: fragment(&[0xD0C, self.seed, doc as u64], self.cfg.doc_tokens),
+            key: format!("doc-{doc}").into(),
+        })
     }
 }
 
@@ -151,19 +160,15 @@ impl ClientGen for RagCorpusSource {
                 // The document block is shared corpus-wide: every user
                 // retrieving document `doc` gets the identical prefix.
                 let document = self.document(doc);
-                let mut prompt = Vec::with_capacity(document.len() + query_len as usize);
-                prompt.extend_from_slice(document);
-                prompt.extend(fragment_tokens(&query, query_len));
-                let out_len = self.cfg.answer_tokens.sample(&mut rng);
+                let prompt: Arc<[u32]> = (document.tokens.iter().copied())
+                    .chain(fragment_tokens(&query, query_len))
+                    .collect();
                 // Key the session by document, not user: affinity
                 // routing then sees corpus structure directly.
+                let key = document.key.clone();
+                let out_len = self.cfg.answer_tokens.sample(&mut rng);
                 Program {
-                    stages: vec![vec![Request::new(
-                        ids.next_id(),
-                        format!("doc-{doc}"),
-                        prompt,
-                        out_len,
-                    )]],
+                    stages: vec![vec![Request::new(ids.next_id(), key, prompt, out_len)]],
                 }
             })
             .collect();
@@ -285,6 +290,7 @@ impl FlashCrowdSource {
             fragment(&[0xBA5E, self.seed, slot as u64], self.topic_tokens)
         };
         let mut history = topic;
+        let session_key: Arc<str> = format!("{user}/trend").into();
         let mut stages = Vec::with_capacity(turns as usize);
         for turn in 0..turns {
             history.extend(fragment(
@@ -295,8 +301,8 @@ impl FlashCrowdSource {
             let id = self.ids.next_id();
             stages.push(vec![Request::new(
                 id,
-                format!("{user}/trend"),
-                history.clone(),
+                session_key.clone(),
+                &history[..],
                 out_len,
             )]);
             history.extend((0..out_len).map(|k| output_token(id, k)));
@@ -490,7 +496,7 @@ mod tests {
         // prompts of one document must share the full document prefix,
         // across users and regions.
         use std::collections::HashMap;
-        let mut by_doc: HashMap<String, Vec<&Request>> = HashMap::new();
+        let mut by_doc: HashMap<Arc<str>, Vec<&Request>> = HashMap::new();
         for c in &clients {
             for p in &c.programs {
                 for r in p.requests() {
@@ -521,6 +527,12 @@ mod tests {
             docs_users.len() > 1
         });
         assert!(multi_user);
+        // A document's queries share one key buffer.
+        for reqs in by_doc.values() {
+            assert!(reqs
+                .windows(2)
+                .all(|w| Arc::ptr_eq(&w[0].session_key, &w[1].session_key)));
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn prompts_by_user(clients: &[ClientSpec]) -> Vec<Vec<Vec<u32>>> {
             c.programs
                 .iter()
                 .flat_map(|p| p.requests())
-                .map(|r| r.prompt.clone())
+                .map(|r| r.prompt.to_vec())
                 .collect()
         })
         .collect()

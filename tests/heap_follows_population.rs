@@ -165,8 +165,9 @@ fn peak_heap_follows_the_in_flight_population() {
     // What may still grow with run length is the three 8-byte latency
     // samples a request leaves and the 48-byte shell a client leaves,
     // each in a vector that doubles — nothing per probe tick, and not
-    // the prompts. Measured: 527 108 B for 10 985 added requests and
-    // 2 000 added clients (621 846 B while the radix tree's freed slots
+    // the prompts. Measured: 523 080 B for 10 985 added requests and
+    // 2 000 added clients (523 372 B while a request's prompt and key
+    // were its own buffers, 621 846 B while the radix tree's freed slots
     // kept their segment buffers); the bound is a quarter above that.
     const PER_REQUEST: usize = 40;
     const PER_CLIENT: usize = 112;

@@ -85,14 +85,24 @@ fn three_region_topology_serves_and_forwards() {
     // Local request to a balancer that has replicas.
     let mut us_client = LiveClient::connect(lbs[0].addr()).unwrap();
     let out = us_client
-        .run(&Request::new(1, "us-user", (0..128).collect(), 16))
+        .run(&Request::new(
+            1,
+            "us-user",
+            (0..128).collect::<Vec<u32>>(),
+            16,
+        ))
         .unwrap();
     assert_eq!(out.generated, 16);
 
     // Request to the replica-less balancer: must forward, not fail.
     let mut ap_client = LiveClient::connect(lbs[2].addr()).unwrap();
     let out = ap_client
-        .run(&Request::new(2, "ap-user", (500..700).collect(), 8))
+        .run(&Request::new(
+            2,
+            "ap-user",
+            (500..700).collect::<Vec<u32>>(),
+            8,
+        ))
         .unwrap();
     assert_eq!(out.generated, 8);
     assert!(lbs[2].forwarded() >= 1);
@@ -164,7 +174,7 @@ fn median_ttft_is_far_below_a_delayed_ack() {
     let mut client = LiveClient::connect(lb.addr()).unwrap();
     let mut ttft: Vec<Duration> = (0..50u64)
         .map(|i| {
-            let prompt = (0..64).map(|t| i as u32 * 100 + t).collect();
+            let prompt: Vec<u32> = (0..64).map(|t| i as u32 * 100 + t).collect();
             let req = Request::new(i, format!("u{i}"), prompt, 8);
             client.run(&req).unwrap().ttft
         })
@@ -297,7 +307,7 @@ fn scrape_texts_are_pinned() {
     let mut client = LiveClient::connect(lb.addr()).unwrap();
     for i in 0..3u64 {
         let out = client
-            .run(&Request::new(i, "u", (0..64).collect(), 8))
+            .run(&Request::new(i, "u", (0..64).collect::<Vec<u32>>(), 8))
             .unwrap();
         assert_eq!(out.generated, 8);
     }
@@ -324,7 +334,12 @@ fn metrics_scrape_over_the_wire() {
     let mut client = LiveClient::connect(lb.addr()).unwrap();
     for i in 0..3u64 {
         let out = client
-            .run(&Request::new(i, format!("u{i}"), (0..64).collect(), 8))
+            .run(&Request::new(
+                i,
+                format!("u{i}"),
+                (0..64).collect::<Vec<u32>>(),
+                8,
+            ))
             .unwrap();
         assert_eq!(out.generated, 8);
     }

@@ -118,7 +118,7 @@ fn ramped_arrivals_stream_through_the_fabric() {
 /// nothing in flight, until the deadline.
 #[test]
 fn empty_stages_and_programs_do_not_strand_their_client() {
-    let req = |id: u64| Request::new(id, format!("u{id}/0"), (0..64).collect(), 8);
+    let req = |id: u64| Request::new(id, format!("u{id}/0"), (0..64).collect::<Vec<u32>>(), 8);
     let client = |programs: Vec<Vec<Vec<Request>>>| ClientSpec {
         region: Region::UsEast,
         user: "u".into(),
