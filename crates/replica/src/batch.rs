@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use skywalker_sim::SimDuration;
 
-use crate::engine::{BatchPolicy, PendingView, RunningView, StepView};
+use crate::engine::{AdmitOrder, BatchPlan, BatchPolicy, PendingView, RunningView, StepView};
 use crate::kvcache::{KvEvictor, Lease, PrefixCache};
 use crate::request::{Request, RequestId};
 use crate::timing::GpuProfile;
@@ -36,7 +36,8 @@ struct Running {
     req: Request,
     lease: Lease,
     cached_prompt: u64,
-    /// Tokens generated so far (held privately, outside the shared tree).
+    /// Tokens generated so far (held privately, outside the shared
+    /// tree), short of the replica's `decode_lag` steady iterations.
     generated: u32,
     /// Output length this request will reach (≥ 1).
     target: u32,
@@ -89,6 +90,17 @@ struct Unfit {
     tree_edits: u64,
     /// [`Replica::committed_tokens`] at the failed check.
     committed: u64,
+}
+
+impl Unfit {
+    /// Whether the failed check provably fails again for `req`, served
+    /// `target` tokens, against the cache's `tree_edits` and `committed`
+    /// tokens now.
+    fn holds_for(&self, req: &Request, target: u32, tree_edits: u64, committed: u64) -> bool {
+        (self.id, self.prompt_len, self.target) == (req.id, req.prompt.len(), target)
+            && self.tree_edits == tree_edits
+            && committed >= self.committed
+    }
 }
 
 /// A finished request.
@@ -252,6 +264,18 @@ pub struct Replica {
     scratch: StepScratch,
     /// The last failed fit check, while it still holds.
     unfit: Option<Unfit>,
+    /// The policy's [`BatchPolicy::fixed_plan`], asked once at
+    /// construction.
+    fixed_plan: Option<BatchPlan>,
+    /// Steady iterations taken since the last full step, not yet added
+    /// to every `Running::generated`: each added one token to every
+    /// running request.
+    decode_lag: u32,
+    /// How many iterations from now on can be steady as far as the
+    /// running batch goes: each decodes every running request, none
+    /// reaches its target. Zero unless the plan is fixed FCFS and no
+    /// running request is mid-prefill.
+    steady_left: u32,
 }
 
 impl Replica {
@@ -285,11 +309,14 @@ impl Replica {
             running: Vec::new(),
             private_tokens: 0,
             reserved_tokens: 0,
-            policy: batch,
             stats: ReplicaStats::default(),
             promoted_charged: 0,
             scratch: StepScratch::default(),
             unfit: None,
+            fixed_plan: batch.fixed_plan(),
+            policy: batch,
+            decode_lag: 0,
+            steady_left: 0,
         }
     }
 
@@ -373,44 +400,20 @@ impl Replica {
     /// the plan selects *and* the memory fit check allows, advance
     /// prefill chunks, then decode one token for every fully-prefilled
     /// running request. Returns what happened and how long it took; an
-    /// idle replica returns a zero-duration outcome.
+    /// idle replica returns a zero-duration outcome. A steady iteration
+    /// is taken in O(1) instead ([`Replica::advance_steady`]), and a
+    /// policy with a [`BatchPolicy::fixed_plan`] is not asked to plan.
     pub fn step(&mut self) -> StepOutcome {
         let mut out = std::mem::take(&mut self.scratch.outcome);
-
-        // Snapshot the queues for the policy. Plan indices refer to
-        // these snapshots; nothing below reorders the pending queue
-        // until admission has consumed its indices.
-        let scratch = &mut self.scratch;
-        scratch.pending_view.clear();
-        scratch
-            .pending_view
-            .extend(self.pending.iter().map(|r| PendingView {
-                id: r.id,
-                prompt_tokens: r.prompt.len() as u32,
-                target_output_tokens: r.target_output_tokens.max(1),
-            }));
-        scratch.running_view.clear();
-        scratch
-            .running_view
-            .extend(self.running.iter().map(|r| RunningView {
-                id: r.req.id,
-                prompt_tokens: r.req.prompt.len() as u32,
-                generated: r.generated,
-                target: r.target,
-                prefill_remaining: r.prefill_remaining,
-            }));
-        let kv_committed = self.committed_tokens();
-        let scratch = &self.scratch;
-        let view = StepView {
-            pending: &scratch.pending_view,
-            running: &scratch.running_view,
-            kv_capacity: self.profile.kv.capacity_tokens,
-            kv_used: self.cache.used_tokens(),
-            kv_reclaimable: self.cache.reclaimable_tokens(),
-            kv_committed,
-            max_batch: self.profile.max_batch_size,
+        if let Some(duration) = self.advance_steady() {
+            out.duration = duration;
+            return out;
+        }
+        self.settle_decode_lag();
+        let plan = match &self.fixed_plan {
+            Some(plan) => plan.clone(),
+            None => self.plan_from_view(),
         };
-        let plan = self.policy.plan(&view);
         let chunk = plan.prefill_chunk.map(|c| u64::from(c.max(1)));
 
         // Preemption first: it frees reservations, so admission below
@@ -564,10 +567,15 @@ impl Replica {
         }
         out.duration = duration;
 
-        // Advance every fully-prefilled running request by one token.
+        // Advance every fully-prefilled running request by one token,
+        // noting how many more iterations the rest could decode without
+        // reaching a target.
         self.scratch.finished.clear();
+        let mut all_prefilled = true;
+        let mut fewest_left = u32::MAX;
         for (i, run) in self.running.iter_mut().enumerate() {
             if run.prefill_remaining > 0 {
+                all_prefilled = false;
                 continue;
             }
             if run.generated == 0 {
@@ -579,6 +587,8 @@ impl Replica {
             self.stats.generated_tokens += 1;
             if run.generated >= run.target {
                 self.scratch.finished.push(i);
+            } else {
+                fewest_left = fewest_left.min(run.target - run.generated);
             }
         }
 
@@ -616,7 +626,117 @@ impl Replica {
                 .kv_transfer_time(promoted - self.promoted_charged);
             self.promoted_charged = promoted;
         }
+        if self.steady_plan() && all_prefilled && !self.running.is_empty() {
+            self.steady_left = fewest_left - 1;
+        }
         out
+    }
+
+    /// The policy's plan for this iteration, from a fresh [`StepView`].
+    fn plan_from_view(&mut self) -> BatchPlan {
+        // Snapshot the queues for the policy. Plan indices refer to
+        // these snapshots; nothing in the step reorders the pending
+        // queue until admission has consumed its indices.
+        let scratch = &mut self.scratch;
+        scratch.pending_view.clear();
+        scratch
+            .pending_view
+            .extend(self.pending.iter().map(|r| PendingView {
+                id: r.id,
+                prompt_tokens: r.prompt.len() as u32,
+                target_output_tokens: r.target_output_tokens.max(1),
+            }));
+        scratch.running_view.clear();
+        scratch
+            .running_view
+            .extend(self.running.iter().map(|r| RunningView {
+                id: r.req.id,
+                prompt_tokens: r.req.prompt.len() as u32,
+                generated: r.generated,
+                target: r.target,
+                prefill_remaining: r.prefill_remaining,
+            }));
+        let kv_committed = self.committed_tokens();
+        let scratch = &self.scratch;
+        let view = StepView {
+            pending: &scratch.pending_view,
+            running: &scratch.running_view,
+            kv_capacity: self.profile.kv.capacity_tokens,
+            kv_used: self.cache.used_tokens(),
+            kv_reclaimable: self.cache.reclaimable_tokens(),
+            kv_committed,
+            max_batch: self.profile.max_batch_size,
+        };
+        self.policy.plan(&view)
+    }
+
+    /// Whether the fixed plan can leave an iteration steady: FCFS that
+    /// stops at the first misfit and preempts nothing.
+    fn steady_plan(&self) -> bool {
+        self.fixed_plan.as_ref().is_some_and(|p| {
+            p.admit_order == AdmitOrder::Fcfs && !p.skip_unfit && p.preempt.is_empty()
+        })
+    }
+
+    /// Takes the next iteration if it is *steady*, and returns its
+    /// duration; otherwise changes nothing and returns `None`. An
+    /// iteration is steady when the plan is fixed FCFS without
+    /// preemption, no running request is mid-prefill or reaches its
+    /// target in it, nothing is admissible (the pending queue is empty,
+    /// the batch is full, or the head's failed fit check provably still
+    /// fails) and no promotion waits to be charged. Such an iteration
+    /// only decodes one token for every running request, and is taken
+    /// here in O(1): one counter stands in for every request's token
+    /// count until the next full step. [`Replica::step`] takes this
+    /// path itself; a caller uses this directly when it can use the
+    /// duration without a [`StepOutcome`] — a steady outcome is empty.
+    pub fn advance_steady(&mut self) -> Option<SimDuration> {
+        if self.steady_left == 0
+            || !self.admission_blocked()
+            || self.cache.promoted_tokens() != self.promoted_charged
+        {
+            return None;
+        }
+        let n = self.running.len() as u32;
+        self.steady_left -= 1;
+        self.decode_lag += 1;
+        self.private_tokens += u64::from(n);
+        self.reserved_tokens -= u64::from(n);
+        self.stats.generated_tokens += u64::from(n);
+        Some(self.profile.decode_step_time(n))
+    }
+
+    /// Adds the steady iterations' tokens to every running request,
+    /// before anything reads them.
+    fn settle_decode_lag(&mut self) {
+        self.steady_left = 0;
+        let lag = std::mem::take(&mut self.decode_lag);
+        if lag > 0 {
+            for run in &mut self.running {
+                run.generated += lag;
+            }
+        }
+    }
+
+    /// Whether a FCFS admission pass would admit nothing: the batch is
+    /// full, nothing is pending, or the head's failed fit check still
+    /// holds.
+    fn admission_blocked(&self) -> bool {
+        if self.running.len() >= self.profile.max_batch_size as usize {
+            return true;
+        }
+        let Some(head) = self.pending.front() else {
+            return true;
+        };
+        let target = head.target_output_tokens.max(1);
+        self.unfit.as_ref().is_some_and(|u| {
+            u.holds_for(
+                head,
+                target,
+                self.cache.tree_edits(),
+                self.committed_tokens(),
+            )
+        })
     }
 
     /// Hands back a [`StepOutcome`] this replica returned, once its
@@ -653,12 +773,11 @@ impl Replica {
         let req = &self.pending[idx];
         let committed = self.committed_tokens();
         let tree_edits = self.cache.tree_edits();
-        let same = |u: &Unfit| {
-            (u.id, u.prompt_len, u.target) == (req.id, req.prompt.len(), target)
-                && u.tree_edits == tree_edits
-                && committed >= u.committed
-        };
-        if self.unfit.as_ref().is_some_and(same) {
+        if self
+            .unfit
+            .as_ref()
+            .is_some_and(|u| u.holds_for(req, target, tree_edits, committed))
+        {
             return false;
         }
         let cap = self.profile.kv.capacity_tokens;
@@ -695,6 +814,7 @@ impl Replica {
     /// normal completion. The replica itself remains usable afterwards —
     /// the fabric decides whether it ever receives work again.
     pub fn fail_all(&mut self) -> Vec<Request> {
+        self.settle_decode_lag();
         let mut out: Vec<Request> = Vec::with_capacity(self.pending.len() + self.running.len());
         for run in self.running.drain(..) {
             self.private_tokens -= u64::from(run.generated);

@@ -173,7 +173,8 @@ impl<T: BatchPolicy + Clone + 'static> CloneBatchPolicy for T {
 /// loop — the serving-engine counterpart of `RoutingPolicy`,
 /// `TrafficSource`, and `FleetPlan`. Called once per
 /// [`Replica::step`](crate::Replica::step) with a read-only view;
-/// returns a [`BatchPlan`].
+/// returns a [`BatchPlan`] — unless it declares a
+/// [`BatchPolicy::fixed_plan`], which the replica then uses instead.
 ///
 /// Implementations may keep state (the `&mut self`), but determinism
 /// rules apply as everywhere in the workspace: derive any randomness
@@ -181,6 +182,16 @@ impl<T: BatchPolicy + Clone + 'static> CloneBatchPolicy for T {
 pub trait BatchPolicy: fmt::Debug + Send + Sync + CloneBatchPolicy {
     /// Plans one iteration.
     fn plan(&mut self, view: &StepView<'_>) -> BatchPlan;
+
+    /// The plan this policy gives whatever the view, if there is one.
+    /// A replica asks once, when it is built; from then on it uses this
+    /// plan, builds no [`StepView`] and never calls
+    /// [`BatchPolicy::plan`]. Returning `Some` is a promise that `plan`
+    /// would return exactly this plan on every view; a policy that
+    /// reads the view, or counts its calls, keeps the default `None`.
+    fn fixed_plan(&self) -> Option<BatchPlan> {
+        None
+    }
 
     /// Display label for experiment tables, e.g. `"fcfs"`.
     fn label(&self) -> String;
@@ -234,10 +245,19 @@ impl FcfsBatch {
     }
 }
 
+impl FcfsBatch {
+    /// The plan before any preemption: FCFS with this policy's chunk.
+    fn base_plan(&self) -> BatchPlan {
+        BatchPlan {
+            prefill_chunk: self.chunk,
+            ..BatchPlan::fcfs()
+        }
+    }
+}
+
 impl BatchPolicy for FcfsBatch {
     fn plan(&mut self, view: &StepView<'_>) -> BatchPlan {
-        let mut plan = BatchPlan::fcfs();
-        plan.prefill_chunk = self.chunk;
+        let mut plan = self.base_plan();
         if let Some(frac) = self.preempt_above {
             if view.running.len() > 1 && view.kv_pressure() > frac {
                 // Youngest decode: least sunk work, most reservation
@@ -256,6 +276,11 @@ impl BatchPolicy for FcfsBatch {
             }
         }
         plan
+    }
+
+    /// Without a preemption threshold the plan never reads the view.
+    fn fixed_plan(&self) -> Option<BatchPlan> {
+        self.preempt_above.is_none().then(|| self.base_plan())
     }
 
     fn label(&self) -> String {
@@ -394,6 +419,16 @@ mod tests {
             "fcfs-chunk64-preempt0.95"
         );
         assert_eq!(EngineSpec::default().label(), "fcfs+lru");
+    }
+
+    #[test]
+    fn fcfs_fixes_its_plan_unless_it_preempts() {
+        let running = [run(1, 5), run(2, 1)];
+        let v = view(&[], &running);
+        for mut p in [FcfsBatch::new(), FcfsBatch::chunked(64)] {
+            assert_eq!(p.fixed_plan(), Some(p.plan(&v)));
+        }
+        assert_eq!(FcfsBatch::new().with_preemption(0.9).fixed_plan(), None);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! finished) allocates nothing, the batch policy's plan included;
 //! neither does an iteration stalled behind a pending head that does
 //! not fit; and an `acquire` that must evict eight victims allocates no
-//! more than one that evicts one.
+//! more than one that evicts one. The first two are read twice: with
+//! FCFS's fixed plan, which takes such iterations in O(1), and with the
+//! same policy behind a wrapper that hides it, which takes the full
+//! step with its view and plan.
 //!
 //! One `#[test]` only: the counters are process-wide.
 
@@ -15,7 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use skywalker_replica::{
-    FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica, ReplicaId, Request,
+    BatchPlan, BatchPolicy, FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica,
+    ReplicaId, Request, StepView,
 };
 
 /// `System`, plus a count of every block it was asked for or asked to
@@ -61,13 +65,27 @@ fn allocs_during(f: impl FnOnce()) -> usize {
     ALLOCS.load(Relaxed) - before
 }
 
+/// FCFS with its fixed plan hidden: every iteration is a full step.
+#[derive(Debug, Clone)]
+struct Hidden(FcfsBatch);
+
+impl BatchPolicy for Hidden {
+    fn plan(&mut self, view: &StepView<'_>) -> BatchPlan {
+        self.0.plan(view)
+    }
+
+    fn label(&self) -> String {
+        self.0.label()
+    }
+}
+
 const RUNNING: u32 = 32;
 const KV_TOKENS: u64 = 1 << 20;
 
 /// A replica whose cache holds 4 000 finished one-token requests with
 /// distinct prompts (a prompt leaf and an output leaf each) and whose
 /// batch then runs `RUNNING` long decodes, each past its first token.
-fn warmed_replica(max_batch_size: u32) -> Replica {
+fn warmed_replica(max_batch_size: u32, policy: Box<dyn BatchPolicy>) -> Replica {
     let profile = GpuProfile {
         kv: KvConfig {
             capacity_tokens: KV_TOKENS,
@@ -76,7 +94,6 @@ fn warmed_replica(max_batch_size: u32) -> Replica {
         max_batch_size,
         ..GpuProfile::L4_LLAMA_8B
     };
-    let policy = Box::new(FcfsBatch::new());
     let mut r = Replica::with_engine(ReplicaId(0), profile, policy, Box::new(LruEvictor));
     for i in 0..4_000u32 {
         r.enqueue(Request::new(u64::from(i), "warm", vec![i; 8], 1));
@@ -113,23 +130,29 @@ fn steady_steps(r: &mut Replica, n: usize) -> usize {
 
 #[test]
 fn a_steady_iteration_and_an_extra_victim_cost_no_allocation() {
-    // Steady decode, batch at its ceiling, nothing pending: not one
-    // allocation, the policy's (empty) plan included.
-    let mut full = warmed_replica(RUNNING);
-    assert_eq!(steady_steps(&mut full, 1_500), 0);
+    let policies: [fn() -> Box<dyn BatchPolicy>; 2] = [
+        || Box::new(FcfsBatch::new()),
+        || Box::new(Hidden(FcfsBatch::new())),
+    ];
+    for policy in policies {
+        // Steady decode, batch at its ceiling, nothing pending: not one
+        // allocation, the policy's (empty) plan included.
+        let mut full = warmed_replica(RUNNING, policy());
+        assert_eq!(steady_steps(&mut full, 1_500), 0);
 
-    // Stalled head: room in the batch, but the head's output
-    // reservation cannot fit beside the running decodes, so every
-    // iteration offers it and leaves it queued. Past the first such
-    // step, which sizes the scratch, nothing allocates: not the
-    // iteration, and not FCFS's plan, which holds no vector.
-    let mut stalled = warmed_replica(2 * RUNNING);
-    let reservation = (KV_TOKENS - 100_000) as u32;
-    stalled.enqueue(Request::new(20_000, "big", vec![7; 64], reservation));
-    stalled.enqueue(Request::new(20_001, "behind", vec![8; 64], 4));
-    steady_steps(&mut stalled, 1);
-    assert_eq!(steady_steps(&mut stalled, 1_500), 0);
-    assert_eq!(stalled.pending_len(), 2, "FCFS: nothing passes the head");
+        // Stalled head: room in the batch, but the head's output
+        // reservation cannot fit beside the running decodes, so every
+        // iteration offers it and leaves it queued. Past the first such
+        // step, which sizes the scratch, nothing allocates: not the
+        // iteration, and not FCFS's plan, which holds no vector.
+        let mut stalled = warmed_replica(2 * RUNNING, policy());
+        let reservation = (KV_TOKENS - 100_000) as u32;
+        stalled.enqueue(Request::new(20_000, "big", vec![7; 64], reservation));
+        stalled.enqueue(Request::new(20_001, "behind", vec![8; 64], 4));
+        steady_steps(&mut stalled, 1);
+        assert_eq!(steady_steps(&mut stalled, 1_500), 0);
+        assert_eq!(stalled.pending_len(), 2, "FCFS: nothing passes the head");
+    }
 
     // Eviction: 1 024 four-token leaves in a cache with 28 tokens free,
     // its candidate buffers sized by an earlier eviction. A 32-token

@@ -22,6 +22,22 @@
 //! of later events shift down by one, and they only ever order events
 //! among themselves. The run delivers one event fewer
 //! ([`Engine::delivered`]) and is otherwise the same run.
+//!
+//! # Re-armed events
+//!
+//! One step further: an event whose whole effect is to schedule itself
+//! again, `d` later, need not be handed to [`World::handle`] at all. For
+//! an event alone at its instant the engine first asks
+//! [`World::rearm`]; `Some(d)` means the world has applied the event and
+//! that its only follow-up is the same event at `now + d`. The engine
+//! counts the event delivered and moves its queue entry to `now + d` with
+//! the sequence number `sched.after(d, event)` would have drawn — the
+//! next one — so every entry keeps the `(time, seq)` it would have had,
+//! and the run is the same run ([`Engine::rearmed`] counts these). Asking
+//! only when the event is alone at its instant is what makes that exact:
+//! the handler's follow-up would be the only event it scheduled, and no
+//! other event at this instant can see the world between the two. No
+//! `Scheduler` is built and no handler runs.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -38,6 +54,18 @@ pub trait World {
 
     /// Handles one event occurring at virtual time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
+
+    /// Offered an event that is alone at its instant before it is
+    /// handled: a world that can tell that handling it would do nothing
+    /// but schedule the same event again `d` later may apply the event
+    /// itself and return `Some(d)`; the engine then re-queues the event at
+    /// `now + d` in the place `handle` + [`Scheduler::after`] would have
+    /// given it (see the module docs). `None` — the default — means the
+    /// world changed nothing and the event goes to
+    /// [`World::handle`] as usual.
+    fn rearm(&mut self, _now: SimTime, _event: &Self::Event) -> Option<SimDuration> {
+        None
+    }
 }
 
 /// Interface handed to event handlers for scheduling future events.
@@ -200,6 +228,7 @@ pub struct Engine<E> {
     now: SimTime,
     seq: u64,
     delivered: u64,
+    rearmed: u64,
     peak_pending: usize,
 }
 
@@ -219,6 +248,7 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             seq: 0,
             delivered: 0,
+            rearmed: 0,
             peak_pending: 0,
         }
     }
@@ -236,6 +266,12 @@ impl<E> Engine<E> {
     /// Number of events delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
+    }
+
+    /// Of the events delivered, those the world re-armed
+    /// ([`World::rearm`]) instead of handling.
+    pub fn rearmed(&self) -> u64 {
+        self.rearmed
     }
 
     /// High-water mark of the pending-event count, observed just before
@@ -293,6 +329,18 @@ impl<E> Engine<E> {
             self.now = entry.at;
             self.delivered += 1;
 
+            if self.batch.is_empty() {
+                if let Some(d) = world.rearm(self.now, &entry.event) {
+                    // Alone at its instant: the re-armed event goes back
+                    // where `sched.after(d, event)` would have put it.
+                    let at = self.now + d;
+                    let seq = self.next_seq();
+                    self.enqueue(Entry { at, seq, ..entry });
+                    self.rearmed += 1;
+                    continue;
+                }
+            }
+
             // The batch holds every other event pending at this instant:
             // the refill drained the heap's, and same-instant follow-ups
             // join the batch.
@@ -302,15 +350,8 @@ impl<E> Engine<E> {
             world.handle(self.now, entry.event, &mut sched);
             let mut buffered = sched.buffered;
             for (at, event) in buffered.drain(..) {
-                let seq = self.seq;
-                self.seq += 1;
-                if at == self.now {
-                    // Same-instant follow-up: joins the tail of the live
-                    // batch (its seq exceeds every drained entry's).
-                    self.batch.push_back(Entry { at, seq, event });
-                } else {
-                    self.heap.push(Entry { at, seq, event });
-                }
+                let seq = self.next_seq();
+                self.enqueue(Entry { at, seq, event });
             }
             self.scratch = buffered;
             if sched.stop_requested {
@@ -328,6 +369,23 @@ impl<E> Engine<E> {
             delivered: self.delivered,
             end_time: self.now,
             stopped_early,
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Queues an event scheduled by the one being delivered. A
+    /// same-instant follow-up joins the tail of the live batch (its seq
+    /// exceeds every drained entry's); anything later goes to the heap.
+    fn enqueue(&mut self, entry: Entry<E>) {
+        if entry.at == self.now {
+            self.batch.push_back(entry);
+        } else {
+            self.heap.push(entry);
         }
     }
 }

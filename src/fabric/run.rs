@@ -252,6 +252,7 @@ fn summarize(
             .unwrap_or(0),
         peak_events: engine.peak_pending(),
         delivered_events: engine.delivered(),
+        rearmed_events: engine.rearmed(),
         kv_peak_gap: imbalance(kv_peaks.iter().copied()),
         kv_peaks,
         fleet: FleetSummary {

@@ -75,6 +75,12 @@ pub struct RunSummary {
     /// counts queue round trips. It is not a digest field: a change that
     /// moves it changes how the run is computed, not what it computes.
     pub delivered_events: u64,
+    /// Of the [`delivered_events`](Self::delivered_events), those the
+    /// world re-armed ([`Engine::rearmed`](skywalker_sim::Engine::rearmed)):
+    /// steady decode iterations the engine moved to their next instant
+    /// without handling them. Like `delivered_events` it is not a digest
+    /// field: it measures how the run is computed, not what it computes.
+    pub rearmed_events: u64,
     /// Max/min ratio of per-replica peak KV utilization (Fig. 4b).
     pub kv_peak_gap: f64,
     /// Peak KV utilization observed per replica (probe-sampled; one

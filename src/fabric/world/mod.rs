@@ -25,7 +25,7 @@ use skywalker_core::Controller;
 use skywalker_fleet::FleetEvent;
 use skywalker_net::Region;
 use skywalker_replica::{Completion, EngineSpec, Request, RequestId};
-use skywalker_sim::{DetRng, Scheduler, SimTime, World};
+use skywalker_sim::{DetRng, Scheduler, SimDuration, SimTime, World};
 use skywalker_workload::ClientSpec;
 
 use super::observers::Observers;
@@ -217,6 +217,13 @@ impl World for Fabric {
             Ev::ControllerTick => self.on_controller_tick(sched),
             Ev::FleetPoll => self.on_fleet_poll(sched),
             Ev::FleetApply { event } => self.on_fleet_event(*event, sched),
+        }
+    }
+
+    fn rearm(&mut self, _now: SimTime, ev: &Ev) -> Option<SimDuration> {
+        match *ev {
+            Ev::IterationDone { replica } => self.rearm_iteration(replica),
+            _ => None,
         }
     }
 }

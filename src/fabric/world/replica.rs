@@ -7,7 +7,7 @@ use skywalker_net::Region;
 use skywalker_replica::{
     Advance, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId, StepOutcome,
 };
-use skywalker_sim::SimTime;
+use skywalker_sim::{SimDuration, SimTime};
 use skywalker_trace::TraceEventKind::{
     Admitted, Evicted, FirstToken, Preempted, ReplicaDone, ReplicaQueued, ReplicaStall,
 };
@@ -240,6 +240,35 @@ impl Fabric {
             }
             self.follow_up(Ev::ReplicaKick { replica }, sched);
         }
+    }
+
+    /// [`World::rearm`](skywalker_sim::World::rearm) for
+    /// `Ev::IterationDone`: when the iteration that ended published
+    /// nothing and the next one is steady
+    /// ([`Replica::advance_steady`]), the whole of `on_iteration_done`
+    /// and its inline `ReplicaKick` is that next iteration, scheduled
+    /// as the same event — taken here, with the outcome in flight reset
+    /// to the steady one's. Never while tracing: a traced iteration may
+    /// record a stall span.
+    pub(crate) fn rearm_iteration(&mut self, replica: u32) -> Option<SimDuration> {
+        if self.obs.tracing() {
+            return None;
+        }
+        let slot = &mut self.replicas[replica as usize];
+        let out = &mut slot.in_flight;
+        if slot.health != ReplicaHealth::Active
+            || !out.first_tokens.is_empty()
+            || !out.completions.is_empty()
+        {
+            return None;
+        }
+        let duration = slot.replica.advance_steady()?;
+        // An iteration that admitted a request either streamed its first
+        // token or left it mid-prefill, and a fixed FCFS plan preempts
+        // nothing, so there is nothing else to reset.
+        debug_assert!(out.admitted.is_empty() && out.preempted.is_empty());
+        out.duration = duration;
+        Some(duration)
     }
 
     /// A request finished on `replica`: credit its balancer and let it

@@ -53,15 +53,16 @@ fn deterministic_given_seed() {
 
 /// The events a run delivers are exact under a seed, so they are pinned
 /// here: a change that moves the count changes how much work the
-/// simulator does per request, and has to say so. (No golden shows it;
-/// it is not a digest field.)
+/// simulator does per request, and has to say so. So are the delivered
+/// events the world re-armed (steady decode iterations taken without a
+/// handler). (No golden shows either; neither is a digest field.)
 #[test]
 fn delivered_events_are_pinned() {
     let s = small(SystemKind::SkyWalker, Workload::Arena, 11);
     assert_eq!(
-        (s.delivered_events, s.report.completed),
-        (45_060, 328),
-        "events delivered, requests completed"
+        (s.delivered_events, s.rearmed_events, s.report.completed),
+        (45_060, 25_729, 328),
+        "events delivered, of them re-armed, requests completed"
     );
 }
 
