@@ -17,51 +17,16 @@
 //!
 //! One `#[test]` only: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use skywalker_core::RouteTrie;
 use skywalker_replica::{KvConfig, PrefixCache};
 use skywalker_sim::DetRng;
 
-/// `System`, plus the bytes currently allocated (the scheme of
-/// `crates/trace/tests/log_heap.rs`).
-struct Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments and returns its result unchanged; the counter is a plain
-// statistic and publishes no memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        LIVE.fetch_add(new_size, Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::LIVE;
 
 /// A quarter above the 10.42 B a route trie holds a stored token of
 /// [`trie_bytes_per_token`]'s stream (14.18 B when a node kept a

@@ -847,15 +847,15 @@ mod tests {
     #[test]
     fn float_accumulation_over_hash_iteration() {
         let src = "fn f(m: HashMap<u64, f64>) -> f64 { m.values().sum::<f64>() }";
-        let hits = rules_hit(src, "crates/metrics/src/x.rs");
+        let hits = rules_hit(src, "crates/telemetry/src/x.rs");
         assert!(hits.contains(&"D05"), "{hits:?}");
         let src = "fn f(m: HashMap<u64, f64>) {\n let mut total = 0.0;\n \
                    for v in m.values() { total += v; }\n}";
-        let hits = rules_hit(src, "crates/metrics/src/x.rs");
+        let hits = rules_hit(src, "crates/telemetry/src/x.rs");
         assert!(hits.contains(&"D05"), "{hits:?}");
         // Sorted collect first: no D05 (and a BTreeMap: no D02 either).
         let src = "fn f(m: BTreeMap<u64, f64>) -> f64 { m.values().sum::<f64>() }";
-        assert!(rules_hit(src, "crates/metrics/src/x.rs").is_empty());
+        assert!(rules_hit(src, "crates/telemetry/src/x.rs").is_empty());
     }
 
     #[test]

@@ -7,43 +7,19 @@
 //! Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use skywalker_net::{read_frame, write_frame, Message, WireError, MAX_FRAME_LEN};
 use skywalker_sim::DetRng;
 
-/// The largest single allocation requested since the last reset. Every
-/// test in this binary allocates kilobytes, so tests running in parallel
-/// cannot push it anywhere near the megabytes the pin below rules out.
-static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-struct RecordLargest;
-
-// SAFETY: every call is passed through to `System` unchanged; the only
-// addition is recording the requested size in an atomic.
-unsafe impl GlobalAlloc for RecordLargest {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST_ALLOC.fetch_max(new_size, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: RecordLargest = RecordLargest;
+// The largest single allocation requested since the last reset. Every
+// test in this binary allocates kilobytes, so tests running in parallel
+// cannot push it anywhere near the megabytes the pin below rules out.
+use counting_alloc::LARGEST;
 
 const MUTATIONS_PER_VARIANT: usize = 2_000;
 
@@ -190,9 +166,9 @@ fn mutated_frames_never_panic_and_accepted_ones_round_trip() {
 fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
     let mut bytes = MAX_FRAME_LEN.to_be_bytes().to_vec();
     bytes.extend([1, 9, 0]);
-    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
     let got = read_frame(&mut Cursor::new(&bytes));
-    let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
+    let largest = LARGEST.load(Ordering::Relaxed);
     match got {
         Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         other => panic!("a frame cut short must be an I/O error, got {other:?}"),

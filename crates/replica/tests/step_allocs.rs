@@ -14,50 +14,17 @@
 //!
 //! One `#[test]` only: the counters are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use skywalker_replica::{
     BatchPlan, BatchPolicy, FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica,
     ReplicaId, Request, StepView,
 };
 
-/// `System`, plus a count of every block it was asked for or asked to
-/// grow (the scheme of `tests/heap_follows_population.rs`).
-struct Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments and returns its result unchanged; the counter is a plain
-// statistic and publishes no memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::ALLOCS;
 
 fn allocs_during(f: impl FnOnce()) -> usize {
     let before = ALLOCS.load(Relaxed);

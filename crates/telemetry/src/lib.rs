@@ -36,14 +36,15 @@ pub mod names;
 pub mod publish;
 mod registry;
 mod sketch;
+mod timeseries;
 
 pub use export::prometheus_text;
 pub use registry::{
     MetricKey, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
 };
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
+pub use timeseries::TimeSeries;
 
-use skywalker_metrics::TimeSeries;
 use skywalker_sim::SimDuration;
 
 /// Points each sampled dashboard series retains; older points drop

@@ -14,28 +14,8 @@ use std::collections::VecDeque;
 use skywalker_sim::SimTime;
 
 /// A time-ordered sequence of gauge observations, optionally bounded to
-/// the newest `capacity` points.
-///
-/// # Examples
-///
-/// ```
-/// use skywalker_metrics::TimeSeries;
-/// use skywalker_sim::SimTime;
-///
-/// let mut ts = TimeSeries::new("replica-0/kv");
-/// ts.record(SimTime::from_secs(1), 0.4);
-/// ts.record(SimTime::from_secs(2), 0.9);
-/// assert_eq!(ts.peak(), 0.9);
-/// assert_eq!(ts.len(), 2);
-///
-/// let mut ring = TimeSeries::bounded("queue_depth", 3);
-/// for i in 0..5u64 {
-///     ring.record(SimTime::from_secs(i), i as f64);
-/// }
-/// assert_eq!(ring.len(), 3); // capacity bound
-/// assert_eq!(ring.dropped(), 2); // honest drop counter
-/// assert_eq!(ring.values(), vec![2.0, 3.0, 4.0]); // newest kept
-/// ```
+/// the newest `capacity` points. (Its example is in the
+/// `skywalker::metrics` docs, which re-export it.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
@@ -115,7 +95,10 @@ impl TimeSeries {
 
     /// The largest retained value, or 0 for an empty series.
     pub fn peak(&self) -> f64 {
-        self.points.iter().map(|(_, v)| *v).fold(0.0, f64::max)
+        let mut values = self.points.iter().map(|&(_, v)| v);
+        values
+            .next()
+            .map_or(0.0, |first| values.fold(first, f64::max))
     }
 
     /// Time-weighted average value over the observation window (each value
@@ -156,6 +139,11 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.name(), "x");
         assert_eq!(ts.values(), vec![0.2, 0.8, 0.5]);
+        // The peak of an all-negative series is its largest value, not 0.
+        let mut below = TimeSeries::new("y");
+        below.record(t(0), -3.0);
+        below.record(t(1), -1.0);
+        assert_eq!(below.peak(), -1.0);
     }
 
     #[test]

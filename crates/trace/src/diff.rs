@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use skywalker_metrics::Summary;
+use crate::Summary;
 
 use crate::attribution::Phase;
 use crate::report::BottleneckReport;

@@ -21,6 +21,9 @@
 //!   a flamegraph-style text rendering.
 //! - [`TraceDiff`] structurally diffs two reports phase-for-phase,
 //!   naming the phase that moved a regression.
+//! - [`Summary`] is the one exact reducer of a sample set, the box plot
+//!   those reports' spreads are made of; the fabric's request tracker and
+//!   the claims table use it too.
 //!
 //! ```
 //! use skywalker_sim::SimTime;
@@ -51,6 +54,7 @@ mod event;
 mod log;
 mod recorder;
 mod report;
+mod summary;
 
 pub use attribution::{Attribution, Phase, PhaseBreakdown, RequestTrace, TraceOutcome, TtftTrace};
 pub use diff::{PhaseDelta, TraceDiff};
@@ -58,3 +62,4 @@ pub use event::{TraceEvent, TraceEventKind};
 pub use log::{TraceLog, TraceLogIter};
 pub use recorder::{TraceConfig, TraceRecorder, TraceSummary};
 pub use report::{BottleneckReport, PhaseStat};
+pub use summary::Summary;

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use skywalker_metrics::Summary;
+use crate::Summary;
 use skywalker_sim::SimDuration;
 
 use crate::attribution::{Attribution, Phase, TraceOutcome};

@@ -14,18 +14,7 @@
 
 /// The box-plot summary the paper draws for every latency distribution:
 /// P10/P90 whiskers, P25/P75 box, P50 median line, and the mean marker.
-///
-/// # Examples
-///
-/// ```
-/// use skywalker_metrics::Summary;
-///
-/// let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-/// let s = Summary::of(&samples);
-/// assert_eq!(s.count, 100);
-/// assert!((s.p50 - 50.5).abs() < 1e-9);
-/// assert!((s.mean - 50.5).abs() < 1e-9);
-/// ```
+/// (Its example is in the `skywalker::metrics` docs, which re-export it.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
@@ -77,7 +66,7 @@ impl Summary {
 
     /// [`Summary::of`] over samples the caller keeps finite, sorting them
     /// in place instead of copying them.
-    pub(crate) fn of_in_place(samples: &mut [f64]) -> Summary {
+    pub fn of_in_place(samples: &mut [f64]) -> Summary {
         samples.sort_unstable_by(f64::total_cmp);
         let sorted = &*samples;
         let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
@@ -101,7 +90,7 @@ impl Summary {
 
 /// The `q`-quantile (`q` in `[0, 1]`) of a non-empty ascending slice, by
 /// linear interpolation between closest ranks — the one convention every
-/// exact percentile in this crate uses.
+/// exact percentile in the repository uses.
 fn interpolate(sorted: &[f64], q: f64) -> f64 {
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;

@@ -9,61 +9,17 @@
 //!
 //! One `#[test]` only: the counters are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use skywalker_sim::SimTime;
 use skywalker_trace::{
     Attribution, RequestTrace, TraceConfig, TraceEventKind, TraceRecorder, TraceSummary,
 };
 
-/// `System`, plus the bytes currently allocated, their high-water mark
-/// and the largest single request (the scheme of
-/// `tests/heap_follows_population.rs`).
-struct Counting;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-    LARGEST.fetch_max(bytes, Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments and returns its result unchanged; the counters are plain
-// statistics and publish no memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        grew(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::{LARGEST, LIVE, PEAK};
 
 const CHUNK_BYTES: usize = 64 * 1024;
 

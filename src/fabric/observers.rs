@@ -10,7 +10,6 @@
 //! simulation, so outcomes are byte-identical whichever sinks are
 //! attached (pinned by the golden-digest gates).
 
-use skywalker_metrics::{RequestTracker, RunReport, TimeSeries};
 use skywalker_net::Region;
 use skywalker_replica::Completion;
 use skywalker_sim::{SimDuration, SimTime};
@@ -22,6 +21,7 @@ use skywalker_trace::{TraceEventKind, TraceRecorder, TraceSummary};
 use super::summary::ratio;
 use super::world::{LbSlot, ReplicaSlot};
 use super::{FabricConfig, TransferSummary};
+use crate::metrics::{RequestTracker, RunReport, TimeSeries};
 
 /// The streaming metrics plane: a labeled registry fed at lifecycle
 /// points (TTFT sketches) and, once at run end, with every component's

@@ -2,8 +2,6 @@
 //! [`FleetSummary`] sub-ledgers, and the one run digest every regression
 //! suite and report selects its columns from.
 
-use skywalker_metrics::json::Val;
-use skywalker_metrics::{RunReport, TimeSeries};
 use skywalker_net::Region;
 use skywalker_replica::ReplicaStats;
 use skywalker_sim::SimTime;
@@ -11,6 +9,8 @@ use skywalker_telemetry::TelemetrySummary;
 use skywalker_trace::TraceSummary;
 
 use super::SystemKind;
+use crate::metrics::json::Val;
+use crate::metrics::{RunReport, TimeSeries};
 
 /// `num / den`, or zero when there is nothing to divide by.
 pub(crate) fn ratio(num: f64, den: f64) -> f64 {

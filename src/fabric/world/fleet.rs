@@ -5,12 +5,12 @@
 use skywalker_fleet::{
     FleetCommand, FleetEvent, FleetObservation, FleetPlan, LbObservation, ReplicaObservation,
 };
-use skywalker_metrics::TimeSeries;
 use skywalker_replica::{ReplicaId, ReplicaRole, Request};
 use skywalker_sim::SimTime;
 
 use super::{Ev, Fabric, LbSlot, ReplicaHealth, ReplicaSlot, Sched};
 use crate::fabric::{FabricConfig, FleetSummary};
+use crate::metrics::TimeSeries;
 
 /// The fleet control plane's state: the plan being polled and the
 /// elasticity ledger that becomes the run's [`FleetSummary`].

@@ -15,11 +15,10 @@
 //! | `skywalker-workload` | WildChat/Arena/ToT-style trace generators |
 //! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller (failover, and client resolution: the latency-based DNS stand-in) |
 //! | `skywalker-fleet` | the elastic fleet control plane: the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`] |
-//! | `skywalker-metrics` | exact box-plot summaries, request tracking, time series, the JSON report serializer |
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
-//! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`) |
-//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, bounded series, the one metric listing per balancer and replica that both planes publish, Prometheus export (`docs/telemetry.md`) |
-//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], the parallel experiment [`lab`] (deterministic multi-threaded sweeps over scenario grids), the reserved/on-demand provisioning [`cost`] model, and [`P2cLocal`] — a custom policy built on the open surface |
+//! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`); the exact box-plot `Summary` |
+//! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, the one `TimeSeries` (bounded or not), the one metric listing per balancer and replica that both planes publish, Prometheus export (`docs/telemetry.md`) |
+//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], the client-side [`metrics`] (request tracking, the JSON report serializer, and `Summary` / `TimeSeries` re-exported), the parallel experiment [`lab`] (deterministic multi-threaded sweeps over scenario grids), the reserved/on-demand provisioning [`cost`] model, and [`P2cLocal`] — a custom policy built on the open surface |
 //!
 //! ## Quickstart
 //!
@@ -182,6 +181,7 @@ pub mod autoscale;
 pub mod cost;
 pub mod fabric;
 pub mod lab;
+pub mod metrics;
 mod p2c;
 pub mod scenarios;
 mod sjf;
@@ -227,7 +227,6 @@ pub use workload::{
 // depend on `skywalker` alone.
 pub use skywalker_core as core;
 pub use skywalker_fleet as fleet;
-pub use skywalker_metrics as metrics;
 pub use skywalker_net as net;
 pub use skywalker_replica as replica;
 pub use skywalker_sim as sim;

@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_sim::{SimDuration, SimTime};
 
-use crate::summary::Summary;
+use super::Summary;
 
 #[derive(Debug)]
 struct Record {
@@ -96,8 +96,8 @@ impl Totals {
 /// # Examples
 ///
 /// ```
-/// use skywalker_metrics::RequestTracker;
-/// use skywalker_sim::SimTime;
+/// use skywalker::metrics::RequestTracker;
+/// use skywalker::sim::SimTime;
 ///
 /// let mut t = RequestTracker::new();
 /// t.arrival(1, SimTime::from_millis(0), 512);
@@ -122,7 +122,6 @@ pub struct RequestTracker {
     index: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id, never iterated
     /// What the settled records contribute to a report.
     settled: Totals,
-    registered: usize,
     failed: u64,
     retried: u64,
 }
@@ -173,7 +172,6 @@ impl RequestTracker {
         let slot = match self.index.get(&id) {
             Some(&slot) => slot,
             None => {
-                self.registered += 1;
                 let slot = self.free.pop().unwrap_or_else(|| {
                     self.records.push(None);
                     self.records.len() - 1
@@ -258,16 +256,6 @@ impl RequestTracker {
         if let Some(r) = self.rec_mut(id) {
             r.hops = Some(r.hops.map_or(hops, |h| h.max(hops)));
         }
-    }
-
-    /// Number of requests registered (completed, in flight, or failed).
-    pub fn len(&self) -> usize {
-        self.registered
-    }
-
-    /// True if nothing has been tracked.
-    pub fn is_empty(&self) -> bool {
-        self.registered == 0
     }
 
     /// Aggregates everything observed so far into a [`RunReport`].
@@ -504,7 +492,7 @@ mod tests {
             let mut rng = DetRng::new(seed);
             let mut t = RequestTracker::new();
             let mut model = KeepEverything::default();
-            let (mut now, mut next_id, mut registrations, mut most_open) = (0u64, 0u64, 0, 0);
+            let (mut now, mut next_id, mut most_open) = (0u64, 0u64, 0);
             for step in 0..8_000 {
                 now += rng.below(40);
                 let at = ms(now);
@@ -521,7 +509,6 @@ mod tests {
                     0 | 1 => {
                         let (id, prompt) = (next_id, rng.below(4_000));
                         next_id += 1;
-                        registrations += 1;
                         t.arrival(id, at, prompt);
                         let fresh = Kept {
                             arrived: at,
@@ -587,7 +574,6 @@ mod tests {
                         bits(&model.report(end)),
                         "seed {seed} step {step}"
                     );
-                    assert_eq!(t.len(), registrations);
                 }
             }
             let settled = model.requests.len() - model.open_ids().len();
@@ -638,7 +624,7 @@ mod tests {
         let mut t = RequestTracker::new();
         t.first_token(99, ms(1));
         t.completion(99, ms(2), 1, 0);
-        assert!(t.is_empty());
+        assert!(t.index.is_empty() && t.records.is_empty());
     }
 
     #[test]
@@ -674,7 +660,6 @@ mod tests {
         t.failure(42); // unknown id: no effect
         let r = t.report(SimTime::from_secs(1));
         assert_eq!((r.failed, r.completed, r.in_flight), (1, 0, 0));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -770,7 +755,6 @@ mod tests {
         assert_eq!(outcomes(&mut t), (0, 1, 0));
         t.completion(2, ms(5), 1, 0); // never registered: no outcome
         assert_eq!(outcomes(&mut t), (0, 1, 0));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! across commits. Hand-rolled serialization — the workspace builds
 //! offline with zero external dependencies.
 //!
-//! This lives in the metrics crate so every reporting layer — the claims
+//! This lives in the metrics module so every reporting layer — the claims
 //! table and the golden suites — shares one serializer.
 
 use std::fmt::Write as _;
@@ -128,16 +128,6 @@ impl Report {
         );
     }
 
-    /// Number of rows recorded so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True before the first row.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The serialized report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -176,8 +166,6 @@ mod tests {
             ("forwarded", 17u64.into()),
             ("bad", f64::NAN.into()),
         ]);
-        assert_eq!(rep.len(), 1);
-        assert!(!rep.is_empty());
         let s = rep.render();
         assert!(s.contains("\"bench\": \"fig_test\""));
         assert!(s.contains("\"scale\": 0.25"));

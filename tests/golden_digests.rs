@@ -21,6 +21,7 @@
 mod common;
 
 use common::{compare_or_update, read_committed, updating_goldens};
+use skywalker::metrics::json::{Report, Val};
 use skywalker::sim::SimDuration;
 use skywalker::telemetry::names as metric_names;
 use skywalker::{
@@ -29,7 +30,6 @@ use skywalker::{
     LruEvictor, NoEvict, PrefixAwareEvictor, Scenario, ShortestPromptFirst, SystemKind,
     TraceConfig, Workload,
 };
-use skywalker_metrics::json::{Report, Val};
 
 const SEEDS: [u64; 2] = [1, 2];
 

@@ -12,8 +12,7 @@
 //!
 //! One `#[test]` only: the counters are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use skywalker::net::Region;
 use skywalker::sim::{SimDuration, SimTime};
@@ -23,50 +22,10 @@ use skywalker::{
     SystemKind, L4_PRESSURE,
 };
 
-/// `System`, plus the bytes currently allocated and their high-water
-/// mark (the scheme of `crates/bench/skybench/src/alloc.rs`).
-struct Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments and returns its result unchanged; the counters are plain
-// statistics and publish no memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        grew(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::{LIVE, PEAK};
 
 /// `users` RAG users arriving as a Poisson process (one per 300 ms) at
 /// eight KV-starved replicas in one region: `kv_pressure`'s shape with a
