@@ -1,11 +1,12 @@
 //! Streaming metrics plane for SkyWalker.
 //!
-//! Where `skywalker-trace` answers *where did this run's latency go* after
-//! the fact, this crate answers *what is the P90 right now*: a labeled
-//! [`MetricsRegistry`] of counters, gauges, and [`QuantileSketch`]
-//! distributions (one fixed 1% error bound, [`RELATIVE_ERROR`]), a
-//! handful of dashboard series sampled on a sim-time cadence into
-//! bounded [`TimeSeries`], and Prometheus text exposition.
+//! Where the tracer (`skywalker::trace`) answers *where did this run's
+//! latency go* after the fact, this crate answers *what is the P90 right
+//! now*: a labeled [`MetricsRegistry`] of counters, gauges, and
+//! [`QuantileSketch`] distributions (one fixed 1% error bound,
+//! [`RELATIVE_ERROR`]), a handful of dashboard series sampled on a
+//! sim-time cadence into bounded [`TimeSeries`], and Prometheus text
+//! exposition.
 //!
 //! A balancer's and a replica's metrics are listed once, in [`publish`],
 //! under the names of the one [`names`] table. Both planes publish

@@ -1,6 +1,6 @@
 //! Log-bucketed quantile sketch.
 //!
-//! The exact path (`skywalker_trace::Summary::of`) keeps
+//! The exact path (`skywalker::metrics::Summary::of`) keeps
 //! every sample and sorts them once, at the end of a run — the wrong trade
 //! for answering "what is the P90 *right now*" mid-flight, on every
 //! telemetry tick. `QuantileSketch` trades a bounded *relative* error for

@@ -1,9 +1,9 @@
-//! A diurnal-aware *predictive* autoscaler, implemented entirely outside
-//! `skywalker-fleet` — the proof that the fleet axis is open, the way
-//! [`crate::P2cLocal`] proves it for routing policies and
+//! A diurnal-aware *predictive* autoscaler that uses only the public
+//! surface of [`crate::fleet`] — the proof that the fleet axis is open,
+//! the way [`crate::P2cLocal`] proves it for routing policies and
 //! [`crate::RagCorpusSource`] for traffic.
 //!
-//! The reactive [`ThresholdAutoscaler`](skywalker_fleet::ThresholdAutoscaler)
+//! The reactive [`ThresholdAutoscaler`](crate::fleet::ThresholdAutoscaler)
 //! waits for queues to build before adding capacity, so every morning
 //! ramp pays the provisioning delay in latency. This planner knows the
 //! paper's Fig. 2/3a structure — per-region demand follows a predictable
@@ -13,14 +13,15 @@
 //! `ceil(predicted_rate / per_replica_rate)`, clamped to bounds.
 //!
 //! Only the public [`FleetPlan`] surface is used: a struct,
-//! `#[derive(Clone)]`, and the trait impl. Nothing in `skywalker-fleet`
+//! `#[derive(Clone)]`, and the trait impl. Nothing in [`crate::fleet`]
 //! or the fabric names this type.
 
-use skywalker_fleet::{FleetCommand, FleetEvent, FleetObservation, FleetPlan, ProvisionLedger};
 use skywalker_net::Region;
 use skywalker_replica::GpuProfile;
 use skywalker_sim::{SimDuration, SimTime};
 use skywalker_workload::DiurnalProfile;
+
+use crate::fleet::{FleetCommand, FleetEvent, FleetObservation, FleetPlan, ProvisionLedger};
 
 /// Tunables of the predictive autoscaler. The `day`/`scale` pair must
 /// match the traffic source's compression (see
@@ -150,7 +151,7 @@ impl FleetPlan for PredictiveAutoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skywalker_fleet::{LbObservation, ReplicaObservation};
+    use crate::fleet::{LbObservation, ReplicaObservation};
     use skywalker_replica::ReplicaId;
     use skywalker_workload::fig3_regions;
 

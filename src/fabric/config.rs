@@ -5,7 +5,8 @@ use skywalker_core::PolicyParams;
 use skywalker_net::LatencyModel;
 use skywalker_sim::{SimDuration, SimTime};
 use skywalker_telemetry::TelemetryConfig;
-use skywalker_trace::TraceConfig;
+
+use crate::trace::TraceConfig;
 
 /// Fabric-wide timing knobs.
 #[derive(Debug, Clone)]

@@ -16,12 +16,12 @@ use skywalker_sim::{SimDuration, SimTime};
 use skywalker_telemetry::{
     names, publish, MetricsRegistry, TelemetryConfig, TelemetrySummary, SERIES_CAPACITY,
 };
-use skywalker_trace::{TraceEventKind, TraceRecorder, TraceSummary};
 
 use super::summary::ratio;
 use super::world::{LbSlot, ReplicaSlot};
 use super::{FabricConfig, TransferSummary};
 use crate::metrics::{RequestTracker, RunReport, TimeSeries};
+use crate::trace::{TraceEventKind, TraceRecorder, TraceSummary};
 
 /// The streaming metrics plane: a labeled registry fed at lifecycle
 /// points (TTFT sketches) and, once at run end, with every component's

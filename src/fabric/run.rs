@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use skywalker_core::{
     BalancerConfig, Controller, LbId, PolicyFactory, RegionalBalancer, RoutingConstraint,
 };
-use skywalker_fleet::FleetObservation;
 use skywalker_net::Region;
 use skywalker_replica::{ReplicaRole, ReplicaStats};
 use skywalker_sim::{DetRng, Engine, SimTime};
@@ -17,6 +16,7 @@ use super::observers::Observers;
 use super::summary::ratio;
 use super::world::{Ev, Fabric, FleetPlane, LbSlot, Traffic};
 use super::{Deployment, FabricConfig, FleetSummary, RunSummary, Scenario, TransferSummary};
+use crate::fleet::FleetObservation;
 
 /// Runs one scenario to completion (all clients done, or the deadline).
 pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {

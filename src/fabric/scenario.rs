@@ -6,11 +6,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use skywalker_core::{PolicyFactory, PolicyKind, PushMode, RoutingConstraint};
-use skywalker_fleet::FleetPlan;
 use skywalker_net::Region;
 use skywalker_replica::{EngineSpec, GpuProfile, ReplicaRole};
 use skywalker_sim::{DetRng, SimTime};
 use skywalker_workload::{ClientListSource, ClientSpec, TrafficSource};
+
+use crate::fleet::FleetPlan;
 
 /// Which serving system to deploy — the seven systems of Fig. 8 plus the
 /// region-local baseline of Fig. 10.

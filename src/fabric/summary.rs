@@ -6,11 +6,11 @@ use skywalker_net::Region;
 use skywalker_replica::ReplicaStats;
 use skywalker_sim::SimTime;
 use skywalker_telemetry::TelemetrySummary;
-use skywalker_trace::TraceSummary;
 
 use super::SystemKind;
 use crate::metrics::json::Val;
 use crate::metrics::{RunReport, TimeSeries};
+use crate::trace::TraceSummary;
 
 /// `num / den`, or zero when there is nothing to divide by.
 pub(crate) fn ratio(num: f64, den: f64) -> f64 {
@@ -90,7 +90,7 @@ pub struct RunSummary {
     /// counters.
     pub fleet: FleetSummary,
     /// The recorded span trace, when [`FabricConfig::trace`](super::FabricConfig::trace) was set.
-    /// Feed it to `skywalker_trace::Attribution` for the per-request
+    /// Feed it to `crate::trace::Attribution` for the per-request
     /// bottleneck breakdown.
     pub trace: Option<TraceSummary>,
     /// The streaming-metrics summary, when [`FabricConfig::telemetry`](super::FabricConfig::telemetry)

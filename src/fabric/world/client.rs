@@ -19,12 +19,12 @@ use skywalker_core::LbId;
 use skywalker_net::Region;
 use skywalker_replica::{Completion, Request, RequestId};
 use skywalker_sim::{DetRng, SimDuration};
-use skywalker_trace::TraceEventKind::RetryWait;
 use skywalker_workload::{ClientEvent, ClientSpec, Program, TrafficSource};
 
 use super::disagg::DisaggStage;
 use super::{Ev, Fabric, ReqState, Sched};
 use crate::fabric::FabricConfig;
+use crate::trace::TraceEventKind::RetryWait;
 
 pub(crate) struct ClientState {
     region: Region,

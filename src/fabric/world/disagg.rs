@@ -5,9 +5,9 @@
 
 use skywalker_net::Region;
 use skywalker_replica::{output_token, Completion, Request};
-use skywalker_trace::TraceEventKind;
 
 use super::{Ev, Fabric, ReplicaHealth, Sched};
+use crate::trace::TraceEventKind;
 
 /// Which leg of a disaggregated request is in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

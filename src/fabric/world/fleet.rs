@@ -2,14 +2,14 @@
 //! observation and applies its joins, drains, crashes, and balancer
 //! flaps at their exact instants.
 
-use skywalker_fleet::{
-    FleetCommand, FleetEvent, FleetObservation, FleetPlan, LbObservation, ReplicaObservation,
-};
 use skywalker_replica::{ReplicaId, ReplicaRole, Request};
 use skywalker_sim::SimTime;
 
 use super::{Ev, Fabric, LbSlot, ReplicaHealth, ReplicaSlot, Sched};
 use crate::fabric::{FabricConfig, FleetSummary};
+use crate::fleet::{
+    FleetCommand, FleetEvent, FleetObservation, FleetPlan, LbObservation, ReplicaObservation,
+};
 use crate::metrics::TimeSeries;
 
 /// The fleet control plane's state: the plan being polled and the

@@ -5,9 +5,9 @@
 use skywalker_core::{ControlAction, Decision, LbId, RegionalBalancer};
 use skywalker_net::Region;
 use skywalker_replica::{ReplicaId, Request};
-use skywalker_trace::TraceEventKind::{Dispatched, Forwarded};
 
 use super::{Ev, Fabric, Sched};
+use crate::trace::TraceEventKind::{Dispatched, Forwarded};
 
 /// One deployed balancer and whether its process is up.
 pub(crate) struct LbSlot {

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use skywalker_core::Controller;
-use skywalker_fleet::FleetEvent;
 use skywalker_net::Region;
 use skywalker_replica::{Completion, EngineSpec, Request, RequestId};
 use skywalker_sim::{DetRng, Scheduler, SimDuration, SimTime, World};
@@ -30,6 +29,7 @@ use skywalker_workload::ClientSpec;
 
 use super::observers::Observers;
 use super::{FabricConfig, TransferSummary};
+use crate::fleet::FleetEvent;
 
 use client::ClientState;
 pub(crate) use client::Traffic;

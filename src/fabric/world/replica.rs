@@ -8,12 +8,12 @@ use skywalker_replica::{
     Advance, GpuProfile, Replica, ReplicaId, ReplicaRole, Request, RequestId, StepOutcome,
 };
 use skywalker_sim::{SimDuration, SimTime};
-use skywalker_trace::TraceEventKind::{
-    Admitted, Evicted, FirstToken, Preempted, ReplicaDone, ReplicaQueued, ReplicaStall,
-};
 
 use super::disagg::DisaggStage;
 use super::{Ev, Fabric, Sched};
+use crate::trace::TraceEventKind::{
+    Admitted, Evicted, FirstToken, Preempted, ReplicaDone, ReplicaQueued, ReplicaStall,
+};
 
 /// Lifecycle of a deployed replica, as the fabric tracks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,9 +16,9 @@ use skywalker_net::Region;
 use skywalker_replica::GpuProfile;
 use skywalker_sim::{SimDuration, SimTime};
 
-use crate::event::{FleetCommand, FleetEvent};
-use crate::observe::{FleetObservation, ProvisionLedger};
-use crate::plan::FleetPlan;
+use crate::fleet::event::{FleetCommand, FleetEvent};
+use crate::fleet::observe::{FleetObservation, ProvisionLedger};
+use crate::fleet::plan::FleetPlan;
 
 /// Threshold-autoscaler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +143,7 @@ impl FleetPlan for ThresholdAutoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{LbObservation, ReplicaObservation};
+    use crate::fleet::observe::{LbObservation, ReplicaObservation};
     use skywalker_replica::ReplicaId;
 
     fn obs(now: SimTime, live: u32, queue: u32, outstanding: u32) -> FleetObservation {

@@ -14,14 +14,17 @@ use skywalker_net::Region;
 use skywalker_replica::{GpuProfile, ReplicaId};
 use skywalker_sim::{DetRng, SimDuration, SimTime};
 
-use crate::event::{FleetCommand, FleetEvent};
-use crate::observe::FleetObservation;
-use crate::plan::FleetPlan;
+use crate::fleet::event::{FleetCommand, FleetEvent};
+use crate::fleet::observe::FleetObservation;
+use crate::fleet::plan::FleetPlan;
 
 /// Chaos parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
-    /// Fleet-wide mean time between crashes.
+    /// Fleet-wide mean time between crashes. [`ChaosPlan::new`] raises
+    /// it to at least 1 ms, the fabric's shortest tick: a zero MTBF
+    /// would put every crash at one instant and the plan would never
+    /// pass its horizon.
     pub mtbf: SimDuration,
     /// Delay before a casualty's replacement joins.
     pub mttr: SimDuration,
@@ -65,6 +68,10 @@ pub struct ChaosPlan {
 impl ChaosPlan {
     /// A churn plan with its own deterministic failure clock.
     pub fn new(cfg: ChaosConfig, seed: u64) -> Self {
+        let cfg = ChaosConfig {
+            mtbf: cfg.mtbf.max(SimDuration::from_millis(1)),
+            ..cfg
+        };
         let mut clock_rng = DetRng::for_component(seed, "fleet/chaos-clock");
         let victim_rng = DetRng::for_component(seed, "fleet/chaos-victim");
         let first = Self::gap(&mut clock_rng, cfg.mtbf);
@@ -156,7 +163,7 @@ impl FleetPlan for ChaosPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{LbObservation, ReplicaObservation};
+    use crate::fleet::observe::{LbObservation, ReplicaObservation};
 
     fn obs(now: SimTime, per_region: &[(Region, u32)]) -> FleetObservation {
         let mut replicas = Vec::new();
@@ -292,6 +299,30 @@ mod tests {
         assert!(cmds.is_empty(), "floor protects the whole fleet: {cmds:?}");
         // Clock kept ticking while nothing was eligible.
         assert!(!plan.is_done());
+    }
+
+    #[test]
+    fn zero_mtbf_returns_and_kills_each_victim_once() {
+        let chaos = ChaosConfig {
+            mtbf: SimDuration::ZERO,
+            ..cfg()
+        };
+        let mut plan = ChaosPlan::new(chaos, 13);
+        // Three live replicas over a floor of one: two may be killed.
+        let o = obs(SimTime::ZERO, &[(Region::UsEast, 3)]);
+        let cmds = plan.next_events(SimTime::from_secs(1), &o);
+        let mut victims: Vec<ReplicaId> = cmds
+            .iter()
+            .filter_map(|c| match c.event {
+                FleetEvent::ReplicaCrash { replica } => Some(replica),
+                _ => None,
+            })
+            .collect();
+        let crashes = victims.len();
+        victims.sort_unstable();
+        victims.dedup();
+        assert_eq!(victims.len(), crashes, "a victim crashed twice: {cmds:?}");
+        assert!((1..=2).contains(&crashes), "{crashes} crashes: {cmds:?}");
     }
 
     #[test]

@@ -1,5 +1,3 @@
-//! # skywalker-fleet
-//!
 //! The elastic fleet control plane: the third open axis of the
 //! simulator, alongside routing policies (`RoutingPolicy`) and traffic
 //! (`TrafficSource`).
@@ -7,7 +5,7 @@
 //! The paper's central observation (Fig. 2, Fig. 3a) is that per-region
 //! demand swings 2.88–32.64× over a day while the aggregate stays
 //! nearly flat — which only matters if the *fleet* can change while the
-//! system runs. This crate opens that axis:
+//! system runs. This module opens that axis:
 //!
 //! - [`FleetEvent`] / [`FleetCommand`]: the vocabulary of fleet changes
 //!   (replica join / drain / crash, balancer down / up).
@@ -18,7 +16,7 @@
 //!   simulated time advances, exactly like a `TrafficSource`.
 //!
 //! Three built-ins cover the common regimes, all with equal standing to
-//! anything implemented outside this crate:
+//! anything implemented outside this module:
 //!
 //! - [`ScheduledPlan`] — a fixed schedule (the §4.2 balancer drills,
 //!   scripted joins and drains).

@@ -3,7 +3,7 @@
 //! A [`FleetPlan`] is to the fleet axis what `TrafficSource` is to the
 //! traffic axis: the fabric *pulls* fleet changes as simulated time
 //! advances instead of ingesting a closed, pre-materialized schedule.
-//! Anything implementing the trait — in this crate or out — plugs into
+//! Anything implementing the trait — in this module or out — plugs into
 //! `ScenarioBuilder::fleet_plan` with equal standing.
 //!
 //! # Contract
@@ -32,8 +32,8 @@ use std::fmt;
 
 use skywalker_sim::SimTime;
 
-use crate::event::FleetCommand;
-use crate::observe::FleetObservation;
+use crate::fleet::event::FleetCommand;
+use crate::fleet::observe::FleetObservation;
 
 /// Object-safe cloning for boxed plans, blanket-implemented for every
 /// `Clone` plan — implementors only need `#[derive(Clone)]`.
@@ -175,7 +175,7 @@ impl FleetPlan for MergePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FleetEvent;
+    use crate::fleet::event::FleetEvent;
 
     fn empty_obs(now: SimTime) -> FleetObservation {
         FleetObservation {

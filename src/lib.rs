@@ -14,11 +14,9 @@
 //! | `skywalker-replica` | continuous-batching replica with radix KV cache |
 //! | `skywalker-workload` | WildChat/Arena/ToT-style trace generators |
 //! | `skywalker-core` | the balancer: the open [`RoutingPolicy`](core::RoutingPolicy) trait and its four built-ins, selective pushing, trie, ring, controller (failover, and client resolution: the latency-based DNS stand-in) |
-//! | `skywalker-fleet` | the elastic fleet control plane: the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`] |
 //! | `skywalker-live` | real TCP balancer/replica servers on localhost |
-//! | `skywalker-trace` | run tracer: span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs (`docs/tracing.md`); the exact box-plot `Summary` |
 //! | `skywalker-telemetry` | streaming metrics plane: quantile sketches (one 1 % error bound), labeled registry, the one `TimeSeries` (bounded or not), the one metric listing per balancer and replica that both planes publish, Prometheus export (`docs/telemetry.md`) |
-//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], the client-side [`metrics`] (request tracking, the JSON report serializer, and `Summary` / `TimeSeries` re-exported), the parallel experiment [`lab`] (deterministic multi-threaded sweeps over scenario grids), the reserved/on-demand provisioning [`cost`] model, and [`P2cLocal`] — a custom policy built on the open surface |
+//! | this crate | the [`fabric`] with [`ScenarioBuilder`], the preset [`scenarios`], the elastic [`fleet`] control plane (the open [`FleetPlan`] trait, [`ScheduledPlan`], [`ChaosPlan`], [`ThresholdAutoscaler`]), the run [`trace`]r (span recording, per-request bottleneck attribution, flamegraph-style reports, run diffs; `docs/tracing.md`), the client-side [`metrics`] (request tracking, the exact box-plot `Summary`, the JSON report serializer, and `TimeSeries` re-exported), the parallel experiment [`lab`] (deterministic multi-threaded sweeps over scenario grids), the reserved/on-demand provisioning [`cost`] model, and [`P2cLocal`] — a custom policy built on the open surface |
 //!
 //! ## Quickstart
 //!
@@ -159,7 +157,7 @@
 //!   [`ScenarioBuilder::fleet_plan`]. [`ScheduledPlan`], [`ChaosPlan`],
 //!   and [`ThresholdAutoscaler`] are the built-ins; recipe in
 //!   `docs/fleet.md`; [`PredictiveAutoscaler`] (diurnal-aware
-//!   pre-provisioning) is the worked example outside the fleet crate.
+//!   pre-provisioning) is the worked example outside the [`fleet`] module.
 //! - **Serving engine**: implement [`BatchPolicy`] (per-iteration
 //!   admission order, prefill chunking, preemption) and/or
 //!   [`KvEvictor`] (which unpinned prefix-cache state dies under
@@ -177,20 +175,28 @@
 //! (`tests/determinism_double_run.rs`; determinism rules in
 //! `docs/architecture.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod cost;
 pub mod fabric;
+pub mod fleet;
 pub mod lab;
 pub mod metrics;
 mod p2c;
 pub mod scenarios;
 mod sjf;
 pub mod sources;
+pub mod trace;
 
 pub use autoscale::{PredictiveAutoscaler, PredictiveConfig};
 pub use fabric::{
     run_scenario, Deployment, FabricConfig, FleetSummary, ReplicaPlacement, RunSummary, Scenario,
     ScenarioBuilder, ScenarioError, SystemKind, TransferSummary,
+};
+pub use fleet::{
+    AutoscalerConfig, ChaosConfig, ChaosPlan, FleetCommand, FleetEvent, FleetObservation,
+    FleetPlan, MergePlan, ScheduledPlan, ThresholdAutoscaler,
 };
 pub use p2c::{P2cLocal, P2cLocalFactory};
 pub use scenarios::{
@@ -201,10 +207,6 @@ pub use scenarios::{
     DayStrategy, DisaggWorkload, Workload, DIURNAL_DAY, L4_LITE, L4_PRESSURE, REGIONS,
 };
 pub use sjf::ShortestPromptFirst;
-pub use skywalker_fleet::{
-    AutoscalerConfig, ChaosConfig, ChaosPlan, FleetCommand, FleetEvent, FleetObservation,
-    FleetPlan, MergePlan, ScheduledPlan, ThresholdAutoscaler,
-};
 pub use skywalker_replica::{
     AdmitOrder, BatchPlan, BatchPolicy, EngineSpec, EvictCandidate, FcfsBatch, KvEvictor,
     LruEvictor, NoEvict, PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView,
@@ -214,10 +216,8 @@ pub use skywalker_telemetry::{
     prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, TelemetryConfig,
     TelemetrySummary,
 };
-pub use skywalker_trace::{
-    Attribution, BottleneckReport, Phase, TraceConfig, TraceDiff, TraceSummary,
-};
 pub use sources::{DiurnalSource, FlashCrowdSource, RagCorpusConfig, RagCorpusSource};
+pub use trace::{Attribution, BottleneckReport, Phase, TraceConfig, TraceDiff, TraceSummary};
 pub use workload::{
     ArrivalSchedule, ClientEvent, ClientListSource, ConversationSource, MergeSource, TotSource,
     TrafficSource,
@@ -226,10 +226,8 @@ pub use workload::{
 // Re-export the member crates under stable names so downstream users can
 // depend on `skywalker` alone.
 pub use skywalker_core as core;
-pub use skywalker_fleet as fleet;
 pub use skywalker_net as net;
 pub use skywalker_replica as replica;
 pub use skywalker_sim as sim;
 pub use skywalker_telemetry as telemetry;
-pub use skywalker_trace as trace;
 pub use skywalker_workload as workload;

@@ -9,7 +9,7 @@
 //! - [`Summary`]: the paper's box-plot summary, and [`Summary::of`], the
 //!   one exact reducer of a sample set — a run's latencies, one claim
 //!   row's value across its seeds, or the per-request samples of a trace
-//!   phase. It lives in `skywalker-trace`, its other user.
+//!   phase. The [`trace`](crate::trace) reports are its other user.
 //! - [`RequestTracker`]: per-request lifecycle records (arrival, first
 //!   token, completion) aggregated into a [`RunReport`].
 //! - [`TimeSeries`]: timestamped gauge traces, e.g. a region's fleet
@@ -51,7 +51,8 @@
 pub mod json;
 
 mod collector;
+mod summary;
 
 pub use collector::{RequestTracker, RunReport};
 pub use skywalker_telemetry::TimeSeries;
-pub use skywalker_trace::Summary;
+pub use summary::Summary;

@@ -14,7 +14,7 @@
 
 /// The box-plot summary the paper draws for every latency distribution:
 /// P10/P90 whiskers, P25/P75 box, P50 median line, and the mean marker.
-/// (Its example is in the `skywalker::metrics` docs, which re-export it.)
+/// (Its example is in the `skywalker::metrics` docs.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.

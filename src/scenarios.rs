@@ -22,12 +22,11 @@ use skywalker_workload::{
     LengthModel, MergeSource, TotConfig, TotSource, TrafficSource,
 };
 
-use skywalker_fleet::{AutoscalerConfig, ChaosConfig, ChaosPlan, ThresholdAutoscaler};
-
 use crate::autoscale::{PredictiveAutoscaler, PredictiveConfig};
 use crate::fabric::{
     FabricConfig, ReplicaPlacement, Scenario, ScenarioBuilder, ScenarioError, SystemKind,
 };
+use crate::fleet::{AutoscalerConfig, ChaosConfig, ChaosPlan, ThresholdAutoscaler};
 use crate::sources::{DiurnalSource, RagCorpusConfig, RagCorpusSource};
 
 /// The paper's three serving regions.

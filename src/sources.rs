@@ -354,7 +354,7 @@ impl TrafficSource for FlashCrowdSource {
 /// This is the traffic side of the Fig. 10 elasticity experiment:
 /// per-region demand swings 2.88–32.64× over the day, which a static
 /// fleet must provision for peak and an elastic fleet (see
-/// `skywalker-fleet`) can track.
+/// [`crate::fleet`]) can track.
 ///
 /// Not a source type of its own: [`DiurnalSource::new`] returns a
 /// [`MergeSource`] of one conversation lane per region. A lane's arrival

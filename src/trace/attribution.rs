@@ -2,7 +2,7 @@
 //! phases.
 //!
 //! A request's recorded milestones form a *main chain* from its first
-//! [`Issued`](crate::TraceEventKind::Issued) to its terminal event (or
+//! [`Issued`](crate::trace::TraceEventKind::Issued) to its terminal event (or
 //! last observation). Every interval between consecutive milestones is
 //! charged to exactly one [`Phase`], chosen by the milestone the
 //! interval *starts* from — e.g. the time after `LbQueued` is balancer
@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 
 use skywalker_sim::{SimDuration, SimTime};
 
-use crate::event::TraceEventKind;
-use crate::recorder::TraceSummary;
+use crate::trace::event::TraceEventKind;
+use crate::trace::recorder::TraceSummary;
 
 /// Where one microsecond of a request's life was spent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -379,7 +379,7 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
+    use crate::trace::event::TraceEvent;
 
     fn us(v: u64) -> SimTime {
         SimTime::from_micros(v)

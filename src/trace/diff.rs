@@ -7,10 +7,10 @@
 
 use std::fmt::Write as _;
 
-use crate::Summary;
+use crate::metrics::Summary;
 
-use crate::attribution::Phase;
-use crate::report::BottleneckReport;
+use crate::trace::attribution::Phase;
+use crate::trace::report::BottleneckReport;
 
 /// One phase's change between a base and another run.
 #[derive(Debug, Clone)]
@@ -165,9 +165,9 @@ fn render_table(out: &mut String, deltas: &[PhaseDelta]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attribution::Attribution;
-    use crate::event::{TraceEvent, TraceEventKind::*};
-    use crate::recorder::TraceSummary;
+    use crate::trace::attribution::Attribution;
+    use crate::trace::event::{TraceEvent, TraceEventKind::*};
+    use crate::trace::recorder::TraceSummary;
     use skywalker_sim::SimTime;
 
     fn report(label: &str, queue_us: u64) -> BottleneckReport {

@@ -2,9 +2,8 @@
 //!
 //! Every event is one timestamped lifecycle milestone of a request (or a
 //! replica-level annotation), identified by primitive ids — `u64` request
-//! ids and `u32` balancer/replica indices — so this crate stays at the
-//! bottom of the dependency graph: it never needs the fabric's types to
-//! describe what the fabric did.
+//! ids and `u32` balancer/replica indices — so the tracer never needs
+//! the fabric's types to describe what the fabric did.
 
 use skywalker_sim::SimTime;
 

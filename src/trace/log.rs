@@ -22,7 +22,7 @@
 
 use skywalker_sim::SimTime;
 
-use crate::event::{TraceEvent, TraceEventKind};
+use crate::trace::event::{TraceEvent, TraceEventKind};
 
 /// Bytes per chunk: large enough that the per-chunk bookkeeping and the
 /// unused tail are noise, small enough that an almost-empty log is.
@@ -40,8 +40,8 @@ const MAX_EVENT_BYTES: usize = 1 + 10 + 10 + 5 + 5 + 10;
 /// # Examples
 ///
 /// ```
-/// use skywalker_sim::SimTime;
-/// use skywalker_trace::{TraceEvent, TraceEventKind, TraceLog};
+/// use skywalker::sim::SimTime;
+/// use skywalker::trace::{TraceEvent, TraceEventKind, TraceLog};
 ///
 /// let event = TraceEvent {
 ///     at: SimTime::from_micros(250),
@@ -63,7 +63,7 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Appends one event.
-    pub(crate) fn push(&mut self, event: TraceEvent) {
+    pub(super) fn push(&mut self, event: TraceEvent) {
         use TraceEventKind::*;
         let at = event.at.as_micros();
         let delta = at.wrapping_sub(self.last_at);

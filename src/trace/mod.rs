@@ -1,7 +1,7 @@
 //! Run tracing for SkyWalker: span recording, per-request bottleneck
 //! attribution, flamegraph-style reports, and structural run diffs.
 //!
-//! The crate is deliberately passive. The fabric owns a
+//! The module is deliberately passive. The fabric owns a
 //! [`TraceRecorder`] (off by default) and feeds it timestamped
 //! [`TraceEvent`]s at its scheduling boundaries; recording never reads
 //! clocks, draws randomness, or changes scheduling, so a traced run is
@@ -21,13 +21,12 @@
 //!   a flamegraph-style text rendering.
 //! - [`TraceDiff`] structurally diffs two reports phase-for-phase,
 //!   naming the phase that moved a regression.
-//! - [`Summary`] is the one exact reducer of a sample set, the box plot
-//!   those reports' spreads are made of; the fabric's request tracker and
-//!   the claims table use it too.
+//! - The reports' spreads are [`Summary`](crate::metrics::Summary)
+//!   box plots, the one exact reducer the request tracker uses too.
 //!
 //! ```
-//! use skywalker_sim::SimTime;
-//! use skywalker_trace::{Attribution, BottleneckReport, TraceConfig, TraceEventKind, TraceRecorder};
+//! use skywalker::sim::SimTime;
+//! use skywalker::trace::{Attribution, BottleneckReport, TraceConfig, TraceEventKind, TraceRecorder};
 //!
 //! let mut rec = TraceRecorder::new(TraceConfig::default());
 //! rec.record(SimTime::from_micros(0), TraceEventKind::Issued { req: 1 });
@@ -45,7 +44,6 @@
 //! assert_eq!(r.phases.total(), r.e2e);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod attribution;
@@ -54,7 +52,6 @@ mod event;
 mod log;
 mod recorder;
 mod report;
-mod summary;
 
 pub use attribution::{Attribution, Phase, PhaseBreakdown, RequestTrace, TraceOutcome, TtftTrace};
 pub use diff::{PhaseDelta, TraceDiff};
@@ -62,4 +59,3 @@ pub use event::{TraceEvent, TraceEventKind};
 pub use log::{TraceLog, TraceLogIter};
 pub use recorder::{TraceConfig, TraceRecorder, TraceSummary};
 pub use report::{BottleneckReport, PhaseStat};
-pub use summary::Summary;

@@ -12,8 +12,8 @@
 
 use skywalker_sim::SimTime;
 
-use crate::event::{TraceEvent, TraceEventKind};
-use crate::log::TraceLog;
+use crate::trace::event::{TraceEvent, TraceEventKind};
+use crate::trace::log::TraceLog;
 
 /// Recorder settings: just the capacity, in events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +44,8 @@ impl TraceConfig {
 /// # Examples
 ///
 /// ```
-/// use skywalker_sim::SimTime;
-/// use skywalker_trace::{TraceConfig, TraceEventKind, TraceRecorder};
+/// use skywalker::sim::SimTime;
+/// use skywalker::trace::{TraceConfig, TraceEventKind, TraceRecorder};
 ///
 /// let mut rec = TraceRecorder::new(TraceConfig::with_capacity(1));
 /// rec.record(SimTime::ZERO, TraceEventKind::Issued { req: 1 });
@@ -79,21 +79,6 @@ impl TraceRecorder {
         } else {
             self.dropped += 1;
         }
-    }
-
-    /// Events stored so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events that arrived after the buffer filled.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
     }
 
     /// Finishes recording, yielding the run's trace.
@@ -134,16 +119,15 @@ mod tests {
     #[test]
     fn records_in_order_until_capacity() {
         let mut rec = TraceRecorder::new(TraceConfig::with_capacity(2));
-        assert!(rec.is_empty());
         rec.record(SimTime::from_micros(1), TraceEventKind::Issued { req: 1 });
         rec.record(
             SimTime::from_micros(2),
             TraceEventKind::Delivered { req: 1 },
         );
         rec.record(SimTime::from_micros(3), TraceEventKind::Issued { req: 2 });
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped_events(), 1);
         let s = rec.into_summary();
+        assert_eq!(s.events.len(), 2);
+        assert_eq!(s.dropped_events, 1);
         assert!(!s.complete());
         assert_eq!(s.capacity, 2);
         let events: Vec<TraceEvent> = s.events.iter().collect();

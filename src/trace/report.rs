@@ -8,10 +8,10 @@
 
 use std::fmt::Write as _;
 
-use crate::Summary;
+use crate::metrics::Summary;
 use skywalker_sim::SimDuration;
 
-use crate::attribution::{Attribution, Phase, TraceOutcome};
+use crate::trace::attribution::{Attribution, Phase, TraceOutcome};
 
 /// One phase's aggregate across a run.
 #[derive(Debug, Clone)]
@@ -57,8 +57,8 @@ pub struct BottleneckReport {
 
 fn phase_stats<'a, I, F>(requests: I, pick: F, top_k: usize) -> Vec<PhaseStat>
 where
-    I: Iterator<Item = &'a crate::attribution::RequestTrace> + Clone,
-    F: Fn(&crate::attribution::RequestTrace, Phase) -> Option<SimDuration>,
+    I: Iterator<Item = &'a crate::trace::attribution::RequestTrace> + Clone,
+    F: Fn(&crate::trace::attribution::RequestTrace, Phase) -> Option<SimDuration>,
 {
     let grand_total: u64 = Phase::ALL
         .iter()
@@ -208,8 +208,8 @@ fn render_section(out: &mut String, stats: &[PhaseStat]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceEvent, TraceEventKind::*};
-    use crate::recorder::TraceSummary;
+    use crate::trace::event::{TraceEvent, TraceEventKind::*};
+    use crate::trace::recorder::TraceSummary;
     use skywalker_sim::SimTime;
 
     fn run_with_two_requests() -> Attribution {

@@ -27,6 +27,10 @@
 
 use std::collections::BTreeMap;
 
+use skywalker::trace::{
+    Attribution, Phase, PhaseBreakdown, RequestTrace, TraceEvent, TraceEventKind, TraceOutcome,
+    TraceSummary, TtftTrace,
+};
 use skywalker::{
     disagg_scenario, fig10_diurnal_scenario, fig8_scenario, fig9_scenario,
     memory_pressure_scenario, run_scenario, ChaosConfig, ChaosPlan, DisaggWorkload, EngineSpec,
@@ -34,10 +38,6 @@ use skywalker::{
     ShortestPromptFirst, SystemKind, ThresholdAutoscaler, TraceConfig, Workload,
 };
 use skywalker_sim::{DetRng, SimDuration, SimTime};
-use skywalker_trace::{
-    Attribution, Phase, PhaseBreakdown, RequestTrace, TraceEvent, TraceEventKind, TraceOutcome,
-    TraceSummary, TtftTrace,
-};
 
 fn traced(seed: u64) -> FabricConfig {
     FabricConfig {
@@ -181,7 +181,7 @@ fn conservation_across_engines_under_memory_pressure() {
             stall_time = a
                 .requests
                 .iter()
-                .map(|r| r.phases.get(skywalker_trace::Phase::KvStall))
+                .map(|r| r.phases.get(skywalker::trace::Phase::KvStall))
                 .fold(stall_time, |acc, d| acc + d);
         }
     }

@@ -1,5 +1,5 @@
 //! What a trace costs in heap — refereed by an allocator, not by
-//! anything the crate reports about itself.
+//! anything the tracer reports about itself.
 //!
 //! Two claims. The recorder holds a realistic event stream in at most
 //! 12 bytes an event and grows by whole 64 KiB chunks, never by one big
@@ -11,12 +11,12 @@
 
 use std::sync::atomic::Ordering::Relaxed;
 
-use skywalker_sim::SimTime;
-use skywalker_trace::{
+use skywalker::trace::{
     Attribution, RequestTrace, TraceConfig, TraceEventKind, TraceRecorder, TraceSummary,
 };
+use skywalker_sim::SimTime;
 
-#[path = "../../../tests/common/counting_alloc.rs"]
+#[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{LARGEST, LIVE, PEAK};
