@@ -89,7 +89,17 @@ impl ReplicaServer {
     ///
     /// `time_scale` compresses virtual time: 1.0 is real time, 0.05 runs
     /// 20× faster (useful for tests; latency *ratios* are preserved).
+    /// Scales below `1e-6` run at `1e-6`.
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`] unless `time_scale` is
+    /// finite and positive, and with the listener's error if it cannot bind.
     pub fn spawn(id: ReplicaId, profile: GpuProfile, time_scale: f64) -> io::Result<Self> {
+        if !(time_scale.is_finite() && time_scale > 0.0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("time_scale must be finite and positive, got {time_scale}"),
+            ));
+        }
         let scale = time_scale.max(1e-6);
         let backend = Backend {
             replica: Mutex::new(Replica::new(id, profile)),
@@ -182,6 +192,19 @@ mod tests {
 
     fn connect(addr: SocketAddr) -> TcpStream {
         TcpStream::connect(addr).expect("connect")
+    }
+
+    #[test]
+    fn spawn_rejects_a_time_scale_that_is_not_finite_and_positive() {
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let err = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, bad)
+                .err()
+                .unwrap_or_else(|| panic!("time_scale {bad} was accepted"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "time_scale {bad}");
+        }
+        ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, 1e-6)
+            .expect("a tiny positive time_scale is accepted")
+            .shutdown();
     }
 
     #[test]

@@ -1,26 +1,34 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns a priority queue of `(time, sequence, event)` entries and
-//! repeatedly delivers the earliest event to a user-supplied [`World`].
+//! The engine owns one priority queue of `(time, sequence, event)` entries
+//! and repeatedly delivers the earliest event to a user-supplied [`World`].
 //! Events scheduled at the same instant are delivered in the order they were
-//! scheduled (FIFO tie-breaking via a monotonically increasing sequence
-//! number), which makes simulations fully deterministic.
+//! scheduled (FIFO tie-breaking via a sequence number drawn when the event
+//! is scheduled), which makes simulations fully deterministic. Handlers
+//! schedule straight into that queue through the [`Scheduler`].
 //!
 //! The design is deliberately minimal: the engine knows nothing about LLM
 //! serving. Higher layers (replicas, balancers, clients) define an event
 //! enum and implement [`World::handle`].
+//!
+//! # Alone at its instant
+//!
+//! Two shortcuts below rest on one test: once the event being delivered
+//! has left the queue, nothing left in it is due at `now`. The engine makes
+//! it before re-arming an event, and [`Scheduler::runs_next_now`] makes it
+//! (plus "no stop requested") for a handler. An event the handler
+//! scheduled at `now` is in the queue too, so the same test covers it.
 //!
 //! # Inline delivery
 //!
 //! A handler whose last action is a follow-up at the current instant may
 //! run that follow-up itself instead of scheduling it, when
 //! [`Scheduler::runs_next_now`] says the engine would deliver it next
-//! anyway: nothing else is pending at this instant, the handler has
-//! scheduled nothing at it, and no stop was requested. Delivered that
-//! way or queued, the follow-up sees the same world at the same instant
-//! and every event after it keeps its place; only the sequence numbers
-//! of later events shift down by one, and they only ever order events
-//! among themselves. The run delivers one event fewer
+//! anyway: nothing is pending at this instant and no stop was requested.
+//! Delivered that way or queued, the follow-up sees the same world at the
+//! same instant and every event after it keeps its place; only the
+//! sequence numbers of later events shift down by one, and they only ever
+//! order events among themselves. The run delivers one event fewer
 //! ([`Engine::delivered`]) and is otherwise the same run.
 //!
 //! # Re-armed events
@@ -30,17 +38,17 @@
 //! an event alone at its instant the engine first asks
 //! [`World::rearm`]; `Some(d)` means the world has applied the event and
 //! that its only follow-up is the same event at `now + d`. The engine
-//! counts the event delivered and moves its queue entry to `now + d` with
-//! the sequence number `sched.after(d, event)` would have drawn — the
-//! next one — so every entry keeps the `(time, seq)` it would have had,
-//! and the run is the same run ([`Engine::rearmed`] counts these). Asking
-//! only when the event is alone at its instant is what makes that exact:
-//! the handler's follow-up would be the only event it scheduled, and no
-//! other event at this instant can see the world between the two. No
-//! `Scheduler` is built and no handler runs.
+//! counts the event delivered and queues it at `now + d` with the
+//! sequence number `sched.after(d, event)` would have drawn — the next
+//! one — so every entry keeps the `(time, seq)` it would have had, and the
+//! run is the same run ([`Engine::rearmed`] counts these). Asking only
+//! when the event is alone at its instant is what makes that exact: the
+//! handler's follow-up would be the only event it scheduled, and no other
+//! event at this instant can see the world between the two. No handler
+//! runs.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -52,8 +60,9 @@ pub trait World {
     /// The event type delivered to this world.
     type Event;
 
-    /// Handles one event occurring at virtual time `now`.
-    fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
+    /// Handles one event occurring at virtual time `now`. Events the
+    /// handler schedules through `sched` join the engine's queue at once.
+    fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
 
     /// Offered an event that is alone at its instant before it is
     /// handled: a world that can tell that handling it would do nothing
@@ -70,56 +79,39 @@ pub trait World {
 
 /// Interface handed to event handlers for scheduling future events.
 ///
-/// Scheduling is append-only during a handler invocation; the engine drains
-/// the buffer into its heap after the handler returns. This avoids exposing
-/// the heap (and any iteration-order subtleties) to user code. The one
-/// thing a handler may do besides appending is run a follow-up inline
-/// while [`Scheduler::runs_next_now`] holds (see the module docs): that
-/// follow-up appends to the same buffer, in the order it would have
-/// appended as an event of its own.
-pub struct Scheduler<E> {
+/// It borrows the engine's queue: [`Scheduler::after`] and
+/// [`Scheduler::at`] draw the next sequence number and push, so events
+/// scheduled at one instant are delivered in call order. A handler cannot
+/// see or reorder what is queued; the one thing it may do besides
+/// scheduling is run a follow-up inline while [`Scheduler::runs_next_now`]
+/// holds (see the module docs), and that follow-up schedules in the order
+/// it would have as an event of its own.
+pub struct Scheduler<'a, E> {
     now: SimTime,
-    buffered: Vec<(SimTime, E)>,
+    heap: &'a mut BinaryHeap<Entry<E>>,
+    seq: &'a mut u64,
     stop_requested: bool,
-    /// Nothing but the event being handled was pending at `now`.
-    alone_at_now: bool,
-    /// This invocation has scheduled something at `now`.
-    scheduled_now: bool,
 }
 
-impl<E> Scheduler<E> {
-    /// `buffered` is handed in by the engine so its capacity can be
-    /// recycled across handler invocations; `alone_at_now` says whether
-    /// any other event is pending at `now`.
-    fn with_buffer(now: SimTime, buffered: Vec<(SimTime, E)>, alone_at_now: bool) -> Self {
-        debug_assert!(buffered.is_empty());
-        Scheduler {
-            now,
-            buffered,
-            stop_requested: false,
-            alone_at_now,
-            scheduled_now: false,
-        }
-    }
-
+impl<E> Scheduler<'_, E> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// True when an event scheduled at the current instant would be the
-    /// next one delivered: no other event is pending at this instant,
-    /// this invocation has scheduled nothing at it, and no stop was
-    /// requested. A handler may then run that event's work inline instead
-    /// of scheduling it, and the run delivers everything else in the same
+    /// next one delivered: nothing is pending at this instant (this
+    /// invocation's own events included) and no stop was requested. A
+    /// handler may then run that event's work inline instead of
+    /// scheduling it, and the run delivers everything else in the same
     /// order.
     pub fn runs_next_now(&self) -> bool {
-        self.alone_at_now && !self.scheduled_now && !self.stop_requested
+        !self.stop_requested && alone_at(self.heap, self.now)
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.push(self.now + delay, event);
+        push(self.heap, self.seq, self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute instant.
@@ -127,12 +119,7 @@ impl<E> Scheduler<E> {
     /// Instants in the past are clamped to the current time, so the event is
     /// delivered next (never retroactively).
     pub fn at(&mut self, at: SimTime, event: E) {
-        self.push(if at < self.now { self.now } else { at }, event);
-    }
-
-    fn push(&mut self, at: SimTime, event: E) {
-        self.scheduled_now |= at == self.now;
-        self.buffered.push((at, event));
+        push(self.heap, self.seq, at.max(self.now), event);
     }
 
     /// Requests that the engine stop after the current handler returns,
@@ -140,6 +127,19 @@ impl<E> Scheduler<E> {
     pub fn stop(&mut self) {
         self.stop_requested = true;
     }
+}
+
+/// Queues `event` at `at` with the next sequence number.
+fn push<E>(heap: &mut BinaryHeap<Entry<E>>, next_seq: &mut u64, at: SimTime, event: E) {
+    let seq = *next_seq;
+    *next_seq += 1;
+    heap.push(Entry { at, seq, event });
+}
+
+/// True when nothing queued is due at `now` — for the event just taken
+/// off the queue, that it is alone at its instant.
+fn alone_at<E>(heap: &BinaryHeap<Entry<E>>, now: SimTime) -> bool {
+    heap.peek().is_none_or(|e| e.at > now)
 }
 
 struct Entry<E> {
@@ -214,17 +214,6 @@ pub struct RunStats {
 /// ```
 pub struct Engine<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Same-instant run of entries drained from the heap in one go, kept
-    /// sorted by sequence number. Dense instants (dispatch storms, batch
-    /// completions fanning out) deliver from here without touching the
-    /// heap, and handler-scheduled events at the current instant append
-    /// here directly — their sequence numbers are strictly larger than
-    /// anything already drained, so FIFO order is preserved by
-    /// construction.
-    batch: VecDeque<Entry<E>>,
-    /// Recycled `Scheduler` buffer: handlers append into this vec, the
-    /// engine drains it and keeps the capacity for the next handler.
-    scratch: Vec<(SimTime, E)>,
     now: SimTime,
     seq: u64,
     delivered: u64,
@@ -243,8 +232,6 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             heap: BinaryHeap::new(),
-            batch: VecDeque::new(),
-            scratch: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             delivered: 0,
@@ -260,7 +247,7 @@ impl<E> Engine<E> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.heap.len() + self.batch.len()
+        self.heap.len()
     }
 
     /// Number of events delivered so far.
@@ -284,10 +271,7 @@ impl<E> Engine<E> {
     /// Schedules an event at an absolute instant before the run starts (or
     /// between runs). Instants before the current time are clamped.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now { self.now } else { at };
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        push(&mut self.heap, &mut self.seq, at.max(self.now), event);
     }
 
     /// Runs until the event queue is empty or a handler requests a stop.
@@ -301,66 +285,33 @@ impl<E> Engine<E> {
     /// Events scheduled exactly at `deadline` are delivered. On return the
     /// engine clock is the time of the last delivered event (it does not
     /// jump to `deadline`), so interleaved `run_until` calls remain exact.
+    /// A stop leaves every undelivered event queued, in order.
     pub fn run_until<W: World<Event = E>>(&mut self, world: &mut W, deadline: SimTime) -> RunStats {
         let mut stopped_early = false;
-        loop {
-            if self.batch.is_empty() {
-                // Refill: drain the entire run of earliest-instant entries
-                // out of the heap at once. The heap pops equal-time entries
-                // in sequence order, so the batch is FIFO by construction.
-                let Some(head) = self.heap.peek() else { break };
-                if head.at > deadline {
-                    break;
-                }
-                let first = self.heap.pop().expect("peeked entry must exist");
-                let instant = first.at;
-                self.batch.push_back(first);
-                while self.heap.peek().is_some_and(|e| e.at == instant) {
-                    let e = self.heap.pop().expect("peeked entry must exist");
-                    self.batch.push_back(e);
-                }
-            }
-            let depth = self.heap.len() + self.batch.len();
-            if depth > self.peak_pending {
-                self.peak_pending = depth;
-            }
-            let entry = self.batch.pop_front().expect("batch refilled above");
+        while self.heap.peek().is_some_and(|e| e.at <= deadline) {
+            self.peak_pending = self.peak_pending.max(self.heap.len());
+            let entry = self.heap.pop().expect("peeked entry must exist");
             debug_assert!(entry.at >= self.now, "event queue went backwards");
             self.now = entry.at;
             self.delivered += 1;
 
-            if self.batch.is_empty() {
+            if alone_at(&self.heap, self.now) {
                 if let Some(d) = world.rearm(self.now, &entry.event) {
-                    // Alone at its instant: the re-armed event goes back
-                    // where `sched.after(d, event)` would have put it.
-                    let at = self.now + d;
-                    let seq = self.next_seq();
-                    self.enqueue(Entry { at, seq, ..entry });
+                    // Queued where `sched.after(d, event)` would have put it.
+                    push(&mut self.heap, &mut self.seq, self.now + d, entry.event);
                     self.rearmed += 1;
                     continue;
                 }
             }
 
-            // The batch holds every other event pending at this instant:
-            // the refill drained the heap's, and same-instant follow-ups
-            // join the batch.
-            let alone = self.batch.is_empty();
-            let mut sched =
-                Scheduler::with_buffer(self.now, std::mem::take(&mut self.scratch), alone);
+            let mut sched = Scheduler {
+                now: self.now,
+                heap: &mut self.heap,
+                seq: &mut self.seq,
+                stop_requested: false,
+            };
             world.handle(self.now, entry.event, &mut sched);
-            let mut buffered = sched.buffered;
-            for (at, event) in buffered.drain(..) {
-                let seq = self.next_seq();
-                self.enqueue(Entry { at, seq, event });
-            }
-            self.scratch = buffered;
             if sched.stop_requested {
-                // Undelivered batch entries go back to the heap so
-                // `pending()` stays truthful and a resumed run picks them
-                // up first (their seqs still order them correctly).
-                while let Some(e) = self.batch.pop_front() {
-                    self.heap.push(e);
-                }
                 stopped_early = true;
                 break;
             }
@@ -369,23 +320,6 @@ impl<E> Engine<E> {
             delivered: self.delivered,
             end_time: self.now,
             stopped_early,
-        }
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Queues an event scheduled by the one being delivered. A
-    /// same-instant follow-up joins the tail of the live batch (its seq
-    /// exceeds every drained entry's); anything later goes to the heap.
-    fn enqueue(&mut self, entry: Entry<E>) {
-        if entry.at == self.now {
-            self.batch.push_back(entry);
-        } else {
-            self.heap.push(entry);
         }
     }
 }
@@ -521,10 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_followups_deliver_fifo_after_batch() {
+    fn same_instant_followups_deliver_after_events_already_pending() {
         // A handler that schedules at the current instant: its event must
-        // come after every event already scheduled at that instant,
-        // exactly as the one-at-a-time heap loop delivered them.
+        // come after every event already scheduled at that instant.
         struct Log(std::rc::Rc<std::cell::RefCell<Vec<u32>>>);
         impl World for Log {
             type Event = u32;
@@ -546,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_mid_batch_returns_remnants_to_queue() {
+    fn stop_leaves_same_instant_events_queued_in_order() {
         let mut engine = Engine::new();
         engine.schedule(SimTime::from_micros(1), Ev::StopNow);
         engine.schedule(SimTime::from_micros(1), Ev::Tag(7));

@@ -9,6 +9,10 @@
 //! report the same pending count and clock after every return, stops
 //! included; the inlining copy delivers exactly one event fewer per
 //! follow-up it ran inline.
+//!
+//! The queued copy also referees the queue's order without sharing its
+//! code: it records every `(time, tag)` it schedules, in call order, and
+//! its delivery log must equal that record stably sorted by time.
 
 use skywalker_sim::{DetRng, Engine, Scheduler, SimDuration, SimTime, World};
 
@@ -22,18 +26,27 @@ struct RandomWorld {
     seed: u64,
     next_tag: u32,
     log: Vec<(u64, u32)>,
+    /// Every `(time, tag)` scheduled, in call order.
+    scheduled: Vec<(u64, u32)>,
     inlined: u64,
 }
 
 impl RandomWorld {
-    fn new(seed: u64, inline: bool, first_tags: u32) -> Self {
+    fn new(seed: u64, inline: bool, scheduled: Vec<(u64, u32)>) -> Self {
         RandomWorld {
             inline,
             seed,
-            next_tag: first_tags,
+            next_tag: scheduled.len() as u32,
             log: Vec::new(),
+            scheduled,
             inlined: 0,
         }
+    }
+
+    fn schedule(&mut self, sched: &mut Scheduler<u32>, delay: SimDuration, tag: u32) {
+        self.scheduled
+            .push(((sched.now() + delay).as_micros(), tag));
+        sched.after(delay, tag);
     }
 
     fn fresh_tag(&mut self) -> u32 {
@@ -53,7 +66,7 @@ impl RandomWorld {
             // 0, 5 or 10 µs ahead: same-instant follow-ups and ties.
             let delay = SimDuration::from_micros(5 * rng.below(3));
             let t = self.fresh_tag();
-            sched.after(delay, t);
+            self.schedule(sched, delay, t);
         }
         if rng.chance(0.03) {
             sched.stop();
@@ -64,7 +77,7 @@ impl RandomWorld {
                 self.inlined += 1;
                 self.deliver(now, t, sched);
             } else {
-                sched.after(SimDuration::ZERO, t);
+                self.schedule(sched, SimDuration::ZERO, t);
             }
         }
     }
@@ -86,10 +99,13 @@ fn play(case: u64, inline: bool) -> (RandomWorld, Vec<Checkpoint>, u64) {
     let mut rng = DetRng::for_component(case, "sim/inline-delivery");
     let first = rng.range(1, 6) as u32;
     let mut engine = Engine::new();
+    let mut scheduled = Vec::new();
     for tag in 1..=first {
-        engine.schedule(SimTime::from_micros(5 * rng.below(3)), tag);
+        let at = SimTime::from_micros(5 * rng.below(3));
+        scheduled.push((at.as_micros(), tag));
+        engine.schedule(at, tag);
     }
-    let mut world = RandomWorld::new(case, inline, first);
+    let mut world = RandomWorld::new(case, inline, scheduled);
     let mut deadline = SimTime::ZERO;
     let mut checkpoints = Vec::new();
     while engine.pending() > 0 {
@@ -110,6 +126,12 @@ fn inline_follow_ups_deliver_the_same_run_as_queued_ones() {
         assert_eq!(inline.log, queued.log, "case {case}: delivery log");
         assert_eq!(inline_marks, queued_marks, "case {case}: checkpoints");
         assert_eq!(queued.inlined, 0);
+        let mut order = queued.scheduled.clone();
+        order.sort_by_key(|&(at, _)| at);
+        assert_eq!(
+            queued.log, order,
+            "case {case}: delivery order is not a stable sort of what was scheduled"
+        );
         assert_eq!(
             inline_delivered + inline.inlined,
             queued_delivered,

@@ -40,7 +40,7 @@ pub(crate) use replica::{ReplicaHealth, ReplicaSlot};
 
 /// The scheduler every handler posts follow-up events to; it also
 /// carries the current instant ([`Scheduler::now`]).
-pub(crate) type Sched = Scheduler<Ev>;
+pub(crate) type Sched<'a> = Scheduler<'a, Ev>;
 
 pub(crate) enum Ev {
     /// Poll the traffic source for arrivals up to one poll interval
