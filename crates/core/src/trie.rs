@@ -80,6 +80,11 @@ impl<T: Copy + Ord> Route<T> {
         }
     }
 
+    /// True when some target here is available.
+    fn any(&self, available: impl Fn(&T) -> bool) -> bool {
+        self.targets.iter().any(|(t, _)| available(t))
+    }
+
     /// Most recently refreshed available target; ties broken by target
     /// order (the target vec is sorted by `T`).
     fn pick(&self, available: impl Fn(&T) -> bool) -> Option<T> {
@@ -202,27 +207,26 @@ impl<T: Copy + Ord> RouteTrie<T> {
     /// Finds the *available* target with the longest matching prefix
     /// (Alg. 1, `MaxPrefixMatch`). Descends only while the current node
     /// has at least one available target — correct because target sets
-    /// shrink along any root-to-leaf path. Allocation-free.
+    /// shrink along any root-to-leaf path — and picks once, at the
+    /// deepest such node. Allocation-free.
     pub fn best_match<F: Fn(&T) -> bool>(
         &self,
         tokens: &[u32],
         available: F,
     ) -> Option<TrieMatch<T>> {
-        let mut best = TrieMatch {
-            target: self.tree[ROOT].data.pick(&available)?,
-            matched: 0,
-        };
+        if !self.tree[ROOT].data.any(&available) {
+            return None;
+        }
+        let (mut node, mut matched) = (ROOT, 0);
         for (child, common) in self.tree.walk(ROOT, tokens) {
             // Early termination: no available target below this point.
-            let Some(target) = self.tree[child].data.pick(&available) else {
+            if !self.tree[child].data.any(&available) {
                 break;
-            };
-            best = TrieMatch {
-                target,
-                matched: best.matched + common,
-            };
+            }
+            (node, matched) = (child, matched + common);
         }
-        Some(best)
+        let target = self.tree[node].data.pick(&available)?;
+        Some(TrieMatch { target, matched })
     }
 
     /// The longest prefix of `tokens` recorded for `target` specifically —
@@ -544,6 +548,61 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// `best_match` as it was written before it picked once: a pick
+        /// at every node of the walk, ending at the first node with no
+        /// available target and keeping the pick of the node before it.
+        fn per_node_pick(
+            trie: &RouteTrie<u32>,
+            tokens: &[u32],
+            available: impl Fn(&u32) -> bool,
+        ) -> Option<TrieMatch<u32>> {
+            let mut best = TrieMatch {
+                target: trie.tree[ROOT].data.pick(&available)?,
+                matched: 0,
+            };
+            for (child, common) in trie.tree.walk(ROOT, tokens) {
+                let Some(target) = trie.tree[child].data.pick(&available) else {
+                    break;
+                };
+                best = TrieMatch {
+                    target,
+                    matched: best.matched + common,
+                };
+            }
+            Some(best)
+        }
+
+        #[test]
+        fn one_pick_at_the_deepest_node_equals_a_pick_per_node() {
+            let (mut some, mut none) = (0, 0);
+            for case in 0..300u64 {
+                let mut rng = DetRng::for_component(case, "trie/pick-once-property");
+                let mut trie = RouteTrie::new(rng.range(32, 1 << 10) as usize);
+                let targets = rng.range(1, 40);
+                for _ in 0..rng.range(1, 80) {
+                    let tokens = random_tokens(&mut rng, 4, 0, 12);
+                    trie.insert(&tokens, rng.below(targets) as u32);
+                }
+                for _ in 0..20 {
+                    // Each target available with its own odds, so masks
+                    // run from all-down to all-up.
+                    let odds = rng.f64();
+                    let mask: Vec<bool> = (0..targets).map(|_| rng.chance(odds)).collect();
+                    let available = |t: &u32| mask[*t as usize];
+                    let query = random_tokens(&mut rng, 4, 0, 14);
+                    let got = trie.best_match(&query, available);
+                    assert_eq!(got, per_node_pick(&trie, &query, available), "case {case}");
+                    if got.is_some() {
+                        some += 1;
+                    } else {
+                        none += 1;
+                    }
+                }
+            }
+            // Both outcomes were compared, not just one.
+            assert!(some > 1_000 && none > 200, "{some} matches, {none} misses");
         }
     }
 }

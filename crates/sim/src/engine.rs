@@ -1,15 +1,31 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns one priority queue of `(time, sequence, event)` entries
-//! and repeatedly delivers the earliest event to a user-supplied [`World`].
-//! Events scheduled at the same instant are delivered in the order they were
-//! scheduled (FIFO tie-breaking via a sequence number drawn when the event
-//! is scheduled), which makes simulations fully deterministic. Handlers
-//! schedule straight into that queue through the [`Scheduler`].
+//! The engine keeps one priority queue of pending events ordered by
+//! `(time, sequence)` and repeatedly delivers the earliest event to a
+//! user-supplied [`World`]. Events scheduled at the same instant are
+//! delivered in the order they were scheduled (FIFO tie-breaking via a
+//! sequence number drawn when the event is scheduled), which makes
+//! simulations fully deterministic. Handlers schedule straight into that
+//! queue through the [`Scheduler`].
 //!
 //! The design is deliberately minimal: the engine knows nothing about LLM
 //! serving. Higher layers (replicas, balancers, clients) define an event
 //! enum and implement [`World::handle`].
+//!
+//! # Keys and slots
+//!
+//! The queue is a binary heap of 16-byte keys; the events themselves wait
+//! in a slab of slots, so a sift moves keys and never a payload. A key is
+//! the event's instant plus one word: the sequence number in its high 40
+//! bits and the event's slot in its low 24. Comparing that word compares
+//! the sequence number, which is unique, so the order is `(time,
+//! sequence)` exactly and the slot never decides it. Two limits follow,
+//! and scheduling checks each with a panic that names it: at most 2⁴⁰
+//! events scheduled over an engine's life, and at most 2²⁴ pending at
+//! once. A vacant slot holds the next vacant one, so the free list costs
+//! no memory beside the slab; for an event enum with a spare
+//! discriminant a slot is no larger than the event, and keys plus slab
+//! hold what one `(time, sequence, event)` entry did.
 //!
 //! # Alone at its instant
 //!
@@ -38,10 +54,11 @@
 //! an event alone at its instant the engine first asks
 //! [`World::rearm`]; `Some(d)` means the world has applied the event and
 //! that its only follow-up is the same event at `now + d`. The engine
-//! counts the event delivered and queues it at `now + d` with the
-//! sequence number `sched.after(d, event)` would have drawn — the next
-//! one — so every entry keeps the `(time, seq)` it would have had, and the
-//! run is the same run ([`Engine::rearmed`] counts these). Asking only
+//! counts the event delivered and pushes a new key for it at `now + d`
+//! with the sequence number `sched.after(d, event)` would have drawn —
+//! the next one — while the event stays in its slot. Every event keeps
+//! the `(time, seq)` it would have had, and the run is the same run
+//! ([`Engine::rearmed`] counts these). Asking only
 //! when the event is alone at its instant is what makes that exact: the
 //! handler's follow-up would be the only event it scheduled, and no other
 //! event at this instant can see the world between the two. No handler
@@ -88,8 +105,7 @@ pub trait World {
 /// it would have as an event of its own.
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    heap: &'a mut BinaryHeap<Entry<E>>,
-    seq: &'a mut u64,
+    queue: &'a mut Queue<E>,
     stop_requested: bool,
 }
 
@@ -106,12 +122,12 @@ impl<E> Scheduler<'_, E> {
     /// scheduling it, and the run delivers everything else in the same
     /// order.
     pub fn runs_next_now(&self) -> bool {
-        !self.stop_requested && alone_at(self.heap, self.now)
+        !self.stop_requested && self.queue.alone_at(self.now)
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        push(self.heap, self.seq, self.now + delay, event);
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute instant.
@@ -119,7 +135,7 @@ impl<E> Scheduler<'_, E> {
     /// Instants in the past are clamped to the current time, so the event is
     /// delivered next (never retroactively).
     pub fn at(&mut self, at: SimTime, event: E) {
-        push(self.heap, self.seq, at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Requests that the engine stop after the current handler returns,
@@ -129,47 +145,131 @@ impl<E> Scheduler<'_, E> {
     }
 }
 
-/// Queues `event` at `at` with the next sequence number.
-fn push<E>(heap: &mut BinaryHeap<Entry<E>>, next_seq: &mut u64, at: SimTime, event: E) {
-    let seq = *next_seq;
-    *next_seq += 1;
-    heap.push(Entry { at, seq, event });
-}
+/// Bits of a key's word that hold the event's slot.
+const SLOT_BITS: u32 = 24;
+/// Bits of a key's word that hold the sequence number.
+const SEQ_BITS: u32 = u64::BITS - SLOT_BITS;
+/// The free list's end: no slot has this index, since slots fit 24 bits.
+const NO_SLOT: u32 = u32::MAX;
 
-/// True when nothing queued is due at `now` — for the event just taken
-/// off the queue, that it is alone at its instant.
-fn alone_at<E>(heap: &BinaryHeap<Entry<E>>, now: SimTime) -> bool {
-    heap.peek().is_none_or(|e| e.at > now)
-}
-
-struct Entry<E> {
+/// A pending event's place in the order: its instant, then its sequence
+/// number (high [`SEQ_BITS`]) and slot (low [`SLOT_BITS`]) in one word.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: SimTime,
-    seq: u64,
-    event: E,
+    word: u64,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    fn slot(self) -> usize {
+        (self.word & ((1 << SLOT_BITS) - 1)) as usize
     }
 }
 
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first with
         // FIFO tie-breaking on the sequence number.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.at, other.word).cmp(&(self.at, self.word))
+    }
+}
+
+/// A slab slot: a pending event, or the next vacant slot (`NO_SLOT` at
+/// the list's end).
+enum Slot<E> {
+    Full(E),
+    Free(u32),
+}
+
+/// The pending events: a heap of keys over a slab of slots.
+struct Queue<E> {
+    keys: BinaryHeap<Key>,
+    slots: Vec<Slot<E>>,
+    /// The most recently vacated slot, or `NO_SLOT`.
+    free: u32,
+    /// The sequence number the next key gets.
+    seq: u64,
+}
+
+impl<E> Queue<E> {
+    fn new() -> Self {
+        Queue {
+            keys: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: NO_SLOT,
+            seq: 0,
+        }
+    }
+
+    /// Queues `event` at `at` with the next sequence number.
+    ///
+    /// Panics if more than 2²⁴ events would be pending at once.
+    fn push(&mut self, at: SimTime, event: E) {
+        let slot = if self.free == NO_SLOT {
+            let slot = self.slots.len();
+            assert!(
+                slot < 1 << SLOT_BITS,
+                "invariant: pending event {slot} does not fit a {SLOT_BITS}-bit slot"
+            );
+            self.slots.push(Slot::Full(event));
+            slot
+        } else {
+            let slot = self.free as usize;
+            match std::mem::replace(&mut self.slots[slot], Slot::Full(event)) {
+                Slot::Free(next) => self.free = next,
+                Slot::Full(_) => unreachable!("the free list names a full slot"),
+            }
+            slot
+        };
+        self.push_key(at, slot);
+    }
+
+    /// Queues the event already in `slot` at `at` with the next sequence
+    /// number.
+    ///
+    /// Panics once 2⁴⁰ sequence numbers have been drawn.
+    fn push_key(&mut self, at: SimTime, slot: usize) {
+        let seq = self.seq;
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "invariant: sequence number {seq} does not fit {SEQ_BITS} bits"
+        );
+        self.seq += 1;
+        self.keys.push(Key {
+            at,
+            word: seq << SLOT_BITS | slot as u64,
+        });
+    }
+
+    /// The event waiting in `slot`.
+    fn event(&self, slot: usize) -> &E {
+        match &self.slots[slot] {
+            Slot::Full(event) => event,
+            Slot::Free(_) => unreachable!("a queued key names a vacant slot"),
+        }
+    }
+
+    /// Moves the event out of `slot` and puts the slot on the free list.
+    fn take(&mut self, slot: usize) -> E {
+        match std::mem::replace(&mut self.slots[slot], Slot::Free(self.free)) {
+            Slot::Full(event) => {
+                self.free = slot as u32;
+                event
+            }
+            Slot::Free(_) => unreachable!("a queued key names a vacant slot"),
+        }
+    }
+
+    /// True when nothing queued is due at `now` — for the event just taken
+    /// off the queue, that it is alone at its instant.
+    fn alone_at(&self, now: SimTime) -> bool {
+        self.keys.peek().is_none_or(|k| k.at > now)
     }
 }
 
@@ -213,9 +313,8 @@ pub struct RunStats {
 /// assert_eq!(stats.end_time, SimTime::from_millis(9));
 /// ```
 pub struct Engine<E> {
-    heap: BinaryHeap<Entry<E>>,
+    queue: Queue<E>,
     now: SimTime,
-    seq: u64,
     delivered: u64,
     rearmed: u64,
     peak_pending: usize,
@@ -231,9 +330,8 @@ impl<E> Engine<E> {
     /// Creates an empty engine at time zero.
     pub fn new() -> Self {
         Engine {
-            heap: BinaryHeap::new(),
+            queue: Queue::new(),
             now: SimTime::ZERO,
-            seq: 0,
             delivered: 0,
             rearmed: 0,
             peak_pending: 0,
@@ -247,7 +345,7 @@ impl<E> Engine<E> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queue.keys.len()
     }
 
     /// Number of events delivered so far.
@@ -271,7 +369,7 @@ impl<E> Engine<E> {
     /// Schedules an event at an absolute instant before the run starts (or
     /// between runs). Instants before the current time are clamped.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        push(&mut self.heap, &mut self.seq, at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Runs until the event queue is empty or a handler requests a stop.
@@ -288,29 +386,29 @@ impl<E> Engine<E> {
     /// A stop leaves every undelivered event queued, in order.
     pub fn run_until<W: World<Event = E>>(&mut self, world: &mut W, deadline: SimTime) -> RunStats {
         let mut stopped_early = false;
-        while self.heap.peek().is_some_and(|e| e.at <= deadline) {
-            self.peak_pending = self.peak_pending.max(self.heap.len());
-            let entry = self.heap.pop().expect("peeked entry must exist");
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
+        while self.queue.keys.peek().is_some_and(|k| k.at <= deadline) {
+            self.peak_pending = self.peak_pending.max(self.queue.keys.len());
+            let key = self.queue.keys.pop().expect("peeked key must exist");
+            debug_assert!(key.at >= self.now, "event queue went backwards");
+            self.now = key.at;
             self.delivered += 1;
 
-            if alone_at(&self.heap, self.now) {
-                if let Some(d) = world.rearm(self.now, &entry.event) {
-                    // Queued where `sched.after(d, event)` would have put it.
-                    push(&mut self.heap, &mut self.seq, self.now + d, entry.event);
+            if self.queue.alone_at(self.now) {
+                if let Some(d) = world.rearm(self.now, self.queue.event(key.slot())) {
+                    // Keyed where `sched.after(d, event)` would have put it.
+                    self.queue.push_key(self.now + d, key.slot());
                     self.rearmed += 1;
                     continue;
                 }
             }
 
+            let event = self.queue.take(key.slot());
             let mut sched = Scheduler {
                 now: self.now,
-                heap: &mut self.heap,
-                seq: &mut self.seq,
+                queue: &mut self.queue,
                 stop_requested: false,
             };
-            world.handle(self.now, entry.event, &mut sched);
+            world.handle(self.now, event, &mut sched);
             if sched.stop_requested {
                 stopped_early = true;
                 break;
@@ -569,6 +667,86 @@ mod tests {
         engine.run(&mut w);
         assert_eq!(engine.peak_pending(), 10);
         assert_eq!(engine.pending(), 0);
+    }
+
+    #[test]
+    fn a_slot_is_no_larger_than_an_event_with_a_spare_discriminant() {
+        // The fabric's event shape: 64 bytes, a tag with values to spare.
+        #[allow(dead_code)]
+        enum Wide {
+            Big([u64; 7]),
+            Small(u32),
+            Unit,
+        }
+        assert_eq!(size_of::<Wide>(), 64);
+        assert!(size_of::<Slot<Wide>>() <= size_of::<Wide>());
+        assert!(size_of::<Slot<Ev>>() <= size_of::<Ev>());
+        // So a key and a slot hold what a `(time, seq, event)` entry did.
+        assert_eq!(size_of::<Key>(), 16);
+    }
+
+    /// Schedules 0–2 follow-ups 0–40 µs ahead and stops now and then,
+    /// until `left` runs out; the choices hang off the tag alone.
+    struct Churn {
+        left: u32,
+    }
+
+    impl World for Churn {
+        type Event = u32;
+
+        fn handle(&mut self, _now: SimTime, tag: u32, sched: &mut Scheduler<u32>) {
+            let mix = u64::from(tag).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+            for k in 0..mix % 3 {
+                if self.left == 0 {
+                    break;
+                }
+                self.left -= 1;
+                let delay = SimDuration::from_micros((mix >> (4 + 4 * k)) % 41);
+                sched.after(delay, tag.wrapping_mul(31).wrapping_add(k as u32));
+            }
+            if mix % 29 == 0 {
+                sched.stop();
+            }
+        }
+    }
+
+    #[test]
+    fn the_slab_never_holds_more_slots_than_peak_pending() {
+        let mut engine = Engine::new();
+        for tag in 0..1_200u32 {
+            engine.schedule(SimTime::from_micros(u64::from(tag % 50)), tag);
+        }
+        let mut world = Churn { left: 6_000 };
+        let mut deadline = SimTime::ZERO;
+        while engine.pending() > 0 {
+            deadline += SimDuration::from_micros(7);
+            engine.run_until(&mut world, deadline);
+            let slots = engine.queue.slots.len();
+            assert!(slots <= engine.peak_pending().max(engine.pending()));
+        }
+        // Every slot was filled more than once, and the slab is exactly
+        // as long as the queue ever was.
+        assert!(engine.delivered() > 3 * engine.peak_pending() as u64);
+        assert_eq!(engine.queue.slots.len(), engine.peak_pending());
+    }
+
+    #[test]
+    fn the_last_sequence_numbers_keep_their_order() {
+        let mut engine = Engine::new();
+        engine.queue.seq = (1 << SEQ_BITS) - 2;
+        engine.schedule(SimTime::from_micros(5), Ev::Tag(1));
+        engine.schedule(SimTime::from_micros(5), Ev::Tag(2));
+        let mut w = Recorder::default();
+        engine.run(&mut w);
+        assert_eq!(w.seen, [(5, Ev::Tag(1)), (5, Ev::Tag(2))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 40 bits")]
+    fn a_sequence_number_past_40_bits_panics() {
+        let mut engine = Engine::new();
+        engine.queue.seq = 1 << SEQ_BITS;
+        engine.schedule(SimTime::ZERO, Ev::Tag(0));
     }
 
     #[test]

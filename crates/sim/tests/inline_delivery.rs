@@ -13,16 +13,49 @@
 //! The queued copy also referees the queue's order without sharing its
 //! code: it records every `(time, tag)` it schedules, in call order, and
 //! its delivery log must equal that record stably sorted by time.
+//!
+//! Two families of worlds: shallow ones, which hold tens of pending
+//! events, and deep ones, which start with over a thousand and keep
+//! their queue that deep while thousands more pass through it — deep
+//! sift paths, and slots vacated and refilled across stops and
+//! deadlines.
 
 use skywalker_sim::{DetRng, Engine, Scheduler, SimDuration, SimTime, World};
 
-/// Tags handed out per case; past this, handlers stop spawning events so
-/// that each world drains.
-const TAG_BUDGET: u32 = 600;
+/// How big a family's worlds are.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Events scheduled before the run: `first.0 ..= first.1`.
+    first: (u64, u64),
+    /// Instants, 5 µs apart, that the first events and the follow-ups
+    /// spread over.
+    steps: u64,
+    /// Follow-ups an event schedules besides its last one:
+    /// `0 .. spawn`.
+    spawn: u64,
+    /// Tags handed out per case; past this, handlers stop spawning
+    /// events so that each world drains.
+    budget: u32,
+}
+
+const SHALLOW: Shape = Shape {
+    first: (1, 5),
+    steps: 3,
+    spawn: 3,
+    budget: 600,
+};
+
+const DEEP: Shape = Shape {
+    first: (1_000, 1_500),
+    steps: 40,
+    spawn: 2,
+    budget: 12_000,
+};
 
 struct RandomWorld {
     /// Run a last follow-up inline when the query allows it.
     inline: bool,
+    shape: Shape,
     seed: u64,
     next_tag: u32,
     log: Vec<(u64, u32)>,
@@ -32,9 +65,10 @@ struct RandomWorld {
 }
 
 impl RandomWorld {
-    fn new(seed: u64, inline: bool, scheduled: Vec<(u64, u32)>) -> Self {
+    fn new(shape: Shape, seed: u64, inline: bool, scheduled: Vec<(u64, u32)>) -> Self {
         RandomWorld {
             inline,
+            shape,
             seed,
             next_tag: scheduled.len() as u32,
             log: Vec::new(),
@@ -58,13 +92,13 @@ impl RandomWorld {
     /// only, so both copies make the same ones whatever delivered it.
     fn deliver(&mut self, now: SimTime, tag: u32, sched: &mut Scheduler<u32>) {
         self.log.push((now.as_micros(), tag));
-        if self.next_tag >= TAG_BUDGET {
+        if self.next_tag >= self.shape.budget {
             return;
         }
         let mut rng = DetRng::new(self.seed ^ u64::from(tag).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        for _ in 0..rng.below(3) {
-            // 0, 5 or 10 µs ahead: same-instant follow-ups and ties.
-            let delay = SimDuration::from_micros(5 * rng.below(3));
+        for _ in 0..rng.below(self.shape.spawn) {
+            // 0, 5, 10, … µs ahead: same-instant follow-ups and ties.
+            let delay = SimDuration::from_micros(5 * rng.below(self.shape.steps));
             let t = self.fresh_tag();
             self.schedule(sched, delay, t);
         }
@@ -95,17 +129,21 @@ impl World for RandomWorld {
 /// whether the run stopped early.
 type Checkpoint = (SimTime, usize, bool);
 
-fn play(case: u64, inline: bool) -> (RandomWorld, Vec<Checkpoint>, u64) {
+/// What one play leaves: the world, its checkpoints, and the engine's
+/// delivered and peak pending counts.
+type Played = (RandomWorld, Vec<Checkpoint>, u64, usize);
+
+fn play(shape: Shape, case: u64, inline: bool) -> Played {
     let mut rng = DetRng::for_component(case, "sim/inline-delivery");
-    let first = rng.range(1, 6) as u32;
+    let first = rng.range(shape.first.0, shape.first.1 + 1) as u32;
     let mut engine = Engine::new();
     let mut scheduled = Vec::new();
     for tag in 1..=first {
-        let at = SimTime::from_micros(5 * rng.below(3));
+        let at = SimTime::from_micros(5 * rng.below(shape.steps));
         scheduled.push((at.as_micros(), tag));
         engine.schedule(at, tag);
     }
-    let mut world = RandomWorld::new(case, inline, scheduled);
+    let mut world = RandomWorld::new(shape, case, inline, scheduled);
     let mut deadline = SimTime::ZERO;
     let mut checkpoints = Vec::new();
     while engine.pending() > 0 {
@@ -113,16 +151,23 @@ fn play(case: u64, inline: bool) -> (RandomWorld, Vec<Checkpoint>, u64) {
         let stats = engine.run_until(&mut world, deadline);
         checkpoints.push((engine.now(), engine.pending(), stats.stopped_early));
     }
-    let delivered = engine.delivered();
-    (world, checkpoints, delivered)
+    (
+        world,
+        checkpoints,
+        engine.delivered(),
+        engine.peak_pending(),
+    )
 }
 
-#[test]
-fn inline_follow_ups_deliver_the_same_run_as_queued_ones() {
-    let (mut inlined, mut stops) = (0, 0);
-    for case in 0..200u64 {
-        let (queued, queued_marks, queued_delivered) = play(case, false);
-        let (inline, inline_marks, inline_delivered) = play(case, true);
+/// Plays `cases` worlds of `shape` inline and queued, checks that both
+/// deliver the same run in the stable-sort order, and returns the
+/// follow-ups run inline, the stops, and the lowest and highest peak
+/// pending counts.
+fn referee(shape: Shape, cases: std::ops::Range<u64>) -> (u64, usize, (usize, usize)) {
+    let (mut inlined, mut stops, mut peaks) = (0, 0, (usize::MAX, 0));
+    for case in cases {
+        let (queued, queued_marks, queued_delivered, peak) = play(shape, case, false);
+        let (inline, inline_marks, inline_delivered, _) = play(shape, case, true);
         assert_eq!(inline.log, queued.log, "case {case}: delivery log");
         assert_eq!(inline_marks, queued_marks, "case {case}: checkpoints");
         assert_eq!(queued.inlined, 0);
@@ -139,8 +184,31 @@ fn inline_follow_ups_deliver_the_same_run_as_queued_ones() {
         );
         inlined += inline.inlined;
         stops += queued_marks.iter().filter(|m| m.2).count();
+        peaks = (peaks.0.min(peak), peaks.1.max(peak));
     }
+    (inlined, stops, peaks)
+}
+
+#[test]
+fn inline_follow_ups_deliver_the_same_run_as_queued_ones() {
+    let (inlined, stops, _) = referee(SHALLOW, 0..200);
     // The referee is not vacuous: both paths it compares were taken.
     assert!(inlined > 500, "only {inlined} follow-ups ran inline");
     assert!(stops > 50, "only {stops} stops");
+}
+
+#[test]
+fn a_deep_queue_delivers_in_order_while_its_slots_recycle() {
+    let (inlined, stops, (shallowest, deepest)) = referee(DEEP, 0..12);
+    // Every case held over a thousand events at once, and several times
+    // its deepest point passed through the queue, across stops and
+    // deadlines: each slot was vacated and refilled.
+    assert!(shallowest >= 1_000, "a case peaked at {shallowest} pending");
+    assert!(
+        DEEP.budget as usize > 4 * deepest,
+        "a case peaked at {deepest} pending of {} events",
+        DEEP.budget
+    );
+    assert!(inlined > 300, "only {inlined} follow-ups ran inline");
+    assert!(stops > 1_000, "only {stops} stops");
 }

@@ -126,9 +126,10 @@ fn stream_token(label: u64, k: u32) -> u32 {
     (h >> 32) as u32
 }
 
-fn fragment(parts: &[u64], len: u32) -> Vec<u32> {
+/// Appends the `len`-token fragment labelled by `parts` to `history`.
+fn extend_fragment(history: &mut Vec<u32>, parts: &[u64], len: u32) {
     let label = fnv1a_words(FNV_OFFSET, parts.iter().copied());
-    (0..len).map(|k| stream_token(label, k)).collect()
+    history.extend((0..len).map(|k| stream_token(label, k)));
 }
 
 /// The content of a conversation workload: each slot is one user, whose
@@ -173,35 +174,37 @@ impl ConversationGen {
         let cfg = &self.cfg;
         // Pick the application template: regional pools model apps with a
         // geographically concentrated user base.
-        let template = match (&self.regional_zipf, rng.chance(cfg.p_regional_template)) {
-            (Some(z), true) => {
-                let t = z.sample(rng) as u64;
-                fragment(&[0xA11, region.index() as u64, t], cfg.template_tokens)
-            }
-            _ => {
-                let t = self.global_zipf.sample(rng) as u64;
-                fragment(&[0x61, t], cfg.template_tokens)
-            }
+        let template: &[u64] = match (&self.regional_zipf, rng.chance(cfg.p_regional_template)) {
+            (Some(z), true) => &[0xA11, region.index() as u64, z.sample(rng) as u64],
+            _ => &[0x61, self.global_zipf.sample(rng) as u64],
         };
-        let persona = fragment(&[0x9E, user_id], cfg.persona_tokens);
 
         let turns = rng.range(
             u64::from(cfg.turns_per_conversation.0),
             u64::from(cfg.turns_per_conversation.1) + 1,
         ) as u32;
-
-        let mut history = template;
-        history.extend(&persona);
+        // The history's final length — the last turn's prompt, which every
+        // earlier one is a prefix of: everything but the last reply. The
+        // turns' lengths are drawn ahead on a copy of the stream; the turns
+        // below draw the same ones again, in the same order.
+        let mut ahead = rng.clone();
+        let (mut len, mut last_reply) = (cfg.template_tokens + cfg.persona_tokens, 0);
+        for _ in 0..turns {
+            len += cfg.turn_input.sample(&mut ahead);
+            last_reply = cfg.turn_output.sample(&mut ahead);
+            len += last_reply;
+        }
+        len -= last_reply;
+        let mut history = Vec::with_capacity(len as usize);
+        extend_fragment(&mut history, template, cfg.template_tokens);
+        extend_fragment(&mut history, &[0x9E, user_id], cfg.persona_tokens);
 
         // One key for the whole conversation, shared by its turns.
         let session_key: Arc<str> = format!("{user}/conv-{conv}").into();
         let mut stages = Vec::with_capacity(turns as usize);
         for turn in 0..turns {
-            let fresh = fragment(
-                &[0xF5, user_id, u64::from(conv), u64::from(turn)],
-                cfg.turn_input.sample(rng),
-            );
-            history.extend(&fresh);
+            let fresh = [0xF5, user_id, u64::from(conv), u64::from(turn)];
+            extend_fragment(&mut history, &fresh, cfg.turn_input.sample(rng));
             let out_len = cfg.turn_output.sample(rng);
             let id = ids.next_id();
             stages.push(vec![Request::new(
@@ -210,9 +213,12 @@ impl ConversationGen {
                 &history[..],
                 out_len,
             )]);
-            // The assistant reply becomes part of the next turn's prompt.
-            history.extend((0..out_len).map(|k| output_token(id, k)));
+            if turn + 1 < turns {
+                // The assistant reply becomes part of the next turn's prompt.
+                history.extend((0..out_len).map(|k| output_token(id, k)));
+            }
         }
+        debug_assert_eq!(history.len(), len as usize);
         Program { stages }
     }
 }

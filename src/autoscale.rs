@@ -42,9 +42,10 @@ pub struct PredictiveConfig {
     pub lead: SimDuration,
     /// Delay between a scale-out decision and the replica coming online.
     pub provision_delay: SimDuration,
-    /// Per-region fleet bounds.
+    /// Lower bound per region: the floor a region's target is raised to.
     pub min_per_region: u32,
-    /// Upper bound per region.
+    /// Upper bound per region, applied after the floor: when it is below
+    /// `min_per_region`, the cap wins and the target is this.
     pub max_per_region: u32,
     /// Hardware profile of scaled-out replicas.
     pub profile: GpuProfile,
@@ -94,7 +95,9 @@ impl PredictiveAutoscaler {
             .map(|(_, p)| p.rate_at_utc(hour))
             .sum();
         let want = (rate * self.cfg.scale / self.cfg.per_replica_rph).ceil() as u32;
-        want.clamp(self.cfg.min_per_region, self.cfg.max_per_region)
+        // Floor, then cap: total even for inverted bounds, where the cap wins.
+        want.max(self.cfg.min_per_region)
+            .min(self.cfg.max_per_region)
     }
 }
 
@@ -207,6 +210,23 @@ mod tests {
         let trough = p.target_at(Region::UsEast, 7.0);
         assert!(peak > trough, "peak {peak} vs trough {trough}");
         assert!(peak <= 6 && trough >= 1, "bounds respected");
+    }
+
+    #[test]
+    fn inverted_bounds_let_the_cap_win() {
+        // min > max: the reactive autoscaler runs with these bounds, and
+        // so must this one, at the first poll and every one after it.
+        let mut p = planner();
+        p.cfg.min_per_region = 5;
+        p.cfg.max_per_region = 2;
+        for hour in [7.0, 19.0] {
+            assert_eq!(p.target_at(Region::UsEast, hour), 2);
+        }
+        let cmds = p.next_events(
+            SimTime::from_secs(1_700),
+            &obs(SimTime::from_secs(1_700), 1),
+        );
+        assert_eq!(cmds.len(), 1, "one join brings the region to the cap");
     }
 
     #[test]
