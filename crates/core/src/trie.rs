@@ -334,7 +334,17 @@ impl<T: Copy + Ord> RouteTrie<T> {
 
 #[cfg(test)]
 mod tests {
+    use skywalker_replica::radix::Node;
+    use skywalker_replica::ReplicaId;
+
     use super::*;
+
+    #[test]
+    fn a_route_node_is_48_bytes() {
+        // Segment 16, parent and child count 8, targets 16, age 8: the
+        // links live in the arena's edge table, not in the node.
+        assert_eq!(size_of::<Node<Route<ReplicaId>>>(), 48);
+    }
 
     #[test]
     fn empty_trie_matches_nothing() {

@@ -28,13 +28,15 @@ mod counting_alloc;
 
 use counting_alloc::LIVE;
 
-/// A quarter above the 10.42 B a route trie holds a stored token of
-/// [`trie_bytes_per_token`]'s stream (14.18 B when a node kept a
-/// four-entry target vector and its slot's old capacity).
-const TRIE_BYTES_PER_TOKEN: f64 = 13.0;
-/// A quarter above the 6.43 B a churned prefix cache holds a resident
-/// token (20.60 B when freed slots kept their segment buffers).
-const CACHE_BYTES_PER_TOKEN: f64 = 8.0;
+/// About 7 % above the 9.34 B a route trie holds a stored token of
+/// [`trie_bytes_per_token`]'s stream (10.42 B when every node kept its
+/// children in a sorted vector of its own, 14.18 B when a node also kept
+/// a four-entry target vector and its slot's old capacity).
+const TRIE_BYTES_PER_TOKEN: f64 = 10.0;
+/// About 7 % above the 5.61 B a churned prefix cache holds a resident
+/// token (6.43 B with a child vector per node, 20.60 B when freed slots
+/// also kept their segment buffers).
+const CACHE_BYTES_PER_TOKEN: f64 = 6.0;
 /// How far the heap of a trie at its bound may drift over the churn: its
 /// eviction frontier is a B-tree whose node count wobbles by a few
 /// 192–288 B nodes as it slides (at most 648 B over 40 k rounds). Slots

@@ -980,6 +980,13 @@ impl PrefixCache {
 mod tests {
     use super::*;
 
+    #[test]
+    fn a_cache_node_is_48_bytes() {
+        // Segment 16, parent and child count 8, entry 24: the links live
+        // in the arena's edge table, not in the node.
+        assert_eq!(size_of::<Node<Entry>>(), 48);
+    }
+
     fn cache(cap: u64) -> PrefixCache {
         PrefixCache::new(KvConfig::tiny(cap))
     }

@@ -4,22 +4,36 @@
 //! The paper's routing trie (§3.2) is the balancer's *snapshot* of the
 //! replicas' radix KV caches: the same tree seen from two vantage
 //! points. [`RadixArena`] is that tree once — structure only. A node is
-//! a token segment, a parent link, a first-token child index and a
-//! caller payload `P`; what the payload *means* (routing targets and
-//! insertion age, or pins, LRU clock and residency tier) and when a
-//! node dies stay with the caller.
+//! a token segment, a parent link, a child count and a caller payload
+//! `P`, and the tree keeps one table of parent→child links keyed by
+//! first token; what the payload *means* (routing targets and insertion
+//! age, or pins, LRU clock and residency tier) and when a node dies stay
+//! with the caller.
 //!
 //! # Layout
 //!
 //! Nodes live in a `Vec` arena with a LIFO free-list, and a node holds
 //! what it stores: its segment is an exact `Box<[u32]>`, freed with its
-//! slot (a split allocates head and tail anew), and its links are `u32`
-//! arena indices. Its child index — sorted by first token, searched by
-//! bisection — grows from one entry by doubling; an empty one keeps its
-//! few bytes with the slot, so the next occupant's first child costs no
-//! allocation. A stored token costs its own four bytes plus a share of
-//! the node around it, not the segment some earlier occupant of the slot
-//! left behind.
+//! slot (a split allocates head and tail anew), its parent link is a
+//! `u32` arena index, and beside it sits only its child count. A stored
+//! token costs its own four bytes plus a share of the node around it,
+//! not the segment some earlier occupant of the slot left behind.
+//!
+//! Every parent→child link of the tree lives in one edge table, keyed by
+//! `(parent, first token of the child's segment)`: open addressing,
+//! linear probing from a multiplicative hash, a power-of-two capacity
+//! (8 at the first link) that doubles when a link would fill more than
+//! 7/8 of it, and backward-shift deletion, so no tombstones are left
+//! behind. Linking and unlinking a child costs O(1) at any fan-out — a
+//! document's node with 30 k queries under it shifts no siblings — and
+//! the table's bytes follow the most links the tree has held, not the
+//! order of operations.
+//! Nothing iterates the table: a lookup is all it answers.
+//!
+//! Liveness is derived, not stored: a slot is free iff it is not the
+//! root and its segment is empty. [`RadixArena::remove_leaf`] empties
+//! it, and [`RadixArena::alloc`] and [`RadixArena::split`] fill it right
+//! after taking it.
 //!
 //! Slot assignment is observable — callers break ties and order scans
 //! by arena index — so it is fixed: a new node takes the most recently
@@ -37,11 +51,8 @@ pub const ROOT: usize = 0;
 pub struct Node<P> {
     seg: Box<[u32]>,
     parent: u32,
-    /// `(first token of the child's segment, child index)`, sorted by
-    /// token.
-    children: Vec<(u32, u32)>,
-    /// True while the slot is on the free list.
-    dead: bool,
+    /// How many children link to this node in the edge table.
+    kids: u32,
     /// What the caller keeps per node.
     pub data: P,
 }
@@ -59,33 +70,168 @@ impl<P> Node<P> {
 
     /// True if the node has no children.
     pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+        self.kids == 0
+    }
+}
+
+/// One parent→child link. `child == 0` marks an empty slot: the root is
+/// nobody's child.
+#[derive(Debug, Clone, Copy, Default)]
+struct Edge {
+    parent: u32,
+    token: u32,
+    child: u32,
+}
+
+/// The tree's links: an open-addressing table from `(parent, first
+/// token)` to child, probed linearly, deleted from by backward shift.
+#[derive(Debug, Default)]
+struct Edges {
+    /// Empty, or a power of two of at least 8 slots.
+    slots: Vec<Edge>,
+    len: usize,
+}
+
+impl Edges {
+    /// Where the probe for `(parent, token)` starts: the top bits of a
+    /// Fibonacci hash of the pair packed into one word.
+    fn home(&self, parent: u32, token: u32) -> usize {
+        let key = (u64::from(parent) << 32) | u64::from(token);
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
     }
 
-    /// The child whose segment starts with `token`.
-    pub fn child(&self, token: u32) -> Option<usize> {
-        self.position(token)
-            .ok()
-            .map(|i| self.children[i].1 as usize)
+    /// The slot holding `(parent, token)`, else the empty slot its probe
+    /// ends on. The table must not be empty.
+    fn find(&self, parent: u32, token: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(parent, token);
+        loop {
+            let e = self.slots[i];
+            if e.child == 0 {
+                return Err(i);
+            }
+            if (e.parent, e.token) == (parent, token) {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
-    fn position(&self, token: u32) -> Result<usize, usize> {
-        self.children.binary_search_by_key(&token, |c| c.0)
+    /// The child linked under `(parent, token)`.
+    fn get(&self, parent: u32, token: u32) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(parent, token).ok().map(|i| self.slots[i].child)
     }
 
-    fn link(&mut self, token: u32, idx: u32) {
-        match self.position(token) {
-            Ok(i) => self.children[i].1 = idx,
-            Err(i) => {
-                // One entry first, then doubling: most nodes have no
-                // child or two, and none pays for four.
-                let len = self.children.len();
-                if len == self.children.capacity() {
-                    self.children.reserve_exact(len.max(1));
+    /// Links `child` under `(parent, token)`, replacing any child linked
+    /// there; true if the link is new. Only a new link can grow the
+    /// table.
+    fn insert(&mut self, parent: u32, token: u32, child: u32) -> bool {
+        debug_assert!(child != 0, "the root is nobody's child");
+        if self.slots.is_empty() {
+            self.grow();
+        }
+        match self.find(parent, token) {
+            Ok(i) => {
+                self.slots[i].child = child;
+                false
+            }
+            Err(mut i) => {
+                if 8 * (self.len + 1) > 7 * self.slots.len() {
+                    self.grow();
+                    i = self.vacancy(parent, token);
                 }
-                self.children.insert(i, (token, idx));
+                self.slots[i] = Edge {
+                    parent,
+                    token,
+                    child,
+                };
+                self.len += 1;
+                true
             }
         }
+    }
+
+    /// The empty slot a probe for the absent `(parent, token)` ends on.
+    fn vacancy(&self, parent: u32, token: u32) -> usize {
+        self.find(parent, token)
+            .expect_err("invariant: a link is held once")
+    }
+
+    /// Doubles the capacity (8 at the first link) and re-probes every
+    /// link, in slot order.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![Edge::default(); cap]);
+        for e in old.into_iter().filter(|e| e.child != 0) {
+            let i = self.vacancy(e.parent, e.token);
+            self.slots[i] = e;
+        }
+    }
+
+    /// Unlinks `(parent, token)` and returns its child, shifting each
+    /// later link of the probe run back into the hole when the hole lies
+    /// on its own probe path.
+    fn remove(&mut self, parent: u32, token: u32) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut hole = self.find(parent, token).ok()?;
+        let child = self.slots[hole].child;
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let e = self.slots[i];
+            if e.child == 0 {
+                break;
+            }
+            let home = self.home(e.parent, e.token);
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = e;
+                hole = i;
+            }
+        }
+        self.slots[hole] = Edge::default();
+        self.len -= 1;
+        Some(child)
+    }
+
+    /// Checks the probe structure: the length counts the links, no key
+    /// is held twice, and no empty slot lies between a link and its home.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the three fails.
+    fn check_invariants(&self) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut held = 0;
+        for (i, e) in self.slots.iter().enumerate().filter(|(_, e)| e.child != 0) {
+            held += 1;
+            let mut at = self.home(e.parent, e.token);
+            while at != i {
+                let on_path = self.slots[at];
+                assert!(
+                    on_path.child != 0,
+                    "link in slot {i} is cut off from its home"
+                );
+                assert!(
+                    (on_path.parent, on_path.token) != (e.parent, e.token),
+                    "link ({}, {}) is held twice",
+                    e.parent,
+                    e.token
+                );
+                at = (at + 1) & mask;
+            }
+        }
+        assert_eq!(held, self.len, "edge table length drifted from its links");
+        assert!(
+            8 * self.len <= 7 * self.slots.len(),
+            "edge table over its load"
+        );
     }
 }
 
@@ -109,6 +255,7 @@ impl<P> Node<P> {
 #[derive(Debug)]
 pub struct RadixArena<P> {
     nodes: Vec<Node<P>>,
+    edges: Edges,
     free: Vec<usize>,
 }
 
@@ -133,12 +280,17 @@ impl<P: Clone> RadixArena<P> {
             nodes: vec![Node {
                 seg: Box::default(),
                 parent: ROOT as u32,
-                children: Vec::new(),
-                dead: false,
+                kids: 0,
                 data: root,
             }],
+            edges: Edges::default(),
             free: Vec::new(),
         }
+    }
+
+    /// The child of `node` whose segment starts with `token`.
+    pub fn child(&self, node: usize, token: u32) -> Option<usize> {
+        self.edges.get(node as u32, token).map(|c| c as usize)
     }
 
     /// One step of a walk: the child of `node` that `tokens` continues
@@ -147,7 +299,7 @@ impl<P: Clone> RadixArena<P> {
     /// the walk cannot go deeper. `None` if no child starts with
     /// `tokens[0]`, or `tokens` is empty.
     pub fn descend(&self, node: usize, tokens: &[u32]) -> Option<(usize, usize)> {
-        let child = self.nodes[node].child(*tokens.first()?)?;
+        let child = self.child(node, *tokens.first()?)?;
         Some((child, common_prefix(&self.nodes[child].seg, tokens)))
     }
 
@@ -172,7 +324,7 @@ impl<P: Clone> RadixArena<P> {
     pub fn alloc(&mut self, seg: &[u32], parent: usize, data: P) -> usize {
         let idx = self.take_slot(parent, data);
         self.nodes[idx].seg = seg.into();
-        self.nodes[parent].link(seg[0], idx as u32);
+        self.link(parent, seg[0], idx);
         idx
     }
 
@@ -191,13 +343,13 @@ impl<P: Clone> RadixArena<P> {
         self.nodes[child].seg = tail;
         self.nodes[child].parent = mid as u32;
         self.nodes[mid].seg = head;
-        self.nodes[mid].link(tail_first, child as u32);
-        self.nodes[parent].link(head_first, mid as u32);
+        self.link(mid, tail_first, child);
+        self.link(parent, head_first, mid);
         mid
     }
 
     /// Frees a childless non-root node and its segment; the slot keeps
-    /// its place on the free list and its empty child index.
+    /// its place on the free list.
     ///
     /// # Panics
     ///
@@ -205,17 +357,13 @@ impl<P: Clone> RadixArena<P> {
     /// already broken.
     pub fn remove_leaf(&mut self, idx: usize) {
         debug_assert!(idx != ROOT && self.nodes[idx].is_leaf());
-        let n = &mut self.nodes[idx];
+        let n = &self.nodes[idx];
         let (parent, first) = (n.parent(), n.seg[0]);
-        n.dead = true;
-        n.seg = Box::default();
-        let p = &mut self.nodes[parent];
-        let i = p
-            .position(first)
-            .ok()
-            .filter(|&i| p.children[i].1 as usize == idx)
-            .unwrap_or_else(|| panic!("invariant: parent {parent} does not link to leaf {idx}"));
-        p.children.remove(i);
+        if self.edges.remove(parent as u32, first) != Some(idx as u32) {
+            panic!("invariant: parent {parent} does not link to leaf {idx}");
+        }
+        self.nodes[parent].kids -= 1;
+        self.nodes[idx].seg = Box::default();
         self.free.push(idx);
     }
 
@@ -225,7 +373,7 @@ impl<P: Clone> RadixArena<P> {
             .iter()
             .enumerate()
             .skip(1)
-            .filter(|(_, n)| !n.dead)
+            .filter(|(_, n)| !n.seg.is_empty())
     }
 
     /// [`RadixArena::live`], with the payloads mutable.
@@ -234,35 +382,65 @@ impl<P: Clone> RadixArena<P> {
             .iter_mut()
             .enumerate()
             .skip(1)
-            .filter(|(_, n)| !n.dead)
+            .filter(|(_, n)| !n.seg.is_empty())
     }
 
-    /// Checks the structure: segments non-empty, child indexes sorted,
-    /// every parent live and linking back, every dead slot empty.
+    /// Checks the structure: every free slot empty; every live node's
+    /// parent live and linking back to it under its first token; every
+    /// child count, and the edge table's length, equal to the children
+    /// counted from the parent links; the table's probe runs intact.
     ///
     /// # Panics
     ///
-    /// Panics if a link is broken or a freed slot still holds tokens.
+    /// Panics if a link or a count is broken, or a freed slot still
+    /// holds tokens.
     pub fn check_invariants(&self) {
         for &i in &self.free {
-            let n = &self.nodes[i];
-            assert!(n.dead, "free slot {i} is live");
-            assert!(n.seg.is_empty(), "dead slot {i} holds a segment");
-        }
-        for (i, n) in self.live() {
-            assert!(!n.seg.is_empty(), "non-root node with empty segment");
+            assert!(i != ROOT, "the root is on the free list");
             assert!(
-                n.children.windows(2).all(|w| w[0].0 < w[1].0),
-                "child index out of order"
+                self.nodes[i].seg.is_empty(),
+                "free slot {i} holds a segment"
             );
-            let parent = &self.nodes[n.parent()];
-            assert!(!parent.dead, "live node under dead parent");
-            assert_eq!(parent.child(n.seg[0]), Some(i), "parent/child link broken");
+        }
+        let mut kids = vec![0u32; self.nodes.len()];
+        for (i, n) in self.live() {
+            let parent = n.parent();
+            assert!(
+                parent == ROOT || !self.nodes[parent].seg.is_empty(),
+                "live node {i} under free slot {parent}"
+            );
+            assert_eq!(
+                self.child(parent, n.seg[0]),
+                Some(i),
+                "parent/child link broken"
+            );
+            kids[parent] += 1;
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            assert_eq!(
+                n.kids, kids[i],
+                "node {i}'s child count drifted from its children"
+            );
+        }
+        let links: u32 = kids.iter().sum();
+        assert_eq!(
+            self.edges.len, links as usize,
+            "edge table holds a link to no node"
+        );
+        self.edges.check_invariants();
+    }
+
+    /// Links `child` under `(parent, token)`, replacing any child linked
+    /// there; a new link counts towards the parent's children.
+    fn link(&mut self, parent: usize, token: u32, child: usize) {
+        if self.edges.insert(parent as u32, token, child as u32) {
+            self.nodes[parent].kids += 1;
         }
     }
 
-    /// The most recently freed slot, else a fresh one: live, childless,
-    /// empty segment, under `parent`.
+    /// The most recently freed slot, else a fresh one: childless, empty
+    /// segment, under `parent`. It is free until the caller gives it a
+    /// segment.
     ///
     /// # Panics
     ///
@@ -274,7 +452,6 @@ impl<P: Clone> RadixArena<P> {
         if let Some(idx) = self.free.pop() {
             let n = &mut self.nodes[idx];
             n.parent = parent;
-            n.dead = false;
             n.data = data;
             idx
         } else {
@@ -286,8 +463,7 @@ impl<P: Clone> RadixArena<P> {
             self.nodes.push(Node {
                 seg: Box::default(),
                 parent,
-                children: Vec::new(),
-                dead: false,
+                kids: 0,
                 data,
             });
             idx
@@ -356,6 +532,8 @@ impl SlotSet {
 
 #[cfg(test)]
 mod tests {
+    use skywalker_sim::DetRng;
+
     use super::*;
 
     #[test]
@@ -379,8 +557,8 @@ mod tests {
         let mid = t.split(leaf, 2);
         assert_eq!((t[mid].seg(), t[leaf].seg()), (&[1, 2][..], &[3, 4, 5][..]));
         assert_eq!((t[mid].parent(), t[leaf].parent()), (ROOT, mid));
-        assert_eq!(t[ROOT].child(1), Some(mid));
-        assert_eq!(t[mid].child(3), Some(leaf));
+        assert_eq!(t.child(ROOT, 1), Some(mid));
+        assert_eq!(t.child(mid, 3), Some(leaf));
         assert_eq!(t[mid].data, 7, "the new node clones the child's payload");
         assert!(t[leaf].is_leaf() && !t[mid].is_leaf());
         t.check_invariants();
@@ -409,10 +587,13 @@ mod tests {
             (&*t[a].seg, &*t[b].seg, &*t[c].seg),
             (&[2][..], &[2, 2][..], &[4, 4][..])
         );
-        assert_eq!(
-            (t[a].children.capacity(), t[ROOT].children.capacity()),
-            (1, 4)
-        );
+        // The links live in the tree's one edge table, not in the nodes:
+        // four links in its first eight slots, one under `a`, three
+        // under the root, and the freed slots' links gone with them.
+        assert_eq!((t.edges.len, t.edges.slots.len()), (4, 8));
+        assert_eq!((t[a].kids, t[ROOT].kids), (1, 3));
+        assert_eq!(t.child(a, 2), Some(b));
+        assert_eq!(t.child(ROOT, 1), None);
         t.check_invariants();
     }
 
@@ -422,7 +603,7 @@ mod tests {
         let mut t = RadixArena::new(());
         let a = t.alloc(&[1, 2], ROOT, ());
         let b = t.alloc(&[3], a, ());
-        t[ROOT].children.clear();
+        t.edges.remove(ROOT as u32, 1);
         t.remove_leaf(b);
         t.remove_leaf(a);
     }
@@ -470,6 +651,106 @@ mod tests {
         let ids: Vec<usize> = t.live().map(|(i, _)| i).collect();
         assert_eq!(ids, [b, c]);
         assert_eq!(t.live_mut().count(), 2);
+        t.check_invariants();
+    }
+
+    /// Where each of `keys` sits in the table now.
+    fn slots_of(e: &Edges, keys: &[(u32, u32)]) -> Vec<Option<usize>> {
+        if e.slots.is_empty() {
+            return vec![None; keys.len()];
+        }
+        keys.iter().map(|&(p, t)| e.find(p, t).ok()).collect()
+    }
+
+    #[test]
+    fn edge_table_matches_a_sorted_map() {
+        use std::collections::BTreeMap;
+        // A key space of 7, 14 or 28 links fills 8, 16 or 32 slots to
+        // their 7/8 load, so probe runs wrap past the end and backward
+        // shifts cross it.
+        for (space, cap) in [(7, 8), (14, 16), (28, 32)] {
+            let (mut wrapped, mut shifted_across) = (false, false);
+            for seed in 0..16 {
+                let mut rng = DetRng::new(1_000 * space + seed);
+                let keys: Vec<(u32, u32)> = (0..space)
+                    .map(|k| {
+                        (
+                            rng.below(4) as u32,
+                            rng.below(1 << 32) as u32 | (k as u32 & 1),
+                        )
+                    })
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                let absent = (u32::MAX, 0);
+                let (mut e, mut model) = (Edges::default(), BTreeMap::new());
+                for _ in 0..2_000 {
+                    let key = keys[rng.below(keys.len() as u64) as usize];
+                    let (p, t) = key;
+                    match rng.below(5) {
+                        // Link, new or overwriting.
+                        0 | 1 => {
+                            let child = rng.range(1, 1 << 32) as u32;
+                            assert_eq!(e.insert(p, t, child), model.insert(key, child).is_none());
+                        }
+                        // Unlink, whether or not the key is linked.
+                        2 | 3 => {
+                            let before = slots_of(&e, &keys);
+                            assert_eq!(e.remove(p, t), model.remove(&key));
+                            let mask = e.slots.len().wrapping_sub(1);
+                            shifted_across |= before
+                                .iter()
+                                .zip(slots_of(&e, &keys))
+                                .any(|(b, a)| *b == Some(0) && a == Some(mask));
+                        }
+                        // Unlink and look up a key never linked.
+                        _ => {
+                            assert_eq!(e.remove(absent.0, absent.1), None);
+                            assert_eq!(e.get(absent.0, absent.1), None);
+                        }
+                    }
+                    e.check_invariants();
+                    assert_eq!(e.len, model.len());
+                    for &(p, t) in &keys {
+                        assert_eq!(e.get(p, t), model.get(&(p, t)).copied(), "({p}, {t})");
+                    }
+                    wrapped |= e
+                        .slots
+                        .iter()
+                        .enumerate()
+                        .any(|(i, l)| l.child != 0 && i < e.home(l.parent, l.token));
+                }
+                assert!(e.slots.len() <= cap, "{space} keys outgrew {cap} slots");
+            }
+            assert!(wrapped, "no probe run wrapped past the end of {cap} slots");
+            assert!(
+                shifted_across,
+                "no backward shift crossed the end of {cap} slots"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hub_of_100k_children_links_and_unlinks_each_in_constant_time() {
+        let mut t = RadixArena::new(());
+        let hub = t.alloc(&[7], ROOT, ());
+        let mut kids: Vec<usize> = (0..100_000).map(|k| t.alloc(&[k, 1], hub, ())).collect();
+        assert_eq!(t[hub].kids, 100_000);
+        assert_eq!(t.edges.len, 100_001);
+        assert_eq!(t.descend(hub, &[99_999, 1, 5]), Some((kids[99_999], 2)));
+        t.check_invariants();
+        DetRng::new(44).shuffle(&mut kids);
+        for (n, &k) in kids.iter().enumerate() {
+            t.remove_leaf(k);
+            if n % 25_000 == 0 {
+                t.check_invariants();
+            }
+        }
+        assert!(t[hub].is_leaf());
+        assert_eq!(t.edges.len, 1, "only the root's link to the hub is left");
+        t.remove_leaf(hub);
+        assert_eq!(t.edges.len, 0);
+        assert!(t[ROOT].is_leaf() && t.live().next().is_none());
         t.check_invariants();
     }
 }

@@ -79,6 +79,16 @@ impl DetRng {
         Self::new(root_seed ^ fnv1a(label))
     }
 
+    /// [`DetRng::for_component`] under the label its `parts` spell when
+    /// joined. FNV-1a runs byte by byte, so the parts are hashed in turn
+    /// and the label is never built.
+    pub fn for_component_parts(root_seed: u64, parts: &[&str]) -> Self {
+        let label = parts
+            .iter()
+            .fold(FNV_OFFSET, |h, part| fnv1a_bytes(h, part.as_bytes()));
+        Self::new(root_seed ^ label)
+    }
+
     /// Derives a child generator with an extra label, without consuming
     /// randomness from `self`.
     pub fn derive(&self, label: &str) -> Self {
@@ -265,6 +275,18 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_label_in_parts_names_the_joined_labels_stream() {
+        for (seed, parts) in [
+            (7, &["conv/", "user-12"][..]),
+            (61, &["", "a/b", "", "c"][..]),
+        ] {
+            let mut joined = DetRng::for_component(seed, &parts.concat());
+            let mut split = DetRng::for_component_parts(seed, parts);
+            assert!((0..8).all(|_| joined.next_u64() == split.next_u64()));
+        }
+    }
 
     #[test]
     fn deterministic_streams() {

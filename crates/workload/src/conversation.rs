@@ -18,6 +18,7 @@
 //! A conversation's prompt at turn `t` is:
 //! `template ++ persona ++ (fresh_1 ++ reply_1) ++ … ++ fresh_t`.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use skywalker_net::Region;
@@ -116,6 +117,18 @@ impl ConversationConfig {
             activity_sigma: 0.9,
         }
     }
+
+    /// A light per-user chat mix: WildChat's content, one or two short
+    /// conversations per user and a narrow activity spread — the natural
+    /// content for an open-loop diurnal feed.
+    pub fn light_chat() -> Self {
+        ConversationConfig {
+            conversations_per_user: (1, 2),
+            turns_per_conversation: (2, 3),
+            activity_sigma: 0.4,
+            ..ConversationConfig::wildchat()
+        }
+    }
 }
 
 /// Deterministic token streams for the synthetic text fragments.
@@ -162,12 +175,16 @@ impl ConversationGen {
         }
     }
 
+    /// Conversation `conv` of user `user_id`. `key` holds
+    /// `"{user}/conv-"`, a buffer reused across the user's
+    /// conversations: the number is written after it, the session key
+    /// copied out once, and the buffer left as it came.
     fn conversation(
         &self,
         region: Region,
         user_id: u64,
-        user: &str,
         conv: u32,
+        key: &mut String,
         rng: &mut DetRng,
         ids: &mut IdGen,
     ) -> Program {
@@ -200,7 +217,10 @@ impl ConversationGen {
         extend_fragment(&mut history, &[0x9E, user_id], cfg.persona_tokens);
 
         // One key for the whole conversation, shared by its turns.
-        let session_key: Arc<str> = format!("{user}/conv-{conv}").into();
+        let base = key.len();
+        write!(key, "{conv}").expect("writing to a String cannot fail");
+        let session_key = Arc::<str>::from(&key[..]);
+        key.truncate(base);
         let mut stages = Vec::with_capacity(turns as usize);
         for turn in 0..turns {
             let fresh = [0xF5, user_id, u64::from(conv), u64::from(turn)];
@@ -227,7 +247,7 @@ impl ClientGen for ConversationGen {
     fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
         let user_id = self.user_base + slot as u64;
         let user = format!("user-{user_id}");
-        let mut rng = DetRng::for_component(self.seed, &format!("conv/{user}"));
+        let mut rng = DetRng::for_component_parts(self.seed, &["conv/", &user]);
         // Heavy-tailed per-user activity: median near the low end of the
         // clamp range, a long tail of power users.
         let (lo, hi) = self.cfg.conversations_per_user;
@@ -236,8 +256,12 @@ impl ClientGen for ConversationGen {
             .lognormal(median.ln(), self.cfg.activity_sigma)
             .round()
             .clamp(f64::from(lo), f64::from(hi)) as u32;
+        // Room for the widest conversation number: one allocation.
+        let mut key = String::with_capacity(user.len() + "/conv-".len() + 10);
+        key.push_str(&user);
+        key.push_str("/conv-");
         let programs = (0..n_convs)
-            .map(|conv| self.conversation(region, user_id, &user, conv, &mut rng, ids))
+            .map(|conv| self.conversation(region, user_id, conv, &mut key, &mut rng, ids))
             .collect();
         ClientSpec {
             region,

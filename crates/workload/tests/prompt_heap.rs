@@ -33,10 +33,12 @@ use counting_alloc::{ALLOCS, LIVE};
 /// About 15 % above the 2.23 B a drained source holds a prompt token it
 /// describes (4.29 B when every request held its own prompt and key).
 const BYTES_PER_TOKEN: f64 = 2.6;
-/// About 12 % above the 4.91 allocations a drained light chat source
-/// makes a request (7.70 when every template, persona and turn fragment
-/// was a vector of its own and the history grew by doubling).
-const ALLOCS_PER_CHAT_REQUEST: f64 = 5.5;
+/// About 16 % above the 3.88 allocations a drained light chat source
+/// makes a request (4.91 when each session key was formatted, then
+/// copied into its `Arc`, and the RNG's label was formatted too; 7.70
+/// when every template, persona and turn fragment was a vector of its
+/// own and the history grew by doubling).
+const ALLOCS_PER_CHAT_REQUEST: f64 = 4.5;
 
 fn requests(clients: &[ClientSpec]) -> impl Iterator<Item = &Request> {
     clients
@@ -68,23 +70,21 @@ fn tot_bytes_per_token() -> f64 {
     held as f64 / tokens as f64
 }
 
-/// Allocations a request made by draining a light chat source: the
-/// content of the root crate's `DiurnalSource::light_chat()`, one or two
-/// short conversations per user.
+/// Allocations a request made by draining a light chat source
+/// ([`ConversationConfig::light_chat`], the diurnal day's content: one
+/// or two short conversations per user).
 fn chat_allocs_per_request() -> f64 {
-    let light_chat = ConversationConfig {
-        conversations_per_user: (1, 2),
-        turns_per_conversation: (2, 3),
-        activity_sigma: 0.4,
-        ..ConversationConfig::wildchat()
-    };
     let slots = vec![
         (Region::UsEast, 2_000),
         (Region::EuWest, 1_000),
         (Region::ApNortheast, 1_000),
     ];
     let before = ALLOCS.load(Relaxed);
-    let clients = drain(&mut ConversationSource::new(light_chat, slots, 61));
+    let clients = drain(&mut ConversationSource::new(
+        ConversationConfig::light_chat(),
+        slots,
+        61,
+    ));
     let allocs = ALLOCS.load(Relaxed) - before;
     let n = requests(&clients).count();
     println!("light chat: {allocs} allocations for {n} requests");

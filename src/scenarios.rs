@@ -297,7 +297,7 @@ pub fn fig10_diurnal_scenario(
         &trio_diurnal_profiles(),
         day,
         scale,
-        &DiurnalSource::light_chat(),
+        &ConversationConfig::light_chat(),
         seed,
     );
     system

@@ -401,17 +401,6 @@ impl DiurnalSource {
             });
         MergeSource::new(lanes.collect()).with_label("Diurnal day")
     }
-
-    /// A light per-user chat mix (one short conversation per user), the
-    /// natural content for an open-loop diurnal feed.
-    pub fn light_chat() -> ConversationConfig {
-        ConversationConfig {
-            conversations_per_user: (1, 2),
-            turns_per_conversation: (2, 3),
-            activity_sigma: 0.4,
-            ..ConversationConfig::wildchat()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -426,7 +415,7 @@ mod tests {
             .into_iter()
             .filter(|(r, _)| *r == Region::UsEast)
             .collect();
-        let src = DiurnalSource::new(&profiles, day, 0.05, &DiurnalSource::light_chat(), 7);
+        let src = DiurnalSource::new(&profiles, day, 0.05, &ConversationConfig::light_chat(), 7);
         assert_eq!(src.regions(), vec![Region::UsEast]);
         // us-east-1 peaks at 14:00 local = 19:00 UTC and troughs in the
         // local early morning: compare the busiest and quietest sixths
@@ -455,7 +444,7 @@ mod tests {
     fn diurnal_source_is_poll_cadence_invariant() {
         let day = SimDuration::from_secs(600);
         let profiles = fig3_regions();
-        let mk = || DiurnalSource::new(&profiles, day, 0.01, &DiurnalSource::light_chat(), 3);
+        let mk = || DiurnalSource::new(&profiles, day, 0.01, &ConversationConfig::light_chat(), 3);
         let mut coarse = mk();
         let mut fine = mk();
         let mut rng = DetRng::new(0);

@@ -578,7 +578,7 @@ fn built_in_sources_emit_the_recorded_streams() {
                     &trio_diurnal_profiles(),
                     SimDuration::from_secs(600),
                     0.004,
-                    &DiurnalSource::light_chat(),
+                    &ConversationConfig::light_chat(),
                     seed,
                 ))
             }),
