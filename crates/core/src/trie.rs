@@ -23,9 +23,13 @@
 //! target id) rather than `BTreeMap`s: target counts are small, and a
 //! node gains a target far less often than it is read, so a one-target
 //! leaf holds one 16-byte entry, not a vector's spare capacity.
-//! Eviction order is maintained incrementally in a `(created_seq, node)`
-//! index, so `insert` at the size bound is O(log n) instead of a full
-//! arena scan per evicted leaf.
+//! Eviction order is a `(created_seq, node)` index of the leaves, so
+//! `insert` at the size bound is O(log n) instead of a full arena scan
+//! per evicted leaf. That index exists only in a trie that has reached
+//! its bound: the first insert that takes the trie over it builds the
+//! index in one scan of the live leaves, and from then on every insert
+//! and removal keeps it up to date. A trie that never fills pays
+//! nothing for an eviction order it would never read.
 //!
 //! The trie is generic over the target type `T`: `ReplicaId` in the
 //! LB-to-replica layer, `LbId` in the LB-to-LB layer.
@@ -121,8 +125,9 @@ pub struct RouteTrie<T> {
     tree: RadixArena<Route<T>>,
     /// Live childless non-root nodes as `(created_seq, index)` — the
     /// eviction frontier, ordered exactly as the bound enforcer consumes
-    /// it (oldest first, lowest arena index on ties).
-    leaves: BTreeSet<(u64, usize)>,
+    /// it (oldest first, lowest arena index on ties). `None` until the
+    /// trie first exceeds its bound.
+    leaves: Option<BTreeSet<(u64, usize)>>,
     max_tokens: usize,
     stored_tokens: usize,
     seq: u64,
@@ -136,7 +141,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
                 targets: Box::default(),
                 created_seq: 0,
             }),
-            leaves: BTreeSet::new(),
+            leaves: None,
             max_tokens,
             stored_tokens: 0,
             seq: 0,
@@ -183,10 +188,11 @@ impl<T: Copy + Ord> RouteTrie<T> {
                     }
                 }
                 None => {
-                    if node != ROOT && self.tree[node].is_leaf() {
-                        // The attachment point stops being a leaf.
-                        self.leaves
-                            .remove(&(self.tree[node].data.created_seq, node));
+                    if let Some(leaves) = &mut self.leaves {
+                        if node != ROOT && self.tree[node].is_leaf() {
+                            // The attachment point stops being a leaf.
+                            leaves.remove(&(self.tree[node].data.created_seq, node));
+                        }
                     }
                     let route = Route {
                         targets: Box::default(),
@@ -194,7 +200,9 @@ impl<T: Copy + Ord> RouteTrie<T> {
                     };
                     let leaf = self.tree.alloc(&tokens[pos..], node, route);
                     self.stored_tokens += tokens.len() - pos;
-                    self.leaves.insert((seq, leaf));
+                    if let Some(leaves) = &mut self.leaves {
+                        leaves.insert((seq, leaf));
+                    }
                     pos = tokens.len();
                     leaf
                 }
@@ -268,7 +276,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
     }
 
     /// Checks the subset invariant, token accounting, sortedness of the
-    /// inline indexes, and the eviction frontier.
+    /// inline indexes, and the eviction frontier once it exists.
     ///
     /// # Panics
     ///
@@ -276,16 +284,12 @@ impl<T: Copy + Ord> RouteTrie<T> {
     pub fn check_invariants(&self) {
         self.tree.check_invariants();
         let mut stored = 0usize;
-        let mut expect_leaves: BTreeSet<(u64, usize)> = BTreeSet::new();
-        for (i, n) in self.tree.live() {
+        for (_, n) in self.tree.live() {
             stored += n.seg().len();
             assert!(
                 n.data.targets.windows(2).all(|w| w[0].0 < w[1].0),
                 "target vec out of order"
             );
-            if n.is_leaf() {
-                expect_leaves.insert((n.data.created_seq, i));
-            }
             let parent = &self.tree[n.parent()].data;
             for (t, _) in &n.data.targets {
                 assert!(
@@ -294,7 +298,13 @@ impl<T: Copy + Ord> RouteTrie<T> {
                 );
             }
         }
-        assert_eq!(expect_leaves, self.leaves, "eviction frontier drifted");
+        if let Some(leaves) = &self.leaves {
+            assert_eq!(
+                &scan_leaves(&self.tree),
+                leaves,
+                "eviction frontier drifted"
+            );
+        }
         assert_eq!(stored, self.stored_tokens, "token accounting drifted");
         assert!(
             self.stored_tokens <= self.max_tokens,
@@ -309,27 +319,48 @@ impl<T: Copy + Ord> RouteTrie<T> {
     fn remove_leaf(&mut self, idx: usize) {
         let parent = self.tree[idx].parent();
         self.stored_tokens -= self.tree[idx].seg().len();
-        self.leaves.remove(&(self.tree[idx].data.created_seq, idx));
+        let created_seq = self.tree[idx].data.created_seq;
         self.tree.remove_leaf(idx);
-        if parent != ROOT && self.tree[parent].is_leaf() {
-            // The parent joins the eviction frontier with its original
-            // creation time, exactly as the full-scan enforcer saw it.
-            self.leaves
-                .insert((self.tree[parent].data.created_seq, parent));
+        if let Some(leaves) = &mut self.leaves {
+            leaves.remove(&(created_seq, idx));
+            if parent != ROOT && self.tree[parent].is_leaf() {
+                // The parent joins the eviction frontier with its original
+                // creation time, exactly as the full-scan enforcer saw it.
+                leaves.insert((self.tree[parent].data.created_seq, parent));
+            }
         }
     }
 
     fn enforce_bound(&mut self) {
         while self.stored_tokens > self.max_tokens {
+            // The first overflow builds the frontier from the leaves as
+            // they stand: what an index kept since the first insert
+            // would hold now.
+            let leaves = self.leaves.get_or_insert_with(|| scan_leaves(&self.tree));
             // Oldest-created leaf goes first (paper: earliest inserted
             // records evicted first); equal ages fall back to the lowest
             // arena index, matching the old first-minimum full scan.
-            let Some(&(_, idx)) = self.leaves.first() else {
+            let Some(&(_, idx)) = leaves.first() else {
                 break;
             };
             self.remove_leaf(idx);
         }
     }
+}
+
+/// Every live childless non-root node as `(created_seq, index)`: the
+/// eviction frontier as one scan of the tree finds it. Inserted one by
+/// one in arena order: `collect` would first buffer and sort them all,
+/// and its fuller nodes would only relax to the sliding frontier's
+/// steady state.
+fn scan_leaves<T: Copy>(tree: &RadixArena<Route<T>>) -> BTreeSet<(u64, usize)> {
+    let mut leaves = BTreeSet::new();
+    for (i, n) in tree.live() {
+        if n.is_leaf() {
+            leaves.insert((n.data.created_seq, i));
+        }
+    }
+    leaves
 }
 
 #[cfg(test)]
@@ -435,6 +466,46 @@ mod tests {
         assert_eq!(m.matched, 0, "oldest path evicted");
         let m = trie.best_match(&[5, 6, 7, 8], |_| true).unwrap();
         assert_eq!(m.matched, 4, "newer path kept");
+    }
+
+    #[test]
+    fn the_frontier_is_built_at_the_first_overflow() {
+        let mut trie = RouteTrie::new(32);
+        for k in 0..10u32 {
+            trie.insert(&[k, 100 + k, 200 + k], k % 3);
+        }
+        trie.insert(&[0, 100, 7], 9); // a split: 31 tokens
+        trie.check_invariants();
+        assert!(trie.leaves.is_none(), "below the bound: no frontier");
+
+        trie.purge_target(2); // drops three paths: 22 tokens
+        trie.check_invariants();
+        assert_eq!(trie.stored_tokens(), 22);
+        assert!(trie.leaves.is_none(), "a purge below the bound builds none");
+        for k in 0..5u32 {
+            trie.insert(&[300 + k, 400 + k], 1);
+        }
+        assert_eq!(trie.stored_tokens(), 32);
+        assert!(trie.leaves.is_none(), "at the bound, not over it");
+
+        // Each insert below takes the trie one token over its bound at
+        // the root, so it evicts one leaf: the oldest by a scan, ties to
+        // the lowest slot.
+        for j in 0..12u32 {
+            let oldest = scan_leaves(&trie.tree).pop_first().unwrap();
+            let over = (trie.max_tokens() + 1 - trie.stored_tokens()) as u32;
+            let path: Vec<u32> = (0..over).map(|t| 1000 + 10 * j + t).collect();
+            trie.insert(&path, 4);
+            trie.check_invariants();
+            assert!(trie.leaves.is_some(), "the overflow built the frontier");
+            let (created_seq, slot) = oldest;
+            let n = &trie.tree[slot];
+            assert!(
+                n.seg().is_empty() || n.data.created_seq != created_seq,
+                "insert {j}: leaf {oldest:?} survived"
+            );
+            assert!(trie.stored_tokens() <= 32);
+        }
     }
 
     #[test]

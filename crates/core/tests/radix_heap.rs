@@ -8,10 +8,10 @@
 //! - a `RouteTrie` fed a `kv_pressure`-shaped stream (64 shared
 //!   256-token documents, 100 k unique suffixes of about 24 tokens)
 //!   holds at most [`TRIE_BYTES_PER_TOKEN`] bytes a stored token;
-//! - a trie at its token bound holds no more heap after 10 k further
-//!   insert-and-evict rounds than before them, give or take
-//!   [`FRONTIER_WOBBLE`]: a freed node gives its bytes back instead of
-//!   leaving them with its slot;
+//! - a trie that has reached its token bound and evicted holds no more
+//!   heap after 10 k further insert-and-evict rounds than before them,
+//!   give or take [`FRONTIER_WOBBLE`]: a freed node gives its bytes back
+//!   instead of leaving them with its slot;
 //! - a `PrefixCache` churned through acquire, complete and evict holds
 //!   at most [`CACHE_BYTES_PER_TOKEN`] bytes a resident token.
 //!
@@ -28,19 +28,22 @@ mod counting_alloc;
 
 use counting_alloc::LIVE;
 
-/// About 7 % above the 9.34 B a route trie holds a stored token of
-/// [`trie_bytes_per_token`]'s stream (10.42 B when every node kept its
+/// About 7 % above the 7.92 B a route trie holds a stored token of
+/// [`trie_bytes_per_token`]'s stream, whose trie never reaches its bound
+/// and so keeps no eviction frontier (9.34 B when a trie kept that
+/// frontier from its first insert, 10.42 B when every node also kept its
 /// children in a sorted vector of its own, 14.18 B when a node also kept
 /// a four-entry target vector and its slot's old capacity).
-const TRIE_BYTES_PER_TOKEN: f64 = 10.0;
+const TRIE_BYTES_PER_TOKEN: f64 = 8.5;
 /// About 7 % above the 5.61 B a churned prefix cache holds a resident
 /// token (6.43 B with a child vector per node, 20.60 B when freed slots
 /// also kept their segment buffers).
 const CACHE_BYTES_PER_TOKEN: f64 = 6.0;
 /// How far the heap of a trie at its bound may drift over the churn: its
-/// eviction frontier is a B-tree whose node count wobbles by a few
-/// 192–288 B nodes as it slides (at most 648 B over 40 k rounds). Slots
-/// that kept their segments' capacity added 147 kB.
+/// eviction frontier, built at the first overflow before the churn
+/// starts, is a B-tree whose node count wobbles by a few 192–288 B nodes
+/// as it slides (at most 648 B over 40 k rounds). Slots that kept their
+/// segments' capacity added 147 kB.
 const FRONTIER_WOBBLE: usize = 1024;
 
 const DOCS: u64 = 64;
@@ -78,12 +81,12 @@ fn trie_bytes_per_token() -> f64 {
     per_token(before, stored)
 }
 
-/// (b) A trie filled to its bound by a stream whose every shape repeats
-/// with a period of 200 prompts, then churned for 10 k rounds (a whole
-/// number of periods), each inserting one prompt and evicting the
-/// oldest leaves: heap held before and after the churn. Query lengths
-/// vary (4–52 tokens), so a slot that kept its segment's capacity
-/// ratchets up to the longest it ever held.
+/// (b) A trie filled past its bound by a stream whose every shape
+/// repeats with a period of 200 prompts, run for one whole period, then
+/// churned for 10 k rounds (a whole number of periods), each inserting
+/// one prompt and evicting the oldest leaves: heap held before and after
+/// the churn. Query lengths vary (4–52 tokens), so a slot that kept its
+/// segment's capacity ratchets up to the longest it ever held.
 fn trie_churn() -> (usize, usize) {
     let prompt = |i: u32| -> Vec<u32> {
         let doc = i % 50;
@@ -100,6 +103,11 @@ fn trie_churn() -> (usize, usize) {
         i += 1;
     };
     while trie.stored_tokens() + 128 < trie.max_tokens() {
+        round(&mut trie);
+    }
+    // The period takes the trie over its bound, which builds its
+    // eviction frontier: growth that the steady state is not about.
+    for _ in 0..200 {
         round(&mut trie);
     }
     let before = LIVE.load(Relaxed);

@@ -3,9 +3,10 @@
 //! `RefTrie` below is a straight port of the pre-optimization
 //! implementation: per-node `BTreeMap` child and target maps and a full
 //! arena scan (`min_by_key(created_seq)`) per evicted leaf. The optimized
-//! trie replaced those with flat sorted child and target lists and an
-//! incremental `(created_seq, index)` eviction frontier — pure data-structure swaps
-//! that must not change a single observable.
+//! trie replaced those with flat sorted child and target lists and a
+//! `(created_seq, index)` eviction frontier, built by one scan when the
+//! trie first exceeds its bound and maintained from then on — pure
+//! data-structure swaps that must not change a single observable.
 //!
 //! Both tries share the same free-list discipline (LIFO `free.pop()`,
 //! placeholder push on split), so arena slots evolve identically and the
@@ -41,6 +42,8 @@ struct RefTrie {
     max_tokens: usize,
     stored_tokens: usize,
     seq: u64,
+    /// Leaves the bound has evicted so far.
+    evictions: usize,
 }
 
 impl RefTrie {
@@ -58,6 +61,7 @@ impl RefTrie {
             max_tokens,
             stored_tokens: 0,
             seq: 0,
+            evictions: 0,
         }
     }
 
@@ -258,7 +262,10 @@ impl RefTrie {
                 .min_by_key(|(_, n)| n.created_seq)
                 .map(|(i, _)| i);
             match victim {
-                Some(i) => self.remove_leaf(i),
+                Some(i) => {
+                    self.remove_leaf(i);
+                    self.evictions += 1;
+                }
                 None => break,
             }
         }
@@ -450,4 +457,69 @@ fn equivalence_when_purging_a_large_trie() {
     }
     compare_state(61, 200, &opt, &reference);
     assert!(opt.is_empty(), "every target purged leaves no path");
+}
+
+/// A wide trie that first exceeds its bound only after thousands of
+/// inserts, so the optimized trie builds its eviction frontier from a
+/// large tree mid-race; then thousands of operations at the bound,
+/// evicting on nearly every insert, then two purges.
+#[test]
+fn equivalence_when_the_bound_is_first_crossed_late() {
+    let mut rng = DetRng::for_component(61, "trie/equiv-late-bound");
+    let bound = 40_000;
+    let mut opt: RouteTrie<u8> = RouteTrie::new(bound);
+    let mut reference = RefTrie::new(bound);
+    let mut inserts = 0;
+    while reference.evictions == 0 {
+        // A 1 024-token alphabet: a root with hundreds of children.
+        let tokens = random_tokens(&mut rng, 1024, 1, 12);
+        let target = rng.below(6) as u8;
+        opt.insert(&tokens, target);
+        reference.insert(&tokens, target);
+        inserts += 1;
+        if inserts % 500 == 0 {
+            compare_state(61, inserts, &opt, &reference);
+        }
+    }
+    assert!(
+        inserts >= 5_000,
+        "the bound was first crossed at insert {inserts}"
+    );
+    compare_state(61, inserts, &opt, &reference);
+    assert!(opt.node_count() > 5_000, "{} nodes", opt.node_count());
+
+    for op in 0..2_400usize {
+        // Two purges, the second on a trie still refilling from the
+        // first.
+        if op == 1_999 || op == 2_399 {
+            let target = (op % 7) as u8;
+            opt.purge_target(target);
+            reference.purge_target(target);
+        } else if rng.chance(0.7) {
+            let tokens = random_tokens(&mut rng, 1024, 1, 12);
+            let target = rng.below(6) as u8;
+            opt.insert(&tokens, target);
+            reference.insert(&tokens, target);
+        } else {
+            let query = random_tokens(&mut rng, 1024, 0, 14);
+            let mask = rng.next_u64();
+            let got = opt
+                .best_match(&query, masked(mask))
+                .map(|m| (m.target, m.matched));
+            let want = reference.best_match(&query, masked(mask));
+            assert_eq!(got, want, "op {op}: best_match divergence");
+            let target = rng.below(8) as u8;
+            assert_eq!(
+                opt.matched_for(&query, target),
+                reference.matched_for(&query, target),
+                "op {op}: matched_for divergence"
+            );
+        }
+        compare_state(61, inserts + op, &opt, &reference);
+    }
+    assert!(
+        reference.evictions > 1_000,
+        "{} evictions in the race",
+        reference.evictions
+    );
 }

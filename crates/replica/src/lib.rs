@@ -47,7 +47,7 @@ pub use kvcache::{
     CloneKvEvictor, EvictCandidate, KvConfig, KvError, KvEvictor, Lease, LruEvictor, NoEvict,
     PrefixAwareEvictor, PrefixCache, TieredEvictor,
 };
-pub use request::{Request, RequestId};
+pub use request::{extended_prompt, Request, RequestId};
 pub use timing::GpuProfile;
 pub use tokenizer::output_token;
 

@@ -69,6 +69,21 @@ impl Request {
     }
 }
 
+/// A prompt that extends `head` by `tail`: a follow-up that replays an
+/// earlier prompt plus what came after it. One exact-size allocation;
+/// `head` is copied as a slice rather than token by token.
+pub fn extended_prompt(head: &[u32], tail: impl ExactSizeIterator<Item = u32>) -> Arc<[u32]> {
+    let len = head.len() + tail.len();
+    let mut prompt: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+    let buf = Arc::get_mut(&mut prompt).expect("a new buffer has one owner");
+    let (front, back) = buf.split_at_mut(head.len());
+    front.copy_from_slice(head);
+    for (slot, token) in back.iter_mut().zip(tail) {
+        *slot = token;
+    }
+    prompt
+}
+
 // A field that grows a request fails to compile here: requests ride in
 // every fabric event and every replica queue.
 const _: () = assert!(std::mem::size_of::<Request>() == 48);
@@ -83,5 +98,22 @@ mod tests {
         assert_eq!(r.id, RequestId(7));
         assert_eq!(r.prompt_len(), 3);
         assert_eq!(format!("{}", r.id), "req-7");
+    }
+
+    #[test]
+    fn an_extended_prompt_equals_the_chained_tokens() {
+        let chained = |head: &[u32], tail: &[u32]| -> Arc<[u32]> {
+            head.iter().chain(tail).copied().collect()
+        };
+        let cases: [(&[u32], &[u32]); 4] = [
+            (&[], &[]),
+            (&[], &[4, 5]),
+            (&[1, 2, 3], &[]),
+            (&[1, 2, 3], &[4, 5]),
+        ];
+        for (head, tail) in cases {
+            let got = extended_prompt(head, tail.iter().copied());
+            assert_eq!(got, chained(head, tail), "{head:?} + {tail:?}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use skywalker_net::Region;
-use skywalker_replica::{output_token, Request};
+use skywalker_replica::{extended_prompt, output_token, Request};
 use skywalker_sim::DetRng;
 
 use crate::lengths::LengthModel;
@@ -99,7 +99,7 @@ pub fn generate_tree(
                     // Every child's prompt: parent's prompt + parent's thought.
                     let thought =
                         (0..parent.target_output_tokens).map(|k| output_token(parent.id.0, k));
-                    let prompt = parent.prompt.iter().copied().chain(thought).collect();
+                    let prompt = extended_prompt(&parent.prompt, thought);
                     stage.extend((0..cfg.branch).map(|_| node(&prompt, rng)));
                 }
                 stage

@@ -4,7 +4,7 @@
 //! [`Ev::KvTransfer`]. The client sees one request throughout.
 
 use skywalker_net::Region;
-use skywalker_replica::{output_token, Completion, Request};
+use skywalker_replica::{extended_prompt, output_token, Completion, Request};
 
 use super::{Ev, Fabric, ReplicaHealth, Sched};
 use crate::trace::TraceEventKind;
@@ -51,7 +51,7 @@ fn decode_leg(orig: &Request) -> Request {
     Request {
         id: orig.id,
         session_key: orig.session_key.clone(),
-        prompt: orig.prompt.iter().copied().chain([first]).collect(),
+        prompt: extended_prompt(&orig.prompt, [first].into_iter()),
         target_output_tokens: orig.target_output_tokens - 1,
         output_offset: 1,
     }

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use skywalker_net::Region;
-use skywalker_replica::{output_token, Request};
+use skywalker_replica::{extended_prompt, output_token, Request};
 use skywalker_sim::{fnv1a_words, DetRng, SimDuration, SimTime, Zipf, FNV_OFFSET};
 use skywalker_workload::{
     distinct_regions, region_of_slot, total_slots, ClientEvent, ClientGen, ClientSpec,
@@ -38,7 +38,7 @@ fn fragment(parts: &[u64], len: u32) -> Vec<u32> {
 }
 
 /// [`fragment`]'s tokens, one at a time.
-fn fragment_tokens(parts: &[u64], len: u32) -> impl Iterator<Item = u32> {
+fn fragment_tokens(parts: &[u64], len: u32) -> impl ExactSizeIterator<Item = u32> {
     let label = fnv1a_words(FNV_OFFSET, parts.iter().copied());
     (0..len).map(move |k| {
         let mut h = label ^ 0x6b_9d_3a_44_af_01_77_c3;
@@ -149,7 +149,7 @@ impl RagCorpusSource {
 impl ClientGen for RagCorpusSource {
     fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
         let user = format!("rag-user-{slot}");
-        let mut rng = DetRng::for_component(self.seed, &format!("rag/{user}"));
+        let mut rng = DetRng::for_component_parts(self.seed, &["rag/", &user]);
         let (lo, hi) = self.cfg.queries_per_user;
         let n_queries = rng.range(u64::from(lo), u64::from(hi) + 1) as u32;
         let programs = (0..n_queries)
@@ -160,9 +160,7 @@ impl ClientGen for RagCorpusSource {
                 // The document block is shared corpus-wide: every user
                 // retrieving document `doc` gets the identical prefix.
                 let document = self.document(doc);
-                let prompt: Arc<[u32]> = (document.tokens.iter().copied())
-                    .chain(fragment_tokens(&query, query_len))
-                    .collect();
+                let prompt = extended_prompt(&document.tokens, fragment_tokens(&query, query_len));
                 // Key the session by document, not user: affinity
                 // routing then sees corpus structure directly.
                 let key = document.key.clone();
@@ -279,7 +277,7 @@ impl FlashCrowdSource {
 
     fn generate_client(&mut self, slot: usize, region: Region, bursty: bool) -> ClientSpec {
         let user = format!("flash-user-{slot}");
-        let mut rng = DetRng::for_component(self.seed, &format!("flash/{user}"));
+        let mut rng = DetRng::for_component_parts(self.seed, &["flash/", &user]);
         let (lo, hi) = self.turns;
         let turns = rng.range(u64::from(lo.max(1)), u64::from(hi.max(1)) + 1) as u32;
         // Burst clients all open with the same trending-topic context;
