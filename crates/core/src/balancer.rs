@@ -400,8 +400,15 @@ impl RegionalBalancer {
     /// changes a peer's record, so the remote list is rebuilt per head.
     pub fn dispatch(&mut self) -> Vec<Decision> {
         let mut out = Vec::new();
+        self.dispatch_into(&mut out);
+        out
+    }
+
+    /// [`dispatch`](Self::dispatch), appending the decisions to `out`: a
+    /// caller that reuses one buffer allocates nothing for them.
+    pub fn dispatch_into(&mut self, out: &mut Vec<Decision>) {
         if self.queue.is_empty() {
-            return out;
+            return;
         }
         let mut local_candidates = std::mem::take(&mut self.local_scratch);
         let mut remote_candidates = std::mem::take(&mut self.remote_scratch);
@@ -453,7 +460,6 @@ impl RegionalBalancer {
         }
         self.local_scratch = local_candidates;
         self.remote_scratch = remote_candidates;
-        out
     }
 
     /// The available local replicas, in id order.

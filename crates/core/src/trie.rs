@@ -19,10 +19,12 @@
 //! The tree itself — segments, links, splits, slot recycling — is
 //! [`skywalker_replica::radix::RadixArena`], the same structure the
 //! replica's KV cache stands on; this file keeps only what is routing.
-//! Per-node target maps are exact sorted slices (binary search on the
-//! target id) rather than `BTreeMap`s: target counts are small, and a
-//! node gains a target far less often than it is read, so a one-target
-//! leaf holds one 16-byte entry, not a vector's spare capacity.
+//! Nearly every node is a leaf that one target served, so a node holds
+//! one target inline, in its 48 bytes, and allocates nothing for it.
+//! Two or more targets are an exact sorted slice (binary search on the
+//! target id) behind one thin pointer, rather than a `BTreeMap`: target
+//! counts are small, and a node gains a target far less often than it
+//! is read.
 //! Eviction order is a `(created_seq, node)` index of the leaves, so
 //! `insert` at the size bound is O(log n) instead of a full arena scan
 //! per evicted leaf. That index exists only in a trie that has reached
@@ -37,6 +39,7 @@
 use std::collections::BTreeSet;
 
 use skywalker_replica::radix::{RadixArena, ROOT};
+use skywalker_sim::Scope;
 
 /// Result of a routing lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,53 +53,105 @@ pub struct TrieMatch<T> {
 /// What the trie keeps on every tree node.
 #[derive(Debug, Clone)]
 struct Route<T> {
-    /// Targets recorded at this node as `(target, seq)`, sorted by
-    /// target; `seq` is the sequence number of the target's most recent
-    /// insertion (freshness).
-    targets: Box<[(T, u64)]>,
+    /// Targets recorded at this node.
+    targets: Targets<T>,
     /// Sequence number when this node was first created (eviction order).
     created_seq: u64,
 }
 
-impl<T: Copy + Ord> Route<T> {
-    fn position(&self, target: &T) -> Result<usize, usize> {
-        self.targets.binary_search_by(|(t, _)| t.cmp(target))
+/// The targets recorded at one node as `(target, seq)`, sorted by
+/// target; `seq` is the sequence number of the target's most recent
+/// insertion (freshness). One target is held in the node itself; two or
+/// more are an exact sorted slice behind one thin pointer: 16 bytes for
+/// a `u32` target in every state.
+#[derive(Debug, Clone)]
+enum Targets<T> {
+    Empty,
+    One(T, u64),
+    /// At least two entries.
+    Many(Box<Box<[(T, u64)]>>),
+}
+
+impl<T: Copy + Ord> Targets<T> {
+    fn is_empty(&self) -> bool {
+        matches!(self, Targets::Empty)
     }
 
+    /// Every `(target, seq)`, in target order.
+    fn iter(&self) -> impl Iterator<Item = (T, u64)> + '_ {
+        let (one, many) = match self {
+            Targets::Empty => (None, &[][..]),
+            Targets::One(t, seq) => (Some((*t, *seq)), &[][..]),
+            Targets::Many(all) => (None, &all[..]),
+        };
+        one.into_iter().chain(many.iter().copied())
+    }
+}
+
+impl<T: Copy + Ord> Route<T> {
     fn set_target(&mut self, target: T, seq: u64) {
-        match self.position(&target) {
-            Ok(i) => self.targets[i].1 = seq,
-            Err(i) => {
-                let (head, tail) = self.targets.split_at(i);
-                self.targets = [head, &[(target, seq)], tail].concat().into();
+        match &mut self.targets {
+            Targets::Empty => self.targets = Targets::One(target, seq),
+            Targets::One(t, s) if *t == target => *s = seq,
+            Targets::One(t, s) => {
+                let (old, new) = ((*t, *s), (target, seq));
+                let pair = if old.0 < target {
+                    [old, new]
+                } else {
+                    [new, old]
+                };
+                self.targets = Targets::Many(Box::new(Box::new(pair)));
             }
+            Targets::Many(all) => match all.binary_search_by(|(t, _)| t.cmp(&target)) {
+                Ok(i) => all[i].1 = seq,
+                Err(i) => {
+                    let (head, tail) = all.split_at(i);
+                    **all = [head, &[(target, seq)], tail].concat().into();
+                }
+            },
         }
     }
 
     fn has_target(&self, target: &T) -> bool {
-        self.position(target).is_ok()
+        match &self.targets {
+            Targets::Empty => false,
+            Targets::One(t, _) => t == target,
+            Targets::Many(all) => all.binary_search_by(|(t, _)| t.cmp(target)).is_ok(),
+        }
     }
 
     fn remove_target(&mut self, target: &T) {
-        if let Ok(i) = self.position(target) {
-            let (head, tail) = self.targets.split_at(i);
-            self.targets = [head, &tail[1..]].concat().into();
+        match &mut self.targets {
+            Targets::One(t, _) if t == target => self.targets = Targets::Empty,
+            Targets::Many(all) => {
+                let Ok(i) = all.binary_search_by(|(t, _)| t.cmp(target)) else {
+                    return;
+                };
+                if let [a, b] = all[..] {
+                    let (t, seq) = if i == 0 { b } else { a };
+                    self.targets = Targets::One(t, seq);
+                } else {
+                    let (head, tail) = all.split_at(i);
+                    **all = [head, &tail[1..]].concat().into();
+                }
+            }
+            Targets::Empty | Targets::One(..) => {}
         }
     }
 
     /// True when some target here is available.
     fn any(&self, available: impl Fn(&T) -> bool) -> bool {
-        self.targets.iter().any(|(t, _)| available(t))
+        self.targets.iter().any(|(t, _)| available(&t))
     }
 
     /// Most recently refreshed available target; ties broken by target
-    /// order (the target vec is sorted by `T`).
+    /// order (the targets are sorted by `T`).
     fn pick(&self, available: impl Fn(&T) -> bool) -> Option<T> {
         self.targets
             .iter()
             .filter(|(t, _)| available(t))
-            .max_by_key(|(t, seq)| (*seq, std::cmp::Reverse(*t)))
-            .map(|(t, _)| *t)
+            .max_by_key(|&(t, seq)| (seq, std::cmp::Reverse(t)))
+            .map(|(t, _)| t)
     }
 }
 
@@ -138,7 +193,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
     pub fn new(max_tokens: usize) -> Self {
         RouteTrie {
             tree: RadixArena::new(Route {
-                targets: Box::default(),
+                targets: Targets::Empty,
                 created_seq: 0,
             }),
             leaves: None,
@@ -173,6 +228,11 @@ impl<T: Copy + Ord> RouteTrie<T> {
     /// is added to every node along the path; the path is created (and
     /// split) as needed; the size bound is enforced afterwards.
     pub fn insert(&mut self, tokens: &[u32], target: T) {
+        Scope::TrieInsert.run(|| self.record(tokens, target))
+    }
+
+    /// [`Self::insert`], inside its scope.
+    fn record(&mut self, tokens: &[u32], target: T) {
         self.seq += 1;
         let seq = self.seq;
         self.tree[ROOT].data.set_target(target, seq);
@@ -195,7 +255,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
                         }
                     }
                     let route = Route {
-                        targets: Box::default(),
+                        targets: Targets::Empty,
                         created_seq: seq,
                     };
                     let leaf = self.tree.alloc(&tokens[pos..], node, route);
@@ -286,14 +346,17 @@ impl<T: Copy + Ord> RouteTrie<T> {
         let mut stored = 0usize;
         for (_, n) in self.tree.live() {
             stored += n.seg().len();
-            assert!(
-                n.data.targets.windows(2).all(|w| w[0].0 < w[1].0),
-                "target vec out of order"
-            );
-            let parent = &self.tree[n.parent()].data;
-            for (t, _) in &n.data.targets {
+            if let Targets::Many(all) = &n.data.targets {
+                assert!(all.len() >= 2, "fewer than two targets behind a pointer");
                 assert!(
-                    parent.has_target(t),
+                    all.windows(2).all(|w| w[0].0 < w[1].0),
+                    "targets out of order"
+                );
+            }
+            let parent = &self.tree[n.parent()].data;
+            for (t, _) in n.data.targets.iter() {
+                assert!(
+                    parent.has_target(&t),
                     "child target set must be a subset of the parent's"
                 );
             }
@@ -373,8 +436,74 @@ mod tests {
     #[test]
     fn a_route_node_is_48_bytes() {
         // Segment 16, parent and child count 8, targets 16, age 8: the
-        // links live in the arena's edge table, not in the node.
+        // links live in the arena's edge table, not in the node, and one
+        // target lives in the node, not behind a pointer.
         assert_eq!(size_of::<Node<Route<ReplicaId>>>(), 48);
+    }
+
+    #[test]
+    fn a_node_walks_from_empty_to_many_targets_and_back() {
+        let mut trie = RouteTrie::new(1024);
+        let path = [1, 2, 3];
+        let leaf = |trie: &RouteTrie<u32>| trie.tree.child(ROOT, 1).unwrap();
+        let state = |trie: &RouteTrie<u32>| match &trie.tree[leaf(trie)].data.targets {
+            Targets::Empty => 0,
+            Targets::One(..) => 1,
+            Targets::Many(all) => all.len(),
+        };
+        let picked = |trie: &RouteTrie<u32>| trie.best_match(&path, |_| true).unwrap().target;
+
+        trie.insert(&[9], 7); // keeps the trie non-empty throughout
+        trie.insert(&path, 5);
+        trie.check_invariants();
+        assert_eq!((state(&trie), picked(&trie)), (1, 5), "one target, inline");
+
+        trie.insert(&path, 3); // sorted before the inline one
+        trie.insert(&path, 8);
+        trie.check_invariants();
+        assert_eq!((state(&trie), picked(&trie)), (3, 8), "the freshest wins");
+        trie.insert(&path, 3); // a refresh, not a fourth entry
+        assert_eq!((state(&trie), picked(&trie)), (3, 3));
+        // With 3 down, 8 is fresher than 5; with 3 and 8 down, 5.
+        let m = trie.best_match(&path, |t| *t != 3).unwrap();
+        assert_eq!((m.target, m.matched), (8, 3));
+        let m = trie.best_match(&path, |t| *t == 5).unwrap();
+        assert_eq!((m.target, m.matched), (5, 3));
+
+        trie.purge_target(3);
+        trie.check_invariants();
+        assert_eq!((state(&trie), picked(&trie)), (2, 8));
+        trie.purge_target(8); // two become one, held inline again
+        trie.check_invariants();
+        assert_eq!((state(&trie), picked(&trie)), (1, 5));
+        assert_eq!(trie.matched_for(&path, 5), 3);
+        assert_eq!(trie.matched_for(&path, 8), 0);
+
+        trie.purge_target(5); // the leaf empties and goes
+        trie.check_invariants();
+        assert_eq!(trie.tree.child(ROOT, 1), None);
+        assert_eq!(trie.node_count(), 1);
+        let m = trie.best_match(&path, |_| true).unwrap();
+        assert_eq!((m.target, m.matched), (7, 0));
+    }
+
+    #[test]
+    fn ties_in_freshness_go_to_the_lower_target() {
+        let mut route = Route {
+            targets: Targets::Empty,
+            created_seq: 0,
+        };
+        route.set_target(9u32, 4);
+        route.set_target(2, 4);
+        assert_eq!(route.pick(|_| true), Some(2));
+        route.set_target(5, 4);
+        assert_eq!(route.pick(|_| true), Some(2));
+        assert_eq!(route.pick(|t| *t != 2), Some(5));
+        route.remove_target(&2);
+        route.remove_target(&5);
+        assert!(matches!(route.targets, Targets::One(9, 4)));
+        route.remove_target(&1); // absent: nothing changes
+        assert_eq!(route.pick(|_| true), Some(9));
     }
 
     #[test]

@@ -28,13 +28,15 @@ mod counting_alloc;
 
 use counting_alloc::LIVE;
 
-/// About 7 % above the 7.92 B a route trie holds a stored token of
+/// About 5 % above the 7.26 B a route trie holds a stored token of
 /// [`trie_bytes_per_token`]'s stream, whose trie never reaches its bound
-/// and so keeps no eviction frontier (9.34 B when a trie kept that
-/// frontier from its first insert, 10.42 B when every node also kept its
-/// children in a sorted vector of its own, 14.18 B when a node also kept
-/// a four-entry target vector and its slot's old capacity).
-const TRIE_BYTES_PER_TOKEN: f64 = 8.5;
+/// and so keeps no eviction frontier, and whose one-target nodes hold
+/// their target in the node (7.92 B when each kept it in a 16-byte heap
+/// block of its own, 9.34 B when a trie also kept that frontier from its
+/// first insert, 10.42 B when every node also kept its children in a
+/// sorted vector of its own, 14.18 B when a node also kept a four-entry
+/// target vector and its slot's old capacity).
+const TRIE_BYTES_PER_TOKEN: f64 = 7.6;
 /// About 7 % above the 5.61 B a churned prefix cache holds a resident
 /// token (6.43 B with a child vector per node, 20.60 B when freed slots
 /// also kept their segment buffers).

@@ -593,19 +593,18 @@ impl Replica {
         }
 
         // Retire finished requests (highest index first so removals do not
-        // shift earlier indices). Their output tokens share one buffer
-        // that lives for this iteration only: an iteration that retires
-        // is not a steady one, and kept on the replica the buffer would
-        // hold the longest output that replica ever served.
-        let mut generated_ids: Vec<u32> = Vec::new();
+        // shift earlier indices). Each one's output tokens are written
+        // once, into an exact buffer the cache keeps as the new leaf's
+        // segment (a buffer kept on the replica would hold the longest
+        // output that replica ever served).
         for &i in self.scratch.finished.iter().rev() {
             let run = self.running.swap_remove(i);
-            generated_ids.clear();
-            generated_ids.extend(
-                (0..run.generated).map(|k| output_token(run.req.id.0, run.req.output_offset + k)),
-            );
+            let (id, offset) = (run.req.id.0, run.req.output_offset);
+            let generated: Box<[u32]> = (0..run.generated)
+                .map(|k| output_token(id, offset + k))
+                .collect();
             self.private_tokens -= u64::from(run.generated);
-            self.cache.complete(run.lease, &generated_ids);
+            self.cache.complete_owned(run.lease, generated);
             self.stats.completed += 1;
             out.completions.push(Completion {
                 id: run.req.id,

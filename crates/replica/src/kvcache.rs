@@ -40,6 +40,8 @@
 
 use std::fmt;
 
+use skywalker_sim::Scope;
+
 use crate::radix::{Node, RadixArena, SlotSet, ROOT};
 
 /// Cache geometry.
@@ -311,22 +313,30 @@ struct Entry {
     tier: Tier,
 }
 
-/// Result of the pin-first walk: how far the existing tree matches, what
-/// got pinned, and whether a node must be split at the divergence point.
+/// Result of the pin-first walk: how far the existing tree matches, and
+/// whether a node must be split at the divergence point. The walk pinned
+/// every node on the parent path from its deepest pinned node — the
+/// partial-match child, else `node` — up to, not including, `anchor`.
 struct WalkPin {
+    /// Where the walk started.
+    anchor: usize,
     /// Deepest fully-matched node.
     node: usize,
     /// Tokens matched (including a partial match into `pending_split`).
     matched: usize,
     /// `(child, keep)`: `child`'s segment matches for `keep` tokens only.
     pending_split: Option<(usize, usize)>,
-    /// Every node whose refcount this walk incremented.
-    pinned: Vec<usize>,
     /// Host-tier nodes this walk matched; [`PrefixCache::apply`]
     /// promotes them to GPU (their charge is part of the room
     /// [`PrefixCache::make_room`] secures).
     promote: Vec<usize>,
 }
+
+/// Tokens an operation stores: a borrowed slice, which a new leaf
+/// copies, or an owned buffer, which a new leaf taking all of it keeps.
+trait Tokens: AsRef<[u32]> + Into<Box<[u32]>> {}
+
+impl<S: AsRef<[u32]> + Into<Box<[u32]>>> Tokens for S {}
 
 /// The radix-tree prefix cache.
 ///
@@ -511,6 +521,11 @@ impl PrefixCache {
     /// On [`KvError::InsufficientCapacity`] no state changes (beyond
     /// harmless eviction of unpinned entries).
     pub fn acquire(&mut self, tokens: &[u32]) -> Result<(Lease, u64), KvError> {
+        Scope::CacheAcquire.run(|| self.pin_prompt(tokens))
+    }
+
+    /// [`Self::acquire`], inside its scope.
+    fn pin_prompt(&mut self, tokens: &[u32]) -> Result<(Lease, u64), KvError> {
         self.touch(ROOT);
         self.add_pin(ROOT);
         let wp = self.walk_pin(ROOT, tokens);
@@ -529,7 +544,7 @@ impl PrefixCache {
                 ))
             }
             Err(e) => {
-                self.unpin(&wp.pinned);
+                self.unpin(&wp);
                 self.drop_pin(ROOT);
                 Err(e)
             }
@@ -540,20 +555,28 @@ impl PrefixCache {
     /// future requests), best-effort: if capacity cannot be freed the lease
     /// is returned unchanged and the tokens are simply not cached.
     pub fn extend(&mut self, lease: Lease, generated: &[u32]) -> Lease {
-        if generated.is_empty() {
+        self.extend_with(lease, generated)
+    }
+
+    /// [`Self::extend`] over the caller's tokens as a slice or as a
+    /// buffer it hands over.
+    fn extend_with(&mut self, lease: Lease, generated: impl Tokens) -> Lease {
+        let tokens = generated.as_ref();
+        let n = tokens.len();
+        if n == 0 {
             return lease;
         }
-        let wp = self.walk_pin(lease.node, generated);
-        match self.make_room(&wp, generated) {
+        let wp = self.walk_pin(lease.node, tokens);
+        match self.make_room(&wp, tokens) {
             Ok(()) => {
                 let leaf = self.apply(wp, generated);
                 Lease {
                     node: leaf,
-                    tokens: lease.tokens + generated.len() as u64,
+                    tokens: lease.tokens + n as u64,
                 }
             }
             Err(_) => {
-                self.unpin(&wp.pinned);
+                self.unpin(&wp);
                 lease
             }
         }
@@ -575,8 +598,22 @@ impl PrefixCache {
     /// Convenience for request completion: extend with the generated
     /// tokens, then release.
     pub fn complete(&mut self, lease: Lease, generated: &[u32]) {
-        let extended = self.extend(lease, generated);
-        self.release(extended);
+        self.complete_with(lease, generated);
+    }
+
+    /// [`Self::complete`], handing the generated tokens over: when none
+    /// of them is cached yet, the new leaf keeps `generated` as its
+    /// segment instead of copying it; otherwise it copies the unmatched
+    /// tail, as the slice form does.
+    pub fn complete_owned(&mut self, lease: Lease, generated: Box<[u32]>) {
+        self.complete_with(lease, generated);
+    }
+
+    fn complete_with(&mut self, lease: Lease, generated: impl Tokens) {
+        Scope::CacheComplete.run(|| {
+            let extended = self.extend_with(lease, generated);
+            self.release(extended);
+        });
     }
 
     /// Drops all unpinned cache state (e.g. on simulated replica restart).
@@ -693,14 +730,12 @@ impl PrefixCache {
     fn walk_pin(&mut self, anchor: usize, tokens: &[u32]) -> WalkPin {
         let mut node = anchor;
         let mut pos = 0usize;
-        let mut pinned = Vec::new();
         let mut pending_split = None;
         let mut promote = Vec::new();
         while let Some((child, common)) = self.tree.descend(node, &tokens[pos..]) {
             self.add_pin(child);
             self.tree[child].data.hits += 1;
             self.touch(child);
-            pinned.push(child);
             if self.tree[child].data.tier == Tier::Host {
                 // A host hit: the node must come back to GPU before the
                 // batch can use it. `apply` flips it once `make_room`
@@ -715,17 +750,23 @@ impl PrefixCache {
             node = child;
         }
         WalkPin {
+            anchor,
             node,
             matched: pos,
             pending_split,
-            pinned,
             promote,
         }
     }
 
-    fn unpin(&mut self, pinned: &[usize]) {
-        for &i in pinned {
-            self.drop_pin(i);
+    /// Undoes the pins of a walk that will not be applied: every node
+    /// from its deepest pinned one up the parent path to its anchor.
+    /// Nothing pinned is evicted or split in between, so the path is the
+    /// one the walk took.
+    fn unpin(&mut self, wp: &WalkPin) {
+        let mut at = wp.pending_split.map_or(wp.node, |(child, _)| child);
+        while at != wp.anchor {
+            self.drop_pin(at);
+            at = self.tree[at].parent();
         }
     }
 
@@ -900,7 +941,7 @@ impl PrefixCache {
     /// split (transferring this walk's pin from the split child to the new
     /// intermediate node) and allocates one fresh pinned leaf for the
     /// unmatched suffix. Returns the deepest node of the final path.
-    fn apply(&mut self, wp: WalkPin, tokens: &[u32]) -> usize {
+    fn apply(&mut self, wp: WalkPin, tokens: impl Tokens) -> usize {
         // Promote matched host nodes first: `make_room` already freed
         // their GPU charge, and the split below must only ever operate
         // on GPU-resident nodes.
@@ -920,9 +961,15 @@ impl PrefixCache {
             self.drop_pin(child);
             node = mid;
         }
-        if wp.matched < tokens.len() {
-            // One fresh leaf for the unmatched suffix, pinned by this walk.
-            let seg = &tokens[wp.matched..];
+        let len = tokens.as_ref().len();
+        if wp.matched < len {
+            // One fresh leaf for the unmatched suffix, pinned by this
+            // walk: the caller's buffer when it takes all of it.
+            let seg: Box<[u32]> = if wp.matched == 0 {
+                tokens.into()
+            } else {
+                tokens.as_ref()[wp.matched..].into()
+            };
             self.used_tokens += self.cfg.charge(seg.len());
             self.clock += 1;
             let entry = Entry {
@@ -1082,6 +1129,46 @@ mod tests {
         assert_eq!(c.used_tokens(), 8);
         c.release(b);
         c.check_invariants();
+    }
+
+    #[test]
+    fn a_failed_acquire_unpins_its_whole_path_through_a_partial_match() {
+        let mut c = cache(64);
+        // Three nodes deep, [1..4] -> [5..8] -> [9..12], with [20] a
+        // sibling of [9..12].
+        for prompt in [
+            &[1, 2, 3, 4][..],
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+            &[1, 2, 3, 4, 5, 6, 7, 8, 20],
+        ] {
+            let (lease, _) = c.acquire(prompt).unwrap();
+            c.release(lease);
+        }
+        let (used, held) = (c.used_tokens(), c.reclaimable_tokens());
+        assert_eq!(used, held, "nothing pinned before");
+        // Matches two whole nodes and half of the third, then asks for
+        // more fresh tokens than the whole cache holds: the walk pinned
+        // three nodes, and the failure must drop all three pins.
+        let mut prompt = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        prompt.extend(100..200);
+        assert!(c.acquire(&prompt).is_err());
+        c.check_invariants();
+        assert_eq!(c.used_tokens(), used, "a failed acquire splits nothing");
+        assert_eq!(c.reclaimable_tokens(), c.used_tokens(), "a pin leaked");
+        assert_eq!(c.pinned_tokens(), 0);
+
+        // The same through `extend`: a lease on [1..4] extended into a
+        // partial match of [5..8] that cannot fit keeps only its own pins.
+        let (lease, _) = c.acquire(&[1, 2, 3, 4]).unwrap();
+        let mut more = vec![5, 6];
+        more.extend(300..400);
+        let lease = c.extend(lease, &more);
+        assert_eq!(lease.tokens(), 4, "the extension was dropped");
+        c.check_invariants();
+        assert_eq!(c.pinned_tokens(), 4);
+        c.release(lease);
+        assert_eq!(c.reclaimable_tokens(), c.used_tokens());
     }
 
     #[test]

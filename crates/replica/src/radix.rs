@@ -23,10 +23,12 @@
 //! `(parent, first token of the child's segment)`: open addressing,
 //! linear probing from a multiplicative hash, a power-of-two capacity
 //! (8 at the first link) that doubles when a link would fill more than
-//! 7/8 of it, and backward-shift deletion, so no tombstones are left
-//! behind. Linking and unlinking a child costs O(1) at any fan-out — a
-//! document's node with 30 k queries under it shifts no siblings — and
-//! the table's bytes follow the most links the tree has held, not the
+//! 7/8 of it and halves when an unlink leaves it at most a quarter full
+//! (never below 8), and backward-shift deletion, so no tombstones are
+//! left behind. Linking and unlinking a child costs O(1) amortised at
+//! any fan-out — a document's node with 30 k queries under it shifts no
+//! siblings — and the table's bytes follow the links the tree holds
+//! now, within a factor of eight, not the most it ever held or the
 //! order of operations.
 //! Nothing iterates the table: a lookup is all it answers.
 //!
@@ -161,10 +163,14 @@ impl Edges {
             .expect_err("invariant: a link is held once")
     }
 
-    /// Doubles the capacity (8 at the first link) and re-probes every
-    /// link, in slot order.
+    /// Doubles the capacity (8 at the first link).
     fn grow(&mut self) {
-        let cap = (2 * self.slots.len()).max(8);
+        self.resize((2 * self.slots.len()).max(8));
+    }
+
+    /// Moves every link into a table of `cap` slots, re-probing them in
+    /// slot order.
+    fn resize(&mut self, cap: usize) {
         let old = std::mem::replace(&mut self.slots, vec![Edge::default(); cap]);
         for e in old.into_iter().filter(|e| e.child != 0) {
             let i = self.vacancy(e.parent, e.token);
@@ -174,7 +180,10 @@ impl Edges {
 
     /// Unlinks `(parent, token)` and returns its child, shifting each
     /// later link of the probe run back into the hole when the hole lies
-    /// on its own probe path.
+    /// on its own probe path. A removal that leaves the table at most a
+    /// quarter full halves it, down to 8 slots: the table grows at 7/8,
+    /// so a halved one sits at half its load, and one link more or less
+    /// never resizes it twice in a row.
     fn remove(&mut self, parent: u32, token: u32) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -197,6 +206,9 @@ impl Edges {
         }
         self.slots[hole] = Edge::default();
         self.len -= 1;
+        if self.slots.len() > 8 && 4 * self.len <= self.slots.len() {
+            self.resize(self.slots.len() / 2);
+        }
         Some(child)
     }
 
@@ -232,6 +244,10 @@ impl Edges {
             8 * self.len <= 7 * self.slots.len(),
             "edge table over its load"
         );
+        assert!(
+            self.slots.len() <= 8 || 4 * self.len > self.slots.len(),
+            "edge table under its load"
+        );
     }
 }
 
@@ -243,13 +259,13 @@ impl Edges {
 /// use skywalker_replica::radix::{RadixArena, ROOT};
 ///
 /// let mut tree = RadixArena::new(());
-/// let leaf = tree.alloc(&[1, 2, 3, 4], ROOT, ());
+/// let leaf = tree.alloc([1, 2, 3, 4], ROOT, ());
 /// // [1, 2, 9] shares two tokens with the edge, then diverges.
 /// assert_eq!(tree.descend(ROOT, &[1, 2, 9]), Some((leaf, 2)));
 /// let mid = tree.split(leaf, 2);
 /// assert_eq!(tree[mid].seg(), [1, 2]);
 /// assert_eq!(tree[leaf].seg(), [3, 4]);
-/// tree.alloc(&[9], mid, ());
+/// tree.alloc([9], mid, ());
 /// assert_eq!(tree.walk(ROOT, &[1, 2, 9, 9]).map(|(_, n)| n).sum::<usize>(), 3);
 /// ```
 #[derive(Debug)]
@@ -320,11 +336,15 @@ impl<P: Clone> RadixArena<P> {
     }
 
     /// Adds a leaf holding `seg` (non-empty, and `parent` has no child
-    /// starting with `seg[0]`) under `parent`; returns its index.
-    pub fn alloc(&mut self, seg: &[u32], parent: usize, data: P) -> usize {
+    /// starting with `seg[0]`) under `parent`; returns its index. A
+    /// `Box<[u32]>` becomes the leaf's segment as it is; a slice is
+    /// copied into an exact one.
+    pub fn alloc(&mut self, seg: impl Into<Box<[u32]>>, parent: usize, data: P) -> usize {
         let idx = self.take_slot(parent, data);
-        self.nodes[idx].seg = seg.into();
-        self.link(parent, seg[0], idx);
+        let seg = seg.into();
+        let first = seg[0];
+        self.nodes[idx].seg = seg;
+        self.link(parent, first, idx);
         idx
     }
 
@@ -553,7 +573,7 @@ mod tests {
     #[test]
     fn split_conserves_tokens_and_links() {
         let mut t = RadixArena::new(0u32);
-        let leaf = t.alloc(&[1, 2, 3, 4, 5], ROOT, 7);
+        let leaf = t.alloc([1, 2, 3, 4, 5], ROOT, 7);
         let mid = t.split(leaf, 2);
         assert_eq!((t[mid].seg(), t[leaf].seg()), (&[1, 2][..], &[3, 4, 5][..]));
         assert_eq!((t[mid].parent(), t[leaf].parent()), (ROOT, mid));
@@ -567,9 +587,9 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_lifo_and_hold_exact_segments() {
         let mut t = RadixArena::new(());
-        let a = t.alloc(&[1; 64], ROOT, ());
-        let b = t.alloc(&[2, 2, 2], ROOT, ());
-        let c = t.alloc(&[3, 3], ROOT, ());
+        let a = t.alloc([1; 64], ROOT, ());
+        let b = t.alloc([2, 2, 2], ROOT, ());
+        let c = t.alloc([3, 3], ROOT, ());
         t.remove_leaf(a);
         t.remove_leaf(c);
         assert!(
@@ -578,9 +598,9 @@ mod tests {
         );
         t.check_invariants();
         // Last freed, first reused; a split takes its slot the same way.
-        assert_eq!(t.alloc(&[4, 4], ROOT, ()), c);
+        assert_eq!(t.alloc([4, 4], ROOT, ()), c);
         assert_eq!(t.split(b, 1), a);
-        assert_eq!(t.alloc(&[5], ROOT, ()), 4, "free list empty: a fresh slot");
+        assert_eq!(t.alloc([5], ROOT, ()), 4, "free list empty: a fresh slot");
         // The slot that held 64 tokens holds the one it stores, and the
         // split's tail gave up the head's token.
         assert_eq!(
@@ -601,8 +621,8 @@ mod tests {
     #[should_panic(expected = "does not link to leaf")]
     fn removing_an_unlinked_leaf_is_a_broken_invariant() {
         let mut t = RadixArena::new(());
-        let a = t.alloc(&[1, 2], ROOT, ());
-        let b = t.alloc(&[3], a, ());
+        let a = t.alloc([1, 2], ROOT, ());
+        let b = t.alloc([3], a, ());
         t.edges.remove(ROOT as u32, 1);
         t.remove_leaf(b);
         t.remove_leaf(a);
@@ -611,8 +631,8 @@ mod tests {
     #[test]
     fn descend_stops_on_a_partial_edge() {
         let mut t = RadixArena::new(());
-        let a = t.alloc(&[1, 2, 3], ROOT, ());
-        let b = t.alloc(&[4, 5], a, ());
+        let a = t.alloc([1, 2, 3], ROOT, ());
+        let b = t.alloc([4, 5], a, ());
         assert_eq!(t.descend(ROOT, &[1, 2, 3, 4, 9]), Some((a, 3)));
         assert_eq!(t.descend(a, &[4, 9]), Some((b, 1)), "partial: 1 of 2");
         assert_eq!(t.descend(ROOT, &[7]), None);
@@ -644,9 +664,9 @@ mod tests {
     fn live_skips_root_and_dead_slots() {
         let mut t = RadixArena::new(());
         assert_eq!(t.live().count(), 0);
-        let a = t.alloc(&[1], ROOT, ());
-        let b = t.alloc(&[2], ROOT, ());
-        let c = t.alloc(&[3], b, ());
+        let a = t.alloc([1], ROOT, ());
+        let b = t.alloc([2], ROOT, ());
+        let c = t.alloc([3], b, ());
         t.remove_leaf(a);
         let ids: Vec<usize> = t.live().map(|(i, _)| i).collect();
         assert_eq!(ids, [b, c]);
@@ -695,13 +715,14 @@ mod tests {
                         }
                         // Unlink, whether or not the key is linked.
                         2 | 3 => {
-                            let before = slots_of(&e, &keys);
+                            let (before, cap) = (slots_of(&e, &keys), e.slots.len());
                             assert_eq!(e.remove(p, t), model.remove(&key));
                             let mask = e.slots.len().wrapping_sub(1);
-                            shifted_across |= before
-                                .iter()
-                                .zip(slots_of(&e, &keys))
-                                .any(|(b, a)| *b == Some(0) && a == Some(mask));
+                            shifted_across |= e.slots.len() == cap
+                                && before
+                                    .iter()
+                                    .zip(slots_of(&e, &keys))
+                                    .any(|(b, a)| *b == Some(0) && a == Some(mask));
                         }
                         // Unlink and look up a key never linked.
                         _ => {
@@ -731,10 +752,37 @@ mod tests {
     }
 
     #[test]
+    fn the_edge_table_gives_back_slots_as_the_tree_shrinks() {
+        let mut t = RadixArena::new(());
+        let leaves: Vec<usize> = (0..1_000).map(|k| t.alloc([k], ROOT, ())).collect();
+        assert_eq!((t.edges.len, t.edges.slots.len()), (1_000, 2_048));
+        // Above a quarter of its slots the table keeps its size; the
+        // removal that leaves a quarter halves it, to half its load.
+        for &leaf in &leaves[..487] {
+            t.remove_leaf(leaf);
+        }
+        assert_eq!((t.edges.len, t.edges.slots.len()), (513, 2_048));
+        t.remove_leaf(leaves[487]);
+        assert_eq!((t.edges.len, t.edges.slots.len()), (512, 1_024));
+        t.check_invariants();
+        // One link back and forth at that point resizes nothing.
+        let fresh = t.alloc([5_000], ROOT, ());
+        t.remove_leaf(fresh);
+        assert_eq!((t.edges.len, t.edges.slots.len()), (512, 1_024));
+        for &leaf in &leaves[488..] {
+            t.remove_leaf(leaf);
+        }
+        t.check_invariants();
+        // Every link gone: back to the smallest table, not the peak's.
+        assert_eq!((t.edges.len, t.edges.slots.len()), (0, 8));
+        assert!(t[ROOT].is_leaf() && t.live().next().is_none());
+    }
+
+    #[test]
     fn a_hub_of_100k_children_links_and_unlinks_each_in_constant_time() {
         let mut t = RadixArena::new(());
-        let hub = t.alloc(&[7], ROOT, ());
-        let mut kids: Vec<usize> = (0..100_000).map(|k| t.alloc(&[k, 1], hub, ())).collect();
+        let hub = t.alloc([7], ROOT, ());
+        let mut kids: Vec<usize> = (0..100_000).map(|k| t.alloc([k, 1], hub, ())).collect();
         assert_eq!(t[hub].kids, 100_000);
         assert_eq!(t.edges.len, 100_001);
         assert_eq!(t.descend(hub, &[99_999, 1, 5]), Some((kids[99_999], 2)));

@@ -2,12 +2,15 @@
 //! what the cache holds — refereed by an allocator, not by anything the
 //! product code reports about itself.
 //!
-//! Three readings, each over a `PrefixCache` of a few thousand resident
+//! Five readings, each over a `PrefixCache` of a few thousand resident
 //! nodes: a steady decode iteration (full batch, nothing admitted or
 //! finished) allocates nothing, the batch policy's plan included;
 //! neither does an iteration stalled behind a pending head that does
-//! not fit; and an `acquire` that must evict eight victims allocates no
-//! more than one that evicts one. The first two are read twice: with
+//! not fit; an `acquire` that must evict eight victims allocates no
+//! more than one that evicts one; an `acquire` that hits allocates only
+//! its new leaf's segment; and an iteration that retires requests
+//! allocates one block for each, the buffer its output is written into
+//! once and its cache leaf keeps. The first two are read twice: with
 //! FCFS's fixed plan, which takes such iterations in O(1), and with the
 //! same policy behind a wrapper that hides it, which takes the full
 //! step with its view and plan.
@@ -151,4 +154,45 @@ fn a_steady_iteration_and_an_extra_victim_cost_no_allocation() {
         "evicting 8 victims allocated {eight} times, evicting 1 allocated {one}"
     );
     c.check_invariants();
+
+    // A hit: the prompt runs through two resident nodes and goes on.
+    // The walk that pins them keeps no list of what it pinned, so the
+    // one allocation is the new leaf's segment.
+    let mut c = PrefixCache::new(KvConfig::tiny(KV_TOKENS));
+    fill(&mut c, 0..4_000);
+    let (lease, _) = c.acquire(&[7; 12]).expect("fits");
+    c.release(lease);
+    let hit = allocs_during(|| {
+        let (lease, cached) = c.acquire(&[7; 20]).expect("fits");
+        assert_eq!(cached, 12);
+        c.release(lease);
+    });
+    assert_eq!(hit, 1, "an acquire that hits allocated {hit} times");
+    c.check_invariants();
+
+    // Retiring: eight requests admitted together finish in one
+    // iteration. The first such round sizes the outcome's buffers.
+    let mut r = warmed_replica(2 * RUNNING, Box::new(FcfsBatch::new()));
+    for round in 0..2u64 {
+        for k in 0..8 {
+            let id = 30_000 + 10 * round + k;
+            r.enqueue(Request::new(id, "short", vec![200_000 + id as u32; 8], 6));
+        }
+        let mut retired = 0;
+        while retired == 0 {
+            let before = ALLOCS.load(Relaxed);
+            let out = r.step();
+            let allocs = ALLOCS.load(Relaxed) - before;
+            retired = out.completions.len();
+            r.recycle(out);
+            if retired > 0 && round == 1 {
+                assert_eq!(retired, 8);
+                assert_eq!(
+                    allocs, retired,
+                    "an iteration retiring {retired} requests allocated {allocs} times"
+                );
+            }
+        }
+    }
+    r.cache().check_invariants();
 }

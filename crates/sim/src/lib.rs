@@ -60,8 +60,10 @@
 
 mod engine;
 mod rng;
+mod scope;
 mod time;
 
 pub use engine::{Engine, RunStats, Scheduler, World};
 pub use rng::{fnv1a_bytes, fnv1a_words, DetRng, Zipf, FNV_OFFSET};
+pub use scope::Scope;
 pub use time::{SimDuration, SimTime};

@@ -151,6 +151,7 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
         },
         obs: Observers::new(&cfg),
         probe_statuses: Vec::new(),
+        decisions: Vec::new(),
         cfg,
     };
     // Replicas attach to the balancer of their region (or the single

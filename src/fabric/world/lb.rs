@@ -33,7 +33,9 @@ impl Fabric {
             return;
         }
         let (now, here) = (sched.now(), slot.lb.region());
-        for decision in slot.lb.dispatch() {
+        let mut decisions = std::mem::take(&mut self.decisions);
+        slot.lb.dispatch_into(&mut decisions);
+        for decision in decisions.drain(..) {
             let (to, ev) = match decision {
                 Decision::Local { req, replica } => {
                     if let Some(state) = self.reqs.get_mut(&req.id.0) {
@@ -62,6 +64,7 @@ impl Fabric {
             let delay = self.cfg.net.sample_one_way(here, to, &mut self.rng);
             sched.after(delay, ev);
         }
+        self.decisions = decisions;
     }
 
     pub(crate) fn on_peer_status(

@@ -21,10 +21,10 @@ mod ticks;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
-use skywalker_core::Controller;
+use skywalker_core::{Controller, Decision};
 use skywalker_net::Region;
 use skywalker_replica::{Completion, EngineSpec, Request, RequestId};
-use skywalker_sim::{DetRng, Scheduler, SimDuration, SimTime, World};
+use skywalker_sim::{DetRng, Scheduler, Scope, SimDuration, SimTime, World};
 use skywalker_workload::ClientSpec;
 
 use super::observers::Observers;
@@ -119,6 +119,33 @@ pub(crate) enum Ev {
     },
 }
 
+impl Ev {
+    /// The scope a counting allocator charges this event's handling to.
+    fn scope(&self) -> Scope {
+        match self {
+            Ev::TrafficPoll => Scope::TrafficPoll,
+            Ev::ClientArrive { .. } => Scope::ClientArrive,
+            Ev::IssueStage { .. } => Scope::IssueStage,
+            Ev::Retry { .. } => Scope::Retry,
+            Ev::LbReceive { .. } => Scope::LbReceive,
+            Ev::LbDispatch { .. } => Scope::LbDispatch,
+            Ev::ReplicaReceive { .. } => Scope::ReplicaReceive,
+            Ev::ReplicaKick { .. } => Scope::ReplicaKick,
+            Ev::IterationDone { .. } => Scope::IterationDone,
+            Ev::KvTransfer { .. } => Scope::KvTransfer,
+            Ev::DeliverFirstToken { .. } => Scope::DeliverFirstToken,
+            Ev::DeliverCompletion { .. } => Scope::DeliverCompletion,
+            Ev::ProbeTick => Scope::ProbeTick,
+            Ev::TelemetryTick => Scope::TelemetryTick,
+            Ev::PeerStatus { .. } => Scope::PeerStatus,
+            Ev::HeartbeatTick => Scope::HeartbeatTick,
+            Ev::ControllerTick => Scope::ControllerTick,
+            Ev::FleetPoll => Scope::FleetPoll,
+            Ev::FleetApply { .. } => Scope::FleetApply,
+        }
+    }
+}
+
 // Every pending event is one of these in the engine's queue: a field that
 // grows an event past a 48-byte request and its routing words fails to
 // compile here.
@@ -174,6 +201,8 @@ pub(crate) struct Fabric {
     pub(crate) obs: Observers,
     /// Scratch for the peer-status fan-out assembled on every probe tick.
     pub(crate) probe_statuses: Vec<(u32, Region, (u32, u32))>,
+    /// Scratch for the decisions of one balancer's dispatch.
+    pub(crate) decisions: Vec<Decision>,
 }
 
 impl Fabric {
@@ -195,7 +224,7 @@ impl World for Fabric {
     type Event = Ev;
 
     fn handle(&mut self, _now: SimTime, ev: Ev, sched: &mut Sched) {
-        match ev {
+        ev.scope().run(|| match ev {
             Ev::TrafficPoll => self.on_traffic_poll(sched),
             Ev::ClientArrive { spec } => self.on_client_arrive(spec, sched),
             Ev::IssueStage { client } => self.on_issue_stage(client, sched),
@@ -217,13 +246,13 @@ impl World for Fabric {
             Ev::ControllerTick => self.on_controller_tick(sched),
             Ev::FleetPoll => self.on_fleet_poll(sched),
             Ev::FleetApply { event } => self.on_fleet_event(*event, sched),
-        }
+        })
     }
 
     fn rearm(&mut self, _now: SimTime, ev: &Ev) -> Option<SimDuration> {
-        match *ev {
+        ev.scope().run(|| match *ev {
             Ev::IterationDone { replica } => self.rearm_iteration(replica),
             _ => None,
-        }
+        })
     }
 }

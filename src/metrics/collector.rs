@@ -10,10 +10,11 @@
 //! A record lives only while something can still change it. Once a
 //! request is completed or failed *and* has its first token, no call
 //! alters what it contributes, so the tracker folds it into running
-//! totals — the exact-quantile samples (three `f64`s) and integer sums —
-//! frees its slot for reuse and forgets the id. What the tracker holds
-//! therefore follows the in-flight population plus 24 bytes of samples
-//! per finished request, not one whole record per request ever seen.
+//! totals — the exact-quantile latency samples (two `f64`s), a count in
+//! a histogram of hop counts, and integer sums — frees its slot for
+//! reuse and forgets the id. What the tracker holds therefore follows
+//! the in-flight population plus 16 bytes of samples per finished
+//! request, not one whole record per request ever seen.
 //! The two terminal states that wait: a completed request whose first
 //! token is still in flight to the client (the two deliveries draw
 //! independent delays), and a failed request that never produced one.
@@ -52,13 +53,16 @@ impl Record {
 /// Every reduction is order-insensitive — integer sums, and samples that
 /// [`Summary::of`] sorts before it sums — so settled records can be added
 /// as they finish and the rest at report time with the same result as
-/// one pass over all of them. The samples (seconds, and hop counts) are
-/// finite by construction, as [`Summary::of_in_place`] needs.
+/// one pass over all of them. The latency samples (seconds) are finite
+/// by construction, as [`Summary::of_in_place`] needs; hop counts are
+/// small integers, so they are kept as a histogram for
+/// [`Summary::of_counts`].
 #[derive(Debug, Default)]
 struct Totals {
     ttft: Vec<f64>,
     e2e: Vec<f64>,
-    hops: Vec<f64>,
+    /// `hops[h]`: how many requests carried a chain of `h` hops.
+    hops: Vec<u64>,
     completed: u64,
     in_flight: u64,
     prompt_tokens: u64,
@@ -73,7 +77,11 @@ impl Totals {
             self.ttft.push(ft.saturating_since(r.arrived).as_secs_f64());
         }
         if let Some(h) = r.hops {
-            self.hops.push(f64::from(h));
+            let h = usize::from(h);
+            if self.hops.len() <= h {
+                self.hops.resize(h + 1, 0);
+            }
+            self.hops[h] += 1;
         }
         self.retry_events += r.retries as u64;
         match r.completed {
@@ -266,14 +274,15 @@ impl RequestTracker {
     /// lifecycle point. Takes `&mut self` only to sort the settled samples
     /// in place; calling it changes no later report.
     pub fn report(&mut self, run_end: SimTime) -> RunReport {
-        // The sums continue from the settled ones; the open records'
-        // samples are gathered apart, so that the settled samples are
-        // summarized where they are instead of being copied first.
+        // The sums and hop counts continue from the settled ones; the
+        // open records' latency samples are gathered apart, so that the
+        // settled samples are summarized where they are instead of being
+        // copied first.
         let settled = &mut self.settled;
         let mut t = Totals {
             ttft: Vec::new(),
             e2e: Vec::new(),
-            hops: Vec::new(),
+            hops: settled.hops.clone(),
             ..*settled
         };
         for r in self.records.iter().flatten() {
@@ -302,7 +311,7 @@ impl RequestTracker {
             },
             ttft: summary_with(&mut settled.ttft, t.ttft),
             e2e: summary_with(&mut settled.e2e, t.e2e),
-            hops: summary_with(&mut settled.hops, t.hops),
+            hops: Summary::of_counts(&t.hops),
         }
     }
 }

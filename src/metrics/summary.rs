@@ -11,6 +11,11 @@
 //! The same reducer serves a run's TTFT and end-to-end latencies, one
 //! claim row's value across its seeds, and a trace phase's per-request
 //! durations.
+//!
+//! One interpolation makes every percentile, fed either way a sample set
+//! can be held: a sorted slice ([`Summary::of`], [`Summary::of_in_place`])
+//! or counts per small integer value ([`Summary::of_counts`], a run's hop
+//! counts, which take a few bytes in all instead of eight a request).
 
 /// The box-plot summary the paper draws for every latency distribution:
 /// P10/P90 whiskers, P25/P75 box, P50 median line, and the mean marker.
@@ -69,37 +74,65 @@ impl Summary {
     pub fn of_in_place(samples: &mut [f64]) -> Summary {
         samples.sort_unstable_by(f64::total_cmp);
         let sorted = &*samples;
-        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
-            return Summary::EMPTY;
+        let sum = sorted.iter().sum::<f64>();
+        Summary::of_ranks(sorted.len(), |rank| sorted[rank], sum)
+    }
+
+    /// The summary of `counts[v]` samples of the value `v`, for every
+    /// `v`: a histogram of small non-negative integers, such as hop
+    /// counts. Bit for bit what [`Summary::of`] makes of the samples
+    /// themselves, as long as their sum stays below 2⁵³, where every
+    /// partial sum of integers is exact in `f64`.
+    pub fn of_counts(counts: &[u64]) -> Summary {
+        let value_at = |rank: usize| {
+            let mut left = rank as u64;
+            for (v, &c) in counts.iter().enumerate() {
+                if left < c {
+                    return v as f64;
+                }
+                left -= c;
+            }
+            unreachable!("rank {rank} lies past the last sample")
         };
-        let count = sorted.len();
+        let count: u64 = counts.iter().sum();
+        let sum: u64 = counts.iter().enumerate().map(|(v, &c)| v as u64 * c).sum();
+        Summary::of_ranks(count as usize, value_at, sum as f64)
+    }
+
+    /// The summary of `count` samples whose `rank`-th smallest is
+    /// `at(rank)` and whose sum is `sum`.
+    fn of_ranks(count: usize, at: impl Fn(usize) -> f64, sum: f64) -> Summary {
+        if count == 0 {
+            return Summary::EMPTY;
+        }
         Summary {
             count,
-            p10: interpolate(sorted, 0.10),
-            p25: interpolate(sorted, 0.25),
-            p50: interpolate(sorted, 0.50),
-            p75: interpolate(sorted, 0.75),
-            p90: interpolate(sorted, 0.90),
-            p99: interpolate(sorted, 0.99),
-            mean: sorted.iter().sum::<f64>() / count as f64,
-            min,
-            max,
+            p10: interpolate(count, 0.10, &at),
+            p25: interpolate(count, 0.25, &at),
+            p50: interpolate(count, 0.50, &at),
+            p75: interpolate(count, 0.75, &at),
+            p90: interpolate(count, 0.90, &at),
+            p99: interpolate(count, 0.99, &at),
+            mean: sum / count as f64,
+            min: at(0),
+            max: at(count - 1),
         }
     }
 }
 
-/// The `q`-quantile (`q` in `[0, 1]`) of a non-empty ascending slice, by
-/// linear interpolation between closest ranks — the one convention every
-/// exact percentile in the repository uses.
-fn interpolate(sorted: &[f64], q: f64) -> f64 {
-    let pos = q * (sorted.len() - 1) as f64;
+/// The `q`-quantile (`q` in `[0, 1]`) of `count > 0` ascending samples,
+/// the `rank`-th of which is `at(rank)`, by linear interpolation between
+/// closest ranks — the one convention every exact percentile in the
+/// repository uses.
+fn interpolate(count: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    let pos = q * (count - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
@@ -152,6 +185,43 @@ mod tests {
             println!("{name}: {s:?}");
             check(&s);
         }
+    }
+
+    /// Random small-integer sample sets, empty and single-sample ones
+    /// included, summarize to the same bits from their counts as from
+    /// the samples themselves.
+    #[test]
+    fn counts_summarize_like_the_samples() {
+        use skywalker_sim::DetRng;
+        let mut sizes = [0usize; 3];
+        for case in 0..2_000u64 {
+            let mut rng = DetRng::for_component(case, "summary/counts-property");
+            let n = match case {
+                0..=9 => 0,
+                10..=99 => 1,
+                _ => rng.range(2, 400) as usize,
+            };
+            let values = rng.range(1, 12);
+            let mut counts = vec![0u64; rng.range(values, 16) as usize];
+            let samples: Vec<f64> = (0..n)
+                .map(|_| {
+                    let v = rng.below(values) as usize;
+                    counts[v] += 1;
+                    v as f64
+                })
+                .collect();
+            let (a, b) = (Summary::of(&samples), Summary::of_counts(&counts));
+            assert_eq!(a.count, b.count, "case {case}");
+            assert_eq!(
+                all_fields(&a).map(f64::to_bits),
+                all_fields(&b).map(f64::to_bits),
+                "case {case}: {a:?} from the samples, {b:?} from their counts"
+            );
+            sizes[n.min(2)] += 1;
+        }
+        assert!(sizes.iter().all(|&k| k >= 10), "{sizes:?}");
+        assert_eq!(Summary::of_counts(&[]), Summary::EMPTY);
+        assert_eq!(Summary::of_counts(&[0, 0]), Summary::EMPTY);
     }
 
     /// The tracker folds a request's samples in whenever it settles, so

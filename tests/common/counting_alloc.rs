@@ -1,8 +1,9 @@
 //! The counting global allocator of the allocator-refereed tests:
 //! `System`, plus the bytes currently allocated, their high-water mark,
 //! the largest single request and the number of requests (an `alloc`,
-//! an `alloc_zeroed` or a `realloc` each count one). The scheme of
-//! `crates/bench/skybench/src/alloc.rs`.
+//! an `alloc_zeroed` or a `realloc` each count one), in all and charged
+//! to the `skywalker_sim::Scope` current on the requesting thread. The
+//! scheme of `crates/bench/skybench/src/alloc.rs`.
 //!
 //! A test binary includes it as a module, which installs it:
 //!
@@ -20,6 +21,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+use skywalker_sim::Scope;
+
 /// Bytes currently allocated.
 pub static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The most `LIVE` has been since a test last stored to it.
@@ -28,9 +31,14 @@ pub static PEAK: AtomicUsize = AtomicUsize::new(0);
 pub static LARGEST: AtomicUsize = AtomicUsize::new(0);
 /// Blocks requested or grown.
 pub static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// [`ALLOCS`] by the scope they were requested in:
+/// `BY_SCOPE[scope as usize]`.
+pub static BY_SCOPE: [AtomicUsize; Scope::ALL.len()] =
+    [const { AtomicUsize::new(0) }; Scope::ALL.len()];
 
 fn grew(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
+    BY_SCOPE[Scope::current() as usize].fetch_add(1, Relaxed);
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
     LARGEST.fetch_max(bytes, Relaxed);

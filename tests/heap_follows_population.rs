@@ -121,14 +121,16 @@ fn peak_heap_follows_the_in_flight_population() {
     );
     assert!(added_prompts > 8_000_000, "the longer run emits more");
 
-    // What may still grow with run length is the three 8-byte latency
+    // What may still grow with run length is the two 8-byte latency
     // samples a request leaves and the 48-byte shell a client leaves,
-    // each in a vector that doubles — nothing per probe tick, and not
-    // the prompts. Measured: 523 080 B for 10 985 added requests and
-    // 2 000 added clients (523 372 B while a request's prompt and key
-    // were its own buffers, 621 846 B while the radix tree's freed slots
-    // kept their segment buffers); the bound is a quarter above that.
-    const PER_REQUEST: usize = 40;
+    // each in a vector that doubles — its hop count is one more count
+    // in a histogram of a few entries, and nothing grows per probe tick
+    // or with the prompts. Measured: 379 608 B for 10 985 added requests
+    // and 2 000 added clients (509 336 B while a hop count was a third
+    // 8-byte sample, 523 372 B while a request's prompt and key were its
+    // own buffers, 621 846 B while the radix tree's freed slots kept
+    // their segment buffers); the bound is a quarter above that.
+    const PER_REQUEST: usize = 23;
     const PER_CLIENT: usize = 112;
     let allowed = PER_REQUEST * added_requests + PER_CLIENT * USERS as usize;
     assert!(
