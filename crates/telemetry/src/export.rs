@@ -4,7 +4,7 @@
 //! deterministic `(name, labels)` order — so the output is a pure
 //! function of the registry contents, byte-for-byte reproducible.
 
-use crate::registry::{MetricsSnapshot, SampleValue};
+use crate::registry::{MetricSample, MetricsSnapshot, SampleValue};
 
 /// Renders a snapshot in the Prometheus text exposition format (version
 /// 0.0.4): one `# TYPE` line per metric name, then one line per series.
@@ -26,87 +26,65 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut last_name: Option<&str> = None;
     for sample in &snap.samples {
-        if last_name != Some(sample.name.as_str()) {
+        let name = sample.name.as_str();
+        if last_name != Some(name) {
             let kind = match sample.value {
                 SampleValue::Counter(_) => "counter",
                 SampleValue::Gauge(_) => "gauge",
                 SampleValue::Distribution { .. } => "summary",
             };
-            out.push_str("# TYPE ");
-            out.push_str(&sample.name);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
-            last_name = Some(sample.name.as_str());
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            last_name = Some(name);
         }
         match &sample.value {
-            SampleValue::Counter(c) => {
-                out.push_str(&sample.name);
-                out.push_str(&label_block(&sample.labels, None));
-                out.push(' ');
-                out.push_str(&c.to_string());
-                out.push('\n');
-            }
-            SampleValue::Gauge(v) => {
-                out.push_str(&sample.name);
-                out.push_str(&label_block(&sample.labels, None));
-                out.push(' ');
-                out.push_str(&fmt_float(*v));
-                out.push('\n');
-            }
+            SampleValue::Counter(c) => line(&mut out, sample, "", None, &c.to_string()),
+            SampleValue::Gauge(v) => line(&mut out, sample, "", None, &fmt_float(*v)),
             SampleValue::Distribution {
                 count,
                 sum,
                 p50,
                 p90,
                 p99,
-                ..
             } => {
                 for (q, v) in [("0.5", p50), ("0.9", p90), ("0.99", p99)] {
-                    out.push_str(&sample.name);
-                    out.push_str(&label_block(&sample.labels, Some(q)));
-                    out.push(' ');
-                    out.push_str(&fmt_float(*v));
-                    out.push('\n');
+                    line(&mut out, sample, "", Some(q), &fmt_float(*v));
                 }
-                out.push_str(&sample.name);
-                out.push_str("_sum");
-                out.push_str(&label_block(&sample.labels, None));
-                out.push(' ');
-                out.push_str(&fmt_float(*sum));
-                out.push('\n');
-                out.push_str(&sample.name);
-                out.push_str("_count");
-                out.push_str(&label_block(&sample.labels, None));
-                out.push(' ');
-                out.push_str(&count.to_string());
-                out.push('\n');
+                line(&mut out, sample, "_sum", None, &fmt_float(*sum));
+                line(&mut out, sample, "_count", None, &count.to_string());
             }
         }
     }
     out
 }
 
-/// Formats a label block: `{a="1",b="2"}` (with an optional trailing
-/// `quantile` label), or the empty string when there are no labels.
-fn label_block(labels: &[(String, String)], quantile: Option<&str>) -> String {
-    if labels.is_empty() && quantile.is_none() {
-        return String::new();
+/// Writes one sample line: `name` and `suffix`, the label block
+/// (`{a="1",b="2"}`, with an optional trailing `quantile` label; nothing
+/// when there are no labels), and the value.
+fn line(out: &mut String, sample: &MetricSample, suffix: &str, q: Option<&str>, value: &str) {
+    out.push_str(&sample.name);
+    out.push_str(suffix);
+    let pairs = sample.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    let pairs = pairs.chain(q.map(|q| ("quantile", q)));
+    let mut sep = '{';
+    for (k, v) in pairs {
+        out.push(sep);
+        sep = ',';
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_label(out, v);
+        out.push('"');
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some(q) = quantile {
-        parts.push(format!("quantile=\"{q}\""));
+    if sep == ',' {
+        out.push('}');
     }
-    format!("{{{}}}", parts.join(","))
+    out.push(' ');
+    out.push_str(value);
+    out.push('\n');
 }
 
-/// Escapes a label value per the exposition format: backslash, quote, and
-/// newline.
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+/// Appends a label value escaped per the exposition format: backslash,
+/// quote, and newline.
+fn escape_label(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -115,20 +93,15 @@ fn escape_label(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Formats a float the way Prometheus expects: shortest round-trip decimal,
 /// `+Inf`/`-Inf`/`NaN` for non-finite values.
 fn fmt_float(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+    match v {
+        f64::INFINITY => "+Inf".to_string(),
+        f64::NEG_INFINITY => "-Inf".to_string(),
+        _ => v.to_string(), // NaN displays as `NaN`
     }
 }
 

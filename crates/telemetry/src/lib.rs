@@ -6,7 +6,9 @@
 //! [`QuantileSketch`] distributions (one fixed 1% error bound,
 //! [`RELATIVE_ERROR`]), a handful of dashboard series sampled on a
 //! sim-time cadence into bounded [`TimeSeries`], and Prometheus text
-//! exposition.
+//! exposition. The registry is one map of metric families, found by
+//! borrowed name and labels, so an observation allocates nothing once
+//! its series exists.
 //!
 //! A balancer's and a replica's metrics are listed once, in [`publish`],
 //! under the names of the one [`names`] table. Both planes publish
@@ -40,9 +42,7 @@ mod sketch;
 mod timeseries;
 
 pub use export::prometheus_text;
-pub use registry::{
-    MetricKey, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
-};
+pub use registry::{MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
 pub use timeseries::TimeSeries;
 
