@@ -1,9 +1,14 @@
-//! The run's three observation sinks behind one seam: the
-//! [`RequestTracker`] (always on — it produces the [`RunReport`]), the
-//! optional [`TraceRecorder`], and the optional streaming metrics plane.
+//! The run's three observation sinks behind one seam: the lifecycle
+//! [`Ledger`] (always on — it produces the [`RunReport`]), the optional
+//! [`TraceRecorder`], and the optional streaming metrics plane.
 //!
 //! The world reports each request-lifecycle point once, through the
 //! method named after it; the method fans out to every sink that cares.
+//! A request's lifecycle [`Record`] is not kept here: it lives in the
+//! request's entry of `Fabric::reqs`, which lends it to each lifecycle
+//! call (`None` once the entry is gone) and walks the records still open
+//! into the ledger's report at the end. The ledger folds a record in the
+//! moment it settles, so all it keeps is what settled records add up to.
 //! Milestones only the tracer records go through [`Observers::trace`]
 //! with the [`TraceEventKind`] vocabulary directly. Everything here is
 //! observation-only: sinks are fed, nothing is read back into the
@@ -17,10 +22,9 @@ use skywalker_telemetry::{
     names, publish, MetricsRegistry, TelemetryConfig, TelemetrySummary, SERIES_CAPACITY,
 };
 
-use super::summary::ratio;
 use super::world::{LbSlot, ReplicaSlot};
 use super::{FabricConfig, TransferSummary};
-use crate::metrics::{RequestTracker, RunReport, TimeSeries};
+use crate::metrics::{ratio, Ledger, Record, TimeSeries};
 use crate::trace::{TraceEventKind, TraceRecorder, TraceSummary};
 
 /// The streaming metrics plane: a labeled registry fed at lifecycle
@@ -70,7 +74,9 @@ impl TelemetryPlane {
 }
 
 pub(crate) struct Observers {
-    tracker: RequestTracker,
+    /// Reduces the records `Fabric::reqs` holds; the end-of-run report
+    /// walks the table's open records into it.
+    pub(crate) ledger: Ledger,
     tracer: Option<TraceRecorder>,
     telemetry: Option<TelemetryPlane>,
 }
@@ -79,7 +85,7 @@ impl Observers {
     /// Attaches the sinks `cfg` asks for (`cfg` is already clamped).
     pub(crate) fn new(cfg: &FabricConfig) -> Self {
         Observers {
-            tracker: RequestTracker::new(),
+            ledger: Ledger::default(),
             tracer: cfg.trace.map(TraceRecorder::new),
             telemetry: cfg.telemetry.map(|cfg| TelemetryPlane {
                 cfg,
@@ -110,29 +116,42 @@ impl Observers {
         }
     }
 
-    /// A client issued a fresh request.
-    pub(crate) fn arrival(&mut self, req: u64, prompt_tokens: u64, at: SimTime) {
-        self.tracker.arrival(req, at, prompt_tokens);
+    /// A client issued a fresh request; returns its lifecycle record.
+    pub(crate) fn arrival(&mut self, req: u64, prompt_tokens: u64, at: SimTime) -> Record {
         self.trace(at, TraceEventKind::Issued { req });
+        Record::new(at, prompt_tokens)
     }
 
     /// A client re-issued a request after a retry wait or a reroute.
-    pub(crate) fn retry(&mut self, req: u64, at: SimTime) {
-        self.tracker.retry(req);
+    pub(crate) fn retry(&mut self, record: Option<&mut Record>, req: u64, at: SimTime) {
+        self.ledger.retry(record);
         self.trace(at, TraceEventKind::Issued { req });
     }
 
     /// A live balancer queued the request after `hops` forwards, so the
     /// chain through this balancer is one longer.
-    pub(crate) fn lb_queued(&mut self, req: u64, lb: u32, hops: u8, at: SimTime) {
-        self.tracker.record_hops(req, hops.saturating_add(1));
+    pub(crate) fn lb_queued(
+        &mut self,
+        record: Option<&mut Record>,
+        req: u64,
+        lb: u32,
+        hops: u8,
+        at: SimTime,
+    ) {
+        self.ledger.hops(record, hops.saturating_add(1));
         self.trace(at, TraceEventKind::LbQueued { req, lb, hops });
     }
 
     /// The first token reached the client in `region` (the TTFT instant).
-    pub(crate) fn first_token_delivered(&mut self, req: u64, region: Region, at: SimTime) {
+    pub(crate) fn first_token_delivered(
+        &mut self,
+        record: Option<&mut Record>,
+        req: u64,
+        region: Region,
+        at: SimTime,
+    ) {
         self.trace(at, TraceEventKind::FirstTokenDelivered { req });
-        let ttft = self.tracker.first_token(req, at);
+        let ttft = self.ledger.first_token(record, at);
         let (Some(plane), Some(ttft)) = (self.telemetry.as_mut(), ttft) else {
             return;
         };
@@ -145,20 +164,17 @@ impl Observers {
     }
 
     /// The full response reached the client (the end-to-end instant).
-    pub(crate) fn delivered(&mut self, c: &Completion, at: SimTime) {
+    pub(crate) fn delivered(&mut self, record: Option<&mut Record>, c: &Completion, at: SimTime) {
         self.trace(at, TraceEventKind::Delivered { req: c.id.0 });
-        self.tracker.completion(
-            c.id.0,
-            at,
-            u64::from(c.generated_tokens),
-            u64::from(c.cached_prompt_tokens),
-        );
+        let (generated, cached) = (c.generated_tokens, c.cached_prompt_tokens);
+        self.ledger
+            .completion(record, at, generated.into(), cached.into());
     }
 
     /// The request terminally failed.
-    pub(crate) fn failed(&mut self, req: u64, at: SimTime) {
+    pub(crate) fn failed(&mut self, record: Option<&mut Record>, req: u64, at: SimTime) {
         self.trace(at, TraceEventKind::Failed { req });
-        self.tracker.failure(req);
+        self.ledger.failure(record);
     }
 
     /// Samples the five dashboard series (no-op when telemetry is off):
@@ -214,20 +230,18 @@ impl Observers {
         }
     }
 
-    /// Closes every sink at the run's end instant: the client-observed
-    /// report, then the trace and telemetry summaries when attached. The
-    /// telemetry plane takes one last sample (the run may end between
-    /// ticks) and publishes the end state.
+    /// Closes the trace and telemetry sinks at the run's end instant,
+    /// when attached. The telemetry plane takes one last sample (the run
+    /// may end between ticks) and publishes the end state.
     pub(crate) fn finish(
         mut self,
         end: SimTime,
         lbs: &[LbSlot],
         replicas: &[ReplicaSlot],
         transfers: &TransferSummary,
-    ) -> (RunReport, Option<TraceSummary>, Option<TelemetrySummary>) {
+    ) -> (Option<TraceSummary>, Option<TelemetrySummary>) {
         self.sample(end, lbs, replicas);
         (
-            self.tracker.report(end),
             self.tracer.map(TraceRecorder::into_summary),
             self.telemetry
                 .map(|plane| plane.into_summary(lbs, replicas, transfers)),

@@ -13,10 +13,10 @@ use skywalker_sim::{DetRng, Engine, SimTime};
 use skywalker_workload::distinct_regions;
 
 use super::observers::Observers;
-use super::summary::ratio;
 use super::world::{Ev, Fabric, FleetPlane, LbSlot, Traffic};
 use super::{Deployment, FabricConfig, FleetSummary, RunSummary, Scenario, TransferSummary};
 use crate::fleet::FleetObservation;
+use crate::metrics::ratio;
 
 /// Runs one scenario to completion (all clients done, or the deadline).
 pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
@@ -205,11 +205,18 @@ fn summarize(
         world.active_clients > 0 || world.transfers.in_transfer() > 0 || world.handoffs_retired(),
         "a drained run still holds disagg handoff state"
     );
+    // An entry goes once its completion is delivered and its record has
+    // settled, so a drained run holds only failed and rerouted requests'
+    // entries, and delivered ones still waiting for their first token.
+    debug_assert!(
+        world.active_clients > 0 || world.entries_retired(),
+        "a drained run still holds a request entry that should have gone"
+    );
     world.fleet.record(end, &world.replicas);
-    let (report, trace, telemetry) =
-        world
-            .obs
-            .finish(end, &world.lbs, &world.replicas, &world.transfers);
+    let report = world.report(end);
+    let (trace, telemetry) = world
+        .obs
+        .finish(end, &world.lbs, &world.replicas, &world.transfers);
 
     let replica_stats: Vec<ReplicaStats> =
         world.replicas.iter().map(|s| s.replica.stats()).collect();

@@ -9,17 +9,8 @@ use skywalker_telemetry::TelemetrySummary;
 
 use super::SystemKind;
 use crate::metrics::json::Val;
-use crate::metrics::{RunReport, TimeSeries};
+use crate::metrics::{ratio, RunReport, TimeSeries};
 use crate::trace::TraceSummary;
-
-/// `num / den`, or zero when there is nothing to divide by.
-pub(crate) fn ratio(num: f64, den: f64) -> f64 {
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
-}
 
 /// Results of one scenario run.
 #[derive(Debug, Clone)]

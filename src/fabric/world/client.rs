@@ -7,23 +7,25 @@
 //! length. A stage's requests are *moved* out of the client's program
 //! when the stage is issued (the prompts travel with the events from
 //! then on), a client's programs are dropped when it retires, and a
-//! request's [`ReqState`] is removed when its completion is delivered.
-//! What stays per client ever admitted is the [`ClientState`] shell
-//! (region and cursor); what stays per request is the entry of one that
-//! terminally failed or took its post-crash reroute.
+//! request's [`ReqState`] is removed when its completion is delivered
+//! and its lifecycle record has settled (the first token may trail the
+//! completion). What stays per client ever admitted is the
+//! [`ClientState`] shell (region and cursor); what stays per request is
+//! the entry of one that terminally failed or took its post-crash
+//! reroute.
 
-use std::collections::hash_map::Entry;
 use std::mem;
 
 use skywalker_core::LbId;
 use skywalker_net::Region;
 use skywalker_replica::{Completion, Request, RequestId};
-use skywalker_sim::{DetRng, SimDuration};
+use skywalker_sim::{DetRng, SimDuration, SimTime};
 use skywalker_workload::{ClientEvent, ClientSpec, Program, TrafficSource};
 
 use super::disagg::DisaggStage;
 use super::{Ev, Fabric, ReqState, Sched};
 use crate::fabric::FabricConfig;
+use crate::metrics::RunReport;
 use crate::trace::TraceEventKind::RetryWait;
 
 pub(crate) struct ClientState {
@@ -124,21 +126,22 @@ impl Fabric {
         }
         c.inflight = reqs.len() as u32;
         for req in reqs {
-            self.obs
-                .arrival(req.id.0, req.prompt.len() as u64, sched.now());
+            let (id, now) = (req.id.0, sched.now());
             let state = ReqState {
-                client,
+                client: client as u32,
                 lb: None,
                 rerouted: false,
                 disagg: None,
+                record: self.obs.arrival(id, req.prompt_len().into(), now),
             };
-            self.reqs.insert(req.id.0, state);
+            self.reqs.insert(id, state);
             self.send_request(client, req, sched);
         }
     }
 
     pub(crate) fn on_retry(&mut self, client: usize, req: Request, sched: &mut Sched) {
-        self.obs.retry(req.id.0, sched.now());
+        let record = self.reqs.get_mut(&req.id.0).map(|s| &mut s.record);
+        self.obs.retry(record, req.id.0, sched.now());
         self.send_request(client, req, sched);
     }
 
@@ -160,7 +163,7 @@ impl Fabric {
     /// queue, no balancer alive): its client backs off, then re-issues it.
     pub(crate) fn retry_later(&mut self, req: Request, sched: &mut Sched) {
         if let Some(state) = self.reqs.get(&req.id.0) {
-            let client = state.client;
+            let client = state.client as usize;
             self.obs.trace(sched.now(), RetryWait { req: req.id.0 });
             sched.after(FabricConfig::RETRY_DELAY, Ev::Retry { client, req });
         }
@@ -168,10 +171,11 @@ impl Fabric {
 
     /// Who receives a replica's output for request `id`, and which leg
     /// of a disaggregated request produced it (`None` for a colocated
-    /// one) — or `None` when nothing routes the request any more.
+    /// one) — or `None` once the request's entry is gone.
     pub(crate) fn output_route(&self, id: u64) -> Option<(usize, Option<DisaggStage>)> {
         let state = self.reqs.get(&id)?;
-        Some((state.client, state.disagg.as_ref().map(|m| m.stage)))
+        let stage = state.disagg.as_ref().map(|m| m.stage);
+        Some((state.client as usize, stage))
     }
 
     /// Samples the wire leg carrying a replica's output from `from` back
@@ -183,28 +187,55 @@ impl Fabric {
 
     pub(crate) fn on_first_token(&mut self, client: usize, req: RequestId, sched: &mut Sched) {
         let region = self.clients[client].region;
-        self.obs.first_token_delivered(req.0, region, sched.now());
+        let record = self.reqs.get_mut(&req.0).map(|s| &mut s.record);
+        self.obs
+            .first_token_delivered(record, req.0, region, sched.now());
+        self.release_if_done(req.0);
     }
 
     pub(crate) fn on_completion(&mut self, client: usize, done: Completion, sched: &mut Sched) {
-        self.obs.delivered(&done, sched.now());
-        // Delivered: nothing routes this request any more. Only one that
-        // took its post-crash reroute keeps its entry — the crashed
-        // replica's last finished iteration may still owe it a first
-        // token, and `client_leg` must keep finding it.
-        if let Entry::Occupied(state) = self.reqs.entry(done.id.0) {
-            if !state.get().rerouted {
-                state.remove();
-            }
-        }
+        let record = self.reqs.get_mut(&done.id.0).map(|s| &mut s.record);
+        self.obs.delivered(record, &done, sched.now());
+        self.release_if_done(done.id.0);
         self.request_finished(client, sched);
+    }
+
+    /// Removes request `id`'s entry once nothing reads it any more: it is
+    /// delivered, its record has settled, and it did not take its
+    /// post-crash reroute — the crashed replica's last finished
+    /// iteration may still owe a rerouted request a first token, and
+    /// `output_route` must keep finding it.
+    fn release_if_done(&mut self, id: u64) {
+        let done = |s: &ReqState| !s.rerouted && s.record.is_completed() && s.record.is_settled();
+        if self.reqs.get(&id).is_some_and(done) {
+            self.reqs.remove(&id);
+        }
+    }
+
+    /// The run's report at `end`, over every record the table still
+    /// holds: an order-free walk, as the report only sums and sorts.
+    pub(crate) fn report(&mut self, end: SimTime) -> RunReport {
+        let open = self.reqs.values().map(|s| &s.record);
+        self.obs.ledger.report(open, end)
+    }
+
+    /// Whether every entry is one a drained run may still hold: a failed
+    /// or rerouted request's, which stays by design, or a delivered one's
+    /// whose first token was still on the wire (an order-free walk,
+    /// debug builds only).
+    pub(crate) fn entries_retired(&self) -> bool {
+        self.reqs.values().all(|s| {
+            let awaits_first_token = s.record.is_completed() && !s.record.is_settled();
+            s.rerouted || s.record.is_failed() || awaits_first_token
+        })
     }
 
     /// Counts request `id` terminally failed and releases its client.
     pub(crate) fn fail_request(&mut self, id: u64, sched: &mut Sched) {
-        self.obs.failed(id, sched.now());
+        let record = self.reqs.get_mut(&id).map(|s| &mut s.record);
+        self.obs.failed(record, id, sched.now());
         if let Some(state) = self.reqs.get(&id) {
-            self.request_finished(state.client, sched);
+            self.request_finished(state.client as usize, sched);
         }
     }
 

@@ -179,7 +179,7 @@ impl Fabric {
         match self.reqs.get_mut(&req.id.0) {
             Some(state) if !state.rerouted => {
                 state.rerouted = true;
-                let client = state.client;
+                let client = state.client as usize;
                 sched.at(sched.now(), Ev::Retry { client, req });
             }
             _ => self.fail_request(req.id.0, sched),

@@ -22,7 +22,8 @@ impl Fabric {
             // Connection refused: the client retries, resolving again.
             return self.retry_later(req, sched);
         }
-        self.obs.lb_queued(req.id.0, lb, hops, sched.now());
+        let record = self.reqs.get_mut(&req.id.0).map(|s| &mut s.record);
+        self.obs.lb_queued(record, req.id.0, lb, hops, sched.now());
         slot.lb.submit(req, hops);
         self.follow_up(Ev::LbDispatch { lb }, sched);
     }

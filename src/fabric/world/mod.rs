@@ -30,6 +30,7 @@ use skywalker_workload::ClientSpec;
 use super::observers::Observers;
 use super::{FabricConfig, TransferSummary};
 use crate::fleet::FleetEvent;
+use crate::metrics::Record;
 
 use client::ClientState;
 pub(crate) use client::Traffic;
@@ -151,15 +152,20 @@ impl Ev {
 // compile here.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
 
-/// Fabric-side routing state of one request, alive from its first issue
-/// until its completion is delivered to the client. Entries of requests
-/// that terminally failed or were rerouted after a crash stay to the end
-/// of the run: the crashed replica's last finished iteration can still
-/// stream a first token for them. Those are bounded by failures, not by
-/// run length.
+/// One request in the fabric: its routing state and its lifecycle
+/// [`Record`], the one entry it has. Alive from its first issue until its
+/// completion is delivered to the client *and* its record has settled.
+/// The first token can trail the completion; until it arrives the entry
+/// is kept for its record only (without a reroute the request has no
+/// other copy in flight, so nothing routes it any more). Entries of
+/// requests that terminally failed or were rerouted after a crash stay
+/// to the end of the run: the crashed replica's last finished iteration
+/// can still stream a first token for them. Those are bounded by
+/// failures, not by run length.
 pub(crate) struct ReqState {
-    /// The issuing client.
-    client: usize,
+    /// The issuing client (an index into `Fabric::clients`; `u32` keeps
+    /// the entry at 80 bytes).
+    client: u32,
     /// The balancer holding a dispatch slot for it, until the slot is
     /// credited back.
     lb: Option<u32>,
@@ -169,7 +175,15 @@ pub(crate) struct ReqState {
     /// until the decode leg's completion leaves the replica (or the
     /// request fails or retries); `None` for a colocated request.
     disagg: Option<Box<DisaggMeta>>,
+    /// What the run's report reads of it; the observers fold it in once
+    /// it settles.
+    record: Record,
 }
+
+// One entry per request in flight: an entry that grows past 80 bytes
+// (the routing words, a handoff pointer and a 56-byte record) fails to
+// compile here.
+const _: () = assert!(std::mem::size_of::<ReqState>() <= 80);
 
 pub(crate) struct Fabric {
     /// The run's knobs, with every tick interval clamped.
@@ -188,11 +202,12 @@ pub(crate) struct Fabric {
     pub(crate) traffic: Traffic,
     /// Requests in flight (and the few [`ReqState`] keeps longer), by
     /// id — the one table a request's routing, reroute and handoff state
-    /// live in. Hashed with a fixed key: entries are removed on
-    /// delivery, and a randomly keyed table's tombstones — hence the
-    /// instant it regrows — would differ from run to run, which would
-    /// make a run's peak heap inexact under a seed.
-    pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id; walked only by the order-free `handoffs_retired` debug check
+    /// and its lifecycle record live in. Hashed with a fixed key:
+    /// entries are removed once delivered and settled, and a randomly
+    /// keyed table's tombstones — hence the instant it regrows — would
+    /// differ from run to run, which would make a run's peak heap
+    /// inexact under a seed.
+    pub(crate) reqs: HashMap<u64, ReqState, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id; walked only order-free, by the `handoffs_retired` and `entries_retired` debug checks and the end-of-run `report`
     /// The balancer map failover acts on — and what clients resolve their
     /// entry balancer against (`Controller::resolve`).
     pub(crate) controller: Controller,

@@ -2,37 +2,56 @@
 //!
 //! Every experiment in the paper reports the same aggregates: service
 //! throughput (tokens per second), the TTFT distribution, the end-to-end
-//! latency distribution, and the KV-cache hit rate. [`RequestTracker`]
-//! collects the three lifecycle timestamps per request — arrival at the
+//! latency distribution, and the KV-cache hit rate. A [`Record`] holds
+//! the three lifecycle timestamps of one request — arrival at the
 //! client, first output token, completion — plus token accounting, and
-//! reduces them to a [`RunReport`].
+//! a [`Ledger`] reduces records to a [`RunReport`].
 //!
-//! A record lives only while something can still change it. Once a
-//! request is completed or failed *and* has its first token, no call
-//! alters what it contributes, so the tracker folds it into running
-//! totals — the exact-quantile latency samples (two `f64`s), a count in
-//! a histogram of hop counts, and integer sums — frees its slot for
-//! reuse and forgets the id. What the tracker holds therefore follows
-//! the in-flight population plus 16 bytes of samples per finished
-//! request, not one whole record per request ever seen.
-//! The two terminal states that wait: a completed request whose first
-//! token is still in flight to the client (the two deliveries draw
-//! independent delays), and a failed request that never produced one.
+//! A record settles once the request is completed or failed *and* has
+//! its first token: no lifecycle call alters what it contributes after
+//! that, so the ledger folds it into running totals — the exact-quantile
+//! latency samples (two `f64`s), a count in a histogram of hop counts,
+//! and integer sums — the moment it settles, and the report adds only
+//! the records still open. Whoever holds the records decides when to
+//! let a settled one go: the fabric keeps each in its request's
+//! `ReqState`, the one table a request in flight lives in, and
+//! [`RequestTracker`] keeps the open ones by id. The two terminal states
+//! that wait: a completed request whose first token is still in flight
+//! to the client (the two deliveries draw independent delays), and a
+//! failed request that never produced one.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 use skywalker_sim::{SimDuration, SimTime};
 
-use super::Summary;
+use super::{ratio, Summary};
 
-#[derive(Debug)]
-struct Record {
+/// A point of a request's life as the time since its arrival, saturated
+/// at zero — all a report reads of it — held one microsecond up, so that
+/// `Option<Elapsed>` takes eight bytes where `Option<SimTime>` takes
+/// sixteen.
+#[derive(Debug, Clone, Copy)]
+struct Elapsed(NonZeroU64);
+
+impl Elapsed {
+    fn between(arrived: SimTime, at: SimTime) -> Elapsed {
+        let micros = at.saturating_since(arrived).as_micros();
+        Elapsed(NonZeroU64::MIN.saturating_add(micros))
+    }
+
+    fn duration(self) -> SimDuration {
+        SimDuration::from_micros(self.0.get() - 1)
+    }
+}
+
+/// One request's lifecycle, from its arrival until it settles.
+#[derive(Debug, Default)]
+pub(crate) struct Record {
     arrived: SimTime,
-    first_token: Option<SimTime>,
-    completed: Option<SimTime>,
+    first_token: Option<Elapsed>,
+    completed: Option<Elapsed>,
     failed: bool,
-    retried: bool,
     retries: u32,
     hops: Option<u8>,
     prompt_tokens: u64,
@@ -41,15 +60,42 @@ struct Record {
 }
 
 impl Record {
-    /// True once no tracker call can change this record's contribution
+    /// A request issued at `arrived` with `prompt_tokens` prompt tokens.
+    pub(crate) fn new(arrived: SimTime, prompt_tokens: u64) -> Record {
+        Record {
+            arrived,
+            prompt_tokens,
+            ..Record::default()
+        }
+    }
+
+    fn is_terminal(&self) -> bool {
+        self.completed.is_some() || self.failed
+    }
+
+    /// True once no lifecycle call can change this record's contribution
     /// to a report: terminal, and the first token (which may trail the
     /// completion) has been seen.
-    fn is_settled(&self) -> bool {
-        (self.completed.is_some() || self.failed) && self.first_token.is_some()
+    pub(crate) fn is_settled(&self) -> bool {
+        self.is_terminal() && self.first_token.is_some()
+    }
+
+    /// Whether the request completed.
+    pub(crate) fn is_completed(&self) -> bool {
+        self.completed.is_some()
+    }
+
+    /// Whether the request terminally failed.
+    pub(crate) fn is_failed(&self) -> bool {
+        self.failed
     }
 }
 
-/// The per-record part of a [`RunReport`], summed over a set of records.
+/// The reducer of a run's records. It applies each lifecycle point to
+/// the request's [`Record`] — `None` when no record is held for it,
+/// which leaves nothing to change — and folds a record into its running
+/// totals the moment the record settles.
+///
 /// Every reduction is order-insensitive — integer sums, and samples that
 /// [`Summary::of`] sorts before it sums — so settled records can be added
 /// as they finish and the rest at report time with the same result as
@@ -58,7 +104,7 @@ impl Record {
 /// small integers, so they are kept as a histogram for
 /// [`Summary::of_counts`].
 #[derive(Debug, Default)]
-struct Totals {
+pub(crate) struct Ledger {
     ttft: Vec<f64>,
     e2e: Vec<f64>,
     /// `hops[h]`: how many requests carried a chain of `h` hops.
@@ -69,12 +115,17 @@ struct Totals {
     cached_tokens: u64,
     generated_tokens: u64,
     retry_events: u64,
+    /// Requests ever failed and ever retried, counted at the failure and
+    /// at the first bounce, not when the record settles.
+    failed: u64,
+    retried: u64,
 }
 
-impl Totals {
+impl Ledger {
+    /// Adds what `r` contributes to a report.
     fn add(&mut self, r: &Record) {
-        if let Some(ft) = r.first_token {
-            self.ttft.push(ft.saturating_since(r.arrived).as_secs_f64());
+        if let Some(ttft) = r.first_token {
+            self.ttft.push(ttft.duration().as_secs_f64());
         }
         if let Some(h) = r.hops {
             let h = usize::from(h);
@@ -83,12 +134,11 @@ impl Totals {
             }
             self.hops[h] += 1;
         }
-        self.retry_events += r.retries as u64;
+        self.retry_events += u64::from(r.retries);
         match r.completed {
-            Some(done) => {
+            Some(e2e) => {
                 self.completed += 1;
-                self.e2e
-                    .push(done.saturating_since(r.arrived).as_secs_f64());
+                self.e2e.push(e2e.duration().as_secs_f64());
                 self.prompt_tokens += r.prompt_tokens;
                 self.cached_tokens += r.cached_prompt_tokens;
                 self.generated_tokens += r.generated_tokens;
@@ -97,9 +147,131 @@ impl Totals {
             None => self.in_flight += 1,
         }
     }
+
+    fn add_if_settled(&mut self, r: &Record) {
+        if r.is_settled() {
+            self.add(r);
+        }
+    }
+
+    /// Records the first output token and returns the request's time to
+    /// first token; `None` for a repeated first token (the first
+    /// observation wins).
+    pub(crate) fn first_token(
+        &mut self,
+        r: Option<&mut Record>,
+        at: SimTime,
+    ) -> Option<SimDuration> {
+        let r = r.filter(|r| r.first_token.is_none())?;
+        let ttft = Elapsed::between(r.arrived, at);
+        r.first_token = Some(ttft);
+        self.add_if_settled(r);
+        Some(ttft.duration())
+    }
+
+    /// Records completion with the generated token count and how many
+    /// prompt tokens were served from the prefix cache. A completed or
+    /// failed request is left as it is.
+    pub(crate) fn completion(
+        &mut self,
+        r: Option<&mut Record>,
+        at: SimTime,
+        generated: u64,
+        cached_prompt: u64,
+    ) {
+        if let Some(r) = r.filter(|r| !r.is_terminal()) {
+            r.completed = Some(Elapsed::between(r.arrived, at));
+            r.generated_tokens = generated;
+            r.cached_prompt_tokens = cached_prompt.min(r.prompt_tokens);
+            self.add_if_settled(r);
+        }
+    }
+
+    /// Records a rejected/failed request: it stops counting as in-flight
+    /// and is reported as failed. Failing a completed (or already-failed)
+    /// request is ignored.
+    pub(crate) fn failure(&mut self, r: Option<&mut Record>) {
+        if let Some(r) = r.filter(|r| !r.is_terminal()) {
+            r.failed = true;
+            self.failed += 1;
+            self.add_if_settled(r);
+        }
+    }
+
+    /// Records that a live request was retried/rerouted (a crashed
+    /// balancer or replica forced it onto another path). Counted once
+    /// per *request*, at its first bounce — so the number is comparable
+    /// across retry-delay and polling configurations — and once per
+    /// bounce in the retry events. A completed or failed request is
+    /// left as it is.
+    pub(crate) fn retry(&mut self, r: Option<&mut Record>) {
+        if let Some(r) = r.filter(|r| !r.is_terminal()) {
+            r.retries += 1;
+            self.retried += u64::from(r.retries == 1);
+        }
+    }
+
+    /// Records the hop count a request carried when a balancer accepted
+    /// it. A request can pass several balancers (selective pushing
+    /// forwards it with `hops + 1`); the largest observation wins, so
+    /// the recorded value is the full length of the forwarding chain. A
+    /// settled record is left as it was folded.
+    pub(crate) fn hops(&mut self, r: Option<&mut Record>, hops: u8) {
+        if let Some(r) = r.filter(|r| !r.is_settled()) {
+            r.hops = Some(r.hops.map_or(hops, |h| h.max(hops)));
+        }
+    }
+
+    /// Aggregates the settled records and the `open` ones into a
+    /// [`RunReport`]. `open` may hold settled records too: they were
+    /// folded in as they settled, so they are skipped.
+    ///
+    /// `run_end` bounds the measurement window for throughput: tokens of
+    /// completed requests divided by the window length. TTFT and
+    /// end-to-end distributions include only requests that reached the
+    /// respective lifecycle point. Takes `&mut self` only to sort the
+    /// settled samples in place; calling it changes no later report.
+    pub(crate) fn report<'a>(
+        &mut self,
+        open: impl IntoIterator<Item = &'a Record>,
+        run_end: SimTime,
+    ) -> RunReport {
+        // The sums and hop counts continue from the settled ones; the
+        // open records' latency samples are gathered apart, so that the
+        // settled samples are summarized where they are instead of being
+        // copied first.
+        let mut t = Ledger {
+            ttft: Vec::new(),
+            e2e: Vec::new(),
+            hops: self.hops.clone(),
+            ..*self
+        };
+        for r in open.into_iter().filter(|r| !r.is_settled()) {
+            t.add(r);
+        }
+        let service_tokens = t.prompt_tokens + t.generated_tokens;
+        RunReport {
+            completed: t.completed,
+            in_flight: t.in_flight,
+            failed: t.failed,
+            retried: t.retried,
+            retry_events: t.retry_events,
+            prompt_tokens: t.prompt_tokens,
+            cached_prompt_tokens: t.cached_tokens,
+            generated_tokens: t.generated_tokens,
+            throughput_tps: ratio(service_tokens as f64, run_end.as_secs_f64()),
+            cache_hit_rate: ratio(t.cached_tokens as f64, t.prompt_tokens as f64),
+            ttft: summary_with(&mut self.ttft, t.ttft),
+            e2e: summary_with(&mut self.e2e, t.e2e),
+            hops: Summary::of_counts(&t.hops),
+        }
+    }
 }
 
-/// Collects request lifecycle events during a run.
+/// Collects request lifecycle events during a run, by request id: the
+/// ledger over the open records, which it forgets as they settle. The fabric keeps its records in its own request table and
+/// drives the ledger directly; this id-keyed form serves callers that
+/// hold no such table (the benchmark's tracker replay).
 ///
 /// # Examples
 ///
@@ -118,20 +290,9 @@ impl Totals {
 /// ```
 #[derive(Debug, Default)]
 pub struct RequestTracker {
-    /// Slab of the records not yet settled; `None` marks a vacated slot
-    /// waiting in `free`. Aggregation walks it by slot.
-    records: Vec<Option<Record>>,
-    /// Vacated slots of `records`, reused before the slab grows.
-    free: Vec<usize>,
-    /// Unsettled request id → slab slot. Hashed with a fixed key: ids
-    /// are removed as they settle, and with a random key the table's
-    /// tombstones — hence the instant it regrows — would differ from run
-    /// to run, which would make a run's peak heap inexact under a seed.
-    index: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>, // det-allow(D02): lookup-only — keyed by request id, never iterated
-    /// What the settled records contribute to a report.
-    settled: Totals,
-    failed: u64,
-    retried: u64,
+    /// The records not yet settled, by request id.
+    open: BTreeMap<u64, Record>,
+    ledger: Ledger,
 }
 
 impl RequestTracker {
@@ -140,98 +301,43 @@ impl RequestTracker {
         Self::default()
     }
 
-    fn slot_mut(&mut self, slot: usize) -> &mut Record {
-        self.records[slot]
-            .as_mut()
-            .expect("an indexed slot holds a record")
-    }
-
-    fn rec_mut(&mut self, id: u64) -> Option<&mut Record> {
-        let slot = *self.index.get(&id)?;
-        Some(self.slot_mut(slot))
-    }
-
-    /// Folds `id`'s record into the settled totals and releases its slot
-    /// and index entry, if nothing can change it any more.
-    fn settle(&mut self, id: u64, slot: usize) {
-        if let Some(record) = self.records[slot].take_if(|r| r.is_settled()) {
-            self.settled.add(&record);
-            self.free.push(slot);
-            self.index.remove(&id);
+    /// Applies `f` to `id`'s open record (`None` if it has none), then
+    /// forgets the record if that settled it.
+    fn update<T>(&mut self, id: u64, f: impl FnOnce(&mut Ledger, Option<&mut Record>) -> T) -> T {
+        let out = f(&mut self.ledger, self.open.get_mut(&id));
+        if self.open.get(&id).is_some_and(Record::is_settled) {
+            self.open.remove(&id);
         }
+        out
     }
 
     /// Records a request issued at `at` with `prompt_tokens` prompt tokens.
     /// Re-registering an id whose record is still open overwrites that
     /// record; a settled id has been forgotten, so it registers afresh.
     pub fn arrival(&mut self, id: u64, at: SimTime, prompt_tokens: u64) {
-        let record = Some(Record {
-            arrived: at,
-            first_token: None,
-            completed: None,
-            failed: false,
-            retried: false,
-            retries: 0,
-            hops: None,
-            prompt_tokens,
-            cached_prompt_tokens: 0,
-            generated_tokens: 0,
-        });
-        let slot = match self.index.get(&id) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.records.push(None);
-                    self.records.len() - 1
-                });
-                self.index.insert(id, slot);
-                slot
-            }
-        };
-        self.records[slot] = record;
+        self.open.insert(id, Record::new(at, prompt_tokens));
     }
 
     /// Records the first output token for `id` and returns the request's
     /// time to first token. `None` for an unknown id and for a repeated
     /// first token (the first observation wins).
     pub fn first_token(&mut self, id: u64, at: SimTime) -> Option<SimDuration> {
-        let slot = *self.index.get(&id)?;
-        let r = self.slot_mut(slot);
-        if r.first_token.is_some() {
-            return None;
-        }
-        r.first_token = Some(at);
-        let ttft = at.saturating_since(r.arrived);
-        self.settle(id, slot);
-        Some(ttft)
+        self.update(id, |ledger, r| ledger.first_token(r, at))
     }
 
     /// Records completion for `id` with the generated token count and how
     /// many prompt tokens were served from the prefix cache.
     pub fn completion(&mut self, id: u64, at: SimTime, generated: u64, cached_prompt: u64) {
-        if let Some(&slot) = self.index.get(&id) {
-            let r = self.slot_mut(slot);
-            if r.completed.is_none() && !r.failed {
-                r.completed = Some(at);
-                r.generated_tokens = generated;
-                r.cached_prompt_tokens = cached_prompt.min(r.prompt_tokens);
-                self.settle(id, slot);
-            }
-        }
+        self.update(id, |ledger, r| {
+            ledger.completion(r, at, generated, cached_prompt)
+        });
     }
 
     /// Records a rejected/failed request: it stops counting as in-flight
     /// and is reported as failed. Failing a completed (or already-failed)
-    /// request is ignored.
+    /// request, or an unknown id, is ignored.
     pub fn failure(&mut self, id: u64) {
-        if let Some(&slot) = self.index.get(&id) {
-            let r = self.slot_mut(slot);
-            if r.completed.is_none() && !r.failed {
-                r.failed = true;
-                self.failed += 1;
-                self.settle(id, slot);
-            }
-        }
+        self.update(id, Ledger::failure);
     }
 
     /// Records that a live request was retried/rerouted (a crashed
@@ -240,30 +346,13 @@ impl RequestTracker {
     /// comparable across retry-delay and polling configurations.
     /// Unknown, completed, and failed ids are ignored.
     pub fn retry(&mut self, id: u64) {
-        let mut newly_retried = false;
-        if let Some(r) = self.rec_mut(id) {
-            if r.completed.is_none() && !r.failed {
-                r.retries += 1;
-                if !r.retried {
-                    r.retried = true;
-                    newly_retried = true;
-                }
-            }
-        }
-        if newly_retried {
-            self.retried += 1;
-        }
+        self.update(id, Ledger::retry);
     }
 
     /// Records the hop count a request carried when a balancer accepted
-    /// it. A request can pass several balancers (selective pushing
-    /// forwards it with `hops + 1`); the largest observation wins, so
-    /// the recorded value is the full length of the forwarding chain.
-    /// Unknown ids are ignored.
+    /// it; the largest observation wins. Unknown ids are ignored.
     pub fn record_hops(&mut self, id: u64, hops: u8) {
-        if let Some(r) = self.rec_mut(id) {
-            r.hops = Some(r.hops.map_or(hops, |h| h.max(hops)));
-        }
+        self.update(id, |ledger, r| ledger.hops(r, hops));
     }
 
     /// Aggregates everything observed so far into a [`RunReport`].
@@ -274,45 +363,7 @@ impl RequestTracker {
     /// lifecycle point. Takes `&mut self` only to sort the settled samples
     /// in place; calling it changes no later report.
     pub fn report(&mut self, run_end: SimTime) -> RunReport {
-        // The sums and hop counts continue from the settled ones; the
-        // open records' latency samples are gathered apart, so that the
-        // settled samples are summarized where they are instead of being
-        // copied first.
-        let settled = &mut self.settled;
-        let mut t = Totals {
-            ttft: Vec::new(),
-            e2e: Vec::new(),
-            hops: settled.hops.clone(),
-            ..*settled
-        };
-        for r in self.records.iter().flatten() {
-            t.add(r);
-        }
-        let window = run_end.as_secs_f64();
-        let service_tokens = t.prompt_tokens + t.generated_tokens;
-        RunReport {
-            completed: t.completed,
-            in_flight: t.in_flight,
-            failed: self.failed,
-            retried: self.retried,
-            retry_events: t.retry_events,
-            prompt_tokens: t.prompt_tokens,
-            cached_prompt_tokens: t.cached_tokens,
-            generated_tokens: t.generated_tokens,
-            throughput_tps: if window > 0.0 {
-                service_tokens as f64 / window
-            } else {
-                0.0
-            },
-            cache_hit_rate: if t.prompt_tokens > 0 {
-                t.cached_tokens as f64 / t.prompt_tokens as f64
-            } else {
-                0.0
-            },
-            ttft: summary_with(&mut settled.ttft, t.ttft),
-            e2e: summary_with(&mut settled.e2e, t.e2e),
-            hops: Summary::of_counts(&t.hops),
-        }
+        self.ledger.report(self.open.values(), run_end)
     }
 }
 
@@ -494,7 +545,7 @@ mod tests {
     /// only rarely (first token after completion or after failure,
     /// completion after failure, a live id registered again) — reduce to
     /// the same report, bit for bit, as keeping every request whole; and
-    /// the slab holds the open requests, not the history.
+    /// the tracker holds the open requests, not the history.
     #[test]
     fn settling_matches_keeping_everything() {
         for seed in [1, 2, 61] {
@@ -575,7 +626,7 @@ mod tests {
                     }
                 }
                 most_open = most_open.max(model.open_ids().len());
-                assert!(t.records.len() <= most_open, "seed {seed} step {step}");
+                assert!(t.open.len() <= most_open, "seed {seed} step {step}");
                 if step % 500 == 499 {
                     let end = ms(now + 1);
                     assert_eq!(
@@ -590,8 +641,31 @@ mod tests {
                 settled > 500,
                 "seed {seed}: the script settled only {settled}"
             );
-            assert_eq!(t.index.len(), model.open_ids().len());
+            assert_eq!(t.open.len(), model.open_ids().len());
         }
+    }
+
+    /// The fabric's regime: a failed or rerouted request's record stays
+    /// with its holder after it settles. Nothing changes it any more, and
+    /// a report over the holder skips it: it was folded in when it
+    /// settled.
+    #[test]
+    fn a_held_settled_record_counts_once() {
+        let (mut ledger, mut kept) = (Ledger::default(), Record::new(ms(0), 10));
+        let ttft = ledger.first_token(Some(&mut kept), ms(100));
+        assert_eq!(ttft, Some(SimDuration::from_millis(100)));
+        ledger.failure(Some(&mut kept));
+        assert!(kept.is_settled() && kept.is_failed());
+        ledger.hops(Some(&mut kept), 3);
+        ledger.retry(Some(&mut kept));
+        ledger.failure(Some(&mut kept));
+        ledger.completion(Some(&mut kept), ms(200), 5, 5);
+        assert_eq!(ledger.first_token(Some(&mut kept), ms(150)), None);
+        let r = ledger.report([&kept], SimTime::from_secs(1));
+        let outcomes = (r.failed, r.retried, r.completed, r.in_flight);
+        assert_eq!(outcomes, (1, 0, 0, 0));
+        let counts = (r.ttft.count, r.e2e.count, r.hops.count, r.retry_events);
+        assert_eq!(counts, (1, 0, 0, 0));
     }
 
     #[test]
@@ -633,7 +707,7 @@ mod tests {
         let mut t = RequestTracker::new();
         t.first_token(99, ms(1));
         t.completion(99, ms(2), 1, 0);
-        assert!(t.index.is_empty() && t.records.is_empty());
+        assert!(t.open.is_empty());
     }
 
     #[test]

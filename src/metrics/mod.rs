@@ -11,7 +11,9 @@
 //!   row's value across its seeds, or the per-request samples of a trace
 //!   phase. The [`trace`](crate::trace) reports are its other user.
 //! - [`RequestTracker`]: per-request lifecycle records (arrival, first
-//!   token, completion) aggregated into a [`RunReport`].
+//!   token, completion) aggregated into a [`RunReport`], by request id.
+//!   The fabric keeps each record in its own request table instead and
+//!   drives the same reducer directly.
 //! - [`TimeSeries`]: timestamped gauge traces, e.g. a region's fleet
 //!   size over time; optionally bounded (oldest points drop first, and
 //!   are counted) for sampled dashboards. It lives in
@@ -53,6 +55,8 @@ pub mod json;
 mod collector;
 mod summary;
 
+pub(crate) use collector::{Ledger, Record};
 pub use collector::{RequestTracker, RunReport};
 pub use skywalker_telemetry::TimeSeries;
+pub(crate) use summary::ratio;
 pub use summary::Summary;

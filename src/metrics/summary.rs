@@ -120,6 +120,15 @@ impl Summary {
     }
 }
 
+/// `num / den`, or zero when there is nothing to divide by.
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
 /// The `q`-quantile (`q` in `[0, 1]`) of `count > 0` ascending samples,
 /// the `rank`-th of which is `at(rank)`, by linear interpolation between
 /// closest ranks — the one convention every exact percentile in the

@@ -309,8 +309,8 @@ impl Fold {
         use TraceEventKind::*;
         if let FirstTokenDelivered { .. } = kind {
             // The parallel first-token-delivery leg is not part of the
-            // main chain. First observation wins — matches
-            // RequestTracker::first_token.
+            // main chain. First observation wins — matches the
+            // lifecycle ledger's first token.
             self.first_delivery.get_or_insert(at);
             return;
         }

@@ -27,15 +27,18 @@
 
 use std::collections::BTreeMap;
 
+use skywalker::net::Region;
 use skywalker::trace::{
     Attribution, Phase, PhaseBreakdown, RequestTrace, TraceEvent, TraceEventKind, TraceOutcome,
     TraceSummary, TtftTrace,
 };
+use skywalker::workload::LengthModel;
 use skywalker::{
     disagg_scenario, fig10_diurnal_scenario, fig8_scenario, fig9_scenario,
     memory_pressure_scenario, run_scenario, ChaosConfig, ChaosPlan, DisaggWorkload, EngineSpec,
-    FabricConfig, FcfsBatch, LruEvictor, NoEvict, PrefixAwareEvictor, RunSummary, Scenario,
-    ShortestPromptFirst, SystemKind, ThresholdAutoscaler, TraceConfig, Workload,
+    FabricConfig, FcfsBatch, LruEvictor, NoEvict, PrefixAwareEvictor, RagCorpusConfig,
+    RagCorpusSource, ReplicaPlacement, RunSummary, Scenario, ShortestPromptFirst, SystemKind,
+    ThresholdAutoscaler, TraceConfig, Workload, L4_PRESSURE,
 };
 use skywalker_sim::{DetRng, SimDuration, SimTime};
 
@@ -289,6 +292,9 @@ struct Paths {
     preemptions: u32,
     echoes_after_terminal: u32,
     first_token_delivered_after_failed: u32,
+    /// A first token delivered after its request's completion: the
+    /// record settles after the fabric's routing of it ended.
+    first_token_delivered_after_delivered: u32,
     kv_transfers: u32,
     stalls_overlapping_across_replicas: u32,
 }
@@ -320,6 +326,8 @@ impl Paths {
                 FirstTokenDelivered { req } => {
                     self.first_token_delivered_after_failed +=
                         u32::from(ended.get(&req) == Some(&true));
+                    self.first_token_delivered_after_delivered +=
+                        u32::from(ended.get(&req) == Some(&false));
                 }
                 kind => {
                     let req = kind.request().expect("a per-request milestone");
@@ -366,6 +374,13 @@ fn reference_agreement_covers_every_special_path() {
         )));
         see("paths/disagg-chaos", &scenario, seed);
     }
+    for seed in [7, 61] {
+        see("paths/one-token", &one_token_answers(seed), seed);
+    }
+    // Counted before the soups add theirs: a fabric request whose first
+    // token trails its completion is held to the reference by `check`
+    // (outcomes, TTFT and e2e means).
+    assert!(paths.first_token_delivered_after_delivered > 0, "{paths:?}");
 
     for case in 0..200 {
         let trace = event_soup(case);
@@ -380,6 +395,45 @@ fn reference_agreement_covers_every_special_path() {
     assert!(paths.first_token_delivered_after_failed > 0, "{paths:?}");
     assert!(paths.kv_transfers > 0, "{paths:?}");
     assert!(paths.stalls_overlapping_across_replicas > 0, "{paths:?}");
+}
+
+/// RAG users in one region whose every answer is one token: its first
+/// token and its completion leave the replica in the same iteration and
+/// race to the client on independent delays, so about half the first
+/// tokens arrive after their completions.
+fn one_token_answers(seed: u64) -> Scenario {
+    let region = Region::UsEast;
+    let corpus = RagCorpusConfig {
+        corpus_docs: 16,
+        doc_tokens: 128,
+        doc_zipf: 1.2,
+        query_tokens: LengthModel {
+            mu: 3.0,
+            sigma: 0.6,
+            min: 4,
+            max: 64,
+        },
+        answer_tokens: LengthModel {
+            mu: 0.0,
+            sigma: 0.0,
+            min: 1,
+            max: 1,
+        },
+        queries_per_user: (2, 4),
+    };
+    let source = RagCorpusSource::new(corpus, vec![(region, 24)], seed);
+    SystemKind::SkyWalker
+        .builder()
+        .replicas(vec![
+            ReplicaPlacement {
+                region,
+                profile: L4_PRESSURE
+            };
+            2
+        ])
+        .traffic_source(Box::new(source))
+        .build()
+        .expect("a fleet and a source are set")
 }
 
 /// 400 events in time order over 12 requests and 3 replicas, kinds

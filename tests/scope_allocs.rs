@@ -76,15 +76,17 @@ fn allocations_a_request_are_pinned_per_scope() {
 /// out. `Outside` is the fabric's set-up and the report. Per request,
 /// route trie inserts make 1.48, cache acquires 1.40, and a replica's
 /// steps 1.22, of them one exact buffer per retired request, which the
-/// cache keeps as the output's leaf.
+/// cache keeps as the output's leaf. `IssueStage` is the request table
+/// growing — a request in flight is one entry, its lifecycle record
+/// included — and `DeliverCompletion` the settled records' samples.
 const PINNED: &[(Scope, usize)] = &[
     (Scope::Outside, 1_073),
-    (Scope::IssueStage, 12),
+    (Scope::IssueStage, 4),
     (Scope::LbReceive, 3),
     (Scope::LbDispatch, 4),
     (Scope::ReplicaReceive, 8),
     (Scope::ReplicaKick, 400),
-    (Scope::DeliverCompletion, 21),
+    (Scope::DeliverCompletion, 17),
     (Scope::ProbeTick, 1),
     (Scope::TrieInsert, 484),
     (Scope::CacheAcquire, 458),
@@ -97,13 +99,13 @@ const PINNED: &[(Scope, usize)] = &[
 /// run-end listing and snapshot, `TelemetryTick` the sampled series.
 const PINNED_TELEMETRY: &[(Scope, usize)] = &[
     (Scope::Outside, 1_769),
-    (Scope::IssueStage, 12),
+    (Scope::IssueStage, 4),
     (Scope::LbReceive, 3),
     (Scope::LbDispatch, 4),
     (Scope::ReplicaReceive, 8),
     (Scope::ReplicaKick, 400),
     (Scope::DeliverFirstToken, 47),
-    (Scope::DeliverCompletion, 21),
+    (Scope::DeliverCompletion, 17),
     (Scope::ProbeTick, 1),
     (Scope::TelemetryTick, 11),
     (Scope::TrieInsert, 484),
