@@ -17,8 +17,6 @@
 //!
 //! One `#[test]` only: the counters are process-wide.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use skywalker_replica::{
     BatchPlan, BatchPolicy, FcfsBatch, GpuProfile, KvConfig, LruEvictor, PrefixCache, Replica,
     ReplicaId, Request, StepView,
@@ -27,12 +25,12 @@ use skywalker_replica::{
 #[path = "../../../tests/common/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::ALLOCS;
+use counting_alloc::allocs;
 
 fn allocs_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     f();
-    ALLOCS.load(Relaxed) - before
+    allocs() - before
 }
 
 /// FCFS with its fixed plan hidden: every iteration is a full step.
@@ -180,9 +178,9 @@ fn a_steady_iteration_and_an_extra_victim_cost_no_allocation() {
         }
         let mut retired = 0;
         while retired == 0 {
-            let before = ALLOCS.load(Relaxed);
+            let before = allocs();
             let out = r.step();
-            let allocs = ALLOCS.load(Relaxed) - before;
+            let allocs = allocs() - before;
             retired = out.completions.len();
             r.recycle(out);
             if retired > 0 && round == 1 {

@@ -22,9 +22,9 @@
 //! simulated time advances and each client's [`program::Program`]s —
 //! fully materialized stages of [`skywalker_replica::Request`]s — are
 //! generated lazily at its arrival instant. A new generated workload is
-//! one [`ClientGen`] method under the shared [`SlotSource`]; any external
-//! type implementing [`TrafficSource`] plugs into the fabric without
-//! touching this crate.
+//! one [`ClientGen`] method under the shared [`SlotSource`], whatever its
+//! arrival process; any external type implementing [`TrafficSource`]
+//! plugs into the fabric without touching this crate.
 
 pub mod conversation;
 pub mod diurnal;
@@ -43,8 +43,7 @@ pub use prefix_stats::{
 };
 pub use program::{ClientSpec, IdGen, Program};
 pub use source::{
-    distinct_regions, drain, region_of_slot, total_slots, ArrivalSchedule, ArrivalTimes,
-    ArrivalWalk, ClientEvent, ClientGen, ClientListSource, CloneTrafficSource, MergeSource,
-    SlotSource, TrafficSource,
+    distinct_regions, drain, ArrivalSchedule, ClientEvent, ClientGen, ClientListSource,
+    CloneTrafficSource, MergeSource, SlotSource, TrafficSource,
 };
 pub use tot::{generate_tree, TotConfig, TotGen, TotSource};

@@ -10,15 +10,17 @@
 //! inside this crate or out — plugs into `ScenarioBuilder` exactly like a
 //! custom routing policy plugs into the balancer.
 //!
-//! Most workloads differ only in *content*: what the client in slot `k`
-//! asks. That is one method, [`ClientGen::client`], and [`SlotSource`]
+//! Generated workloads differ only in *content*: what the client in slot
+//! `k` asks. That is one method, [`ClientGen::client`], and [`SlotSource`]
 //! supplies everything else once — the `(region, count)` slots, the
-//! [`ArrivalSchedule`] walk, the request-id range, the label, and the
-//! cadence-invariant `next_batch`. The paper's workloads are that source
-//! over a generator ([`crate::ConversationSource`], [`crate::TotSource`],
-//! composed by [`MergeSource`]); a pre-materialized `Vec<ClientSpec>`
-//! adapts through [`ClientListSource`]. A workload with its own arrival
-//! process implements [`TrafficSource`] directly.
+//! arrival walk (under an [`ArrivalSchedule`], or over explicit instants
+//! for an arrival process no schedule describes), the request-id range,
+//! the label, and the cadence-invariant `next_batch`. The paper's
+//! workloads are that source over a generator
+//! ([`crate::ConversationSource`], [`crate::TotSource`], composed by
+//! [`MergeSource`]); a pre-materialized `Vec<ClientSpec>` adapts through
+//! [`ClientListSource`]. Any other type implementing [`TrafficSource`]
+//! plugs in too.
 //!
 //! # Contract
 //!
@@ -145,9 +147,8 @@ pub enum ArrivalSchedule {
 
 impl ArrivalSchedule {
     /// The arrival instants of `total` clients under this schedule, as a
-    /// lazy iterator. Deterministic in `seed`; reusable by sources
-    /// outside this crate.
-    pub fn times(self, total: usize, seed: u64) -> ArrivalTimes {
+    /// lazy iterator. Deterministic in `seed`.
+    pub(crate) fn times(self, total: usize, seed: u64) -> ArrivalTimes {
         ArrivalTimes {
             schedule: self,
             rng: DetRng::for_component(seed, "arrival-schedule"),
@@ -161,7 +162,7 @@ impl ArrivalSchedule {
 /// Iterator over the arrival instants of an [`ArrivalSchedule`].
 /// Monotonically nondecreasing; yields exactly `total` instants.
 #[derive(Debug, Clone)]
-pub struct ArrivalTimes {
+pub(crate) struct ArrivalTimes {
     schedule: ArrivalSchedule,
     rng: DetRng,
     total: usize,
@@ -198,8 +199,7 @@ impl Iterator for ArrivalTimes {
 
 /// Walks `(region, count)` slots: the region of the `k`-th client.
 /// Falls back to the last declared region if `k` exceeds the slot total.
-/// Exported for sources built outside this crate.
-pub fn region_of_slot(per_region: &[(Region, u32)], k: usize) -> Region {
+fn region_of_slot(per_region: &[(Region, u32)], k: usize) -> Region {
     let mut k = k as u64;
     for &(region, count) in per_region {
         if k < u64::from(count) {
@@ -211,7 +211,7 @@ pub fn region_of_slot(per_region: &[(Region, u32)], k: usize) -> Region {
 }
 
 /// Total client count across `(region, count)` slots.
-pub fn total_slots(per_region: &[(Region, u32)]) -> usize {
+pub(crate) fn total_slots(per_region: &[(Region, u32)]) -> usize {
     per_region.iter().map(|&(_, n)| n as usize).sum()
 }
 
@@ -248,10 +248,9 @@ impl Iterator for Instants {
 
 /// Cursor over a sequence of arrival instants: which of `total` clients
 /// have been emitted, and when the next one is due. The emission walk
-/// under [`SlotSource`]; sources outside this crate can reuse it the
-/// same way.
+/// under [`SlotSource`].
 #[derive(Debug, Clone)]
-pub struct ArrivalWalk {
+struct ArrivalWalk {
     seed: u64,
     total: usize,
     times: Instants,
@@ -261,7 +260,7 @@ pub struct ArrivalWalk {
 
 impl ArrivalWalk {
     /// A walk over `total` arrivals under `schedule`.
-    pub fn new(schedule: ArrivalSchedule, total: usize, seed: u64) -> Self {
+    fn new(schedule: ArrivalSchedule, total: usize, seed: u64) -> Self {
         Self::over(
             Instants::Scheduled(schedule.times(total, seed)),
             total,
@@ -317,7 +316,7 @@ impl ArrivalWalk {
     }
 
     /// True once every slot has been emitted.
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         self.next_at.is_none()
     }
 }
@@ -358,10 +357,12 @@ impl<G: ClientGen> SlotSource<G> {
         Self::walking(content, slots, walk)
     }
 
-    /// `content` for one region's clients arriving at explicit,
-    /// nondecreasing `instants`.
-    pub fn at_instants(content: G, region: Region, instants: Vec<SimTime>) -> Self {
-        let slots = vec![(region, instants.len() as u32)];
+    /// `content` over `slots` arriving at explicit, nondecreasing
+    /// `instants`, one a slot in slot order — an arrival process no
+    /// [`ArrivalSchedule`] describes (a sampled rate curve, a cohort at
+    /// `t = 0` and then a ramp).
+    pub fn at_instants(content: G, slots: Vec<(Region, u32)>, instants: Vec<SimTime>) -> Self {
+        debug_assert_eq!(total_slots(&slots), instants.len());
         Self::walking(content, slots, ArrivalWalk::from_instants(instants))
     }
 
@@ -633,12 +634,15 @@ mod tests {
     #[test]
     fn explicit_instants_walk_like_a_schedule() {
         let instants: Vec<SimTime> = [0, 5, 5, 9].map(SimTime::from_secs).to_vec();
-        let mut src = SlotSource::at_instants(Echo, Region::EuWest, instants.clone());
-        assert_eq!(src.regions(), vec![Region::EuWest]);
+        let slots = vec![(Region::EuWest, 3), (Region::UsEast, 1)];
+        let mut src = SlotSource::at_instants(Echo, slots, instants.clone());
+        assert_eq!(src.regions(), vec![Region::EuWest, Region::UsEast]);
         let early = src.next_batch(SimTime::from_secs(5), &mut rng());
         assert_eq!(early.len(), 3);
+        assert!(early.iter().all(|e| e.spec.region == Region::EuWest));
         assert!(!src.is_exhausted());
         let late = src.next_batch(SimTime::MAX, &mut rng());
+        assert_eq!(late[0].spec.region, Region::UsEast);
         let at: Vec<SimTime> = early.iter().chain(&late).map(|e| e.at).collect();
         assert_eq!(at, instants);
         assert!(src.is_exhausted());

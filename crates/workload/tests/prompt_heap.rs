@@ -28,7 +28,7 @@ use skywalker_workload::{
 #[path = "../../../tests/common/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::{ALLOCS, LIVE};
+use counting_alloc::{allocs, LIVE};
 
 /// About 15 % above the 2.23 B a drained source holds a prompt token it
 /// describes (4.29 B when every request held its own prompt and key).
@@ -79,13 +79,13 @@ fn chat_allocs_per_request() -> f64 {
         (Region::EuWest, 1_000),
         (Region::ApNortheast, 1_000),
     ];
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let clients = drain(&mut ConversationSource::new(
         ConversationConfig::light_chat(),
         slots,
         61,
     ));
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let allocs = allocs() - before;
     let n = requests(&clients).count();
     println!("light chat: {allocs} allocations for {n} requests");
     allocs as f64 / n as f64

@@ -25,7 +25,7 @@ use crate::fleet::{FleetCommand, FleetEvent, FleetObservation, FleetPlan, Provis
 
 /// Tunables of the predictive autoscaler. The `day`/`scale` pair must
 /// match the traffic source's compression (see
-/// [`crate::DiurnalSource`]) so predicted rates line up with actual
+/// [`crate::diurnal_source`]) so predicted rates line up with actual
 /// arrivals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictiveConfig {

@@ -30,7 +30,8 @@ pub struct FabricConfig {
     /// returns a [`TraceSummary`](crate::TraceSummary). Tracing is observation-only — it
     /// never reads clocks, draws randomness, or changes scheduling, so
     /// outcomes are byte-identical either way (pinned by the
-    /// golden-digest gate).
+    /// golden-digest gate), and so are the events the engine delivers
+    /// and re-arms: a re-armed iteration is traced as a handled one.
     pub trace: Option<TraceConfig>,
     /// Streaming metrics sampling. `None` (the default) records nothing;
     /// `Some` attaches a labeled [`MetricsRegistry`](crate::MetricsRegistry) fed on a sim-time

@@ -264,9 +264,9 @@ impl World for Fabric {
         })
     }
 
-    fn rearm(&mut self, _now: SimTime, ev: &Ev) -> Option<SimDuration> {
+    fn rearm(&mut self, now: SimTime, ev: &Ev) -> Option<SimDuration> {
         ev.scope().run(|| match *ev {
-            Ev::IterationDone { replica } => self.rearm_iteration(replica),
+            Ev::IterationDone { replica } => self.rearm_iteration(replica, now),
             _ => None,
         })
     }

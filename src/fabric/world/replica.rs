@@ -147,7 +147,7 @@ impl Fabric {
                 Advance::DroppedHead(out, dropped) => {
                     slot.replica.recycle(out);
                     let id = self.restore_original(dropped).id.0;
-                    self.credit_lb(id, replica);
+                    self.free_lb_slot(id, replica, sched);
                     self.fail_request(id, sched);
                 }
                 Advance::Idle => return,
@@ -248,12 +248,9 @@ impl Fabric {
     /// ([`Replica::advance_steady`]), the whole of `on_iteration_done`
     /// and its inline `ReplicaKick` is that next iteration, scheduled
     /// as the same event — taken here, with the outcome in flight reset
-    /// to the steady one's. Never while tracing: a traced iteration may
-    /// record a stall span.
-    pub(crate) fn rearm_iteration(&mut self, replica: u32) -> Option<SimDuration> {
-        if self.obs.tracing() {
-            return None;
-        }
+    /// to the steady one's. While tracing, that outcome is traced as the
+    /// inline kick would trace it (an eviction delta, a stall span).
+    pub(crate) fn rearm_iteration(&mut self, replica: u32, now: SimTime) -> Option<SimDuration> {
         let slot = &mut self.replicas[replica as usize];
         let out = &mut slot.in_flight;
         if slot.health != ReplicaHealth::Active
@@ -268,6 +265,11 @@ impl Fabric {
         // nothing, so there is nothing else to reset.
         debug_assert!(out.admitted.is_empty() && out.preempted.is_empty());
         out.duration = duration;
+        if self.obs.tracing() {
+            let out = std::mem::take(&mut self.replicas[replica as usize].in_flight);
+            self.trace_step(replica, &out, now);
+            self.replicas[replica as usize].in_flight = out;
+        }
         Some(duration)
     }
 

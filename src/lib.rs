@@ -146,9 +146,11 @@
 //!   ```
 //! - **Traffic**: implement [`TrafficSource`] —
 //!   a lazy stream of client arrivals the fabric pulls as simulated time
-//!   advances — and hand it to [`ScenarioBuilder::traffic_source`]. The
-//!   paper's four workloads are presets over the same trait
-//!   ([`Workload::source`]); recipe in `docs/workloads.md`;
+//!   advances — and hand it to [`ScenarioBuilder::traffic_source`]. A
+//!   generated workload needs only its content: one
+//!   [`workload::ClientGen`] under a [`workload::SlotSource`], which
+//!   brings the arrivals. The paper's four workloads are presets over the
+//!   same trait ([`Workload::source`]); recipe in `docs/workloads.md`;
 //!   [`RagCorpusSource`] and [`FlashCrowdSource`] are the worked
 //!   examples, both living outside the workload crate.
 //! - **Fleet**: implement [`FleetPlan`] — a stream of joins, drains,
@@ -216,7 +218,9 @@ pub use skywalker_telemetry::{
     prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, TelemetryConfig,
     TelemetrySummary,
 };
-pub use sources::{DiurnalSource, FlashCrowdSource, RagCorpusConfig, RagCorpusSource};
+pub use sources::{
+    diurnal_source, FlashCrowdConfig, FlashCrowdSource, RagCorpusConfig, RagCorpusSource,
+};
 pub use trace::{Attribution, BottleneckReport, Phase, TraceConfig, TraceDiff, TraceSummary};
 pub use workload::{
     ArrivalSchedule, ClientEvent, ClientListSource, ConversationSource, MergeSource, TotSource,

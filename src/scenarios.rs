@@ -27,7 +27,7 @@ use crate::fabric::{
     FabricConfig, ReplicaPlacement, Scenario, ScenarioBuilder, ScenarioError, SystemKind,
 };
 use crate::fleet::{AutoscalerConfig, ChaosConfig, ChaosPlan, ThresholdAutoscaler};
-use crate::sources::{DiurnalSource, RagCorpusConfig, RagCorpusSource};
+use crate::sources::{diurnal_source, RagCorpusConfig, RagCorpusSource};
 
 /// The paper's three serving regions.
 pub const REGIONS: [Region; 3] = Region::PAPER_TRIO;
@@ -293,7 +293,7 @@ pub fn fig10_diurnal_scenario(
     scale: f64,
     seed: u64,
 ) -> Scenario {
-    let source = DiurnalSource::new(
+    let source = diurnal_source(
         &trio_diurnal_profiles(),
         day,
         scale,

@@ -1,23 +1,26 @@
 //! Traffic sources the paper never shipped, implemented entirely outside
 //! `skywalker-workload` — the proof that the workload axis is open, the
-//! way [`crate::P2cLocal`] proves it for routing policies. One worked
-//! example per level of openness:
+//! way [`crate::P2cLocal`] proves it for routing policies. Each is one
+//! [`ClientGen`], what the client in each slot asks, under the workload
+//! crate's [`SlotSource`], which brings the arrivals, the request ids and
+//! the label:
 //!
-//! - [`RagCorpusSource`] varies *content only*, so it is one
-//!   [`ClientGen`] method under the workload crate's [`SlotSource`]:
-//!   retrieval-augmented generation over a shared document corpus. Every
-//!   user's prompts start with one of a small pool of hot documents, so
-//!   prefix reuse is *cross-user and global* — a similarity regime none
-//!   of the paper's four workloads covers (conversations share within
-//!   user/region, ToT shares within one question).
-//! - [`FlashCrowdSource`] has its *own arrival process*, so it implements
-//!   [`TrafficSource`] itself: a step-function regional overload. A
-//!   modest steady population is joined, at a configured instant, by a
-//!   burst of clients in one region all asking about the same trending
-//!   topic — the arrival pattern that makes cross-region forwarding pay
-//!   off in seconds rather than over a diurnal cycle.
+//! - [`RagCorpusSource`]: retrieval-augmented generation over a shared
+//!   document corpus. Every user's prompts start with one of a small
+//!   pool of hot documents, so prefix reuse is *cross-user and global* —
+//!   a similarity regime none of the paper's four workloads covers
+//!   (conversations share within user/region, ToT shares within one
+//!   question). Its arrivals follow an
+//!   [`ArrivalSchedule`](skywalker_workload::ArrivalSchedule).
+//! - [`FlashCrowdSource`]: a step-function regional overload. A modest
+//!   steady population is joined, at a configured instant, by a burst of
+//!   clients in one region all asking about the same trending topic — the
+//!   arrival pattern that makes cross-region forwarding pay off in
+//!   seconds rather than over a diurnal cycle. No schedule describes that
+//!   arrival process, so it hands [`SlotSource::at_instants`] its
+//!   instants.
 //!
-//! [`DiurnalSource`] composes what the workload crate already has: one
+//! [`diurnal_source`] composes what the workload crate already has: one
 //! conversation lane per region at instants sampled from a rate curve.
 //! Nothing in `skywalker-workload` or the fabric names any of them.
 
@@ -27,9 +30,8 @@ use skywalker_net::Region;
 use skywalker_replica::{extended_prompt, output_token, Request};
 use skywalker_sim::{fnv1a_words, DetRng, SimDuration, SimTime, Zipf, FNV_OFFSET};
 use skywalker_workload::{
-    distinct_regions, region_of_slot, total_slots, ClientEvent, ClientGen, ClientSpec,
-    ConversationConfig, ConversationGen, DiurnalProfile, IdGen, LengthModel, MergeSource, Program,
-    SlotSource, TrafficSource,
+    ClientGen, ClientSpec, ConversationConfig, ConversationGen, DiurnalProfile, IdGen, LengthModel,
+    MergeSource, Program, SlotSource, TrafficSource,
 };
 
 /// Deterministic token stream for synthetic document/topic text.
@@ -178,125 +180,105 @@ impl ClientGen for RagCorpusSource {
     }
 }
 
-/// A step-function regional overload: `baseline` clients per region run
+/// A [`FlashCrowdSource`]'s burst (where, how many, when and how fast it
+/// arrives) and how many turns each client, baseline or crowd, talks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlashCrowdConfig {
+    /// Region the crowd floods.
+    pub burst_region: Region,
+    /// Clients in the crowd.
+    pub burst_clients: u32,
+    /// Instant the first crowd client arrives.
+    pub burst_at: SimTime,
+    /// The crowd's arrivals ramp uniformly over this window.
+    pub burst_window: SimDuration,
+    /// Conversation turns per client, inclusive range.
+    pub turns: (u32, u32),
+}
+
+/// A step-function regional overload: a steady baseline population runs
 /// from `t = 0`; at `burst_at`, `burst_clients` additional clients come
 /// online in `burst_region` (uniformly over `burst_window`), all asking
 /// about the same trending topic. The burst's shared topic prefix and
 /// its regional concentration are exactly the inputs selective pushing
 /// and cross-region forwarding are built for.
 ///
-/// Implements [`TrafficSource`] from outside the workload crate with its
-/// own arrival walk: no [`ArrivalSchedule`](skywalker_workload::ArrivalSchedule)
-/// describes a cohort at `t = 0` followed by a ramp at `burst_at`.
+/// This type is the workload's *content*, a [`ClientGen`];
+/// [`FlashCrowdSource::new`] returns it under a [`SlotSource`] whose
+/// arrivals are explicit instants, since no
+/// [`ArrivalSchedule`](skywalker_workload::ArrivalSchedule) describes a
+/// cohort at `t = 0` followed by a ramp at `burst_at`.
 #[derive(Debug, Clone)]
 pub struct FlashCrowdSource {
-    baseline: Vec<(Region, u32)>,
-    burst_region: Region,
-    burst_clients: u32,
-    burst_at: SimTime,
-    burst_window: SimDuration,
+    /// The first burst slot: every slot before it is the baseline's.
+    burst_from: usize,
     turns: (u32, u32),
-    topic_tokens: u32,
-    turn_input: LengthModel,
-    turn_output: LengthModel,
     seed: u64,
-    ids: IdGen,
-    cursor: usize,
 }
 
+/// Tokens of a conversation's opening topic context.
+const TOPIC_TOKENS: u32 = 96;
+/// ≈ 37-token questions about the topic.
+const TURN_INPUT: LengthModel = LengthModel {
+    mu: 3.6,
+    sigma: 0.8,
+    min: 4,
+    max: 1_024,
+};
+/// ≈ 100-token replies.
+const TURN_OUTPUT: LengthModel = LengthModel {
+    mu: 4.6,
+    sigma: 0.8,
+    min: 4,
+    max: 2_048,
+};
+
 impl FlashCrowdSource {
-    /// A steady `baseline` population plus a `burst_clients`-strong
-    /// flash crowd in `burst_region` starting at `burst_at`.
-    pub fn new(
-        baseline: Vec<(Region, u32)>,
-        burst_region: Region,
-        burst_clients: u32,
-        burst_at: SimTime,
-        seed: u64,
-    ) -> Self {
-        FlashCrowdSource {
-            baseline,
-            burst_region,
-            burst_clients,
-            burst_at,
-            burst_window: SimDuration::from_secs(10),
-            turns: (1, 3),
-            topic_tokens: 96,
-            turn_input: LengthModel {
-                mu: 3.6, // ≈ 37-token questions about the topic
-                sigma: 0.8,
-                min: 4,
-                max: 1_024,
-            },
-            turn_output: LengthModel {
-                mu: 4.6, // ≈ 100-token replies
-                sigma: 0.8,
-                min: 4,
-                max: 2_048,
-            },
+    /// A steady `baseline` population of `(region, count)` slots, all at
+    /// `t = 0`, then `cfg`'s crowd: client `j` of `n` arrives at
+    /// `burst_at + burst_window · j / max(n − 1, 1)`.
+    pub fn new(cfg: FlashCrowdConfig, baseline: Vec<(Region, u32)>, seed: u64) -> SlotSource<Self> {
+        let burst_from: usize = baseline.iter().map(|&(_, n)| n as usize).sum();
+        let span = u64::from(cfg.burst_clients).saturating_sub(1).max(1);
+        let window = cfg.burst_window.as_micros();
+        let ramp = (0..u64::from(cfg.burst_clients))
+            .map(|j| cfg.burst_at + SimDuration::from_micros(window * j / span));
+        let instants = std::iter::repeat_n(SimTime::ZERO, burst_from)
+            .chain(ramp)
+            .collect();
+        let mut slots = baseline;
+        slots.push((cfg.burst_region, cfg.burst_clients));
+        let content = FlashCrowdSource {
+            burst_from,
+            turns: cfg.turns,
             seed,
-            ids: IdGen::new(),
-            cursor: 0,
-        }
+        };
+        SlotSource::at_instants(content, slots, instants).with_label("Flash crowd")
     }
+}
 
-    /// Spreads the burst's arrivals over `window` (default 10 s).
-    pub fn with_burst_window(mut self, window: SimDuration) -> Self {
-        self.burst_window = window;
-        self
-    }
-
-    /// Conversation turns per client, inclusive range (default 1–3).
-    pub fn with_turns(mut self, turns: (u32, u32)) -> Self {
-        self.turns = turns;
-        self
-    }
-
-    /// Offsets the request-id space (compose sources with disjoint ids).
-    pub fn with_first_request_id(mut self, first: u64) -> Self {
-        self.ids = IdGen::starting_at(first);
-        self
-    }
-
-    fn total(&self) -> usize {
-        total_slots(&self.baseline) + self.burst_clients as usize
-    }
-
-    /// Arrival instant and region of the `k`-th client: baseline slots
-    /// at `t = 0`, then the burst ramping over its window.
-    fn slot(&self, k: usize) -> (SimTime, Region) {
-        let base_total = total_slots(&self.baseline);
-        if k < base_total {
-            return (SimTime::ZERO, region_of_slot(&self.baseline, k));
-        }
-        let j = (k - base_total) as u64;
-        let span = u64::from(self.burst_clients).saturating_sub(1).max(1);
-        let offset = SimDuration::from_micros(self.burst_window.as_micros() * j / span);
-        (self.burst_at + offset, self.burst_region)
-    }
-
-    fn generate_client(&mut self, slot: usize, region: Region, bursty: bool) -> ClientSpec {
+impl ClientGen for FlashCrowdSource {
+    fn client(&mut self, slot: usize, region: Region, ids: &mut IdGen) -> ClientSpec {
         let user = format!("flash-user-{slot}");
         let mut rng = DetRng::for_component_parts(self.seed, &["flash/", &user]);
         let (lo, hi) = self.turns;
         let turns = rng.range(u64::from(lo.max(1)), u64::from(hi.max(1)) + 1) as u32;
         // Burst clients all open with the same trending-topic context;
         // baseline clients each talk about their own subject.
-        let topic = if bursty {
-            fragment(&[0x7287, self.seed], self.topic_tokens)
+        let mut history = if slot >= self.burst_from {
+            fragment(&[0x7287, self.seed], TOPIC_TOKENS)
         } else {
-            fragment(&[0xBA5E, self.seed, slot as u64], self.topic_tokens)
+            fragment(&[0xBA5E, self.seed, slot as u64], TOPIC_TOKENS)
         };
-        let mut history = topic;
         let session_key: Arc<str> = format!("{user}/trend").into();
         let mut stages = Vec::with_capacity(turns as usize);
         for turn in 0..turns {
             history.extend(fragment(
                 &[0xF00D, self.seed, slot as u64, u64::from(turn)],
-                self.turn_input.sample(&mut rng),
+                TURN_INPUT.sample(&mut rng),
             ));
-            let out_len = self.turn_output.sample(&mut rng);
-            let id = self.ids.next_id();
+            let out_len = TURN_OUTPUT.sample(&mut rng);
+            let id = ids.next_id();
             stages.push(vec![Request::new(
                 id,
                 session_key.clone(),
@@ -313,36 +295,6 @@ impl FlashCrowdSource {
     }
 }
 
-impl TrafficSource for FlashCrowdSource {
-    fn regions(&self) -> Vec<Region> {
-        let baseline = self.baseline.iter().map(|&(region, _)| region);
-        distinct_regions(baseline.chain([self.burst_region]))
-    }
-
-    fn next_batch(&mut self, now: SimTime, _rng: &mut DetRng) -> Vec<ClientEvent> {
-        let mut out = Vec::new();
-        while self.cursor < self.total() {
-            let (at, region) = self.slot(self.cursor);
-            if at > now {
-                break;
-            }
-            let bursty = self.cursor >= total_slots(&self.baseline);
-            let spec = self.generate_client(self.cursor, region, bursty);
-            out.push(ClientEvent { at, spec });
-            self.cursor += 1;
-        }
-        out
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.cursor >= self.total()
-    }
-
-    fn label(&self) -> String {
-        "Flash crowd".to_string()
-    }
-}
-
 /// A compressed diurnal day of chat traffic: per-region arrival *rates*
 /// follow the paper's Fig. 2/3a raised-cosine curves
 /// ([`DiurnalProfile`]), mapped onto a simulated `day` much shorter
@@ -354,51 +306,47 @@ impl TrafficSource for FlashCrowdSource {
 /// fleet must provision for peak and an elastic fleet (see
 /// [`crate::fleet`]) can track.
 ///
-/// Not a source type of its own: [`DiurnalSource::new`] returns a
-/// [`MergeSource`] of one conversation lane per region. A lane's arrival
-/// instants are fixed at construction from the seed (8 bytes per
+/// Not a source type of its own: a [`MergeSource`] of one conversation
+/// lane per region, each a [`SlotSource`] over the lane's arrival
+/// instants. The instants are fixed here from the seed (8 bytes per
 /// arrival); client *content* is generated lazily at each arrival, so
 /// memory tracks the active population and emission is poll-cadence
 /// invariant, as for every [`SlotSource`].
-#[derive(Debug, Clone, Copy)]
-pub struct DiurnalSource;
-
-impl DiurnalSource {
-    /// A day of traffic over `profiles` (per-region rate curves at
-    /// trace scale, requests per hour), compressed into `day` of sim
-    /// time, keeping a `scale` fraction of the trace's arrivals; each
-    /// kept arrival is one chat user built from `cfg`.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new(
-        profiles: &[(Region, DiurnalProfile)],
-        day: SimDuration,
-        scale: f64,
-        cfg: &ConversationConfig,
-        seed: u64,
-    ) -> MergeSource {
-        let lanes = profiles
-            .iter()
-            .zip(0u64..)
-            .map(|((region, profile), lane)| {
-                let mut rng = DetRng::for_component(seed ^ lane, "sources/diurnal");
-                let instants: Vec<SimTime> = profile
-                    .sample_arrivals(&mut rng)
-                    .into_iter()
-                    .filter(|_| rng.chance(scale))
-                    .map(|t_real| SimTime::ZERO + day.mul_f64(t_real / 86_400.0))
-                    .collect();
-                // Lanes generate independently of how they interleave: each
-                // owns a disjoint user-id and request-id range (ids only
-                // need to be unique, not dense, so a wide stride suffices
-                // for any realistic day).
-                let content_seed = seed ^ fnv1a_words(FNV_OFFSET, [lane, 0xD1A1]);
-                let users = ConversationGen::new(cfg.clone(), content_seed, lane << 32);
-                let lane = SlotSource::at_instants(users, *region, instants)
-                    .with_first_request_id(lane << 40);
-                Box::new(lane) as Box<dyn TrafficSource>
-            });
-        MergeSource::new(lanes.collect()).with_label("Diurnal day")
-    }
+///
+/// The day runs over `profiles` (per-region rate curves at trace scale,
+/// requests per hour), compressed into `day` of sim time, keeping a
+/// `scale` fraction of the trace's arrivals; each kept arrival is one
+/// chat user built from `cfg`.
+pub fn diurnal_source(
+    profiles: &[(Region, DiurnalProfile)],
+    day: SimDuration,
+    scale: f64,
+    cfg: &ConversationConfig,
+    seed: u64,
+) -> MergeSource {
+    let lanes = profiles
+        .iter()
+        .zip(0u64..)
+        .map(|(&(region, ref profile), lane)| {
+            let mut rng = DetRng::for_component(seed ^ lane, "sources/diurnal");
+            let instants: Vec<SimTime> = profile
+                .sample_arrivals(&mut rng)
+                .into_iter()
+                .filter(|_| rng.chance(scale))
+                .map(|t_real| SimTime::ZERO + day.mul_f64(t_real / 86_400.0))
+                .collect();
+            // Lanes generate independently of how they interleave: each
+            // owns a disjoint user-id and request-id range (ids only
+            // need to be unique, not dense, so a wide stride suffices
+            // for any realistic day).
+            let content_seed = seed ^ fnv1a_words(FNV_OFFSET, [lane, 0xD1A1]);
+            let users = ConversationGen::new(cfg.clone(), content_seed, lane << 32);
+            let slots = vec![(region, instants.len() as u32)];
+            let lane =
+                SlotSource::at_instants(users, slots, instants).with_first_request_id(lane << 40);
+            Box::new(lane) as Box<dyn TrafficSource>
+        });
+    MergeSource::new(lanes.collect()).with_label("Diurnal day")
 }
 
 #[cfg(test)]
@@ -413,7 +361,7 @@ mod tests {
             .into_iter()
             .filter(|(r, _)| *r == Region::UsEast)
             .collect();
-        let src = DiurnalSource::new(&profiles, day, 0.05, &ConversationConfig::light_chat(), 7);
+        let src = diurnal_source(&profiles, day, 0.05, &ConversationConfig::light_chat(), 7);
         assert_eq!(src.regions(), vec![Region::UsEast]);
         // us-east-1 peaks at 14:00 local = 19:00 UTC and troughs in the
         // local early morning: compare the busiest and quietest sixths
@@ -442,7 +390,7 @@ mod tests {
     fn diurnal_source_is_poll_cadence_invariant() {
         let day = SimDuration::from_secs(600);
         let profiles = fig3_regions();
-        let mk = || DiurnalSource::new(&profiles, day, 0.01, &ConversationConfig::light_chat(), 3);
+        let mk = || diurnal_source(&profiles, day, 0.01, &ConversationConfig::light_chat(), 3);
         let mut coarse = mk();
         let mut fine = mk();
         let mut rng = DetRng::new(0);
@@ -551,14 +499,16 @@ mod tests {
     #[test]
     fn flash_crowd_bursts_at_the_step() {
         let burst_at = SimTime::from_secs(30);
-        let mut src = FlashCrowdSource::new(
-            vec![(Region::UsEast, 3), (Region::EuWest, 3)],
-            Region::EuWest,
-            12,
+        let crowd = FlashCrowdConfig {
+            burst_region: Region::EuWest,
+            burst_clients: 12,
             burst_at,
-            5,
-        )
-        .with_burst_window(SimDuration::from_secs(6));
+            burst_window: SimDuration::from_secs(6),
+            turns: (1, 3),
+        };
+        let baseline = vec![(Region::UsEast, 3), (Region::EuWest, 3)];
+        let mut src = FlashCrowdSource::new(crowd, baseline, 5);
+        assert_eq!(src.label(), "Flash crowd");
         assert_eq!(src.regions(), vec![Region::UsEast, Region::EuWest]);
 
         let mut rng = DetRng::new(0);

@@ -16,9 +16,9 @@ use skywalker::sim::{SimDuration, SimTime};
 use skywalker::{
     balanced_fleet, disagg_scenario, diurnal_day_scenario, equal_cost_lite_fleet, fig10_scenario,
     fig8_scenario, fig9_scenario, memory_pressure_scenario, recipe, run_scenario, workload_clients,
-    DayStrategy, Deployment, DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdSource,
-    LruEvictor, NoEvict, PrefixAwareEvictor, RagCorpusConfig, RagCorpusSource, ReplicaPlacement,
-    Scenario, ShortestPromptFirst, SystemKind, TrafficSource, Workload, REGIONS,
+    DayStrategy, Deployment, DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdConfig,
+    FlashCrowdSource, LruEvictor, NoEvict, PrefixAwareEvictor, RagCorpusConfig, RagCorpusSource,
+    ReplicaPlacement, Scenario, ShortestPromptFirst, SystemKind, TrafficSource, Workload, REGIONS,
 };
 
 use super::analytic::fig4b_scenario;
@@ -107,11 +107,14 @@ pub fn spec() -> SweepSpec {
     for system in [SystemKind::RegionLocal, SystemKind::SkyWalker] {
         grid.add(format!("flash/{}", system.label()), move |seed| {
             let steady = vec![(Region::UsEast, 8), (Region::EuWest, 8)];
-            let burst_at = SimTime::from_secs(30);
-            let crowd = FlashCrowdSource::new(steady, Region::EuWest, 240, burst_at, seed)
-                .with_turns((2, 3))
-                .with_burst_window(SimDuration::from_secs(10));
-            on_balanced_fleet(system, crowd)
+            let crowd = FlashCrowdConfig {
+                burst_region: Region::EuWest,
+                burst_clients: 240,
+                burst_at: SimTime::from_secs(30),
+                burst_window: SimDuration::from_secs(10),
+                turns: (2, 3),
+            };
+            on_balanced_fleet(system, FlashCrowdSource::new(crowd, steady, seed))
         });
     }
 

@@ -5,6 +5,11 @@
 //! to the `skywalker_sim::Scope` current on the requesting thread. The
 //! scheme of `crates/bench/skybench/src/alloc.rs`.
 //!
+//! Requests are counted per thread, and [`allocs`] and [`by_scope`] read
+//! the calling thread's counts, so a measuring thread is charged only
+//! for what it allocates itself: another thread allocating inside its
+//! window (the test harness, a worker) moves no count it reads.
+//!
 //! A test binary includes it as a module, which installs it:
 //!
 //! ```ignore
@@ -12,13 +17,14 @@
 //! mod counting_alloc;
 //! ```
 //!
-//! The counters are process-wide, so a test that reads `LIVE` or `PEAK`
-//! is the only `#[test]` of its binary.
+//! The byte counters are process-wide, so a test that reads `LIVE` or
+//! `PEAK` is the only `#[test]` of its binary.
 
 // Each test binary includes its own copy and reads a subset.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use skywalker_sim::Scope;
@@ -29,16 +35,34 @@ pub static LIVE: AtomicUsize = AtomicUsize::new(0);
 pub static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// The largest single request since a test last stored to it.
 pub static LARGEST: AtomicUsize = AtomicUsize::new(0);
-/// Blocks requested or grown.
-pub static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// [`ALLOCS`] by the scope they were requested in:
-/// `BY_SCOPE[scope as usize]`.
-pub static BY_SCOPE: [AtomicUsize; Scope::ALL.len()] =
-    [const { AtomicUsize::new(0) }; Scope::ALL.len()];
+
+thread_local! {
+    /// Blocks this thread requested or grew.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// [`ALLOCS`] by the scope they were requested in:
+    /// `BY_SCOPE[scope as usize]`.
+    static BY_SCOPE: [Cell<usize>; Scope::ALL.len()] =
+        const { [const { Cell::new(0) }; Scope::ALL.len()] };
+}
+
+/// Blocks the calling thread has requested or grown. Never allocates.
+pub fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
+
+/// [`allocs`] by the scope they were requested in:
+/// `by_scope()[scope as usize]`.
+pub fn by_scope() -> [usize; Scope::ALL.len()] {
+    BY_SCOPE.with(|counts| std::array::from_fn(|i| counts[i].get()))
+}
 
 fn grew(bytes: usize) {
-    ALLOCS.fetch_add(1, Relaxed);
-    BY_SCOPE[Scope::current() as usize].fetch_add(1, Relaxed);
+    // A thread being torn down has no counts left to read.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BY_SCOPE.try_with(|counts| {
+        let n = &counts[Scope::current() as usize];
+        n.set(n.get() + 1);
+    });
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
     LARGEST.fetch_max(bytes, Relaxed);

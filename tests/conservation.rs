@@ -21,9 +21,9 @@ use skywalker::telemetry::{names, SampleValue};
 use skywalker::{
     balanced_fleet, disagg_scenario, lite_fleet, memory_pressure_scenario, run_scenario,
     workload_clients, AdmitOrder, AutoscalerConfig, BatchPlan, BatchPolicy, ChaosConfig, ChaosPlan,
-    DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdSource, LruEvictor, NoEvict,
-    PrefixAwareEvictor, ReplicaRole, RunSummary, Scenario, ShortestPromptFirst, StepView,
-    SystemKind, ThresholdAutoscaler, Workload, L4_LITE, REGIONS,
+    DisaggWorkload, EngineSpec, FabricConfig, FcfsBatch, FlashCrowdConfig, FlashCrowdSource,
+    LruEvictor, NoEvict, PrefixAwareEvictor, ReplicaRole, RunSummary, Scenario,
+    ShortestPromptFirst, StepView, SystemKind, ThresholdAutoscaler, Workload, L4_LITE, REGIONS,
 };
 
 /// Independently materializes the scenario's traffic and counts every
@@ -95,13 +95,14 @@ fn chaos_runs_conserve_requests() {
 #[test]
 fn autoscaler_run_conserves_requests() {
     let seed = 11;
-    let source = FlashCrowdSource::new(
-        vec![(REGIONS[0], 2), (REGIONS[1], 2)],
-        REGIONS[0],
-        12,
-        SimTime::from_secs(10),
-        seed,
-    );
+    let crowd = FlashCrowdConfig {
+        burst_region: REGIONS[0],
+        burst_clients: 12,
+        burst_at: SimTime::from_secs(10),
+        burst_window: SimDuration::from_secs(10),
+        turns: (1, 3),
+    };
+    let source = FlashCrowdSource::new(crowd, vec![(REGIONS[0], 2), (REGIONS[1], 2)], seed);
     let autoscaler = ThresholdAutoscaler::new(AutoscalerConfig {
         min_per_region: 1,
         max_per_region: 5,

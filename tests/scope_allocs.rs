@@ -14,9 +14,12 @@
 //! The same run is pinned a second time with 1 s telemetry on, so an
 //! observer that allocates per request shows in its arm too.
 //!
-//! One `#[test]` only: the counters are process-wide.
+//! The allocator counts per thread, and the run is the measuring
+//! thread's own: what another thread allocates meanwhile (the harness,
+//! the other test) is not charged to it.
 
-use std::sync::atomic::Ordering::Relaxed;
+use std::hint::{black_box, spin_loop};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use skywalker::sim::{Scope, SimDuration};
 use skywalker::{fig8_scenario, run_scenario, FabricConfig, Scenario, SystemKind, Workload};
@@ -24,18 +27,20 @@ use skywalker::{fig8_scenario, run_scenario, FabricConfig, Scenario, SystemKind,
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::{ALLOCS, BY_SCOPE};
+use counting_alloc::{allocs, by_scope};
 
-fn by_scope() -> [usize; Scope::ALL.len()] {
-    std::array::from_fn(|i| BY_SCOPE[i].load(Relaxed))
-}
-
-/// Runs the scenario under `cfg` and returns the run's allocations by
-/// scope, leaving out scopes that made none.
-fn allocations_by_scope(scenario: &Scenario, cfg: &FabricConfig) -> Vec<(Scope, usize)> {
-    let (total_before, before) = (ALLOCS.load(Relaxed), by_scope());
+/// Runs the scenario under `cfg`, then `also`, and returns the
+/// allocations of that window by scope, leaving out scopes that made
+/// none.
+fn allocations_by_scope(
+    scenario: &Scenario,
+    cfg: &FabricConfig,
+    also: impl FnOnce(),
+) -> Vec<(Scope, usize)> {
+    let (total_before, before) = (allocs(), by_scope());
     let summary = run_scenario(scenario, cfg);
-    let (total, after) = (ALLOCS.load(Relaxed) - total_before, by_scope());
+    also();
+    let (total, after) = (allocs() - total_before, by_scope());
     let requests = summary.report.completed;
 
     let mut seen = Vec::new();
@@ -62,14 +67,39 @@ fn allocations_by_scope(scenario: &Scenario, cfg: &FabricConfig) -> Vec<(Scope, 
 fn allocations_a_request_are_pinned_per_scope() {
     // The run `delivered_events_are_pinned` reads: 328 requests.
     let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.08, 11);
-    let plain = allocations_by_scope(&scenario, &FabricConfig::default());
+    let plain = allocations_by_scope(&scenario, &FabricConfig::default(), || {});
     assert_eq!(plain, PINNED, "allocations of the run, by scope");
     let cfg = FabricConfig::default().telemetry(SimDuration::from_secs(1));
-    let observed = allocations_by_scope(&scenario, &cfg);
+    let observed = allocations_by_scope(&scenario, &cfg, || {});
     assert_eq!(
         observed, PINNED_TELEMETRY,
         "allocations of the run with telemetry on, by scope"
     );
+}
+
+/// A second thread allocates inside the measured window, and the pin
+/// does not move. The measuring thread waits on atomics, which
+/// allocate nothing.
+#[test]
+fn another_threads_allocations_are_not_charged() {
+    let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.08, 11);
+    let (go, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    let plain = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !go.load(Ordering::Acquire) {
+                spin_loop();
+            }
+            black_box(vec![0u8; 4_096]);
+            done.store(true, Ordering::Release);
+        });
+        allocations_by_scope(&scenario, &FabricConfig::default(), || {
+            go.store(true, Ordering::Release);
+            while !done.load(Ordering::Acquire) {
+                spin_loop();
+            }
+        })
+    });
+    assert_eq!(plain, PINNED, "allocations of the run, by scope");
 }
 
 /// The allocations of the run, by scope; scopes that made none are left

@@ -56,13 +56,73 @@ fn deterministic_given_seed() {
 /// simulator does per request, and has to say so. So are the delivered
 /// events the world re-armed (steady decode iterations taken without a
 /// handler). (No golden shows either; neither is a digest field.)
+/// A traced run re-arms what an untraced one does: tracing changes no
+/// event the engine delivers.
 #[test]
 fn delivered_events_are_pinned() {
-    let s = small(SystemKind::SkyWalker, Workload::Arena, 11);
+    let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.08, 11);
+    for cfg in [FabricConfig::default(), FabricConfig::default().traced()] {
+        let s = run_scenario(&scenario, &cfg);
+        assert_eq!(
+            (s.delivered_events, s.rearmed_events, s.report.completed),
+            (45_060, 25_729, 328),
+            "events delivered, of them re-armed, requests completed (traced: {})",
+            cfg.trace.is_some()
+        );
+    }
+}
+
+/// FNV over a traced run's events, in order, with how many there were,
+/// how many were `ReplicaStall` spans and how many `Evicted` deltas.
+fn trace_fingerprint(s: &RunSummary) -> (usize, usize, usize, u64) {
+    use skywalker::sim::{fnv1a_bytes, FNV_OFFSET};
+    use skywalker::trace::TraceEventKind::{Evicted, ReplicaStall};
+    let trace = s.trace.as_ref().expect("tracing was enabled");
+    assert_eq!(trace.dropped_events, 0, "the recorder kept every event");
+    let (mut stalls, mut evictions, mut h) = (0, 0, FNV_OFFSET);
+    for e in trace.events.iter() {
+        match e.kind {
+            ReplicaStall { .. } => stalls += 1,
+            Evicted { .. } => evictions += 1,
+            _ => {}
+        }
+        h = fnv1a_bytes(h, format!("{e:?}").as_bytes());
+    }
+    (trace.events.len(), stalls, evictions, h)
+}
+
+/// The trace event streams of two runs, recorded before a traced run
+/// re-armed its steady iterations: re-arming records, event for event,
+/// what the handled iteration did. The memory-pressure run stalls on KV
+/// memory and evicts, so its spans and deltas are on the re-armed path.
+#[test]
+fn traced_runs_record_the_recorded_streams() {
+    use skywalker::{memory_pressure_scenario, EngineSpec};
+    let arena = run_scenario(
+        &fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.08, 11),
+        &FabricConfig::default().traced(),
+    );
     assert_eq!(
-        (s.delivered_events, s.rearmed_events, s.report.completed),
-        (45_060, 25_729, 328),
-        "events delivered, of them re-armed, requests completed"
+        trace_fingerprint(&arena),
+        (2_952, 0, 0, 998_756_221_203_482_307),
+        "Arena"
+    );
+    let cfg = FabricConfig {
+        seed: 2,
+        ..FabricConfig::default()
+    };
+    let pressure = memory_pressure_scenario(EngineSpec::default(), 0.5, 2);
+    let untraced = run_scenario(&pressure, &cfg);
+    let traced = run_scenario(&pressure, &cfg.traced());
+    assert_eq!(
+        (traced.delivered_events, traced.rearmed_events),
+        (untraced.delivered_events, untraced.rearmed_events)
+    );
+    assert!(traced.rearmed_events > 0);
+    assert_eq!(
+        trace_fingerprint(&traced),
+        (1_452, 368, 85, 14_899_562_367_074_085_037),
+        "memory pressure"
     );
 }
 

@@ -12,9 +12,9 @@ use skywalker::workload::{
     TotSource, TrafficSource,
 };
 use skywalker::{
-    balanced_fleet, disagg_scenario, fig10_scenario, fig9_scenario, lite_fleet,
+    balanced_fleet, disagg_scenario, diurnal_source, fig10_scenario, fig9_scenario, lite_fleet,
     memory_pressure_scenario, run_scenario, trio_diurnal_profiles, workload_clients,
-    DisaggWorkload, DiurnalSource, EngineSpec, FabricConfig, FlashCrowdSource, RagCorpusConfig,
+    DisaggWorkload, EngineSpec, FabricConfig, FlashCrowdConfig, FlashCrowdSource, RagCorpusConfig,
     RagCorpusSource, ReplicaPlacement, ReplicaRole, RunSummary, Scenario, ScenarioError,
     SystemKind, Workload,
 };
@@ -369,17 +369,15 @@ fn flash_crowd_source_triggers_cross_region_offload() {
         },
     ];
     let source = || {
-        Box::new(
-            FlashCrowdSource::new(
-                vec![(Region::UsEast, 2), (Region::EuWest, 2)],
-                Region::EuWest,
-                40,
-                burst_at,
-                29,
-            )
-            .with_burst_window(SimDuration::from_secs(5))
-            .with_turns((2, 3)),
-        )
+        let crowd = FlashCrowdConfig {
+            burst_region: Region::EuWest,
+            burst_clients: 40,
+            burst_at,
+            burst_window: SimDuration::from_secs(5),
+            turns: (2, 3),
+        };
+        let baseline = vec![(Region::UsEast, 2), (Region::EuWest, 2)];
+        Box::new(FlashCrowdSource::new(crowd, baseline, 29))
     };
     let cfg = FabricConfig::default();
 
@@ -572,9 +570,9 @@ fn built_in_sources_emit_the_recorded_streams() {
             ],
         ),
         (
-            "DiurnalSource",
+            "diurnal_source",
             Box::new(|seed| {
-                Box::new(DiurnalSource::new(
+                Box::new(diurnal_source(
                     &trio_diurnal_profiles(),
                     SimDuration::from_secs(600),
                     0.004,
@@ -591,13 +589,15 @@ fn built_in_sources_emit_the_recorded_streams() {
         (
             "FlashCrowdSource",
             Box::new(|seed| {
-                Box::new(FlashCrowdSource::new(
-                    vec![(Region::UsEast, 3), (Region::EuWest, 2)],
-                    Region::EuWest,
-                    12,
-                    SimTime::from_secs(30),
-                    seed,
-                ))
+                let crowd = FlashCrowdConfig {
+                    burst_region: Region::EuWest,
+                    burst_clients: 12,
+                    burst_at: SimTime::from_secs(30),
+                    burst_window: SimDuration::from_secs(10),
+                    turns: (1, 3),
+                };
+                let baseline = vec![(Region::UsEast, 3), (Region::EuWest, 2)];
+                Box::new(FlashCrowdSource::new(crowd, baseline, seed))
             }),
             [
                 0x4b69_6b12_881f_c238,
