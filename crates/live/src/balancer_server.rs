@@ -26,6 +26,7 @@ use skywalker_replica::{ReplicaId, Request};
 use skywalker_telemetry::{prometheus_text, publish, MetricsRegistry};
 
 use crate::client::infer_frame;
+use crate::pace::Pacer;
 use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
 
@@ -112,7 +113,10 @@ impl Server<Balancer> {
     /// `MonitorAvailability`). The answer is a frame like any other on
     /// that link: its pump hands it to the status arms of `on_frame`. A
     /// missing answer means nothing — a dead link is found by its reader.
+    /// Rounds start `interval` apart; one that starts late is followed
+    /// sooner, but never by two at once.
     fn prober(&self, interval: Duration) {
+        let mut rounds = Pacer::new(interval);
         while !self.closing() {
             for (link, outbox) in self.links() {
                 let probe = match link {
@@ -121,7 +125,8 @@ impl Server<Balancer> {
                 };
                 outbox.send(&probe);
             }
-            std::thread::sleep(interval);
+            rounds.advance(interval);
+            rounds.wait();
         }
     }
 }

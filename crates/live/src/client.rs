@@ -6,8 +6,11 @@
 //! second — ten 20 s runs of the same servers differ by 12 % — and offers
 //! a balancer more requests per probe window than the τ buffer admits, so
 //! what it measures is the scheduler and the probe cadence. On a schedule
-//! the rate is the clock's and the latencies are the servers'. The wait
-//! is the client's own time: a request's clock starts when it is sent.
+//! the rate is the clock's and the latencies are the servers'. The
+//! schedule is a [`Pacer`]'s: absolute, so a late start is made up by the
+//! starts after it, and kept to within a few µs, not a sleep's timer
+//! slack. The wait is the client's own time: a request's clock starts
+//! when it is sent.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -16,6 +19,7 @@ use std::time::{Duration, Instant};
 use skywalker_net::{read_frame, write_frame, Message, WireError};
 use skywalker_replica::Request;
 
+use crate::pace::Pacer;
 use crate::server::open;
 
 /// Client-side measurement of one request.
@@ -87,9 +91,9 @@ const MAX_CATCH_UP: Duration = Duration::from_secs(1);
 #[derive(Debug)]
 pub struct LiveClient {
     stream: TcpStream,
-    /// When the next request starts; absolute, so a sleep that ran long
+    /// When the next request starts; absolute, so a wait that ended late
     /// is not added to every start after it.
-    next_start: Instant,
+    schedule: Pacer,
 }
 
 impl LiveClient {
@@ -97,7 +101,7 @@ impl LiveClient {
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         Ok(LiveClient {
             stream: open(addr)?,
-            next_start: Instant::now(),
+            schedule: Pacer::new(MAX_CATCH_UP),
         })
     }
 
@@ -105,10 +109,8 @@ impl LiveClient {
     /// until it completes, measuring TTFT and end-to-end latency from the
     /// send.
     pub fn run(&mut self, req: &Request) -> Result<LiveOutcome, ClientError> {
-        let now = Instant::now();
-        std::thread::sleep(self.next_start.saturating_duration_since(now));
-        let late = now.checked_sub(MAX_CATCH_UP).unwrap_or(now);
-        self.next_start = self.next_start.max(late) + PACE;
+        self.schedule.wait();
+        self.schedule.advance(PACE);
         let start = Instant::now();
         write_frame(&mut self.stream, &infer_frame(req.clone(), 0))?;
         let mut ttft = None;

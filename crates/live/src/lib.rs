@@ -31,6 +31,7 @@
 
 mod balancer_server;
 mod client;
+mod pace;
 mod replica_server;
 mod scrape;
 mod server;
@@ -522,6 +523,74 @@ mod tests {
         lb0.shutdown();
         lb1.shutdown();
         r0.shutdown();
+    }
+
+    /// Two balancers, peered, with a replica each, under two clients for
+    /// about a second; then every server shuts down, its stepper or
+    /// prober inside a wait and the clients still sending. Each
+    /// `shutdown()` returns within `DRAIN_TIMEOUT` and leaves no
+    /// connection thread.
+    #[test]
+    fn every_server_shuts_down_in_time_under_load() {
+        let replicas: Vec<_> = (0..2)
+            .map(|i| ReplicaServer::spawn(ReplicaId(i), profile(), 0.001).unwrap())
+            .collect();
+        let regions = [Region::UsEast, Region::EuWest];
+        let lbs: Vec<_> = (0..2)
+            .map(|i| {
+                let cfg = BalancerConfig::skywalker(regions[i]);
+                let probe = Duration::from_millis(10);
+                let lb = BalancerServer::spawn(LbId(i as u32), cfg, probe).unwrap();
+                lb.attach_replica(ReplicaId(i as u32), replicas[i].addr())
+                    .unwrap();
+                lb
+            })
+            .collect();
+        lbs[0]
+            .connect_peer(LbId(1), regions[1], lbs[1].addr())
+            .unwrap();
+        lbs[1]
+            .connect_peer(LbId(0), regions[0], lbs[0].addr())
+            .unwrap();
+
+        // Each client sends until a request fails: its servers are gone.
+        let clients: Vec<_> = (0..2u64)
+            .map(|c| {
+                let addr = lbs[c as usize].addr();
+                std::thread::spawn(move || {
+                    let mut client = LiveClient::connect(addr).unwrap();
+                    let prompt = |i: u64| vec![i as u32; 32];
+                    (0..)
+                        .map(|i| Request::new(c << 32 | i, format!("u{c}"), prompt(i), 8))
+                        .take_while(|req| client.run(req).is_ok())
+                        .count()
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_secs(1));
+
+        // Replicas first, while requests are in flight on them.
+        for r in replicas {
+            let (net, started) = (Arc::clone(&r.net), Instant::now());
+            r.shutdown();
+            assert!(
+                started.elapsed() < server::DRAIN_TIMEOUT,
+                "a replica's shutdown()"
+            );
+            assert_eq!(net.serving(), 0, "a replica left connection threads");
+        }
+        for lb in lbs {
+            let (net, started) = (Arc::clone(&lb.net), Instant::now());
+            lb.shutdown();
+            assert!(
+                started.elapsed() < server::DRAIN_TIMEOUT,
+                "a balancer's shutdown()"
+            );
+            assert_eq!(net.serving(), 0, "a balancer left connection threads");
+        }
+        for client in clients {
+            assert!(client.join().unwrap() > 0, "a client was never served");
+        }
     }
 
     #[test]

@@ -18,12 +18,13 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use skywalker_net::Message;
 use skywalker_replica::{Advance, GpuProfile, Replica, ReplicaId, Request};
 use skywalker_telemetry::{prometheus_text, publish, MetricsRegistry};
 
+use crate::pace::Pacer;
 use crate::server::{Link, Outbox, Server, Service};
 use crate::sync::Mutex;
 
@@ -31,8 +32,11 @@ use crate::sync::Mutex;
 /// An arrival never waits this out: it notifies.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
 
-/// The most lag the stepper makes up by running iterations back to back:
-/// a few times what a short `sleep` overshoots by (timer slack, ~50 µs).
+/// The most lag the stepper makes up by running iterations back to back.
+/// A pacer's wait ends within a few µs of its deadline; this covers a
+/// wait or a step that lost its core for a moment, while a longer stall
+/// (scheduler, lock) delays replies instead of compressing the
+/// iterations after it.
 const MAX_CATCH_UP: Duration = Duration::from_micros(200);
 
 /// The replica, and the stepper's wake-up call.
@@ -137,12 +141,17 @@ fn step_once(replica: &mut Replica) -> Advance {
 /// `time_scale`: wall seconds per simulated second (0.05 = 20× faster).
 fn stepper(net: &Server<Backend>, time_scale: f64) {
     let Backend { replica, arrived } = &net.state;
-    // When the iteration under way ends. Absolute, so a sleep that ran
-    // long (timer slack is tens of µs, an iteration at a small scale less)
-    // is made up by the iterations after it instead of added to each.
-    let mut due = Instant::now();
+    // When the iteration under way ends. Absolute, so a wait that ran
+    // late is made up by the iterations after it instead of added to each.
+    let mut pacer = Pacer::new(MAX_CATCH_UP);
+    let mut idled = false;
     while !net.closing() {
         let mut r = replica.lock();
+        if std::mem::take(&mut idled) {
+            // Under the lock: whatever this step finds arrived before now,
+            // so no iteration ends sooner than its own time after that.
+            pacer.restart();
+        }
         let out = match step_once(&mut r) {
             Advance::Worked(out) => out,
             Advance::DroppedHead(_, req) => {
@@ -158,18 +167,17 @@ fn stepper(net: &Server<Backend>, time_scale: f64) {
                 // Still under the lock the step ran under: whoever
                 // enqueues next finds the stepper waiting and wakes it.
                 drop(arrived.wait_timeout(r, IDLE_WAIT));
-                due = Instant::now();
+                idled = true;
                 continue;
             }
         };
         drop(r);
         // Let the iteration "run" in scaled wall time, then publish its
-        // results. Only a sleep's overshoot is carried over: a longer
-        // stall (scheduler, lock) must not compress the iterations after.
-        let now = Instant::now();
-        due = due.max(now.checked_sub(MAX_CATCH_UP).unwrap_or(now));
-        due += Duration::from_secs_f64(out.duration.as_secs_f64() * time_scale);
-        std::thread::sleep(due.saturating_duration_since(now));
+        // results.
+        pacer.advance(Duration::from_secs_f64(
+            out.duration.as_secs_f64() * time_scale,
+        ));
+        pacer.wait();
         for id in &out.first_tokens {
             net.reply(id.0, Message::FirstToken { request_id: id.0 });
         }
@@ -189,6 +197,7 @@ mod tests {
     use super::*;
     use skywalker_net::{read_frame, write_frame};
     use std::net::TcpStream;
+    use std::time::Instant;
 
     fn connect(addr: SocketAddr) -> TcpStream {
         TcpStream::connect(addr).expect("connect")
@@ -236,6 +245,56 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        srv.shutdown();
+    }
+
+    /// The fidelity floor: a replica keeps the model's clock and never
+    /// answers before it. One request on a fresh replica takes one
+    /// prefill pass that also decodes its first token, then one decode
+    /// step a further token; each iteration scaled as the stepper scales
+    /// it. Lower bounds only, so however late the host runs, this holds.
+    #[test]
+    fn a_replica_never_answers_before_the_model_says() {
+        const SCALE: f64 = 0.01;
+        const PROMPT: u64 = 16;
+        const OUT: u32 = 8;
+        let profile = GpuProfile::L4_LLAMA_8B;
+        let decode = profile.decode_step_time(1);
+        let scaled = |secs: f64| Duration::from_secs_f64(secs * SCALE);
+        let step = scaled(decode.as_secs_f64());
+        let first = scaled((profile.prefill_pass_time(PROMPT, true) + decode).as_secs_f64());
+        let done = first + (OUT - 1) * step;
+
+        let srv = ReplicaServer::spawn(ReplicaId(6), profile, SCALE).unwrap();
+        let mut conn = connect(srv.addr());
+        let sent = Instant::now();
+        write_frame(
+            &mut conn,
+            &Message::Infer {
+                request_id: 1,
+                session_key: "u".into(),
+                prompt: vec![5; PROMPT as usize].into(),
+                max_new_tokens: OUT,
+                hops: 0,
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            read_frame(&mut conn).unwrap(),
+            Message::FirstToken { request_id: 1 }
+        );
+        let ttft = sent.elapsed();
+        assert!(
+            ttft >= first,
+            "first token after {ttft:?}, the model's {first:?}"
+        );
+        let out = read_frame(&mut conn).unwrap();
+        let e2e = sent.elapsed();
+        assert!(
+            matches!(out, Message::Completed { generated: OUT, .. }),
+            "unexpected {out:?}"
+        );
+        assert!(e2e >= done, "completed after {e2e:?}, the model's {done:?}");
         srv.shutdown();
     }
 
