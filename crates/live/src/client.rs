@@ -192,6 +192,7 @@ mod tests {
     /// wait is not part of the latency they report.
     #[test]
     fn requests_start_a_pace_apart_and_the_wait_is_not_latency() {
+        let _timing = crate::sync::beside_timing();
         let (addr, server) = instant_server();
         let mut client = LiveClient::connect(addr).unwrap();
         let began = Instant::now();
@@ -207,6 +208,7 @@ mod tests {
     /// up by the requests after it, which do not wait.
     #[test]
     fn a_late_client_catches_up_to_its_schedule() {
+        let _timing = crate::sync::beside_timing();
         let (addr, server) = instant_server();
         let mut client = LiveClient::connect(addr).unwrap();
         run_n(&mut client, 0..1);
@@ -223,6 +225,7 @@ mod tests {
     /// other request is an unrelated frame.
     #[test]
     fn a_reject_for_another_request_is_ignored() {
+        let _timing = crate::sync::beside_timing();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {

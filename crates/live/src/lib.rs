@@ -59,6 +59,7 @@ mod tests {
 
     #[test]
     fn end_to_end_through_balancer() {
+        let _timing = crate::sync::beside_timing();
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let r1 = ReplicaServer::spawn(ReplicaId(1), profile(), 0.001).unwrap();
         let lb = BalancerServer::spawn(
@@ -120,6 +121,7 @@ mod tests {
 
     #[test]
     fn replica_shutdown_closes_open_connections() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let conn = served_connection(srv.addr(), Message::ProbeReplica);
         let net = Arc::clone(&srv.net);
@@ -130,6 +132,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_idle_connections() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let conns: Vec<_> = (0..32)
             .map(|_| served_connection(srv.addr(), Message::ProbeReplica))
@@ -146,6 +149,7 @@ mod tests {
     /// served meanwhile, and `shutdown()` still ends it in time.
     #[test]
     fn balancer_shutdown_closes_open_connections() {
+        let _timing = crate::sync::beside_timing();
         use std::io::Write;
         let (lb, r0) = balancer_with_a_replica();
         let conn = served_connection(lb.addr(), Message::ProbeLb);
@@ -173,6 +177,7 @@ mod tests {
     /// for as long as it keeps sending.
     #[test]
     fn endless_ascii_scrape_is_answered_and_closed() {
+        let _timing = crate::sync::beside_timing();
         use std::io::Write;
         let srv = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let mut peer = std::net::TcpStream::connect(srv.addr()).unwrap();
@@ -246,6 +251,7 @@ mod tests {
     /// grow for as long as the peer sends, and the connection would stay.)
     #[test]
     fn a_peer_that_never_reads_is_disconnected() {
+        let _timing = crate::sync::beside_timing();
         let (lb, r0) = balancer_with_a_replica();
         let mut client = LiveClient::connect(lb.addr()).unwrap();
         eventually("the link and the client are served", || {
@@ -281,6 +287,7 @@ mod tests {
     /// out the rest of the flooder's timeout.
     #[test]
     fn a_relay_to_a_peer_that_never_reads_holds_its_link_at_most_write_timeout() {
+        let _timing = crate::sync::beside_timing();
         let (lb, r0) = balancer_with_a_replica();
         let mut client = LiveClient::connect(lb.addr()).unwrap();
         eventually("the link and the client are served", || {
@@ -349,6 +356,7 @@ mod tests {
     /// forever), and later requests go to the survivor.
     #[test]
     fn dead_replica_is_removed_and_its_requests_answered() {
+        let _timing = crate::sync::beside_timing();
         // r0 decodes in real time, so its request is still running when
         // it is shut down.
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 1.0).unwrap();
@@ -409,6 +417,7 @@ mod tests {
     /// every probe opened another), and the answers still arrive.
     #[test]
     fn probes_ride_the_persistent_link() {
+        let _timing = crate::sync::beside_timing();
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let lb = BalancerServer::spawn(
             LbId(0),
@@ -431,6 +440,7 @@ mod tests {
     /// Every socket a server holds — dialed or accepted — has Nagle off.
     #[test]
     fn served_connections_have_nodelay() {
+        let _timing = crate::sync::beside_timing();
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let lb = BalancerServer::spawn(
             LbId(0),
@@ -449,6 +459,7 @@ mod tests {
 
     #[test]
     fn prefix_affinity_over_the_wire() {
+        let _timing = crate::sync::beside_timing();
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
         let r1 = ReplicaServer::spawn(ReplicaId(1), profile(), 0.001).unwrap();
         let lb = BalancerServer::spawn(
@@ -488,6 +499,7 @@ mod tests {
 
     #[test]
     fn cross_balancer_forwarding() {
+        let _timing = crate::sync::beside_timing();
         // LB0 (us-east) has NO replicas; LB1 (eu-west) has one. A request
         // to LB0 must be forwarded and still complete.
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.001).unwrap();
@@ -532,6 +544,7 @@ mod tests {
     /// connection thread.
     #[test]
     fn every_server_shuts_down_in_time_under_load() {
+        let _timing = crate::sync::beside_timing();
         let replicas: Vec<_> = (0..2)
             .map(|i| ReplicaServer::spawn(ReplicaId(i), profile(), 0.001).unwrap())
             .collect();
@@ -595,6 +608,7 @@ mod tests {
 
     #[test]
     fn many_concurrent_clients() {
+        let _timing = crate::sync::beside_timing();
         let r0 = ReplicaServer::spawn(ReplicaId(0), profile(), 0.0005).unwrap();
         let lb = BalancerServer::spawn(
             LbId(0),

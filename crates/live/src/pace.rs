@@ -19,11 +19,12 @@
 //! `ttft_p50_ms` was 0.58 ms against 0.26 ms with plain sleeps (medians
 //! of four alternating pairs, two-core x86-64 VM). But beside a thread
 //! that never blocks (a compiler, a busy loop) a yield gives the core
-//! away for that thread's whole scheduler slice, ~4 ms. A pacer whose
-//! yields come back that late twice in a row spins for [`SPIN_SPELL`]
-//! instead, then tries a yield again. One late yield alone says little:
-//! on a shared VM the host pauses the process now and then, and a spin
-//! would not have won that back.
+//! away for that thread's whole scheduler slice, ~4 ms. A pacer that
+//! loses a yield that way after another one, in the same wait or the
+//! wait before, spins for [`SPIN_SPELL`] instead, then tries a yield
+//! again. One late yield alone says little: on a shared VM the host
+//! pauses the process now and then, and a spin would not have won that
+//! back.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -39,11 +40,11 @@ const SLACK: Duration = Duration::from_micros(100);
 /// (beside two busy loops on two cores, yields returned after 3.85 ms);
 /// one of the plane's own threads gives it back in tens of µs. On a
 /// two-core VM, 8–44 yields in a 13 s `live_loopback` run came back this
-/// late with nothing else running, none twice in a row.
+/// late with nothing else running, none after another on one pacer.
 const YIELD_LOST: Duration = Duration::from_millis(1);
 
-/// How long a pacer spins instead of yielding once two yields in a row
-/// were lost. While the busy threads stay, it loses one ~4 ms slice per
+/// How long a pacer spins instead of yielding once it lost a yield after
+/// another, in one wait or the wait before. While the busy threads stay, it loses one ~4 ms slice per
 /// spell; a spell it should not have started costs the plane's other
 /// threads at most this long.
 const SPIN_SPELL: Duration = Duration::from_millis(10);
@@ -55,7 +56,7 @@ pub(crate) struct Pacer {
     catch_up: Duration,
     /// Until when [`Pacer::wait`] spins instead of yielding.
     spin_until: Instant,
-    /// Whether the last yield was lost.
+    /// Whether the last wait lost a yield.
     lost_last: bool,
 }
 
@@ -91,11 +92,18 @@ impl Pacer {
 
     /// Returns once the deadline has passed: never before it, and rarely
     /// more than a few µs after.
+    ///
+    /// A yield lost after another one, in this wait or the last, starts a
+    /// spin spell. Lost yields are seldom back to back: beside busy
+    /// threads a wait's first yields come back at once, and only the one
+    /// that hands the core over for a slice is lost.
     pub(crate) fn wait(&mut self) {
+        let mut lost = false;
         loop {
             let now = Instant::now();
             let left = self.deadline.saturating_duration_since(now);
             if left.is_zero() {
+                self.lost_last = lost;
                 return;
             }
             if left > SLACK {
@@ -104,11 +112,12 @@ impl Pacer {
                 std::hint::spin_loop();
             } else {
                 thread::yield_now();
-                let lost = now.elapsed() > YIELD_LOST;
-                if lost && self.lost_last {
-                    self.spin_until = Instant::now() + SPIN_SPELL;
+                if now.elapsed() > YIELD_LOST {
+                    if lost || self.lost_last {
+                        self.spin_until = Instant::now() + SPIN_SPELL;
+                    }
+                    lost = true;
                 }
-                self.lost_last = lost;
             }
         }
     }
@@ -122,6 +131,7 @@ mod tests {
 
     #[test]
     fn wait_never_returns_before_its_deadline() {
+        let _timing = crate::sync::beside_timing();
         let mut pacer = Pacer::new(Duration::ZERO);
         for i in 0..1000u32 {
             pacer.restart();
@@ -194,6 +204,7 @@ mod tests {
 
     #[test]
     fn wait_is_later_than_its_deadline_by_less_than_half_of_what_a_sleep_is() {
+        let _alone = crate::sync::timing_alone();
         assert_paced_beats_slept(late_paced_and_slept());
     }
 
@@ -202,6 +213,7 @@ mod tests {
     /// pacer spins instead and keeps its deadlines.
     #[test]
     fn wait_keeps_its_deadline_beside_threads_that_never_block() {
+        let _alone = crate::sync::timing_alone();
         use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
         let cores = thread::available_parallelism().map_or(2, |n| n.get().min(8));
         let stop = AtomicBool::new(false);

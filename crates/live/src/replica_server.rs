@@ -128,11 +128,12 @@ impl ReplicaServer {
 
 /// Advances the replica until an iteration does work, the queue drains,
 /// or the head proves unservable — all under one lock hold, so an `Infer`
-/// enqueued mid-pass can never be mistaken for a stuck head.
+/// enqueued mid-pass can never be mistaken for a stuck head. A step that
+/// only progressed hands its outcome straight back.
 fn step_once(replica: &mut Replica) -> Advance {
     loop {
         match replica.advance() {
-            Advance::Progressed(_) => {}
+            Advance::Progressed(out) => replica.recycle(out),
             settled => return settled,
         }
     }
@@ -145,8 +146,14 @@ fn stepper(net: &Server<Backend>, time_scale: f64) {
     // late is made up by the iterations after it instead of added to each.
     let mut pacer = Pacer::new(MAX_CATCH_UP);
     let mut idled = false;
+    // The last working iteration's outcome, its replies sent: handed back
+    // under the next lock hold, so the next iteration refills its vectors.
+    let mut spent = None;
     while !net.closing() {
         let mut r = replica.lock();
+        if let Some(out) = spent.take() {
+            r.recycle(out);
+        }
         if std::mem::take(&mut idled) {
             // Under the lock: whatever this step finds arrived before now,
             // so no iteration ends sooner than its own time after that.
@@ -154,7 +161,8 @@ fn stepper(net: &Server<Backend>, time_scale: f64) {
         }
         let out = match step_once(&mut r) {
             Advance::Worked(out) => out,
-            Advance::DroppedHead(_, req) => {
+            Advance::DroppedHead(out, req) => {
+                r.recycle(out);
                 drop(r);
                 let reject = Message::Reject {
                     request_id: req.id.0,
@@ -189,6 +197,7 @@ fn stepper(net: &Server<Backend>, time_scale: f64) {
             };
             net.reply(c.id.0, done);
         }
+        spent = Some(out);
     }
 }
 
@@ -205,6 +214,7 @@ mod tests {
 
     #[test]
     fn spawn_rejects_a_time_scale_that_is_not_finite_and_positive() {
+        let _timing = crate::sync::beside_timing();
         for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
             let err = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, bad)
                 .err()
@@ -218,6 +228,7 @@ mod tests {
 
     #[test]
     fn infer_round_trip() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(0), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
         let mut conn = connect(srv.addr());
         write_frame(
@@ -255,6 +266,7 @@ mod tests {
     /// it. Lower bounds only, so however late the host runs, this holds.
     #[test]
     fn a_replica_never_answers_before_the_model_says() {
+        let _timing = crate::sync::beside_timing();
         const SCALE: f64 = 0.01;
         const PROMPT: u64 = 16;
         const OUT: u32 = 8;
@@ -300,6 +312,7 @@ mod tests {
 
     #[test]
     fn probe_reports_status() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(1), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
         let mut conn = connect(srv.addr());
         write_frame(&mut conn, &Message::ProbeReplica).unwrap();
@@ -312,6 +325,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_served() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(2), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
         let addr = srv.addr();
         let handles: Vec<_> = (0..4u64)
@@ -358,6 +372,7 @@ mod tests {
     /// all fit the KV cache, so none may be rejected.
     #[test]
     fn sequential_small_requests_are_never_rejected() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(4), GpuProfile::L4_LLAMA_8B, 1e-6).unwrap();
         let addr = srv.addr();
         std::thread::scope(|scope| {
@@ -398,6 +413,7 @@ mod tests {
     /// slept through its wait would need 200 × `IDLE_WAIT`.
     #[test]
     fn an_arrival_wakes_the_idle_stepper() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(5), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
         let mut conn = connect(srv.addr());
         let start = Instant::now();
@@ -422,6 +438,7 @@ mod tests {
 
     #[test]
     fn oversized_request_rejected() {
+        let _timing = crate::sync::beside_timing();
         let srv = ReplicaServer::spawn(ReplicaId(3), GpuProfile::L4_LLAMA_8B, 0.001).unwrap();
         let mut conn = connect(srv.addr());
         // Prompt bigger than the whole KV capacity.

@@ -427,6 +427,7 @@ mod tests {
     /// whole, and each thread's frames in the order it sent them.
     #[test]
     fn concurrent_senders_never_interleave_frames() {
+        let _timing = crate::sync::beside_timing();
         const THREADS: u64 = 8;
         const FRAMES: u64 = 500;
         let (near, mut far) = pair();

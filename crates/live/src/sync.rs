@@ -25,3 +25,27 @@ impl<T> Mutex<T> {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
+
+/// The lock the crate's wall-clock timing tests take exclusively and
+/// every test that starts threads or spins takes shared. A paced wait
+/// measured beside a server test's threads can lose whole scheduler
+/// slices on a small host and read as late; the timing tests' own busy
+/// threads would slow the servers' in the same way.
+#[cfg(test)]
+static TIMING: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Runs a timing test alone among the crate's tests (until dropped).
+#[cfg(test)]
+pub(crate) fn timing_alone() -> std::sync::RwLockWriteGuard<'static, ()> {
+    TIMING
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Keeps the timing tests out while a test's threads run (until dropped).
+#[cfg(test)]
+pub(crate) fn beside_timing() -> std::sync::RwLockReadGuard<'static, ()> {
+    TIMING
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -22,6 +22,14 @@ use crate::metrics::ratio;
 pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
     let mut world = build_world(scenario, cfg);
     let mut engine: Engine<Ev> = Engine::new();
+    start(&world, &mut engine);
+    let end = engine.run_until(&mut world, cfg.deadline).end_time;
+    summarize(scenario, world, end, &engine)
+}
+
+/// Schedules what starts a built world: the t = 0 cohort's first stages,
+/// then the periodic planes.
+fn start(world: &Fabric, engine: &mut Engine<Ev>) {
     for client in 0..world.clients.len() {
         engine.schedule(SimTime::ZERO, Ev::IssueStage { client });
     }
@@ -43,8 +51,6 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
             engine.schedule(SimTime::ZERO, Ev::TelemetryTick);
         }
     }
-    let end = engine.run_until(&mut world, cfg.deadline).end_time;
-    summarize(scenario, world, end, &engine)
 }
 
 /// Where balancers sit. Client regions come from the traffic source's
@@ -132,6 +138,7 @@ fn build_world(scenario: &Scenario, cfg: &FabricConfig) -> Fabric {
         engine: scenario.engine.clone().unwrap_or_default(),
         transfers: TransferSummary::default(),
         clients: Vec::new(),
+        free_clients: Vec::new(),
         active_clients: 0,
         // Each run pulls from a fresh copy of the traffic source, so the
         // same scenario replays identically any number of times.
@@ -270,5 +277,76 @@ fn summarize(
         trace,
         telemetry,
         replica_stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use skywalker_replica::GpuProfile;
+    use skywalker_sim::{Scheduler, SimDuration, World};
+    use skywalker_workload::ArrivalSchedule;
+
+    use super::*;
+    use crate::{RagCorpusConfig, RagCorpusSource, ReplicaPlacement, SystemKind};
+
+    /// The fabric, and the most clients it held admitted and not yet
+    /// retired after any event.
+    struct Watched {
+        fabric: Fabric,
+        most_active: usize,
+    }
+
+    impl World for Watched {
+        type Event = Ev;
+
+        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<'_, Ev>) {
+            self.fabric.handle(now, ev, sched);
+            self.most_active = self.most_active.max(self.fabric.active_clients);
+        }
+
+        fn rearm(&mut self, now: SimTime, ev: &Ev) -> Option<SimDuration> {
+            self.fabric.rearm(now, ev)
+        }
+    }
+
+    /// 1 200 one-request clients arriving half a second apart at two
+    /// replicas: a client lives a few seconds, so a few dozen are held at
+    /// once, where a table that kept a slot per client ever admitted
+    /// would end 1 200 long.
+    #[test]
+    fn the_client_table_follows_the_clients_held_at_once() {
+        let region = Region::UsEast;
+        let users = 1_200;
+        let cfg = RagCorpusConfig {
+            queries_per_user: (1, 1),
+            ..RagCorpusConfig::default()
+        };
+        let over = SimDuration::from_millis(500 * (users - 1));
+        let source = RagCorpusSource::new(cfg, vec![(region, users as u32)], 61)
+            .with_schedule(ArrivalSchedule::UniformRamp { over });
+        let profile = GpuProfile::L4_LLAMA_8B;
+        let scenario = SystemKind::SkyWalker
+            .builder()
+            .replicas(vec![ReplicaPlacement { region, profile }; 2])
+            .traffic_source(Box::new(source))
+            .build()
+            .expect("a fleet and a source are set");
+        let cfg = FabricConfig::default();
+        let mut world = Watched {
+            fabric: build_world(&scenario, &cfg),
+            most_active: 0,
+        };
+        let mut engine: Engine<Ev> = Engine::new();
+        start(&world.fabric, &mut engine);
+        let end = engine.run_until(&mut world, cfg.deadline).end_time;
+        let fabric = &mut world.fabric;
+        assert_eq!(fabric.report(end).completed, users);
+        assert!(fabric.reqs.is_empty(), "every request's entry went");
+        let (held, most) = (fabric.clients.len(), world.most_active);
+        assert!(
+            (1..=most).contains(&held),
+            "{held} client slots for at most {most} clients at once"
+        );
+        assert_eq!(fabric.free_clients.len(), held, "every slot is free");
     }
 }

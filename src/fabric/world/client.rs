@@ -9,10 +9,15 @@
 //! then on), a client's programs are dropped when it retires, and a
 //! request's [`ReqState`] is removed when its completion is delivered
 //! and its lifecycle record has settled (the first token may trail the
-//! completion). What stays per client ever admitted is the
-//! [`ClientState`] shell (region and cursor); what stays per request is
-//! the entry of one that terminally failed or took its post-crash
-//! reroute.
+//! completion). A client's [`ClientState`] slot is freed once the client
+//! has retired and no `ReqState` names it, and the next admission takes
+//! the slot freed last, so the client table is as long as the most
+//! clients ever held at once. An event that carries a client index
+//! belongs to a request whose entry still exists, so it cannot reach a
+//! reused slot — but for a repeated first token, which reads nothing of
+//! the slot once the entry is gone. What stays per request — and keeps
+//! its client's slot — is the entry of one that terminally failed or took
+//! its post-crash reroute.
 
 use std::mem;
 
@@ -37,10 +42,18 @@ pub(crate) struct ClientState {
     program_idx: usize,
     stage_idx: usize,
     inflight: u32,
+    /// `Fabric::reqs` entries that name this client.
+    entries: u32,
     finished: bool,
 }
 
 impl ClientState {
+    /// Retired, and named by no request entry: no event can reach the
+    /// slot any more, so it is free (or is being freed).
+    fn is_free(&self) -> bool {
+        self.finished && self.entries == 0
+    }
+
     /// Moves past the stage that just drained, skipping empty programs;
     /// marks the client finished when no program is left.
     fn advance(&mut self) {
@@ -94,17 +107,25 @@ impl Fabric {
     }
 
     /// Brings one client online — the single admission path for the
-    /// t = 0 cohort and for streamed arrivals — and returns its index.
+    /// t = 0 cohort and for streamed arrivals — in the slot freed last,
+    /// or a new one, and returns its index.
     pub(crate) fn admit(&mut self, spec: ClientSpec) -> usize {
-        self.clients.push(ClientState {
+        let state = ClientState {
             region: spec.region,
             programs: spec.programs,
             program_idx: 0,
             stage_idx: 0,
             inflight: 0,
+            entries: 0,
             finished: false,
-        });
+        };
         self.active_clients += 1;
+        if let Some(slot) = self.free_clients.pop() {
+            let slot = slot as usize;
+            self.clients[slot] = state;
+            return slot;
+        }
+        self.clients.push(state);
         self.clients.len() - 1
     }
 
@@ -125,6 +146,7 @@ impl Fabric {
             return self.stage_drained(client, sched);
         }
         c.inflight = reqs.len() as u32;
+        c.entries += reqs.len() as u32;
         for req in reqs {
             let (id, now) = (req.id.0, sched.now());
             let state = ReqState {
@@ -140,6 +162,7 @@ impl Fabric {
     }
 
     pub(crate) fn on_retry(&mut self, client: usize, req: Request, sched: &mut Sched) {
+        debug_assert!(!self.clients[client].is_free());
         let record = self.reqs.get_mut(&req.id.0).map(|s| &mut s.record);
         self.obs.retry(record, req.id.0, sched.now());
         self.send_request(client, req, sched);
@@ -186,14 +209,19 @@ impl Fabric {
     }
 
     pub(crate) fn on_first_token(&mut self, client: usize, req: RequestId, sched: &mut Sched) {
-        let region = self.clients[client].region;
         let record = self.reqs.get_mut(&req.0).map(|s| &mut s.record);
+        // A repeated first token (a preempted request streams one again)
+        // may trail its entry; its slot may then hold another client,
+        // whose region nothing reads, as there is no record to time.
+        debug_assert!(record.is_none() || !self.clients[client].is_free());
+        let region = self.clients[client].region;
         self.obs
             .first_token_delivered(record, req.0, region, sched.now());
         self.release_if_done(req.0);
     }
 
     pub(crate) fn on_completion(&mut self, client: usize, done: Completion, sched: &mut Sched) {
+        debug_assert!(!self.clients[client].is_free());
         let record = self.reqs.get_mut(&done.id.0).map(|s| &mut s.record);
         self.obs.delivered(record, &done, sched.now());
         self.release_if_done(done.id.0);
@@ -207,8 +235,19 @@ impl Fabric {
     /// `output_route` must keep finding it.
     fn release_if_done(&mut self, id: u64) {
         let done = |s: &ReqState| !s.rerouted && s.record.is_completed() && s.record.is_settled();
-        if self.reqs.get(&id).is_some_and(done) {
+        let state = self.reqs.get(&id).filter(|s| done(s));
+        if let Some(client) = state.map(|s| s.client as usize) {
             self.reqs.remove(&id);
+            self.clients[client].entries -= 1;
+            self.free_if_done(client);
+        }
+    }
+
+    /// Frees `client`'s slot for the next admission once it is free: the
+    /// client retired, and no request entry names it.
+    fn free_if_done(&mut self, client: usize) {
+        if self.clients[client].is_free() {
+            self.free_clients.push(client as u32);
         }
     }
 
@@ -257,6 +296,7 @@ impl Fabric {
         if c.finished {
             c.programs = Vec::new();
             self.active_clients -= 1;
+            self.free_if_done(client);
             self.maybe_stop(sched);
         } else {
             sched.after(SimDuration::ZERO, Ev::IssueStage { client });

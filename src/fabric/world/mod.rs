@@ -164,7 +164,8 @@ const _: () = assert!(std::mem::size_of::<Ev>() <= 64);
 /// failures, not by run length.
 pub(crate) struct ReqState {
     /// The issuing client (an index into `Fabric::clients`; `u32` keeps
-    /// the entry at 80 bytes).
+    /// the entry at 80 bytes). The entry keeps the client's slot: a slot
+    /// is freed only once its client has retired and no entry names it.
     client: u32,
     /// The balancer holding a dispatch slot for it, until the slot is
     /// credited back.
@@ -197,7 +198,11 @@ pub(crate) struct Fabric {
     pub(crate) engine: EngineSpec,
     /// KV-handoff accounting across the prefill→decode boundary.
     pub(crate) transfers: TransferSummary,
+    /// The clients held: a slab whose slot a client keeps from its
+    /// admission until it has retired and no [`ReqState`] names it.
     pub(crate) clients: Vec<ClientState>,
+    /// The free `clients` slots, the one freed last on top.
+    pub(crate) free_clients: Vec<u32>,
     pub(crate) active_clients: usize,
     pub(crate) traffic: Traffic,
     /// Requests in flight (and the few [`ReqState`] keeps longer), by

@@ -10,12 +10,13 @@
 //! A record settles once the request is completed or failed *and* has
 //! its first token: no lifecycle call alters what it contributes after
 //! that, so the ledger folds it into running totals — the exact-quantile
-//! latency samples (two `f64`s), a count in a histogram of hop counts,
-//! and integer sums — the moment it settles, and the report adds only
-//! the records still open. Whoever holds the records decides when to
-//! let a settled one go: the fabric keeps each in its request's
-//! `ReqState`, the one table a request in flight lives in, and
-//! [`RequestTracker`] keeps the open ones by id. The two terminal states
+//! latency samples (two whole µs counts, four bytes each below 2³² µs),
+//! a count in a histogram of hop counts, and integer sums — the moment
+//! it settles, and the report adds only the records still open.
+//! Whoever holds the records decides when to let a settled one go: the
+//! fabric keeps each in its request's `ReqState`, the one table a
+//! request in flight lives in, and [`RequestTracker`] keeps the open
+//! ones by id. The two terminal states
 //! that wait: a completed request whose first token is still in flight
 //! to the client (the two deliveries draw independent delays), and a
 //! failed request that never produced one.
@@ -96,17 +97,16 @@ impl Record {
 /// which leaves nothing to change — and folds a record into its running
 /// totals the moment the record settles.
 ///
-/// Every reduction is order-insensitive — integer sums, and samples that
-/// [`Summary::of`] sorts before it sums — so settled records can be added
-/// as they finish and the rest at report time with the same result as
-/// one pass over all of them. The latency samples (seconds) are finite
-/// by construction, as [`Summary::of_in_place`] needs; hop counts are
-/// small integers, so they are kept as a histogram for
-/// [`Summary::of_counts`].
+/// Every reduction is order-insensitive — integer sums, and samples
+/// sorted before they are summed — so settled records can be added as
+/// they finish and the rest at report time with the same result as one
+/// pass over all of them. The latency samples are whole microseconds
+/// ([`Samples`]); hop counts are small integers, so they are kept as a
+/// histogram for [`Summary::of_counts`].
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    ttft: Vec<f64>,
-    e2e: Vec<f64>,
+    ttft: Samples,
+    e2e: Samples,
     /// `hops[h]`: how many requests carried a chain of `h` hops.
     hops: Vec<u64>,
     completed: u64,
@@ -125,7 +125,7 @@ impl Ledger {
     /// Adds what `r` contributes to a report.
     fn add(&mut self, r: &Record) {
         if let Some(ttft) = r.first_token {
-            self.ttft.push(ttft.duration().as_secs_f64());
+            self.ttft.push(ttft.duration());
         }
         if let Some(h) = r.hops {
             let h = usize::from(h);
@@ -138,7 +138,7 @@ impl Ledger {
         match r.completed {
             Some(e2e) => {
                 self.completed += 1;
-                self.e2e.push(e2e.duration().as_secs_f64());
+                self.e2e.push(e2e.duration());
                 self.prompt_tokens += r.prompt_tokens;
                 self.cached_tokens += r.cached_prompt_tokens;
                 self.generated_tokens += r.generated_tokens;
@@ -241,8 +241,8 @@ impl Ledger {
         // settled samples are summarized where they are instead of being
         // copied first.
         let mut t = Ledger {
-            ttft: Vec::new(),
-            e2e: Vec::new(),
+            ttft: Samples::default(),
+            e2e: Samples::default(),
             hops: self.hops.clone(),
             ..*self
         };
@@ -261,8 +261,8 @@ impl Ledger {
             generated_tokens: t.generated_tokens,
             throughput_tps: ratio(service_tokens as f64, run_end.as_secs_f64()),
             cache_hit_rate: ratio(t.cached_tokens as f64, t.prompt_tokens as f64),
-            ttft: summary_with(&mut self.ttft, t.ttft),
-            e2e: summary_with(&mut self.e2e, t.e2e),
+            ttft: self.ttft.summary_with(t.ttft),
+            e2e: self.e2e.summary_with(t.e2e),
             hops: Summary::of_counts(&t.hops),
         }
     }
@@ -367,14 +367,54 @@ impl RequestTracker {
     }
 }
 
-/// The summary of the `settled` and `open` samples taken together. Sorts
-/// `settled` in place, and copies it only if `open` has any samples.
-fn summary_with(settled: &mut [f64], mut open: Vec<f64>) -> Summary {
-    if open.is_empty() {
-        return Summary::of_in_place(settled);
+/// Latency samples as the whole microsecond counts they are: four bytes
+/// a sample below 2³² µs (71.6 min), which is every one in practice, and
+/// eight a longer one, so that none saturates.
+#[derive(Debug, Default)]
+struct Samples {
+    short: Vec<u32>,
+    long: Vec<u64>,
+}
+
+impl Samples {
+    fn push(&mut self, d: SimDuration) {
+        let micros = d.as_micros();
+        match u32::try_from(micros) {
+            Ok(short) => self.short.push(short),
+            Err(_) => self.long.push(micros),
+        }
     }
-    open.extend_from_slice(settled);
-    Summary::of_in_place(&mut open)
+
+    /// The summary, in seconds, of these samples and `open`'s taken
+    /// together. Sorts these in place, and copies them only if `open` has
+    /// any samples.
+    ///
+    /// Bit for bit [`Summary::of`] over each sample's
+    /// [`SimDuration::as_secs_f64`]: that conversion keeps the order of
+    /// the counts, every long sample lies above every short one, and the
+    /// sum is taken in the sorted order.
+    fn summary_with(&mut self, mut open: Samples) -> Summary {
+        let all = if open.short.is_empty() && open.long.is_empty() {
+            self
+        } else {
+            open.short.extend_from_slice(&self.short);
+            open.long.extend_from_slice(&self.long);
+            &mut open
+        };
+        all.short.sort_unstable();
+        all.long.sort_unstable();
+        let (short, long) = (&all.short, &all.long);
+        let at = |rank: usize| {
+            let micros = match short.get(rank) {
+                Some(&us) => u64::from(us),
+                None => long[rank - short.len()],
+            };
+            SimDuration::from_micros(micros).as_secs_f64()
+        };
+        let count = short.len() + long.len();
+        let sum = (0..count).map(at).sum::<f64>();
+        Summary::of_ranks(count, at, sum)
+    }
 }
 
 /// Aggregated results of one experiment run.
@@ -666,6 +706,67 @@ mod tests {
         assert_eq!(outcomes, (1, 0, 0, 0));
         let counts = (r.ttft.count, r.e2e.count, r.hops.count, r.retry_events);
         assert_eq!(counts, (1, 0, 0, 0));
+    }
+
+    /// A latency in µs: mostly seconds, sometimes a tie-prone few µs,
+    /// sometimes at or past 2³² µs, where a sample takes eight bytes.
+    fn micros(rng: &mut DetRng) -> u64 {
+        const SHORT_MAX: u64 = u32::MAX as u64;
+        match rng.below(12) {
+            0 => rng.below(8),
+            1 => SHORT_MAX - rng.below(2),
+            2 => SHORT_MAX + 1 + rng.below(2),
+            3 => rng.range(SHORT_MAX, 1 << 40),
+            _ => rng.below(30_000_000),
+        }
+    }
+
+    /// Random sample sets, some settled and some still open at the
+    /// report, some of 2³² µs or more: the ledger's TTFT and end-to-end
+    /// summaries equal [`Summary::of`] over the same samples as `f64`
+    /// seconds, every field.
+    #[test]
+    fn microsecond_samples_summarize_like_their_seconds() {
+        let (mut long, mut open_samples) = (0, 0);
+        for case in 0..400u64 {
+            let mut rng = DetRng::for_component(case, "collector/samples-property");
+            let mut ledger = Ledger::default();
+            let (mut records, mut ttft, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
+            let n = if case < 10 { case } else { rng.below(300) };
+            for _ in 0..n {
+                let arrived = SimTime::from_micros(rng.below(1_000_000));
+                let mut r = Record::new(arrived, 16);
+                let (first, done) = (micros(&mut rng), micros(&mut rng));
+                let lifecycle = rng.below(4);
+                if lifecycle != 1 {
+                    ledger.first_token(Some(&mut r), arrived + SimDuration::from_micros(first));
+                    ttft.push(SimDuration::from_micros(first).as_secs_f64());
+                }
+                match lifecycle {
+                    0 | 1 => {
+                        let at = arrived + SimDuration::from_micros(done);
+                        ledger.completion(Some(&mut r), at, 4, 0);
+                        e2e.push(SimDuration::from_micros(done).as_secs_f64());
+                    }
+                    2 => ledger.failure(Some(&mut r)),
+                    _ => {}
+                }
+                open_samples += usize::from(!r.is_settled());
+                records.push(r);
+            }
+            let past_short =
+                |&&s: &&f64| s > SimDuration::from_micros(u32::MAX.into()).as_secs_f64();
+            long += ttft.iter().chain(&e2e).filter(past_short).count();
+            for _ in 0..2 {
+                let report = ledger.report(&records, SimTime::from_secs(1));
+                assert_eq!(report.ttft, Summary::of(&ttft), "case {case}: TTFT");
+                assert_eq!(report.e2e, Summary::of(&e2e), "case {case}: end to end");
+            }
+        }
+        assert!(
+            long > 1_000 && open_samples > 1_000,
+            "{long} long, {open_samples} open"
+        );
     }
 
     #[test]

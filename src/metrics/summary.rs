@@ -12,10 +12,11 @@
 //! claim row's value across its seeds, and a trace phase's per-request
 //! durations.
 //!
-//! One interpolation makes every percentile, fed either way a sample set
-//! can be held: a sorted slice ([`Summary::of`], [`Summary::of_in_place`])
-//! or counts per small integer value ([`Summary::of_counts`], a run's hop
-//! counts, which take a few bytes in all instead of eight a request).
+//! One interpolation makes every percentile, fed any way a sample set
+//! can be held: a slice ([`Summary::of`]), counts per small integer value
+//! ([`Summary::of_counts`], a run's hop counts, which take a few bytes in
+//! all instead of eight a request), or a run's latencies as whole
+//! microseconds (four bytes a sample, `Ledger`'s).
 
 /// The box-plot summary the paper draws for every latency distribution:
 /// P10/P90 whiskers, P25/P75 box, P50 median line, and the mean marker.
@@ -66,16 +67,9 @@ impl Summary {
     /// `samples`: they are sorted before anything is summed.
     pub fn of(samples: &[f64]) -> Summary {
         let mut kept: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        Summary::of_in_place(&mut kept)
-    }
-
-    /// [`Summary::of`] over samples the caller keeps finite, sorting them
-    /// in place instead of copying them.
-    pub fn of_in_place(samples: &mut [f64]) -> Summary {
-        samples.sort_unstable_by(f64::total_cmp);
-        let sorted = &*samples;
-        let sum = sorted.iter().sum::<f64>();
-        Summary::of_ranks(sorted.len(), |rank| sorted[rank], sum)
+        kept.sort_unstable_by(f64::total_cmp);
+        let sum = kept.iter().sum::<f64>();
+        Summary::of_ranks(kept.len(), |rank| kept[rank], sum)
     }
 
     /// The summary of `counts[v]` samples of the value `v`, for every
@@ -101,7 +95,7 @@ impl Summary {
 
     /// The summary of `count` samples whose `rank`-th smallest is
     /// `at(rank)` and whose sum is `sum`.
-    fn of_ranks(count: usize, at: impl Fn(usize) -> f64, sum: f64) -> Summary {
+    pub(crate) fn of_ranks(count: usize, at: impl Fn(usize) -> f64, sum: f64) -> Summary {
         if count == 0 {
             return Summary::EMPTY;
         }

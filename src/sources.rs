@@ -329,12 +329,15 @@ pub fn diurnal_source(
         .zip(0u64..)
         .map(|(&(region, ref profile), lane)| {
             let mut rng = DetRng::for_component(seed ^ lane, "sources/diurnal");
-            let instants: Vec<SimTime> = profile
+            let mut instants: Vec<SimTime> = profile
                 .sample_arrivals(&mut rng)
                 .into_iter()
                 .filter(|_| rng.chance(scale))
                 .map(|t_real| SimTime::ZERO + day.mul_f64(t_real / 86_400.0))
                 .collect();
+            // The collect reuses the full day's buffer: keep only the
+            // thinned instants' bytes.
+            instants.shrink_to_fit();
             // Lanes generate independently of how they interleave: each
             // owns a disjoint user-id and request-id range (ids only
             // need to be unique, not dense, so a wide stride suffices
