@@ -3,7 +3,8 @@
 //! Runs a [`RegionalBalancer`] behind real sockets: clients connect and
 //! send `Infer`; the server routes to its replica servers (or forwards to
 //! peer balancers) per the configured policy and push mode, relaying
-//! `FirstToken` / `Completed` back to whoever submitted each request. A
+//! `FirstToken` / `Completed` back to whoever submitted each request,
+//! from the link the request went out on and no other. A
 //! probe thread refreshes replica and peer state at the cadence the
 //! server was spawned with (the paper's is 100 ms, §4.1) by sending
 //! `ProbeReplica` / `ProbeLb` down the links it already holds; a replica
@@ -39,8 +40,10 @@ impl Service for Balancer {
         prometheus_text(&reg.snapshot())
     }
 
-    /// `link` matters twice: completions on a replica link free that
-    /// replica's slots, and a replica or peer link that closes is removed.
+    /// `link` matters three times: a response is relayed only from the
+    /// link its request went out on, completions on a replica link free
+    /// that replica's slots, and a replica or peer link that closes is
+    /// removed.
     fn on_frame(net: &Server<Self>, link: Link, msg: Message, reply: &Outbox) {
         let lb = &net.state;
         match msg {
@@ -55,12 +58,12 @@ impl Service for Balancer {
                 let req = Request::new(request_id, session_key, prompt, max_new_tokens);
                 lb.lock().submit(req, hops);
             }
-            Message::FirstToken { request_id } => return net.reply(request_id, msg),
+            Message::FirstToken { request_id } => return net.relay(link, request_id, msg),
             Message::Completed { request_id, .. } | Message::Reject { request_id, .. } => {
                 if let Link::Replica(rid) = link {
                     lb.lock().on_replica_complete(rid);
                 }
-                net.reply(request_id, msg);
+                net.relay(link, request_id, msg);
             }
             Message::ProbeLb => {
                 let (available_replicas, queue_len) = lb.lock().status();

@@ -321,6 +321,55 @@ mod tests {
         r0.shutdown();
     }
 
+    /// A response is relayed only from the link its request went out on:
+    /// a `Completed` forged on another connection while the request runs
+    /// is dropped, and the client that sent the request still hears the
+    /// replica's own count. The forger's probe answer marks its frame
+    /// handled, so the victim's next frame is the one the forgery would
+    /// have been.
+    #[test]
+    fn a_completion_forged_on_another_connection_is_not_relayed() {
+        let _timing = crate::sync::beside_timing();
+        let (lb, r0) = balancer_with_a_replica();
+        let mut victim = std::net::TcpStream::connect(lb.addr()).unwrap();
+        victim
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let infer = Message::Infer {
+            request_id: 77,
+            session_key: "victim".into(),
+            prompt: vec![9; 16].into(),
+            max_new_tokens: 4_000,
+            hops: 0,
+        };
+        write_frame(&mut victim, &infer).unwrap();
+        let first = read_frame(&mut victim).unwrap();
+        assert_eq!(first, Message::FirstToken { request_id: 77 });
+
+        let forged = Message::Completed {
+            request_id: 77,
+            generated: 999,
+            cached_prompt_tokens: 0,
+        };
+        let mut forger = std::net::TcpStream::connect(lb.addr()).unwrap();
+        write_frame(&mut forger, &forged).unwrap();
+        write_frame(&mut forger, &Message::ProbeLb).unwrap();
+        assert!(matches!(
+            read_frame(&mut forger).unwrap(),
+            Message::LbStatus { .. }
+        ));
+        match read_frame(&mut victim).unwrap() {
+            Message::Completed {
+                request_id: 77,
+                generated,
+                ..
+            } => assert_eq!(generated, 4_000, "the forged count was relayed"),
+            other => panic!("expected the request's completion, got {other:?}"),
+        }
+        lb.shutdown();
+        r0.shutdown();
+    }
+
     /// Polls `addr`'s scrape until the sample `name` reaches `at_least`;
     /// returns the value it then had.
     fn await_metric(addr: std::net::SocketAddr, name: &str, at_least: f64) -> f64 {

@@ -69,6 +69,7 @@
 //! returns once the last connection thread is gone (or, after
 //! [`DRAIN_TIMEOUT`], says how many are not).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -291,18 +292,34 @@ impl<S: Service> Server<S> {
     /// Passes a response on to whoever awaits request `id`; any response
     /// but `FirstToken` is the request's last.
     pub(crate) fn reply(&self, id: u64, msg: Message) {
+        self.pass_on(id, msg, |_| true);
+    }
+
+    /// Passes on a response that arrived on `link`, only if request `id`
+    /// went out on that link ([`Server::send_via`]). Any other
+    /// connection names a request it was never sent, and is ignored: it
+    /// cannot end, or answer for, another client's request.
+    pub(crate) fn relay(&self, link: Link, id: u64, msg: Message) {
+        self.pass_on(id, msg, |p| p.via == Some(link));
+    }
+
+    fn pass_on(&self, id: u64, msg: Message, ours: impl FnOnce(&Pending) -> bool) {
         let last = !matches!(msg, Message::FirstToken { .. });
         let to = {
             let mut table = self.table.lock();
+            let Entry::Occupied(waiter) = table.pending.entry(id) else {
+                return;
+            };
+            if !ours(waiter.get()) {
+                return;
+            }
             if last {
-                table.pending.remove(&id).map(|p| p.to)
+                waiter.remove().to
             } else {
-                table.pending.get(&id).map(|p| p.to.clone())
+                waiter.get().to.clone()
             }
         };
-        if let Some(to) = to {
-            to.send(&msg);
-        }
+        to.send(&msg);
     }
 
     /// Marks request `id` in flight on `link` and sends it out there; if

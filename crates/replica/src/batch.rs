@@ -49,8 +49,11 @@ struct Running {
 /// [`Replica::step`]'s per-iteration working storage, kept between
 /// iterations so that only preempting or retiring a request makes a
 /// step allocate: a steady decode step, one stalled behind an unfit
-/// head and one that admits reuse what earlier steps grew. Nothing in
-/// it outlives the step that filled it.
+/// head and one that admits reuse what earlier steps grew. A request
+/// itself moves in place, never through a side list: an admitted one
+/// joins the batch where it is admitted, a finished one retires from
+/// where the decode pass left it. Nothing in it outlives the step that
+/// filled it.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// The queue snapshots behind the policy's [`StepView`].
@@ -58,15 +61,6 @@ struct StepScratch {
     running_view: Vec<RunningView>,
     /// Which pending indices admission has consumed.
     taken: Vec<bool>,
-    /// Admitted this iteration, in plan order: `(pending index, lease,
-    /// cached tokens, prefill still to run)`.
-    admissions: Vec<(usize, Lease, u64, u64)>,
-    /// The admitted pending indices, highest first.
-    idxs: Vec<usize>,
-    /// The admitted requests as they left the pending queue, by index.
-    removed: Vec<(usize, Request)>,
-    /// Running indices that reached their target this iteration.
-    finished: Vec<usize>,
     /// The vectors of a [`StepOutcome`] handed back through
     /// [`Replica::recycle`], emptied, for the next step to fill.
     outcome: StepOutcome,
@@ -399,10 +393,12 @@ impl Replica {
     /// [`BatchPolicy`] for a plan, apply its preemptions, admit what
     /// the plan selects *and* the memory fit check allows, advance
     /// prefill chunks, then decode one token for every fully-prefilled
-    /// running request. Returns what happened and how long it took; an
-    /// idle replica returns a zero-duration outcome. A steady iteration
-    /// is taken in O(1) instead ([`Replica::advance_steady`]), and a
-    /// policy with a [`BatchPolicy::fixed_plan`] is not asked to plan.
+    /// running request. An admitted request joins the batch in plan
+    /// order as it is admitted, and a finished one retires in place.
+    /// Returns what happened and how long it took; an idle replica
+    /// returns a zero-duration outcome. A steady iteration is taken in
+    /// O(1) instead ([`Replica::advance_steady`]), and a policy with a
+    /// [`BatchPolicy::fixed_plan`] is not asked to plan.
     pub fn step(&mut self) -> StepOutcome {
         let mut out = std::mem::take(&mut self.scratch.outcome);
         if let Some(duration) = self.advance_steady() {
@@ -454,16 +450,17 @@ impl Replica {
             chunked_prefill_active = true;
         }
 
-        // Admission in plan order, under the replica's own fit check.
-        // Counters and cache state update immediately (later fit checks
-        // must see earlier admissions); the owned requests move out of
-        // the pending queue in one pass afterwards.
-        let mut admissions = std::mem::take(&mut self.scratch.admissions);
+        // Admission in plan order, under the replica's own fit check:
+        // an admitted request joins the batch at once (its `Running`
+        // holds a clone of the pending entry, two pointer copies), so
+        // later fit checks and the batch ceiling see it. The pending
+        // entries it was cloned from leave the queue in one pass
+        // afterwards, so the plan's indices stay valid throughout.
         self.scratch.taken.clear();
         self.scratch.taken.resize(self.pending.len(), false);
         let mut prefill_fresh = 0u64;
         for idx in plan.admit_order.indices(self.pending.len()) {
-            if self.running.len() + admissions.len() >= self.profile.max_batch_size as usize {
+            if self.running.len() >= self.profile.max_batch_size as usize {
                 break;
             }
             if idx >= self.pending.len() || self.scratch.taken[idx] {
@@ -488,7 +485,7 @@ impl Replica {
                     break;
                 }
             };
-            let req = &self.pending[idx];
+            let req = self.pending[idx].clone();
             let uncached = req.prompt.len() as u64 - cached;
             let first = chunk.map_or(uncached, |c| uncached.min(c));
             if first < uncached {
@@ -501,39 +498,19 @@ impl Replica {
             self.stats.cached_prompt_tokens += cached;
             out.admitted.push(req.id);
             self.scratch.taken[idx] = true;
-            admissions.push((idx, lease, cached, uncached - first));
+            self.running.push(Running {
+                req,
+                lease,
+                cached_prompt: cached,
+                generated: 0,
+                target,
+                prefill_remaining: uncached - first,
+            });
         }
-        if !admissions.is_empty() {
-            // Move the admitted requests out highest-index-first so the
-            // remaining indices stay valid (O(1) per removal in the
-            // FCFS common case of front indices), then enter the batch
-            // in *plan* order.
-            let StepScratch { idxs, removed, .. } = &mut self.scratch;
-            idxs.clear();
-            idxs.extend(admissions.iter().map(|a| a.0));
-            idxs.sort_unstable_by(|a, b| b.cmp(a));
-            for &i in idxs.iter() {
-                let req = self.pending.remove(i).expect("admitted index in range");
-                removed.push((i, req));
-            }
-            for (idx, lease, cached, prefill_remaining) in admissions.drain(..) {
-                let pos = removed
-                    .iter()
-                    .position(|(i, _)| *i == idx)
-                    .expect("each admitted index removed once");
-                let (_, req) = removed.swap_remove(pos);
-                let target = req.target_output_tokens.max(1);
-                self.running.push(Running {
-                    req,
-                    lease,
-                    cached_prompt: cached,
-                    generated: 0,
-                    target,
-                    prefill_remaining,
-                });
-            }
+        if !out.admitted.is_empty() {
+            let mut taken = self.scratch.taken.iter();
+            self.pending.retain(|_| taken.next() == Some(&false));
         }
-        self.scratch.admissions = admissions;
         // Preempted requests go back to the *front* (oldest first): the
         // default FCFS re-admits them before anything newer, so
         // preemption cannot starve a request forever.
@@ -545,39 +522,16 @@ impl Replica {
             return out;
         }
 
-        // Iteration time: one prefill pass over this iteration's chunk
-        // tokens (fresh if any prompt started prefilling), then one
-        // decode step over the fully-prefilled part of the batch (an
-        // admitted request's first token comes out of the pass that
-        // finishes its prefill).
-        let decoding = self
-            .running
-            .iter()
-            .filter(|r| r.prefill_remaining == 0)
-            .count();
-        let prefill_tokens = prefill_fresh + prefill_cont;
-        let mut duration = self.profile.decode_step_time(decoding as u32);
-        if prefill_tokens > 0 {
-            duration += self
-                .profile
-                .prefill_pass_time(prefill_tokens, prefill_fresh > 0);
-        }
-        if chunked_prefill_active {
-            self.stats.chunked_steps += 1;
-        }
-        out.duration = duration;
-
         // Advance every fully-prefilled running request by one token,
         // noting how many more iterations the rest could decode without
         // reaching a target.
-        self.scratch.finished.clear();
-        let mut all_prefilled = true;
+        let mut decoding = 0u32;
         let mut fewest_left = u32::MAX;
-        for (i, run) in self.running.iter_mut().enumerate() {
+        for run in &mut self.running {
             if run.prefill_remaining > 0 {
-                all_prefilled = false;
                 continue;
             }
+            decoding += 1;
             if run.generated == 0 {
                 out.first_tokens.push(run.req.id);
             }
@@ -585,19 +539,38 @@ impl Replica {
             self.private_tokens += 1;
             self.reserved_tokens -= 1;
             self.stats.generated_tokens += 1;
-            if run.generated >= run.target {
-                self.scratch.finished.push(i);
-            } else {
+            if run.generated < run.target {
                 fewest_left = fewest_left.min(run.target - run.generated);
             }
         }
 
-        // Retire finished requests (highest index first so removals do not
-        // shift earlier indices). Each one's output tokens are written
-        // once, into an exact buffer the cache keeps as the new leaf's
-        // segment (a buffer kept on the replica would hold the longest
-        // output that replica ever served).
-        for &i in self.scratch.finished.iter().rev() {
+        // Iteration time: one prefill pass over this iteration's chunk
+        // tokens (fresh if any prompt started prefilling), then one
+        // decode step over the fully-prefilled part of the batch (an
+        // admitted request's first token comes out of the pass that
+        // finishes its prefill).
+        let prefill_tokens = prefill_fresh + prefill_cont;
+        out.duration = self.profile.decode_step_time(decoding);
+        if prefill_tokens > 0 {
+            out.duration += self
+                .profile
+                .prefill_pass_time(prefill_tokens, prefill_fresh > 0);
+        }
+        if chunked_prefill_active {
+            self.stats.chunked_steps += 1;
+        }
+        let all_prefilled = decoding as usize == self.running.len();
+
+        // Retire finished requests in one scan from the back: what
+        // `swap_remove` moves into a freed index was already passed
+        // over. Each one's output tokens are written once, into an
+        // exact buffer the cache keeps as the new leaf's segment (a
+        // buffer kept on the replica would hold the longest output that
+        // replica ever served).
+        for i in (0..self.running.len()).rev() {
+            if self.running[i].generated < self.running[i].target {
+                continue;
+            }
             let run = self.running.swap_remove(i);
             let (id, offset) = (run.req.id.0, run.req.output_offset);
             let generated: Box<[u32]> = (0..run.generated)
