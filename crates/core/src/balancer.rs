@@ -198,6 +198,10 @@ pub struct BalancerStats {
     pub forwarded: u64,
     /// Largest queue length observed.
     pub peak_queue: usize,
+    /// Replica records read to build local candidate lists: every
+    /// managed replica, once per [`RegionalBalancer::dispatch`] call on
+    /// a non-empty queue, available or not.
+    pub replicas_scanned: u64,
 }
 
 /// The per-region load balancer.
@@ -463,7 +467,8 @@ impl RegionalBalancer {
     }
 
     /// The available local replicas, in id order.
-    fn fill_local_candidates(&self, out: &mut Vec<TargetState<ReplicaId>>) {
+    fn fill_local_candidates(&mut self, out: &mut Vec<TargetState<ReplicaId>>) {
+        self.stats.replicas_scanned += self.replicas.len() as u64;
         out.extend(
             self.replicas
                 .values()
@@ -609,6 +614,33 @@ mod tests {
             .collect();
         assert_eq!(picks, [0, 1, 2, 0, 1, 2], "least load, then full");
         assert_eq!(lb.queue_len(), 2);
+    }
+
+    #[test]
+    fn a_dispatch_call_scans_every_replica_record_once() {
+        let cfg = BalancerConfig {
+            push_mode: PushMode::Outstanding { max: 1 },
+            ..BalancerConfig::baseline(Region::UsEast, PolicyKind::LeastLoad)
+        };
+        let mut lb = RegionalBalancer::new(LbId(0), cfg);
+        for i in 0..3 {
+            lb.add_replica(ReplicaId(i));
+        }
+        // An empty queue builds no list.
+        assert!(lb.dispatch().is_empty());
+        assert_eq!(lb.stats().replicas_scanned, 0);
+        // Two heads, one list: three records read.
+        lb.submit(req(1, "u", vec![1]), 0);
+        lb.submit(req(2, "u", vec![1]), 0);
+        assert_eq!(lb.dispatch().len(), 2);
+        assert_eq!(lb.stats().replicas_scanned, 3);
+        // Two of the three are full, and still read.
+        lb.submit(req(3, "u", vec![1]), 0);
+        assert_eq!(lb.dispatch().len(), 1);
+        assert_eq!(lb.stats().replicas_scanned, 6);
+        lb.submit(req(4, "u", vec![1]), 0);
+        assert!(lb.dispatch().is_empty(), "every replica is full");
+        assert_eq!(lb.stats().replicas_scanned, 9);
     }
 
     #[test]

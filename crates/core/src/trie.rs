@@ -241,7 +241,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
             node = match self.tree.descend(node, &tokens[pos..]) {
                 Some((child, common)) => {
                     pos += common;
-                    if common < self.tree[child].seg().len() {
+                    if common < self.tree[child].seg_len() {
                         self.tree.split(child, common)
                     } else {
                         child
@@ -345,7 +345,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
         self.tree.check_invariants();
         let mut stored = 0usize;
         for (_, n) in self.tree.live() {
-            stored += n.seg().len();
+            stored += n.seg_len();
             if let Targets::Many(all) = &n.data.targets {
                 assert!(all.len() >= 2, "fewer than two targets behind a pointer");
                 assert!(
@@ -381,7 +381,7 @@ impl<T: Copy + Ord> RouteTrie<T> {
 
     fn remove_leaf(&mut self, idx: usize) {
         let parent = self.tree[idx].parent();
-        self.stored_tokens -= self.tree[idx].seg().len();
+        self.stored_tokens -= self.tree[idx].seg_len();
         let created_seq = self.tree[idx].data.created_seq;
         self.tree.remove_leaf(idx);
         if let Some(leaves) = &mut self.leaves {
@@ -630,7 +630,7 @@ mod tests {
             let (created_seq, slot) = oldest;
             let n = &trie.tree[slot];
             assert!(
-                n.seg().is_empty() || n.data.created_seq != created_seq,
+                n.seg_len() == 0 || n.data.created_seq != created_seq,
                 "insert {j}: leaf {oldest:?} survived"
             );
             assert!(trie.stored_tokens() <= 32);

@@ -13,14 +13,17 @@
 //!   give or take [`FRONTIER_WOBBLE`]: a freed node gives its bytes back
 //!   instead of leaving them with its slot;
 //! - a `PrefixCache` churned through acquire, complete and evict holds
-//!   at most [`CACHE_BYTES_PER_TOKEN`] bytes a resident token.
+//!   at most [`CACHE_BYTES_PER_TOKEN`] bytes a resident token;
+//! - a `PrefixCache` serving Tree-of-Thoughts trees, each output handed
+//!   over as a run (request, offset, length), holds at most
+//!   [`TOT_BYTES_PER_TOKEN`] bytes a resident token.
 //!
 //! One `#[test]` only: the counter is process-wide.
 
 use std::sync::atomic::Ordering::Relaxed;
 
 use skywalker_core::RouteTrie;
-use skywalker_replica::{KvConfig, PrefixCache};
+use skywalker_replica::{output_token, KvConfig, PrefixCache};
 use skywalker_sim::DetRng;
 
 #[path = "../../../tests/common/counting_alloc.rs"]
@@ -41,6 +44,10 @@ const TRIE_BYTES_PER_TOKEN: f64 = 7.6;
 /// token (6.43 B with a child vector per node, 20.60 B when freed slots
 /// also kept their segment buffers).
 const CACHE_BYTES_PER_TOKEN: f64 = 6.0;
+/// About 7 % above the 1.07 B a ToT-fed prefix cache holds a resident
+/// token, where most resident tokens are generated thoughts kept as
+/// 16-byte runs (4.80 B when each output leaf held its tokens).
+const TOT_BYTES_PER_TOKEN: f64 = 1.15;
 /// How far the heap of a trie at its bound may drift over the churn: its
 /// eviction frontier, built at the first overflow before the churn
 /// starts, is a B-tree whose node count wobbles by a few 192–288 B nodes
@@ -152,6 +159,42 @@ fn cache_bytes_per_token() -> f64 {
     per_token(before, cache.used_tokens())
 }
 
+/// (d) One replica's cache (the L4 geometry, one-token blocks) serving
+/// 3 000 Tree-of-Thoughts questions: a 96-token question, then a
+/// depth-4, branch-2 tree whose children's prompt is their parent's
+/// prompt and thought, each thought 8–300 generated tokens handed to
+/// the cache as a run. Bytes held per resident token at the end.
+fn tot_cache_bytes_per_token() -> f64 {
+    let mut rng = DetRng::for_component(61, "radix-heap/tot");
+    let before = LIVE.load(Relaxed);
+    let mut cache = PrefixCache::new(KvConfig {
+        capacity_tokens: KvConfig::L4_LLAMA8B.capacity_tokens,
+        block_tokens: 1,
+    });
+    let mut request = 0;
+    for question in 0..3_000u32 {
+        let mut level = vec![(0..96).map(|t| question * 96 + t).collect::<Vec<u32>>()];
+        for depth in 0..4 {
+            let mut children = Vec::new();
+            for prompt in &level {
+                let (lease, _) = cache.acquire(prompt).expect("one lease fits");
+                request += 1;
+                let len = rng.range(8, 301) as u32;
+                cache.complete_run(lease, request, 0, len);
+                if depth < 3 {
+                    let mut child = prompt.clone();
+                    child.extend((0..len).map(|k| output_token(request, k)));
+                    children.extend([child.clone(), child]);
+                }
+            }
+            level = children;
+        }
+    }
+    cache.check_invariants();
+    assert!(cache.evicted_tokens() > 0, "the cache churned");
+    per_token(before, cache.used_tokens())
+}
+
 #[test]
 fn a_stored_token_costs_its_bytes_and_little_more() {
     let trie = trie_bytes_per_token();
@@ -160,6 +203,8 @@ fn a_stored_token_costs_its_bytes_and_little_more() {
     println!("trie at its bound: {before} B -> {after} B after 10 k rounds");
     let cache = cache_bytes_per_token();
     println!("prefix cache: {cache:.2} B a resident token");
+    let tot = tot_cache_bytes_per_token();
+    println!("ToT-fed prefix cache: {tot:.2} B a resident token");
     assert!(
         trie <= TRIE_BYTES_PER_TOKEN,
         "a route trie holds {trie:.2} B a stored token, over {TRIE_BYTES_PER_TOKEN}"
@@ -171,5 +216,9 @@ fn a_stored_token_costs_its_bytes_and_little_more() {
     assert!(
         cache <= CACHE_BYTES_PER_TOKEN,
         "a prefix cache holds {cache:.2} B a resident token, over {CACHE_BYTES_PER_TOKEN}"
+    );
+    assert!(
+        tot <= TOT_BYTES_PER_TOKEN,
+        "a ToT-fed prefix cache holds {tot:.2} B a resident token, over {TOT_BYTES_PER_TOKEN}"
     );
 }

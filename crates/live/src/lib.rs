@@ -370,6 +370,43 @@ mod tests {
         r0.shutdown();
     }
 
+    /// A second connection that sends a request under an id still in
+    /// flight takes the responses over, and the first one hears a
+    /// `Reject` for it instead of waiting for ever (until this was
+    /// fixed, its read timed out).
+    #[test]
+    fn a_waiter_displaced_by_another_connection_is_rejected() {
+        let _timing = crate::sync::beside_timing();
+        let (lb, r0) = balancer_with_a_replica();
+        let infer = |prompt_len: usize, max_new_tokens: u32| Message::Infer {
+            request_id: 55,
+            session_key: "shared-id".into(),
+            prompt: vec![5; prompt_len].into(),
+            max_new_tokens,
+            hops: 0,
+        };
+        let connect = || {
+            let s = std::net::TcpStream::connect(lb.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            s
+        };
+        let mut victim = connect();
+        write_frame(&mut victim, &infer(16, 400)).unwrap();
+        let first = read_frame(&mut victim).unwrap();
+        assert_eq!(first, Message::FirstToken { request_id: 55 });
+
+        let mut intruder = connect();
+        write_frame(&mut intruder, &infer(4, 4)).unwrap();
+        match read_frame(&mut victim) {
+            Ok(Message::Reject { request_id: 55, .. }) => {}
+            other => panic!("expected the displaced request's Reject, got {other:?}"),
+        }
+        let first = read_frame(&mut intruder).unwrap();
+        assert_eq!(first, Message::FirstToken { request_id: 55 });
+        lb.shutdown();
+        r0.shutdown();
+    }
+
     /// Polls `addr`'s scrape until the sample `name` reaches `at_least`;
     /// returns the value it then had.
     fn await_metric(addr: std::net::SocketAddr, name: &str, at_least: f64) -> f64 {

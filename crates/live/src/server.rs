@@ -283,10 +283,23 @@ impl<S: Service> Server<S> {
         }
     }
 
-    /// Records that `to` awaits the responses to request `id`.
+    /// Records that `to` awaits the responses to request `id`. A waiter
+    /// on another connection that it displaces is answered with
+    /// `Reject` instead of never hearing back; one on the same
+    /// connection (a balancer's one link to a replica) is replaced
+    /// silently.
     pub(crate) fn expect_reply(&self, id: u64, to: &Outbox) {
-        let (to, via) = (to.clone(), None);
-        self.table.lock().pending.insert(id, Pending { to, via });
+        let waiter = Pending {
+            to: to.clone(),
+            via: None,
+        };
+        let displaced = self.table.lock().pending.insert(id, waiter);
+        if let Some(old) = displaced.filter(|old| !Arc::ptr_eq(&old.to, to)) {
+            old.to.send(&Message::Reject {
+                request_id: id,
+                reason: "request id taken over by another connection".to_string(),
+            });
+        }
     }
 
     /// Passes a response on to whoever awaits request `id`; any response

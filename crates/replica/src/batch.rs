@@ -27,7 +27,6 @@ use crate::engine::{AdmitOrder, BatchPlan, BatchPolicy, PendingView, RunningView
 use crate::kvcache::{KvEvictor, Lease, PrefixCache};
 use crate::request::{Request, RequestId};
 use crate::timing::GpuProfile;
-use crate::tokenizer::output_token;
 use crate::ReplicaId;
 
 /// One request in the running batch.
@@ -563,21 +562,17 @@ impl Replica {
 
         // Retire finished requests in one scan from the back: what
         // `swap_remove` moves into a freed index was already passed
-        // over. Each one's output tokens are written once, into an
-        // exact buffer the cache keeps as the new leaf's segment (a
-        // buffer kept on the replica would hold the longest output that
-        // replica ever served).
+        // over. Each one's output goes to the cache as a run — request,
+        // offset, length — that no one writes out as tokens.
         for i in (0..self.running.len()).rev() {
             if self.running[i].generated < self.running[i].target {
                 continue;
             }
             let run = self.running.swap_remove(i);
-            let (id, offset) = (run.req.id.0, run.req.output_offset);
-            let generated: Box<[u32]> = (0..run.generated)
-                .map(|k| output_token(id, offset + k))
-                .collect();
             self.private_tokens -= u64::from(run.generated);
-            self.cache.complete_owned(run.lease, generated);
+            let (id, offset) = (run.req.id.0, run.req.output_offset);
+            self.cache
+                .complete_run(run.lease, id, offset, run.generated);
             self.stats.completed += 1;
             out.completions.push(Completion {
                 id: run.req.id,
@@ -849,6 +844,7 @@ impl Replica {
 mod tests {
     use super::*;
     use crate::kvcache::KvConfig;
+    use crate::tokenizer::output_token;
 
     fn small_profile(capacity: u64, max_batch: u32) -> GpuProfile {
         GpuProfile {

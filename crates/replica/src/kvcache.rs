@@ -42,7 +42,7 @@ use std::fmt;
 
 use skywalker_sim::Scope;
 
-use crate::radix::{Node, RadixArena, SlotSet, ROOT};
+use crate::radix::{Node, RadixArena, Run, Seg, SlotSet, Tokens, ROOT};
 
 /// Cache geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,12 +332,6 @@ struct WalkPin {
     promote: Vec<usize>,
 }
 
-/// Tokens an operation stores: a borrowed slice, which a new leaf
-/// copies, or an owned buffer, which a new leaf taking all of it keeps.
-trait Tokens: AsRef<[u32]> + Into<Box<[u32]>> {}
-
-impl<S: AsRef<[u32]> + Into<Box<[u32]>>> Tokens for S {}
-
 /// The radix-tree prefix cache.
 ///
 /// # Examples
@@ -528,11 +522,11 @@ impl PrefixCache {
     fn pin_prompt(&mut self, tokens: &[u32]) -> Result<(Lease, u64), KvError> {
         self.touch(ROOT);
         self.add_pin(ROOT);
-        let wp = self.walk_pin(ROOT, tokens);
+        let wp = self.walk_pin(ROOT, Tokens::Slice(tokens));
         let cached = wp.matched as u64;
-        match self.make_room(&wp, tokens) {
+        match self.make_room(&wp, tokens.len()) {
             Ok(()) => {
-                let leaf = self.apply(wp, tokens);
+                let leaf = self.apply(wp, Tokens::Slice(tokens));
                 self.total_prompt_tokens += tokens.len() as u64;
                 self.total_cached_tokens += cached;
                 Ok((
@@ -555,19 +549,17 @@ impl PrefixCache {
     /// future requests), best-effort: if capacity cannot be freed the lease
     /// is returned unchanged and the tokens are simply not cached.
     pub fn extend(&mut self, lease: Lease, generated: &[u32]) -> Lease {
-        self.extend_with(lease, generated)
+        self.extend_with(lease, Tokens::Slice(generated))
     }
 
-    /// [`Self::extend`] over the caller's tokens as a slice or as a
-    /// buffer it hands over.
-    fn extend_with(&mut self, lease: Lease, generated: impl Tokens) -> Lease {
-        let tokens = generated.as_ref();
-        let n = tokens.len();
+    /// [`Self::extend`] along a slice or a run.
+    fn extend_with(&mut self, lease: Lease, generated: Tokens<'_>) -> Lease {
+        let n = generated.len();
         if n == 0 {
             return lease;
         }
-        let wp = self.walk_pin(lease.node, tokens);
-        match self.make_room(&wp, tokens) {
+        let wp = self.walk_pin(lease.node, generated);
+        match self.make_room(&wp, n) {
             Ok(()) => {
                 let leaf = self.apply(wp, generated);
                 Lease {
@@ -598,18 +590,20 @@ impl PrefixCache {
     /// Convenience for request completion: extend with the generated
     /// tokens, then release.
     pub fn complete(&mut self, lease: Lease, generated: &[u32]) {
-        self.complete_with(lease, generated);
+        self.complete_with(lease, Tokens::Slice(generated));
     }
 
-    /// [`Self::complete`], handing the generated tokens over: when none
-    /// of them is cached yet, the new leaf keeps `generated` as its
-    /// segment instead of copying it; otherwise it copies the unmatched
-    /// tail, as the slice form does.
-    pub fn complete_owned(&mut self, lease: Lease, generated: Box<[u32]>) {
-        self.complete_with(lease, generated);
+    /// [`Self::complete`] with the `len` tokens request `request`
+    /// generated from its `from`-th on — `output_token(request, from +
+    /// k)` for `k < len` — never written out: the walk computes what it
+    /// compares, and a new leaf keeps what it does not match as those
+    /// three numbers in one 16-byte box (as tokens, when they are at
+    /// most four). The cache holds the same tokens either way.
+    pub fn complete_run(&mut self, lease: Lease, request: u64, from: u32, len: u32) {
+        self.complete_with(lease, Tokens::Run(Run { request, from, len }));
     }
 
-    fn complete_with(&mut self, lease: Lease, generated: impl Tokens) {
+    fn complete_with(&mut self, lease: Lease, generated: Tokens<'_>) {
         Scope::CacheComplete.run(|| {
             let extended = self.extend_with(lease, generated);
             self.release(extended);
@@ -634,9 +628,9 @@ impl PrefixCache {
         let mut host = 0u64;
         for (_, n) in self.tree.live() {
             match n.data.tier {
-                Tier::Gpu => used += self.cfg.charge(n.seg().len()),
+                Tier::Gpu => used += self.cfg.charge(n.seg_len()),
                 Tier::Host => {
-                    host += self.cfg.charge(n.seg().len());
+                    host += self.cfg.charge(n.seg_len());
                     assert_eq!(n.data.refs, 0, "host-resident node is pinned");
                     assert!(
                         n.is_leaf(),
@@ -705,13 +699,13 @@ impl PrefixCache {
 
     /// Block-rounded charge of the node's segment.
     fn charge_of(&self, idx: usize) -> u64 {
-        self.cfg.charge(self.tree[idx].seg().len())
+        self.cfg.charge(self.tree[idx].seg_len())
     }
 
     /// Extra charge of splitting `child` after `keep` tokens: one node
     /// of length L becomes two of `keep` and L-`keep`, each block-rounded.
     fn split_extra(&self, child: usize, keep: usize) -> u64 {
-        let len = self.tree[child].seg().len();
+        let len = self.tree[child].seg_len();
         self.cfg.charge(keep) + self.cfg.charge(len - keep) - self.cfg.charge(len)
     }
 
@@ -720,19 +714,19 @@ impl PrefixCache {
         self.tree
             .live()
             .filter(|(_, n)| keep(&n.data))
-            .map(|(_, n)| self.cfg.charge(n.seg().len()))
+            .map(|(_, n)| self.cfg.charge(n.seg_len()))
             .sum()
     }
 
     /// Descends from `anchor` matching `tokens`, pinning (ref +1, LRU
     /// touch) every node it matches so subsequent eviction cannot remove
     /// the prefix. A partial match into a child pins that child and stops.
-    fn walk_pin(&mut self, anchor: usize, tokens: &[u32]) -> WalkPin {
+    fn walk_pin(&mut self, anchor: usize, tokens: Tokens<'_>) -> WalkPin {
         let mut node = anchor;
         let mut pos = 0usize;
         let mut pending_split = None;
         let mut promote = Vec::new();
-        while let Some((child, common)) = self.tree.descend(node, &tokens[pos..]) {
+        while let Some((child, common)) = self.tree.descend_tokens(node, tokens.skip(pos)) {
             self.add_pin(child);
             self.tree[child].data.hits += 1;
             self.touch(child);
@@ -743,7 +737,7 @@ impl PrefixCache {
                 promote.push(child);
             }
             pos += common;
-            if common < self.tree[child].seg().len() {
+            if common < self.tree[child].seg_len() {
                 pending_split = Some((child, common));
                 break;
             }
@@ -812,14 +806,15 @@ impl PrefixCache {
         self.host_idle.set(idx, idle && tier == Tier::Host);
     }
 
-    /// Exact extra charge `apply` will incur, then frees that much space.
-    /// The walked path is pinned, so eviction cannot invalidate the plan.
-    fn make_room(&mut self, wp: &WalkPin, tokens: &[u32]) -> Result<(), KvError> {
+    /// Exact extra charge `apply` will incur for `len` tokens, then frees
+    /// that much space. The walked path is pinned, so eviction cannot
+    /// invalidate the plan.
+    fn make_room(&mut self, wp: &WalkPin, len: usize) -> Result<(), KvError> {
         let mut extra = 0u64;
         if let Some((child, keep)) = wp.pending_split {
             extra += self.split_extra(child, keep);
         }
-        extra += self.cfg.charge(tokens.len() - wp.matched);
+        extra += self.cfg.charge(len - wp.matched);
         // Promotions land on the GPU too: their charge must be free
         // before `apply` flips them out of the host tier.
         extra += wp.promote.iter().map(|&i| self.charge_of(i)).sum::<u64>();
@@ -930,8 +925,8 @@ impl PrefixCache {
             self.candidates.push(EvictCandidate {
                 last_used: n.data.last_used,
                 hits: n.data.hits,
-                tokens: n.seg().len() as u32,
-                charge: self.cfg.charge(n.seg().len()),
+                tokens: n.seg_len() as u32,
+                charge: self.cfg.charge(n.seg_len()),
                 depth,
             });
         }
@@ -941,7 +936,7 @@ impl PrefixCache {
     /// split (transferring this walk's pin from the split child to the new
     /// intermediate node) and allocates one fresh pinned leaf for the
     /// unmatched suffix. Returns the deepest node of the final path.
-    fn apply(&mut self, wp: WalkPin, tokens: impl Tokens) -> usize {
+    fn apply(&mut self, wp: WalkPin, tokens: Tokens<'_>) -> usize {
         // Promote matched host nodes first: `make_room` already freed
         // their GPU charge, and the split below must only ever operate
         // on GPU-resident nodes.
@@ -961,16 +956,11 @@ impl PrefixCache {
             self.drop_pin(child);
             node = mid;
         }
-        let len = tokens.as_ref().len();
-        if wp.matched < len {
+        if wp.matched < tokens.len() {
             // One fresh leaf for the unmatched suffix, pinned by this
-            // walk: the caller's buffer when it takes all of it.
-            let seg: Box<[u32]> = if wp.matched == 0 {
-                tokens.into()
-            } else {
-                tokens.as_ref()[wp.matched..].into()
-            };
-            self.used_tokens += self.cfg.charge(seg.len());
+            // walk.
+            let rest = tokens.skip(wp.matched);
+            self.used_tokens += self.cfg.charge(rest.len());
             self.clock += 1;
             let entry = Entry {
                 refs: 1,
@@ -978,7 +968,7 @@ impl PrefixCache {
                 hits: 0,
                 tier: Tier::Gpu,
             };
-            node = self.tree.alloc(seg, node, entry);
+            node = self.tree.alloc_seg(Seg::from(rest), node, entry);
             self.tree_edits += 1;
         }
         node

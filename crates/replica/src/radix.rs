@@ -13,11 +13,17 @@
 //! # Layout
 //!
 //! Nodes live in a `Vec` arena with a LIFO free-list, and a node holds
-//! what it stores: its segment is an exact `Box<[u32]>`, freed with its
-//! slot (a split allocates head and tail anew), its parent link is a
-//! `u32` arena index, and beside it sits only its child count. A stored
-//! token costs its own four bytes plus a share of the node around it,
-//! not the segment some earlier occupant of the slot left behind.
+//! what it stores: its segment is a 16-byte `Seg` freed with its slot,
+//! its parent link is a `u32` arena index, and beside it sits only its
+//! child count. A segment is either an exact `Box<[u32]>` of tokens (a
+//! split allocates head and tail anew) or a boxed `Run` — `len` tokens
+//! a request generated from its `from`-th on, which
+//! [`output_token`] recomputes on every read, so a cache keeps a
+//! finished request's output in 16 bytes whatever its length (a split
+//! cuts a run into two runs, copying no token). A stored token costs
+//! its own four bytes, or nothing inside a run, plus a share of the
+//! node around it, not the segment some earlier occupant of the slot
+//! left behind.
 //!
 //! Every parent→child link of the tree lives in one edge table, keyed by
 //! `(parent, first token of the child's segment)`: open addressing,
@@ -45,13 +51,141 @@
 
 use std::ops::{Index, IndexMut};
 
+use crate::tokenizer::output_token;
+
 /// Arena index of the root: always live, empty segment, its own parent.
 pub const ROOT: usize = 0;
+
+/// `len` tokens request `request` generated from its `from`-th on:
+/// `output_token(request, from + k)` for `k < len`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) request: u64,
+    pub(crate) from: u32,
+    pub(crate) len: u32,
+}
+
+impl Run {
+    /// The `k`-th token.
+    fn token(self, k: usize) -> u32 {
+        output_token(self.request, self.from + k as u32)
+    }
+
+    /// All but the first `n` tokens.
+    fn skip(self, n: usize) -> Run {
+        Run {
+            from: self.from + n as u32,
+            len: self.len - n as u32,
+            ..self
+        }
+    }
+}
+
+/// A token sequence as a walk reads it: borrowed, or a [`Run`]
+/// recomputed as it is read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tokens<'a> {
+    Slice(&'a [u32]),
+    Run(Run),
+}
+
+impl Tokens<'_> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Tokens::Slice(s) => s.len(),
+            Tokens::Run(r) => r.len as usize,
+        }
+    }
+
+    fn first(self) -> Option<u32> {
+        match self {
+            Tokens::Slice(s) => s.first().copied(),
+            Tokens::Run(r) => (r.len > 0).then(|| r.token(0)),
+        }
+    }
+
+    /// All but the first `n` tokens.
+    pub(crate) fn skip(self, n: usize) -> Self {
+        match self {
+            Tokens::Slice(s) => Tokens::Slice(&s[n..]),
+            Tokens::Run(r) => Tokens::Run(r.skip(n)),
+        }
+    }
+}
+
+/// A node's tokens: held, or a boxed [`Run`]. Either is 16 bytes.
+#[derive(Debug)]
+pub(crate) enum Seg {
+    Owned(Box<[u32]>),
+    Run(Box<Run>),
+}
+
+impl Default for Seg {
+    fn default() -> Self {
+        Seg::Owned(Box::default())
+    }
+}
+
+impl From<Tokens<'_>> for Seg {
+    /// A slice is copied into an exact buffer. A run of at most four
+    /// tokens is computed into one too, since such a buffer costs no
+    /// more than a run's box; a longer run is kept as a run.
+    fn from(tokens: Tokens<'_>) -> Seg {
+        match tokens {
+            Tokens::Slice(s) => Seg::Owned(s.into()),
+            Tokens::Run(r) if r.len <= 4 => {
+                Seg::Owned((0..r.len as usize).map(|k| r.token(k)).collect())
+            }
+            Tokens::Run(r) => Seg::Run(Box::new(r)),
+        }
+    }
+}
+
+impl Seg {
+    fn tokens(&self) -> Tokens<'_> {
+        match self {
+            Seg::Owned(s) => Tokens::Slice(s),
+            Seg::Run(r) => Tokens::Run(**r),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.tokens().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The first token: the segment's key in its parent's edge table.
+    fn first(&self) -> u32 {
+        self.tokens()
+            .first()
+            .expect("invariant: a linked segment is not empty")
+    }
+
+    /// The first `keep` tokens and the rest. Tokens are copied into two
+    /// exact buffers; a run is cut into two runs, the tail keeping its
+    /// box.
+    fn split(self, keep: usize) -> (Seg, Seg) {
+        match self {
+            Seg::Owned(s) => (Seg::Owned(s[..keep].into()), Seg::Owned(s[keep..].into())),
+            Seg::Run(mut r) => {
+                let head = Run {
+                    len: keep as u32,
+                    ..*r
+                };
+                *r = r.skip(keep);
+                (Seg::Run(Box::new(head)), Seg::Run(r))
+            }
+        }
+    }
+}
 
 /// One tree node: the structure is the arena's, the payload the caller's.
 #[derive(Debug)]
 pub struct Node<P> {
-    seg: Box<[u32]>,
+    seg: Seg,
     parent: u32,
     /// How many children link to this node in the edge table.
     kids: u32,
@@ -60,9 +194,10 @@ pub struct Node<P> {
 }
 
 impl<P> Node<P> {
-    /// Token segment on the edge from the parent (empty only at the root).
-    pub fn seg(&self) -> &[u32] {
-        &self.seg
+    /// Tokens on the edge from the parent (0 only at the root and in a
+    /// free slot).
+    pub fn seg_len(&self) -> usize {
+        self.seg.len()
     }
 
     /// Arena index of the parent.
@@ -263,8 +398,8 @@ impl Edges {
 /// // [1, 2, 9] shares two tokens with the edge, then diverges.
 /// assert_eq!(tree.descend(ROOT, &[1, 2, 9]), Some((leaf, 2)));
 /// let mid = tree.split(leaf, 2);
-/// assert_eq!(tree[mid].seg(), [1, 2]);
-/// assert_eq!(tree[leaf].seg(), [3, 4]);
+/// assert_eq!((tree[mid].seg_len(), tree[leaf].seg_len()), (2, 2));
+/// assert_eq!(tree.child(mid, 3), Some(leaf));
 /// tree.alloc([9], mid, ());
 /// assert_eq!(tree.walk(ROOT, &[1, 2, 9, 9]).map(|(_, n)| n).sum::<usize>(), 3);
 /// ```
@@ -294,7 +429,7 @@ impl<P: Clone> RadixArena<P> {
     pub fn new(root: P) -> Self {
         RadixArena {
             nodes: vec![Node {
-                seg: Box::default(),
+                seg: Seg::default(),
                 parent: ROOT as u32,
                 kids: 0,
                 data: root,
@@ -315,8 +450,13 @@ impl<P: Clone> RadixArena<P> {
     /// the walk cannot go deeper. `None` if no child starts with
     /// `tokens[0]`, or `tokens` is empty.
     pub fn descend(&self, node: usize, tokens: &[u32]) -> Option<(usize, usize)> {
-        let child = self.child(node, *tokens.first()?)?;
-        Some((child, common_prefix(&self.nodes[child].seg, tokens)))
+        self.descend_tokens(node, Tokens::Slice(tokens))
+    }
+
+    /// [`RadixArena::descend`] along a slice or a run.
+    pub(crate) fn descend_tokens(&self, node: usize, tokens: Tokens<'_>) -> Option<(usize, usize)> {
+        let child = self.child(node, tokens.first()?)?;
+        Some((child, common_prefix(self.nodes[child].seg.tokens(), tokens)))
     }
 
     /// Every [`RadixArena::descend`] step from `from` along `tokens`,
@@ -340,9 +480,13 @@ impl<P: Clone> RadixArena<P> {
     /// `Box<[u32]>` becomes the leaf's segment as it is; a slice is
     /// copied into an exact one.
     pub fn alloc(&mut self, seg: impl Into<Box<[u32]>>, parent: usize, data: P) -> usize {
+        self.alloc_seg(Seg::Owned(seg.into()), parent, data)
+    }
+
+    /// [`RadixArena::alloc`] of a segment of either kind.
+    pub(crate) fn alloc_seg(&mut self, seg: Seg, parent: usize, data: P) -> usize {
         let idx = self.take_slot(parent, data);
-        let seg = seg.into();
-        let first = seg[0];
+        let first = seg.first();
         self.nodes[idx].seg = seg;
         self.link(parent, first, idx);
         idx
@@ -351,15 +495,14 @@ impl<P: Clone> RadixArena<P> {
     /// Splits `child`'s edge after `keep` tokens (`0 < keep <` its
     /// length): a new node between `child` and its parent takes the
     /// first `keep` tokens and a clone of `child`'s payload, `child`
-    /// keeps the tail. Both segments are allocated exactly and the old
-    /// one is freed. Returns the new node.
+    /// keeps the tail. Held tokens go into two exact buffers and the old
+    /// one is freed; a run is cut into two runs. Returns the new node.
     pub fn split(&mut self, child: usize, keep: usize) -> usize {
         debug_assert!(keep > 0 && keep < self.nodes[child].seg.len());
         let parent = self.nodes[child].parent();
         let mid = self.take_slot(parent, self.nodes[child].data.clone());
-        let seg = &self.nodes[child].seg;
-        let (head, tail): (Box<[u32]>, Box<[u32]>) = (seg[..keep].into(), seg[keep..].into());
-        let (head_first, tail_first) = (head[0], tail[0]);
+        let (head, tail) = std::mem::take(&mut self.nodes[child].seg).split(keep);
+        let (head_first, tail_first) = (head.first(), tail.first());
         self.nodes[child].seg = tail;
         self.nodes[child].parent = mid as u32;
         self.nodes[mid].seg = head;
@@ -378,12 +521,12 @@ impl<P: Clone> RadixArena<P> {
     pub fn remove_leaf(&mut self, idx: usize) {
         debug_assert!(idx != ROOT && self.nodes[idx].is_leaf());
         let n = &self.nodes[idx];
-        let (parent, first) = (n.parent(), n.seg[0]);
+        let (parent, first) = (n.parent(), n.seg.first());
         if self.edges.remove(parent as u32, first) != Some(idx as u32) {
             panic!("invariant: parent {parent} does not link to leaf {idx}");
         }
         self.nodes[parent].kids -= 1;
-        self.nodes[idx].seg = Box::default();
+        self.nodes[idx].seg = Seg::default();
         self.free.push(idx);
     }
 
@@ -430,7 +573,7 @@ impl<P: Clone> RadixArena<P> {
                 "live node {i} under free slot {parent}"
             );
             assert_eq!(
-                self.child(parent, n.seg[0]),
+                self.child(parent, n.seg.first()),
                 Some(i),
                 "parent/child link broken"
             );
@@ -481,7 +624,7 @@ impl<P: Clone> RadixArena<P> {
                 "invariant: arena slot {idx} does not fit a u32 link"
             );
             self.nodes.push(Node {
-                seg: Box::default(),
+                seg: Seg::default(),
                 parent,
                 kids: 0,
                 data,
@@ -491,9 +634,27 @@ impl<P: Clone> RadixArena<P> {
     }
 }
 
-/// How many leading tokens `a` and `b` share, compared eight at a time
-/// while whole blocks of eight agree.
-fn common_prefix(a: &[u32], b: &[u32]) -> usize {
+/// How many leading tokens `a` and `b` share. A run's tokens are
+/// computed one at a time as they are compared, up to the first that
+/// differs.
+fn common_prefix(a: Tokens<'_>, b: Tokens<'_>) -> usize {
+    let n = a.len().min(b.len());
+    match (a, b) {
+        (Tokens::Slice(a), Tokens::Slice(b)) => common_slices(a, b),
+        (Tokens::Run(r), Tokens::Slice(s)) | (Tokens::Slice(s), Tokens::Run(r)) => s[..n]
+            .iter()
+            .enumerate()
+            .take_while(|&(k, &t)| r.token(k) == t)
+            .count(),
+        (Tokens::Run(a), Tokens::Run(b)) => {
+            (0..n).take_while(|&k| a.token(k) == b.token(k)).count()
+        }
+    }
+}
+
+/// [`common_prefix`] of two slices, compared eight at a time while
+/// whole blocks of eight agree.
+fn common_slices(a: &[u32], b: &[u32]) -> usize {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let (blocks, _) = a.as_chunks::<8>();
@@ -556,6 +717,71 @@ mod tests {
 
     use super::*;
 
+    /// A node's tokens, read as a walk reads them.
+    fn toks<P>(n: &Node<P>) -> Vec<u32> {
+        match n.seg.tokens() {
+            Tokens::Slice(s) => s.to_vec(),
+            Tokens::Run(r) => (0..r.len as usize).map(|k| r.token(k)).collect(),
+        }
+    }
+
+    fn run(request: u64, from: u32, len: u32) -> Tokens<'static> {
+        Tokens::Run(Run { request, from, len })
+    }
+
+    #[test]
+    fn a_segment_of_either_kind_is_16_bytes() {
+        assert_eq!(size_of::<Seg>(), 16);
+    }
+
+    #[test]
+    fn a_run_reads_as_its_tokens() {
+        let r = run(9, 3, 20);
+        let tokens: Vec<u32> = (3..23).map(|k| output_token(9, k)).collect();
+        assert_eq!(r.first(), Some(tokens[0]));
+        assert!(matches!(r.skip(5), Tokens::Run(s) if s.token(2) == tokens[7] && s.len == 15));
+        assert_eq!(run(9, 3, 0).first(), None);
+        // Up to four tokens are held; more stay a run.
+        assert!(matches!(Seg::from(run(9, 3, 4)), Seg::Owned(t) if *t == tokens[..4]));
+        assert!(matches!(Seg::from(run(9, 3, 5)), Seg::Run(r) if r.len == 5));
+    }
+
+    #[test]
+    fn a_run_walks_and_splits_as_its_tokens_do() {
+        // One tree holds a run, the other the same tokens; every query
+        // and every cut must read alike in both.
+        let tokens: Vec<u32> = (1..41).map(|k| output_token(77, k)).collect();
+        for keep in [1, 4, 7, 8, 9, 16, 39] {
+            let (mut held, mut ran) = (RadixArena::new(()), RadixArena::new(()));
+            let a = held.alloc(&tokens[..], ROOT, ());
+            let b = ran.alloc_seg(Seg::from(run(77, 1, 40)), ROOT, ());
+            for diverge in [0, 1, 7, 8, 9, 23, 39, 40] {
+                let mut q = tokens.clone();
+                if diverge < q.len() {
+                    q[diverge] ^= 1;
+                }
+                assert_eq!(held.descend(ROOT, &q), ran.descend(ROOT, &q), "{diverge}");
+            }
+            let (mh, mr) = (held.split(a, keep), ran.split(b, keep));
+            assert!(matches!(
+                (&ran[mr].seg, &ran[b].seg),
+                (Seg::Run(_), Seg::Run(_))
+            ));
+            assert_eq!(
+                (toks(&held[mh]), toks(&held[a])),
+                (toks(&ran[mr]), toks(&ran[b]))
+            );
+            assert_eq!(ran.child(ROOT, tokens[0]), Some(mr));
+            assert_eq!(ran.child(mr, tokens[keep]), Some(b));
+            let steps = |t: &RadixArena<()>| t.walk(ROOT, &tokens).collect::<Vec<_>>();
+            assert_eq!(steps(&held), steps(&ran));
+            ran.check_invariants();
+            ran.remove_leaf(b);
+            ran.remove_leaf(mr);
+            ran.check_invariants();
+        }
+    }
+
     #[test]
     fn slot_set_iterates_members_in_slot_order() {
         let mut s = SlotSet::default();
@@ -575,7 +801,7 @@ mod tests {
         let mut t = RadixArena::new(0u32);
         let leaf = t.alloc([1, 2, 3, 4, 5], ROOT, 7);
         let mid = t.split(leaf, 2);
-        assert_eq!((t[mid].seg(), t[leaf].seg()), (&[1, 2][..], &[3, 4, 5][..]));
+        assert_eq!((toks(&t[mid]), toks(&t[leaf])), (vec![1, 2], vec![3, 4, 5]));
         assert_eq!((t[mid].parent(), t[leaf].parent()), (ROOT, mid));
         assert_eq!(t.child(ROOT, 1), Some(mid));
         assert_eq!(t.child(mid, 3), Some(leaf));
@@ -604,8 +830,8 @@ mod tests {
         // The slot that held 64 tokens holds the one it stores, and the
         // split's tail gave up the head's token.
         assert_eq!(
-            (&*t[a].seg, &*t[b].seg, &*t[c].seg),
-            (&[2][..], &[2, 2][..], &[4, 4][..])
+            (toks(&t[a]), toks(&t[b]), toks(&t[c])),
+            (vec![2], vec![2, 2], vec![4, 4])
         );
         // The links live in the tree's one edge table, not in the nodes:
         // four links in its first eight slots, one under `a`, three
@@ -654,8 +880,28 @@ mod tests {
                     other[diverge] = u32::MAX;
                 }
                 let slow = base.iter().zip(&other).take_while(|(a, b)| a == b).count();
-                assert_eq!(common_prefix(&base, &other), slow, "{len} {diverge}");
-                assert_eq!(common_prefix(&other, &base), slow, "{len} {diverge}");
+                assert_eq!(common_slices(&base, &other), slow, "{len} {diverge}");
+                assert_eq!(common_slices(&other, &base), slow, "{len} {diverge}");
+            }
+        }
+    }
+
+    #[test]
+    fn common_prefix_of_runs_matches_a_token_by_token_count() {
+        let base: Vec<u32> = (0..40).map(|k| output_token(5, k)).collect();
+        for len in [0, 1, 7, 8, 9, 16, 23, 40] {
+            for diverge in 0..=len {
+                let mut other = base[..len].to_vec();
+                if diverge < len {
+                    other[diverge] = u32::MAX;
+                }
+                let slow = base.iter().zip(&other).take_while(|(a, b)| a == b).count();
+                let whole = run(5, 0, 40);
+                assert_eq!(common_prefix(whole, Tokens::Slice(&other)), slow);
+                assert_eq!(common_prefix(Tokens::Slice(&other), whole), slow);
+                // Two runs: the same request's, and another's.
+                assert_eq!(common_prefix(whole, run(5, 0, len as u32)), len);
+                assert_eq!(common_prefix(whole, run(6, 0, len as u32)), 0);
             }
         }
     }

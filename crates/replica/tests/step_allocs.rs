@@ -9,8 +9,8 @@
 //! not fit; an `acquire` that must evict eight victims allocates no
 //! more than one that evicts one; an `acquire` that hits allocates only
 //! its new leaf's segment; and an iteration that retires requests
-//! allocates one block for each, the buffer its output is written into
-//! once and its cache leaf keeps. The first two are read twice: with
+//! allocates one block for each: its cache leaf's run (request, offset,
+//! length), since no output token is written out. The first two are read twice: with
 //! FCFS's fixed plan, which takes such iterations in O(1), and with the
 //! same policy behind a wrapper that hides it, which takes the full
 //! step with its view and plan.

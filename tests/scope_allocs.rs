@@ -104,10 +104,11 @@ fn another_threads_allocations_are_not_charged() {
 
 /// The allocations of the run, by scope; scopes that made none are left
 /// out. `Outside` is the fabric's set-up and the report. Per request,
-/// route trie inserts make 1.48, cache acquires 1.40, and a replica's
-/// steps (`ReplicaKick`) 1.12, of them one exact buffer per retired
-/// request, which the cache keeps as the output's leaf; a step moves no
-/// request through a side list. `IssueStage` is the request table
+/// route trie inserts make 1.48, cache acquires 1.40, a replica's steps
+/// (`ReplicaKick`) 0.12 — a step writes no output token and moves no
+/// request through a side list — and cache completes 1.14, of them one
+/// per retired request: its output leaf's 16-byte run, or the buffer of
+/// an output of at most four tokens. `IssueStage` is the request table
 /// growing — a request in flight is one entry, its lifecycle record
 /// included — and `DeliverCompletion` the settled records' samples (17)
 /// and the free list of retired clients' slots (4), whose growth a
@@ -118,12 +119,12 @@ const PINNED: &[(Scope, usize)] = &[
     (Scope::LbReceive, 3),
     (Scope::LbDispatch, 4),
     (Scope::ReplicaReceive, 8),
-    (Scope::ReplicaKick, 368),
+    (Scope::ReplicaKick, 40),
     (Scope::DeliverCompletion, 21),
     (Scope::ProbeTick, 1),
     (Scope::TrieInsert, 484),
     (Scope::CacheAcquire, 458),
-    (Scope::CacheComplete, 45),
+    (Scope::CacheComplete, 373),
 ];
 
 /// The same run with 1 s telemetry on. A first token's two TTFT
@@ -136,12 +137,12 @@ const PINNED_TELEMETRY: &[(Scope, usize)] = &[
     (Scope::LbReceive, 3),
     (Scope::LbDispatch, 4),
     (Scope::ReplicaReceive, 8),
-    (Scope::ReplicaKick, 368),
+    (Scope::ReplicaKick, 40),
     (Scope::DeliverFirstToken, 47),
     (Scope::DeliverCompletion, 21),
     (Scope::ProbeTick, 1),
     (Scope::TelemetryTick, 11),
     (Scope::TrieInsert, 484),
     (Scope::CacheAcquire, 458),
-    (Scope::CacheComplete, 45),
+    (Scope::CacheComplete, 373),
 ];
