@@ -15,8 +15,10 @@
 //! queue head, available local replicas are preferred; only when *no*
 //! local replica can admit work is the request forwarded to an available
 //! remote balancer, which makes the final placement inside its own
-//! region. Forwarded requests are never forwarded again (hop limit), so
-//! no request ping-pongs across the planet.
+//! region. Forwarded requests are never forwarded again: a request moves
+//! across regions at most once, so none ping-pongs across the planet. A
+//! balancer given no peers (every single-region baseline) has no remote
+//! candidate, so it never forwards.
 //!
 //! The balancer is deliberately I/O-free: probes and requests arrive via
 //! method calls, decisions leave as [`Decision`] values. The simulation
@@ -69,7 +71,9 @@ pub struct PeerState {
     pub alive: bool,
 }
 
-/// Balancer configuration.
+/// Balancer configuration. Forwarding is not among its settings: a
+/// balancer forwards only a request that was never forwarded, and only
+/// to the peers it was given.
 #[derive(Debug, Clone, Copy)]
 pub struct BalancerConfig {
     /// Region this balancer fronts.
@@ -86,20 +90,17 @@ pub struct BalancerConfig {
     /// Construction parameters of the policies at both layers (trie
     /// bound, affinity threshold, load-gap override).
     pub params: PolicyParams,
-    /// Maximum LB-to-LB hops (1 = a request is forwarded at most once).
-    pub max_hops: u8,
     /// Regulatory forwarding constraint (§4.1).
     pub constraint: RoutingConstraint,
 }
 
 impl BalancerConfig {
     /// The paper's SkyWalker configuration: prefix-tree policy, SP-P
-    /// pushing, τ = 4, one forwarding hop.
+    /// pushing, τ = 4. It forwards once it is given peers.
     pub fn skywalker(region: Region) -> Self {
         BalancerConfig {
             push_mode: PushMode::Pending,
             tau: 4,
-            max_hops: 1,
             ..Self::baseline(region, PolicyKind::CacheAware)
         }
     }
@@ -113,7 +114,8 @@ impl BalancerConfig {
     }
 
     /// A single-region baseline (RR/LL/CH/SGL): the given policy with
-    /// blind pushing and no cross-region forwarding.
+    /// blind pushing. A baseline forwards nothing because its caller
+    /// gives it no peers.
     pub fn baseline(region: Region, policy: PolicyKind) -> Self {
         BalancerConfig {
             region,
@@ -121,7 +123,6 @@ impl BalancerConfig {
             push_mode: PushMode::Blind,
             tau: 0,
             params: PolicyParams::default(),
-            max_hops: 0,
             constraint: RoutingConstraint::Unrestricted,
         }
     }
@@ -434,8 +435,8 @@ impl RegionalBalancer {
                 continue;
             }
             // No local capacity: consider remote regions, unless this
-            // request already used its hop budget.
-            if head.hops >= self.cfg.max_hops {
+            // request was already forwarded once.
+            if head.hops > 0 {
                 break;
             }
             remote_candidates.clear();

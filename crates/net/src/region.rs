@@ -44,16 +44,10 @@ impl Region {
     /// (United States, Europe, Asia).
     pub const PAPER_TRIO: [Region; 3] = [Region::UsEast, Region::EuWest, Region::ApNortheast];
 
-    /// A stable dense index for table lookups.
+    /// A stable dense index for table lookups: the position in
+    /// [`ALL`](Self::ALL), which lists the variants in declaration order.
     pub fn index(self) -> usize {
-        match self {
-            Region::UsEast => 0,
-            Region::UsWest => 1,
-            Region::EuWest => 2,
-            Region::EuCentral => 3,
-            Region::ApNortheast => 4,
-            Region::ApSoutheast => 5,
-        }
+        self as usize
     }
 
     /// The continent grouping, used for GDPR-style routing constraints and

@@ -112,7 +112,8 @@ pub enum Message {
         /// Current LB queue length.
         queue_len: u32,
     },
-    /// Rejection (e.g. hop limit exceeded, shutting down).
+    /// Rejection (e.g. a prompt over the replica's KV capacity, a closed
+    /// link).
     Reject {
         /// Request this responds to.
         request_id: u64,

@@ -362,11 +362,6 @@ impl Replica {
         s
     }
 
-    /// Longest cached prefix for a prompt, for router probes.
-    pub fn matched_tokens(&self, prompt: &[u32]) -> u64 {
-        self.cache.matched_tokens(prompt)
-    }
-
     /// Direct access to the prefix cache (read-only).
     pub fn cache(&self) -> &PrefixCache {
         &self.cache
@@ -981,7 +976,7 @@ mod tests {
         let out = r.step();
         assert_eq!(out.admitted.len(), 1);
         // 8 of 10 tokens (prior prompt + reply) come from cache.
-        assert_eq!(r.matched_tokens(&turn2), 10, "full prompt now cached");
+        assert_eq!(r.cache.matched_tokens(&turn2), 10, "full prompt now cached");
         assert_eq!(out.completions[0].cached_prompt_tokens, 8);
     }
 

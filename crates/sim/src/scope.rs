@@ -75,7 +75,7 @@ pub enum Scope {
     TrieInsert,
     /// `PrefixCache::acquire`.
     CacheAcquire,
-    /// `PrefixCache::complete` and its owned form.
+    /// `PrefixCache::complete` and `PrefixCache::complete_run`.
     CacheComplete,
 }
 

@@ -100,7 +100,6 @@ fn build_lbs(
             push_mode,
             tau,
             params: cfg.policy,
-            max_hops: u8::from(forward),
             constraint,
         };
         let lb = RegionalBalancer::with_factory(LbId(lb_id), bcfg, factory);

@@ -135,11 +135,8 @@ impl Fabric {
                 }
                 self.deregister(replica);
                 let slot = &mut self.replicas[i];
-                slot.health = if slot.replica.is_idle() && !slot.stepping {
-                    ReplicaHealth::Retired
-                } else {
-                    ReplicaHealth::Draining
-                };
+                slot.health = ReplicaHealth::Draining;
+                slot.retire_if_drained();
                 self.fleet.ledger.drains += 1;
                 self.fleet.record(now, &self.replicas);
             }

@@ -36,10 +36,9 @@ pub(crate) struct ReplicaSlot {
     /// Serving role (mid-run joins are always colocated).
     pub(crate) role: ReplicaRole,
     pub(crate) health: ReplicaHealth,
-    /// An iteration is in flight (`Ev::IterationDone` is scheduled).
-    pub(crate) stepping: bool,
     /// The outcome of the iteration in flight, published when it is
-    /// done; empty otherwise.
+    /// done; empty otherwise. It is a worked outcome exactly while
+    /// `Ev::IterationDone` is scheduled.
     in_flight: StepOutcome,
     /// Peak KV utilization, sampled at every probe tick it was not
     /// crashed for.
@@ -55,6 +54,17 @@ impl ReplicaSlot {
     /// Live for placement and fleet accounting.
     pub(crate) fn is_active(&self) -> bool {
         self.health == ReplicaHealth::Active
+    }
+
+    /// Retires a draining replica once it has nothing left to serve and
+    /// no iteration in flight.
+    pub(crate) fn retire_if_drained(&mut self) {
+        if self.health == ReplicaHealth::Draining
+            && self.replica.is_idle()
+            && !self.in_flight.worked()
+        {
+            self.health = ReplicaHealth::Retired;
+        }
     }
 }
 
@@ -81,7 +91,6 @@ impl Fabric {
             region,
             role,
             health: ReplicaHealth::Active,
-            stepping: false,
             in_flight: StepOutcome::default(),
             kv_peak: 0.0,
             peak_outstanding: 0,
@@ -126,7 +135,8 @@ impl Fabric {
 
     pub(crate) fn on_replica_kick(&mut self, replica: u32, sched: &mut Sched) {
         let i = replica as usize;
-        if self.replicas[i].stepping || self.replicas[i].health == ReplicaHealth::Crashed {
+        let slot = &self.replicas[i];
+        if slot.in_flight.worked() || slot.health == ReplicaHealth::Crashed {
             return;
         }
         loop {
@@ -137,7 +147,6 @@ impl Fabric {
             let slot = &mut self.replicas[i];
             match stepped {
                 Advance::Worked(out) => {
-                    slot.stepping = true;
                     sched.after(out.duration, Ev::IterationDone { replica });
                     slot.in_flight = out;
                     return;
@@ -150,7 +159,10 @@ impl Fabric {
                     self.free_lb_slot(id, replica, sched);
                     self.fail_request(id, sched);
                 }
-                Advance::Idle => return,
+                Advance::Idle => {
+                    slot.retire_if_drained();
+                    return;
+                }
             }
         }
     }
@@ -184,7 +196,6 @@ impl Fabric {
     pub(crate) fn on_iteration_done(&mut self, replica: u32, sched: &mut Sched) {
         let now = sched.now();
         let slot = &mut self.replicas[replica as usize];
-        slot.stepping = false;
         let out = std::mem::take(&mut slot.in_flight);
         let region = slot.region;
         // Outputs of an iteration that finished before a crash landed
@@ -235,9 +246,7 @@ impl Fabric {
         let slot = &mut self.replicas[replica as usize];
         slot.replica.recycle(out);
         if !crashed {
-            if slot.health == ReplicaHealth::Draining && slot.replica.is_idle() {
-                slot.health = ReplicaHealth::Retired;
-            }
+            slot.retire_if_drained();
             self.follow_up(Ev::ReplicaKick { replica }, sched);
         }
     }

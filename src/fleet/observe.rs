@@ -9,6 +9,7 @@
 use skywalker_net::Region;
 use skywalker_replica::ReplicaId;
 use skywalker_sim::SimTime;
+use skywalker_workload::distinct_regions;
 
 /// One replica as the control plane sees it. Crashed and retired
 /// replicas are omitted from the observation entirely.
@@ -147,18 +148,8 @@ impl FleetObservation {
     /// Regions under observation: balancer regions first (creation
     /// order), then any replica-only regions, deduplicated.
     pub fn regions(&self) -> Vec<Region> {
-        let mut out = Vec::new();
-        for b in &self.balancers {
-            if !out.contains(&b.region) {
-                out.push(b.region);
-            }
-        }
-        for r in &self.replicas {
-            if !out.contains(&r.region) {
-                out.push(r.region);
-            }
-        }
-        out
+        let balancers = self.balancers.iter().map(|b| b.region);
+        distinct_regions(balancers.chain(self.replicas.iter().map(|r| r.region)))
     }
 }
 

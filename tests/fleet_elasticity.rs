@@ -5,9 +5,10 @@
 //! request — are the "Fleet day" rows of `docs/claims.md`, gated by
 //! `tests/paper_claims.rs`.
 
-use skywalker::replica::{GpuProfile, ReplicaId};
+use skywalker::replica::{GpuProfile, ReplicaId, Request};
 use skywalker::sim::{SimDuration, SimTime};
 use skywalker::telemetry::{names, SampleValue, TelemetrySummary};
+use skywalker::workload::{ClientSpec, Program};
 use skywalker::{
     balanced_fleet, diurnal_day_scenario, l4_fleet, run_scenario, workload_clients,
     AutoscalerConfig, ChaosConfig, ChaosPlan, DayStrategy, FabricConfig, FleetCommand, FleetEvent,
@@ -281,4 +282,67 @@ fn final_snapshot_lists_every_component_ever_deployed() {
     let completed: u64 = s.replica_stats.iter().map(|r| r.completed).sum();
     assert_eq!(total(names::REPLICA_COMPLETED_TOTAL), completed);
     assert_eq!(total(names::LB_FORWARDED_TOTAL), s.forwarded);
+}
+
+/// A draining replica that goes idle by dropping a head it can never
+/// serve retires there and then: a later crash finds it gone and is
+/// not counted.
+#[test]
+fn a_replica_drained_idle_by_a_dropped_head_retires() {
+    let region = REGIONS[0];
+    // Client 0's long decode (about 57 s) holds the replica busy past
+    // the drain; its second stage finds no replica left and keeps the
+    // run going until the deadline, past the crash.
+    let long = ClientSpec {
+        region,
+        user: "long".into(),
+        programs: vec![Program {
+            stages: vec![
+                vec![Request::new(0, "long", vec![1; 16], 2_000)],
+                vec![Request::new(1, "long", vec![1; 16], 1)],
+            ],
+        }],
+    };
+    // Client 1's prompt is larger than the replica's whole KV cache:
+    // it waits behind the long decode, and is dropped once it is alone.
+    let unservable = ClientSpec {
+        region,
+        user: "huge".into(),
+        programs: vec![Program {
+            stages: vec![vec![Request::new(2, "huge", vec![2; 50_000], 1)]],
+        }],
+    };
+    let plan = ScheduledPlan::new(vec![
+        FleetCommand::new(
+            SimTime::from_secs(5),
+            FleetEvent::ReplicaDrain {
+                replica: ReplicaId(0),
+            },
+        ),
+        FleetCommand::new(
+            SimTime::from_secs(100),
+            FleetEvent::ReplicaCrash {
+                replica: ReplicaId(0),
+            },
+        ),
+    ]);
+    let scenario = SystemKind::SkyWalker
+        .builder()
+        .replicas(l4_fleet(&[(region, 1)]))
+        .clients(vec![long, unservable])
+        .fleet_plan(Box::new(plan))
+        .build()
+        .expect("valid scenario");
+    let cfg = FabricConfig {
+        deadline: SimTime::from_secs(120),
+        ..FabricConfig::default()
+    };
+    let s = run_scenario(&scenario, &cfg);
+    let r = &s.report;
+    assert_eq!((r.completed, r.failed, r.in_flight), (1, 1, 1));
+    assert_eq!(
+        (s.fleet.drains, s.fleet.crashes),
+        (1, 0),
+        "the crash found a retired replica"
+    );
 }
